@@ -17,7 +17,9 @@
 package acid
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"path"
 	"sort"
 	"strings"
@@ -161,8 +163,12 @@ func (h *Handler) loadDeltas(desc *metastore.TableDesc, m *sim.Meter) ([]deltaEn
 		rr := rd.NewRowReader(orcfile.RowReaderOptions{})
 		for {
 			row, _, err := rr.Next()
-			if err != nil {
+			if errors.Is(err, io.EOF) {
 				break
+			}
+			if err != nil {
+				fr.Close()
+				return nil, fmt.Errorf("acid: read delta %s: %w", fi.Path, err)
 			}
 			entry := deltaEntry{
 				rid: uint64(row[0].I),
@@ -195,16 +201,16 @@ func (h *Handler) DeltaFileCount(desc *metastore.TableDesc) (int, error) {
 
 // Splits returns one merge-on-read split per base file. Every split
 // re-reads all deltas — exactly the amplification §V-C describes.
-func (h *Handler) Splits(desc *metastore.TableDesc, opts hive.ScanOptions) ([]mapred.InputSplit, error) {
+func (h *Handler) Splits(desc *metastore.TableDesc, opts hive.ScanOptions) ([]mapred.InputSplit, func(), error) {
 	files, err := h.baseFiles(desc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var splits []mapred.InputSplit
 	for _, f := range files {
 		splits = append(splits, &acidSplit{h: h, desc: desc, file: f, opts: opts})
 	}
-	return splits, nil
+	return splits, func() {}, nil // nothing is pinned
 }
 
 // RowCount sums base-file rows.
@@ -392,7 +398,7 @@ func (r *acidReader) Next() (datum.Row, mapred.RecordMeta, error) {
 	for {
 		row, ord, err := r.rows.Next()
 		if err != nil {
-			return nil, mapred.RecordMeta{}, mapred.EOF
+			return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
 		}
 		rid := uint64(r.fileID)<<32 | uint64(ord)
 		for r.di < len(r.deltas) && r.deltas[r.di].rid < rid {
@@ -523,10 +529,11 @@ func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 // records into one new delta file per map task, under one transaction.
 func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, m *sim.Meter,
 	visit func(tm *sim.Meter, row datum.Row, rid uint64, emitDelta func(deltaEntry) error) (bool, error)) (int64, error) {
-	splits, err := h.Splits(desc, hive.ScanOptions{})
+	splits, release, err := h.Splits(desc, hive.ScanOptions{})
 	if err != nil {
 		return 0, err
 	}
+	defer release()
 	txn := h.allocTxn(desc)
 	dSchema := deltaSchema(desc)
 	var taskCounter int64
@@ -598,6 +605,10 @@ func (dm *deltaMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Em
 	return nil
 }
 
+func (dm *deltaMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
+	return mapred.MapFunc(dm.Map).MapBatch(b, emit)
+}
+
 func (dm *deltaMapper) Flush(emit mapred.Emitter) error {
 	if dm.w == nil {
 		return nil
@@ -615,10 +626,11 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 	if err := ec.Err(); err != nil {
 		return err
 	}
-	splits, err := h.Splits(desc, hive.ScanOptions{})
+	splits, release, err := h.Splits(desc, hive.ScanOptions{})
 	if err != nil {
 		return err
 	}
+	defer release()
 	factory, committer, err := h.Overwrite(desc)
 	if err != nil {
 		return err

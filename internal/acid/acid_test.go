@@ -1,6 +1,7 @@
 package acid
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,7 +16,12 @@ import (
 
 func testEngine(t *testing.T) (*hive.Engine, *Handler) {
 	t.Helper()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
+	return testEngineOn(t, dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
+}
+
+func testEngineOn(t *testing.T, cfg dfs.Config) (*hive.Engine, *Handler) {
+	t.Helper()
+	fs := dfs.New(cfg)
 	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -194,5 +200,30 @@ func TestAcidReadAmplification(t *testing.T) {
 	if after.SimSeconds <= before.SimSeconds {
 		t.Errorf("merge-on-read should slow down with deltas: %.3f vs %.3f",
 			after.SimSeconds, before.SimSeconds)
+	}
+}
+
+// TestAcidScanSurfacesReadFaults corrupts the first (stripe) block of a
+// base file, then of a delta file, on a checksum-verifying DFS. Both
+// footers still open; the faulting stripe read must fail the statement
+// rather than end the base scan or the delta load early.
+func TestAcidScanSurfacesReadFaults(t *testing.T) {
+	for _, dir := range []string{"base", "deltas"} {
+		e, _ := testEngineOn(t, dfs.Config{BlockSize: 128, Replication: 1, DataNodes: 4, VerifyOnRead: true})
+		seed(t, e)
+		mustExec(t, e, "UPDATE a SET v = v + 0.5 WHERE grp < 5")
+		if rs := mustExec(t, e, "SELECT COUNT(v), SUM(id) FROM a"); rs.Rows[0][0].I != 200 {
+			t.Fatalf("clean scan = %v", rs.Rows[0])
+		}
+		infos, err := e.FS.ListFiles("/warehouse/a/" + dir)
+		if err != nil || len(infos) == 0 || infos[0].Size <= 2*128 {
+			t.Fatalf("%s: want a multi-block file, have %v (%v)", dir, infos, err)
+		}
+		if err := e.FS.CorruptBlock(infos[0].Path, 0); err != nil {
+			t.Fatal(err)
+		}
+		if rs, err := e.Execute("SELECT COUNT(v), SUM(id) FROM a"); !errors.Is(err, dfs.ErrCorruptBlock) {
+			t.Errorf("scan over a corrupt %s stripe = %v, %v; want dfs.ErrCorruptBlock", dir, rs, err)
+		}
 	}
 }

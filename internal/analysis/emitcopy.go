@@ -17,10 +17,16 @@ import (
 //   - The input row a RecordReader hands to Map is a reused buffer:
 //     Map must never retain it whole either. Element access
 //     (row[i]) and spread copies (append(dst, row...)) are legal.
+//   - The batch form of the same rule: MapBatch(b *RecordBatch, emit)
+//     must not retain b, its Rows/Cols/IDs slices, a row b.Rows[i] or
+//     a vector b.Cols[j] / &b.Cols[j] — the reader refills them on
+//     the next batch. Scalar reads (b.Rows[i][c], b.Cols[j].Ints[i])
+//     and spread copies (append(dst, b.Rows[i]...)) are legal.
 //
 // Candidate functions are those that receive an Emitter — a
 // parameter of type (mapred.)Emitter or named emit — plus Map
-// methods with the (row, meta, emit) shape.
+// methods with the (row, meta, emit) shape and MapBatch methods with
+// the (b *RecordBatch, emit) shape.
 var EmitCopy = &Analyzer{
 	Name: "emitcopy",
 	Doc:  "mapper/combiner code must not retain row buffers passed to Emit or received from the reader",
@@ -29,20 +35,21 @@ var EmitCopy = &Analyzer{
 
 func runEmitCopy(pass *Pass) error {
 	funcBodies(pass.Files, func(name string, ft *ast.FuncType, body *ast.BlockStmt) {
-		emitParam, rowParam := emitterShape(ft)
+		emitParam, rowParam, batchParam := emitterShape(ft)
 		if emitParam == "" {
 			return
 		}
-		checkEmitCopy(pass, emitParam, rowParam, body)
+		checkEmitCopy(pass, emitParam, rowParam, batchParam, body)
 	})
 	return nil
 }
 
 // emitterShape returns the Emitter-typed parameter's name and, for
-// Map-shaped functions, the reused input-row parameter's name.
-func emitterShape(ft *ast.FuncType) (emitParam, rowParam string) {
+// Map- and MapBatch-shaped functions, the name of the reused input-row
+// or input-batch parameter.
+func emitterShape(ft *ast.FuncType) (emitParam, rowParam, batchParam string) {
 	if ft.Params == nil {
-		return "", ""
+		return "", "", ""
 	}
 	for i, p := range ft.Params.List {
 		isEmitter := false
@@ -62,13 +69,46 @@ func emitterShape(ft *ast.FuncType) (emitParam, rowParam string) {
 						}
 					}
 				}
+				// A MapBatch-shaped function's first parameter is the
+				// reader-owned reused batch.
+				if bp := ft.Params.List[0]; i >= 1 && len(bp.Names) == 1 {
+					if star, ok := bp.Type.(*ast.StarExpr); ok {
+						if t := selPath(star.X); t == "RecordBatch" || t == "mapred.RecordBatch" {
+							batchParam = bp.Names[0].Name
+						}
+					}
+				}
 			}
 		}
 	}
-	return emitParam, rowParam
+	return emitParam, rowParam, batchParam
 }
 
-func checkEmitCopy(pass *Pass, emitParam, rowParam string, body *ast.BlockStmt) {
+// batchAlias reports whether e aliases reader-owned batch memory: the
+// batch itself, one of its Rows/Cols/IDs slices, or one element (or
+// sub-slice, or element address) of those.
+func batchAlias(e ast.Expr, batch string) bool {
+	e = ast.Unparen(e)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = ast.Unparen(u.X)
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = ast.Unparen(x.X)
+	case *ast.SliceExpr:
+		e = ast.Unparen(x.X)
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		switch sel.Sel.Name {
+		case "Rows", "Cols", "IDs":
+			e = ast.Unparen(sel.X)
+		}
+	}
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == batch
+}
+
+func checkEmitCopy(pass *Pass, emitParam, rowParam, batchParam string, body *ast.BlockStmt) {
 	// First sweep: positions where an identifier is passed whole as
 	// an emit value.
 	emitted := map[string]token.Pos{}
@@ -90,11 +130,18 @@ func checkEmitCopy(pass *Pass, emitParam, rowParam string, body *ast.BlockStmt) 
 	// Second sweep: retention sites. A whole-row retention of an
 	// emitted identifier after its emit, or of the reused input row
 	// anywhere, violates the contract.
-	violates := func(name string, pos token.Pos) (string, bool) {
-		if rowParam != "" && name == rowParam {
+	violates := func(e ast.Expr, pos token.Pos) (string, bool) {
+		if batchParam != "" && batchAlias(e, batchParam) {
+			return "the reader-owned input batch (reused between batches)", true
+		}
+		v, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return "", false
+		}
+		if rowParam != "" && v.Name == rowParam {
 			return "the reader-owned input row (reused between records)", true
 		}
-		if epos, ok := emitted[name]; ok && pos > epos {
+		if epos, ok := emitted[v.Name]; ok && pos > epos {
 			return "a row already passed to " + emitParam + " (ownership transferred to the engine)", true
 		}
 		return "", false
@@ -106,10 +153,8 @@ func checkEmitCopy(pass *Pass, emitParam, rowParam string, body *ast.BlockStmt) 
 			// row... spread, which copies elements).
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" && n.Ellipsis == token.NoPos {
 				for _, arg := range n.Args[1:] {
-					if v, ok := ast.Unparen(arg).(*ast.Ident); ok {
-						if what, bad := violates(v.Name, n.Pos()); bad {
-							pass.Reportf(n.Pos(), "append retains %s; copy it first (append(dst, %s...) or a clone)", what, v.Name)
-						}
+					if what, bad := violates(arg, n.Pos()); bad {
+						pass.Reportf(n.Pos(), "append retains %s; copy it first (append(dst, row...) or a clone)", what)
 					}
 				}
 			}
@@ -119,13 +164,9 @@ func checkEmitCopy(pass *Pass, emitParam, rowParam string, body *ast.BlockStmt) 
 				if i >= len(n.Rhs) {
 					break
 				}
-				v, ok := ast.Unparen(n.Rhs[i]).(*ast.Ident)
-				if !ok {
-					continue
-				}
 				switch lhs.(type) {
 				case *ast.SelectorExpr, *ast.IndexExpr:
-					if what, bad := violates(v.Name, n.Pos()); bad {
+					if what, bad := violates(n.Rhs[i], n.Pos()); bad {
 						pass.Reportf(n.Pos(), "assignment retains %s; copy it first", what)
 					}
 				}

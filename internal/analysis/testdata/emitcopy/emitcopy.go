@@ -1,10 +1,19 @@
 // Fixture for the emitcopy analyzer: the copy-on-shuffle ownership
 // contract from internal/mapred — rows passed to an Emitter are
-// engine-owned afterwards, and the input row Map receives is a
-// reader-owned buffer reused between records.
+// engine-owned afterwards, and the input row Map receives (or the
+// batch MapBatch receives) is a reader-owned buffer reused between
+// records (batches).
 package fixture
 
 type Row []int
+
+type ColumnVector struct{ Ints []int }
+
+type RecordBatch struct {
+	Len  int
+	Cols []ColumnVector
+	Rows []Row
+}
 
 type RecordMeta struct{ RecordID uint64 }
 
@@ -14,6 +23,9 @@ type mapper struct {
 	saved []Row
 	last  Row
 	byKey map[string]Row
+	batch *RecordBatch
+	vec   *ColumnVector
+	sum   int
 }
 
 // --- violations ---
@@ -34,7 +46,37 @@ func (m *mapper) MapIndexed(row Row, meta RecordMeta, emit Emitter) error {
 	return nil
 }
 
+func (m *mapper) MapBatch(b *RecordBatch, emit Emitter) error {
+	m.batch = b        // want `assignment retains the reader-owned input batch`
+	m.vec = &b.Cols[0] // want `assignment retains the reader-owned input batch`
+	for i := 0; i < b.Len; i++ {
+		m.saved = append(m.saved, b.Rows[i]) // want `append retains the reader-owned input batch`
+	}
+	return nil
+}
+
 // --- legal patterns (must stay silent) ---
+
+// The batch idioms: scalar reads off vectors and rows, spread copies
+// of a row, emitting a fresh row per record, and handing the batch to
+// a helper for the duration of the call.
+func (m *mapper) MapBatchCopies(b *RecordBatch, emit Emitter) error {
+	for i := 0; i < b.Len; i++ {
+		if b.Rows != nil {
+			m.saved = append(m.saved, append(Row(nil), b.Rows[i]...))
+			m.sum += b.Rows[i][0]
+			continue
+		}
+		v := &b.Cols[0] // a local alias dies with the call
+		m.sum += v.Ints[i]
+		if err := emit(nil, Row{b.Cols[0].Ints[i]}); err != nil {
+			return err
+		}
+	}
+	return sumBatch(b, &m.sum)
+}
+
+func sumBatch(b *RecordBatch, into *int) error { *into += b.Len; return nil }
 
 // Retain a copy, emit the copy's source: element-wise append (spread)
 // clones the backing array.

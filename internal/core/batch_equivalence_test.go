@@ -27,10 +27,11 @@ func runUnionScan(t *testing.T, e *hive.Engine, h *Handler, table string, opts S
 	if err != nil {
 		t.Fatal(err)
 	}
-	splits, err := h.Splits(desc, opts)
+	splits, release, err := h.Splits(desc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	mr := mapred.NewCluster(e.MR.Params)
 	mr.Parallelism = workers
 	mr.DisableBatchScan = disableBatch
@@ -140,46 +141,88 @@ func TestBatchRowScanEquivalence(t *testing.T) {
 }
 
 // TestBatchRowSQLEquivalence runs full SQL statements (aggregation and
-// filter+project, the two mapper kinds) on batch and row paths and
-// compares results and simulated seconds.
+// filter+project, the two mapper kinds) on batch and row paths across 1
+// and 4 workers and compares results and simulated seconds. Table w is
+// one master file of three batches: the first has updated cells
+// scattered into its vectors, the second flips to row shape on a
+// delete marker mid-scan, the third stays clean — so each WHERE shape
+// is evaluated as a vector program, as the row predicate and across
+// the switch between them within one task.
 func TestBatchRowSQLEquivalence(t *testing.T) {
 	e, h := testEngine(t)
 	h.SetForcePlan("EDIT")
 	seedDual(t, e)
 	mustExec(t, e, "UPDATE m SET v = 0.5 WHERE day < 3")
 	mustExec(t, e, "DELETE FROM m WHERE day = 9")
+	mustExec(t, e, "CREATE TABLE w (id BIGINT, k BIGINT, v DOUBLE, tag STRING, pad STRING) STORED AS DUALTABLE")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO w VALUES ")
+	for i := 0; i < 3000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		if i%41 == 0 {
+			fmt.Fprintf(&sb, "(%d, NULL, NULL, NULL, 'p')", i)
+		} else {
+			fmt.Fprintf(&sb, "(%d, %d, %d.5, 't%d', 'p')", i, i%23-11, i%500, i%5)
+		}
+	}
+	mustExec(t, e, sb.String())
+	if wd, _ := e.MS.Get("w"); len(snapshotFiles(t, h, wd)) != 1 {
+		t.Fatal("w must be one master file for the mid-scan shape flip")
+	}
+	mustExec(t, e, "UPDATE w SET v = -1.5, tag = 'u' WHERE id >= 100 AND id < 130")
+	mustExec(t, e, "DELETE FROM w WHERE id = 1500")
 	queries := []string{
 		"SELECT COUNT(*), SUM(v), MIN(tag), MAX(id) FROM m",
 		"SELECT day, COUNT(*), AVG(v) FROM m GROUP BY day ORDER BY day",
 		"SELECT id, v FROM m WHERE id >= 100 AND id < 140 ORDER BY id",
 		"SELECT tag, COUNT(DISTINCT day) FROM m GROUP BY tag ORDER BY tag",
+		// col op lit per kind, literal on the left, int column vs float
+		// literal, col-vs-col, arithmetic inside the comparison.
+		"SELECT id, v FROM w WHERE k < 3 AND v >= 100.5 AND tag = 't2' ORDER BY id",
+		"SELECT id FROM w WHERE 2990 <= id OR 0 > v ORDER BY id",
+		"SELECT id FROM w WHERE k < 0.5 AND v > 490 ORDER BY id",
+		"SELECT COUNT(*), SUM(v) FROM w WHERE k < v",
+		"SELECT id FROM w WHERE id % 200 = 0 ORDER BY id",
+		// OR/NOT, a NULL literal, columns that are NULL in some rows.
+		"SELECT tag, COUNT(*) FROM w WHERE k > 9 OR NOT (tag = 't1') GROUP BY tag ORDER BY tag",
+		"SELECT COUNT(*) FROM w WHERE k = NULL OR v < 1",
+		"SELECT COUNT(*), COUNT(DISTINCT tag) FROM w WHERE NOT (k < 0) AND id < 2000",
+		// Shapes that fall back to the row predicate.
+		"SELECT id FROM w WHERE tag LIKE 'u%' OR id IN (7, 1500, 2999) ORDER BY id",
+		"SELECT id FROM w WHERE tag > 3 AND id < 50 ORDER BY id",
 	}
 	for _, q := range queries {
-		e.MR.DisableBatchScan = true
-		want, err := e.Execute(q)
-		if err != nil {
-			t.Fatalf("%s (row): %v", q, err)
-		}
-		e.MR.DisableBatchScan = false
-		got, err := e.Execute(q)
-		if err != nil {
-			t.Fatalf("%s (batch): %v", q, err)
-		}
-		if len(want.Rows) == 0 {
-			t.Fatalf("%s: no rows", q)
-		}
-		if len(want.Rows) != len(got.Rows) {
-			t.Fatalf("%s: %d rows != %d rows", q, len(got.Rows), len(want.Rows))
-		}
-		for i := range want.Rows {
-			if want.Rows[i].String() != got.Rows[i].String() {
-				t.Fatalf("%s row %d: %s != %s", q, i, got.Rows[i], want.Rows[i])
+		var want *hive.ResultSet
+		for _, workers := range []int{1, 4} {
+			for _, disable := range []bool{true, false} {
+				e.MR.Parallelism, e.MR.DisableBatchScan = workers, disable
+				got, err := e.Execute(q)
+				if err != nil {
+					t.Fatalf("%s (workers=%d, rowScan=%v): %v", q, workers, disable, err)
+				}
+				if want == nil {
+					if want = got; len(want.Rows) == 0 {
+						t.Fatalf("%s: no rows", q)
+					}
+					continue
+				}
+				if len(want.Rows) != len(got.Rows) {
+					t.Fatalf("%s (workers=%d, rowScan=%v): %d rows != %d rows", q, workers, disable, len(got.Rows), len(want.Rows))
+				}
+				for i := range want.Rows {
+					if want.Rows[i].String() != got.Rows[i].String() {
+						t.Fatalf("%s (workers=%d, rowScan=%v) row %d: %s != %s", q, workers, disable, i, got.Rows[i], want.Rows[i])
+					}
+				}
+				if want.SimSeconds != got.SimSeconds {
+					t.Fatalf("%s (workers=%d, rowScan=%v): sim seconds %v != %v", q, workers, disable, got.SimSeconds, want.SimSeconds)
+				}
 			}
 		}
-		if want.SimSeconds != got.SimSeconds {
-			t.Fatalf("%s: sim seconds %v != %v", q, got.SimSeconds, want.SimSeconds)
-		}
 	}
+	e.MR.DisableBatchScan = false
 }
 
 // mustWhere extracts the WHERE expression of a SELECT text.

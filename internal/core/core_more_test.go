@@ -10,7 +10,6 @@ import (
 	"dualtable/internal/hive"
 	"dualtable/internal/mapred"
 	"dualtable/internal/metastore"
-	"dualtable/internal/orcfile"
 )
 
 // Second-round coverage: locking, pushdown interaction with the
@@ -102,7 +101,7 @@ func TestCompactDoesNotBlockScans(t *testing.T) {
 
 	// One scan pins the pre-compaction epoch now and runs only after
 	// the epoch swap: deferred deletion must keep its files alive.
-	pinnedSplits, releasePin, err := h.PinnedSplits(desc, ScanOptions{})
+	pinnedSplits, releasePin, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestCompactDoesNotBlockScans(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			splits, release, err := h.PinnedSplits(desc, ScanOptions{})
+			splits, release, err := h.Splits(desc, ScanOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -228,10 +227,7 @@ func TestStatsSelectivityEstimate(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e) // 360 rows, day = i%36
 	desc, _ := e.MS.Get("m")
-	files, err := h.masterFiles(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := snapshotFiles(t, h, desc)
 	// WHERE day = 50 matches nothing: stripe stats prove it.
 	stmt := "UPDATE m SET v = 0.0 WHERE day = 500"
 	parsed := mustParseUpdate(t, stmt)
@@ -315,7 +311,7 @@ func TestManyMasterFilesUnionRead(t *testing.T) {
 		mustExec(t, e, sb.String())
 	}
 	desc, _ := e.MS.Get("mm")
-	files, _ := h.masterFiles(desc)
+	files := snapshotFiles(t, h, desc)
 	if len(files) != 5 {
 		t.Fatalf("master files = %d", len(files))
 	}
@@ -367,27 +363,6 @@ func TestConcurrentReadsDuringEdit(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-func TestMasterFileMissingIDRejected(t *testing.T) {
-	e, h := testEngine(t)
-	mustExec(t, e, "CREATE TABLE bad (id BIGINT) STORED AS DUALTABLE")
-	mustExec(t, e, "INSERT INTO bad VALUES (1)")
-	desc, _ := e.MS.Get("bad")
-	// Drop a rogue ORC file without the file ID into the master dir.
-	w, err := e.FS.Create(masterDir(desc) + "/rogue.orc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ow, err := orcfile.NewWriter(w, desc.Schema, orcfile.WriterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ow.Close()
-	w.Close()
-	if _, err := h.masterFiles(desc); err == nil {
-		t.Error("master file without a file ID must be rejected")
 	}
 }
 

@@ -338,10 +338,7 @@ func TestInsertIntoAppendsNewMasterFile(t *testing.T) {
 		t.Errorf("count after append = %v", rs.Rows[0])
 	}
 	desc, _ := e.MS.Get("m")
-	files, err := h.masterFiles(desc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := snapshotFiles(t, h, desc)
 	if len(files) < 2 {
 		t.Errorf("expected additional master file, have %d", len(files))
 	}
@@ -489,7 +486,7 @@ func TestUnionReadSkipsOrphanAttachedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, _ := h.masterFiles(desc)
+	files := snapshotFiles(t, h, desc)
 	orphan := NewRecordID(files[0].fileID, uint32(files[0].rows)+100)
 	err = att.Put([]*kvstore.Cell{{
 		Row: orphan.Key(), Family: attachedFamily,

@@ -43,11 +43,11 @@ func TestDropTableIsPinAware(t *testing.T) {
 
 	// Two pinned snapshots: A scans concurrently with the DROP, B
 	// scans only after the DROP completed.
-	splitsA, releaseA, err := h.PinnedSplits(desc, ScanOptions{})
+	splitsA, releaseA, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	splitsB, releaseB, err := h.PinnedSplits(desc, ScanOptions{})
+	splitsB, releaseB, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestDropRecreatePendingReclamationStartsEmpty(t *testing.T) {
 	oldAtt := attachedName(desc)
 
 	// Hold a pin so the DROP's reclamation stays pending.
-	_, release, err := h.PinnedSplits(desc, ScanOptions{})
+	_, release, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestTimeTravelExpiredEpochRejectedWhileFilesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A long-running scan keeps the pre-compact files pinned alive.
-	_, release, err := h.PinnedSplits(desc, ScanOptions{})
+	_, release, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -606,6 +606,10 @@ func (f *editMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emit
 	return f.mapFn(f.meter, row, meta, emit)
 }
 
+func (f *editMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
+	return mapred.MapFunc(f.Map).MapBatch(b, emit)
+}
+
 func (f *editMapper) Flush(emit mapred.Emitter) error {
 	if f.flushFn == nil {
 		return nil

@@ -203,13 +203,10 @@ func (h *Handler) compactStagedHook() func(string) {
 	return h.onCompactStaged
 }
 
-// masterDir is the incarnation's master-file directory. Tables created
-// before incarnation tags fall back to the legacy location/master.
+// masterDir is the incarnation's master-file directory (Create tags
+// every incarnation).
 func masterDir(desc *metastore.TableDesc) string {
-	if g := desc.Properties[genProperty]; g != "" {
-		return path.Join(desc.Location, "master_"+g)
-	}
-	return path.Join(desc.Location, "master")
+	return path.Join(desc.Location, "master_"+desc.Properties[genProperty])
 }
 
 // attachedName is the incarnation's attached KV table name.
@@ -307,7 +304,7 @@ func (h *Handler) Drop(desc *metastore.TableDesc) error {
 		st.pub.Unlock()
 		return nil // already dropped (idempotent)
 	}
-	man, manErr := h.currentManifestLocked(desc)
+	man, manErr := h.e.MS.CurrentManifest(desc.Name)
 	st.dropped = true
 	job := &dropJob{
 		table:     desc.Name,
@@ -428,80 +425,28 @@ type masterFile struct {
 	reader *orcfile.Reader
 }
 
-// masterFiles opens the footers of all master files found in the
-// master directory. It is the manifest-synthesis path for tables that
-// predate epoch manifests; every current read path resolves the file
-// set from the table's manifest instead (see snapshot.go).
-func (h *Handler) masterFiles(desc *metastore.TableDesc) ([]masterFile, error) {
-	infos, err := h.e.FS.ListFiles(masterDir(desc))
-	if err != nil {
-		return nil, err
-	}
-	var out []masterFile
-	for _, fi := range infos {
-		if strings.HasPrefix(fi.Name, ".") {
-			continue
-		}
-		fr, err := h.e.FS.Open(fi.Path)
-		if err != nil {
-			return nil, err
-		}
-		rd, err := orcfile.Open(fr, fr.Size())
-		if err != nil {
-			fr.Close()
-			return nil, fmt.Errorf("core: open master file %s: %w", fi.Path, err)
-		}
-		var fid uint64
-		if _, err := fmt.Sscanf(rd.UserMeta()[fileIDMetaKey], "%d", &fid); err != nil {
-			fr.Close()
-			return nil, fmt.Errorf("core: master file %s has no file ID", fi.Path)
-		}
-		fr.Close()
-		out = append(out, masterFile{path: fi.Path, size: fi.Size, fileID: uint32(fid), rows: rd.NumRows(), reader: rd})
-	}
-	return out, nil
-}
-
 // Splits returns UNION READ splits: one per master file, each merging
 // the ORC rows with the attached table's modifications for that
 // file's record ID range (paper §III-C UNION READ, §V-B). The splits
-// resolve the current epoch's snapshot; attached entries are
-// materialized into them, but the master files are not kept pinned —
-// callers that must survive a concurrent COMPACT/OVERWRITE use
-// PinnedSplits, which the SQL engine's scan planner picks up via the
-// hive.SnapshotScanner interface.
-func (h *Handler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, error) {
-	snap, err := h.snapshotFor(desc, opts)
-	if err != nil {
-		return nil, err
+// read a pinned snapshot of the current epoch — or, when
+// opts.AsOfEpoch is set, of that historical epoch (AS OF EPOCH reads)
+// — and the returned release function unpins it once the scan's job
+// has consumed the splits. Until then a concurrent COMPACT/OVERWRITE
+// may publish new epochs freely — the pinned files outlive their
+// manifest via the DFS's deferred deletion, so the scan completes
+// against the exact epoch it opened.
+func (h *Handler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
+	var snap *Snapshot
+	var err error
+	if opts.AsOfEpoch != nil {
+		snap, err = h.OpenSnapshotAt(desc, *opts.AsOfEpoch)
+	} else {
+		snap, err = h.OpenSnapshot(desc)
 	}
-	splits := snap.Splits(opts)
-	snap.Release()
-	return splits, nil
-}
-
-// PinnedSplits implements hive.SnapshotScanner: the returned release
-// function unpins the snapshot once the scan's job has consumed the
-// splits. Until then a concurrent COMPACT/OVERWRITE may publish new
-// epochs freely — the pinned files outlive their manifest via the
-// DFS's deferred deletion, so the scan completes against the exact
-// epoch it opened. When opts.AsOfEpoch is set, the snapshot pins that
-// historical epoch instead of the current one (AS OF EPOCH reads).
-func (h *Handler) PinnedSplits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
-	snap, err := h.snapshotFor(desc, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	return snap.Splits(opts), snap.Release, nil
-}
-
-// snapshotFor opens the snapshot a scan's options ask for: the current
-// epoch, or a pinned historical epoch for time-travel reads.
-func (h *Handler) snapshotFor(desc *metastore.TableDesc, opts ScanOptions) (*Snapshot, error) {
-	if opts.AsOfEpoch != nil {
-		return h.OpenSnapshotAt(desc, *opts.AsOfEpoch)
-	}
-	return h.OpenSnapshot(desc)
 }
 
 // ScanOptions aliases hive.ScanOptions (same package shape).
@@ -544,7 +489,7 @@ func (h *Handler) currentManifest(desc *metastore.TableDesc) (*metastore.Manifes
 	st := h.state(desc.Name)
 	st.pub.Lock()
 	defer st.pub.Unlock()
-	return h.currentManifestLocked(desc)
+	return h.e.MS.CurrentManifest(desc.Name)
 }
 
 // AttachedEntryCount returns the number of attached-table cells that

@@ -15,6 +15,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -240,11 +241,8 @@ func (h *Handler) recoverTable(desc *metastore.TableDesc) ([]string, error) {
 	}
 	legit, ok := h.e.MS.ManifestHistoryFiles(desc.Name)
 	if !ok {
-		// No chain: nothing has ever published, so nothing can be an
-		// orphan of a publish. (CREATE publishes epoch 0; a table in
-		// this state predates manifests and synthesizes its chain from
-		// the directory on first read.)
-		return nil, nil
+		// CREATE publishes epoch 0 before the table becomes visible.
+		return nil, fmt.Errorf("core: recover %s: %w", desc.Name, metastore.ErrNoManifest)
 	}
 	infos, err := h.e.FS.ListFiles(masterDir(desc))
 	if errors.Is(err, dfs.ErrNotFound) {

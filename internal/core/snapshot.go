@@ -236,7 +236,7 @@ func (h *Handler) openSnapshot(desc *metastore.TableDesc, withEntries bool) (*Sn
 			st.pub.Unlock()
 			return nil, err
 		}
-		man, err := h.currentManifestLocked(desc)
+		man, err := h.e.MS.CurrentManifest(desc.Name)
 		if err != nil {
 			st.pub.Unlock()
 			return nil, err
@@ -278,7 +278,7 @@ func (h *Handler) openSnapshot(desc *metastore.TableDesc, withEntries bool) (*Sn
 		// current manifest (appends are fine; a replace means the
 		// attached table may have been truncated mid-materialization).
 		st.pub.Lock()
-		cur, err := h.currentManifestLocked(desc)
+		cur, err := h.e.MS.CurrentManifest(desc.Name)
 		st.pub.Unlock()
 		if err != nil {
 			snap.unpinFiles()
@@ -477,35 +477,6 @@ func (s *Snapshot) unpinFilesDone() {
 	}
 }
 
-// currentManifestLocked returns the table's current manifest, lazily
-// synthesizing (and publishing) an epoch-0 manifest from the master
-// directory listing for tables that predate manifests. Caller holds
-// the table's pub lock.
-func (h *Handler) currentManifestLocked(desc *metastore.TableDesc) (*metastore.Manifest, error) {
-	man, err := h.e.MS.CurrentManifest(desc.Name)
-	if err == nil {
-		return man, nil
-	}
-	files, err := h.masterFiles(desc)
-	if err != nil {
-		return nil, err
-	}
-	man = &metastore.Manifest{
-		Table:     desc.Name,
-		Epoch:     0,
-		Watermark: h.e.KV.NextTs(),
-	}
-	for _, f := range files {
-		man.Files = append(man.Files, metastore.ManifestFile{
-			Path: f.path, Size: f.size, FileID: f.fileID, Rows: f.rows,
-		})
-	}
-	if err := h.e.MS.PublishManifest(man); err != nil {
-		return nil, err
-	}
-	return man, nil
-}
-
 // publishAppend publishes a new epoch whose file set is the current
 // set plus the freshly written files (INSERT INTO / LOAD / bulk
 // load).
@@ -516,7 +487,7 @@ func (h *Handler) publishAppend(desc *metastore.TableDesc, added []metastore.Man
 		st.pub.Unlock()
 		return err
 	}
-	cur, err := h.currentManifestLocked(desc)
+	cur, err := h.e.MS.CurrentManifest(desc.Name)
 	if err != nil {
 		st.pub.Unlock()
 		return err
@@ -561,7 +532,7 @@ func (h *Handler) publishReplace(desc *metastore.TableDesc, files []metastore.Ma
 		st.pub.Unlock()
 		return err
 	}
-	cur, err := h.currentManifestLocked(desc)
+	cur, err := h.e.MS.CurrentManifest(desc.Name)
 	if err != nil {
 		st.pub.Unlock()
 		return err
@@ -642,14 +613,6 @@ func (h *Handler) publishWatermark(desc *metastore.TableDesc) error {
 		return err
 	}
 	epoch, err := h.e.MS.PublishWatermark(desc.Name, h.e.KV.NextTs())
-	if errors.Is(err, metastore.ErrNoManifest) {
-		// Tables predating manifests: synthesize the chain, then bump.
-		if _, synthErr := h.currentManifestLocked(desc); synthErr != nil {
-			st.pub.Unlock()
-			return synthErr
-		}
-		epoch, err = h.e.MS.PublishWatermark(desc.Name, h.e.KV.NextTs())
-	}
 	if err != nil {
 		st.pub.Unlock()
 		return err
@@ -769,7 +732,7 @@ func (h *Handler) CurrentEpoch(desc *metastore.TableDesc) (uint64, error) {
 	st := h.state(desc.Name)
 	st.pub.Lock()
 	defer st.pub.Unlock()
-	man, err := h.currentManifestLocked(desc)
+	man, err := h.e.MS.CurrentManifest(desc.Name)
 	if err != nil {
 		return 0, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"testing"
 
+	"dualtable/internal/metastore"
 	"dualtable/internal/sqlparser"
 )
 
@@ -20,4 +22,16 @@ func parseUpdate(sql string) (*sqlparser.UpdateStmt, error) {
 		return nil, fmt.Errorf("not an UPDATE: %T", stmt)
 	}
 	return up, nil
+}
+
+// snapshotFiles returns the current epoch's master files (footers
+// open), as a scan or the cost model would see them.
+func snapshotFiles(t *testing.T, h *Handler, desc *metastore.TableDesc) []masterFile {
+	t.Helper()
+	snap, err := h.OpenSnapshot(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	return snap.files
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"dualtable/internal/datum"
@@ -122,10 +120,7 @@ func (r *unionReadReader) Next() (datum.Row, mapred.RecordMeta, error) {
 	for {
 		row, ord, err := r.rows.Next()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, mapred.RecordMeta{}, mapred.EOF
-			}
-			return nil, mapred.RecordMeta{}, err
+			return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
 		}
 		// Per-row merge bookkeeping (the paper's Fig. 4 "function
 		// invocation" overhead, present even with an empty attached
@@ -194,10 +189,7 @@ func (r *unionReadReader) NextBatch(b *mapred.RecordBatch) error {
 	}
 	n, base, err := r.batch.NextBatch(r.cols, 0)
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return mapred.EOF
-		}
-		return err
+		return err // io.EOF ends the stream
 	}
 	r.mergedRows += int64(n)
 	baseRid := NewRecordID(r.fileID, uint32(base))

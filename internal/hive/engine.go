@@ -34,9 +34,8 @@ type ScanOptions struct {
 	SArg *orcfile.SearchArg
 	// AsOfEpoch, when non-nil, asks a snapshot-capable handler for a
 	// time-travel scan pinned at that historical manifest epoch
-	// (SELECT ... AS OF EPOCH n / SET read.epoch). Only handlers
-	// implementing SnapshotScanner honor it; the planner rejects the
-	// clause for other storage kinds.
+	// (SELECT ... AS OF EPOCH n / SET read.epoch). Only DualTable keeps
+	// an epoch history; the planner never sets it for other storage.
 	AsOfEpoch *uint64
 }
 
@@ -52,8 +51,14 @@ type StorageHandler interface {
 	Create(desc *metastore.TableDesc) error
 	// Drop removes the table's physical storage.
 	Drop(desc *metastore.TableDesc) error
-	// Splits returns the table's input splits for a scan.
-	Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, error)
+	// Splits returns the table's input splits for a scan and a release
+	// callback the caller runs exactly once when the job consuming the
+	// splits has finished (or failed). Snapshot storage (DualTable's
+	// epoch manifests) pins the scanned files against concurrent
+	// COMPACT/OVERWRITE until then; for other storage release is a
+	// no-op and a concurrent rewrite may invalidate the file set
+	// mid-scan.
+	Splits(desc *metastore.TableDesc, opts ScanOptions) (splits []mapred.InputSplit, release func(), err error)
 	// Append returns an output factory that adds rows to the table.
 	Append(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error)
 	// Overwrite returns an output factory that atomically replaces
@@ -65,16 +70,9 @@ type StorageHandler interface {
 	DataSize(desc *metastore.TableDesc) (int64, error)
 }
 
-// SnapshotScanner is an optional StorageHandler extension for
-// MVCC/snapshot storage (DualTable's epoch manifests): PinnedSplits
-// resolves the table's current snapshot, pins its files against
-// concurrent COMPACT/OVERWRITE, and returns a release function the
-// scan planner invokes once the consuming job finishes (or fails).
-// Handlers without it get plain Splits, whose file set a concurrent
-// rewrite may invalidate mid-scan.
-type SnapshotScanner interface {
-	PinnedSplits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error)
-}
+// noRelease is the Splits release callback of handlers that pin
+// nothing.
+func noRelease() {}
 
 // DMLHandler is a StorageHandler with native UPDATE/DELETE support
 // (the key-value handler and DualTable). Handlers without it get the

@@ -1,7 +1,15 @@
 package hive
 
 import (
+	"errors"
+	"fmt"
 	"testing"
+
+	"dualtable/internal/datum"
+	"dualtable/internal/dfs"
+	"dualtable/internal/kvstore"
+	"dualtable/internal/mapred"
+	"dualtable/internal/sim"
 )
 
 // Failure injection: storage-layer faults must surface as errors and
@@ -100,5 +108,42 @@ func TestCorruptBlockDetectedOnVerifyingRead(t *testing.T) {
 	}
 	if err := e.FS.VerifyChecksums(infos[0].Path); err == nil {
 		t.Error("corruption not detected")
+	}
+}
+
+// TestORCScanSurfacesReadFault corrupts a stripe block of a plain-ORC
+// table on a checksum-verifying DFS: the footer (last block) still
+// opens, the stripe read faults mid-scan, and the statement must fail
+// instead of returning the rows read so far.
+func TestORCScanSurfacesReadFault(t *testing.T) {
+	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 4, VerifyOnRead: true})
+	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(Config{FS: fs, KV: kv, MR: mapred.NewCluster(sim.GridCluster())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "CREATE TABLE big (id BIGINT, s STRING) STORED AS ORC")
+	rows := make([]datum.Row, 4000)
+	for i := range rows {
+		rows[i] = datum.Row{datum.Int(int64(i) * 2654435761), datum.String_(fmt.Sprintf("v%d", i*i))}
+	}
+	if _, err := e.BulkLoad("big", rows); err != nil {
+		t.Fatal(err)
+	}
+	if rs := mustExec(t, e, "SELECT COUNT(*) FROM big"); rs.Rows[0][0].I != 4000 {
+		t.Fatalf("clean count = %v", rs.Rows[0])
+	}
+	infos, err := fs.ListFiles("/warehouse/big")
+	if err != nil || len(infos) != 1 || infos[0].Size <= 2*4096 {
+		t.Fatalf("want one multi-block file, have %v (%v)", infos, err)
+	}
+	if err := fs.CorruptBlock(infos[0].Path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := e.Execute("SELECT COUNT(s), SUM(id) FROM big"); !errors.Is(err, dfs.ErrCorruptBlock) {
+		t.Fatalf("scan over a corrupt stripe = %v, %v; want dfs.ErrCorruptBlock", rs, err)
 	}
 }

@@ -50,10 +50,10 @@ func (h *kvHandler) table(desc *metastore.TableDesc) (*kvstore.Table, error) {
 	return h.e.KV.Table(kvTableName(desc))
 }
 
-func (h *kvHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, error) {
+func (h *kvHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
 	tbl, err := h.table(desc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var splits []mapred.InputSplit
 	for _, reg := range tbl.Regions() {
@@ -65,7 +65,7 @@ func (h *kvHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapre
 			size:   tbl.Size() / int64(tbl.RegionCount()),
 		})
 	}
-	return splits, nil
+	return splits, noRelease, nil
 }
 
 func (h *kvHandler) RowCount(desc *metastore.TableDesc) (int64, error) {
@@ -245,10 +245,11 @@ func (h *kvHandler) ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.Table
 		sets = append(sets, setCol{idx: idx, fn: fn})
 	}
 
-	splits, err := h.Splits(desc, ScanOptions{})
+	splits, release, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		return 0, "", err
 	}
+	defer release()
 	var affected int64
 	job := &mapred.Job{
 		Name:   "kv-update",
@@ -325,10 +326,11 @@ func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.Table
 			return 0, "", err
 		}
 	}
-	splits, err := h.Splits(desc, ScanOptions{})
+	splits, release, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		return 0, "", err
 	}
+	defer release()
 	job := &mapred.Job{
 		Name:   "kv-delete",
 		Splits: splits,
@@ -379,6 +381,10 @@ func (f *funcMapper) SetMeter(m *sim.Meter) { f.meter = m }
 
 func (f *funcMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
 	return f.mapFn(f.meter, row, meta, emit)
+}
+
+func (f *funcMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
+	return mapred.MapFunc(f.Map).MapBatch(b, emit)
 }
 
 func (f *funcMapper) Flush(emit mapred.Emitter) error {

@@ -32,10 +32,10 @@ func (h *orcHandler) Drop(desc *metastore.TableDesc) error {
 	return nil
 }
 
-func (h *orcHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, error) {
+func (h *orcHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
 	infos, err := h.e.FS.ListFiles(desc.Location)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var splits []mapred.InputSplit
 	for _, fi := range infos {
@@ -50,7 +50,7 @@ func (h *orcHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapr
 			opts:   opts,
 		})
 	}
-	return splits, nil
+	return splits, noRelease, nil
 }
 
 func (h *orcHandler) RowCount(desc *metastore.TableDesc) (int64, error) {
@@ -235,7 +235,7 @@ type orcRecordReader struct {
 func (r *orcRecordReader) Next() (datum.Row, mapred.RecordMeta, error) {
 	row, ord, err := r.rr.Next()
 	if err != nil {
-		return nil, mapred.RecordMeta{}, mapred.EOF
+		return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
 	}
 	meta := mapred.RecordMeta{}
 	if r.useID {
@@ -278,10 +278,10 @@ func (h *textHandler) delim(desc *metastore.TableDesc) string {
 	return "|"
 }
 
-func (h *textHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, error) {
+func (h *textHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
 	infos, err := h.e.FS.ListFiles(desc.Location)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var splits []mapred.InputSplit
 	for _, fi := range infos {
@@ -293,14 +293,15 @@ func (h *textHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]map
 			schema: desc.Schema, delim: h.delim(desc),
 		})
 	}
-	return splits, nil
+	return splits, noRelease, nil
 }
 
 func (h *textHandler) RowCount(desc *metastore.TableDesc) (int64, error) {
-	splits, err := h.Splits(desc, ScanOptions{})
+	splits, release, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		return 0, err
 	}
+	defer release()
 	var n int64
 	for _, s := range splits {
 		rr, err := s.Open(nil)
@@ -406,21 +407,7 @@ func (s *textSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hive: %s: %w", s.path, err)
 	}
-	return &sliceRecordReader{rows: rows}, nil
+	// The parsed rows are served zero-copy; the file read is already
+	// charged above.
+	return (&mapred.SliceSplit{Rows: rows}).Open(nil)
 }
-
-type sliceRecordReader struct {
-	rows []datum.Row
-	idx  int
-}
-
-func (r *sliceRecordReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	if r.idx >= len(r.rows) {
-		return nil, mapred.RecordMeta{}, mapred.EOF
-	}
-	row := r.rows[r.idx]
-	r.idx++
-	return row, mapred.RecordMeta{}, nil
-}
-
-func (r *sliceRecordReader) Close() error { return nil }

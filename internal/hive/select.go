@@ -10,16 +10,17 @@ import (
 
 	"dualtable/internal/datum"
 	"dualtable/internal/mapred"
+	"dualtable/internal/metastore"
 	"dualtable/internal/orcfile"
 	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
 )
 
 // relation is a planned FROM source: a resolution scope plus the
-// input splits that produce its rows. Base-table scans over snapshot
-// storage (hive.SnapshotScanner) carry a release callback that unpins
-// the snapshot; Release must run exactly once after the job consuming
-// the splits finishes (idempotent, nil-safe).
+// input splits that produce its rows. Base-table scans carry their
+// handler's release callback (it unpins a DualTable snapshot); Release
+// must run exactly once after the job consuming the splits finishes
+// (idempotent, nil-safe).
 type relation struct {
 	sc     *scope
 	names  []string // output names aligned with sc.cols
@@ -29,8 +30,8 @@ type relation struct {
 	releaseOnce sync.Once
 }
 
-// Release unpins the relation's snapshot, if any. Safe to call
-// multiple times and on relations without a snapshot.
+// Release runs the relation's release callback, if any. Safe to call
+// multiple times and on relations without one.
 func (r *relation) Release() {
 	if r == nil || r.release == nil {
 		return
@@ -248,23 +249,19 @@ func (e *Engine) execSimpleSelect(ec *ExecContext, sel *sqlparser.SelectStmt, it
 		}
 	}
 
-	// Vectorized fast paths: simple conjuncts evaluate on column
-	// vectors, bare column refs read vectors directly. Order keys that
-	// resolved as select-list aliases keep their evalFn (the alias does
-	// not name an input column).
-	preds, usePreds := compileVecFilter(sel.Where, rel.sc)
+	// Vectorized fast paths: WHERE and computed expressions run as
+	// vector programs, bare column refs read vectors directly. Order
+	// keys that resolved as select-list aliases keep their evalFn (the
+	// alias does not name an input column).
+	filter := newScanFilter(sel.Where, whereFn, rel.sc)
 	projVec := compileVecExprs(itemExprs(items), projFns, rel.sc)
-	orderVec := make([]vecExpr, len(orderFns))
-	for i := range orderFns {
-		orderVec[i] = vecExpr{col: -1, fn: orderFns[i]}
+	orderExprs := make([]sqlparser.Expr, len(orderFns))
+	for i, o := range sel.OrderBy {
 		if !orderIsAlias[i] {
-			if idx, ok := colRefIndex(sel.OrderBy[i].Expr, rel.sc); ok {
-				orderVec[i].col = idx
-			} else if prog, ok := compileVexpr(sel.OrderBy[i].Expr, rel.sc); ok {
-				orderVec[i].prog = prog
-			}
+			orderExprs[i] = o.Expr
 		}
 	}
+	orderVec := compileVecExprs(orderExprs, orderFns, rel.sc)
 
 	// ORDER BY ... LIMIT streams through a per-task top-N heap.
 	// DISTINCT dedups across the whole result before the sort, so its
@@ -283,14 +280,12 @@ func (e *Engine) execSimpleSelect(ec *ExecContext, sel *sqlparser.SelectStmt, it
 		Name:   "select",
 		Splits: rel.splits,
 		NewMapper: func() mapred.Mapper {
-			// Each mapper owns its vecExpr slices: compiled programs are
-			// shared, but per-batch program state is not.
+			// Each mapper owns its filter and vecExpr slices: compiled
+			// programs are shared, but per-batch program state is not.
 			m := &simpleScanMapper{
-				whereFn:  whereFn,
-				preds:    preds,
-				usePreds: usePreds && whereFn != nil,
-				projs:    slices.Clone(projVec),
-				orders:   slices.Clone(orderVec),
+				filter: filter,
+				projs:  slices.Clone(projVec),
+				orders: slices.Clone(orderVec),
 			}
 			if topN {
 				m.top = &topHeap{limit: limit, keyAt: len(projVec), desc: desc}
@@ -315,24 +310,19 @@ func itemExprs(items []sqlparser.SelectItem) []sqlparser.Expr {
 	return out
 }
 
-// simpleScanMapper is the filter+project mapper. Map handles one row
-// (the classic path); MapBatch filters a whole batch with vector
-// predicates and materializes only surviving rows — and of those only
-// the columns an expression actually needs. For ORDER BY ... LIMIT n
-// queries the task streams its rows through a bounded top-N heap and
-// emits at most n at Flush, in arrival order: only a task's n best
-// rows can survive the global stable sort + truncate, so the final
-// result is unchanged while the job stops materializing full result
-// sets.
+// simpleScanMapper is the filter+project mapper: the filter step
+// selects a batch's surviving rows and only those are materialized —
+// and of those only the columns an expression actually needs. For
+// ORDER BY ... LIMIT n queries the task streams its rows through a
+// bounded top-N heap and emits at most n at Flush, in arrival order:
+// only a task's n best rows can survive the global stable sort +
+// truncate, so the final result is unchanged while the job stops
+// materializing full result sets.
 type simpleScanMapper struct {
-	whereFn  evalFn
-	preds    []vecPred
-	usePreds bool
-	projs    []vecExpr
-	orders   []vecExpr
-	top      *topHeap // nil unless ORDER BY ... LIMIT
-	sel      []int32
-	brow     batchRow
+	filter scanFilter
+	projs  []vecExpr
+	orders []vecExpr
+	top    *topHeap // nil unless ORDER BY ... LIMIT
 }
 
 // emitRow routes one projected row to the collector or the top-N heap.
@@ -342,34 +332,6 @@ func (m *simpleScanMapper) emitRow(out datum.Row, emit mapred.Emitter) error {
 	}
 	m.top.push(out)
 	return nil
-}
-
-func (m *simpleScanMapper) Map(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-	if m.whereFn != nil {
-		ok, err := m.whereFn(row)
-		if err != nil {
-			return err
-		}
-		if !ok.Truthy() {
-			return nil
-		}
-	}
-	out := make(datum.Row, 0, len(m.projs)+len(m.orders))
-	for i := range m.projs {
-		d, err := m.projs[i].fn(row)
-		if err != nil {
-			return err
-		}
-		out = append(out, d)
-	}
-	for i := range m.orders {
-		d, err := m.orders[i].fn(row)
-		if err != nil {
-			return err
-		}
-		out = append(out, d)
-	}
-	return m.emitRow(out, emit)
 }
 
 func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
@@ -385,42 +347,25 @@ func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
 }
 
 func (m *simpleScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
-	m.brow.filled = -1
-	vectorized := b.Cols != nil && m.usePreds
-	if vectorized {
-		m.sel = filterBatch(m.preds, b.Cols, b.Len, m.sel)
+	sel, err := m.filter.begin(b)
+	if err != nil {
+		return err
 	}
-	count := b.Len
-	if vectorized {
-		count = len(m.sel)
-	}
-	if count > 0 && b.Cols != nil {
+	if len(sel) > 0 {
 		beginBatchAll(m.projs, b)
 		beginBatchAll(m.orders, b)
 	}
-	for k := 0; k < count; k++ {
-		i := k
-		if vectorized {
-			i = int(m.sel[k])
-		} else if m.whereFn != nil {
-			ok, err := m.whereFn(m.brow.row(b, i))
-			if err != nil {
-				return err
-			}
-			if !ok.Truthy() {
-				continue
-			}
-		}
+	for _, i := range sel {
 		out := make(datum.Row, 0, len(m.projs)+len(m.orders))
 		for pi := range m.projs {
-			d, err := m.projs[pi].eval(b, i, &m.brow)
+			d, err := m.projs[pi].eval(b, int(i), &m.filter.brow)
 			if err != nil {
 				return err
 			}
 			out = append(out, d)
 		}
 		for oi := range m.orders {
-			d, err := m.orders[oi].eval(b, i, &m.brow)
+			d, err := m.orders[oi].eval(b, int(i), &m.filter.brow)
 			if err != nil {
 				return err
 			}
@@ -626,7 +571,6 @@ func (e *Engine) execAggSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items
 	}
 
 	// Vectorized fast paths for the scan side of the aggregation.
-	preds, usePreds := compileVecFilter(sel.Where, rel.sc)
 	groupVec := compileVecExprs(sel.GroupBy, groupFns, rel.sc)
 	argExprs := make([]sqlparser.Expr, len(aggs))
 	for i, a := range aggs {
@@ -636,12 +580,10 @@ func (e *Engine) execAggSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items
 	}
 	argVec := compileVecExprs(argExprs, argFns, rel.sc)
 	scan := aggScanSpec{
-		whereFn:  whereFn,
-		preds:    preds,
-		usePreds: usePreds && whereFn != nil,
-		groups:   groupVec,
-		args:     argVec,
-		aggs:     aggs,
+		filter: newScanFilter(sel.Where, whereFn, rel.sc),
+		groups: groupVec,
+		args:   argVec,
+		aggs:   aggs,
 	}
 
 	// ---- Map + Reduce job ----
@@ -947,16 +889,15 @@ func finalizePartial(name string, p datum.Row) datum.Datum {
 // group keys and aggregate arguments, each with its vectorized fast
 // path.
 type aggScanSpec struct {
-	whereFn  evalFn
-	preds    []vecPred
-	usePreds bool
-	groups   []vecExpr
-	args     []vecExpr
-	aggs     []aggSpec
+	filter scanFilter
+	groups []vecExpr
+	args   []vecExpr
+	aggs   []aggSpec
 }
 
-// cloneForMapper copies the spec with private vecExpr slices: compiled
-// programs are shared across mappers, per-batch program state is not.
+// cloneForMapper copies the spec with a private filter and vecExpr
+// slices: compiled programs are shared across mappers, per-batch
+// program state is not.
 func (s aggScanSpec) cloneForMapper() aggScanSpec {
 	s.groups = slices.Clone(s.groups)
 	s.args = slices.Clone(s.args)
@@ -975,11 +916,8 @@ var maxHashGroups = 1 << 16
 // folds into its group's accumulator in place and one partial row per
 // group is emitted at Flush — Hive's hive.map.aggr, which removes the
 // per-record row allocation, emit and combiner merge entirely. In raw
-// mode (DISTINCT) it emits the argument values per record. Map is the
-// classic row path; MapBatch filters on column vectors and reads
-// bare-column group keys and arguments straight off the vectors. Both
-// paths share the same per-record fold, so batch and row execution
-// produce identical output, counters and simulated seconds.
+// mode (DISTINCT) it emits the argument values per record. Group keys
+// and arguments come off the batch's vectors where available.
 type aggScanMapper struct {
 	aggScanSpec
 	partial bool
@@ -987,67 +925,33 @@ type aggScanMapper struct {
 	groupRw datum.Row // reused group-value scratch
 	accum   map[string]datum.Row
 	order   []string // accum keys in first-seen order (deterministic Flush)
-	sel     []int32
-	brow    batchRow
 }
 
-// emitRecord folds one input record (already past the filter) into
-// the hash table, or emits it directly in raw mode; get abstracts row
-// vs batch evaluation.
-func (m *aggScanMapper) emitRecord(get func(*vecExpr) (datum.Datum, error), emit mapred.Emitter) error {
+// emitRaw emits one batch row (already past the filter) as group
+// values followed by the raw argument values.
+func (m *aggScanMapper) emitRaw(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
 	nGroup := len(m.groups)
-	if !m.partial {
-		out := make(datum.Row, 0, nGroup+len(m.aggs))
-		for i := range m.groups {
-			d, err := get(&m.groups[i])
-			if err != nil {
-				return err
-			}
-			out = append(out, d)
-		}
-		for i := range m.aggs {
-			if m.aggs[i].star {
-				out = append(out, datum.Bool(true))
-				continue
-			}
-			d, err := get(&m.args[i])
-			if err != nil {
-				return err
-			}
-			out = append(out, d)
-		}
-		m.keyBuf = datum.SortableRowKey(m.keyBuf[:0], out[:nGroup])
-		return emit(m.keyBuf, out)
-	}
-	if cap(m.groupRw) < nGroup {
-		m.groupRw = make(datum.Row, nGroup)
-	}
-	grp := m.groupRw[:nGroup]
-	for i := range m.groups {
-		d, err := get(&m.groups[i])
+	out := make(datum.Row, 0, nGroup+len(m.aggs))
+	for gi := range m.groups {
+		d, err := m.groups[gi].eval(b, i, &m.filter.brow)
 		if err != nil {
 			return err
 		}
-		grp[i] = d
+		out = append(out, d)
 	}
-	acc, err := m.accFor(grp, emit)
-	if err != nil {
-		return err
-	}
-	for i := range m.aggs {
-		var d datum.Datum
-		if m.aggs[i].star {
-			d = datum.Bool(true)
-		} else {
-			var err error
-			d, err = get(&m.args[i])
-			if err != nil {
-				return err
-			}
+	for ai := range m.aggs {
+		if m.aggs[ai].star {
+			out = append(out, datum.Bool(true))
+			continue
 		}
-		updatePartial(acc[nGroup+i*aggPartialWidth:], d)
+		d, err := m.args[ai].eval(b, i, &m.filter.brow)
+		if err != nil {
+			return err
+		}
+		out = append(out, d)
 	}
-	return nil
+	m.keyBuf = datum.SortableRowKey(m.keyBuf[:0], out[:nGroup])
+	return emit(m.keyBuf, out)
 }
 
 // accFor returns the partial accumulator for the group values,
@@ -1078,18 +982,17 @@ func (m *aggScanMapper) accFor(grp datum.Row, emit mapred.Emitter) (datum.Row, e
 	return acc, nil
 }
 
-// emitRecordBatch folds one batch row in partial mode: group keys and
-// arguments come off the resolved vectors where available, and numeric
-// argument vectors fold through the typed updatePartialVec instead of
-// boxing a Datum per (record, aggregate).
-func (m *aggScanMapper) emitRecordBatch(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
+// foldPartial folds one batch row (already past the filter) into its
+// group's accumulator: numeric argument vectors fold through the typed
+// updatePartialVec instead of boxing a Datum per (record, aggregate).
+func (m *aggScanMapper) foldPartial(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
 	nGroup := len(m.groups)
 	if cap(m.groupRw) < nGroup {
 		m.groupRw = make(datum.Row, nGroup)
 	}
 	grp := m.groupRw[:nGroup]
 	for gi := range m.groups {
-		d, err := m.groups[gi].eval(b, i, &m.brow)
+		d, err := m.groups[gi].eval(b, i, &m.filter.brow)
 		if err != nil {
 			return err
 		}
@@ -1110,26 +1013,13 @@ func (m *aggScanMapper) emitRecordBatch(b *mapred.RecordBatch, i int, emit mapre
 			updatePartialVec(seg, v, i)
 			continue
 		}
-		d, err := x.eval(b, i, &m.brow)
+		d, err := x.eval(b, i, &m.filter.brow)
 		if err != nil {
 			return err
 		}
 		updatePartial(seg, d)
 	}
 	return nil
-}
-
-func (m *aggScanMapper) Map(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-	if m.whereFn != nil {
-		ok, err := m.whereFn(row)
-		if err != nil {
-			return err
-		}
-		if !ok.Truthy() {
-			return nil
-		}
-	}
-	return m.emitRecord(func(x *vecExpr) (datum.Datum, error) { return x.fn(row) }, emit)
 }
 
 // Flush emits the hash-aggregated partial groups in first-seen order
@@ -1146,37 +1036,19 @@ func (m *aggScanMapper) Flush(emit mapred.Emitter) error {
 }
 
 func (m *aggScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
-	m.brow.filled = -1
-	vectorized := b.Cols != nil && m.usePreds
-	if vectorized {
-		m.sel = filterBatch(m.preds, b.Cols, b.Len, m.sel)
+	sel, err := m.filter.begin(b)
+	if err != nil {
+		return err
 	}
-	count := b.Len
-	if vectorized {
-		count = len(m.sel)
-	}
-	if count > 0 && b.Cols != nil {
+	if len(sel) > 0 {
 		beginBatchAll(m.groups, b)
 		beginBatchAll(m.args, b)
 	}
-	for k := 0; k < count; k++ {
-		i := k
-		if vectorized {
-			i = int(m.sel[k])
-		} else if m.whereFn != nil {
-			ok, err := m.whereFn(m.brow.row(b, i))
-			if err != nil {
-				return err
-			}
-			if !ok.Truthy() {
-				continue
-			}
-		}
-		var err error
+	for _, i := range sel {
 		if m.partial {
-			err = m.emitRecordBatch(b, i, emit)
+			err = m.foldPartial(b, int(i), emit)
 		} else {
-			err = m.emitRecord(func(x *vecExpr) (datum.Datum, error) { return x.eval(b, i, &m.brow) }, emit)
+			err = m.emitRaw(b, int(i), emit)
 		}
 		if err != nil {
 			return err
@@ -1427,30 +1299,25 @@ func (e *Engine) buildTableScan(ec *ExecContext, t *sqlparser.TableName, sel *sq
 		opts.Projection = referencedColumns(sel, sc)
 	}
 
-	// Snapshot handlers pin the scanned epoch; the release callback
-	// travels on the relation and runs when the consuming job is done.
-	if ss, ok := h.(SnapshotScanner); ok {
-		splits, release, err := ss.PinnedSplits(desc, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &relation{sc: sc, names: desc.Schema.Names(), splits: splits, release: release}, nil
-	}
-	// Non-snapshot storage has no epoch history. An explicit AS OF
-	// clause on such a table is an error; the session-wide read.epoch
-	// pin is simply ignored for it (current is its only epoch), so
+	// Only DualTable keeps an epoch history. An explicit AS OF clause
+	// on any other table is an error; the session-wide read.epoch pin
+	// is simply ignored for it (current is its only epoch), so
 	// mixed-storage queries — a DUALTABLE joined to an ORC dimension
 	// table — still run under a session pin.
-	if t.AsOf != nil {
-		return nil, fmt.Errorf("hive: table %s (%v) does not support time travel (AS OF EPOCH)",
-			t.Name, desc.Storage)
+	if desc.Storage != metastore.StorageDual {
+		if t.AsOf != nil {
+			return nil, fmt.Errorf("hive: table %s (%v) does not support time travel (AS OF EPOCH)",
+				t.Name, desc.Storage)
+		}
+		opts.AsOfEpoch = nil
 	}
-	opts.AsOfEpoch = nil
-	splits, err := h.Splits(desc, opts)
+	// The release callback travels on the relation and runs when the
+	// consuming job is done.
+	splits, release, err := h.Splits(desc, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &relation{sc: sc, names: desc.Schema.Names(), splits: splits}, nil
+	return &relation{sc: sc, names: desc.Schema.Names(), splits: splits, release: release}, nil
 }
 
 // resolveReadEpoch picks the epoch a table scan reads at: the table

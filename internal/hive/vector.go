@@ -1,187 +1,78 @@
 package hive
 
 import (
-	"strings"
+	"slices"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/mapred"
 	"dualtable/internal/sqlparser"
 )
 
-// This file holds the vectorized scan support: predicate evaluation
-// over column vectors (selection vectors instead of per-row evalFn
-// calls) and direct column reads for bare column references, so batch
-// mappers materialize rows only where an expression genuinely needs
-// one.
+// This file holds the vectorized scan support shared by the scan
+// mappers: the WHERE step (a bool vector program reduced to a selection
+// vector) and per-expression evaluation that reads column vectors
+// directly or runs a compiled program (vexpr.go), so batch mappers
+// materialize rows only where an expression genuinely needs one.
 
-// vecPred is one pushable conjunct (col <op> literal) compiled for
-// column-vector evaluation. Comparison semantics are exactly
-// datum.Compare + SQL three-valued logic: NULL never matches.
-type vecPred struct {
-	col int
-	op  string // "=", "!=", "<", "<=", ">", ">="
-	lit datum.Datum
+// scanFilter is the WHERE step of a scan mapper plus the lazily
+// materialized row its fallbacks evaluate against. It holds per-mapper
+// state; mappers copy it by value from an unused template.
+type scanFilter struct {
+	where vecExpr // fn nil = no WHERE; prog nil = row evaluation only
+	sel   []int32 // reused selection vector
+	brow  batchRow
 }
 
-// compileVecFilter compiles a WHERE clause into vector predicates.
-// It succeeds only when every conjunct has the (col <op> literal)
-// shape — the same shape the ORC search-argument extractor accepts —
-// because then row-at-a-time evaluation and vector evaluation agree
-// on three-valued logic. Anything else returns ok=false and the
-// caller keeps the compiled evalFn.
-func compileVecFilter(where sqlparser.Expr, sc *scope) (preds []vecPred, ok bool) {
-	if where == nil {
-		return nil, true
+// newScanFilter pairs the compiled row predicate with its vector
+// program, when WHERE compiles to a statically boolean one.
+func newScanFilter(where sqlparser.Expr, fn evalFn, sc *scope) scanFilter {
+	f := scanFilter{where: vecExpr{col: -1, fn: fn}}
+	if where != nil {
+		if prog, ok := compileVexpr(where, sc); ok && prog.kinds[prog.out] == datum.KindBool {
+			f.where.prog = prog
+		}
 	}
-	for _, conj := range sqlparser.SplitConjuncts(where) {
-		bin, isBin := conj.(*sqlparser.BinaryExpr)
-		if !isBin {
-			return nil, false
-		}
-		op := bin.Op
-		switch op {
-		case "=", "!=", "<", "<=", ">", ">=":
-		default:
-			return nil, false
-		}
-		ref, refOK := bin.L.(*sqlparser.ColumnRef)
-		lit, litOK := bin.R.(*sqlparser.Literal)
-		if !refOK || !litOK {
-			if ref2, ok2 := bin.R.(*sqlparser.ColumnRef); ok2 {
-				if lit2, ok3 := bin.L.(*sqlparser.Literal); ok3 {
-					ref, lit = ref2, lit2
-					op = flipCmp(op)
-					refOK, litOK = true, true
-				}
-			}
-		}
-		if !refOK || !litOK || lit.Value.IsNull() {
-			return nil, false
-		}
-		idx, err := sc.resolve(ref)
-		if err != nil {
-			return nil, false
-		}
-		preds = append(preds, vecPred{col: idx, op: op, lit: lit.Value})
-	}
-	return preds, true
+	return f
 }
 
-func flipCmp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
+// begin starts a batch and returns the indexes of its rows that pass
+// WHERE (TRUE only: NULL and FALSE drop). A columnar batch runs the
+// vector program once and reduces its result; a row-shaped batch, an
+// uncompilable WHERE or a runtime kind bail evaluates the row
+// predicate per record. The result is valid until the next call.
+func (f *scanFilter) begin(b *mapred.RecordBatch) ([]int32, error) {
+	f.brow.filled = -1
+	if cap(f.sel) < b.Len { // one allocation per mapper, not a doubling ladder
+		f.sel = slices.Grow(f.sel, b.Len-len(f.sel))
 	}
-}
-
-// cmpMatches maps a datum.Compare result through the operator.
-func (p *vecPred) cmpMatches(c int) bool {
-	return cmpOpMatches(p.op, c)
-}
-
-// cmpOpMatches maps a datum.Compare result through a comparison
-// operator symbol.
-func cmpOpMatches(op string, c int) bool {
-	switch op {
-	case "=":
-		return c == 0
-	case "!=":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default: // ">="
-		return c >= 0
-	}
-}
-
-// filterBatch evaluates the predicate conjunction over a columnar
-// batch, appending the surviving row indexes to sel (reused across
-// batches). Typed inner loops handle the common int/float/string
-// columns; everything else goes through Datum+Compare, which is still
-// branch-per-row but allocation-free.
-func filterBatch(preds []vecPred, cols []datum.ColumnVector, n int, sel []int32) []int32 {
-	sel = sel[:0]
-	for i := 0; i < n; i++ {
-		sel = append(sel, int32(i))
-	}
-	for pi := range preds {
-		if len(sel) == 0 {
-			return sel
+	if f.where.fn == nil {
+		// No WHERE: the identity selection, extended once per size.
+		for len(f.sel) < b.Len {
+			f.sel = append(f.sel, int32(len(f.sel)))
 		}
-		p := &preds[pi]
-		v := &cols[p.col]
-		out := sel[:0]
-		switch {
-		case v.Kind == datum.KindInt && p.lit.K == datum.KindInt:
-			lit := p.lit.I
-			for _, i := range sel {
-				if v.Nulls[i] {
-					continue
-				}
-				x := v.Ints[i]
-				var c int
-				if x < lit {
-					c = -1
-				} else if x > lit {
-					c = 1
-				}
-				if p.cmpMatches(c) {
-					out = append(out, i)
-				}
-			}
-		case v.Kind == datum.KindFloat && (p.lit.K == datum.KindFloat || p.lit.K == datum.KindInt):
-			lit, _ := p.lit.AsFloat()
-			for _, i := range sel {
-				if v.Nulls[i] {
-					continue
-				}
-				x := v.Floats[i]
-				var c int
-				if x < lit {
-					c = -1
-				} else if x > lit {
-					c = 1
-				}
-				if p.cmpMatches(c) {
-					out = append(out, i)
-				}
-			}
-		case v.Kind == datum.KindString && p.lit.K == datum.KindString:
-			lit := p.lit.S
-			for _, i := range sel {
-				if v.Nulls[i] {
-					continue
-				}
-				if p.cmpMatches(strings.Compare(v.Strs[i], lit)) {
-					out = append(out, i)
-				}
-			}
-		default:
-			for _, i := range sel {
-				d := v.Datum(int(i))
-				if d.IsNull() {
-					continue
-				}
-				if p.cmpMatches(datum.Compare(d, p.lit)) {
-					out = append(out, i)
-				}
+		return f.sel[:b.Len], nil
+	}
+	sel := f.sel[:0]
+	f.where.beginBatch(b)
+	if res := f.where.res; res != nil {
+		for i := 0; i < b.Len; i++ {
+			if !res.Nulls[i] && res.Bools[i] {
+				sel = append(sel, int32(i))
 			}
 		}
-		sel = out
+	} else {
+		for i := 0; i < b.Len; i++ {
+			ok, err := f.where.fn(f.brow.row(b, i))
+			if err != nil {
+				return nil, err
+			}
+			if ok.Truthy() {
+				sel = append(sel, int32(i))
+			}
+		}
 	}
-	return sel
+	f.sel = sel
+	return sel, nil
 }
 
 // colRefIndex reports the scope index of a bare column reference, the

@@ -40,7 +40,7 @@ const (
 	vopNeg                // arithmetic negate register a into dst
 	vopNot                // 3VL NOT of bool register a into dst
 	vopArith              // sym over registers a, b (same kind) into dst
-	vopCmp                // sym over registers a, b into bool dst
+	vopCmp                // truth of register a vs register b (or lit when b < 0) into bool dst
 	vopAnd                // 3VL AND of bool registers a, b into dst
 	vopOr                 // 3VL OR of bool registers a, b into dst
 	vopCase               // first true conds[i] selects thens[i], else els
@@ -48,9 +48,10 @@ const (
 
 type vinst struct {
 	op     vop
-	sym    string // operator symbol for vopArith / vopCmp
-	a, b   int32  // register operands
-	colIdx int32  // vopCol source column
+	sym    string  // operator symbol for vopArith
+	truth  [3]bool // vopCmp outcome for a <, =, > b (see cmpTruths)
+	a, b   int32   // register operands
+	colIdx int32   // vopCol source column
 	dst    int32
 	lit    datum.Datum
 	conds  []int32 // vopCase: bool condition registers
@@ -212,6 +213,20 @@ func (c *vexprCompiler) compile(expr sqlparser.Expr) (int32, datum.Kind) {
 }
 
 func (c *vexprCompiler) compileBinary(v *sqlparser.BinaryExpr) (int32, datum.Kind) {
+	switch v.Op {
+	case "=", "!=", "<", "<=", ">", ">=":
+		// A literal on the left only: compare the right operand against
+		// it with the outcome mirrored, so the literal still fuses.
+		x, rhs := v.L, v.R
+		_, litL := x.(*sqlparser.Literal)
+		_, litR := rhs.(*sqlparser.Literal)
+		mirrored := litL && !litR
+		if mirrored {
+			x, rhs = rhs, x
+		}
+		a, ak := c.compile(x)
+		return c.compileCmp(v.Op, a, ak, rhs, mirrored)
+	}
 	l, lk := c.compile(v.L)
 	r, rk := c.compile(v.R)
 	if !c.valid {
@@ -238,26 +253,6 @@ func (c *vexprCompiler) compileBinary(v *sqlparser.BinaryExpr) (int32, datum.Kin
 		dst := c.newReg(datum.KindFloat)
 		return c.emit(vinst{op: vopArith, sym: v.Op, a: lf, b: rf, dst: dst}), datum.KindFloat
 
-	case "=", "!=", "<", "<=", ">", ">=":
-		if lk == datum.KindNull || rk == datum.KindNull {
-			return c.constReg(datum.Null)
-		}
-		// datum.Compare semantics per kind pair: exact int compare,
-		// mixed numerics through float, strings and bools within
-		// kind. Cross-kind non-numeric pairs order by kind tag —
-		// reject those rather than replicate them.
-		switch {
-		case lk == datum.KindInt && rk == datum.KindInt:
-		case numericKind(lk) && numericKind(rk):
-			l = c.toFloat(l, lk)
-			r = c.toFloat(r, rk)
-		case lk == rk && (lk == datum.KindString || lk == datum.KindBool):
-		default:
-			return c.fail()
-		}
-		dst := c.newReg(datum.KindBool)
-		return c.emit(vinst{op: vopCmp, sym: v.Op, a: l, b: r, dst: dst}), datum.KindBool
-
 	case "AND", "OR":
 		// 3VL with NULL operands is not constant-foldable (NULL AND
 		// FALSE = FALSE), so require statically bool operands.
@@ -274,6 +269,59 @@ func (c *vexprCompiler) compileBinary(v *sqlparser.BinaryExpr) (int32, datum.Kin
 	default:
 		return c.fail()
 	}
+}
+
+// cmpTruths tabulates each comparison operator over the three
+// datum.Compare outcomes of (a, b): a < b, a = b, a > b.
+var cmpTruths = map[string][3]bool{
+	"=":  {false, true, false},
+	"!=": {true, false, true},
+	"<":  {true, false, false},
+	"<=": {true, true, false},
+	">":  {false, false, true},
+	">=": {false, true, true},
+}
+
+// compileCmp emits register a (of kind ak) op rhs. A literal rhs fuses
+// into the instruction instead of being broadcast into a register per
+// batch — the `col op const` filter shape. Kind pairs follow
+// datum.Compare: exact int compare, mixed numerics through float,
+// strings and bools within kind. Cross-kind non-numeric pairs order by
+// kind tag — rejected rather than replicated. A statically NULL side
+// yields a KindNull register (NULL for every row).
+func (c *vexprCompiler) compileCmp(op string, a int32, ak datum.Kind, rhs sqlparser.Expr, mirrored bool) (int32, datum.Kind) {
+	if !c.valid {
+		return 0, datum.KindNull
+	}
+	in := vinst{op: vopCmp, truth: cmpTruths[op], b: -1}
+	if mirrored { // the register is the expression's right operand
+		in.truth[0], in.truth[2] = in.truth[2], in.truth[0]
+	}
+	var bk datum.Kind
+	if lit, ok := rhs.(*sqlparser.Literal); ok {
+		in.lit, bk = lit.Value, lit.Value.K
+	} else if in.b, bk = c.compile(rhs); !c.valid {
+		return 0, datum.KindNull
+	}
+	if ak == datum.KindNull || bk == datum.KindNull {
+		return c.constReg(datum.Null)
+	}
+	switch {
+	case ak == datum.KindInt && bk == datum.KindInt:
+	case numericKind(ak) && numericKind(bk):
+		a = c.toFloat(a, ak)
+		if in.b >= 0 {
+			in.b = c.toFloat(in.b, bk)
+		} else {
+			f, _ := in.lit.AsFloat()
+			in.lit = datum.Float(f)
+		}
+	case ak == bk && (ak == datum.KindString || ak == datum.KindBool):
+	default:
+		return c.fail()
+	}
+	in.a, in.dst = a, c.newReg(datum.KindBool)
+	return c.emit(in), datum.KindBool
 }
 
 func (c *vexprCompiler) compileCase(v *sqlparser.CaseExpr) (int32, datum.Kind) {
@@ -304,27 +352,15 @@ func (c *vexprCompiler) compileCase(v *sqlparser.CaseExpr) (int32, datum.Kind) {
 	for _, w := range v.Whens {
 		var cond int32
 		if v.Operand != nil {
-			wr, wk := c.compile(w.Cond)
+			var ck datum.Kind
+			cond, ck = c.compileCmp("=", opReg, opKind, w.Cond, false)
 			if !c.valid {
 				return 0, datum.KindNull
 			}
-			switch {
-			case opKind == datum.KindNull || wk == datum.KindNull:
+			if ck == datum.KindNull {
 				// Operand-form match requires both sides non-NULL, so
 				// a statically NULL side never matches.
-				cond, _ = c.constReg(datum.Null)
 				c.prog.kinds[cond] = datum.KindBool
-			case opKind == datum.KindInt && wk == datum.KindInt:
-				cond = c.newReg(datum.KindBool)
-				c.emit(vinst{op: vopCmp, sym: "=", a: opReg, b: wr, dst: cond})
-			case numericKind(opKind) && numericKind(wk):
-				cond = c.newReg(datum.KindBool)
-				c.emit(vinst{op: vopCmp, sym: "=", a: c.toFloat(opReg, opKind), b: c.toFloat(wr, wk), dst: cond})
-			case opKind == wk && (opKind == datum.KindString || opKind == datum.KindBool):
-				cond = c.newReg(datum.KindBool)
-				c.emit(vinst{op: vopCmp, sym: "=", a: opReg, b: wr, dst: cond})
-			default:
-				return c.fail()
 			}
 		} else {
 			var ck datum.Kind
@@ -441,7 +477,11 @@ func (p *vexprProg) evalBatch(stp **vexprState, b *mapred.RecordBatch) *datum.Co
 		case vopArith:
 			evalArith(in, st.regs[in.a], st.regs[in.b], out, p.kinds[in.dst], n)
 		case vopCmp:
-			evalCmp(in, st.regs[in.a], st.regs[in.b], out, p.kinds[in.a], n)
+			var b *datum.ColumnVector // nil = compare against in.lit
+			if in.b >= 0 {
+				b = st.regs[in.b]
+			}
+			evalCmp(in, st.regs[in.a], b, out, p.kinds[in.a], n)
 		case vopAnd:
 			a, bb := st.regs[in.a], st.regs[in.b]
 			out.Reset(datum.KindBool, n)
@@ -534,45 +574,58 @@ func evalArith(in *vinst, a, b, out *datum.ColumnVector, kind datum.Kind, n int)
 
 // evalCmp runs one typed comparison loop with datum.Compare ordering
 // (NaN compares neither above nor below, exactly like the row path).
+// A nil b compares against the instruction's fused literal.
 func evalCmp(in *vinst, a, b, out *datum.ColumnVector, operandKind datum.Kind, n int) {
 	out.Reset(datum.KindBool, n)
-	for i := 0; i < n; i++ {
-		if a.Nulls[i] || b.Nulls[i] {
+	var bv datum.ColumnVector // all-nil slices select the literal
+	if b != nil {
+		bv = *b
+	}
+	switch operandKind {
+	case datum.KindInt:
+		cmpLoop(in.truth, out, a.Nulls, a.Ints, bv.Nulls, bv.Ints, in.lit.I)
+	case datum.KindFloat:
+		cmpLoop(in.truth, out, a.Nulls, a.Floats, bv.Nulls, bv.Floats, in.lit.F)
+	case datum.KindString:
+		cmpLoop(in.truth, out, a.Nulls, a.Strs, bv.Nulls, bv.Strs, in.lit.S)
+	case datum.KindBool:
+		for i := range out.Nulls {
+			if a.Nulls[i] || (b != nil && b.Nulls[i]) {
+				continue
+			}
+			y := in.lit.B
+			if b != nil {
+				y = b.Bools[i]
+			}
+			c := 1
+			if x := a.Bools[i]; !x && y {
+				c = 0
+			} else if x && !y {
+				c = 2
+			}
+			out.Bools[i], out.Nulls[i] = in.truth[c], false
+		}
+	}
+}
+
+// cmpLoop compares av[i] with bv[i] (or lit when bv is nil) for every
+// row of out where neither side is NULL.
+func cmpLoop[T int64 | float64 | string](truth [3]bool, out *datum.ColumnVector, an []bool, av []T, bn []bool, bv []T, lit T) {
+	for i := range out.Nulls {
+		if an[i] || (bn != nil && bn[i]) {
 			continue
 		}
-		c := 0
-		switch operandKind {
-		case datum.KindInt:
-			x, y := a.Ints[i], b.Ints[i]
-			if x < y {
-				c = -1
-			} else if x > y {
-				c = 1
-			}
-		case datum.KindFloat:
-			x, y := a.Floats[i], b.Floats[i]
-			if x < y {
-				c = -1
-			} else if x > y {
-				c = 1
-			}
-		case datum.KindString:
-			x, y := a.Strs[i], b.Strs[i]
-			if x < y {
-				c = -1
-			} else if x > y {
-				c = 1
-			}
-		case datum.KindBool:
-			x, y := a.Bools[i], b.Bools[i]
-			if !x && y {
-				c = -1
-			} else if x && !y {
-				c = 1
-			}
+		y := lit
+		if bv != nil {
+			y = bv[i]
 		}
-		out.Bools[i] = cmpOpMatches(in.sym, c)
-		out.Nulls[i] = false
+		c := 1
+		if x := av[i]; x < y {
+			c = 0
+		} else if x > y {
+			c = 2
+		}
+		out.Bools[i], out.Nulls[i] = truth[c], false
 	}
 }
 

@@ -1,12 +1,17 @@
 package hive
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"dualtable/internal/datum"
+	"dualtable/internal/mapred"
+	"dualtable/internal/metastore"
+	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
 )
 
@@ -67,6 +72,196 @@ func TestCompileVexprCoverage(t *testing.T) {
 	}
 }
 
+// TestScanFilterCoverage pins which WHERE shapes run as vector
+// programs and which keep the row predicate.
+func TestScanFilterCoverage(t *testing.T) {
+	sc := vexprTestScope()
+	rowFn := func(datum.Row) (datum.Datum, error) { return datum.Null, nil }
+	vectorized := func(src string) bool {
+		return newScanFilter(parseSelectExpr(t, src), rowFn, sc).where.prog != nil
+	}
+	for _, src := range []string{
+		"a < 5", "f >= 1.5", "s = 'x'", // col op lit per kind
+		"5 > a",            // literal on the left
+		"a < 2.5", "f > 1", // mixed numeric column and literal
+		"a < b", "f != g", // column vs column
+		"a % 20 = 0",             // arithmetic inside the comparison
+		"a < 0 OR NOT (s = 'x')", // 3VL connectives
+		"a < 5 AND f > 0 AND s < 'y'",
+	} {
+		if !vectorized(src) {
+			t.Errorf("WHERE %s keeps the row predicate, want a vector program", src)
+		}
+	}
+	for _, src := range []string{
+		"a = NULL",       // statically NULL, not boolean
+		"a < s", "s = 1", // cross-kind comparison orders by kind tag
+		"s LIKE 'x%'",    // unsupported node
+		"a IN (1, 2, 3)", // unsupported node
+		"a + b",          // not boolean: never TRUE
+	} {
+		if vectorized(src) {
+			t.Errorf("WHERE %s produced a vector program, want the row predicate", src)
+		}
+	}
+}
+
+// TestScanFilterVectorRowAgreement drives scanFilter.begin directly
+// over hand-built batches — including an all-NULL (KindNull) vector as
+// an unprojected or all-NULL column arrives, and a vector whose kind
+// contradicts the schema (the runtime bail) — and requires the
+// columnar selection to equal the row-shaped one.
+func TestScanFilterVectorRowAgreement(t *testing.T) {
+	e := testEngine(t)
+	sc := vexprTestScope()
+	const n = 50
+	rows := make([]datum.Row, n)
+	for i := range rows {
+		rows[i] = datum.Row{datum.Int(int64(i)), datum.Int(int64(i%7 - 3)), datum.Null,
+			datum.Float(float64(i) / 4), datum.Float(float64(i%5) - 2), datum.String_(string(rune('w' + i%4)))}
+		if i%6 == 0 {
+			rows[i][1], rows[i][3] = datum.Null, datum.Null
+		}
+	}
+	columnar := func(stringsAsInts bool) *mapred.RecordBatch {
+		cols := make([]datum.ColumnVector, len(sc.cols))
+		for c := range cols {
+			kind := sc.cols[c].kind
+			if c == 2 {
+				kind = datum.KindNull // b: every row NULL, no typed storage
+			}
+			if c == 1 && stringsAsInts {
+				kind = datum.KindString // a: data contradicts the schema
+			}
+			cols[c].Reset(kind, n)
+			for i := range rows {
+				d := rows[i][c]
+				if c == 1 && stringsAsInts && !d.IsNull() {
+					d = datum.String_(fmt.Sprint(d.I))
+				}
+				if !cols[c].SetDatum(i, d) {
+					t.Fatalf("column %d row %d: vector rejected %v", c, i, d)
+				}
+			}
+		}
+		return &mapred.RecordBatch{Len: n, Cols: cols}
+	}
+	for _, src := range []string{
+		"a < 1", "1 >= a", "a < 0.5", "f > 3", "s >= 'x'", "a < f", "a % 2 = 0",
+		"b = 1", "b < a OR f > 10", "NOT (b = 1) OR a < 0", "a < 0 AND (b = 1 OR s = 'w')",
+		"a = NULL", "s LIKE 'x%'", "a IN (1, 2)",
+	} {
+		expr := parseSelectExpr(t, src)
+		fn, err := e.compileExpr(nil, expr, sc)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for _, bail := range []bool{false, true} {
+			cb := columnar(bail)
+			rb := &mapred.RecordBatch{Len: n, Rows: make([]datum.Row, n)}
+			for i := range rb.Rows {
+				rb.Rows[i] = cb.RowInto(nil, i)
+			}
+			vf, rf := newScanFilter(expr, fn, sc), newScanFilter(expr, fn, sc)
+			got, err := vf.begin(cb)
+			if err != nil {
+				t.Fatalf("%s (columnar): %v", src, err)
+			}
+			want, err := rf.begin(rb)
+			if err != nil {
+				t.Fatalf("%s (rows): %v", src, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("WHERE %s (kind bail=%v): columnar selection %v, row selection %v", src, bail, got, want)
+			}
+		}
+	}
+}
+
+// vectorizeORC wraps the engine's ORC handler so its row-only splits
+// also serve batches: most columnar, every third one row-shaped (the
+// shape a UNION READ batch flips to on a delete marker), columns
+// outside the projection as all-NULL vectors. The production columnar
+// reader lives in internal/core, which imports this package; without
+// the wrapper this package's batch-vs-row suites would compare the row
+// path with itself. Next passes through untouched, so DisableBatchScan
+// still reaches the ORC row reader.
+func vectorizeORC(e *Engine) {
+	e.handlers[metastore.StorageORC] = vecTestHandler{e.handlers[metastore.StorageORC]}
+}
+
+type vecTestHandler struct{ StorageHandler }
+
+func (h vecTestHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
+	splits, release, err := h.StorageHandler.Splits(desc, opts)
+	for i, s := range splits {
+		splits[i] = &vecTestSplit{InputSplit: s, schema: desc.Schema, proj: opts.Projection}
+	}
+	return splits, release, err
+}
+
+type vecTestSplit struct {
+	mapred.InputSplit
+	schema datum.Schema
+	proj   []int
+}
+
+func (s *vecTestSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
+	rr, err := s.InputSplit.Open(m)
+	if err != nil {
+		return nil, err
+	}
+	return &vecTestReader{RecordReader: rr, split: s, cols: make([]datum.ColumnVector, len(s.schema))}, nil
+}
+
+type vecTestReader struct {
+	mapred.RecordReader
+	split   *vecTestSplit
+	cols    []datum.ColumnVector
+	rows    []datum.Row
+	ids     []uint64
+	batches int
+}
+
+func (r *vecTestReader) NextBatch(b *mapred.RecordBatch) error {
+	r.rows, r.ids = r.rows[:0], r.ids[:0]
+	for len(r.rows) < 64 {
+		row, meta, err := r.Next()
+		if errors.Is(err, mapred.EOF) {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		r.rows = append(r.rows, row.Clone())
+		r.ids = append(r.ids, meta.RecordID)
+	}
+	n := len(r.rows)
+	if n == 0 {
+		return mapred.EOF
+	}
+	r.batches++
+	*b = mapred.RecordBatch{Len: n, IDs: r.ids}
+	if r.batches%3 == 0 {
+		b.Rows = r.rows
+		return nil
+	}
+	for c := range r.cols {
+		kind := r.split.schema[c].Kind
+		if r.split.proj != nil && !slices.Contains(r.split.proj, c) {
+			kind = datum.KindNull
+		}
+		r.cols[c].Reset(kind, n)
+		for i, row := range r.rows {
+			if !r.cols[c].SetDatum(i, row[c]) {
+				return fmt.Errorf("vecTestReader: column %d rejects %v", c, row[c])
+			}
+		}
+	}
+	b.Cols = r.cols
+	return nil
+}
+
 // seedVexprTable loads rows exercising the compiler's edge cases:
 // NULLs scattered through every column on different strides, int64
 // overflow magnitudes, zero divisors and sign changes.
@@ -121,6 +316,8 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 		"SELECT id, a + b, a - b, a * b, a / b, a % b, -a, f / g, f % g, f * (1 - g) FROM vx ORDER BY id",
 		// Column-column comparisons and 3VL logic.
 		"SELECT id, a < b, f >= g, (a < b) AND (f >= g), (a = b) OR (f != g), NOT (a < b) FROM vx ORDER BY id",
+		// Boolean operands: register vs register and vs a fused literal.
+		"SELECT id, (a < b) = (f >= g), (a < b) != TRUE, FALSE < (f > g) FROM vx WHERE (a < b) >= (s = 'x') ORDER BY id",
 		// CASE: searched with no-ELSE fallthrough, operand form, IF.
 		"SELECT id, CASE WHEN a < 0 THEN 'neg' WHEN a = 0 THEN 'zero' ELSE 'pos' END, " +
 			"CASE WHEN f > g THEN a + 1 WHEN f < g THEN a - 1 END, " +
@@ -128,8 +325,23 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 		// Aggregation over computed arguments (TPC-H Q1 shape).
 		"SELECT s, COUNT(*), SUM(f * (1 - g)), SUM(f * (1 - g) * (1 + a)), AVG(a + b), " +
 			"MIN(a * 2), MAX(f - g), SUM(a / b), SUM(a % b) FROM vx GROUP BY s ORDER BY s",
-		// Row-path filter (not vector-pushable) over program projections.
+		// Arithmetic filter over program projections.
 		"SELECT id, f * (1 - g) FROM vx WHERE a + b > 0 ORDER BY id",
+		// WHERE shapes: col op lit per kind, literal on the left, int
+		// column vs float literal, col-vs-col, arithmetic inside the
+		// comparison, OR/NOT, a NULL literal.
+		"SELECT id, s FROM vx WHERE b < 2 AND f >= -3.5 AND s != 'w' ORDER BY id",
+		"SELECT id FROM vx WHERE 250 <= id AND 1 > g ORDER BY id",
+		"SELECT id, a FROM vx WHERE b < 0.5 AND f > 3 ORDER BY id",
+		"SELECT id FROM vx WHERE a < b OR f = g ORDER BY id",
+		"SELECT id, COUNT(*) FROM vx WHERE id % 20 = 0 GROUP BY id ORDER BY id",
+		"SELECT s, COUNT(*), SUM(f) FROM vx WHERE b < 0 OR NOT (s = 'x') GROUP BY s ORDER BY s",
+		"SELECT COUNT(*), COUNT(DISTINCT s) FROM vx WHERE NOT (a < b) AND g < 1",
+		"SELECT COUNT(*) FROM vx WHERE a = NULL OR b > 4",
+		// Shapes that must fall back to the row predicate.
+		"SELECT id FROM vx WHERE s LIKE 'x%' AND b > 0 ORDER BY id",
+		"SELECT id FROM vx WHERE b IN (1, 3, 5) ORDER BY id",
+		"SELECT id FROM vx WHERE s > 1 ORDER BY id",
 		// Streaming top-N: per-task heaps must reproduce sort+truncate.
 		"SELECT id, a + b FROM vx ORDER BY a + b DESC, id LIMIT 5",
 		"SELECT id, f FROM vx WHERE f > 0 ORDER BY f / g, id LIMIT 3",
@@ -145,6 +357,7 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e := testEngine(t)
 		e.MR.Parallelism = workers
+		vectorizeORC(e)
 		seedVexprTable(t, e)
 		configs = append(configs, config{workers, e})
 	}

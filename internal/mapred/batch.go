@@ -13,7 +13,8 @@ import (
 //   - Row: Rows holds materialized rows (len Len) and IDs, when
 //     non-nil, holds each row's record ID (BaseID + index otherwise).
 //     Readers fall back to this shape when per-row work was already
-//     necessary (e.g. a UNION READ merge that dropped deleted rows).
+//     necessary (e.g. a UNION READ merge that dropped deleted rows),
+//     and it is the shape row readers are adapted up to.
 //
 // Exactly one of Cols/Rows is non-nil. Batches and everything they
 // reference are reused by the reader between NextBatch calls; mappers
@@ -24,6 +25,8 @@ type RecordBatch struct {
 	Rows   []datum.Row
 	BaseID uint64
 	IDs    []uint64
+
+	rowBuf datum.Row // MapFunc.MapBatch's materialization scratch
 }
 
 // Meta returns row i's record metadata.
@@ -55,55 +58,45 @@ func (b *RecordBatch) RowInto(buf datum.Row, i int) datum.Row {
 // never mixes the two on one reader.
 type BatchRecordReader interface {
 	RecordReader
-	// NextBatch fills b with the next records; io.EOF ends the stream.
+	// NextBatch fills b with the next records; EOF ends the stream.
 	// The reader owns b's contents until the next call.
 	NextBatch(b *RecordBatch) error
 }
 
-// BatchMapper is a Mapper that can consume whole record batches,
-// amortizing per-record dispatch. The engine calls MapBatch instead of
-// Map when the input reader produces batches; Flush still runs once at
-// task end.
-type BatchMapper interface {
-	Mapper
-	MapBatch(b *RecordBatch, emit Emitter) error
+// rowBatcher is the row→batch adapter: it lifts a RecordReader into
+// the map loop's batch input, one single-row batch per Next call (the
+// reader may reuse its row, so rows cannot be gathered without a
+// copy). It sits at the reader boundary so no mapper needs a row
+// entry point.
+type rowBatcher struct {
+	RecordReader
+	row [1]datum.Row
+	id  [1]uint64
 }
 
-// runBatchLoop drives a map task from a batching reader. When the
-// mapper is batch-aware it receives whole batches; otherwise rows are
-// materialized into a reused buffer — the adapter that keeps
-// row-at-a-time mappers working unchanged on batch inputs.
-func runBatchLoop(ctx ctxDone, br BatchRecordReader, mapper Mapper, emit Emitter, inRecords *int64) error {
-	bm, batchAware := mapper.(BatchMapper)
-	var batch RecordBatch
-	var rowBuf datum.Row
-	for {
-		if err := ctx.Err(); err != nil {
+func (a *rowBatcher) NextBatch(b *RecordBatch) error {
+	row, meta, err := a.Next()
+	if err != nil {
+		return err
+	}
+	a.row[0], a.id[0] = row, meta.RecordID
+	b.Len, b.Cols, b.Rows, b.IDs = 1, nil, a.row[:], a.id[:]
+	return nil
+}
+
+// MapBatch is the batch→row adapter: it feeds the batch to f one
+// record at a time, materializing columnar rows into a buffer reused
+// across the task's batches. Row-at-a-time mappers with state delegate
+// their MapBatch here.
+func (f MapFunc) MapBatch(b *RecordBatch, emit Emitter) error {
+	if b.Rows == nil && cap(b.rowBuf) < len(b.Cols) {
+		b.rowBuf = make(datum.Row, len(b.Cols))
+	}
+	buf := b.rowBuf // wide enough: RowInto never regrows it
+	for i := 0; i < b.Len; i++ {
+		if err := f(b.RowInto(buf, i), b.Meta(i), emit); err != nil {
 			return err
-		}
-		err := br.NextBatch(&batch)
-		if err != nil {
-			if isEOF(err) {
-				return nil
-			}
-			return err
-		}
-		*inRecords += int64(batch.Len)
-		if batchAware {
-			if err := bm.MapBatch(&batch, emit); err != nil {
-				return err
-			}
-			continue
-		}
-		for i := 0; i < batch.Len; i++ {
-			rowBuf = batch.RowInto(rowBuf, i)
-			if err := mapper.Map(rowBuf, batch.Meta(i), emit); err != nil {
-				return err
-			}
 		}
 	}
+	return nil
 }
-
-// ctxDone is the slice of context.Context the batch loop needs (kept
-// narrow for tests).
-type ctxDone interface{ Err() error }

@@ -9,14 +9,19 @@
 //
 // # Batched input
 //
-// Readers that implement BatchRecordReader deliver records as
-// RecordBatch values — column vectors for untouched data, materialized
-// rows where the reader already paid per-row work — and the map loop
-// consumes whole batches: a BatchMapper receives them directly, a
-// plain Mapper sees rows materialized from the batch into a reused
-// buffer. Batch and row execution are interchangeable by contract
-// (identical output, counters and metering); Cluster.DisableBatchScan
-// forces the row loop for equivalence testing.
+// The map loop has one input shape, the RecordBatch, and a Mapper has
+// one entry point, MapBatch. Readers that implement BatchRecordReader
+// fill batches themselves — column vectors for untouched data,
+// materialized rows where the reader already paid per-row work. Row
+// shape crosses into that pipeline through exactly two adapters, both
+// in this package: a plain RecordReader is lifted once at the reader
+// boundary into single-row batches (rowBatcher), and a mapper written
+// per record (MapFunc, or a stateful mapper delegating to it) walks
+// each batch through MapFunc.MapBatch. Cluster.DisableBatchScan routes
+// a batching reader's Next through the first adapter, so its
+// independent row decode/merge path stays available as the oracle the
+// equivalence tests compare against (identical output, counters and
+// metering).
 //
 // # Shuffle
 //
@@ -79,7 +84,7 @@ type RecordMeta struct {
 // RecordReader streams the rows of one split. The returned row may be
 // reused between Next calls; see the package ownership contract.
 type RecordReader interface {
-	// Next returns the next row, or an error; io.EOF ends the stream.
+	// Next returns the next row, or an error; EOF ends the stream.
 	Next() (datum.Row, RecordMeta, error)
 	// Close releases resources.
 	Close() error
@@ -98,11 +103,13 @@ type InputSplit interface {
 // ownership of the value (see the package ownership contract).
 type Emitter func(key []byte, value datum.Row) error
 
-// Mapper processes one input record. A fresh Mapper is built per map
-// task via the job's MapperFactory, so implementations may keep state.
+// Mapper processes the input batches of one map task. A fresh Mapper
+// is built per task via Job.NewMapper, so implementations may keep
+// state. The batch and everything it references belong to the reader
+// and are reused after MapBatch returns.
 type Mapper interface {
-	Map(row datum.Row, meta RecordMeta, emit Emitter) error
-	// Flush is called once after the task's last record.
+	MapBatch(b *RecordBatch, emit Emitter) error
+	// Flush is called once after the task's last batch.
 	Flush(emit Emitter) error
 }
 
@@ -116,7 +123,7 @@ type Reducer interface {
 
 // MeterAware is implemented by mappers that perform side-effect I/O
 // (e.g. DualTable's EDIT UDTFs writing to the attached table). The
-// engine injects the task's meter before the first Map call so the
+// engine injects the task's meter before the first MapBatch call so the
 // side-effect costs participate in the task makespan.
 type MeterAware interface {
 	SetMeter(m *sim.Meter)
@@ -140,11 +147,10 @@ type OutputFactory interface {
 type Cluster struct {
 	Params      sim.CostParams
 	Parallelism int // concurrent tasks (real goroutines); 0 = NumCPU
-	// DisableBatchScan forces the row-at-a-time map loop even when a
-	// reader implements BatchRecordReader. Both loops produce
-	// byte-identical results, counters and simulated seconds (the
-	// equivalence tests assert it); the toggle exists for those tests
-	// and for isolating regressions.
+	// DisableBatchScan reads a BatchRecordReader through its row-mode
+	// Next instead of NextBatch. Both produce byte-identical results,
+	// counters and simulated seconds (the equivalence tests assert it);
+	// the toggle exists for those tests and for isolating regressions.
 	DisableBatchScan bool
 }
 
@@ -368,29 +374,29 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 		}
 	}
 
-	if br, ok := rr.(BatchRecordReader); ok && !c.DisableBatchScan {
-		if err := runBatchLoop(ctx, br, mapper, emit, &inRecords); err != nil {
-			return fmt.Errorf("mapred: map task %d: %w", taskID, err)
+	br, ok := rr.(BatchRecordReader)
+	if !ok || c.DisableBatchScan {
+		br = &rowBatcher{RecordReader: rr}
+	}
+	var batch RecordBatch
+	for nextPoll := int64(0); ; {
+		// Cancellation check between batches, at most once per 128
+		// records so single-row batches do not pay it each.
+		if inRecords >= nextPoll {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			nextPoll = inRecords + 128
 		}
-	} else {
-		for {
-			// Cancellation check between records (cheap: every 128 rows).
-			if inRecords&127 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
+		if err := br.NextBatch(&batch); err != nil {
+			if errors.Is(err, EOF) {
+				break
 			}
-			row, meta, err := rr.Next()
-			if err != nil {
-				if isEOF(err) {
-					break
-				}
-				return fmt.Errorf("mapred: split %d: %w", taskID, err)
-			}
-			inRecords++
-			if err := mapper.Map(row, meta, emit); err != nil {
-				return fmt.Errorf("mapred: map task %d: %w", taskID, err)
-			}
+			return fmt.Errorf("mapred: split %d: %w", taskID, err)
+		}
+		inRecords += int64(batch.Len)
+		if err := mapper.MapBatch(&batch, emit); err != nil {
+			return fmt.Errorf("mapred: map task %d: %w", taskID, err)
 		}
 	}
 	if err := mapper.Flush(emit); err != nil {
@@ -631,15 +637,10 @@ func (p *workerPool) submit(fn func()) {
 
 func (p *workerPool) wait() { p.wg.Wait() }
 
-func isEOF(err error) bool {
-	return errors.Is(err, errEOF) || errors.Is(err, io.EOF)
-}
-
-var errEOF = errors.New("EOF")
-
-// EOF is the sentinel a RecordReader returns at end of stream
-// (io.EOF also works).
-var EOF = errEOF
+// EOF is the sentinel a RecordReader returns at end of stream: io.EOF
+// itself, so readers pass their source's end of stream through
+// untranslated and every other error fails the task.
+var EOF = io.EOF
 
 // ---- Convenience implementations ----
 
@@ -676,15 +677,27 @@ func (r *sliceReader) Next() (datum.Row, RecordMeta, error) {
 	return row, meta, nil
 }
 
+// NextBatch aliases the next run of rows, zero-copy.
+func (r *sliceReader) NextBatch(b *RecordBatch) error {
+	if r.idx >= len(r.rows) {
+		return EOF
+	}
+	end := min(r.idx+sliceBatchRows, len(r.rows))
+	b.Len, b.Cols, b.Rows = end-r.idx, nil, r.rows[r.idx:end]
+	b.BaseID, b.IDs = r.base+uint64(r.idx), nil
+	r.idx = end
+	return nil
+}
+
+// sliceBatchRows keeps the map loop's cancellation poll (once per
+// batch) as fine-grained over slices as it is over row readers.
+const sliceBatchRows = 128
+
 func (r *sliceReader) Close() error { return nil }
 
-// MapFunc adapts a function to the Mapper interface.
+// MapFunc adapts a per-record function to the Mapper interface (see
+// MapBatch in batch.go). The row may be reused between calls.
 type MapFunc func(row datum.Row, meta RecordMeta, emit Emitter) error
-
-// Map invokes the function.
-func (f MapFunc) Map(row datum.Row, meta RecordMeta, emit Emitter) error {
-	return f(row, meta, emit)
-}
 
 // Flush is a no-op.
 func (f MapFunc) Flush(emit Emitter) error { return nil }
