@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/dfs"
@@ -141,14 +142,9 @@ type deltaEntry struct {
 	seq int // delta ordinal: later transactions win
 }
 
-// loadDeltas reads every delta file (the merge-on-read cost Hive ACID
-// pays), charging the meter.
-func (h *Handler) loadDeltas(desc *metastore.TableDesc, m *sim.Meter) ([]deltaEntry, error) {
-	infos, err := h.e.FS.ListFiles(deltaDir(desc))
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
+// loadDeltas reads every listed delta file (the merge-on-read cost Hive
+// ACID pays), charging the meter. infos is in transaction order.
+func (h *Handler) loadDeltas(infos []dfs.FileInfo, m *sim.Meter) ([]deltaEntry, error) {
 	var out []deltaEntry
 	for seq, fi := range infos {
 		fr, err := h.e.FS.OpenMeter(fi.Path, m)
@@ -206,9 +202,17 @@ func (h *Handler) Splits(desc *metastore.TableDesc, opts hive.ScanOptions) ([]ma
 	if err != nil {
 		return nil, nil, err
 	}
+	// The delta set is fixed here, not when a task opens its split: a
+	// DML job scanning these splits must not read the delta files its
+	// own tasks are writing.
+	deltas, err := h.e.FS.ListFiles(deltaDir(desc))
+	if err != nil {
+		return nil, nil, err
+	}
+	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
 	var splits []mapred.InputSplit
 	for _, f := range files {
-		splits = append(splits, &acidSplit{h: h, desc: desc, file: f, opts: opts})
+		splits = append(splits, &acidSplit{h: h, file: f, deltas: deltas, opts: opts})
 	}
 	return splits, func() {}, nil // nothing is pinned
 }
@@ -349,10 +353,10 @@ func (c *baseCollector) Close() error {
 // acidSplit merges one base file with all delta entries in its rid
 // range.
 type acidSplit struct {
-	h    *Handler
-	desc *metastore.TableDesc
-	file baseFile
-	opts hive.ScanOptions
+	h      *Handler
+	file   baseFile
+	deltas []dfs.FileInfo // in transaction order, shared by the scan's splits
+	opts   hive.ScanOptions
 }
 
 func (s *acidSplit) Length() int64 { return s.file.size }
@@ -369,7 +373,7 @@ func (s *acidSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	}
 	// Merge-on-read: every split scans every delta file (no random
 	// access, no bloom filters — the §V-C contrast with DualTable).
-	deltas, err := s.h.loadDeltas(s.desc, m)
+	deltas, err := s.h.loadDeltas(s.deltas, m)
 	if err != nil {
 		fr.Close()
 		return nil, err
@@ -438,185 +442,85 @@ func (r *acidReader) Close() error { return r.fr.Close() }
 
 // ExecUpdate writes full updated records into a fresh delta.
 func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	var err error
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-	}
-	type setCol struct {
-		idx int
-		fn  func(datum.Row) (datum.Datum, error)
-	}
-	var sets []setCol
-	for _, s := range stmt.Sets {
-		idx := desc.Schema.ColumnIndex(s.Column)
-		fn, err := e.CompileRowExpr(ec, s.Value, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-		sets = append(sets, setCol{idx: idx, fn: fn})
-	}
-	n, err := h.runDeltaJob(ec, e, desc, m, func(tm *sim.Meter, row datum.Row, rid uint64, emitDelta func(deltaEntry) error) (bool, error) {
-		if whereFn != nil {
-			ok, err := whereFn(row)
-			if err != nil {
-				return false, err
-			}
-			if !ok.Truthy() {
-				return false, nil
-			}
-		}
-		// The whole record goes into the delta, even for a one-cell
-		// change.
-		updated := row.Clone()
-		for _, s := range sets {
-			nv, err := s.fn(row)
-			if err != nil {
-				return false, err
-			}
-			nv, err = datum.Coerce(nv, desc.Schema[s.idx].Kind)
-			if err != nil {
-				return false, err
-			}
-			updated[s.idx] = nv
-		}
-		return true, emitDelta(deltaEntry{rid: rid, op: opUpsert, row: updated})
-	})
-	return n, "DELTA", err
+	return h.runDeltaJob(ec, e, desc, stmt, m)
 }
 
 // ExecDelete writes delete records into a fresh delta.
 func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	var err error
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-	}
-	blank := make(datum.Row, len(desc.Schema))
-	for i := range blank {
-		blank[i] = datum.Null
-	}
-	n, err := h.runDeltaJob(ec, e, desc, m, func(tm *sim.Meter, row datum.Row, rid uint64, emitDelta func(deltaEntry) error) (bool, error) {
-		if whereFn != nil {
-			ok, err := whereFn(row)
-			if err != nil {
-				return false, err
-			}
-			if !ok.Truthy() {
-				return false, nil
-			}
-		}
-		return true, emitDelta(deltaEntry{rid: rid, op: opDelete, row: blank})
-	})
-	return n, "DELTA", err
+	return h.runDeltaJob(ec, e, desc, stmt, m)
 }
 
 // runDeltaJob scans the table (merge-on-read) and streams matching
 // records into one new delta file per map task, under one transaction.
-func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, m *sim.Meter,
-	visit func(tm *sim.Meter, row datum.Row, rid uint64, emitDelta func(deltaEntry) error) (bool, error)) (int64, error) {
+func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, m *sim.Meter) (int64, string, error) {
 	splits, release, err := h.Splits(desc, hive.ScanOptions{})
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	defer release()
 	txn := h.allocTxn(desc)
 	dSchema := deltaSchema(desc)
-	var taskCounter int64
-	var mu sync.Mutex
-	job := &mapred.Job{
-		Name:   "acid-delta",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			dm := &deltaMapper{}
-			dm.visit = visit
-			dm.open = func(tm *sim.Meter) (*orcfile.Writer, *dfs.FileWriter, error) {
-				mu.Lock()
-				taskCounter++
-				id := taskCounter
-				mu.Unlock()
-				name := fmt.Sprintf("delta-%06d-%04d.orc", txn, id)
-				fw, err := h.e.FS.CreateMeter(path.Join(deltaDir(desc), name), tm)
-				if err != nil {
-					return nil, nil, err
-				}
-				w, err := orcfile.NewWriter(fw, dSchema, orcfile.WriterOptions{Compression: true})
-				if err != nil {
-					return nil, nil, err
-				}
-				return w, fw, nil
-			}
-			return dm
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
-	if err != nil {
-		return 0, err
-	}
-	m.AddSeconds(res.SimSeconds)
-	return res.Counters.OutputRecords, nil
-}
-
-// deltaMapper writes matching records to its task's delta file.
-type deltaMapper struct {
-	meter *sim.Meter
-	visit func(*sim.Meter, datum.Row, uint64, func(deltaEntry) error) (bool, error)
-	open  func(*sim.Meter) (*orcfile.Writer, *dfs.FileWriter, error)
-	w     *orcfile.Writer
-	fw    *dfs.FileWriter
-}
-
-func (dm *deltaMapper) SetMeter(m *sim.Meter) { dm.meter = m }
-
-func (dm *deltaMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-	matched, err := dm.visit(dm.meter, row, meta.RecordID, func(d deltaEntry) error {
-		if dm.w == nil {
-			w, fw, err := dm.open(dm.meter)
+	var taskCounter atomic.Int64
+	n, err := e.RunDMLScan(ec, desc, stmt, "acid-delta", splits, m, func(setCols []int) hive.DMLSink {
+		return &deltaSink{setCols: setCols, open: func(tm *sim.Meter) (*orcfile.Writer, *dfs.FileWriter, error) {
+			name := fmt.Sprintf("delta-%06d-%04d.orc", txn, taskCounter.Add(1))
+			fw, err := h.e.FS.CreateMeter(path.Join(deltaDir(desc), name), tm)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			dm.w, dm.fw = w, fw
-		}
-		out := make(datum.Row, 0, 2+len(d.row))
-		out = append(out, datum.Int(int64(d.rid)), datum.Int(d.op))
-		out = append(out, d.row...)
-		return dm.w.WriteRow(out)
+			w, err := orcfile.NewWriter(fw, dSchema, orcfile.WriterOptions{Compression: true})
+			if err != nil {
+				return nil, nil, err
+			}
+			return w, fw, nil
+		}}
 	})
-	if err != nil {
-		return err
-	}
-	if matched {
-		return emit(nil, datum.Row{datum.Int(1)})
-	}
-	return nil
+	return n, "DELTA", err
 }
 
-func (dm *deltaMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
-	return mapred.MapFunc(dm.Map).MapBatch(b, emit)
+// deltaSink writes its task's matching records to a delta file opened
+// at the first match. Every matched record is affected.
+type deltaSink struct {
+	setCols []int // nil = DELETE
+	open    func(*sim.Meter) (*orcfile.Writer, *dfs.FileWriter, error)
+	w       *orcfile.Writer
+	fw      *dfs.FileWriter
+	out     datum.Row // (rid, op, record...) scratch; WriteRow copies out of it
 }
 
-func (dm *deltaMapper) Flush(emit mapred.Emitter) error {
-	if dm.w == nil {
+func (s *deltaSink) Apply(tm *sim.Meter, recordID uint64, row datum.Row, vals []datum.Datum) (bool, error) {
+	if s.w == nil {
+		w, fw, err := s.open(tm)
+		if err != nil {
+			return false, err
+		}
+		s.w, s.fw = w, fw
+	}
+	if s.setCols == nil {
+		s.out = append(s.out[:0], datum.Int(int64(recordID)), datum.Int(opDelete))
+		for range row {
+			s.out = append(s.out, datum.Null)
+		}
+	} else {
+		// The whole record goes into the delta, even for a one-cell
+		// change.
+		s.out = append(s.out[:0], datum.Int(int64(recordID)), datum.Int(opUpsert))
+		s.out = append(s.out, row...)
+		for k, nv := range vals {
+			s.out[2+s.setCols[k]] = nv
+		}
+	}
+	return true, s.w.WriteRow(s.out)
+}
+
+func (s *deltaSink) Flush(*sim.Meter) error {
+	if s.w == nil {
 		return nil
 	}
-	if err := dm.w.Close(); err != nil {
+	if err := s.w.Close(); err != nil {
 		return err
 	}
-	return dm.fw.Close()
+	return s.fw.Close()
 }
 
 // Compact implements COMPACT TABLE for ACID tables: a major

@@ -35,7 +35,7 @@ func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 		n, err := h.runOverwriteUpdate(ec, e, desc, stmt, m)
 		return n, "OVERWRITE", err
 	}
-	n, err := h.runEditUpdate(ec, e, desc, stmt, m, w)
+	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-update-udtf", m, w)
 	return n, "EDIT", err
 }
 
@@ -64,7 +64,7 @@ func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 		m.AddSeconds(rs.SimSeconds)
 		return rs.Affected, "OVERWRITE", nil
 	}
-	n, err := h.runEditDelete(ec, e, desc, stmt, m, w)
+	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-delete-udtf", m, w)
 	return n, "EDIT", err
 }
 
@@ -304,10 +304,11 @@ func (h *Handler) runOverwriteUpdate(ec *hive.ExecContext, e *hive.Engine, desc 
 	return rs.Affected, nil
 }
 
-// runEditUpdate is the UPDATE UDTF: scan UNION READ splits, evaluate
-// the predicate, compute new values, and put the changed cells into
-// the attached table.
-func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter, w costmodel.Workload) (int64, error) {
+// runEdit is the EDIT plan of both statements — §V-A's UPDATE and
+// DELETE UDTFs: the DML scan over UNION READ splits with an editSink
+// that puts the changed cells (or one delete marker per record) into
+// the attached table keyed by record ID.
+func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, m *sim.Meter, w costmodel.Workload) (int64, error) {
 	// Writers serialize against each other (and COMPACT); snapshot
 	// scans run untouched throughout.
 	st := h.state(desc.Name)
@@ -317,30 +318,6 @@ func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *meta
 	att, err := h.attached(desc)
 	if err != nil {
 		return 0, err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, err
-		}
-	}
-	type setCol struct {
-		idx int
-		fn  func(datum.Row) (datum.Datum, error)
-	}
-	sets := make([]setCol, 0, len(stmt.Sets))
-	for _, s := range stmt.Sets {
-		idx := desc.Schema.ColumnIndex(s.Column)
-		fn, err := e.CompileRowExpr(ec, s.Value, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, err
-		}
-		sets = append(sets, setCol{idx: idx, fn: fn})
 	}
 	// The UDTF scans its own pinned snapshot; its writes carry
 	// timestamps above the snapshot watermark, so the scan cannot see
@@ -356,159 +333,75 @@ func (h *Handler) runEditUpdate(ec *hive.ExecContext, e *hive.Engine, desc *meta
 		return 0, err
 	}
 	defer snap.Release()
-	splits := snap.Splits(ScanOptions{})
-	job := &mapred.Job{
-		Name:   "dualtable-update-udtf",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &editMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					key := RecordID(meta.RecordID).Key()
-					changed := false
-					for _, s := range sets {
-						nv, err := s.fn(row)
-						if err != nil {
-							return err
-						}
-						nv, err = datum.Coerce(nv, desc.Schema[s.idx].Kind)
-						if err != nil {
-							return err
-						}
-						if datum.Equal(nv, row[s.idx]) {
-							continue // no-op write elided
-						}
-						changed = true
-						batch = append(batch, &kvstore.Cell{
-							Row:       key,
-							Family:    attachedFamily,
-							Qualifier: []byte(strconv.Itoa(s.idx)),
-							Type:      kvstore.TypePut,
-							Value:     datum.AppendDatum(nil, nv),
-						})
-					}
-					if !changed {
-						return nil
-					}
-					if len(batch) >= 1024 {
-						if err := att.Put(batch, tm); err != nil {
-							return err
-						}
-						batch = batch[:0]
-					}
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				flushFn: func(tm *sim.Meter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return att.Put(batch, tm)
-				},
-			}
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
+	affected, err := e.RunDMLScan(ec, desc, stmt, jobName, snap.Splits(ScanOptions{}), m, func(setCols []int) hive.DMLSink {
+		return &editSink{att: att, setCols: setCols}
+	})
 	if err != nil {
 		return 0, err
 	}
 	if err := h.publishWatermark(desc); err != nil {
 		return 0, err
 	}
-	m.AddSeconds(res.SimSeconds)
-	affected := res.Counters.OutputRecords
-	h.observeRatio(desc, stmt, nil, affected, w.TableRows)
+	upd, _ := stmt.(*sqlparser.UpdateStmt)
+	del, _ := stmt.(*sqlparser.DeleteStmt)
+	h.observeRatio(desc, upd, del, affected, w.TableRows)
 	return affected, nil
 }
 
-// runEditDelete is the DELETE UDTF: put one delete marker per
-// matching record (§V-A: "the DELETE UDTF only takes the name of the
-// table and puts a DELETE marker for each deleted row").
-func (h *Handler) runEditDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter, w costmodel.Workload) (int64, error) {
-	st := h.state(desc.Name)
-	st.writer.Lock()
-	defer st.writer.Unlock()
+// editSink is one EDIT task's writer: attached-table cells in put
+// batches of 1024. An UPDATE record whose new values all equal the old
+// ones writes nothing and does not count as affected.
+type editSink struct {
+	att     *kvstore.Table
+	setCols []int // nil = DELETE
+	batch   []*kvstore.Cell
+}
 
-	att, err := h.attached(desc)
-	if err != nil {
-		return 0, err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, err
+func (s *editSink) Apply(tm *sim.Meter, recordID uint64, row datum.Row, vals []datum.Datum) (bool, error) {
+	key := RecordID(recordID).Key()
+	if s.setCols == nil {
+		// §V-A: "the DELETE UDTF only takes the name of the table and
+		// puts a DELETE marker for each deleted row".
+		s.batch = append(s.batch, &kvstore.Cell{
+			Row:       key,
+			Family:    attachedFamily,
+			Qualifier: []byte(deleteQualifier),
+			Type:      kvstore.TypePut,
+			Value:     []byte{1},
+		})
+	} else {
+		changed := false
+		for k, nv := range vals {
+			if datum.Equal(nv, row[s.setCols[k]]) {
+				continue // no-op write elided
+			}
+			changed = true
+			s.batch = append(s.batch, &kvstore.Cell{
+				Row:       key,
+				Family:    attachedFamily,
+				Qualifier: []byte(strconv.Itoa(s.setCols[k])),
+				Type:      kvstore.TypePut,
+				Value:     datum.AppendDatum(nil, nv),
+			})
+		}
+		if !changed {
+			return false, nil
 		}
 	}
-	snap, err := h.OpenSnapshot(desc)
-	if err != nil {
-		return 0, err
+	if len(s.batch) >= 1024 {
+		if err := s.att.Put(s.batch, tm); err != nil {
+			return false, err
+		}
+		s.batch = s.batch[:0]
 	}
-	defer snap.Release()
-	splits := snap.Splits(ScanOptions{})
-	job := &mapred.Job{
-		Name:   "dualtable-delete-udtf",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &editMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					batch = append(batch, &kvstore.Cell{
-						Row:       RecordID(meta.RecordID).Key(),
-						Family:    attachedFamily,
-						Qualifier: []byte(deleteQualifier),
-						Type:      kvstore.TypePut,
-						Value:     []byte{1},
-					})
-					if len(batch) >= 1024 {
-						if err := att.Put(batch, tm); err != nil {
-							return err
-						}
-						batch = batch[:0]
-					}
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				flushFn: func(tm *sim.Meter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return att.Put(batch, tm)
-				},
-			}
-		},
+	return true, nil
+}
+
+func (s *editSink) Flush(tm *sim.Meter) error {
+	if len(s.batch) == 0 {
+		return nil
 	}
-	res, err := e.MR.RunContext(ec.Context(), job)
-	if err != nil {
-		return 0, err
-	}
-	if err := h.publishWatermark(desc); err != nil {
-		return 0, err
-	}
-	m.AddSeconds(res.SimSeconds)
-	affected := res.Counters.OutputRecords
-	h.observeRatio(desc, nil, stmt, affected, w.TableRows)
-	return affected, nil
+	return s.att.Put(s.batch, tm)
 }
 
 // observeRatio feeds the measured modification ratio back into the
@@ -588,31 +481,4 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 	}
 	m.AddSeconds(res.SimSeconds)
 	return nil
-}
-
-// editMapper is a stateful mapper for the EDIT UDTFs. It is
-// MeterAware: attached-table puts charge the task meter so they
-// parallelize across map slots in the simulated makespan.
-type editMapper struct {
-	meter   *sim.Meter
-	mapFn   func(*sim.Meter, datum.Row, mapred.RecordMeta, mapred.Emitter) error
-	flushFn func(*sim.Meter) error
-}
-
-// SetMeter receives the task meter from the MapReduce engine.
-func (f *editMapper) SetMeter(m *sim.Meter) { f.meter = m }
-
-func (f *editMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-	return f.mapFn(f.meter, row, meta, emit)
-}
-
-func (f *editMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
-	return mapred.MapFunc(f.Map).MapBatch(b, emit)
-}
-
-func (f *editMapper) Flush(emit mapred.Emitter) error {
-	if f.flushFn == nil {
-		return nil
-	}
-	return f.flushFn(f.meter)
 }

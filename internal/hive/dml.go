@@ -111,11 +111,8 @@ func (e *Engine) execUpdate(ec *ExecContext, s *sqlparser.UpdateStmt) (*ResultSe
 	if err != nil {
 		return nil, err
 	}
-	// Validate SET targets.
-	for _, set := range s.Sets {
-		if desc.Schema.ColumnIndex(set.Column) < 0 {
-			return nil, fmt.Errorf("hive: UPDATE %s: unknown column %q", s.Table, set.Column)
-		}
+	if err := checkSetTargets(s, desc); err != nil {
+		return nil, err
 	}
 	h, err := e.Handler(desc.Storage)
 	if err != nil {
@@ -139,6 +136,25 @@ func (e *Engine) execUpdate(ec *ExecContext, s *sqlparser.UpdateStmt) (*ResultSe
 	}
 	rs.Plan = "OVERWRITE-REWRITE"
 	return rs, nil
+}
+
+// checkSetTargets rejects a SET list that names an unknown column or
+// assigns one column twice. It runs before any plan is chosen, so the
+// same statement cannot succeed under EDIT (last cell wins) and fail
+// under OVERWRITE.
+func checkSetTargets(s *sqlparser.UpdateStmt, desc *metastore.TableDesc) error {
+	seen := make(map[int]bool, len(s.Sets))
+	for _, set := range s.Sets {
+		idx := desc.Schema.ColumnIndex(set.Column)
+		if idx < 0 {
+			return fmt.Errorf("hive: UPDATE %s: unknown column %q", s.Table, set.Column)
+		}
+		if seen[idx] {
+			return fmt.Errorf("hive: UPDATE %s: column %q assigned twice", s.Table, set.Column)
+		}
+		seen[idx] = true
+	}
+	return nil
 }
 
 // execDelete routes DELETE like execUpdate.
@@ -188,16 +204,12 @@ func (e *Engine) execDelete(ec *ExecContext, s *sqlparser.DeleteStmt) (*ResultSe
 // amplification the paper's cost model charges the OVERWRITE plan
 // for.
 func RewriteUpdateToOverwrite(s *sqlparser.UpdateStmt, desc *metastore.TableDesc) (*sqlparser.InsertStmt, error) {
+	if err := checkSetTargets(s, desc); err != nil {
+		return nil, err
+	}
 	setFor := map[int]sqlparser.Expr{}
 	for _, set := range s.Sets {
-		idx := desc.Schema.ColumnIndex(set.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("hive: unknown column %q in UPDATE", set.Column)
-		}
-		if _, dup := setFor[idx]; dup {
-			return nil, fmt.Errorf("hive: column %q assigned twice", set.Column)
-		}
-		setFor[idx] = set.Value
+		setFor[desc.Schema.ColumnIndex(set.Column)] = set.Value
 	}
 	sel := &sqlparser.SelectStmt{Limit: -1}
 	qual := s.Alias

@@ -75,12 +75,15 @@ type StorageHandler interface {
 func noRelease() {}
 
 // DMLHandler is a StorageHandler with native UPDATE/DELETE support
-// (the key-value handler and DualTable). Handlers without it get the
-// INSERT OVERWRITE rewrite, like plain Hive. The ExecContext carries
+// (the key-value handler, DualTable and ACID). Handlers without it get
+// the INSERT OVERWRITE rewrite, like plain Hive. The ExecContext carries
 // the caller's cancellation context and session settings (force plan,
 // ratio hints); the string result names the physical plan that ran
 // (e.g. "EDIT", "OVERWRITE") so experiments can verify cost-model
-// decisions.
+// decisions. A native plan is Engine.RunDMLScan over the handler's
+// splits with the handler's DMLSink: the handler owns the writes, the
+// scan owns WHERE and SET evaluation — and the row and value slice it
+// passes a sink stay its scratch, valid only during that call.
 type DMLHandler interface {
 	ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error)
 	ExecDelete(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error)
@@ -611,32 +614,4 @@ func (e *Engine) explain(stmt sqlparser.Statement) (*ResultSet, error) {
 		add(fmt.Sprintf("%T", stmt), "  "+stmt.String())
 	}
 	return rs, nil
-}
-
-// CompileRowExpr compiles an expression for per-row evaluation over a
-// table's rows (optionally alias-qualified). Used by storage handlers
-// implementing native DML (KV and DualTable). The execution context
-// scopes any scalar subqueries the expression contains.
-func (e *Engine) CompileRowExpr(ec *ExecContext, expr sqlparser.Expr, tableName, alias string, schema datum.Schema) (func(datum.Row) (datum.Datum, error), error) {
-	sc := dmlScope(tableName, alias, schema)
-	fn, err := e.compileExpr(ec, expr, sc)
-	if err != nil {
-		return nil, err
-	}
-	return fn, nil
-}
-
-// dmlScope resolves columns by bare name, table name or alias.
-func dmlScope(tableName, alias string, schema datum.Schema) *scope {
-	sc := newScope(alias, schema)
-	// Accept the table name as an alternative qualifier and
-	// unqualified references; resolution tries all entries, so adding
-	// duplicate-qualifier variants would create ambiguity. Instead we
-	// normalize: the scope keeps the alias (or table name), and
-	// unqualified references resolve because resolve ignores the
-	// qualifier when the reference has none.
-	if alias == "" {
-		sc = newScope(tableName, schema)
-	}
-	return sc
 }

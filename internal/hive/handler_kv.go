@@ -216,180 +216,63 @@ func (r *kvRecordReader) Close() error { return r.rs.Close() }
 
 // ExecUpdate scans matching rows and puts the changed cells in place.
 func (h *kvHandler) ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	tbl, err := h.table(desc)
-	if err != nil {
-		return 0, "", err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-	}
-	type setCol struct {
-		idx int
-		fn  func(datum.Row) (datum.Datum, error)
-	}
-	sets := make([]setCol, 0, len(stmt.Sets))
-	for _, s := range stmt.Sets {
-		idx := desc.Schema.ColumnIndex(s.Column)
-		fn, err := e.CompileRowExpr(ec, s.Value, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
-		sets = append(sets, setCol{idx: idx, fn: fn})
-	}
-
-	splits, release, err := h.Splits(desc, ScanOptions{})
-	if err != nil {
-		return 0, "", err
-	}
-	defer release()
-	var affected int64
-	job := &mapred.Job{
-		Name:   "kv-update",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &funcMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					key := rowKey(meta.RecordID)
-					for _, s := range sets {
-						nv, err := s.fn(row)
-						if err != nil {
-							return err
-						}
-						nv, err = datum.Coerce(nv, desc.Schema[s.idx].Kind)
-						if err != nil {
-							return err
-						}
-						cell := &kvstore.Cell{
-							Row: key, Family: kvFamily,
-							Qualifier: []byte(strconv.Itoa(s.idx)),
-							Type:      kvstore.TypePut,
-						}
-						if !nv.IsNull() {
-							cell.Value = datum.AppendDatum(nil, nv)
-						} else {
-							cell.Type = kvstore.TypeDeleteColumn
-						}
-						batch = append(batch, cell)
-					}
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				flushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return tbl.Put(batch, tm)
-				},
-			}
-		},
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
-	if err != nil {
-		return 0, "", err
-	}
-	m.AddSeconds(res.SimSeconds)
-	affected = res.Counters.OutputRecords
-	return affected, "EDIT-UDF", nil
+	return h.runDML(ec, e, desc, stmt, "kv-update", m)
 }
 
 // ExecDelete scans matching rows and writes row tombstones.
 func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
+	return h.runDML(ec, e, desc, stmt, "kv-delete", m)
+}
+
+func (h *kvHandler) runDML(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, m *sim.Meter) (int64, string, error) {
 	tbl, err := h.table(desc)
 	if err != nil {
 		return 0, "", err
-	}
-	alias := stmt.Alias
-	if alias == "" {
-		alias = stmt.Table
-	}
-	var whereFn func(datum.Row) (datum.Datum, error)
-	if stmt.Where != nil {
-		whereFn, err = e.CompileRowExpr(ec, stmt.Where, stmt.Table, alias, desc.Schema)
-		if err != nil {
-			return 0, "", err
-		}
 	}
 	splits, release, err := h.Splits(desc, ScanOptions{})
 	if err != nil {
 		return 0, "", err
 	}
 	defer release()
-	job := &mapred.Job{
-		Name:   "kv-delete",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			var batch []*kvstore.Cell
-			return &funcMapper{
-				mapFn: func(tm *sim.Meter, row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-					if whereFn != nil {
-						ok, err := whereFn(row)
-						if err != nil {
-							return err
-						}
-						if !ok.Truthy() {
-							return nil
-						}
-					}
-					batch = append(batch, &kvstore.Cell{Row: rowKey(meta.RecordID), Type: kvstore.TypeDeleteRow})
-					return emit(nil, datum.Row{datum.Int(1)})
-				},
-				flushFn: func(tm *sim.Meter, emit mapred.Emitter) error {
-					if len(batch) == 0 {
-						return nil
-					}
-					return tbl.Put(batch, tm)
-				},
-			}
-		},
+	n, err := e.RunDMLScan(ec, desc, stmt, jobName, splits, m, func(setCols []int) DMLSink {
+		return &kvSink{tbl: tbl, setCols: setCols}
+	})
+	return n, "EDIT-UDF", err
+}
+
+// kvSink is the KV handler's DML sink: every matched record is
+// affected, and the task's cells go to the table in one put at Flush.
+type kvSink struct {
+	tbl     *kvstore.Table
+	setCols []int // nil = DELETE
+	batch   []*kvstore.Cell
+}
+
+func (s *kvSink) Apply(_ *sim.Meter, recordID uint64, _ datum.Row, vals []datum.Datum) (bool, error) {
+	key := rowKey(recordID)
+	if s.setCols == nil {
+		s.batch = append(s.batch, &kvstore.Cell{Row: key, Type: kvstore.TypeDeleteRow})
+		return true, nil
 	}
-	res, err := e.MR.RunContext(ec.Context(), job)
-	if err != nil {
-		return 0, "", err
+	for k, nv := range vals {
+		cell := &kvstore.Cell{
+			Row: key, Family: kvFamily,
+			Qualifier: []byte(strconv.Itoa(s.setCols[k])),
+			Type:      kvstore.TypePut,
+		}
+		if !nv.IsNull() {
+			cell.Value = datum.AppendDatum(nil, nv)
+		} else {
+			cell.Type = kvstore.TypeDeleteColumn
+		}
+		s.batch = append(s.batch, cell)
 	}
-	m.AddSeconds(res.SimSeconds)
-	return res.Counters.OutputRecords, "EDIT-UDF", nil
+	return true, nil
 }
 
-// funcMapper adapts map/flush closures with state. It is MeterAware
-// so side-effect puts charge the task meter (parallel in the
-// makespan).
-type funcMapper struct {
-	meter   *sim.Meter
-	mapFn   func(*sim.Meter, datum.Row, mapred.RecordMeta, mapred.Emitter) error
-	flushFn func(*sim.Meter, mapred.Emitter) error
-}
-
-// SetMeter receives the task meter.
-func (f *funcMapper) SetMeter(m *sim.Meter) { f.meter = m }
-
-func (f *funcMapper) Map(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
-	return f.mapFn(f.meter, row, meta, emit)
-}
-
-func (f *funcMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
-	return mapred.MapFunc(f.Map).MapBatch(b, emit)
-}
-
-func (f *funcMapper) Flush(emit mapred.Emitter) error {
-	if f.flushFn == nil {
+func (s *kvSink) Flush(tm *sim.Meter) error {
+	if len(s.batch) == 0 {
 		return nil
 	}
-	return f.flushFn(f.meter, emit)
+	return s.tbl.Put(s.batch, tm)
 }

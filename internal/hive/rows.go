@@ -222,70 +222,26 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 		rel.Release()
 		return nil, err
 	}
-	var whereFn evalFn
-	if sel.Where != nil {
-		whereFn, err = e.compileExpr(ec, sel.Where, rel.sc)
-		if err != nil {
-			rel.Release()
-			return nil, err
-		}
-	}
-	projFns := make([]evalFn, len(items))
-	names := make([]string, len(items))
-	for i, it := range items {
-		projFns[i], err = e.compileExpr(ec, it.Expr, rel.sc)
-		if err != nil {
-			rel.Release()
-			return nil, err
-		}
-		names[i] = outputName(it, i)
-	}
-	limit, err := sel.EffectiveLimit()
+	plan, err := e.planSimpleScan(ec, sel, items, rel)
 	if err != nil {
 		rel.Release()
 		return nil, err
 	}
 	// LIMIT 0 needs no scan at all.
-	if limit == 0 {
+	if plan.limit == 0 {
 		rel.Release()
-		return &Rows{cols: names}, nil
+		return &Rows{cols: plan.names}, nil
 	}
 
 	ctx, cancel := context.WithCancel(ec.Context())
 	ch := make(chan datum.Row, 64)
-	sink := &chanOutputFactory{ctx: ctx, cancel: cancel, ch: ch, limit: limit}
-	job := &mapred.Job{
-		Name:   "select-stream",
-		Splits: rel.splits,
-		NewMapper: func() mapred.Mapper {
-			return mapred.MapFunc(func(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-				if whereFn != nil {
-					ok, err := whereFn(row)
-					if err != nil {
-						return err
-					}
-					if !ok.Truthy() {
-						return nil
-					}
-				}
-				out := make(datum.Row, 0, len(projFns))
-				for _, fn := range projFns {
-					d, err := fn(row)
-					if err != nil {
-						return err
-					}
-					out = append(out, d)
-				}
-				return emit(nil, out)
-			})
-		},
-		Output: sink,
-	}
+	sink := &chanOutputFactory{ctx: ctx, cancel: cancel, ch: ch, limit: plan.limit}
+	job := &mapred.Job{Name: "select-stream", Splits: rel.splits, NewMapper: plan.newMapper, Output: sink}
 
 	done := make(chan struct{})
 	var prodErr error
 	var prodSim float64
-	rows := &Rows{cols: names, ch: ch, cancel: cancel, done: done, prodErr: &prodErr, prodSim: &prodSim}
+	rows := &Rows{cols: plan.names, ch: ch, cancel: cancel, done: done, prodErr: &prodErr, prodSim: &prodSim}
 	go func() {
 		defer close(done)
 		defer close(ch)

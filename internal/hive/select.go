@@ -214,91 +214,99 @@ func expandStars(items []sqlparser.SelectItem, rel *relation) ([]sqlparser.Selec
 	return out, nil
 }
 
-// execSimpleSelect runs filter+project as one map-only job, appending
-// hidden ORDER BY key columns.
-func (e *Engine) execSimpleSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items []sqlparser.SelectItem, rel *relation, meter *sim.Meter) ([]datum.Row, []string, error) {
-	var whereFn evalFn
-	var err error
-	if sel.Where != nil {
-		whereFn, err = e.compileExpr(ec, sel.Where, rel.sc)
-		if err != nil {
-			return nil, nil, err
-		}
+// simpleScanPlan is the compiled filter+project stage of a SELECT
+// without aggregation. execSimpleSelect collects its job's output and
+// the streaming SELECT (rows.go) feeds it to a channel; both run
+// simpleScanMapper.
+type simpleScanPlan struct {
+	names  []string
+	filter scanFilter // unused template, copied per mapper
+	projs  []vecExpr
+	orders []vecExpr
+	limit  int64 // -1 = none
+	desc   []bool
+	topN   bool
+}
+
+// planSimpleScan compiles WHERE, the select list and the hidden ORDER
+// BY key columns against the relation's scope.
+func (e *Engine) planSimpleScan(ec *ExecContext, sel *sqlparser.SelectStmt, items []sqlparser.SelectItem, rel *relation) (*simpleScanPlan, error) {
+	filter, err := e.newScanFilter(ec, sel.Where, rel.sc)
+	if err != nil {
+		return nil, err
 	}
 	projFns := make([]evalFn, len(items))
-	names := make([]string, len(items))
+	p := &simpleScanPlan{names: make([]string, len(items)), filter: filter, desc: make([]bool, len(sel.OrderBy))}
 	for i, it := range items {
 		projFns[i], err = e.compileExpr(ec, it.Expr, rel.sc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		names[i] = outputName(it, i)
+		p.names[i] = outputName(it, i)
 	}
+	// Order keys that resolve as select-list aliases keep their evalFn
+	// only (the alias does not name an input column); the others get
+	// the vectorized fast paths like WHERE and the projections: vector
+	// programs for computed expressions, direct vector reads for bare
+	// column refs.
 	orderFns := make([]evalFn, len(sel.OrderBy))
-	orderIsAlias := make([]bool, len(sel.OrderBy))
+	orderExprs := make([]sqlparser.Expr, len(sel.OrderBy))
 	for i, o := range sel.OrderBy {
+		p.desc[i] = o.Desc
 		// Try output aliases first, then the input scope.
 		if fn, err2 := e.compileOrderKey(o.Expr, items, projFns); err2 == nil {
 			orderFns[i] = fn
-			orderIsAlias[i] = true
 			continue
 		}
 		orderFns[i], err = e.compileExpr(ec, o.Expr, rel.sc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
+		orderExprs[i] = o.Expr
 	}
-
-	// Vectorized fast paths: WHERE and computed expressions run as
-	// vector programs, bare column refs read vectors directly. Order
-	// keys that resolved as select-list aliases keep their evalFn (the
-	// alias does not name an input column).
-	filter := newScanFilter(sel.Where, whereFn, rel.sc)
-	projVec := compileVecExprs(itemExprs(items), projFns, rel.sc)
-	orderExprs := make([]sqlparser.Expr, len(orderFns))
-	for i, o := range sel.OrderBy {
-		if !orderIsAlias[i] {
-			orderExprs[i] = o.Expr
-		}
-	}
-	orderVec := compileVecExprs(orderExprs, orderFns, rel.sc)
+	p.projs = compileVecExprs(itemExprs(items), projFns, rel.sc)
+	p.orders = compileVecExprs(orderExprs, orderFns, rel.sc)
 
 	// ORDER BY ... LIMIT streams through a per-task top-N heap.
 	// DISTINCT dedups across the whole result before the sort, so its
 	// tasks must keep everything.
-	limit, err := sel.EffectiveLimit()
+	p.limit, err = sel.EffectiveLimit()
+	if err != nil {
+		return nil, err
+	}
+	p.topN = p.limit >= 0 && len(sel.OrderBy) > 0 && !sel.Distinct
+	return p, nil
+}
+
+// newMapper builds one task's mapper. Each mapper owns its filter and
+// vecExpr slices: compiled programs are shared, but per-batch program
+// state is not.
+func (p *simpleScanPlan) newMapper() mapred.Mapper {
+	m := &simpleScanMapper{
+		filter: p.filter,
+		projs:  slices.Clone(p.projs),
+		orders: slices.Clone(p.orders),
+	}
+	if p.topN {
+		m.top = &topHeap{limit: p.limit, keyAt: len(p.projs), desc: p.desc}
+	}
+	return m
+}
+
+// execSimpleSelect runs filter+project as one map-only job, appending
+// hidden ORDER BY key columns.
+func (e *Engine) execSimpleSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items []sqlparser.SelectItem, rel *relation, meter *sim.Meter) ([]datum.Row, []string, error) {
+	plan, err := e.planSimpleScan(ec, sel, items, rel)
 	if err != nil {
 		return nil, nil, err
 	}
-	topN := limit >= 0 && len(sel.OrderBy) > 0 && !sel.Distinct
-	desc := make([]bool, len(sel.OrderBy))
-	for i, o := range sel.OrderBy {
-		desc[i] = o.Desc
-	}
-
-	job := &mapred.Job{
-		Name:   "select",
-		Splits: rel.splits,
-		NewMapper: func() mapred.Mapper {
-			// Each mapper owns its filter and vecExpr slices: compiled
-			// programs are shared, but per-batch program state is not.
-			m := &simpleScanMapper{
-				filter: filter,
-				projs:  slices.Clone(projVec),
-				orders: slices.Clone(orderVec),
-			}
-			if topN {
-				m.top = &topHeap{limit: limit, keyAt: len(projVec), desc: desc}
-			}
-			return m
-		},
-	}
+	job := &mapred.Job{Name: "select", Splits: rel.splits, NewMapper: plan.newMapper}
 	res, err := e.MR.RunContext(ec.Context(), job)
 	if err != nil {
 		return nil, nil, err
 	}
 	meter.AddSeconds(res.SimSeconds)
-	return res.Rows, names, nil
+	return res.Rows, plan.names, nil
 }
 
 // itemExprs projects the expression list out of select items.
@@ -488,16 +496,12 @@ type aggSpec struct {
 // keys, agg args) → reduce (aggregate) → post-projection (having,
 // items, order keys).
 func (e *Engine) execAggSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items []sqlparser.SelectItem, rel *relation, meter *sim.Meter) ([]datum.Row, []string, error) {
-	var whereFn evalFn
-	var err error
-	if sel.Where != nil {
-		if sqlparser.ContainsAggregate(sel.Where) {
-			return nil, nil, fmt.Errorf("hive: aggregates are not allowed in WHERE")
-		}
-		whereFn, err = e.compileExpr(ec, sel.Where, rel.sc)
-		if err != nil {
-			return nil, nil, err
-		}
+	if sel.Where != nil && sqlparser.ContainsAggregate(sel.Where) {
+		return nil, nil, fmt.Errorf("hive: aggregates are not allowed in WHERE")
+	}
+	filter, err := e.newScanFilter(ec, sel.Where, rel.sc)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Collect distinct aggregate calls from items, HAVING, ORDER BY.
@@ -580,7 +584,7 @@ func (e *Engine) execAggSelect(ec *ExecContext, sel *sqlparser.SelectStmt, items
 	}
 	argVec := compileVecExprs(argExprs, argFns, rel.sc)
 	scan := aggScanSpec{
-		filter: newScanFilter(sel.Where, whereFn, rel.sc),
+		filter: filter,
 		groups: groupVec,
 		args:   argVec,
 		aggs:   aggs,

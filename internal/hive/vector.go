@@ -23,16 +23,22 @@ type scanFilter struct {
 	brow  batchRow
 }
 
-// newScanFilter pairs the compiled row predicate with its vector
-// program, when WHERE compiles to a statically boolean one.
-func newScanFilter(where sqlparser.Expr, fn evalFn, sc *scope) scanFilter {
-	f := scanFilter{where: vecExpr{col: -1, fn: fn}}
-	if where != nil {
-		if prog, ok := compileVexpr(where, sc); ok && prog.kinds[prog.out] == datum.KindBool {
-			f.where.prog = prog
-		}
+// newScanFilter compiles WHERE (nil = none) into its row predicate and,
+// when it is a statically boolean expression the vector compiler
+// covers, its vector program.
+func (e *Engine) newScanFilter(ec *ExecContext, where sqlparser.Expr, sc *scope) (scanFilter, error) {
+	f := scanFilter{where: vecExpr{col: -1}}
+	if where == nil {
+		return f, nil
 	}
-	return f
+	var err error
+	if f.where.fn, err = e.compileExpr(ec, where, sc); err != nil {
+		return f, err
+	}
+	if prog, ok := compileVexpr(where, sc); ok && prog.kinds[prog.out] == datum.KindBool {
+		f.where.prog = prog
+	}
+	return f, nil
 }
 
 // begin starts a batch and returns the indexes of its rows that pass
@@ -42,25 +48,35 @@ func newScanFilter(where sqlparser.Expr, fn evalFn, sc *scope) scanFilter {
 // predicate per record. The result is valid until the next call.
 func (f *scanFilter) begin(b *mapred.RecordBatch) ([]int32, error) {
 	f.brow.filled = -1
-	if cap(f.sel) < b.Len { // one allocation per mapper, not a doubling ladder
-		f.sel = slices.Grow(f.sel, b.Len-len(f.sel))
-	}
 	if f.where.fn == nil {
 		// No WHERE: the identity selection, extended once per size.
+		f.sel = slices.Grow(f.sel, max(b.Len-len(f.sel), 0))
 		for len(f.sel) < b.Len {
 			f.sel = append(f.sel, int32(len(f.sel)))
 		}
 		return f.sel[:b.Len], nil
 	}
+	// One allocation per mapper, not a doubling ladder: sized to the
+	// survivors when the program ran (a selective filter keeps a few
+	// rows of a batch in every task), to the batch when only evaluating
+	// each row can tell.
 	sel := f.sel[:0]
 	f.where.beginBatch(b)
 	if res := f.where.res; res != nil {
+		n := 0
+		for i := 0; i < b.Len; i++ {
+			if !res.Nulls[i] && res.Bools[i] {
+				n++
+			}
+		}
+		sel = slices.Grow(sel, n)
 		for i := 0; i < b.Len; i++ {
 			if !res.Nulls[i] && res.Bools[i] {
 				sel = append(sel, int32(i))
 			}
 		}
 	} else {
+		sel = slices.Grow(sel, b.Len)
 		for i := 0; i < b.Len; i++ {
 			ok, err := f.where.fn(f.brow.row(b, i))
 			if err != nil {

@@ -76,10 +76,15 @@ func TestCompileVexprCoverage(t *testing.T) {
 // programs and which keep the row predicate.
 func TestScanFilterCoverage(t *testing.T) {
 	sc := vexprTestScope()
-	rowFn := func(datum.Row) (datum.Datum, error) { return datum.Null, nil }
-	vectorized := func(src string) bool {
-		return newScanFilter(parseSelectExpr(t, src), rowFn, sc).where.prog != nil
+	e := testEngine(t)
+	filterOf := func(src string) scanFilter {
+		f, err := e.newScanFilter(nil, parseSelectExpr(t, src), sc)
+		if err != nil {
+			t.Fatalf("WHERE %s: %v", src, err)
+		}
+		return f
 	}
+	vectorized := func(src string) bool { return filterOf(src).where.prog != nil }
 	for _, src := range []string{
 		"a < 5", "f >= 1.5", "s = 'x'", // col op lit per kind
 		"5 > a",            // literal on the left
@@ -102,6 +107,34 @@ func TestScanFilterCoverage(t *testing.T) {
 	} {
 		if vectorized(src) {
 			t.Errorf("WHERE %s produced a vector program, want the row predicate", src)
+		}
+	}
+
+	// A vectorized filter sizes its selection vector to the survivors,
+	// not to the batch: every scan and DML task carries one.
+	const n = 1024
+	cols := make([]datum.ColumnVector, len(sc.cols))
+	for c := range cols {
+		cols[c].Reset(sc.cols[c].kind, n)
+		for i := 0; i < n; i++ {
+			d := datum.Int(int64(i))
+			switch sc.cols[c].kind {
+			case datum.KindFloat:
+				d = datum.Float(float64(i))
+			case datum.KindString:
+				d = datum.String_("x")
+			}
+			cols[c].SetDatum(i, d)
+		}
+	}
+	f := filterOf("a < 3")
+	for range 2 { // the second batch reuses the first's vector
+		sel, err := f.begin(&mapred.RecordBatch{Len: n, Cols: cols})
+		if err != nil || !slices.Equal(sel, []int32{0, 1, 2}) {
+			t.Fatalf("WHERE a < 3 selected %v, %v", sel, err)
+		}
+		if cap(sel) >= 16 {
+			t.Errorf("WHERE a < 3 over %d rows: cap(sel) = %d, want it sized to the 3 survivors", n, cap(sel))
 		}
 	}
 }
@@ -151,8 +184,7 @@ func TestScanFilterVectorRowAgreement(t *testing.T) {
 		"b = 1", "b < a OR f > 10", "NOT (b = 1) OR a < 0", "a < 0 AND (b = 1 OR s = 'w')",
 		"a = NULL", "s LIKE 'x%'", "a IN (1, 2)",
 	} {
-		expr := parseSelectExpr(t, src)
-		fn, err := e.compileExpr(nil, expr, sc)
+		vf, err := e.newScanFilter(nil, parseSelectExpr(t, src), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -162,7 +194,7 @@ func TestScanFilterVectorRowAgreement(t *testing.T) {
 			for i := range rb.Rows {
 				rb.Rows[i] = cb.RowInto(nil, i)
 			}
-			vf, rf := newScanFilter(expr, fn, sc), newScanFilter(expr, fn, sc)
+			vf, rf := vf, vf // each an unused copy of the template
 			got, err := vf.begin(cb)
 			if err != nil {
 				t.Fatalf("%s (columnar): %v", src, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"dualtable/internal/dfs"
 )
@@ -20,7 +21,12 @@ import (
 type wal struct {
 	fs   *dfs.FileSystem
 	path string
-	w    *dfs.FileWriter
+
+	// mu serializes use of the log file: parallel map tasks (EDIT
+	// sinks) put to one region store concurrently, and a flush
+	// truncates under them.
+	mu sync.Mutex
+	w  *dfs.FileWriter
 }
 
 func openWAL(fs *dfs.FileSystem, path string) (*wal, []Cell, error) {
@@ -113,12 +119,16 @@ func (l *wal) Append(cells []*Cell) error {
 	rec := binary.AppendUvarint(nil, uint64(len(payload)))
 	rec = append(rec, payload...)
 	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	_, err := l.w.Write(rec)
 	return err
 }
 
 // Truncate discards the log after a successful memtable flush.
 func (l *wal) Truncate() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err := l.w.Close(); err != nil {
 		return err
 	}
@@ -134,4 +144,8 @@ func (l *wal) Truncate() error {
 }
 
 // Close closes the log file.
-func (l *wal) Close() error { return l.w.Close() }
+func (l *wal) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Close()
+}

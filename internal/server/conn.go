@@ -242,7 +242,7 @@ func (c *conn) dispatch(t wire.Type, payload []byte) error {
 		go func() {
 			defer c.opWG.Done()
 			defer c.unregisterOp(m.OpID)
-			c.runExec(op, &m)
+			c.sendReply(c.runExec(op, &m))
 		}()
 		return nil
 
@@ -259,7 +259,7 @@ func (c *conn) dispatch(t wire.Type, payload []byte) error {
 		go func() {
 			defer c.opWG.Done()
 			defer c.unregisterOp(m.OpID)
-			c.runQuery(op, &m)
+			c.sendReply(c.runQuery(op, &m))
 		}()
 		return nil
 
@@ -335,14 +335,46 @@ func (c *conn) activeOpCount() int {
 	return len(c.ops)
 }
 
-// recoverOpPanic turns a panicking statement into an Error frame on
-// its op instead of a dead process. Deferred first in runExec/runQuery
-// so it runs after the gate and counter defers — a panicked op must
-// not leak its admission slot or wedge the activeOps count.
-func (c *conn) recoverOpPanic(opID uint64) {
+// opReply is the one frame that ends an op: Result or QueryEnd, or an
+// Error. It is built inside the admitted section and sent only after
+// the op has retired (rows closed, gate slot released, activeOps
+// decremented), so a client that issues its next statement on reading
+// the reply can never race the previous op's retirement. The zero value
+// sends nothing (the peer is already gone).
+type opReply struct {
+	typ      wire.Type
+	payload  []byte
+	reserved int64 // tenant result-memory bytes held until the send returns
+}
+
+func errorReply(opID uint64, err error) opReply {
+	ef := wire.ErrorFrame{OpID: opID, Code: uint32(dualtable.CodeOf(err)), Msg: err.Error()}
+	return opReply{typ: wire.TypeError, payload: ef.Encode()}
+}
+
+// sendReply delivers a retired op's final frame; delivery is
+// best-effort (the peer may already be gone).
+func (c *conn) sendReply(r opReply) {
+	if r.payload == nil {
+		return
+	}
+	err := c.wc.Send(r.typ, r.payload)
+	if r.reserved > 0 { // error replies also leave before the handshake set c.gate
+		c.gate.releaseBytes(r.reserved)
+	}
+	if err != nil {
+		c.srv.logf("conn %d: send %v: %v", c.id, r.typ, err)
+	}
+}
+
+// recoverOpPanic turns a panicking statement into an Error reply on
+// its op instead of a dead process. Deferred first in runExec/runQuery so
+// it runs after the gate and counter defers — a panicked op must not
+// leak its admission slot or wedge the activeOps count.
+func (c *conn) recoverOpPanic(opID uint64, reply *opReply) {
 	if r := recover(); r != nil {
 		c.srv.logf("conn %d: op %d panic: %v", c.id, opID, r)
-		c.sendError(opID, fmt.Errorf("internal error: %v", r))
+		*reply = errorReply(opID, fmt.Errorf("internal error: %v", r))
 	}
 }
 
@@ -442,13 +474,13 @@ func statementErr(ctx context.Context, err error) error {
 	return err
 }
 
-// runExec executes a statement to completion and answers with one
-// Result or Error frame.
-func (c *conn) runExec(op *activeOp, m *wire.Exec) {
-	defer c.recoverOpPanic(m.OpID)
+// runExec executes a statement to completion and returns its one
+// Result or Error frame. Its defers retire the op, so the caller sends
+// the reply after retirement.
+func (c *conn) runExec(op *activeOp, m *wire.Exec) (reply opReply) {
+	defer c.recoverOpPanic(m.OpID, &reply)
 	if c.srv.draining.Load() {
-		c.sendError(m.OpID, errDraining())
-		return
+		return errorReply(m.OpID, errDraining())
 	}
 	c.srv.activeOps.Add(1)
 	defer c.srv.activeOps.Add(-1)
@@ -457,21 +489,18 @@ func (c *conn) runExec(op *activeOp, m *wire.Exec) {
 		var err error
 		ctx, cancel, err = c.statementCtx(op.ctxVal)
 		if err != nil {
-			c.sendError(m.OpID, err)
-			return
+			return errorReply(m.OpID, err)
 		}
 	}
 	defer cancel()
 	if err := c.gate.acquire(ctx); err != nil {
-		c.sendError(m.OpID, statementErr(ctx, err))
-		return
+		return errorReply(m.OpID, statementErr(ctx, err))
 	}
 	defer c.gate.release()
 
 	rs, err := c.execStatement(ctx, m)
 	if err != nil {
-		c.sendError(m.OpID, statementErr(ctx, err))
-		return
+		return errorReply(m.OpID, statementErr(ctx, err))
 	}
 	res := wire.Result{OpID: m.OpID}
 	if rs != nil {
@@ -482,25 +511,18 @@ func (c *conn) runExec(op *activeOp, m *wire.Exec) {
 		res.Plan = rs.Plan
 	}
 	if max := c.srv.cfg.MaxRowsPerStatement; max > 0 && int64(len(res.Rows)) > max {
-		c.sendError(m.OpID, fmt.Errorf("%w: statement returned %d rows (per-statement cap %d)",
+		return errorReply(m.OpID, fmt.Errorf("%w: statement returned %d rows (per-statement cap %d)",
 			dualtable.ErrQuotaExceeded, len(res.Rows), max))
-		return
 	}
 	payload := res.Encode()
 	if max := c.srv.cfg.MaxBytesPerStatement; max > 0 && int64(len(payload)) > max {
-		c.sendError(m.OpID, fmt.Errorf("%w: result is %d bytes (per-statement cap %d)",
+		return errorReply(m.OpID, fmt.Errorf("%w: result is %d bytes (per-statement cap %d)",
 			dualtable.ErrQuotaExceeded, len(payload), max))
-		return
 	}
 	if err := c.gate.reserveBytes(int64(len(payload))); err != nil {
-		c.sendError(m.OpID, err)
-		return
+		return errorReply(m.OpID, err)
 	}
-	err = c.wc.Send(wire.TypeResult, payload)
-	c.gate.releaseBytes(int64(len(payload)))
-	if err != nil {
-		c.srv.logf("conn %d: send result: %v", c.id, err)
-	}
+	return opReply{typ: wire.TypeResult, payload: payload, reserved: int64(len(payload))}
 }
 
 func (c *conn) execStatement(ctx context.Context, m *wire.Exec) (*dualtable.ResultSet, error) {
@@ -531,37 +553,35 @@ func (c *conn) execStatement(ctx context.Context, m *wire.Exec) (*dualtable.Resu
 // runQuery streams a SELECT: RowHeader, then RowBatch frames under
 // credit-based flow control, then QueryEnd (clean, failed or
 // canceled — the stream always terminates with QueryEnd once the
-// header went out).
-func (c *conn) runQuery(op *activeOp, m *wire.Query) {
-	defer c.recoverOpPanic(m.OpID)
+// header went out). The terminating frame is returned, not sent: the
+// function's defers retire the op first, so snapshot pins are back
+// before the client sees end-of-stream.
+func (c *conn) runQuery(op *activeOp, m *wire.Query) (reply opReply) {
+	defer c.recoverOpPanic(m.OpID, &reply)
 	if c.srv.draining.Load() {
-		c.sendError(m.OpID, errDraining())
-		return
+		return errorReply(m.OpID, errDraining())
 	}
 	c.srv.activeOps.Add(1)
 	defer c.srv.activeOps.Add(-1)
 	ctx, cancel, err := c.statementCtx(op.ctxVal)
 	if err != nil {
-		c.sendError(m.OpID, err)
-		return
+		return errorReply(m.OpID, err)
 	}
 	defer cancel()
 	if err := c.gate.acquire(ctx); err != nil {
-		c.sendError(m.OpID, statementErr(ctx, err))
-		return
+		return errorReply(m.OpID, statementErr(ctx, err))
 	}
 	defer c.gate.release()
 
 	rows, err := c.queryStatement(ctx, m)
 	if err != nil {
-		c.sendError(m.OpID, statementErr(ctx, err))
-		return
+		return errorReply(m.OpID, statementErr(ctx, err))
 	}
 	defer rows.Close()
 
 	hdr := wire.RowHeader{OpID: m.OpID, Columns: rows.Columns()}
 	if err := c.wc.Send(wire.TypeRowHeader, hdr.Encode()); err != nil {
-		return
+		return opReply{}
 	}
 
 	credits := int64(m.Window)
@@ -653,9 +673,7 @@ func (c *conn) runQuery(op *activeOp, m *wire.Query) {
 		end.Code = uint32(dualtable.CodeOf(streamErr))
 		end.Msg = streamErr.Error()
 	}
-	if err := c.wc.Send(wire.TypeQueryEnd, end.Encode()); err != nil {
-		c.srv.logf("conn %d: send query end: %v", c.id, err)
-	}
+	return opReply{typ: wire.TypeQueryEnd, payload: end.Encode()}
 }
 
 func (c *conn) queryStatement(ctx context.Context, m *wire.Query) (*dualtable.Rows, error) {
@@ -691,14 +709,8 @@ func (c *conn) stmt(id uint64) (*dualtable.Stmt, error) {
 	return st, nil
 }
 
-// sendError reports a failed request with its stable code; delivery
-// is best-effort (the peer may already be gone).
-func (c *conn) sendError(opID uint64, err error) {
-	ef := wire.ErrorFrame{OpID: opID, Code: uint32(dualtable.CodeOf(err)), Msg: err.Error()}
-	if serr := c.wc.Send(wire.TypeError, ef.Encode()); serr != nil {
-		c.srv.logf("conn %d: send error frame: %v", c.id, serr)
-	}
-}
+// sendError reports a failed request with its stable code.
+func (c *conn) sendError(opID uint64, err error) { c.sendReply(errorReply(opID, err)) }
 
 // datumArgs widens wire datums to the session API's any-args.
 func datumArgs(ds []datum.Datum) []any {
