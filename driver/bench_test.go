@@ -18,8 +18,9 @@ import (
 // concurrent database/sql clients run a mixed workload of point
 // UPDATEs (1 in 4 operations) and UNION READ scans against one
 // dtserver over TCP. Reported metrics: throughput in qps and p99
-// statement latency in ms — the numbers recorded in BENCH_pr6.json
-// (8 clients) and BENCH_pr8.json (64 clients, slow-client mix).
+// statement latency in ms. A development instrument, run once in CI so
+// it cannot rot; the comparable serving numbers are bench/'s
+// serve_point and serve_stream workloads (BENCHMARK.json).
 func BenchmarkWireMixedWorkload(b *testing.B)   { runWireMixed(b, 8, 0) }
 func BenchmarkWireMixedWorkload64(b *testing.B) { runWireMixed(b, 64, 0) }
 

@@ -191,21 +191,6 @@ func (db *DB) MustExec(sql string) *ResultSet {
 	return rs
 }
 
-// SetForcePlan forces EDIT or OVERWRITE plans on DualTable DML
-// process-wide ("" restores cost-model selection) — the knob behind
-// the paper's "DualTable EDIT" experiment lines. Sessions that set
-// their own "dualtable.force.plan" are unaffected.
-func (db *DB) SetForcePlan(plan string) { db.Handler.SetForcePlan(plan) }
-
-// SetFollowingReads sets the cost model's k process-wide.
-func (db *DB) SetFollowingReads(k float64) { db.Handler.SetFollowingReads(k) }
-
-// SetRatioHint pins the modification-ratio estimate of a DML
-// statement (the designer-given α/β of the paper's §IV) process-wide.
-func (db *DB) SetRatioHint(sql string, ratio float64) error {
-	return db.Handler.SetRatioHint(sql, ratio)
-}
-
 // PlanLog returns the DualTable cost-model decisions made so far,
 // across all sessions.
 func (db *DB) PlanLog() []core.PlanDecision { return db.Handler.PlanLog() }

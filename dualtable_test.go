@@ -80,27 +80,27 @@ func TestACIDStorageAvailable(t *testing.T) {
 }
 
 func TestForcePlanAndHints(t *testing.T) {
-	db := openDB(t)
-	db.MustExec("CREATE TABLE t (id BIGINT, v DOUBLE) STORED AS DUALTABLE")
-	db.MustExec("INSERT INTO t VALUES (1, 1.0), (2, 2.0)")
-	db.SetForcePlan("OVERWRITE")
-	rs := db.MustExec("UPDATE t SET v = 0.0 WHERE id = 1")
+	sess := openDB(t).Session()
+	sess.MustExec("CREATE TABLE t (id BIGINT, v DOUBLE) STORED AS DUALTABLE")
+	sess.MustExec("INSERT INTO t VALUES (1, 1.0), (2, 2.0)")
+	sess.SetForcePlan("OVERWRITE")
+	rs := sess.MustExec("UPDATE t SET v = 0.0 WHERE id = 1")
 	if rs.Plan != "OVERWRITE" {
 		t.Errorf("forced plan = %q", rs.Plan)
 	}
-	db.SetForcePlan("EDIT")
-	rs = db.MustExec("UPDATE t SET v = 5.0 WHERE id = 1")
+	sess.SetForcePlan("EDIT")
+	rs = sess.MustExec("UPDATE t SET v = 5.0 WHERE id = 1")
 	if rs.Plan != "EDIT" {
 		t.Errorf("forced plan = %q", rs.Plan)
 	}
-	db.SetForcePlan("")
-	if err := db.SetRatioHint("UPDATE t SET v = 1.0 WHERE id = 2", 0.5); err != nil {
+	sess.SetForcePlan("")
+	if err := sess.SetRatioHint("UPDATE t SET v = 1.0 WHERE id = 2", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetRatioHint("SELECT 1", 0.5); err == nil {
+	if err := sess.SetRatioHint("SELECT 1", 0.5); err == nil {
 		t.Error("hint on SELECT should fail")
 	}
-	db.SetFollowingReads(3)
+	sess.SetFollowingReads(3)
 }
 
 func TestExecScriptAndErrors(t *testing.T) {

@@ -28,11 +28,13 @@ func main() {
 	}
 
 	fmt.Println("Running the paper's Table IV statements on DualTable:")
+	sess := db.Session()
+	defer sess.Close()
 	for _, stmt := range workload.TableIV() {
-		if err := db.SetRatioHint(stmt.SQL, stmt.Ratio); err != nil {
+		if err := sess.SetRatioHint(stmt.SQL, stmt.Ratio); err != nil {
 			panic(err)
 		}
-		rs, err := db.Exec(stmt.SQL)
+		rs, err := sess.Exec(stmt.SQL)
 		if err != nil {
 			panic(fmt.Sprintf("%s: %v", stmt.ID, err))
 		}

@@ -22,6 +22,7 @@ import (
 	"io"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,27 +127,27 @@ func (h *Handler) baseFiles(desc *metastore.TableDesc) ([]baseFile, error) {
 			fr.Close()
 			return nil, err
 		}
-		var fid uint64
-		fmt.Sscanf(rd.UserMeta()[fileIDMetaKey], "%d", &fid)
 		fr.Close()
+		// The file ID prefixes every record ID of the file; defaulting a
+		// missing one would let two files share a range and cross-apply
+		// each other's deltas.
+		fid, err := strconv.ParseUint(rd.UserMeta()[fileIDMetaKey], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("acid: base file %s: bad %s %q: %w", fi.Path, fileIDMetaKey, rd.UserMeta()[fileIDMetaKey], err)
+		}
 		out = append(out, baseFile{path: fi.Path, size: fi.Size, fileID: uint32(fid), rows: rd.NumRows()})
 	}
 	return out, nil
 }
 
-// deltaEntry is one modification record in memory.
-type deltaEntry struct {
-	rid uint64
-	op  int64
-	row datum.Row
-	seq int // delta ordinal: later transactions win
-}
-
-// loadDeltas reads every listed delta file (the merge-on-read cost Hive
-// ACID pays), charging the meter. infos is in transaction order.
-func (h *Handler) loadDeltas(infos []dfs.FileInfo, m *sim.Meter) ([]deltaEntry, error) {
-	var out []deltaEntry
-	for seq, fi := range infos {
+// loadOverlay reads every listed delta file (the merge-on-read cost
+// Hive ACID pays: no random access, so each split scans them all),
+// charging the meter, and folds the records of one base file into a scan
+// overlay. infos is in transaction order; the last transaction to touch
+// a record wins.
+func (h *Handler) loadOverlay(infos []dfs.FileInfo, fileID uint32, m *sim.Meter) ([]hive.RecordMod, error) {
+	var out []hive.RecordMod
+	for _, fi := range infos {
 		fr, err := h.e.FS.OpenMeter(fi.Path, m)
 		if err != nil {
 			return nil, err
@@ -166,24 +167,34 @@ func (h *Handler) loadDeltas(infos []dfs.FileInfo, m *sim.Meter) ([]deltaEntry, 
 				fr.Close()
 				return nil, fmt.Errorf("acid: read delta %s: %w", fi.Path, err)
 			}
-			entry := deltaEntry{
-				rid: uint64(row[0].I),
-				op:  row[1].I,
-				row: row[2:].Clone(),
-				seq: seq,
+			rid := uint64(row[0].I)
+			if uint32(rid>>32) != fileID {
+				continue
 			}
-			out = append(out, entry)
+			mod := hive.RecordMod{RID: rid, Deleted: row[1].I == opDelete}
+			if !mod.Deleted {
+				// The delta carries the whole record.
+				mod.Sets = make([]hive.ColumnSet, len(row)-2)
+				for c, d := range row[2:] {
+					mod.Sets[c] = hive.ColumnSet{Col: c, Val: d}
+				}
+			}
+			out = append(out, mod)
 		}
 		fr.Close()
 	}
-	// Sort by rid; later transactions after earlier ones.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rid != out[j].rid {
-			return out[i].rid < out[j].rid
+	// By record; the stable sort keeps a record's entries in transaction
+	// order, and the last one replaces the rest.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].RID < out[j].RID })
+	n := 0
+	for i := range out {
+		if i+1 < len(out) && out[i+1].RID == out[i].RID {
+			continue
 		}
-		return out[i].seq < out[j].seq
-	})
-	return out, nil
+		out[n] = out[i]
+		n++
+	}
+	return out[:n], nil
 }
 
 // DeltaFileCount reports the number of delta files (observability).
@@ -212,7 +223,14 @@ func (h *Handler) Splits(desc *metastore.TableDesc, opts hive.ScanOptions) ([]ma
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Name < deltas[j].Name })
 	var splits []mapred.InputSplit
 	for _, f := range files {
-		splits = append(splits, &acidSplit{h: h, file: f, deltas: deltas, opts: opts})
+		splits = append(splits, &hive.ORCSplit{
+			FS: h.e.FS, Path: f.path, Size: f.size, FileID: f.fileID,
+			// Projection only: stripes are never pruned by statistics.
+			Opts: hive.ScanOptions{Projection: opts.Projection},
+			LoadOverlay: func(m *sim.Meter) ([]hive.RecordMod, error) {
+				return h.loadOverlay(deltas, f.fileID, m)
+			},
+		})
 	}
 	return splits, func() {}, nil // nothing is pinned
 }
@@ -237,70 +255,36 @@ func (h *Handler) DataSize(desc *metastore.TableDesc) (int64, error) {
 
 // Append writes new base files.
 func (h *Handler) Append(desc *metastore.TableDesc) (mapred.OutputFactory, hive.Committer, error) {
-	return &baseOutputFactory{h: h, desc: desc, dir: baseDir(desc)}, nopCommitter{}, nil
+	return &baseOutputFactory{h: h, desc: desc, dir: baseDir(desc)}, hive.NopCommitter{}, nil
 }
 
 // Overwrite replaces base and clears deltas on commit.
 func (h *Handler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory, hive.Committer, error) {
 	staging := path.Join(desc.Location, ".staging")
-	if h.e.FS.Exists(staging) {
-		if err := h.e.FS.Delete(staging, true); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := h.e.FS.MkdirAll(staging); err != nil {
+	swap, err := hive.StageOverwrite(h.e.FS, baseDir(desc), staging)
+	if err != nil {
 		return nil, nil, err
 	}
 	return &baseOutputFactory{h: h, desc: desc, dir: staging},
-		&overwriteCommitter{h: h, desc: desc, staging: staging}, nil
+		&overwriteCommitter{Committer: swap, fs: h.e.FS, deltas: deltaDir(desc)}, nil
 }
 
-type nopCommitter struct{}
-
-func (nopCommitter) Commit() error { return nil }
-func (nopCommitter) Abort() error  { return nil }
-
+// overwriteCommitter swaps the staged base in, then clears the deltas
+// the new base already contains.
 type overwriteCommitter struct {
-	h       *Handler
-	desc    *metastore.TableDesc
-	staging string
+	hive.Committer
+	fs     *dfs.FileSystem
+	deltas string
 }
 
 func (c *overwriteCommitter) Commit() error {
-	fs := c.h.e.FS
-	dir := baseDir(c.desc)
-	infos, err := fs.ListFiles(dir)
-	if err != nil {
+	if err := c.Committer.Commit(); err != nil {
 		return err
 	}
-	for _, fi := range infos {
-		if err := fs.Delete(fi.Path, false); err != nil {
-			return err
-		}
-	}
-	staged, err := fs.ListFiles(c.staging)
-	if err != nil {
+	if err := c.fs.Delete(c.deltas, true); err != nil {
 		return err
 	}
-	for _, fi := range staged {
-		if err := fs.Rename(fi.Path, path.Join(dir, fi.Name)); err != nil {
-			return err
-		}
-	}
-	if err := fs.Delete(c.staging, true); err != nil {
-		return err
-	}
-	if err := fs.Delete(deltaDir(c.desc), true); err != nil {
-		return err
-	}
-	return fs.MkdirAll(deltaDir(c.desc))
-}
-
-func (c *overwriteCommitter) Abort() error {
-	if c.h.e.FS.Exists(c.staging) {
-		return c.h.e.FS.Delete(c.staging, true)
-	}
-	return nil
+	return c.fs.MkdirAll(c.deltas)
 }
 
 // baseOutputFactory writes ORC base files with file IDs.
@@ -311,131 +295,13 @@ type baseOutputFactory struct {
 }
 
 func (f *baseOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
-	return &baseCollector{f: f, meter: m}, nil
+	return &hive.ORCTaskWriter{FS: f.h.e.FS, Schema: f.desc.Schema, Meter: m,
+		Create: func() (string, uint32, map[string]string, error) {
+			fid := f.h.allocFid(f.desc)
+			return path.Join(f.dir, fmt.Sprintf("base-%08d.orc", fid)), fid,
+				map[string]string{fileIDMetaKey: fmt.Sprintf("%d", fid)}, nil
+		}}, nil
 }
-
-type baseCollector struct {
-	f     *baseOutputFactory
-	meter *sim.Meter
-	fw    *dfs.FileWriter
-	w     *orcfile.Writer
-}
-
-func (c *baseCollector) Collect(row datum.Row) error {
-	if c.w == nil {
-		fid := c.f.h.allocFid(c.f.desc)
-		fw, err := c.f.h.e.FS.CreateMeter(path.Join(c.f.dir, fmt.Sprintf("base-%08d.orc", fid)), c.meter)
-		if err != nil {
-			return err
-		}
-		w, err := orcfile.NewWriter(fw, c.f.desc.Schema, orcfile.WriterOptions{
-			Compression: true,
-			UserMeta:    map[string]string{fileIDMetaKey: fmt.Sprintf("%d", fid)},
-		})
-		if err != nil {
-			return err
-		}
-		c.fw, c.w = fw, w
-	}
-	return c.w.WriteRow(row)
-}
-
-func (c *baseCollector) Close() error {
-	if c.w == nil {
-		return nil
-	}
-	if err := c.w.Close(); err != nil {
-		return err
-	}
-	return c.fw.Close()
-}
-
-// acidSplit merges one base file with all delta entries in its rid
-// range.
-type acidSplit struct {
-	h      *Handler
-	file   baseFile
-	deltas []dfs.FileInfo // in transaction order, shared by the scan's splits
-	opts   hive.ScanOptions
-}
-
-func (s *acidSplit) Length() int64 { return s.file.size }
-
-func (s *acidSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
-	fr, err := s.h.e.FS.OpenMeter(s.file.path, m)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := orcfile.Open(fr, fr.Size())
-	if err != nil {
-		fr.Close()
-		return nil, err
-	}
-	// Merge-on-read: every split scans every delta file (no random
-	// access, no bloom filters — the §V-C contrast with DualTable).
-	deltas, err := s.h.loadDeltas(s.deltas, m)
-	if err != nil {
-		fr.Close()
-		return nil, err
-	}
-	lo := uint64(s.file.fileID) << 32
-	hi := (uint64(s.file.fileID) + 1) << 32
-	start := sort.Search(len(deltas), func(i int) bool { return deltas[i].rid >= lo })
-	end := sort.Search(len(deltas), func(i int) bool { return deltas[i].rid >= hi })
-	return &acidReader{
-		fr:     fr,
-		rows:   rd.NewRowReader(orcfile.RowReaderOptions{Columns: s.opts.Projection}),
-		deltas: deltas[start:end],
-		fileID: s.file.fileID,
-	}, nil
-}
-
-type acidReader struct {
-	fr     *dfs.FileReader
-	rows   *orcfile.RowReader
-	deltas []deltaEntry
-	fileID uint32
-	di     int
-}
-
-func (r *acidReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	for {
-		row, ord, err := r.rows.Next()
-		if err != nil {
-			return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
-		}
-		rid := uint64(r.fileID)<<32 | uint64(ord)
-		for r.di < len(r.deltas) && r.deltas[r.di].rid < rid {
-			r.di++
-		}
-		// Apply every matching delta in transaction order; the last
-		// one wins.
-		var final datum.Row = row
-		deleted := false
-		applied := false
-		for r.di < len(r.deltas) && r.deltas[r.di].rid == rid {
-			d := r.deltas[r.di]
-			if d.op == opDelete {
-				deleted = true
-			} else {
-				deleted = false
-				final = d.row
-				applied = true
-			}
-			r.di++
-		}
-		meta := mapred.RecordMeta{RecordID: rid}
-		if deleted {
-			continue
-		}
-		if applied {
-			return final, meta, nil
-		}
-		return row, meta, nil
-	}
-}
-
-func (r *acidReader) Close() error { return r.fr.Close() }
 
 // ---- DML: always delta (no cost model — §V-C: "Hive always updates
 // the delta tables. It could not make better decisions at runtime.")

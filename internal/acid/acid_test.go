@@ -206,7 +206,8 @@ func TestAcidReadAmplification(t *testing.T) {
 // TestAcidScanSurfacesReadFaults corrupts the first (stripe) block of a
 // base file, then of a delta file, on a checksum-verifying DFS. Both
 // footers still open; the faulting stripe read must fail the statement
-// rather than end the base scan or the delta load early.
+// rather than end the base scan or the delta load early — in batch and
+// in row mode.
 func TestAcidScanSurfacesReadFaults(t *testing.T) {
 	for _, dir := range []string{"base", "deltas"} {
 		e, _ := testEngineOn(t, dfs.Config{BlockSize: 128, Replication: 1, DataNodes: 4, VerifyOnRead: true})
@@ -222,8 +223,11 @@ func TestAcidScanSurfacesReadFaults(t *testing.T) {
 		if err := e.FS.CorruptBlock(infos[0].Path, 0); err != nil {
 			t.Fatal(err)
 		}
-		if rs, err := e.Execute("SELECT COUNT(v), SUM(id) FROM a"); !errors.Is(err, dfs.ErrCorruptBlock) {
-			t.Errorf("scan over a corrupt %s stripe = %v, %v; want dfs.ErrCorruptBlock", dir, rs, err)
+		for _, rowScan := range []bool{false, true} {
+			e.MR.DisableBatchScan = rowScan
+			if rs, err := e.Execute("SELECT COUNT(v), SUM(id) FROM a"); !errors.Is(err, dfs.ErrCorruptBlock) {
+				t.Errorf("rowScan=%v: scan over a corrupt %s stripe = %v, %v; want dfs.ErrCorruptBlock", rowScan, dir, rs, err)
+			}
 		}
 	}
 }

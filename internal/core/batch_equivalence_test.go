@@ -83,7 +83,7 @@ func assertSameScan(t *testing.T, label string, want, got scanResult) {
 // DualTable writer — across 1 and N workers.
 func TestBatchRowScanEquivalence(t *testing.T) {
 	e, h := testEngine(t)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "CREATE TABLE eq (id BIGINT, grp BIGINT, v DOUBLE, tag STRING) STORED AS DUALTABLE")
 	// Two master files so per-file classification matters.
 	for f := 0; f < 2; f++ {
@@ -150,7 +150,7 @@ func TestBatchRowScanEquivalence(t *testing.T) {
 // the switch between them within one task.
 func TestBatchRowSQLEquivalence(t *testing.T) {
 	e, h := testEngine(t)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	seedDual(t, e)
 	mustExec(t, e, "UPDATE m SET v = 0.5 WHERE day < 3")
 	mustExec(t, e, "DELETE FROM m WHERE day = 9")

@@ -58,7 +58,7 @@ func TestCompactDoesNotBlockScans(t *testing.T) {
 	// exactly when the last scan pin drops; the pin-last-N-epochs
 	// time-travel window (covered by TestTimeTravel*) would keep them.
 	e.MS.SetRetentionEpochs("m", 0)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 9999.5 WHERE day < 6")
 	mustExec(t, e, "DELETE FROM m WHERE day = 7")
 	desc, _ := e.MS.Get("m")
@@ -207,7 +207,7 @@ func TestPushdownDisabledWithDirtyAttached(t *testing.T) {
 		fmt.Fprintf(&sb, "(%d, %d)", i, i)
 	}
 	mustExec(t, e, sb.String())
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	// Make one low-id row match a high-v predicate via the attached
 	// table.
 	mustExec(t, e, "UPDATE p SET v = 1000000 WHERE id = 3")
@@ -251,7 +251,7 @@ func TestStatsSelectivityEstimate(t *testing.T) {
 func TestAttachedTableGrowsAndCompactClears(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	desc, _ := e.MS.Get("m")
 	var prev int64
 	for i := 0; i < 3; i++ {
@@ -273,7 +273,7 @@ func TestNoOpUpdateWritesNothing(t *testing.T) {
 	// cells, zero affected).
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	rs := mustExec(t, e, "UPDATE m SET day = day WHERE id < 100")
 	if rs.Affected != 0 {
 		t.Errorf("no-op update affected = %d", rs.Affected)
@@ -287,7 +287,7 @@ func TestNoOpUpdateWritesNothing(t *testing.T) {
 func TestUpdateToNullViaEdit(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET tag = NULL WHERE id = 11")
 	rs := mustExec(t, e, "SELECT COUNT(*) FROM m WHERE tag IS NULL")
 	if rs.Rows[0][0].I != 1 {
@@ -315,7 +315,7 @@ func TestManyMasterFilesUnionRead(t *testing.T) {
 	if len(files) != 5 {
 		t.Fatalf("master files = %d", len(files))
 	}
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	// Update rows spanning several files.
 	mustExec(t, e, "UPDATE mm SET v = 99 WHERE id % 20 = 7")
 	rs := mustExec(t, e, "SELECT COUNT(*) FROM mm WHERE v = 99")
@@ -334,7 +334,7 @@ func TestManyMasterFilesUnionRead(t *testing.T) {
 func TestConcurrentReadsDuringEdit(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 4; i++ {

@@ -125,7 +125,7 @@ func TestCreateInsertSelectDual(t *testing.T) {
 func TestEditUpdateVisibleThroughUnionRead(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	rs := mustExec(t, e, "UPDATE m SET v = 999.0 WHERE day = 3")
 	if rs.Plan != "EDIT" {
 		t.Fatalf("plan = %s", rs.Plan)
@@ -153,7 +153,7 @@ func TestEditUpdateVisibleThroughUnionRead(t *testing.T) {
 func TestEditUpdateLatestValueWins(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 100.0 WHERE id = 5")
 	mustExec(t, e, "UPDATE m SET v = 200.0 WHERE id = 5")
 	rs := mustExec(t, e, "SELECT v FROM m WHERE id = 5")
@@ -165,7 +165,7 @@ func TestEditUpdateLatestValueWins(t *testing.T) {
 func TestEditDeleteHidesRows(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	rs := mustExec(t, e, "DELETE FROM m WHERE day = 7")
 	if rs.Plan != "EDIT" || rs.Affected != 10 {
 		t.Fatalf("delete = %+v", rs)
@@ -183,7 +183,7 @@ func TestEditDeleteHidesRows(t *testing.T) {
 func TestUpdateThenDeleteSameRow(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 1.0 WHERE id = 9")
 	mustExec(t, e, "DELETE FROM m WHERE id = 9")
 	rs := mustExec(t, e, "SELECT COUNT(*) FROM m WHERE id = 9")
@@ -195,13 +195,13 @@ func TestUpdateThenDeleteSameRow(t *testing.T) {
 func TestOverwritePlanClearsAttached(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 1.0 WHERE day = 2")
 	desc, _ := e.MS.Get("m")
 	if n, _ := h.AttachedEntryCount(desc); n == 0 {
 		t.Fatal("expected attached entries after EDIT")
 	}
-	h.SetForcePlan("OVERWRITE")
+	forcePlan(e, h, "OVERWRITE")
 	rs := mustExec(t, e, "UPDATE m SET v = 2.0 WHERE day = 2")
 	if rs.Plan != "OVERWRITE" {
 		t.Fatalf("plan = %s", rs.Plan)
@@ -227,7 +227,7 @@ func TestOverwritePlanClearsAttached(t *testing.T) {
 func TestCompactFoldsAttachedIntoMaster(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 777.0 WHERE day = 1")
 	mustExec(t, e, "DELETE FROM m WHERE day = 2")
 	desc, _ := e.MS.Get("m")
@@ -280,16 +280,12 @@ func TestCostModelSelectsPlanBySelectivity(t *testing.T) {
 	seedDual(t, e)
 	// Tiny ratio → EDIT; huge ratio → OVERWRITE. Hints pin the ratio
 	// (the designer-given α of §IV).
-	if err := h.SetRatioHint("UPDATE m SET v = 5.0 WHERE day = 4", 0.001); err != nil {
-		t.Fatal(err)
-	}
+	hintRatio(t, h, "UPDATE m SET v = 5.0 WHERE day = 4", 0.001)
 	rs := mustExec(t, e, "UPDATE m SET v = 5.0 WHERE day = 4")
 	if rs.Plan != "EDIT" {
 		t.Errorf("low ratio plan = %s", rs.Plan)
 	}
-	if err := h.SetRatioHint("UPDATE m SET v = 6.0 WHERE day = 4", 0.99); err != nil {
-		t.Fatal(err)
-	}
+	hintRatio(t, h, "UPDATE m SET v = 6.0 WHERE day = 4", 0.99)
 	rs = mustExec(t, e, "UPDATE m SET v = 6.0 WHERE day = 4")
 	if rs.Plan != "OVERWRITE" {
 		t.Errorf("high ratio plan = %s", rs.Plan)
@@ -307,9 +303,9 @@ func TestCostModelSelectsPlanBySelectivity(t *testing.T) {
 func TestHistoryFeedsEstimator(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 1.0 WHERE day = 3")
-	h.SetForcePlan("")
+	forcePlan(e, h, "")
 	stmt, err := sqlparser.Parse("UPDATE m SET v = 1.0 WHERE day = 3")
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +347,7 @@ func TestInsertIntoAppendsNewMasterFile(t *testing.T) {
 		seen[f.fileID] = true
 	}
 	// Updates to appended rows work (they have distinct record IDs).
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET tag = 'patched' WHERE id = 1000")
 	got := mustExec(t, e, "SELECT tag FROM m WHERE id = 1000")
 	if got.Rows[0][0].S != "patched" {
@@ -382,7 +378,7 @@ func TestPaperListing1OnDualTable(t *testing.T) {
 	// Full integration: the paper's motivating correlated-subquery
 	// UPDATE against a DUALTABLE with the EDIT plan.
 	e, h := testEngine(t)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "CREATE TABLE tj_tqxsqk_r (dwdm STRING, rq STRING, glfs BIGINT, cjfs BIGINT, qryhs DOUBLE) STORED AS DUALTABLE")
 	mustExec(t, e, "CREATE TABLE tj_tqxs_r (dwdm STRING, tjrq STRING, glfs BIGINT, zjfs BIGINT, tqyhs DOUBLE, sfqr BIGINT) STORED AS DUALTABLE")
 	mustExec(t, e, `INSERT INTO tj_tqxsqk_r VALUES
@@ -517,7 +513,7 @@ func TestPlanLogBounded(t *testing.T) {
 func TestCompactCancellable(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 777.0 WHERE day = 1")
 	desc, _ := e.MS.Get("m")
 	before, _ := h.AttachedEntryCount(desc)

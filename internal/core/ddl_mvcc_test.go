@@ -22,7 +22,7 @@ import (
 func TestDropTableIsPinAware(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 123.5 WHERE day < 4")
 	mustExec(t, e, "DELETE FROM m WHERE day = 9")
 	desc, _ := e.MS.Get("m")
@@ -140,7 +140,7 @@ func TestDropTableIsPinAware(t *testing.T) {
 func TestDropRecreatePendingReclamationStartsEmpty(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 5.5 WHERE day = 3")
 	desc, _ := e.MS.Get("m")
 	oldAtt := attachedName(desc)
@@ -212,7 +212,7 @@ func TestDropRecreatePendingReclamationStartsEmpty(t *testing.T) {
 func TestTimeTravelReadsHistoricalEpochs(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	desc, _ := e.MS.Get("m")
 	const q = "SELECT id, day, v, tag FROM m ORDER BY id"
 	capture := func(sql string) []string {
@@ -287,7 +287,7 @@ func TestTimeTravelRetentionExpiresEpochs(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
 	e.MS.SetRetentionEpochs("m", 2)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	desc, _ := e.MS.Get("m")
 	mustExec(t, e, "UPDATE m SET v = 99999.5 WHERE day = 1")
 	epOld, err := h.CurrentEpoch(desc)
@@ -389,7 +389,7 @@ func TestTimeTravelExpiredEpochRejectedWhileFilesPinned(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
 	e.MS.SetRetentionEpochs("m", 1)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	desc, _ := e.MS.Get("m")
 	mustExec(t, e, "UPDATE m SET v = 4242.5 WHERE day = 2")
 	epOld, err := h.CurrentEpoch(desc)

@@ -69,14 +69,10 @@ func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 }
 
 // applyForce resolves plan forcing: the session's
-// "dualtable.force.plan" setting wins when present (even when empty,
-// which restores cost-model selection); otherwise the handler-level
-// knob applies.
+// "dualtable.force.plan" setting overrides the cost model's choice
+// (unset or empty keeps it).
 func (h *Handler) applyForce(ec *hive.ExecContext, plan costmodel.Plan) costmodel.Plan {
-	force, ok := ec.Var(hive.VarForcePlan)
-	if !ok {
-		force = h.forcePlan()
-	}
+	force, _ := ec.Var(hive.VarForcePlan)
 	switch strings.ToUpper(force) {
 	case "EDIT":
 		return costmodel.PlanEdit
@@ -145,8 +141,8 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, w
 		ratio, src = h.est.Estimate(key, statsEst)
 	}
 
-	// k resolution: session setting > table property > handler option.
-	k := h.followingReads()
+	// k resolution: session setting > table property > open-time option.
+	k := h.opts.FollowingReads
 	if kp := desc.Properties["dualtable.k"]; kp != "" {
 		if v, err := strconv.ParseFloat(kp, 64); err == nil {
 			k = v
@@ -163,7 +159,7 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, w
 		Ratio:          ratio,
 		FollowingReads: k,
 		AvgRowBytes:    avgRow,
-		MarkerBytes:    h.markerBytes(),
+		MarkerBytes:    h.opts.MarkerBytes,
 	}
 	if upd != nil {
 		// Updated payload: encoded size estimate of the SET columns.
@@ -191,8 +187,8 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, w
 }
 
 // StatementKey returns the estimator key of an UPDATE or DELETE
-// statement (literals normalized). Use it with Estimator().SetHint to
-// provide designer-given ratios, as §IV allows.
+// statement (literals normalized). Sessions use it to pin
+// designer-given ratios (SessionVars.SetRatioHint), as §IV allows.
 func (h *Handler) StatementKey(stmt sqlparser.Statement) (string, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.UpdateStmt:
@@ -202,20 +198,6 @@ func (h *Handler) StatementKey(stmt sqlparser.Statement) (string, error) {
 	default:
 		return "", fmt.Errorf("core: statement keys exist only for UPDATE/DELETE, got %T", stmt)
 	}
-}
-
-// SetRatioHint parses a DML statement and pins its ratio estimate.
-func (h *Handler) SetRatioHint(sql string, ratio float64) error {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return err
-	}
-	key, err := h.StatementKey(stmt)
-	if err != nil {
-		return err
-	}
-	h.est.SetHint(key, ratio)
-	return nil
 }
 
 func (h *Handler) statementKey(desc *metastore.TableDesc, upd *sqlparser.UpdateStmt, del *sqlparser.DeleteStmt) string {

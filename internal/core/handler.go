@@ -9,8 +9,6 @@ import (
 	"sync"
 
 	"dualtable/internal/costmodel"
-	"dualtable/internal/datum"
-	"dualtable/internal/dfs"
 	"dualtable/internal/hive"
 	"dualtable/internal/kvstore"
 	"dualtable/internal/mapred"
@@ -39,16 +37,14 @@ const (
 	genProperty = "dualtable.gen"
 )
 
-// Options tunes the DualTable handler.
+// Options tunes the DualTable handler at open time; they never change
+// afterwards. Per-statement overrides are session settings
+// (hive.VarForcePlan, hive.VarFollowingReads, ratio hints).
 type Options struct {
 	// FollowingReads is k in the cost model: the number of full-table
 	// reads expected after a modification. Settable per table via the
 	// table property "dualtable.k".
 	FollowingReads float64
-	// ForcePlan overrides the cost model ("EDIT" or "OVERWRITE");
-	// empty means cost-model selection. The experiment harness uses
-	// this to run the paper's "DualTable EDIT" configuration.
-	ForcePlan string
 	// MarkerBytes is m, the delete marker size used by the cost model.
 	MarkerBytes float64
 }
@@ -128,43 +124,6 @@ func (h *Handler) Estimator() *costmodel.RatioEstimator { return h.est }
 
 // Model exposes the cost model.
 func (h *Handler) Model() *costmodel.Model { return h.model }
-
-// SetForcePlan switches plan forcing at run time (harness knob).
-// Sessions override this per call via the "dualtable.force.plan"
-// setting.
-func (h *Handler) SetForcePlan(plan string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.opts.ForcePlan = plan
-}
-
-// SetFollowingReads sets k.
-func (h *Handler) SetFollowingReads(k float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.opts.FollowingReads = k
-}
-
-// forcePlan reads the handler-level force setting under the mutex.
-func (h *Handler) forcePlan() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.opts.ForcePlan
-}
-
-// followingReads reads the handler-level k under the mutex.
-func (h *Handler) followingReads() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.opts.FollowingReads
-}
-
-// markerBytes reads the marker size under the mutex.
-func (h *Handler) markerBytes() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.opts.MarkerBytes
-}
 
 // PlanLog returns a copy of recorded plan decisions.
 func (h *Handler) PlanLog() []PlanDecision {
@@ -618,10 +577,29 @@ type masterOutputFactory struct {
 }
 
 func (f *masterOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
-	return &masterCollector{f: f, taskID: taskID, meter: m}, nil
+	var fid uint32
+	return &hive.ORCTaskWriter{FS: f.h.e.FS, Schema: f.desc.Schema, Meter: m,
+		Create: func() (string, uint32, map[string]string, error) {
+			var err error
+			if fid, err = f.h.nextFileID(f.desc, m); err != nil {
+				return "", 0, nil, err
+			}
+			p := path.Join(f.dir, fmt.Sprintf("m-%08d.orc", fid))
+			f.noteOpened(p)
+			return p, fid, map[string]string{fileIDMetaKey: fmt.Sprintf("%d", fid)}, nil
+		},
+		Finished: func(p string, rows int64) error {
+			fi, err := f.h.e.FS.Stat(p)
+			if err != nil {
+				return err
+			}
+			f.record(metastore.ManifestFile{Path: p, Size: fi.Size, FileID: fid, Rows: rows})
+			return nil
+		}}, nil
 }
 
-// noteOpened registers an in-flight file the moment it is created.
+// noteOpened registers an in-flight file just before it is created
+// (discard treats a path that never came to exist as already removed).
 func (f *masterOutputFactory) noteOpened(p string) {
 	f.mu.Lock()
 	if f.opened == nil {
@@ -678,61 +656,4 @@ func (f *masterOutputFactory) discard() error {
 		}
 	}
 	return firstErr
-}
-
-type masterCollector struct {
-	f      *masterOutputFactory
-	taskID int
-	meter  *sim.Meter
-	fw     *dfs.FileWriter
-	w      *orcfile.Writer
-	path   string
-	fileID uint32
-	rows   int64
-}
-
-func (c *masterCollector) Collect(row datum.Row) error {
-	if c.w == nil {
-		fid, err := c.f.h.nextFileID(c.f.desc, c.meter)
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("m-%08d.orc", fid)
-		p := path.Join(c.f.dir, name)
-		fw, err := c.f.h.e.FS.CreateMeter(p, c.meter)
-		if err != nil {
-			return err
-		}
-		c.f.noteOpened(p)
-		fw.SetFileID(uint64(fid))
-		fw.SetUserMeta(fileIDMetaKey, fmt.Sprintf("%d", fid))
-		w, err := orcfile.NewWriter(fw, c.f.desc.Schema, orcfile.WriterOptions{
-			Compression: true,
-			UserMeta:    map[string]string{fileIDMetaKey: fmt.Sprintf("%d", fid)},
-		})
-		if err != nil {
-			return err
-		}
-		c.fw, c.w, c.path, c.fileID = fw, w, p, fid
-	}
-	c.rows++
-	return c.w.WriteRow(row)
-}
-
-func (c *masterCollector) Close() error {
-	if c.w == nil {
-		return nil
-	}
-	if err := c.w.Close(); err != nil {
-		return err
-	}
-	if err := c.fw.Close(); err != nil {
-		return err
-	}
-	fi, err := c.f.h.e.FS.Stat(c.path)
-	if err != nil {
-		return err
-	}
-	c.f.record(metastore.ManifestFile{Path: c.path, Size: fi.Size, FileID: c.fileID, Rows: c.rows})
-	return nil
 }

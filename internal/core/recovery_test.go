@@ -63,7 +63,7 @@ func TestCompactAbortReclaimsStagedFiles(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
 	e.MS.SetRetentionEpochs("m", 0)
-	h.SetForcePlan("EDIT")
+	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 1.5 WHERE day < 4")
 	desc, _ := e.MS.Get("m")
 	epochBefore, err := h.CurrentEpoch(desc)

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"dualtable/internal/datum"
 	"dualtable/internal/dfs"
+	"dualtable/internal/hive"
 	"dualtable/internal/kvstore"
 	"dualtable/internal/mapred"
 	"dualtable/internal/metastore"
@@ -102,8 +105,9 @@ type Snapshot struct {
 	// longer than files while an open is in progress).
 	pinned []string
 	// entries maps master file ID -> that file's attached-table
-	// modifications (sorted by record ID), filtered to the watermark.
-	entries map[uint32][]attEntry
+	// modifications (sorted by record ID), filtered to the watermark and
+	// decoded into the UNION READ overlay.
+	entries map[uint32][]hive.RecordMod
 	// attSeconds maps master file ID -> the simulated cost of that
 	// file's attached pre-scan, measured at materialization and
 	// charged to the task meter when the file's split opens — so the
@@ -350,7 +354,7 @@ func (h *Handler) openMasterFile(mf metastore.ManifestFile) (masterFile, error) 
 // split opens, keeping the per-task makespan accounting of the old
 // scan-at-task-open design.
 func (s *Snapshot) loadEntries() error {
-	s.entries = map[uint32][]attEntry{}
+	s.entries = map[uint32][]hive.RecordMod{}
 	s.attSeconds = map[uint32]float64{}
 	att, err := s.h.attached(s.desc)
 	if err != nil {
@@ -369,11 +373,15 @@ func (s *Snapshot) loadEntries() error {
 			if err != nil {
 				continue // malformed key: skip (cannot happen with our writers)
 			}
-			cells := cellsAtWatermark(res.Cells, s.Watermark)
-			if len(cells) == 0 {
+			mod, err := s.modAtWatermark(rid, res.Cells)
+			if err != nil {
+				sc.Close()
+				return err
+			}
+			if !mod.Deleted && len(mod.Sets) == 0 {
 				continue // every cell is newer than this epoch
 			}
-			s.entries[f.fileID] = append(s.entries[f.fileID], attEntry{rid: rid, cells: cells})
+			s.entries[f.fileID] = append(s.entries[f.fileID], mod)
 		}
 		sc.Close()
 		s.attSeconds[f.fileID] = m.Seconds()
@@ -381,32 +389,50 @@ func (s *Snapshot) loadEntries() error {
 	return nil
 }
 
-// cellsAtWatermark filters one row's multi-version cells down to the
-// newest version per column with Ts <= wm. Cells arrive from the
-// version resolver ordered (family, qualifier) ascending with
-// timestamps descending inside each column, so a single pass keeping
-// the first qualifying version per column suffices. The ranges this
-// reads hold only puts (delete markers are puts of __del__), so no
-// delete semantics apply here: KV tombstones exist in attached tables
-// only in purged file-ID ranges (written by purgeAttachedRanges at
-// retention expiry), and the purge floor guarantees no snapshot ever
-// materializes those ranges again.
-func cellsAtWatermark(cells []kvstore.Cell, wm uint64) []kvstore.Cell {
-	out := make([]kvstore.Cell, 0, len(cells))
+// modAtWatermark turns one record's multi-version attached cells into
+// its overlay entry: per column the newest version with Ts <= the
+// snapshot watermark, decoded — a delete marker, or one column set per
+// cell whose qualifier names a schema column. Cells arrive from the
+// version resolver ordered (family, qualifier) ascending with timestamps
+// descending inside each column, so a single pass taking the first
+// qualifying version per column suffices. The ranges this reads hold
+// only puts (delete markers are puts of __del__), so no delete semantics
+// apply here: KV tombstones exist in attached tables only in purged
+// file-ID ranges (written by purgeAttachedRanges at retention expiry),
+// and the purge floor guarantees no snapshot ever materializes those
+// ranges again.
+func (s *Snapshot) modAtWatermark(rid RecordID, cells []kvstore.Cell) (hive.RecordMod, error) {
+	mod := hive.RecordMod{RID: uint64(rid)}
 	for i := 0; i < len(cells); {
-		j := i
-		for j < len(cells) && cells[j].Family == cells[i].Family && bytes.Equal(cells[j].Qualifier, cells[i].Qualifier) {
-			j++
+		first := i
+		for i < len(cells) && cells[i].Family == cells[first].Family && bytes.Equal(cells[i].Qualifier, cells[first].Qualifier) {
+			i++
 		}
-		for k := i; k < j; k++ {
-			if cells[k].Ts <= wm {
-				out = append(out, cells[k])
-				break
-			}
+		k := first
+		for k < i && cells[k].Ts > s.Watermark {
+			k++
 		}
-		i = j
+		if k == i {
+			continue // every version of the column is newer than this epoch
+		}
+		q := string(cells[k].Qualifier)
+		if q == deleteQualifier {
+			return hive.RecordMod{RID: uint64(rid), Deleted: true}, nil
+		}
+		idx, err := strconv.Atoi(q)
+		if err != nil || idx < 0 || idx >= len(s.desc.Schema) {
+			continue
+		}
+		d, _, err := datum.DecodeDatum(cells[k].Value)
+		if err != nil {
+			return mod, fmt.Errorf("core: decode attached cell %s: %w", rid, err)
+		}
+		if mod.Sets == nil {
+			mod.Sets = make([]hive.ColumnSet, 0, len(cells)-first)
+		}
+		mod.Sets = append(mod.Sets, hive.ColumnSet{Col: idx, Val: d})
 	}
-	return out
+	return mod, nil
 }
 
 // Files exposes the pinned master file set (observability).
@@ -425,13 +451,19 @@ func (s *Snapshot) Files() []string {
 func (s *Snapshot) Splits(opts ScanOptions) []mapred.InputSplit {
 	var splits []mapred.InputSplit
 	for _, f := range s.files {
-		splits = append(splits, &unionReadSplit{
-			h:          s.h,
-			file:       f,
-			entries:    s.entries[f.fileID],
-			attSeconds: s.attSeconds[f.fileID],
-			opts:       opts,
-			schema:     s.desc.Schema,
+		entries, attSeconds := s.entries[f.fileID], s.attSeconds[f.fileID]
+		splits = append(splits, &hive.ORCSplit{
+			FS: s.h.e.FS, Path: f.path, Size: f.size, Opts: opts, FileID: f.fileID,
+			// The task "performs" the attached pre-scan it got the results
+			// of: its cost, measured at snapshot open, lands on the task
+			// meter here.
+			LoadOverlay: func(m *sim.Meter) ([]hive.RecordMod, error) {
+				m.AddSeconds(attSeconds)
+				return entries, nil
+			},
+			// The paper's Fig. 4 per-row "function invocation" overhead of
+			// the merge, present even with an empty attached table.
+			Merged: (*sim.Meter).UnionReadRows,
 		})
 	}
 	return splits

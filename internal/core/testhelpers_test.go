@@ -4,9 +4,49 @@ import (
 	"fmt"
 	"testing"
 
+	"dualtable/internal/hive"
 	"dualtable/internal/metastore"
+	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
 )
+
+// forcePlan makes the engine's DUALTABLE DML run as a session that SET
+// dualtable.force.plan = plan would ("" = cost-model selection): tests
+// here drive the engine without a session, so a decorator around h
+// supplies the session's settings. Call it between statements only.
+func forcePlan(e *hive.Engine, h *Handler, plan string) {
+	vars := hive.NewSessionVars()
+	vars.Set(hive.VarForcePlan, plan)
+	e.RegisterHandler(metastore.StorageDual, forcedPlan{h, &hive.ExecContext{Vars: vars}})
+}
+
+type forcedPlan struct {
+	*Handler
+	ec *hive.ExecContext
+}
+
+func (f forcedPlan) ExecUpdate(_ *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
+	return f.Handler.ExecUpdate(f.ec, e, desc, stmt, m)
+}
+
+func (f forcedPlan) ExecDelete(_ *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
+	return f.Handler.ExecDelete(f.ec, e, desc, stmt, m)
+}
+
+// hintRatio pins a DML statement's ratio estimate in the handler's
+// estimator (the designer-given α/β of §IV).
+func hintRatio(t *testing.T, h *Handler, sql string, ratio float64) {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := h.StatementKey(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Estimator().SetHint(key, ratio)
+}
 
 // updateAlias re-exports the parser's UpdateStmt for test helpers.
 type updateAlias = sqlparser.UpdateStmt

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualtable/internal/acid"
+	"dualtable/internal/hive"
 	"dualtable/internal/sim"
 	"dualtable/internal/workload"
 )
@@ -35,7 +36,7 @@ func runAblAcid(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dual.handler.SetForcePlan("EDIT") // isolate the delta mechanisms
+	dual.vars.Set(hive.VarForcePlan, "EDIT") // isolate the delta mechanisms
 	ac, err := build("ACID")
 	if err != nil {
 		return nil, err

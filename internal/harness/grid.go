@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dualtable/internal/hive"
 	"dualtable/internal/sim"
 	"dualtable/internal/workload"
 )
@@ -156,8 +157,8 @@ func gridDMLSweep(cfg Config, update bool) ([]sweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		de.handler.SetFollowingReads(0)
-		de.handler.SetForcePlan("EDIT")
+		de.vars.Set(hive.VarFollowingReads, "0")
+		de.vars.Set(hive.VarForcePlan, "EDIT")
 		if rs, err = de.run(sql); err != nil {
 			return nil, err
 		}
@@ -172,8 +173,8 @@ func gridDMLSweep(cfg Config, update bool) ([]sweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		dc.handler.SetFollowingReads(0)
-		if err := dc.handler.SetRatioHint(sql, float64(n)/36); err != nil {
+		dc.vars.Set(hive.VarFollowingReads, "0")
+		if err := dc.hintRatio(sql, float64(n)/36); err != nil {
 			return nil, err
 		}
 		if rs, err = dc.run(sql); err != nil {
@@ -306,13 +307,13 @@ func runTable4(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dualEnv.handler.SetFollowingReads(1)
+	dualEnv.vars.Set(hive.VarFollowingReads, "1")
 	for _, stmt := range workload.TableIV() {
 		h, err := hiveEnv.run(stmt.SQL)
 		if err != nil {
 			return nil, fmt.Errorf("%s on hive: %w", stmt.ID, err)
 		}
-		if err := dualEnv.handler.SetRatioHint(stmt.SQL, stmt.Ratio); err != nil {
+		if err := dualEnv.hintRatio(stmt.SQL, stmt.Ratio); err != nil {
 			return nil, err
 		}
 		d, err := dualEnv.run(stmt.SQL)

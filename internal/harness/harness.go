@@ -19,6 +19,7 @@ import (
 	"dualtable/internal/kvstore"
 	"dualtable/internal/mapred"
 	"dualtable/internal/sim"
+	"dualtable/internal/sqlparser"
 )
 
 // Config tunes experiment scale.
@@ -148,6 +149,9 @@ type env struct {
 	engine  *hive.Engine
 	handler *core.Handler
 	fs      *dfs.FileSystem
+	// vars are the session settings (plan forcing, k, ratio hints) every
+	// statement of this system runs under.
+	vars *hive.SessionVars
 }
 
 // newEnv builds an engine on the given cluster parameters with
@@ -172,12 +176,27 @@ func newEnv(params sim.CostParams, cfg Config, genScale float64) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &env{engine: engine, handler: handler, fs: fs}, nil
+	return &env{engine: engine, handler: handler, fs: fs, vars: hive.NewSessionVars()}, nil
 }
 
 // mustSeconds runs a statement and returns its simulated seconds.
 func (e *env) run(sql string) (*hive.ResultSet, error) {
-	return e.engine.Execute(sql)
+	return e.engine.ExecuteCtx(&hive.ExecContext{Vars: e.vars}, sql)
+}
+
+// hintRatio pins a DML statement's modification ratio (the
+// designer-given α/β of §IV).
+func (e *env) hintRatio(sql string, ratio float64) error {
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		return err
+	}
+	key, err := e.handler.StatementKey(stmt)
+	if err != nil {
+		return err
+	}
+	e.vars.SetRatioHint(key, ratio)
+	return nil
 }
 
 func secs(v float64) string { return fmt.Sprintf("%.1f", v) }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dualtable/internal/hive"
 	"dualtable/internal/sim"
 	"dualtable/internal/workload"
 )
@@ -162,8 +163,8 @@ func tpchSweep(cfg Config, update bool) ([]tpchPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		de.handler.SetFollowingReads(0)
-		de.handler.SetForcePlan("EDIT")
+		de.vars.Set(hive.VarFollowingReads, "0")
+		de.vars.Set(hive.VarForcePlan, "EDIT")
 		if rs, err = de.run(sql); err != nil {
 			return nil, err
 		}
@@ -177,8 +178,8 @@ func tpchSweep(cfg Config, update bool) ([]tpchPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		dc.handler.SetFollowingReads(0)
-		if err := dc.handler.SetRatioHint(sql, float64(p)/100); err != nil {
+		dc.vars.Set(hive.VarFollowingReads, "0")
+		if err := dc.hintRatio(sql, float64(p)/100); err != nil {
 			return nil, err
 		}
 		if rs, err = dc.run(sql); err != nil {

@@ -114,7 +114,7 @@ func TestCorruptBlockDetectedOnVerifyingRead(t *testing.T) {
 // TestORCScanSurfacesReadFault corrupts a stripe block of a plain-ORC
 // table on a checksum-verifying DFS: the footer (last block) still
 // opens, the stripe read faults mid-scan, and the statement must fail
-// instead of returning the rows read so far.
+// instead of returning the rows read so far — in batch and in row mode.
 func TestORCScanSurfacesReadFault(t *testing.T) {
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 4, VerifyOnRead: true})
 	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
@@ -143,7 +143,10 @@ func TestORCScanSurfacesReadFault(t *testing.T) {
 	if err := fs.CorruptBlock(infos[0].Path, 0); err != nil {
 		t.Fatal(err)
 	}
-	if rs, err := e.Execute("SELECT COUNT(s), SUM(id) FROM big"); !errors.Is(err, dfs.ErrCorruptBlock) {
-		t.Fatalf("scan over a corrupt stripe = %v, %v; want dfs.ErrCorruptBlock", rs, err)
+	for _, rowScan := range []bool{false, true} {
+		e.MR.DisableBatchScan = rowScan
+		if rs, err := e.Execute("SELECT COUNT(s), SUM(id) FROM big"); !errors.Is(err, dfs.ErrCorruptBlock) {
+			t.Fatalf("rowScan=%v: scan over a corrupt stripe = %v, %v; want dfs.ErrCorruptBlock", rowScan, rs, err)
+		}
 	}
 }

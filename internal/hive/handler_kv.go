@@ -91,7 +91,7 @@ func (h *kvHandler) Append(desc *metastore.TableDesc) (mapred.OutputFactory, Com
 	if err != nil {
 		return nil, nil, err
 	}
-	return &kvOutputFactory{h: h, tbl: tbl, schema: desc.Schema}, nopCommitter{}, nil
+	return &kvOutputFactory{h: h, tbl: tbl, schema: desc.Schema}, NopCommitter{}, nil
 }
 
 func (h *kvHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
@@ -104,7 +104,7 @@ func (h *kvHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &kvOutputFactory{h: h, tbl: tbl, schema: desc.Schema}, nopCommitter{}, nil
+	return &kvOutputFactory{h: h, tbl: tbl, schema: desc.Schema}, NopCommitter{}, nil
 }
 
 // rowKey builds the 8-byte big-endian key for a row id.

@@ -42,13 +42,7 @@ func (h *orcHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapr
 		if strings.HasPrefix(fi.Name, ".") {
 			continue
 		}
-		splits = append(splits, &orcSplit{
-			fs:     h.e.FS,
-			path:   fi.Path,
-			size:   fi.Size,
-			schema: desc.Schema,
-			opts:   opts,
-		})
+		splits = append(splits, &ORCSplit{FS: h.e.FS, Path: fi.Path, Size: fi.Size, Opts: opts})
 	}
 	return splits, noRelease, nil
 }
@@ -83,32 +77,39 @@ func (h *orcHandler) DataSize(desc *metastore.TableDesc) (int64, error) {
 }
 
 func (h *orcHandler) Append(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
-	return &orcOutputFactory{h: h, dir: desc.Location, schema: desc.Schema},
-		nopCommitter{}, nil
+	return &orcOutputFactory{h: h, dir: desc.Location, schema: desc.Schema}, NopCommitter{}, nil
 }
 
 func (h *orcHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
 	staging := desc.Location + "/.staging"
-	if h.e.FS.Exists(staging) {
-		if err := h.e.FS.Delete(staging, true); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := h.e.FS.MkdirAll(staging); err != nil {
+	committer, err := StageOverwrite(h.e.FS, desc.Location, staging)
+	if err != nil {
 		return nil, nil, err
 	}
-	factory := &orcOutputFactory{h: h, dir: staging, schema: desc.Schema}
-	return factory, &swapCommitter{fs: h.e.FS, dir: desc.Location, staging: staging}, nil
+	return &orcOutputFactory{h: h, dir: staging, schema: desc.Schema}, committer, nil
 }
 
-// nopCommitter is used by append paths that write in place.
-type nopCommitter struct{}
+// NopCommitter is used by append paths that write in place.
+type NopCommitter struct{}
 
-func (nopCommitter) Commit() error { return nil }
-func (nopCommitter) Abort() error  { return nil }
+func (NopCommitter) Commit() error { return nil }
+func (NopCommitter) Abort() error  { return nil }
 
-// swapCommitter atomically replaces a table directory's files with
-// the staging directory's files — Hive's INSERT OVERWRITE commit.
+// StageOverwrite provisions an empty staging directory and returns the
+// committer that atomically replaces dir's files with the staged ones —
+// Hive's INSERT OVERWRITE commit.
+func StageOverwrite(fs *dfs.FileSystem, dir, staging string) (Committer, error) {
+	if fs.Exists(staging) {
+		if err := fs.Delete(staging, true); err != nil {
+			return nil, err
+		}
+	}
+	if err := fs.MkdirAll(staging); err != nil {
+		return nil, err
+	}
+	return &swapCommitter{fs: fs, dir: dir, staging: staging}, nil
+}
+
 type swapCommitter struct {
 	fs      *dfs.FileSystem
 	dir     string
@@ -154,102 +155,72 @@ type orcOutputFactory struct {
 }
 
 func (f *orcOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
-	return &orcCollector{f: f, taskID: taskID, meter: m}, nil
+	return &ORCTaskWriter{FS: f.h.e.FS, Schema: f.schema, Meter: m,
+		Create: func() (string, uint32, map[string]string, error) {
+			name := fmt.Sprintf("part-%05d-%06d.orc", taskID, f.h.fileSeq.Add(1))
+			return path.Join(f.dir, name), 0, nil, nil
+		}}, nil
 }
 
-// orcCollector lazily creates the output file on the first row so
-// empty tasks leave no files behind.
-type orcCollector struct {
-	f      *orcOutputFactory
-	taskID int
-	meter  *sim.Meter
-	fw     *dfs.FileWriter
-	w      *orcfile.Writer
+// ORCTaskWriter collects one task's output rows into one ORC file,
+// created when the first row arrives so empty tasks leave no file
+// behind. It is the writer of every ORC-backed storage; the hooks carry
+// what differs between them.
+type ORCTaskWriter struct {
+	FS     *dfs.FileSystem
+	Schema datum.Schema
+	Meter  *sim.Meter
+	// Create names the file. A storage that addresses records by file
+	// also returns the file's ID and the user metadata recording it,
+	// which go into both the ORC footer and the DFS file metadata.
+	Create func() (path string, fileID uint32, meta map[string]string, err error)
+	// Finished, when set, runs after the file closed successfully.
+	Finished func(path string, rows int64) error
+
+	path string
+	fw   *dfs.FileWriter
+	w    *orcfile.Writer
 }
 
-func (c *orcCollector) Collect(row datum.Row) error {
+func (c *ORCTaskWriter) Collect(row datum.Row) error {
 	if c.w == nil {
-		name := fmt.Sprintf("part-%05d-%06d.orc", c.taskID, c.f.h.fileSeq.Add(1))
-		fw, err := c.f.h.e.FS.CreateMeter(path.Join(c.f.dir, name), c.meter)
+		p, fileID, meta, err := c.Create()
 		if err != nil {
 			return err
 		}
-		w, err := orcfile.NewWriter(fw, c.f.schema, orcfile.WriterOptions{Compression: true})
+		fw, err := c.FS.CreateMeter(p, c.Meter)
 		if err != nil {
 			return err
 		}
-		c.fw, c.w = fw, w
+		if meta != nil {
+			fw.SetFileID(uint64(fileID))
+			for k, v := range meta {
+				fw.SetUserMeta(k, v)
+			}
+		}
+		w, err := orcfile.NewWriter(fw, c.Schema, orcfile.WriterOptions{Compression: true, UserMeta: meta})
+		if err != nil {
+			return err
+		}
+		c.path, c.fw, c.w = p, fw, w
 	}
 	return c.w.WriteRow(row)
 }
 
-func (c *orcCollector) Close() error {
+func (c *ORCTaskWriter) Close() error {
 	if c.w == nil {
 		return nil
 	}
 	if err := c.w.Close(); err != nil {
 		return err
 	}
-	return c.fw.Close()
-}
-
-// orcSplit reads one ORC file.
-type orcSplit struct {
-	fs     *dfs.FileSystem
-	path   string
-	size   int64
-	schema datum.Schema
-	opts   ScanOptions
-	// fileID, when set, seeds record IDs as fileID<<32 | rowNumber
-	// (DualTable master files).
-	fileID uint64
-	useID  bool
-}
-
-func (s *orcSplit) Length() int64 { return s.size }
-
-func (s *orcSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
-	fr, err := s.fs.OpenMeter(s.path, m)
-	if err != nil {
-		return nil, err
+	if err := c.fw.Close(); err != nil {
+		return err
 	}
-	rd, err := orcfile.Open(fr, fr.Size())
-	if err != nil {
-		fr.Close()
-		return nil, err
+	if c.Finished == nil {
+		return nil
 	}
-	rr := rd.NewRowReader(orcfile.RowReaderOptions{
-		Columns:   s.opts.Projection,
-		SearchArg: s.opts.SArg,
-	})
-	return &orcRecordReader{fr: fr, rr: rr, fileID: s.fileID, useID: s.useID}, nil
-}
-
-type orcRecordReader struct {
-	fr     *dfs.FileReader
-	rr     *orcfile.RowReader
-	fileID uint64
-	useID  bool
-}
-
-func (r *orcRecordReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	row, ord, err := r.rr.Next()
-	if err != nil {
-		return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
-	}
-	meta := mapred.RecordMeta{}
-	if r.useID {
-		meta.RecordID = r.fileID<<32 | uint64(ord)
-	}
-	return row, meta, nil
-}
-
-func (r *orcRecordReader) Close() error { return r.fr.Close() }
-
-// NewORCSplit builds a split over one ORC file with explicit record
-// ID seeding. Exported for the DualTable core's master-table scans.
-func NewORCSplit(fs *dfs.FileSystem, filePath string, size int64, schema datum.Schema, opts ScanOptions, fileID uint64) mapred.InputSplit {
-	return &orcSplit{fs: fs, path: filePath, size: size, schema: schema, opts: opts, fileID: fileID, useID: true}
+	return c.Finished(c.path, c.w.NumRows())
 }
 
 // ---- Text handler ----
@@ -324,21 +295,16 @@ func (h *textHandler) DataSize(desc *metastore.TableDesc) (int64, error) {
 }
 
 func (h *textHandler) Append(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
-	return &textOutputFactory{h: h, dir: desc.Location, delim: h.delim(desc)}, nopCommitter{}, nil
+	return &textOutputFactory{h: h, dir: desc.Location, delim: h.delim(desc)}, NopCommitter{}, nil
 }
 
 func (h *textHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
 	staging := desc.Location + "/.staging"
-	if h.e.FS.Exists(staging) {
-		if err := h.e.FS.Delete(staging, true); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := h.e.FS.MkdirAll(staging); err != nil {
+	committer, err := StageOverwrite(h.e.FS, desc.Location, staging)
+	if err != nil {
 		return nil, nil, err
 	}
-	return &textOutputFactory{h: h, dir: staging, delim: h.delim(desc)},
-		&swapCommitter{fs: h.e.FS, dir: desc.Location, staging: staging}, nil
+	return &textOutputFactory{h: h, dir: staging, delim: h.delim(desc)}, committer, nil
 }
 
 type textOutputFactory struct {

@@ -1,0 +1,233 @@
+package hive
+
+import (
+	"dualtable/internal/datum"
+	"dualtable/internal/dfs"
+	"dualtable/internal/mapred"
+	"dualtable/internal/orcfile"
+	"dualtable/internal/sim"
+)
+
+// RecordMod is one record's entry in an ORC scan's overlay: the record
+// is deleted, or some of its columns take new values.
+type RecordMod struct {
+	RID     uint64
+	Deleted bool
+	Sets    []ColumnSet // ignored when Deleted
+}
+
+// ColumnSet assigns one column, by schema index, of a modified record.
+type ColumnSet struct {
+	Col int
+	Val datum.Datum
+}
+
+// ORCSplit is the one scan of an ORC file. Every ORC-backed storage
+// reads through it and differs only in the overlay it merges on read:
+// a plain ORC table has none, an ACID table folds its delta files into
+// one, a DUALTABLE table decodes its attached cells into one. The file
+// and the overlay are both sorted by record ID (FileID<<32 | row
+// ordinal), so the merge is one linear pass — §V-B's "read through and
+// merge two sorted ID lists", whatever holds the delta.
+//
+// The reader serves batches with three outcomes: a batch no overlay
+// entry touches passes through as column vectors; updates scatter into
+// the vectors in place; a delete (or a value a vector cannot hold)
+// rebuilds the batch as rows with explicit record IDs. Its row mode
+// (Next) runs the same merge over orcfile.RowReader and exists as the
+// independent oracle behind Cluster.DisableBatchScan.
+//
+// Ownership: the batch, its vectors and its rows are the reader's and
+// are reused between calls, so a mapper must not retain them. The
+// overlay is read-only, sorted by RID, and its column indexes lie
+// inside the file's schema; splits of concurrent scans may share it.
+//
+// Pushdown is decided per file, not per table: statistics may prune a
+// stripe whose rows an overlay update would make match, so Opts.SArg
+// applies only when this file's overlay is empty. One dirty file does
+// not turn stripe pruning off for the clean ones.
+type ORCSplit struct {
+	FS   *dfs.FileSystem
+	Path string
+	Size int64
+	Opts ScanOptions // Projection and SArg
+	// FileID seeds record IDs; storages that never address records
+	// leave it zero.
+	FileID uint32
+	// LoadOverlay, when set, produces the file's overlay as the task
+	// opens the split, charging what reading it costs to the task meter.
+	LoadOverlay func(m *sim.Meter) ([]RecordMod, error)
+	// Merged, when set, is told at Close how many file rows went through
+	// the merge, so a storage can charge its per-row merge overhead once
+	// per task instead of once per record.
+	Merged func(m *sim.Meter, rows int64)
+}
+
+func (s *ORCSplit) Length() int64 { return s.Size }
+
+func (s *ORCSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
+	fr, err := s.FS.OpenMeter(s.Path, m)
+	if err != nil {
+		return nil, err
+	}
+	rd, err := orcfile.Open(fr, fr.Size())
+	if err != nil {
+		fr.Close()
+		return nil, err
+	}
+	r := &orcScanReader{
+		fr:     fr,
+		rd:     rd,
+		opts:   orcfile.RowReaderOptions{Columns: s.Opts.Projection, SearchArg: s.Opts.SArg},
+		base:   uint64(s.FileID) << 32,
+		meter:  m,
+		merged: s.Merged,
+	}
+	if s.LoadOverlay != nil {
+		if r.overlay, err = s.LoadOverlay(m); err != nil {
+			fr.Close()
+			return nil, err
+		}
+	}
+	if len(r.overlay) > 0 {
+		r.opts.SearchArg = nil
+	}
+	return r, nil
+}
+
+// orcScanReader implements the merge. The MapReduce engine picks row
+// or batch mode per task and never mixes them, so the ORC-side
+// machinery is created lazily for whichever mode runs.
+type orcScanReader struct {
+	fr      *dfs.FileReader
+	rd      *orcfile.Reader
+	opts    orcfile.RowReaderOptions
+	rows    *orcfile.RowReader   // row mode, lazy
+	batch   *orcfile.BatchReader // batch mode, lazy
+	overlay []RecordMod
+	oi      int    // first overlay entry not yet passed
+	base    uint64 // record ID of the file's row 0
+	meter   *sim.Meter
+	merged  func(*sim.Meter, int64)
+	nMerged int64
+
+	// batch-mode reusable buffers.
+	cols    []datum.ColumnVector
+	rowsBuf []datum.Row
+	arena   datum.Row
+	ids     []uint64
+}
+
+func (r *orcScanReader) Next() (datum.Row, mapred.RecordMeta, error) {
+	if r.rows == nil {
+		r.rows = r.rd.NewRowReader(r.opts)
+	}
+	for {
+		row, ord, err := r.rows.Next()
+		if err != nil {
+			return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
+		}
+		r.nMerged++
+		rid := r.base + uint64(ord)
+		// Overlay IDs below the file row are orphans (aborted writes).
+		for r.oi < len(r.overlay) && r.overlay[r.oi].RID < rid {
+			r.oi++
+		}
+		if r.oi < len(r.overlay) && r.overlay[r.oi].RID == rid {
+			mod := &r.overlay[r.oi]
+			r.oi++
+			if mod.Deleted {
+				continue
+			}
+			// The ORC reader refills its one row buffer on the next call,
+			// so the sets can be written into it; a set on an unprojected
+			// column is overwritten the same way before anyone reads it.
+			for _, s := range mod.Sets {
+				row[s.Col] = s.Val
+			}
+		}
+		return row, mapred.RecordMeta{RecordID: rid}, nil
+	}
+}
+
+// NextBatch decodes the next column-vector batch (consecutive record
+// IDs from its base) and classifies it against the overlay entries in
+// its ID range.
+func (r *orcScanReader) NextBatch(b *mapred.RecordBatch) error {
+	if r.batch == nil {
+		r.batch = r.rd.NewBatchReader(r.opts)
+		r.cols = make([]datum.ColumnVector, len(r.rd.Schema()))
+	}
+	n, ord, err := r.batch.NextBatch(r.cols, 0)
+	if err != nil {
+		return err // io.EOF ends the stream
+	}
+	r.nMerged += int64(n)
+	base := r.base + uint64(ord)
+	for r.oi < len(r.overlay) && r.overlay[r.oi].RID < base {
+		r.oi++
+	}
+	lo := r.oi
+	for r.oi < len(r.overlay) && r.overlay[r.oi].RID < base+uint64(n) {
+		r.oi++
+	}
+	mods := r.overlay[lo:r.oi]
+
+	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = n, r.cols, nil, base, nil
+	for i := range mods {
+		if mods[i].Deleted {
+			return r.materialize(b, mods)
+		}
+		slot := int(mods[i].RID - base)
+		for _, s := range mods[i].Sets {
+			if !r.cols[s.Col].SetDatum(slot, s.Val) {
+				return r.materialize(b, mods)
+			}
+		}
+	}
+	return nil
+}
+
+// materialize rebuilds a batch as rows with explicit record IDs,
+// dropping deleted records — the per-row path of the row-mode merge.
+// Updates already scattered into the vectors are harmless: the rows
+// are read back from the vectors and the sets re-applied.
+func (r *orcScanReader) materialize(b *mapred.RecordBatch, mods []RecordMod) error {
+	n, ncols := b.Len, len(r.cols)
+	if cap(r.rowsBuf) < n {
+		r.rowsBuf = make([]datum.Row, n)
+		r.ids = make([]uint64, n)
+	}
+	if cap(r.arena) < n*ncols {
+		r.arena = make(datum.Row, n*ncols)
+	}
+	rows, ids := r.rowsBuf[:0], r.ids[:0]
+	for i := 0; i < n; i++ {
+		rid := b.BaseID + uint64(i)
+		row := r.arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
+		for c := range row {
+			row[c] = r.cols[c].Datum(i)
+		}
+		if len(mods) > 0 && mods[0].RID == rid {
+			mod := &mods[0]
+			mods = mods[1:]
+			if mod.Deleted {
+				continue
+			}
+			for _, s := range mod.Sets {
+				row[s.Col] = s.Val
+			}
+		}
+		rows = append(rows, row)
+		ids = append(ids, rid)
+	}
+	b.Len, b.Cols, b.Rows, b.IDs = len(rows), nil, rows, ids
+	return nil
+}
+
+func (r *orcScanReader) Close() error {
+	if r.merged != nil {
+		r.merged(r.meter, r.nMerged)
+	}
+	return r.fr.Close()
+}

@@ -1,0 +1,268 @@
+package hive
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"dualtable/internal/datum"
+	"dualtable/internal/mapred"
+	"dualtable/internal/metastore"
+	"dualtable/internal/sim"
+	"dualtable/internal/sqlparser"
+)
+
+// overlayORC makes every ORC split of the engine merge mods on read, the
+// way the ACID and DUALTABLE storages feed the shared reader their
+// deltas: a plain ORC table has no overlay of its own, so this is how
+// this package reaches the reader's scattered-update and row-shaped
+// (delete) batches next to its clean columnar ones.
+func overlayORC(e *Engine, mods []RecordMod) {
+	e.handlers[metastore.StorageORC] = overlayTestHandler{e.handlers[metastore.StorageORC], mods}
+}
+
+type overlayTestHandler struct {
+	StorageHandler
+	mods []RecordMod
+}
+
+func (h overlayTestHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
+	splits, release, err := h.StorageHandler.Splits(desc, opts)
+	for _, s := range splits {
+		s.(*ORCSplit).LoadOverlay = func(*sim.Meter) ([]RecordMod, error) { return h.mods, nil }
+	}
+	return splits, release, err
+}
+
+// seedScanTable loads one ORC file of three stripes (10000, 10000 and
+// 1000 rows; batches never span a stripe) and returns the rows loaded.
+func seedScanTable(t *testing.T, e *Engine) []datum.Row {
+	t.Helper()
+	mustExec(t, e, "CREATE TABLE sc (id BIGINT, k BIGINT, v DOUBLE, tag STRING) STORED AS ORC")
+	rows := make([]datum.Row, 21000)
+	for i := range rows {
+		rows[i] = datum.Row{datum.Int(int64(i)), datum.Int(int64(i % 10)), datum.Float(float64(i) + 0.25), datum.String_(fmt.Sprintf("t%d", i%5))}
+		if i%97 == 0 {
+			rows[i][2], rows[i][3] = datum.Null, datum.Null
+		}
+	}
+	if _, err := e.BulkLoad("sc", rows); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// scanTestOverlay touches every outcome of the merge: updates that
+// scatter into the vectors (one into a column scans may not project,
+// one to NULL), a value its vector cannot hold (the batch rebuilds as
+// rows), deletes, a record updated in the batch after a deleted one,
+// and the first and last record of the file.
+var scanTestOverlay = []RecordMod{
+	{RID: 0, Sets: []ColumnSet{{Col: 2, Val: datum.Float(-1)}}},
+	{RID: 5, Sets: []ColumnSet{{Col: 3, Val: datum.String_("hot")}, {Col: 1, Val: datum.Null}}},
+	{RID: 2000, Deleted: true},
+	{RID: 2001, Sets: []ColumnSet{{Col: 1, Val: datum.Int(77)}}},
+	{RID: 3100, Sets: []ColumnSet{{Col: 1, Val: datum.String_("seven")}}}, // BIGINT vector, STRING value
+	{RID: 10500, Sets: []ColumnSet{{Col: 2, Val: datum.Float(0.5)}, {Col: 3, Val: datum.String_("late")}}},
+	{RID: 20999, Deleted: true},
+}
+
+// applyOverlay is the model of the merge over the file's rows from
+// ordinal from on: rows with their record IDs appended, deleted records
+// dropped.
+func applyOverlay(rows []datum.Row, from int, mods []RecordMod, proj []int) []string {
+	byRID := map[uint64]RecordMod{}
+	for _, m := range mods {
+		byRID[m.RID] = m
+	}
+	var out []string
+	for i := from; i < len(rows); i++ {
+		r := rows[i]
+		m, dirty := byRID[uint64(i)]
+		if m.Deleted {
+			continue
+		}
+		row := make(datum.Row, len(r), len(r)+1)
+		for c := range r {
+			if proj == nil || slices.Contains(proj, c) {
+				row[c] = r[c]
+			}
+		}
+		if dirty {
+			for _, s := range m.Sets {
+				row[s.Col] = s.Val
+			}
+		}
+		out = append(out, append(row, datum.Int(int64(i))).String())
+	}
+	return out
+}
+
+// parseWhere parses a WHERE condition over table sc.
+func parseWhere(t *testing.T, cond string) sqlparser.Expr {
+	t.Helper()
+	stmt, err := sqlparser.Parse("SELECT * FROM sc WHERE " + cond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt.(*sqlparser.SelectStmt).Where
+}
+
+type orcScanResult struct {
+	rows    []string
+	counts  mapred.Counters
+	simSecs float64
+}
+
+// runORCScan runs one identity map-only job (rows with their record ID
+// appended) over the table's production splits.
+func runORCScan(t *testing.T, e *Engine, opts ScanOptions, workers int, rowScan bool) orcScanResult {
+	t.Helper()
+	desc, err := e.MS.Get("sc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := e.Handler(desc.Storage)
+	splits, release, err := h.Splits(desc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	mr := mapred.NewCluster(e.MR.Params)
+	mr.Parallelism, mr.DisableBatchScan = workers, rowScan
+	res, err := mr.Run(&mapred.Job{
+		Name:   "orc-scan-equivalence",
+		Splits: splits,
+		NewMapper: func() mapred.Mapper {
+			return mapred.MapFunc(func(row datum.Row, meta mapred.RecordMeta, emit mapred.Emitter) error {
+				return emit(nil, append(row.Clone(), datum.Int(int64(meta.RecordID))))
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := orcScanResult{counts: res.Counters, simSecs: res.SimSeconds}
+	for _, r := range res.Rows {
+		out.rows = append(out.rows, r.String())
+	}
+	return out
+}
+
+// TestORCScanBatchRowEquivalence: the one ORC reader returns the rows
+// the overlay model predicts, and byte-identical rows (with record IDs),
+// Counters and SimSeconds in batch and row mode across 1 and 4 workers —
+// without an overlay (the plain ORC table) and with one, full, projected
+// and with a SearchArg that prunes the first two stripes of a clean file.
+func TestORCScanBatchRowEquivalence(t *testing.T) {
+	e := testEngine(t)
+	loaded := seedScanTable(t, e)
+	desc, _ := e.MS.Get("sc")
+	sarg := ExtractSearchArg(parseWhere(t, "id >= 20500"), "sc", desc.Schema)
+	if sarg == nil {
+		t.Fatal("no SearchArg extracted")
+	}
+	for _, overlay := range [][]RecordMod{nil, scanTestOverlay} {
+		if overlay != nil {
+			overlayORC(e, overlay)
+		}
+		for _, sc := range []struct {
+			name string
+			opts ScanOptions
+		}{
+			{"full", ScanOptions{}},
+			{"projected", ScanOptions{Projection: []int{0, 2}}},
+			{"pushdown", ScanOptions{SArg: sarg}},
+		} {
+			// Statistics prune the first two stripes of a clean file
+			// (ordinals keep counting through them); they cannot see an
+			// overlay, so a dirty file is read whole.
+			from := 0
+			if sc.opts.SArg != nil && overlay == nil {
+				from = 20000
+			}
+			want := applyOverlay(loaded, from, overlay, sc.opts.Projection)
+			ref := runORCScan(t, e, sc.opts, 1, true)
+			if !slices.Equal(ref.rows, want) {
+				t.Fatalf("overlay=%v %s: %d rows differ from the model's %d", overlay != nil, sc.name, len(ref.rows), len(want))
+			}
+			for _, workers := range []int{1, 4} {
+				for _, rowScan := range []bool{true, false} {
+					got := runORCScan(t, e, sc.opts, workers, rowScan)
+					label := fmt.Sprintf("overlay=%v %s workers=%d rowScan=%v", overlay != nil, sc.name, workers, rowScan)
+					if !slices.Equal(got.rows, ref.rows) {
+						t.Fatalf("%s: rows differ from the row-mode reference", label)
+					}
+					if got.counts != ref.counts || got.simSecs != ref.simSecs {
+						t.Fatalf("%s: counters %+v sim %v, want %+v sim %v", label, got.counts, got.simSecs, ref.counts, ref.simSecs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestORCScanTakesBatchPath pins what the equivalence suites rely on: a
+// plain ORC split really serves column vectors that a WHERE vector
+// program runs over, and an overlay produces exactly the three batch
+// outcomes — so the matrix cannot compare the row path with itself.
+func TestORCScanTakesBatchPath(t *testing.T) {
+	e := testEngine(t)
+	seedScanTable(t, e)
+	desc, _ := e.MS.Get("sc")
+	sc := &scope{}
+	for _, c := range desc.Schema {
+		sc.cols = append(sc.cols, scopeCol{qual: "sc", name: c.Name, kind: c.Kind})
+	}
+	where := parseWhere(t, "k < 3 AND v > 100")
+	shapes := func() (columnar, rowShaped int, ids []uint64) {
+		h, _ := e.Handler(desc.Storage)
+		splits, release, err := h.Splits(desc, ScanOptions{})
+		if err != nil || len(splits) != 1 {
+			t.Fatalf("splits = %v, %v", splits, err)
+		}
+		defer release()
+		rr, err := splits[0].Open(sim.NewMeter(&e.MR.Params))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.Close()
+		br, ok := rr.(mapred.BatchRecordReader)
+		if !ok {
+			t.Fatalf("%T does not serve batches", rr)
+		}
+		filter, err := e.newScanFilter(nil, where, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b mapred.RecordBatch
+		for br.NextBatch(&b) == nil {
+			if _, err := filter.begin(&b); err != nil {
+				t.Fatal(err)
+			}
+			if b.Cols != nil {
+				columnar++
+				if filter.where.res == nil {
+					t.Fatalf("columnar batch at %d: the WHERE vector program did not run", b.BaseID)
+				}
+				continue
+			}
+			rowShaped++
+			ids = append(ids, b.IDs...)
+		}
+		return columnar, rowShaped, ids
+	}
+	if columnar, rowShaped, _ := shapes(); columnar != 21 || rowShaped != 0 {
+		t.Fatalf("clean file: %d columnar and %d row-shaped batches, want 21 and 0", columnar, rowShaped)
+	}
+	overlayORC(e, scanTestOverlay)
+	columnar, rowShaped, ids := shapes()
+	// Row-shaped: the batches of records 2000 (delete), 3100 (misfit) and
+	// 20999 (delete); the update-only batches scatter and stay columnar.
+	if columnar != 18 || rowShaped != 3 {
+		t.Fatalf("dirty file: %d columnar and %d row-shaped batches, want 18 and 3", columnar, rowShaped)
+	}
+	if slices.Contains(ids, 2000) || slices.Contains(ids, 20999) || !slices.Contains(ids, 2001) || !slices.Contains(ids, 3100) {
+		t.Fatal("row-shaped batches carry the wrong record IDs")
+	}
+}

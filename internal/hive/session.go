@@ -12,8 +12,8 @@ import (
 // Anything else set via SET is stored and listable but has no effect.
 const (
 	// VarForcePlan forces "EDIT" or "OVERWRITE" plans on DualTable DML
-	// for this session; setting it to "" restores cost-model selection.
-	// A session that never set the key inherits the handler default.
+	// for this session; "" (or never setting it) leaves the choice to
+	// the cost model.
 	VarForcePlan = "dualtable.force.plan"
 	// VarFollowingReads overrides the cost model's k (expected reads
 	// after each modification) for this session.

@@ -1,7 +1,6 @@
 package hive
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -10,8 +9,6 @@ import (
 
 	"dualtable/internal/datum"
 	"dualtable/internal/mapred"
-	"dualtable/internal/metastore"
-	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
 )
 
@@ -210,99 +207,15 @@ func TestScanFilterVectorRowAgreement(t *testing.T) {
 	}
 }
 
-// vectorizeORC wraps the engine's ORC handler so its row-only splits
-// also serve batches: most columnar, every third one row-shaped (the
-// shape a UNION READ batch flips to on a delete marker), columns
-// outside the projection as all-NULL vectors. The production columnar
-// reader lives in internal/core, which imports this package; without
-// the wrapper this package's batch-vs-row suites would compare the row
-// path with itself. Next passes through untouched, so DisableBatchScan
-// still reaches the ORC row reader.
-func vectorizeORC(e *Engine) {
-	e.handlers[metastore.StorageORC] = vecTestHandler{e.handlers[metastore.StorageORC]}
-}
-
-type vecTestHandler struct{ StorageHandler }
-
-func (h vecTestHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
-	splits, release, err := h.StorageHandler.Splits(desc, opts)
-	for i, s := range splits {
-		splits[i] = &vecTestSplit{InputSplit: s, schema: desc.Schema, proj: opts.Projection}
-	}
-	return splits, release, err
-}
-
-type vecTestSplit struct {
-	mapred.InputSplit
-	schema datum.Schema
-	proj   []int
-}
-
-func (s *vecTestSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
-	rr, err := s.InputSplit.Open(m)
-	if err != nil {
-		return nil, err
-	}
-	return &vecTestReader{RecordReader: rr, split: s, cols: make([]datum.ColumnVector, len(s.schema))}, nil
-}
-
-type vecTestReader struct {
-	mapred.RecordReader
-	split   *vecTestSplit
-	cols    []datum.ColumnVector
-	rows    []datum.Row
-	ids     []uint64
-	batches int
-}
-
-func (r *vecTestReader) NextBatch(b *mapred.RecordBatch) error {
-	r.rows, r.ids = r.rows[:0], r.ids[:0]
-	for len(r.rows) < 64 {
-		row, meta, err := r.Next()
-		if errors.Is(err, mapred.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		r.rows = append(r.rows, row.Clone())
-		r.ids = append(r.ids, meta.RecordID)
-	}
-	n := len(r.rows)
-	if n == 0 {
-		return mapred.EOF
-	}
-	r.batches++
-	*b = mapred.RecordBatch{Len: n, IDs: r.ids}
-	if r.batches%3 == 0 {
-		b.Rows = r.rows
-		return nil
-	}
-	for c := range r.cols {
-		kind := r.split.schema[c].Kind
-		if r.split.proj != nil && !slices.Contains(r.split.proj, c) {
-			kind = datum.KindNull
-		}
-		r.cols[c].Reset(kind, n)
-		for i, row := range r.rows {
-			if !r.cols[c].SetDatum(i, row[c]) {
-				return fmt.Errorf("vecTestReader: column %d rejects %v", c, row[c])
-			}
-		}
-	}
-	b.Cols = r.cols
-	return nil
-}
-
-// seedVexprTable loads rows exercising the compiler's edge cases:
-// NULLs scattered through every column on different strides, int64
-// overflow magnitudes, zero divisors and sign changes.
-func seedVexprTable(t *testing.T, e *Engine) {
+// seedVexprTable loads n rows (plus two) exercising the compiler's edge
+// cases: NULLs scattered through every column on different strides,
+// int64 overflow magnitudes, zero divisors and sign changes.
+func seedVexprTable(t *testing.T, e *Engine, n int) {
 	t.Helper()
 	mustExec(t, e, "CREATE TABLE vx (id BIGINT, a BIGINT, b BIGINT, f DOUBLE, g DOUBLE, s STRING) STORED AS ORC")
 	var rows []datum.Row
 	strs := []string{"x", "y", "z", "w"}
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n; i++ {
 		r := datum.Row{
 			datum.Int(int64(i)),
 			datum.Int(int64(i)*2654435761 - 900), // wraps through both signs
@@ -330,8 +243,8 @@ func seedVexprTable(t *testing.T, e *Engine) {
 	}
 	// Overflow edges: a*b and a+b must wrap identically on both paths.
 	rows = append(rows,
-		datum.Row{datum.Int(500), datum.Int(math.MaxInt64), datum.Int(2), datum.Float(1e308), datum.Float(-1e308), datum.String_("x")},
-		datum.Row{datum.Int(501), datum.Int(math.MinInt64), datum.Int(-1), datum.Float(0.1), datum.Float(0), datum.String_("y")},
+		datum.Row{datum.Int(int64(n)), datum.Int(math.MaxInt64), datum.Int(2), datum.Float(1e308), datum.Float(-1e308), datum.String_("x")},
+		datum.Row{datum.Int(int64(n) + 1), datum.Int(math.MinInt64), datum.Int(-1), datum.Float(0.1), datum.Float(0), datum.String_("y")},
 	)
 	if _, err := e.BulkLoad("vx", rows); err != nil {
 		t.Fatal(err)
@@ -341,7 +254,12 @@ func seedVexprTable(t *testing.T, e *Engine) {
 // TestVexprBatchRowEquivalence runs expression-heavy queries across
 // {1, 4 workers} x {batch scan, row scan} and requires byte-identical
 // rows and identical SimSeconds everywhere — the row path is the
-// oracle for the vectorized programs.
+// oracle for the vectorized programs. The table is one file of three
+// batches read through the production ORC reader: an overlay scatters
+// updates into the first (one of them into a column most of the queries
+// do not project), flips the second to row shape with a delete, and
+// leaves the third clean, so every mapper meets all three batch
+// outcomes, and the switch between them, inside one task.
 func TestVexprBatchRowEquivalence(t *testing.T) {
 	queries := []string{
 		// Arithmetic incl. wraparound, div/mod by zero, unary minus.
@@ -389,8 +307,13 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e := testEngine(t)
 		e.MR.Parallelism = workers
-		vectorizeORC(e)
-		seedVexprTable(t, e)
+		seedVexprTable(t, e, 2600)
+		overlayORC(e, []RecordMod{
+			{RID: 3, Sets: []ColumnSet{{Col: 1, Val: datum.Int(-4)}, {Col: 5, Val: datum.String_("y")}}},
+			{RID: 700, Sets: []ColumnSet{{Col: 3, Val: datum.Null}, {Col: 4, Val: datum.Float(0.5)}}},
+			{RID: 1500, Deleted: true},
+			{RID: 1501, Sets: []ColumnSet{{Col: 2, Val: datum.Int(0)}}},
+		})
 		configs = append(configs, config{workers, e})
 	}
 
@@ -430,7 +353,7 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 // unlimited query: the limited result must be exactly the prefix.
 func TestTopNMatchesFullSort(t *testing.T) {
 	e := testEngine(t)
-	seedVexprTable(t, e)
+	seedVexprTable(t, e, 500)
 	full := mustExec(t, e, "SELECT id, a % 97, s FROM vx ORDER BY a % 97 DESC, s, id")
 	for _, limit := range []int{1, 7, 100, 502, 600} {
 		q := fmt.Sprintf("SELECT id, a %% 97, s FROM vx ORDER BY a %% 97 DESC, s, id LIMIT %d", limit)
