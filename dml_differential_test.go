@@ -122,12 +122,10 @@ func renderRows(rs *dualtable.ResultSet) []string {
 	return out
 }
 
-// runDiffHistory applies the history to all five holders on a fresh
-// database and returns the trace the matrix compares: per statement and
-// holder the plan, Affected (the DML job's OutputRecords counter) and
-// the exact SimSeconds bits (which fold the job's input-record counter
-// in), then the table contents.
-func runDiffHistory(t *testing.T, workers int, rowScan bool) []string {
+// openDiffHolders opens a fresh database holding the five tables, the
+// scalar-subquery side table, and one session per holder with its plan
+// forced; the sessions close with the test.
+func openDiffHolders(t *testing.T, workers int, rowScan bool) (*dualtable.DB, []*dualtable.Session) {
 	db := openDiffDB(t, workers, rowScan)
 	db.MustExec("CREATE TABLE diff_ref (x DOUBLE) STORED AS ORC")
 	db.MustExec("INSERT INTO diff_ref VALUES (1700.0), (1900.0)")
@@ -135,11 +133,21 @@ func runDiffHistory(t *testing.T, workers int, rowScan bool) []string {
 	for i, tb := range diffTables {
 		loadDiffTable(db, tb.name, tb.storage)
 		sessions[i] = db.Session()
-		defer sessions[i].Close()
+		t.Cleanup(func() { sessions[i].Close() })
 		if tb.force != "" {
 			sessions[i].SetForcePlan(tb.force)
 		}
 	}
+	return db, sessions
+}
+
+// runDiffHistory applies the history to all five holders on a fresh
+// database and returns the trace the matrix compares: per statement and
+// holder the plan, Affected (the DML job's OutputRecords counter) and
+// the exact SimSeconds bits (which fold the job's input-record counter
+// in), then the table contents.
+func runDiffHistory(t *testing.T, workers int, rowScan bool) []string {
+	db, sessions := openDiffHolders(t, workers, rowScan)
 	var trace []string
 	for si, st := range diffHistory(15) {
 		// The matched count through the SELECT path, before anything
