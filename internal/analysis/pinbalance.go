@@ -10,7 +10,8 @@ import (
 //
 // Acquisitions tracked:
 //   - v, err := x.OpenSnapshot(...) / x.OpenSnapshotAt(...) /
-//     x.buildRelation(...) — the value must reach Release (or Close /
+//     x.buildRelation(...) / x.planSelect(...) (a compiled SELECT owns
+//     its pinned relation) — the value must reach Release (or Close /
 //     unpinFiles) on every path, unless it escapes (returned, stored,
 //     passed along, captured by a closure): an escape transfers
 //     ownership to whoever now holds it.
@@ -36,6 +37,7 @@ var acquireMethods = map[string]bool{
 	"OpenSnapshot":   true,
 	"OpenSnapshotAt": true,
 	"buildRelation":  true,
+	"planSelect":     true,
 }
 
 // releaseMethods release a tracked value resource when called on it.

@@ -19,6 +19,14 @@ func (h *handler) OpenSnapshotAt(name string, epoch uint64) (*snapshot, error) {
 	return &snapshot{}, nil
 }
 
+// selectPlan stands in for hive's compiled SELECT, which owns the
+// pinned relation it scans.
+type selectPlan struct{}
+
+func (p *selectPlan) Release() {}
+
+func (h *handler) planSelect(q string) (*selectPlan, error) { return &selectPlan{}, nil }
+
 type fsys struct{}
 
 func (f *fsys) Pin(p string) error   { return nil }
@@ -61,6 +69,20 @@ func leakHistorical(h *handler) error {
 		return nil // want `return leaks snapshot/relation .snap. from OpenSnapshotAt`
 	}
 	snap.Release()
+	return nil
+}
+
+// A plan built, then an error return before Release: the scanned
+// snapshot stays pinned.
+func leakPlanOnErrorPath(h *handler) error {
+	plan, err := h.planSelect("SELECT 1 FROM t")
+	if err != nil {
+		return err
+	}
+	if tooBig() {
+		return errTooBig // want `return leaks snapshot/relation .plan. from planSelect`
+	}
+	plan.Release()
 	return nil
 }
 

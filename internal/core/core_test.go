@@ -280,12 +280,12 @@ func TestCostModelSelectsPlanBySelectivity(t *testing.T) {
 	seedDual(t, e)
 	// Tiny ratio → EDIT; huge ratio → OVERWRITE. Hints pin the ratio
 	// (the designer-given α of §IV).
-	hintRatio(t, h, "UPDATE m SET v = 5.0 WHERE day = 4", 0.001)
+	hintRatio(t, e, h, "UPDATE m SET v = 5.0 WHERE day = 4", 0.001)
 	rs := mustExec(t, e, "UPDATE m SET v = 5.0 WHERE day = 4")
 	if rs.Plan != "EDIT" {
 		t.Errorf("low ratio plan = %s", rs.Plan)
 	}
-	hintRatio(t, h, "UPDATE m SET v = 6.0 WHERE day = 4", 0.99)
+	hintRatio(t, e, h, "UPDATE m SET v = 6.0 WHERE day = 4", 0.99)
 	rs = mustExec(t, e, "UPDATE m SET v = 6.0 WHERE day = 4")
 	if rs.Plan != "OVERWRITE" {
 		t.Errorf("high ratio plan = %s", rs.Plan)
@@ -295,7 +295,7 @@ func TestCostModelSelectsPlanBySelectivity(t *testing.T) {
 		t.Fatalf("plan log = %v", log)
 	}
 	last := log[len(log)-1]
-	if last.RatioSrc != "hint" || last.Ratio != 0.99 {
+	if last.RatioSrc != "session-hint" || last.Ratio != 0.99 {
 		t.Errorf("plan decision = %+v", last)
 	}
 }

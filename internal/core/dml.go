@@ -134,8 +134,7 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, w
 	var ratio float64
 	var src string
 	if r, ok := ec.RatioHint(key); ok {
-		// Session-scoped designer hint wins over handler hints and
-		// history.
+		// The designer's hint for this session wins over history.
 		ratio, src = r, "session-hint"
 	} else {
 		ratio, src = h.est.Estimate(key, statsEst)

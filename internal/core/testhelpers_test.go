@@ -13,7 +13,8 @@ import (
 // forcePlan makes the engine's DUALTABLE DML run as a session that SET
 // dualtable.force.plan = plan would ("" = cost-model selection): tests
 // here drive the engine without a session, so a decorator around h
-// supplies the session's settings. Call it between statements only.
+// (forcedPlan) supplies the session's settings. Call it between
+// statements only.
 func forcePlan(e *hive.Engine, h *Handler, plan string) {
 	vars := hive.NewSessionVars()
 	vars.Set(hive.VarForcePlan, plan)
@@ -33,9 +34,10 @@ func (f forcedPlan) ExecDelete(_ *hive.ExecContext, e *hive.Engine, desc *metast
 	return f.Handler.ExecDelete(f.ec, e, desc, stmt, m)
 }
 
-// hintRatio pins a DML statement's ratio estimate in the handler's
-// estimator (the designer-given α/β of §IV).
-func hintRatio(t *testing.T, h *Handler, sql string, ratio float64) {
+// hintRatio pins a DML statement's ratio estimate (the designer-given
+// α/β of §IV) the way a session's SetRatioHint would, with the plan
+// left to the cost model.
+func hintRatio(t *testing.T, e *hive.Engine, h *Handler, sql string, ratio float64) {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -45,7 +47,9 @@ func hintRatio(t *testing.T, h *Handler, sql string, ratio float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Estimator().SetHint(key, ratio)
+	vars := hive.NewSessionVars()
+	vars.SetRatioHint(key, ratio)
+	e.RegisterHandler(metastore.StorageDual, forcedPlan{h, &hive.ExecContext{Vars: vars}})
 }
 
 // updateAlias re-exports the parser's UpdateStmt for test helpers.

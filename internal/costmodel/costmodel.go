@@ -250,12 +250,12 @@ func bisectRatio(f func(float64) float64) float64 {
 
 // RatioEstimator tracks observed modification ratios per (table,
 // statement fingerprint) and answers estimates with fallbacks:
-// explicit hint > historical average > column-statistics estimate >
-// conservative default.
+// historical average > column-statistics estimate > conservative
+// default. A designer-given ratio (§IV) is a session setting
+// (hive.SessionVars.SetRatioHint) and never reaches the estimator.
 type RatioEstimator struct {
 	mu      sync.Mutex
 	history map[string][]float64
-	hints   map[string]float64
 	// DefaultRatio is used with no other signal (conservative: small,
 	// favoring EDIT, mirroring the paper's observation that real
 	// modification ratios are mostly below 10%).
@@ -269,17 +269,9 @@ type RatioEstimator struct {
 func NewRatioEstimator() *RatioEstimator {
 	return &RatioEstimator{
 		history:      map[string][]float64{},
-		hints:        map[string]float64{},
 		DefaultRatio: 0.05,
 		MaxHistory:   32,
 	}
-}
-
-// SetHint pins the ratio for a key (designer-provided).
-func (r *RatioEstimator) SetHint(key string, ratio float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hints[key] = ratio
 }
 
 // Observe records the true ratio measured after executing a
@@ -304,9 +296,6 @@ func (r *RatioEstimator) Observe(key string, ratio float64) {
 func (r *RatioEstimator) Estimate(key string, statsEstimate float64) (float64, string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if v, ok := r.hints[key]; ok {
-		return v, "hint"
-	}
 	if h := r.history[key]; len(h) > 0 {
 		var sum float64
 		for _, v := range h {

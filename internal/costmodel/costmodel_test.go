@@ -209,11 +209,6 @@ func TestRatioEstimatorFallbackOrder(t *testing.T) {
 	if re.HistoryLen("k1") != 2 {
 		t.Errorf("history len = %d", re.HistoryLen("k1"))
 	}
-	// Hint beats everything.
-	re.SetHint("k1", 0.42)
-	if v, src := re.Estimate("k1", 0.9); v != 0.42 || src != "hint" {
-		t.Errorf("hint = %v %s", v, src)
-	}
 }
 
 func TestRatioEstimatorClampsAndWindows(t *testing.T) {

@@ -3,6 +3,7 @@ package hive
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -136,6 +137,37 @@ func TestCountDistinct(t *testing.T) {
 	rs := mustExec(t, e, "SELECT COUNT(DISTINCT dept) FROM emp")
 	if rs.Rows[0][0].I != 3 {
 		t.Errorf("count distinct = %v", rs.Rows[0])
+	}
+}
+
+// TestAggregateAnswerIgnoresUnrelatedDistinct: a DISTINCT aggregate in
+// the select list routes the query through the raw-value job instead of
+// the partial-aggregate job; SUM/AVG/MIN/MAX/COUNT of the other columns
+// must not notice. Non-numeric strings contribute 0 to SUM and AVG's
+// numerator (Hive casts them to NULL and skips them) and AVG still
+// counts them — the partial path's long-standing answer, now the only
+// one.
+func TestAggregateAnswerIgnoresUnrelatedDistinct(t *testing.T) {
+	e := testEngine(t)
+	mustExec(t, e, "CREATE TABLE sa (g BIGINT, s STRING, n BIGINT) STORED AS ORC")
+	mustExec(t, e, "INSERT INTO sa VALUES (1, 'a', 1), (1, 'b', 2), (2, 'c', 3), (3, '12', 4), (3, 'x', 5), (4, NULL, 6)")
+	const aggs = "SUM(s), AVG(s), MIN(s), MAX(s), COUNT(s), SUM(n)"
+	want := []string{
+		"1\t0\t0\ta\tb\t2\t3",
+		"2\t0\t0\tc\tc\t1\t3",
+		"3\t12\t6\t12\tx\t2\t9",
+		"4\tNULL\tNULL\tNULL\tNULL\t0\t6",
+	}
+	plain := rowsAsStrings(mustExec(t, e, "SELECT g, "+aggs+" FROM sa GROUP BY g ORDER BY g"))
+	if !slices.Equal(plain, want) {
+		t.Errorf("plain aggregates = %q, want %q", plain, want)
+	}
+	rs := mustExec(t, e, "SELECT g, "+aggs+", COUNT(DISTINCT n) FROM sa GROUP BY g ORDER BY g")
+	for i := range rs.Rows {
+		rs.Rows[i] = rs.Rows[i][:len(rs.Rows[i])-1]
+	}
+	if beside := rowsAsStrings(rs); !slices.Equal(beside, want) {
+		t.Errorf("beside COUNT(DISTINCT n) = %q, want %q", beside, want)
 	}
 }
 

@@ -164,22 +164,6 @@ func (r *Rows) Close() error {
 	return nil
 }
 
-// streamable reports whether a SELECT can stream rows straight out of
-// the map phase: per-row filter+project only, with LIMIT enforced by
-// the sink.
-func streamable(sel *sqlparser.SelectStmt) bool {
-	if sel.From == nil || sel.Distinct || len(sel.GroupBy) > 0 ||
-		sel.Having != nil || len(sel.OrderBy) > 0 {
-		return false
-	}
-	for _, it := range sel.Items {
-		if sqlparser.ContainsAggregate(it.Expr) {
-			return false
-		}
-	}
-	return true
-}
-
 // QueryCtx parses one SELECT (through the plan cache) and returns a
 // streaming row iterator.
 func (e *Engine) QueryCtx(ec *ExecContext, sql string) (*Rows, error) {
@@ -197,46 +181,37 @@ func (e *Engine) QueryCtx(ec *ExecContext, sql string) (*Rows, error) {
 	return e.QueryStmtCtx(ec, sel)
 }
 
-// QueryStmtCtx runs a parsed SELECT as a streaming row iterator.
+// QueryStmtCtx runs a parsed SELECT as a row iterator: the plan's job
+// streams into a channel when the plan is streamable, and is collected
+// eagerly otherwise. The plan is compiled synchronously either way, so
+// column names and compile errors surface before streaming starts.
 func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows, error) {
 	if err := ec.Err(); err != nil {
 		return nil, err
 	}
 	meter := sim.NewMeter(&e.MR.Params)
-	if !streamable(sel) {
-		rows, cols, err := e.execSelect(ec, sel, meter)
+	plan, err := e.planSelect(ec, sel, meter)
+	if err != nil {
+		return nil, err
+	}
+	if !plan.streamable {
+		rows, err := plan.collect(e, ec, meter)
+		plan.Release()
 		if err != nil {
 			return nil, err
 		}
-		return &Rows{cols: cols, static: rows, sim: meter.Seconds()}, nil
-	}
-
-	// Plan the scan and compile the row pipeline synchronously so
-	// column names and compile errors surface before streaming starts.
-	rel, err := e.buildRelation(ec, sel.From, sel, meter)
-	if err != nil {
-		return nil, err
-	}
-	items, err := expandStars(sel.Items, rel)
-	if err != nil {
-		rel.Release()
-		return nil, err
-	}
-	plan, err := e.planSimpleScan(ec, sel, items, rel)
-	if err != nil {
-		rel.Release()
-		return nil, err
+		return &Rows{cols: plan.names, static: rows, sim: meter.Seconds()}, nil
 	}
 	// LIMIT 0 needs no scan at all.
 	if plan.limit == 0 {
-		rel.Release()
+		plan.Release()
 		return &Rows{cols: plan.names}, nil
 	}
 
 	ctx, cancel := context.WithCancel(ec.Context())
 	ch := make(chan datum.Row, 64)
 	sink := &chanOutputFactory{ctx: ctx, cancel: cancel, ch: ch, limit: plan.limit}
-	job := &mapred.Job{Name: "select-stream", Splits: rel.splits, NewMapper: plan.newMapper, Output: sink}
+	plan.job.Output = sink
 
 	done := make(chan struct{})
 	var prodErr error
@@ -245,10 +220,10 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 	go func() {
 		defer close(done)
 		defer close(ch)
-		res, err := e.MR.RunContext(ctx, job)
+		res, err := e.MR.RunContext(ctx, plan.job)
 		// The job is done with the splits (success, cancel or error):
 		// unpin the scanned snapshot.
-		rel.Release()
+		plan.Release()
 		if res != nil {
 			meter.AddSeconds(res.SimSeconds)
 		}

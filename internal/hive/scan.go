@@ -1,0 +1,506 @@
+package hive
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+
+	"dualtable/internal/datum"
+	"dualtable/internal/mapred"
+	"dualtable/internal/metastore"
+	"dualtable/internal/orcfile"
+	"dualtable/internal/sim"
+	"dualtable/internal/sqlparser"
+)
+
+// relation is a planned FROM source: a resolution scope plus the
+// input splits that produce its rows. Base-table scans carry their
+// handler's release callback (it unpins a DualTable snapshot); Release
+// must run exactly once after the job consuming the splits finishes
+// (idempotent, nil-safe).
+type relation struct {
+	sc     *scope
+	names  []string // output names aligned with sc.cols
+	splits []mapred.InputSplit
+
+	release     func()
+	releaseOnce sync.Once
+}
+
+// Release runs the relation's release callback, if any. Safe to call
+// multiple times and on relations without one.
+func (r *relation) Release() {
+	if r == nil || r.release == nil {
+		return
+	}
+	r.releaseOnce.Do(r.release)
+}
+
+// buildRelation resolves a FROM clause into a relation. The top-level
+// SELECT is passed in for pushdown analysis on single-table scans.
+func (e *Engine) buildRelation(ec *ExecContext, ref sqlparser.TableRef, sel *sqlparser.SelectStmt, meter *sim.Meter) (*relation, error) {
+	switch t := ref.(type) {
+	case *sqlparser.TableName:
+		return e.buildTableScan(ec, t, sel, meter)
+	case *sqlparser.SubqueryRef:
+		rs, err := e.runSelect(ec, t.Select, meter)
+		if err != nil {
+			return nil, err
+		}
+		sc := &scope{}
+		q := strings.ToLower(t.Alias)
+		kinds := inferKinds(rs)
+		for i, n := range rs.Columns {
+			sc.cols = append(sc.cols, scopeCol{qual: q, name: strings.ToLower(n), kind: kinds[i]})
+		}
+		return materialized(sc, rs.Columns, rs.Rows), nil
+	case *sqlparser.JoinRef:
+		return e.execJoin(ec, t, meter)
+	default:
+		return nil, fmt.Errorf("hive: unsupported FROM clause %T", ref)
+	}
+}
+
+func inferKinds(rs *ResultSet) []datum.Kind {
+	kinds := make([]datum.Kind, len(rs.Columns))
+	for _, r := range rs.Rows {
+		done := true
+		for i := range kinds {
+			if kinds[i] == datum.KindNull {
+				if !r[i].IsNull() {
+					kinds[i] = r[i].K
+				} else {
+					done = false
+				}
+			}
+		}
+		if done {
+			break
+		}
+	}
+	return kinds
+}
+
+// materialized is the relation over rows an earlier job produced (a
+// derived table, a join): chunked into in-memory splits that charge
+// their encoded size as simulated intermediate I/O on open.
+func materialized(sc *scope, names []string, rows []datum.Row) *relation {
+	const chunk = 100000
+	var splits []mapred.InputSplit
+	for off := 0; off < len(rows); off += chunk {
+		end := min(off+chunk, len(rows))
+		var size int64
+		for _, r := range rows[off:end] {
+			size += int64(datum.RowEncodedSize(r))
+		}
+		splits = append(splits, &mapred.SliceSplit{Rows: rows[off:end], SimSize: size})
+	}
+	if len(splits) == 0 {
+		splits = []mapred.InputSplit{&mapred.SliceSplit{}}
+	}
+	return &relation{sc: sc, names: names, splits: splits}
+}
+
+// buildTableScan plans a base-table scan with projection and
+// predicate pushdown (single-table queries only push predicates) plus
+// time-travel resolution: an AS OF EPOCH clause on the table reference
+// or the session's read.epoch setting pins the scan at a historical
+// manifest epoch.
+func (e *Engine) buildTableScan(ec *ExecContext, t *sqlparser.TableName, sel *sqlparser.SelectStmt, meter *sim.Meter) (*relation, error) {
+	desc, err := e.MS.Get(t.Name)
+	if err != nil {
+		return nil, err
+	}
+	h, err := e.Handler(desc.Storage)
+	if err != nil {
+		return nil, err
+	}
+	alias := t.Alias
+	if alias == "" {
+		alias = t.Name
+	}
+	sc := newScope(alias, desc.Schema)
+
+	opts := ScanOptions{}
+	opts.AsOfEpoch, err = resolveReadEpoch(ec, t)
+	if err != nil {
+		return nil, err
+	}
+	// Predicate pushdown only when this table is the sole FROM source
+	// (conjuncts referencing just it are then safe to push).
+	if sel != nil && sel.From == sqlparser.TableRef(t) && sel.Where != nil {
+		opts.SArg = extractSArg(sel.Where, sc, desc.Schema)
+	}
+	// Projection pushdown: columns the query references.
+	if sel != nil && sel.From == sqlparser.TableRef(t) {
+		opts.Projection = referencedColumns(sel, sc)
+	}
+
+	// Only DualTable keeps an epoch history. An explicit AS OF clause
+	// on any other table is an error; the session-wide read.epoch pin
+	// is simply ignored for it (current is its only epoch), so
+	// mixed-storage queries — a DUALTABLE joined to an ORC dimension
+	// table — still run under a session pin.
+	if desc.Storage != metastore.StorageDual {
+		if t.AsOf != nil {
+			return nil, fmt.Errorf("hive: table %s (%v) does not support time travel (AS OF EPOCH)",
+				t.Name, desc.Storage)
+		}
+		opts.AsOfEpoch = nil
+	}
+	// The release callback travels on the relation and runs when the
+	// consuming job is done.
+	splits, release, err := h.Splits(desc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &relation{sc: sc, names: desc.Schema.Names(), splits: splits, release: release}, nil
+}
+
+// resolveReadEpoch picks the epoch a table scan reads at: the table
+// reference's AS OF EPOCH clause when present (a bound literal by
+// execution time), else the session's read.epoch setting, else nil
+// (current epoch).
+func resolveReadEpoch(ec *ExecContext, t *sqlparser.TableName) (*uint64, error) {
+	if t.AsOf != nil {
+		lit, ok := t.AsOf.(*sqlparser.Literal)
+		if !ok {
+			return nil, fmt.Errorf("sql: AS OF EPOCH parameter is not bound")
+		}
+		if lit.Value.K != datum.KindInt || lit.Value.I < 0 {
+			return nil, fmt.Errorf("sql: AS OF EPOCH must be a non-negative integer, got %s",
+				lit.Value.SQLLiteral())
+		}
+		ep := uint64(lit.Value.I)
+		return &ep, nil
+	}
+	v, ok := ec.Var(VarReadEpoch)
+	if !ok {
+		return nil, nil
+	}
+	switch strings.ToLower(strings.TrimSpace(v)) {
+	case "", "current", "latest":
+		return nil, nil
+	}
+	ep, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("hive: bad %s value %q (want a non-negative integer, \"\" or \"current\")",
+			VarReadEpoch, v)
+	}
+	return &ep, nil
+}
+
+// rejectDMLUnderReadEpoch refuses UPDATE/DELETE while the session pins
+// historical reads: their OVERWRITE rewrites scan the target table,
+// and a pinned epoch would silently rewrite the table from stale data.
+func rejectDMLUnderReadEpoch(ec *ExecContext, stmt string) error {
+	v, ok := ec.Var(VarReadEpoch)
+	if !ok {
+		return nil
+	}
+	switch strings.ToLower(strings.TrimSpace(v)) {
+	case "", "current", "latest":
+		return nil
+	}
+	return fmt.Errorf("hive: %s cannot run while %s = %q pins historical reads (SET %s = '' first)",
+		stmt, VarReadEpoch, v, VarReadEpoch)
+}
+
+// ExtractSearchArg converts pushable conjuncts (col <op> literal) of
+// a predicate into an ORC search argument against the given schema,
+// resolving columns under the given qualifier (alias or table name).
+// Returns nil when nothing is pushable. Exported for the DualTable
+// core's statistics-based selectivity estimation.
+func ExtractSearchArg(where sqlparser.Expr, qualifier string, schema datum.Schema) *orcfile.SearchArg {
+	return extractSArg(where, newScope(qualifier, schema), schema)
+}
+
+// extractSArg converts pushable conjuncts (col <op> literal) into an
+// ORC search argument.
+func extractSArg(where sqlparser.Expr, sc *scope, schema datum.Schema) *orcfile.SearchArg {
+	var preds []orcfile.Predicate
+	for _, conj := range sqlparser.SplitConjuncts(where) {
+		bin, ok := conj.(*sqlparser.BinaryExpr)
+		if !ok {
+			continue
+		}
+		var op orcfile.CmpOp
+		var flip orcfile.CmpOp
+		switch bin.Op {
+		case "=":
+			op, flip = orcfile.OpEQ, orcfile.OpEQ
+		case "!=":
+			op, flip = orcfile.OpNE, orcfile.OpNE
+		case "<":
+			op, flip = orcfile.OpLT, orcfile.OpGT
+		case "<=":
+			op, flip = orcfile.OpLE, orcfile.OpGE
+		case ">":
+			op, flip = orcfile.OpGT, orcfile.OpLT
+		case ">=":
+			op, flip = orcfile.OpGE, orcfile.OpLE
+		default:
+			continue
+		}
+		ref, refOK := bin.L.(*sqlparser.ColumnRef)
+		lit, litOK := bin.R.(*sqlparser.Literal)
+		if !refOK || !litOK {
+			// literal <op> col
+			if ref2, ok2 := bin.R.(*sqlparser.ColumnRef); ok2 {
+				if lit2, ok3 := bin.L.(*sqlparser.Literal); ok3 {
+					ref, lit, refOK, litOK = ref2, lit2, true, true
+					op = flip
+				}
+			}
+		}
+		if !refOK || !litOK || lit.Value.IsNull() {
+			continue
+		}
+		idx, err := sc.resolve(ref)
+		if err != nil || idx >= len(schema) {
+			continue
+		}
+		preds = append(preds, orcfile.Predicate{Column: idx, Op: op, Value: lit.Value})
+	}
+	if len(preds) == 0 {
+		return nil
+	}
+	return &orcfile.SearchArg{Predicates: preds}
+}
+
+// referencedColumns lists the table columns the query touches.
+func referencedColumns(sel *sqlparser.SelectStmt, sc *scope) []int {
+	needed := map[int]bool{}
+	sawStar := false
+	visit := func(x sqlparser.Expr) {
+		sqlparser.WalkExpr(x, func(n sqlparser.Expr) bool {
+			switch v := n.(type) {
+			case *sqlparser.Star:
+				sawStar = true
+			case *sqlparser.ColumnRef:
+				if idx, err := sc.resolve(v); err == nil {
+					needed[idx] = true
+				}
+			case *sqlparser.SubqueryExpr:
+				// Correlated refs inside subqueries reference the
+				// outer table too; resolve conservatively.
+				sqlparser.WalkExpr(v.Select.Where, func(m sqlparser.Expr) bool {
+					if ref, ok := m.(*sqlparser.ColumnRef); ok {
+						if idx, err := sc.resolve(ref); err == nil {
+							needed[idx] = true
+						}
+					}
+					return true
+				})
+				return false
+			}
+			return true
+		})
+	}
+	for _, it := range sel.Items {
+		visit(it.Expr)
+	}
+	visit(sel.Where)
+	for _, g := range sel.GroupBy {
+		visit(g)
+	}
+	visit(sel.Having)
+	for _, o := range sel.OrderBy {
+		visit(o.Expr)
+	}
+	if sawStar {
+		return nil // all columns
+	}
+	cols := make([]int, 0, len(needed))
+	for i := range needed {
+		cols = append(cols, i)
+	}
+	sort.Ints(cols)
+	return cols
+}
+
+// scanQuery is what one scan plan evaluates per input row, as
+// expressions over one scope: WHERE, the select list, and the ORDER BY
+// keys it appends as hidden columns.
+type scanQuery struct {
+	where sqlparser.Expr
+	items []sqlparser.Expr
+	order []orderKey
+}
+
+// orderKey is one ORDER BY key: the value of select item `item` when
+// the key names an output column, else expr (item < 0).
+type orderKey struct {
+	item int
+	expr sqlparser.Expr
+}
+
+// compileOrderKey resolves an ORDER BY expression against the output
+// names first: a bare column ref matching one refers to that item, even
+// when the input scope has a column of the same name.
+func compileOrderKey(expr sqlparser.Expr, names []string) orderKey {
+	if ref, ok := expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
+		for i, n := range names {
+			if strings.EqualFold(n, ref.Name) {
+				return orderKey{item: i}
+			}
+		}
+	}
+	return orderKey{item: -1, expr: expr}
+}
+
+// simpleScanPlan is a compiled scanQuery: the filter → project stage
+// every SELECT runs through simpleScanMapper — as the map side of the
+// plain SELECT's job (collected or streamed), and in-process over an
+// aggregation's reduced rows.
+type simpleScanPlan struct {
+	filter scanFilter // unused template, copied per mapper
+	projs  []vecExpr
+	orders []vecExpr
+	topN   int64 // per-task top-N bound on the order keys, -1 = off
+	desc   []bool
+}
+
+// planSimpleScan compiles WHERE, the select list and the hidden ORDER
+// BY key columns against the scope.
+func (e *Engine) planSimpleScan(ec *ExecContext, q scanQuery, sc *scope) (*simpleScanPlan, error) {
+	filter, err := e.newScanFilter(ec, q.where, sc)
+	if err != nil {
+		return nil, err
+	}
+	projFns := make([]evalFn, len(q.items))
+	for i, x := range q.items {
+		projFns[i], err = e.compileExpr(ec, x, sc)
+		if err != nil {
+			return nil, err
+		}
+	}
+	// Order keys that name a select item keep its evalFn only (the
+	// alias does not name an input column); the others get the
+	// vectorized fast paths like WHERE and the projections: vector
+	// programs for computed expressions, direct vector reads for bare
+	// column refs.
+	orderFns := make([]evalFn, len(q.order))
+	orderExprs := make([]sqlparser.Expr, len(q.order))
+	for i, k := range q.order {
+		if k.item >= 0 {
+			orderFns[i] = projFns[k.item]
+			continue
+		}
+		orderFns[i], err = e.compileExpr(ec, k.expr, sc)
+		if err != nil {
+			return nil, err
+		}
+		orderExprs[i] = k.expr
+	}
+	return &simpleScanPlan{
+		filter: filter,
+		projs:  compileVecExprs(q.items, projFns, sc),
+		orders: compileVecExprs(orderExprs, orderFns, sc),
+		topN:   -1,
+	}, nil
+}
+
+// newMapper builds one task's mapper. Each mapper owns its filter and
+// vecExpr slices: compiled programs are shared, but per-batch program
+// state is not.
+func (p *simpleScanPlan) newMapper() mapred.Mapper {
+	m := &simpleScanMapper{
+		filter: p.filter,
+		projs:  slices.Clone(p.projs),
+		orders: slices.Clone(p.orders),
+	}
+	if p.topN >= 0 {
+		m.top = &topHeap{limit: p.topN, keyAt: len(p.projs), desc: p.desc}
+	}
+	return m
+}
+
+// run pushes rows through one mapper in-process, as a single
+// row-shaped batch, and returns what it emits.
+func (p *simpleScanPlan) run(rows []datum.Row) ([]datum.Row, error) {
+	var out []datum.Row
+	emit := func(_ []byte, row datum.Row) error {
+		out = append(out, row)
+		return nil
+	}
+	m := p.newMapper()
+	if err := m.MapBatch(&mapred.RecordBatch{Len: len(rows), Rows: rows}, emit); err != nil {
+		return nil, err
+	}
+	if err := m.Flush(emit); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// simpleScanMapper is the filter+project mapper: the filter step
+// selects a batch's surviving rows and only those are materialized —
+// and of those only the columns an expression actually needs. For
+// ORDER BY ... LIMIT n queries the task streams its rows through a
+// bounded top-N heap and emits at most n at Flush, in arrival order:
+// only a task's n best rows can survive the global stable sort +
+// truncate, so the final result is unchanged while the job stops
+// materializing full result sets.
+type simpleScanMapper struct {
+	filter scanFilter
+	projs  []vecExpr
+	orders []vecExpr
+	top    *topHeap // nil unless ORDER BY ... LIMIT
+}
+
+// emitRow routes one projected row to the collector or the top-N heap.
+func (m *simpleScanMapper) emitRow(out datum.Row, emit mapred.Emitter) error {
+	if m.top == nil {
+		return emit(nil, out)
+	}
+	m.top.push(out)
+	return nil
+}
+
+func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
+	if m.top == nil {
+		return nil
+	}
+	for _, row := range m.top.survivors() {
+		if err := emit(nil, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *simpleScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
+	sel, err := m.filter.begin(b)
+	if err != nil {
+		return err
+	}
+	if len(sel) > 0 {
+		beginBatchAll(m.projs, b)
+		beginBatchAll(m.orders, b)
+	}
+	for _, i := range sel {
+		out := make(datum.Row, 0, len(m.projs)+len(m.orders))
+		for pi := range m.projs {
+			d, err := m.projs[pi].eval(b, int(i), &m.filter.brow)
+			if err != nil {
+				return err
+			}
+			out = append(out, d)
+		}
+		for oi := range m.orders {
+			d, err := m.orders[oi].eval(b, int(i), &m.filter.brow)
+			if err != nil {
+				return err
+			}
+			out = append(out, d)
+		}
+		if err := m.emitRow(out, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}

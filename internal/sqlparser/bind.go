@@ -6,55 +6,65 @@ import (
 	"dualtable/internal/datum"
 )
 
+// MapChildren returns a copy of e with f applied to each non-nil child
+// expression, one level deep; e itself is never mutated. Leaves
+// (Literal, ColumnRef, Star, Placeholder) and subqueries — whose select
+// is a statement, not a child expression — are returned as they are.
+// It is the one place that knows each node's children by field.
+func MapChildren(e Expr, f func(Expr) Expr) Expr {
+	m := func(c Expr) Expr {
+		if c == nil {
+			return nil
+		}
+		return f(c)
+	}
+	list := func(xs []Expr) []Expr {
+		var out []Expr
+		for _, x := range xs {
+			out = append(out, m(x))
+		}
+		return out
+	}
+	switch v := e.(type) {
+	case *BinaryExpr:
+		return &BinaryExpr{Op: v.Op, L: m(v.L), R: m(v.R)}
+	case *UnaryExpr:
+		return &UnaryExpr{Op: v.Op, X: m(v.X)}
+	case *FuncCall:
+		return &FuncCall{Name: v.Name, Args: list(v.Args), Star: v.Star, Distinct: v.Distinct}
+	case *CaseExpr:
+		out := &CaseExpr{Operand: m(v.Operand), Else: m(v.Else)}
+		for _, w := range v.Whens {
+			out.Whens = append(out.Whens, WhenClause{Cond: m(w.Cond), Then: m(w.Then)})
+		}
+		return out
+	case *IsNullExpr:
+		return &IsNullExpr{X: m(v.X), Not: v.Not}
+	case *InExpr:
+		return &InExpr{X: m(v.X), List: list(v.List), Not: v.Not}
+	case *BetweenExpr:
+		return &BetweenExpr{X: m(v.X), Lo: m(v.Lo), Hi: m(v.Hi), Not: v.Not}
+	case *LikeExpr:
+		return &LikeExpr{X: m(v.X), Pattern: m(v.Pattern), Not: v.Not}
+	case *CastExpr:
+		return &CastExpr{X: m(v.X), Type: v.Type}
+	default:
+		return e
+	}
+}
+
 // RewriteExpr rebuilds an expression bottom-up, applying fn to every
 // node of the (new) tree. The input tree is never mutated, so a cached
 // AST can be rewritten concurrently by many sessions. Subquery selects
 // are rewritten too.
 func RewriteExpr(e Expr, fn func(Expr) Expr) Expr {
+	if sq, ok := e.(*SubqueryExpr); ok {
+		return fn(&SubqueryExpr{Select: rewriteSelect(sq.Select, fn)})
+	}
 	if e == nil {
 		return nil
 	}
-	switch v := e.(type) {
-	case *BinaryExpr:
-		e = &BinaryExpr{Op: v.Op, L: RewriteExpr(v.L, fn), R: RewriteExpr(v.R, fn)}
-	case *UnaryExpr:
-		e = &UnaryExpr{Op: v.Op, X: RewriteExpr(v.X, fn)}
-	case *FuncCall:
-		out := &FuncCall{Name: v.Name, Star: v.Star, Distinct: v.Distinct}
-		for _, a := range v.Args {
-			out.Args = append(out.Args, RewriteExpr(a, fn))
-		}
-		e = out
-	case *CaseExpr:
-		out := &CaseExpr{Operand: RewriteExpr(v.Operand, fn), Else: RewriteExpr(v.Else, fn)}
-		for _, w := range v.Whens {
-			out.Whens = append(out.Whens, WhenClause{
-				Cond: RewriteExpr(w.Cond, fn),
-				Then: RewriteExpr(w.Then, fn),
-			})
-		}
-		e = out
-	case *IsNullExpr:
-		e = &IsNullExpr{X: RewriteExpr(v.X, fn), Not: v.Not}
-	case *InExpr:
-		out := &InExpr{X: RewriteExpr(v.X, fn), Not: v.Not}
-		for _, i := range v.List {
-			out.List = append(out.List, RewriteExpr(i, fn))
-		}
-		e = out
-	case *BetweenExpr:
-		e = &BetweenExpr{X: RewriteExpr(v.X, fn), Lo: RewriteExpr(v.Lo, fn),
-			Hi: RewriteExpr(v.Hi, fn), Not: v.Not}
-	case *LikeExpr:
-		e = &LikeExpr{X: RewriteExpr(v.X, fn), Pattern: RewriteExpr(v.Pattern, fn), Not: v.Not}
-	case *CastExpr:
-		e = &CastExpr{X: RewriteExpr(v.X, fn), Type: v.Type}
-	case *SubqueryExpr:
-		e = &SubqueryExpr{Select: rewriteSelect(v.Select, fn)}
-	default:
-		// Literal, ColumnRef, Star, Placeholder: leaves.
-	}
-	return fn(e)
+	return fn(MapChildren(e, func(c Expr) Expr { return RewriteExpr(c, fn) }))
 }
 
 func rewriteSelect(s *SelectStmt, fn func(Expr) Expr) *SelectStmt {
