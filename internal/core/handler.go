@@ -281,6 +281,7 @@ func (h *Handler) Drop(desc *metastore.TableDesc) error {
 		}
 	}
 	st.retained = nil
+	st.footers = nil
 	reclaimNow := st.snaps == 0
 	if !reclaimNow {
 		st.pendingDrop = job

@@ -59,6 +59,29 @@ type tableState struct {
 	// must never be served again — even if the retention knob is later
 	// raised or their files incidentally survive under other pins.
 	floorEpoch uint64
+	// footers memoises the parsed footer of master files by path, for
+	// files of the current manifest only: an open adds the files it
+	// parsed once it has checked them against the current manifest, and
+	// a replace — the one publish that takes files out — empties it. So
+	// it never outgrows the manifest, and since master paths are never
+	// reused inside an incarnation and a re-CREATE starts a new
+	// tableState, an entry can never describe another file's bytes.
+	footers map[string]*orcfile.Reader
+}
+
+// rememberFootersLocked memoises the footers a snapshot holds. Caller
+// holds pub and has checked that files all belong to the current
+// manifest.
+func (st *tableState) rememberFootersLocked(files []masterFile) {
+	if st.dropped {
+		return // a scan that outlived the DROP; nobody will open this table again
+	}
+	if st.footers == nil {
+		st.footers = make(map[string]*orcfile.Reader, len(files))
+	}
+	for _, f := range files {
+		st.footers[f.path] = f.reader
+	}
 }
 
 // retainedEpochs records one superseded master file set and the epoch
@@ -100,9 +123,10 @@ type Snapshot struct {
 	// with timestamp <= Watermark belong to this epoch.
 	Watermark uint64
 
+	// files lists the manifest's files; a file's footer is the table
+	// memo's or, once loadFiles ran, freshly parsed.
 	files []masterFile
-	// pinned lists the DFS paths this snapshot holds pins on (may be
-	// longer than files while an open is in progress).
+	// pinned lists the DFS paths this snapshot holds pins on.
 	pinned []string
 	// entries maps master file ID -> that file's attached-table
 	// modifications (sorted by record ID), filtered to the watermark and
@@ -188,12 +212,15 @@ func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snap
 				desc.Name, epoch, mf.Path, metastore.ErrEpochExpired)
 		}
 		snap.pinned = append(snap.pinned, mf.Path)
+		snap.files = append(snap.files, newMasterFile(mf, st.footers[mf.Path]))
 	}
 	st.snaps++
 	snap.st = st
 	st.pub.Unlock()
 
-	loadErr := snap.loadFiles(man)
+	// A historical epoch adds nothing to the memo: its files may have
+	// left the manifest.
+	loadErr := snap.loadFiles()
 	if loadErr == nil {
 		loadErr = snap.loadEntries()
 	}
@@ -253,6 +280,7 @@ func (h *Handler) openSnapshot(desc *metastore.TableDesc, withEntries bool) (*Sn
 				return nil, fmt.Errorf("core: pin master file %s: %w", mf.Path, err)
 			}
 			snap.pinned = append(snap.pinned, mf.Path)
+			snap.files = append(snap.files, newMasterFile(mf, st.footers[mf.Path]))
 		}
 		// Count the open while still under pub: a DROP landing after
 		// this point defers its reclamation until this snapshot (and
@@ -263,11 +291,14 @@ func (h *Handler) openSnapshot(desc *metastore.TableDesc, withEntries bool) (*Sn
 			st.pub.Unlock()
 		}
 
-		loadErr := snap.loadFiles(man)
+		loadErr := snap.loadFiles()
 		if loadErr == nil && withEntries {
 			loadErr = snap.loadEntries()
 		}
 		if pessimistic {
+			if loadErr == nil {
+				st.rememberFootersLocked(snap.files)
+			}
 			st.pub.Unlock()
 		}
 		if loadErr != nil {
@@ -283,26 +314,32 @@ func (h *Handler) openSnapshot(desc *metastore.TableDesc, withEntries bool) (*Sn
 		// attached table may have been truncated mid-materialization).
 		st.pub.Lock()
 		cur, err := h.e.MS.CurrentManifest(desc.Name)
+		preserved := err == nil && fileSetPreserved(man.Files, cur.Files)
+		if preserved {
+			st.rememberFootersLocked(snap.files)
+		}
 		st.pub.Unlock()
 		if err != nil {
 			snap.unpinFiles()
 			return nil, err
 		}
-		if fileSetPreserved(man.Files, cur.Files) {
+		if preserved {
 			return snap, nil
 		}
 		snap.unpinFiles() // epoch replaced mid-open: retry
 	}
 }
 
-// loadFiles opens the footers of every pinned manifest file.
-func (s *Snapshot) loadFiles(man *metastore.Manifest) error {
-	for _, mf := range man.Files {
-		f, err := s.h.openMasterFile(mf)
-		if err != nil {
+// loadFiles parses the footer of every file the memo did not have.
+func (s *Snapshot) loadFiles() (err error) {
+	for i := range s.files {
+		f := &s.files[i]
+		if f.reader != nil {
+			continue
+		}
+		if f.reader, err = s.h.openFooter(f.path); err != nil {
 			return err
 		}
-		s.files = append(s.files, f)
 	}
 	return nil
 }
@@ -326,19 +363,24 @@ func fileSetPreserved(pinned, cur []metastore.ManifestFile) bool {
 	return true
 }
 
-// openMasterFile opens one manifest file's footer (reader metadata
-// only; scan tasks reopen the file themselves with their task meter).
-func (h *Handler) openMasterFile(mf metastore.ManifestFile) (masterFile, error) {
-	fr, err := h.e.FS.Open(mf.Path)
+func newMasterFile(mf metastore.ManifestFile, footer *orcfile.Reader) masterFile {
+	return masterFile{path: mf.Path, size: mf.Size, fileID: mf.FileID, rows: mf.Rows, reader: footer}
+}
+
+// openFooter parses one master file's footer. The reader it returns is
+// metadata only — its file handle is closed; a scan task binds it to the
+// handle it opens under its own meter (hive.ORCSplit.Footer).
+func (h *Handler) openFooter(path string) (*orcfile.Reader, error) {
+	fr, err := h.e.FS.Open(path)
 	if err != nil {
-		return masterFile{}, err
+		return nil, err
 	}
 	rd, err := orcfile.Open(fr, fr.Size())
 	fr.Close()
 	if err != nil {
-		return masterFile{}, fmt.Errorf("core: open master file %s: %w", mf.Path, err)
+		return nil, fmt.Errorf("core: open master file %s: %w", path, err)
 	}
-	return masterFile{path: mf.Path, size: mf.Size, fileID: mf.FileID, rows: mf.Rows, reader: rd}, nil
+	return rd, nil
 }
 
 // loadEntries materializes the attached table into per-file entry
@@ -454,6 +496,7 @@ func (s *Snapshot) Splits(opts ScanOptions) []mapred.InputSplit {
 		entries, attSeconds := s.entries[f.fileID], s.attSeconds[f.fileID]
 		splits = append(splits, &hive.ORCSplit{
 			FS: s.h.e.FS, Path: f.path, Size: f.size, Opts: opts, FileID: f.fileID,
+			Footer: f.reader,
 			// The task "performs" the attached pre-scan it got the results
 			// of: its cost, measured at snapshot open, lands on the task
 			// meter here.
@@ -580,6 +623,7 @@ func (h *Handler) publishReplace(desc *metastore.TableDesc, files []metastore.Ma
 		return err
 	}
 	// Committed. Cleanup below is best-effort.
+	st.footers = nil // every memoised file just left the manifest
 	//
 	// Retention: with a pin-last-N-epochs window, the superseded file
 	// set stays pinned (and the attached cells keyed by its file IDs

@@ -38,8 +38,11 @@ type ColumnSet struct {
 // independent oracle behind Cluster.DisableBatchScan.
 //
 // Ownership: the batch, its vectors and its rows are the reader's and
-// are reused between calls, so a mapper must not retain them. The
-// overlay is read-only, sorted by RID, and its column indexes lie
+// are reused between calls, so a mapper must not retain them — and at
+// Close the vectors and the decode scratch behind them go back to
+// orcfile's free list, where the next task's scan overwrites them. What
+// a mapper keeps, it copies (values are safe: strings are immutable).
+// The overlay is read-only, sorted by RID, and its column indexes lie
 // inside the file's schema; splits of concurrent scans may share it.
 //
 // Pushdown is decided per file, not per table: statistics may prune a
@@ -54,6 +57,11 @@ type ORCSplit struct {
 	// FileID seeds record IDs; storages that never address records
 	// leave it zero.
 	FileID uint32
+	// Footer, when set, is this file's footer as its storage already
+	// parsed it. The task binds it to its own file handle instead of
+	// reading and parsing the footer again, and is charged the two reads
+	// it was spared, so its meter reads as if it had opened the file.
+	Footer *orcfile.Reader
 	// LoadOverlay, when set, produces the file's overlay as the task
 	// opens the split, charging what reading it costs to the task meter.
 	LoadOverlay func(m *sim.Meter) ([]RecordMod, error)
@@ -70,8 +78,13 @@ func (s *ORCSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd, err := orcfile.Open(fr, fr.Size())
-	if err != nil {
+	var rd *orcfile.Reader
+	if s.Footer != nil {
+		// In orcfile.Open's order: float sums are order-sensitive.
+		m.DFSRead(orcfile.TailSize)
+		m.DFSRead(s.Footer.FooterLen())
+		rd = s.Footer.WithSource(fr)
+	} else if rd, err = orcfile.Open(fr, fr.Size()); err != nil {
 		fr.Close()
 		return nil, err
 	}
@@ -111,7 +124,7 @@ type orcScanReader struct {
 	merged  func(*sim.Meter, int64)
 	nMerged int64
 
-	// batch-mode reusable buffers.
+	// batch-mode reusable buffers; cols are the batch reader's.
 	cols    []datum.ColumnVector
 	rowsBuf []datum.Row
 	arena   datum.Row
@@ -156,7 +169,7 @@ func (r *orcScanReader) Next() (datum.Row, mapred.RecordMeta, error) {
 func (r *orcScanReader) NextBatch(b *mapred.RecordBatch) error {
 	if r.batch == nil {
 		r.batch = r.rd.NewBatchReader(r.opts)
-		r.cols = make([]datum.ColumnVector, len(r.rd.Schema()))
+		r.cols = r.batch.Vectors()
 	}
 	n, ord, err := r.batch.NextBatch(r.cols, 0)
 	if err != nil {
@@ -228,6 +241,9 @@ func (r *orcScanReader) materialize(b *mapred.RecordBatch, mods []RecordMod) err
 func (r *orcScanReader) Close() error {
 	if r.merged != nil {
 		r.merged(r.meter, r.nMerged)
+	}
+	if r.batch != nil {
+		r.batch.Close()
 	}
 	return r.fr.Close()
 }

@@ -22,6 +22,13 @@ const DefaultBatchRows = 1024
 // Batch and row readers share the stripe cursors and therefore decode
 // byte-identical values; pruned stripes advance the ordinal exactly
 // like RowReader.
+//
+// A BatchReader borrows its scratch — decoded streams, the vectors
+// Vectors lends, dense buffers — from a free list and returns it at
+// Close, after which another scan overwrites it: nothing read through
+// the reader may be retained past Close except the values themselves
+// (strings are copies). A reader dropped without Close is merely
+// garbage.
 type BatchReader struct {
 	rd        *Reader
 	opts      RowReaderOptions
@@ -33,17 +40,16 @@ type BatchReader struct {
 	// rowOrdinal is the file ordinal of the next undecoded row.
 	rowOrdinal int64
 
-	// scratch buffers reused across batches.
-	present []bool
-	ints    []int64
-	floats  []float64
-	bools   []bool
+	*scanScratch // nil once closed
 }
 
 // NewBatchReader starts a vectorized scan with the same options as
 // NewRowReader.
 func (rd *Reader) NewBatchReader(opts RowReaderOptions) *BatchReader {
-	br := &BatchReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema))}
+	br := &BatchReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema)), scanScratch: scratches.get()}
+	// A recycled scratch may come from a file of another width.
+	br.streams = widened(br.streams, len(rd.schema))
+	br.vecs = widened(br.vecs, len(rd.schema))
 	if opts.Columns == nil {
 		for i := range br.project {
 			br.project[i] = true
@@ -58,6 +64,19 @@ func (rd *Reader) NewBatchReader(opts RowReaderOptions) *BatchReader {
 	return br
 }
 
+// Vectors returns one vector per schema column for NextBatch to fill,
+// the reader's to recycle at Close.
+func (br *BatchReader) Vectors() []datum.ColumnVector { return br.vecs }
+
+// Close hands the reader's scratch to the next scan. The reader, and
+// every vector and batch obtained through it, must not be used again.
+func (br *BatchReader) Close() {
+	if br.scanScratch != nil {
+		scratches.put(br.scanScratch)
+		br.scanScratch, br.cols = nil, nil
+	}
+}
+
 // NextBatch decodes up to max rows (DefaultBatchRows when max <= 0)
 // into cols, which must have one vector per schema column.
 // Unprojected columns become all-NULL vectors, keeping column indexes
@@ -66,6 +85,9 @@ func (rd *Reader) NewBatchReader(opts RowReaderOptions) *BatchReader {
 func (br *BatchReader) NextBatch(cols []datum.ColumnVector, max int) (int, int64, error) {
 	if len(cols) != len(br.rd.schema) {
 		return 0, 0, fmt.Errorf("orcfile: batch arity %d, schema arity %d", len(cols), len(br.rd.schema))
+	}
+	if br.scanScratch == nil {
+		return 0, 0, fmt.Errorf("orcfile: batch reader is closed")
 	}
 	if max <= 0 {
 		max = DefaultBatchRows
@@ -80,7 +102,7 @@ func (br *BatchReader) NextBatch(cols []datum.ColumnVector, max int) (int, int64
 			br.stripeIdx++
 			continue
 		}
-		cursors, err := br.rd.openStripeCursors(sm, br.project)
+		cursors, err := br.rd.openStripeCursors(sm, br.project, br.streams)
 		if err != nil {
 			return 0, 0, err
 		}

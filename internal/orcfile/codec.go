@@ -1,0 +1,147 @@
+package orcfile
+
+import (
+	"bytes"
+	"compress/flate"
+	"io"
+	"slices"
+
+	"dualtable/internal/datum"
+)
+
+// The state of a flate codec dwarfs the streams this format stores in
+// small files: an inflater carries ~44 KB of Huffman tables and window,
+// a deflater ~650 KB of hash chains, while a 512-row column stream is a
+// few KB. Readers and writers therefore never construct codec state per
+// stream (or per file): they borrow it, with the byte buffers around it
+// and a batch scan's decode scratch, from the free lists below and hand
+// it back when done. Everything on a list is reset by its next
+// borrower, so a value that saw a corrupt stream is as good as new.
+
+// freeListSize bounds each list. A borrower beyond it constructs its own
+// state and the surplus is dropped on return, so the lists pin at most
+// this many of each kind however many tasks run at once.
+const freeListSize = 16
+
+// freeList is a bounded free list of *T whose zero value is usable.
+// Unlike sync.Pool it is deterministic — a returned value is the next
+// one borrowed, with or without the race detector — which is what lets
+// a test pin "steady state constructs no codec".
+type freeList[T any] chan *T
+
+func (l freeList[T]) get() *T {
+	select {
+	case v := <-l:
+		return v
+	default:
+		return new(T)
+	}
+}
+
+func (l freeList[T]) put(v *T) {
+	select {
+	case l <- v:
+	default:
+	}
+}
+
+var (
+	inflaters = make(freeList[inflater], freeListSize)
+	deflaters = make(freeList[deflater], freeListSize)
+	scratches = make(freeList[scanScratch], freeListSize)
+)
+
+// inflater reads byte ranges of a file, inflating the compressed ones.
+// It is held for the duration of one footer or one stripe load.
+type inflater struct {
+	in  []byte       // the range as stored
+	out []byte       // output for callers that parse and drop it (the footer)
+	src bytes.Reader // what zr reads: in
+	zr  io.Reader    // flate reader over src, created on first use
+}
+
+// load returns the length bytes of r at off — inflated when compressed —
+// in dst's storage where it is large enough. The result shares nothing
+// with z.
+func (z *inflater) load(dst []byte, r io.ReaderAt, off int64, length int, compressed bool) ([]byte, error) {
+	if !compressed {
+		dst = slices.Grow(dst[:0], length)[:length]
+		_, err := r.ReadAt(dst, off)
+		return dst, err
+	}
+	z.in = slices.Grow(z.in[:0], length)[:length]
+	if _, err := r.ReadAt(z.in, off); err != nil {
+		return dst, err
+	}
+	z.src.Reset(z.in)
+	if z.zr == nil {
+		z.zr = flate.NewReader(&z.src)
+	} else if err := z.zr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return dst, err
+	}
+	dst = dst[:0]
+	if cap(dst) < length {
+		dst = slices.Grow(dst, 2*length) // a first guess; the loop corrects it
+	}
+	for {
+		dst = slices.Grow(dst, 1)
+		n, err := z.zr.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// deflater compresses one stream at a time into its own buffer. A
+// Writer holds one from its first compressed stream to Close, so the
+// bytes deflate returns stay valid until that writer's next call.
+type deflater struct {
+	buf bytes.Buffer
+	zw  *flate.Writer // over buf, created on first use
+}
+
+func (z *deflater) deflate(b []byte) ([]byte, error) {
+	z.buf.Reset()
+	if z.zw == nil {
+		zw, err := flate.NewWriter(&z.buf, flate.BestSpeed)
+		if err != nil {
+			return nil, err
+		}
+		z.zw = zw
+	} else {
+		z.zw.Reset(&z.buf)
+	}
+	if _, err := z.zw.Write(b); err != nil {
+		return nil, err
+	}
+	if err := z.zw.Close(); err != nil {
+		return nil, err
+	}
+	return z.buf.Bytes(), nil
+}
+
+// scanScratch is what a BatchReader allocates that outlives no scan:
+// the decoded stream of each column of the current stripe, the column
+// vectors it lends its caller, and the dense buffers NULL-bearing
+// batches scatter from. It returns to the free list at Close.
+type scanScratch struct {
+	streams [][]byte
+	vecs    []datum.ColumnVector
+	present []bool
+	ints    []int64
+	floats  []float64
+	bools   []bool
+}
+
+// widened returns s with length n, keeping every element it ever held
+// (and their buffers) for a later, wider use.
+func widened[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}

@@ -1,19 +1,21 @@
 package orcfile
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"dualtable/internal/datum"
 )
 
-// Reader reads an ORC-like file from any io.ReaderAt.
+// Reader reads an ORC-like file from any io.ReaderAt. Everything but
+// the source it reads stripes from is the parsed footer: immutable once
+// Open returned, so WithSource copies share it.
 type Reader struct {
 	r          io.ReaderAt
 	size       int64
+	footerLen  int64
 	schema     datum.Schema
 	userMeta   map[string]string
 	numRows    int64
@@ -22,13 +24,15 @@ type Reader struct {
 	compressed bool
 }
 
-// Open parses the tail and footer of a file.
+// Open parses the tail and footer of a file. Every offset and length the
+// footer declares is checked against the file here, once, so a Reader —
+// however long it is kept — never indexes outside the file.
 func Open(r io.ReaderAt, size int64) (*Reader, error) {
-	if size < tailSize {
+	if size < TailSize {
 		return nil, fmt.Errorf("orcfile: file too small (%d bytes)", size)
 	}
-	var tail [tailSize]byte
-	if _, err := r.ReadAt(tail[:], size-tailSize); err != nil {
+	var tail [TailSize]byte
+	if _, err := r.ReadAt(tail[:], size-TailSize); err != nil {
 		return nil, fmt.Errorf("orcfile: read tail: %w", err)
 	}
 	if binary.LittleEndian.Uint64(tail[24:]) != orcMagic {
@@ -37,35 +41,58 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	footerOff := binary.LittleEndian.Uint64(tail[0:])
 	footerLen := binary.LittleEndian.Uint64(tail[8:])
 	flags := binary.LittleEndian.Uint64(tail[16:])
-	if int64(footerOff+footerLen) > size-tailSize {
+	// Compared unsigned and without adding: footerOff+footerLen wraps.
+	body := uint64(size - TailSize)
+	if footerOff > body || footerLen > body-footerOff {
 		return nil, fmt.Errorf("orcfile: footer out of bounds")
 	}
-	fb := make([]byte, footerLen)
-	if _, err := r.ReadAt(fb, int64(footerOff)); err != nil {
-		return nil, fmt.Errorf("orcfile: read footer: %w", err)
+	rd := &Reader{r: r, size: size, footerLen: int64(footerLen), compressed: flags&flagFlate != 0}
+	z := inflaters.get()
+	defer inflaters.put(z)
+	fb, err := z.load(z.out, r, int64(footerOff), int(footerLen), rd.compressed)
+	z.out = fb
+	if err != nil {
+		return nil, fmt.Errorf("orcfile: load footer: %w", err)
 	}
-	rd := &Reader{r: r, size: size, compressed: flags&flagFlate != 0}
-	if rd.compressed {
-		dec, err := io.ReadAll(flate.NewReader(bytes.NewReader(fb)))
-		if err != nil {
-			return nil, fmt.Errorf("orcfile: decompress footer: %w", err)
-		}
-		fb = dec
-	}
-	if err := rd.parseFooter(fb); err != nil {
+	if err := rd.parseFooter(fb, footerOff); err != nil {
 		return nil, err
 	}
 	return rd, nil
 }
 
-func (rd *Reader) parseFooter(fb []byte) error {
+// WithSource returns a Reader of the same file that reads its stripes
+// from r: a task that was handed an already-parsed footer binds it to
+// its own file handle instead of reading and parsing the footer again.
+func (rd *Reader) WithSource(r io.ReaderAt) *Reader {
+	c := *rd
+	c.r = r
+	return &c
+}
+
+// FooterLen returns the stored length of the footer: with TailSize, the
+// two reads Open made of the file.
+func (rd *Reader) FooterLen() int64 { return rd.footerLen }
+
+// parseFooter decodes fb. dataEnd is where the stripes end (the footer's
+// offset); a stripe or stream reaching past it is rejected.
+func (rd *Reader) parseFooter(fb []byte, dataEnd uint64) error {
 	off := 0
-	ncols, c := binary.Uvarint(fb)
-	if c <= 0 {
-		return fmt.Errorf("orcfile: bad footer schema count")
+	// Counts size allocations below, so none may exceed what fb could
+	// hold at one byte per entry.
+	count := func(what string) (int, error) {
+		v, c := binary.Uvarint(fb[off:])
+		if c <= 0 || v > uint64(len(fb)) {
+			return 0, fmt.Errorf("orcfile: bad %s", what)
+		}
+		off += c
+		return int(v), nil
 	}
-	off += c
-	for i := uint64(0); i < ncols; i++ {
+	ncols, err := count("footer schema count")
+	if err != nil {
+		return err
+	}
+	rd.schema = make(datum.Schema, 0, ncols)
+	for i := 0; i < ncols; i++ {
 		name, n, err := readBytesVal(fb, off)
 		if err != nil {
 			return err
@@ -78,13 +105,12 @@ func (rd *Reader) parseFooter(fb []byte) error {
 		off++
 		rd.schema = append(rd.schema, datum.Column{Name: name, Kind: kind})
 	}
-	nmeta, c := binary.Uvarint(fb[off:])
-	if c <= 0 {
-		return fmt.Errorf("orcfile: bad meta count")
+	nmeta, err := count("meta count")
+	if err != nil {
+		return err
 	}
-	off += c
 	rd.userMeta = make(map[string]string, nmeta)
-	for i := uint64(0); i < nmeta; i++ {
+	for i := 0; i < nmeta; i++ {
 		k, n, err := readBytesVal(fb, off)
 		if err != nil {
 			return err
@@ -98,29 +124,40 @@ func (rd *Reader) parseFooter(fb []byte) error {
 		rd.userMeta[k] = v
 	}
 	rows, c := binary.Uvarint(fb[off:])
-	if c <= 0 {
+	if c <= 0 || rows > math.MaxInt64 {
 		return fmt.Errorf("orcfile: bad row count")
 	}
 	rd.numRows = int64(rows)
 	off += c
-	nstripes, c := binary.Uvarint(fb[off:])
-	if c <= 0 {
+	nstripes, err := count("stripe count")
+	if err != nil {
+		return err
+	}
+	// Every stripe spends at least a byte on each header field and stream.
+	if nstripes > 0 && 3+ncols > len(fb)/nstripes {
 		return fmt.Errorf("orcfile: bad stripe count")
 	}
-	off += c
-	for i := uint64(0); i < nstripes; i++ {
-		var sm stripeMeta
-		vals := make([]uint64, 3)
-		for j := range vals {
+	rd.stripes = make([]stripeMeta, 0, nstripes)
+	// One backing array each for every stripe's streams and statistics.
+	streams := make([]streamMeta, nstripes*ncols)
+	stats := make([]ColumnStats, (nstripes+1)*ncols)
+	for i := 0; i < nstripes; i++ {
+		var hdr [3]uint64 // offset, length, rows
+		for j := range hdr {
 			v, n := binary.Uvarint(fb[off:])
 			if n <= 0 {
 				return fmt.Errorf("orcfile: bad stripe header")
 			}
-			vals[j] = v
+			hdr[j] = v
 			off += n
 		}
-		sm.offset, sm.length, sm.rows = vals[0], vals[1], int64(vals[2])
-		for j := 0; j < len(rd.schema); j++ {
+		if hdr[0] > dataEnd || hdr[1] > dataEnd-hdr[0] || hdr[2] > math.MaxInt64 {
+			return fmt.Errorf("orcfile: stripe %d out of bounds", i)
+		}
+		sm := stripeMeta{offset: hdr[0], length: hdr[1], rows: int64(hdr[2]),
+			streams: streams[i*ncols : (i+1)*ncols : (i+1)*ncols],
+			stats:   stats[i*ncols : (i+1)*ncols : (i+1)*ncols]}
+		for j := range sm.streams {
 			ro, n := binary.Uvarint(fb[off:])
 			if n <= 0 {
 				return fmt.Errorf("orcfile: bad stream offset")
@@ -131,25 +168,29 @@ func (rd *Reader) parseFooter(fb []byte) error {
 				return fmt.Errorf("orcfile: bad stream length")
 			}
 			off += n2
-			sm.streams = append(sm.streams, streamMeta{relOff: ro, length: sl})
+			if ro > sm.length || sl > sm.length-ro {
+				return fmt.Errorf("orcfile: stripe %d stream %d out of bounds", i, j)
+			}
+			sm.streams[j] = streamMeta{relOff: ro, length: sl}
 		}
-		for j := 0; j < len(rd.schema); j++ {
+		for j := range sm.stats {
 			st, n, err := unmarshalStats(fb, off)
 			if err != nil {
 				return err
 			}
 			off = n
-			sm.stats = append(sm.stats, st)
+			sm.stats[j] = st
 		}
 		rd.stripes = append(rd.stripes, sm)
 	}
-	for j := 0; j < len(rd.schema); j++ {
+	rd.fileStats = stats[nstripes*ncols:]
+	for j := range rd.fileStats {
 		st, n, err := unmarshalStats(fb, off)
 		if err != nil {
 			return err
 		}
 		off = n
-		rd.fileStats = append(rd.fileStats, st)
+		rd.fileStats[j] = st
 	}
 	return nil
 }
@@ -198,6 +239,7 @@ type RowReader struct {
 	stripeLen  int64
 	rowOrdinal int64
 	row        datum.Row
+	streams    [][]byte // the current stripe's decoded streams
 }
 
 // columnCursor decodes one column of the current stripe.
@@ -230,6 +272,7 @@ func (rd *Reader) NewRowReader(opts RowReaderOptions) *RowReader {
 		}
 	}
 	rr.row = make(datum.Row, len(rd.schema))
+	rr.streams = make([][]byte, len(rd.schema))
 	return rr
 }
 
@@ -246,9 +289,11 @@ func (rr *RowReader) Next() (datum.Row, int64, error) {
 			rr.stripeIdx++
 			continue
 		}
-		if err := rr.openStripe(sm); err != nil {
+		cols, err := rr.rd.openStripeCursors(sm, rr.project, rr.streams)
+		if err != nil {
 			return nil, 0, err
 		}
+		rr.cols = cols
 		rr.stripeIdx++
 		rr.inStripe = 0
 		rr.stripeLen = sm.rows
@@ -270,36 +315,24 @@ func (rr *RowReader) Next() (datum.Row, int64, error) {
 	return rr.row, ord, nil
 }
 
-// openStripe loads and decodes the projected column streams.
-func (rr *RowReader) openStripe(sm stripeMeta) error {
-	cols, err := rr.rd.openStripeCursors(sm, rr.project)
-	if err != nil {
-		return err
-	}
-	rr.cols = cols
-	return nil
-}
-
 // openStripeCursors reads and decodes the projected column streams of
 // one stripe — shared by the row and batch readers, so both charge
-// identical I/O and decode identical bytes.
-func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool) ([]*columnCursor, error) {
+// identical I/O and decode identical bytes. streams holds one buffer per
+// column, the caller's to keep between stripes: the cursors read from
+// them, so they live exactly as long as the stripe is current.
+func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool, streams [][]byte) ([]*columnCursor, error) {
 	cols := make([]*columnCursor, len(rd.schema))
+	z := inflaters.get()
+	defer inflaters.put(z)
 	for i := range rd.schema {
 		if !project[i] {
 			continue
 		}
 		st := sm.streams[i]
-		buf := make([]byte, st.length)
-		if _, err := rd.r.ReadAt(buf, int64(sm.offset+st.relOff)); err != nil {
-			return nil, fmt.Errorf("orcfile: read stripe stream: %w", err)
-		}
-		if rd.compressed {
-			dec, err := io.ReadAll(flate.NewReader(bytes.NewReader(buf)))
-			if err != nil {
-				return nil, fmt.Errorf("orcfile: decompress stream: %w", err)
-			}
-			buf = dec
+		buf, err := z.load(streams[i], rd.r, int64(sm.offset+st.relOff), int(st.length), rd.compressed)
+		streams[i] = buf
+		if err != nil {
+			return nil, fmt.Errorf("orcfile: load stripe stream: %w", err)
 		}
 		cur, err := newColumnCursor(rd.schema[i].Kind, buf)
 		if err != nil {
@@ -315,12 +348,13 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 	if c <= 0 {
 		return nil, fmt.Errorf("orcfile: bad presence length")
 	}
-	off := c
-	if off+int(plen) > len(buf) {
+	// Lengths are compared as they were read, unsigned: a converted one
+	// can come out negative and pass.
+	if plen > uint64(len(buf)-c) {
 		return nil, fmt.Errorf("orcfile: truncated presence bitmap")
 	}
-	cur := &columnCursor{kind: kind, presence: newBitReader(buf[off : off+int(plen)])}
-	data := buf[off+int(plen):]
+	data := buf[c+int(plen):]
+	cur := &columnCursor{kind: kind, presence: newBitReader(buf[c : c+int(plen)])}
 	switch kind {
 	case datum.KindInt:
 		cur.ints = newIntDecoder(data)
@@ -339,7 +373,7 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 		data = data[1:]
 		if mode == 0x01 { // dictionary
 			n, c := binary.Uvarint(data)
-			if c <= 0 {
+			if c <= 0 || n > uint64(len(data)) { // an entry is a byte at least
 				return nil, fmt.Errorf("orcfile: bad dict size")
 			}
 			p := c
@@ -357,7 +391,7 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 				return nil, fmt.Errorf("orcfile: bad dict index length")
 			}
 			p += c2
-			if p+int(il) > len(data) {
+			if il > uint64(len(data)-p) {
 				return nil, fmt.Errorf("orcfile: truncated dict indices")
 			}
 			cur.dict = dict
@@ -368,7 +402,7 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 				return nil, fmt.Errorf("orcfile: bad length-stream size")
 			}
 			p := c
-			if p+int(ll) > len(data) {
+			if ll > uint64(len(data)-p) {
 				return nil, fmt.Errorf("orcfile: truncated length stream")
 			}
 			cur.lens = newIntDecoder(data[p : p+int(ll)])

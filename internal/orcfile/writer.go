@@ -1,8 +1,6 @@
 package orcfile
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -28,8 +26,10 @@ import (
 //	  STRING  0x00 direct:     lengths RLE, then concatenated bytes
 //	          0x01 dictionary: dict size RLE-lens+bytes, indices RLE
 const (
-	orcMagic  = 0x4455414C4F524331 // "DUALORC1"
-	tailSize  = 32
+	orcMagic = 0x4455414C4F524331 // "DUALORC1"
+	// TailSize is the length of the fixed tail that ends every file and
+	// locates its footer — the first read Open makes.
+	TailSize  = 32
 	flagFlate = 1 << 0
 	// DefaultStripeRows is the writer's default stripe size in rows.
 	DefaultStripeRows = 10000
@@ -62,6 +62,7 @@ type Writer struct {
 	stripes   []stripeMeta
 	fileStats []ColumnStats
 	closed    bool
+	z         *deflater // borrowed at the first compressed stream, returned at Close
 }
 
 type stripeMeta struct {
@@ -248,22 +249,16 @@ func (cb *columnBuilder) reset() {
 	cb.stats = ColumnStats{}
 }
 
+// maybeCompress returns b deflated when the file is compressed. The
+// result is valid until the next call.
 func (w *Writer) maybeCompress(b []byte) ([]byte, error) {
 	if !w.opts.Compression {
 		return b, nil
 	}
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, err
+	if w.z == nil {
+		w.z = deflaters.get()
 	}
-	if _, err := fw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return w.z.deflate(b)
 }
 
 // Close flushes the final stripe and writes the footer and tail.
@@ -289,12 +284,16 @@ func (w *Writer) Close() error {
 	if w.opts.Compression {
 		flags |= flagFlate
 	}
-	var tail [tailSize]byte
+	var tail [TailSize]byte
 	binary.LittleEndian.PutUint64(tail[0:], footerOff)
 	binary.LittleEndian.PutUint64(tail[8:], uint64(len(footer)))
 	binary.LittleEndian.PutUint64(tail[16:], flags)
 	binary.LittleEndian.PutUint64(tail[24:], orcMagic)
 	_, err = w.w.Write(tail[:])
+	if w.z != nil {
+		deflaters.put(w.z)
+		w.z = nil
+	}
 	return err
 }
 
