@@ -9,16 +9,16 @@ import (
 // pin acquisition must reach a release on all return paths.
 //
 // Acquisitions tracked:
-//   - v, err := x.OpenSnapshot(...) / x.OpenSnapshotAt(...) /
-//     x.buildRelation(...) / x.planSelect(...) (a compiled SELECT owns
-//     its pinned relation) — the value must reach Release (or Close /
-//     unpinFiles) on every path, unless it escapes (returned, stored,
-//     passed along, captured by a closure): an escape transfers
-//     ownership to whoever now holds it.
+//   - v, err := x.OpenSnapshot(...) / x.OpenSnapshotAt(...) / x.open(...)
+//     (the one protocol behind both) / x.buildRelation(...) /
+//     x.planSelect(...) (a compiled SELECT owns its pinned relation) —
+//     the value must reach Release (or Close) on every path, unless it
+//     escapes (returned, stored, passed along, captured by a closure):
+//     an escape transfers ownership to whoever now holds it.
 //   - x.Pin(p) — the path p must reach x.Unpin(p), unless p escapes
 //     into a tracked pin set (appended to a slice, stored in a field,
 //     handed to another call), which is the snapshot accumulator
-//     idiom (core.Snapshot.pinned + unpinFiles).
+//     idiom (core.Snapshot.pinned, released by Snapshot.Release).
 //
 // The error-variable idiom is understood: inside `if err != nil`
 // where err is the acquisition's error result, the resource is not
@@ -32,20 +32,21 @@ var PinBalance = &Analyzer{
 	Run:  runPinBalance,
 }
 
-// acquireMethods yield a tracked value resource when assigned.
+// acquireMethods yield a tracked value resource when assigned as
+// (value, error).
 var acquireMethods = map[string]bool{
 	"OpenSnapshot":   true,
 	"OpenSnapshotAt": true,
+	"open":           true,
 	"buildRelation":  true,
 	"planSelect":     true,
 }
 
 // releaseMethods release a tracked value resource when called on it.
 var releaseMethods = map[string]bool{
-	"Release":    true,
-	"Close":      true,
-	"unpinFiles": true,
-	"release":    true,
+	"Release": true,
+	"Close":   true,
+	"release": true,
 }
 
 type pbResource struct {
@@ -220,7 +221,7 @@ func (w *pbWalker) acquireFrom(s *ast.AssignStmt, held pbState) {
 	}
 	name := calleeName(call)
 	switch {
-	case acquireMethods[name]:
+	case acquireMethods[name] && len(s.Lhs) <= 2:
 		var valName, errName string
 		if len(s.Lhs) >= 1 {
 			if id, ok := s.Lhs[0].(*ast.Ident); ok && id.Name != "_" {

@@ -402,7 +402,7 @@ func TestFollowingReadsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	desc, _ := e.MS.Get("m")
-	w, _, err := h.workloadFor(nil, desc, nil, nil, nil)
+	w, _, err := h.workloadFor(nil, desc, mustParseUpdate(t, "UPDATE m SET v = 0.0 WHERE id = 1"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 	"dualtable/internal/sqlparser"
 )
 
-func testEngine(t *testing.T) (*hive.Engine, *Handler) {
+func testEngine(t testing.TB) (*hive.Engine, *Handler) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
 	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
@@ -39,7 +39,7 @@ func testEngine(t *testing.T) (*hive.Engine, *Handler) {
 	return e, h
 }
 
-func mustExec(t *testing.T, e *hive.Engine, sql string) *hive.ResultSet {
+func mustExec(t testing.TB, e *hive.Engine, sql string) *hive.ResultSet {
 	t.Helper()
 	rs, err := e.Execute(sql)
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 // job over UNION READ splits that writes the new values of changed
 // cells into the attached table keyed by record ID.
 func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	w, ratioSrc, err := h.workloadFor(ec, desc, stmt.Where, stmt, nil)
+	w, ratioSrc, err := h.workloadFor(ec, desc, stmt)
 	if err != nil {
 		return 0, "", err
 	}
@@ -42,7 +42,7 @@ func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 // ExecDelete implements DELETE with the same plan selection; the EDIT
 // plan's DELETE UDTF puts one delete marker per matching record.
 func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
-	w, ratioSrc, err := h.workloadFor(ec, desc, stmt.Where, nil, stmt)
+	w, ratioSrc, err := h.workloadFor(ec, desc, stmt)
 	if err != nil {
 		return 0, "", err
 	}
@@ -88,10 +88,14 @@ func (h *Handler) applyForce(ec *hive.ExecContext, plan costmodel.Plan) costmode
 // hint → history → stripe-statistics estimate → default, k from
 // options or table property. The second result names the
 // ratio-estimate source.
-func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, where sqlparser.Expr, upd *sqlparser.UpdateStmt, del *sqlparser.DeleteStmt) (costmodel.Workload, string, error) {
+func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement) (costmodel.Workload, string, error) {
+	key, err := h.StatementKey(stmt)
+	if err != nil {
+		return costmodel.Workload{}, "", err
+	}
 	// Cost-model sizing needs file metadata and stripe statistics
 	// only, not attached entries.
-	snap, err := h.openSnapshot(desc, false)
+	snap, err := h.open(desc, nil, false)
 	if err != nil {
 		return costmodel.Workload{}, "", err
 	}
@@ -116,21 +120,20 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, w
 
 	// Stripe-statistics selectivity estimate (upper bound): fraction
 	// of rows in stripes that could match the WHERE predicate.
-	qual := ""
+	var where sqlparser.Expr
+	var qual, table string
+	upd, _ := stmt.(*sqlparser.UpdateStmt)
 	if upd != nil {
-		qual = upd.Alias
-		if qual == "" {
-			qual = upd.Table
-		}
-	} else if del != nil {
-		qual = del.Alias
-		if qual == "" {
-			qual = del.Table
-		}
+		where, qual, table = upd.Where, upd.Alias, upd.Table
+	} else {
+		del := stmt.(*sqlparser.DeleteStmt) // StatementKey accepted stmt
+		where, qual, table = del.Where, del.Alias, del.Table
+	}
+	if qual == "" {
+		qual = table
 	}
 	statsEst := h.statsSelectivity(desc, files, where, qual)
 
-	key := h.statementKey(desc, upd, del)
 	var ratio float64
 	var src string
 	if r, ok := ec.RatioHint(key); ok {
@@ -196,17 +199,6 @@ func (h *Handler) StatementKey(stmt sqlparser.Statement) (string, error) {
 		return "D:" + strings.ToLower(s.Table) + ":" + normalizeStatement(s.String()), nil
 	default:
 		return "", fmt.Errorf("core: statement keys exist only for UPDATE/DELETE, got %T", stmt)
-	}
-}
-
-func (h *Handler) statementKey(desc *metastore.TableDesc, upd *sqlparser.UpdateStmt, del *sqlparser.DeleteStmt) string {
-	switch {
-	case upd != nil:
-		return "U:" + strings.ToLower(desc.Name) + ":" + normalizeStatement(upd.String())
-	case del != nil:
-		return "D:" + strings.ToLower(desc.Name) + ":" + normalizeStatement(del.String())
-	default:
-		return strings.ToLower(desc.Name)
 	}
 }
 
@@ -320,12 +312,14 @@ func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 	if err != nil {
 		return 0, err
 	}
-	if err := h.publishWatermark(desc); err != nil {
+	if err := h.publish(desc, nil, false); err != nil {
 		return 0, err
 	}
-	upd, _ := stmt.(*sqlparser.UpdateStmt)
-	del, _ := stmt.(*sqlparser.DeleteStmt)
-	h.observeRatio(desc, upd, del, affected, w.TableRows)
+	if key, err := h.StatementKey(stmt); err == nil && w.TableRows > 0 {
+		// Feed the measured modification ratio back into the historical
+		// estimator.
+		h.est.Observe(key, float64(affected)/float64(w.TableRows))
+	}
 	return affected, nil
 }
 
@@ -383,16 +377,6 @@ func (s *editSink) Flush(tm *sim.Meter) error {
 		return nil
 	}
 	return s.att.Put(s.batch, tm)
-}
-
-// observeRatio feeds the measured modification ratio back into the
-// historical estimator.
-func (h *Handler) observeRatio(desc *metastore.TableDesc, upd *sqlparser.UpdateStmt, del *sqlparser.DeleteStmt, affected, totalRows int64) {
-	if totalRows <= 0 {
-		return
-	}
-	key := h.statementKey(desc, upd, del)
-	h.est.Observe(key, float64(affected)/float64(totalRows))
 }
 
 // Compact implements the COMPACT operation (§III-C): a UNION READ
@@ -456,7 +440,7 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 	// truncates the attached table, and hands the superseded masters
 	// to deferred deletion (they outlive the swap exactly as long as
 	// pinned snapshots still read them).
-	if err := h.publishReplace(desc, factory.files()); err != nil {
+	if err := h.publish(desc, factory.files(), true); err != nil {
 		factory.discard()
 		return err
 	}

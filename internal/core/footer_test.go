@@ -306,7 +306,7 @@ func TestFooterHandOffLeavesClockUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hB.publishWatermark(descB); err != nil {
+	if err := hB.publish(descB, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if updA.Affected != affected || updA.SimSeconds != mB.Seconds() {
@@ -334,7 +334,7 @@ func TestFooterHandOffLeavesClockUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hB.publishReplace(descB, factory.files()); err != nil {
+	if err := hB.publish(descB, factory.files(), true); err != nil {
 		t.Fatal(err)
 	}
 	if cmpA.SimSeconds != res.SimSeconds {

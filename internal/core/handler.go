@@ -67,6 +67,11 @@ type Handler struct {
 	// finishes but before its epoch publishes (test hook for holding a
 	// compaction mid-flight while concurrent scans run).
 	onCompactStaged func(table string)
+	// onSnapshotLoaded, when set, runs between an open's load and its
+	// validity test, with no lock held (test hook for ordering a publish
+	// against an open in flight; an open that loads under the publish
+	// lock does not fire it). Set it before any open runs.
+	onSnapshotLoaded func(*Snapshot)
 
 	// cleanupMu guards the crash-consistency ledgers (recovery.go):
 	// condemned holds staged/orphaned files whose removal exhausted its
@@ -281,7 +286,7 @@ func (h *Handler) Drop(desc *metastore.TableDesc) error {
 		}
 	}
 	st.retained = nil
-	st.footers = nil
+	st.forgetFootersLocked()
 	reclaimNow := st.snaps == 0
 	if !reclaimNow {
 		st.pendingDrop = job
@@ -305,7 +310,7 @@ func (h *Handler) Drop(desc *metastore.TableDesc) error {
 		// cleanup step must not fail the statement — the table would
 		// be gone from the namespace yet report an error, and the DROP
 		// is not retryable through SQL. A missed step only leaks
-		// storage, the same stance publishReplace takes for post-swap
+		// storage, the same stance publish takes for post-swap
 		// cleanup.
 		_ = h.reclaim(job)
 	}
@@ -396,13 +401,7 @@ type masterFile struct {
 // manifest via the DFS's deferred deletion, so the scan completes
 // against the exact epoch it opened.
 func (h *Handler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
-	var snap *Snapshot
-	var err error
-	if opts.AsOfEpoch != nil {
-		snap, err = h.OpenSnapshotAt(desc, *opts.AsOfEpoch)
-	} else {
-		snap, err = h.OpenSnapshot(desc)
-	}
+	snap, err := h.open(desc, opts.AsOfEpoch, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -539,13 +538,7 @@ type publishCommitter struct {
 
 func (c *publishCommitter) Commit() error {
 	defer c.unlock()
-	var err error
-	if c.replace {
-		err = c.h.publishReplace(c.desc, c.factory.files())
-	} else {
-		err = c.h.publishAppend(c.desc, c.factory.files())
-	}
-	if err != nil {
+	if err := c.h.publish(c.desc, c.factory.files(), c.replace); err != nil {
 		// The manifest swap is the commit point and it did not happen:
 		// the staged files are invisible and must not outlive the
 		// statement (callers report the publish error and move on, so

@@ -61,27 +61,35 @@ type tableState struct {
 	floorEpoch uint64
 	// footers memoises the parsed footer of master files by path, for
 	// files of the current manifest only: an open adds the files it
-	// parsed once it has checked them against the current manifest, and
-	// a replace — the one publish that takes files out — empties it. So
+	// parsed if no file left the manifest since it pinned them, and a
+	// replace — the one publish that takes files out — empties it. So
 	// it never outgrows the manifest, and since master paths are never
 	// reused inside an incarnation and a re-CREATE starts a new
 	// tableState, an entry can never describe another file's bytes.
 	footers map[string]*orcfile.Reader
+	// replaces counts the times footers was emptied (a replace, DROP):
+	// an open compares the count at its pin with the count after its
+	// load to know whether its files are all still in the manifest.
+	replaces uint64
 }
 
 // rememberFootersLocked memoises the footers a snapshot holds. Caller
-// holds pub and has checked that files all belong to the current
-// manifest.
+// holds pub and has checked that replaces did not move since the
+// snapshot pinned the current manifest.
 func (st *tableState) rememberFootersLocked(files []masterFile) {
-	if st.dropped {
-		return // a scan that outlived the DROP; nobody will open this table again
-	}
 	if st.footers == nil {
 		st.footers = make(map[string]*orcfile.Reader, len(files))
 	}
 	for _, f := range files {
 		st.footers[f.path] = f.reader
 	}
+}
+
+// forgetFootersLocked empties the memo: every memoised file just left
+// the manifest. Caller holds pub.
+func (st *tableState) forgetFootersLocked() {
+	st.footers = nil
+	st.replaces++
 }
 
 // retainedEpochs records one superseded master file set and the epoch
@@ -139,9 +147,9 @@ type Snapshot struct {
 	// the attached table themselves.
 	attSeconds map[uint32]float64
 
-	// st is the table state whose snapshot count this snapshot holds;
-	// set once the open is counted, so Release can decrement it and
-	// fire a pending DROP's reclamation when it was the last one.
+	// st is the table state whose snapshot count this snapshot holds:
+	// Release decrements it and fires a pending DROP's reclamation when
+	// it was the last one.
 	st *tableState
 
 	released atomic.Bool
@@ -151,29 +159,135 @@ type Snapshot struct {
 // attached entries. Release must be called exactly once when the scan
 // is done.
 func (h *Handler) OpenSnapshot(desc *metastore.TableDesc) (*Snapshot, error) {
-	return h.openSnapshot(desc, true)
+	return h.open(desc, nil, true)
 }
 
 // OpenSnapshotAt pins a historical epoch for a time-travel read
 // (SELECT ... AS OF EPOCH n). The epoch must still be in the manifest
 // history, inside the retention window, and above the purge floor —
 // the retention policy (pin the last N epochs' superseded files)
-// guarantees its files and attached cells are intact there. Only the
-// cheap parts (manifest resolution, window checks, file pinning) run
-// under the publish lock; the materialization runs outside it and the
-// purge floor is re-validated afterwards, so a session-wide read.epoch
-// pin does not serialize every open and publish behind historical
-// materializations. Release must be called exactly once.
+// guarantees its files and attached cells are intact there. Release
+// must be called exactly once.
 func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snapshot, error) {
+	return h.open(desc, &epoch, true)
+}
+
+// optimisticAttempts is how many times an open loads outside the
+// publish lock before it loads under it.
+const optimisticAttempts = 3
+
+// open pins one epoch — the current one, or *asOf — and loads it.
+// withEntries=false skips the attached-table materialization for
+// callers that only need file metadata and stripe statistics
+// (cost-model sizing).
+//
+// Only the cheap parts run under the publish lock: manifest resolution,
+// file pinning, and afterwards one validity test. The heavy parts —
+// footer opens and the attached-table materialization — run outside it,
+// so a session-wide read.epoch pin or a large delta does not serialize
+// every open and publish behind a materialization. What a publish can do
+// to a load in flight is exactly one thing: discard the attached cells
+// it is reading, and every discard (the retention-0 truncate, the purge
+// of an expired retained set) first raises floorEpoch above the epochs
+// it destroys, under pub. So the load is exact iff the pinned epoch is
+// still at or above the floor afterwards. Nothing else needs a test: the
+// files are pinned; a COMPACT/OVERWRITE inside the retention window
+// keeps the superseded set's cells, so the snapshot stays exact at its
+// pinned epoch; and cells a concurrent EDIT writes carry timestamps
+// above this snapshot's watermark, which the materialization filters
+// out. A current-epoch open that lost its cells retries against the new
+// epoch; a historical one has nothing newer to be, and expires. After a
+// few lost races the load runs with the lock held, where no floor can
+// move, bounding livelock under pathological compaction churn.
+func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool) (*Snapshot, error) {
 	st := h.state(desc.Name)
-	st.pub.Lock()
-	if err := h.checkIncarnationLocked(desc, st); err != nil {
+	for attempt := 0; ; attempt++ {
+		st.pub.Lock()
+		snap, err := h.pinLocked(desc, st, asOf)
+		if err != nil {
+			st.pub.Unlock()
+			return nil, err
+		}
+		replaces := st.replaces
+		if attempt < optimisticAttempts {
+			st.pub.Unlock()
+			err = snap.load(withEntries)
+			if h.onSnapshotLoaded != nil {
+				h.onSnapshotLoaded(snap)
+			}
+			st.pub.Lock()
+		} else {
+			err = snap.load(withEntries) // no publish can land: this one is exact
+		}
+		exact := err == nil && snap.Epoch >= st.floorEpoch
+		// A historical epoch adds nothing to the memo: its files may have
+		// left the manifest before it pinned them.
+		if exact && asOf == nil && replaces == st.replaces {
+			st.rememberFootersLocked(snap.files)
+		}
 		st.pub.Unlock()
+		if exact {
+			return snap, nil
+		}
+		snap.Release()
+		if err != nil {
+			return nil, err
+		}
+		if asOf != nil {
+			return nil, fmt.Errorf("core: %s AS OF EPOCH %d: epoch expired during open: %w",
+				desc.Name, *asOf, metastore.ErrEpochExpired)
+		}
+	}
+}
+
+// pinLocked resolves the manifest an open reads, pins its files and
+// counts the snapshot. Counting under the same pub hold as the
+// incarnation check means a DROP landing after this point defers its
+// reclamation until this snapshot (and every other) releases. Caller
+// holds pub.
+func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uint64) (*Snapshot, error) {
+	if err := h.checkIncarnationLocked(desc, st); err != nil {
 		return nil, err
 	}
+	var man *metastore.Manifest
+	var err error
+	if asOf == nil {
+		man, err = h.e.MS.CurrentManifest(desc.Name)
+	} else {
+		man, err = h.manifestAtLocked(desc, st, *asOf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	snap := &Snapshot{h: h, desc: desc, st: st, Epoch: man.Epoch, Watermark: man.Watermark}
+	for _, mf := range man.Files {
+		if err := h.e.FS.Pin(mf.Path); err != nil {
+			// Single attempts: retry backoff under pub would stall every
+			// other open and publish.
+			for _, p := range snap.pinned {
+				h.unpinDeferred(p)
+			}
+			if asOf != nil {
+				// The manifest survives in history longer than its files
+				// survive retention; a reclaimed file means the epoch aged
+				// out of the serviceable window.
+				return nil, fmt.Errorf("core: %s AS OF EPOCH %d: file %s reclaimed: %w",
+					desc.Name, *asOf, mf.Path, metastore.ErrEpochExpired)
+			}
+			return nil, fmt.Errorf("core: pin master file %s: %w", mf.Path, err)
+		}
+		snap.pinned = append(snap.pinned, mf.Path)
+		snap.files = append(snap.files, newMasterFile(mf, st.footers[mf.Path]))
+	}
+	st.snaps++
+	return snap, nil
+}
+
+// manifestAtLocked resolves a historical epoch's manifest and checks
+// that the epoch is still serviceable. Caller holds pub.
+func (h *Handler) manifestAtLocked(desc *metastore.TableDesc, st *tableState, epoch uint64) (*metastore.Manifest, error) {
 	man, err := h.e.MS.ManifestAt(desc.Name, epoch)
 	if err != nil {
-		st.pub.Unlock()
 		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: %w", desc.Name, epoch, err)
 	}
 	// Enforce the retention window explicitly rather than relying on a
@@ -184,11 +298,9 @@ func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snap
 	// chain (and its current manifest) exists.
 	cur, err := h.e.MS.CurrentManifest(desc.Name)
 	if err != nil {
-		st.pub.Unlock()
 		return nil, err
 	}
 	if n := h.e.MS.RetentionEpochs(desc.Name); epoch < cur.Epoch && cur.Epoch-epoch > uint64(n) {
-		st.pub.Unlock()
 		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: outside the retention window (current %d, retained %d): %w",
 			desc.Name, epoch, cur.Epoch, n, metastore.ErrEpochExpired)
 	}
@@ -196,142 +308,15 @@ func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snap
 	// retention knob: epochs whose attached cells were already purged
 	// stay unserviceable even after the window is widened.
 	if epoch < st.floorEpoch {
-		st.pub.Unlock()
 		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: attached history purged up to epoch %d: %w",
 			desc.Name, epoch, st.floorEpoch, metastore.ErrEpochExpired)
 	}
-	snap := &Snapshot{h: h, desc: desc, Epoch: man.Epoch, Watermark: man.Watermark}
-	for _, mf := range man.Files {
-		if err := h.e.FS.Pin(mf.Path); err != nil {
-			snap.unpinFiles()
-			st.pub.Unlock()
-			// The manifest survives in history longer than its files
-			// survive retention; a reclaimed file means the epoch aged
-			// out of the serviceable window.
-			return nil, fmt.Errorf("core: %s AS OF EPOCH %d: file %s reclaimed: %w",
-				desc.Name, epoch, mf.Path, metastore.ErrEpochExpired)
-		}
-		snap.pinned = append(snap.pinned, mf.Path)
-		snap.files = append(snap.files, newMasterFile(mf, st.footers[mf.Path]))
-	}
-	st.snaps++
-	snap.st = st
-	st.pub.Unlock()
-
-	// A historical epoch adds nothing to the memo: its files may have
-	// left the manifest.
-	loadErr := snap.loadFiles()
-	if loadErr == nil {
-		loadErr = snap.loadEntries()
-	}
-	// Re-validate the purge floor: a publish that ran during the
-	// materialization may have expired this epoch and purged its
-	// attached cells mid-scan (the files themselves stayed safe under
-	// our pins).
-	st.pub.Lock()
-	expired := epoch < st.floorEpoch
-	st.pub.Unlock()
-	if loadErr != nil || expired {
-		snap.unpinFiles()
-		if loadErr != nil {
-			return nil, loadErr
-		}
-		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: epoch expired during open: %w",
-			desc.Name, epoch, metastore.ErrEpochExpired)
-	}
-	return snap, nil
+	return man, nil
 }
 
-// openSnapshot pins the current epoch. withEntries=false skips the
-// attached-table materialization for callers that only need file
-// metadata and stripe statistics (cost-model sizing).
-//
-// Only the cheap parts run under the publish lock: manifest
-// resolution and file pinning. The heavy parts — footer opens and the
-// attached-table materialization — run optimistically outside it,
-// then the file set is re-validated: if a concurrent
-// COMPACT/OVERWRITE replaced any pinned file (the only publishes that
-// truncate the attached table), the attempt retries against the new
-// epoch. Watermark-only publishes (EDIT commits) need no retry: the
-// materialization filters to this snapshot's watermark, so cells a
-// concurrent EDIT writes are invisible regardless of interleaving.
-// After a few racing replaces the open falls back to holding the
-// lock, bounding livelock under pathological compaction churn.
-func (h *Handler) openSnapshot(desc *metastore.TableDesc, withEntries bool) (*Snapshot, error) {
-	const optimisticAttempts = 3
-	st := h.state(desc.Name)
-	for attempt := 0; ; attempt++ {
-		pessimistic := attempt >= optimisticAttempts
-		st.pub.Lock()
-		if err := h.checkIncarnationLocked(desc, st); err != nil {
-			st.pub.Unlock()
-			return nil, err
-		}
-		man, err := h.e.MS.CurrentManifest(desc.Name)
-		if err != nil {
-			st.pub.Unlock()
-			return nil, err
-		}
-		snap := &Snapshot{h: h, desc: desc, Epoch: man.Epoch, Watermark: man.Watermark}
-		for _, mf := range man.Files {
-			if err := h.e.FS.Pin(mf.Path); err != nil {
-				snap.unpinFiles()
-				st.pub.Unlock()
-				return nil, fmt.Errorf("core: pin master file %s: %w", mf.Path, err)
-			}
-			snap.pinned = append(snap.pinned, mf.Path)
-			snap.files = append(snap.files, newMasterFile(mf, st.footers[mf.Path]))
-		}
-		// Count the open while still under pub: a DROP landing after
-		// this point defers its reclamation until this snapshot (and
-		// every other) releases.
-		st.snaps++
-		snap.st = st
-		if !pessimistic {
-			st.pub.Unlock()
-		}
-
-		loadErr := snap.loadFiles()
-		if loadErr == nil && withEntries {
-			loadErr = snap.loadEntries()
-		}
-		if pessimistic {
-			if loadErr == nil {
-				st.rememberFootersLocked(snap.files)
-			}
-			st.pub.Unlock()
-		}
-		if loadErr != nil {
-			snap.unpinFiles()
-			return nil, loadErr
-		}
-		if pessimistic {
-			return snap, nil
-		}
-
-		// Validate: the pinned file set must still be part of the
-		// current manifest (appends are fine; a replace means the
-		// attached table may have been truncated mid-materialization).
-		st.pub.Lock()
-		cur, err := h.e.MS.CurrentManifest(desc.Name)
-		preserved := err == nil && fileSetPreserved(man.Files, cur.Files)
-		if preserved {
-			st.rememberFootersLocked(snap.files)
-		}
-		st.pub.Unlock()
-		if err != nil {
-			snap.unpinFiles()
-			return nil, err
-		}
-		if preserved {
-			return snap, nil
-		}
-		snap.unpinFiles() // epoch replaced mid-open: retry
-	}
-}
-
-// loadFiles parses the footer of every file the memo did not have.
-func (s *Snapshot) loadFiles() (err error) {
+// load parses the footer of every file the memo did not have and, for
+// a scan, materializes the attached entries.
+func (s *Snapshot) load(withEntries bool) (err error) {
 	for i := range s.files {
 		f := &s.files[i]
 		if f.reader != nil {
@@ -341,26 +326,10 @@ func (s *Snapshot) loadFiles() (err error) {
 			return err
 		}
 	}
+	if withEntries {
+		return s.loadEntries()
+	}
 	return nil
-}
-
-// fileSetPreserved reports whether every file of the pinned manifest
-// is still part of the current one (i.e. no COMPACT/OVERWRITE
-// replaced it since the pin).
-func fileSetPreserved(pinned, cur []metastore.ManifestFile) bool {
-	if len(pinned) > len(cur) {
-		return false
-	}
-	have := make(map[string]bool, len(cur))
-	for _, f := range cur {
-		have[f.Path] = true
-	}
-	for _, f := range pinned {
-		if !have[f.Path] {
-			return false
-		}
-	}
-	return true
 }
 
 func newMasterFile(mf metastore.ManifestFile, footer *orcfile.Reader) masterFile {
@@ -385,10 +354,11 @@ func (h *Handler) openFooter(path string) (*orcfile.Reader, error) {
 
 // loadEntries materializes the attached table into per-file entry
 // lists, keeping for each (record, column) the newest cell at or
-// below the snapshot watermark. Materializing at open (under the
-// publish lock) is what makes a pinned scan immune to the attached
-// truncation a concurrent COMPACT performs when it publishes: the
-// entries this snapshot needs already live in memory. EDIT keeps the
+// below the snapshot watermark. Materializing at open is what makes a
+// pinned scan immune to the attached truncation a concurrent COMPACT
+// performs when it publishes: the entries this snapshot needs already
+// live in memory (open's floor test rejects a materialization the
+// truncation overtook). EDIT keeps the
 // attached table small relative to the master, so the one-pass
 // buffering is cheap — and scan tasks no longer touch the key-value
 // store at all. Each file's ranged pre-scan is metered separately;
@@ -521,24 +491,10 @@ func (s *Snapshot) Release() {
 	if s.released.Swap(true) {
 		return
 	}
-	s.unpinFilesDone()
-}
-
-// unpinFiles is the error/retry-path cleanup during open (not yet
-// handed to a caller, so no released guard needed).
-func (s *Snapshot) unpinFiles() {
-	s.released.Store(true)
-	s.unpinFilesDone()
-}
-
-func (s *Snapshot) unpinFilesDone() {
 	for _, p := range s.pinned {
 		// Retried delivery: a dropped Unpin would strand the file's
 		// deferred deletion forever.
 		s.h.unpinRetry(p)
-	}
-	if s.st == nil {
-		return // open failed before the snapshot was counted
 	}
 	s.st.pub.Lock()
 	s.st.snaps--
@@ -552,113 +508,108 @@ func (s *Snapshot) unpinFilesDone() {
 	}
 }
 
-// publishAppend publishes a new epoch whose file set is the current
-// set plus the freshly written files (INSERT INTO / LOAD / bulk
-// load).
-func (h *Handler) publishAppend(desc *metastore.TableDesc, added []metastore.ManifestFile) error {
-	st := h.state(desc.Name)
-	st.pub.Lock()
-	if err := h.checkIncarnationLocked(desc, st); err != nil {
-		st.pub.Unlock()
-		return err
-	}
-	cur, err := h.e.MS.CurrentManifest(desc.Name)
-	if err != nil {
-		st.pub.Unlock()
-		return err
-	}
-	next := &metastore.Manifest{
-		Table:     desc.Name,
-		Epoch:     cur.Epoch + 1,
-		Watermark: h.e.KV.NextTs(),
-		Files:     append(append([]metastore.ManifestFile(nil), cur.Files...), added...),
-	}
-	if err := h.e.MS.PublishManifest(next); err != nil {
-		st.pub.Unlock()
-		return err
-	}
-	expired := h.expireRetainedLocked(desc, st, next.Epoch)
-	st.pub.Unlock()
-	h.purgeExpired(desc, expired)
-	h.drainCleanup()
-	return nil
-}
-
-// publishReplace atomically swaps the table's entire file set
-// (OVERWRITE and COMPACT): the new epoch holds exactly files, the
-// attached table is truncated, and every superseded master file is
-// handed to the DFS's deferred deletion — removed immediately unless
-// a pinned snapshot still reads it, in which case it survives until
-// the last such snapshot releases.
+// publish commits the table's next epoch; every writer ends here. The
+// next file set is the current one plus files (INSERT INTO / LOAD /
+// bulk load) or, for a replace, exactly files (OVERWRITE and COMPACT).
+// An append of nothing is the commit point of an EDIT UPDATE/DELETE:
+// the cells the DML wrote carry timestamps above the previous
+// watermark, so snapshots opened before this publish do not see them,
+// and the fresh watermark makes them visible atomically.
 //
 // The manifest swap is the commit point: an error return means the
 // swap did NOT happen and the caller may discard its staged files.
-// Post-swap cleanup (attached truncation, deferred deletes) is
+// Post-swap cleanup (the superseded set, retention expiry) is
 // best-effort — a failure there must never surface as a publish
 // failure, because the new epoch is already current and discarding
 // its files would leave the table pointing at nothing. A missed
 // truncation only leaves orphaned cells keyed by superseded file IDs
 // (invisible to the new epoch's scans); a missed delete only leaks a
 // file.
-func (h *Handler) publishReplace(desc *metastore.TableDesc, files []metastore.ManifestFile) error {
+func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestFile, replace bool) error {
 	st := h.state(desc.Name)
 	st.pub.Lock()
 	if err := h.checkIncarnationLocked(desc, st); err != nil {
 		st.pub.Unlock()
 		return err
 	}
-	cur, err := h.e.MS.CurrentManifest(desc.Name)
+	var (
+		epoch      uint64
+		superseded []metastore.ManifestFile
+		err        error
+	)
+	if len(files) == 0 && !replace {
+		// File set unchanged: the metastore shares the current manifest's
+		// file slice instead of cloning it twice (once to read it, once to
+		// publish), so a watermark-only commit costs no per-file work.
+		epoch, err = h.e.MS.PublishWatermark(desc.Name, h.e.KV.NextTs())
+	} else if cur, curErr := h.e.MS.CurrentManifest(desc.Name); curErr != nil {
+		err = curErr
+	} else {
+		next := &metastore.Manifest{Table: desc.Name, Epoch: cur.Epoch + 1, Watermark: h.e.KV.NextTs(), Files: files}
+		if replace {
+			superseded = cur.Files
+		} else {
+			next.Files = append(cur.Files, files...) // cur is this call's own copy
+		}
+		epoch, err = next.Epoch, h.e.MS.PublishManifest(next)
+	}
 	if err != nil {
 		st.pub.Unlock()
 		return err
 	}
-	next := &metastore.Manifest{
-		Table:     desc.Name,
-		Epoch:     cur.Epoch + 1,
-		Watermark: h.e.KV.NextTs(),
-		Files:     append([]metastore.ManifestFile(nil), files...),
-	}
-	if err := h.e.MS.PublishManifest(next); err != nil {
-		st.pub.Unlock()
-		return err
-	}
 	// Committed. Cleanup below is best-effort.
-	st.footers = nil // every memoised file just left the manifest
-	//
-	// Retention: with a pin-last-N-epochs window, the superseded file
-	// set stays pinned (and the attached cells keyed by its file IDs
-	// stay in place) so ManifestAt time-travel reads of the epochs it
-	// served remain serviceable; both are reclaimed when those epochs
-	// age out of the window. File IDs are never reused and the new
-	// files' IDs are disjoint, so the stale cells are invisible to
-	// every scan of the new epoch. Without retention, the attached
-	// table truncates and the files are condemned immediately — the
-	// pre-time-travel behavior.
+	if replace {
+		h.supersedeLocked(desc, st, superseded, epoch)
+	}
+	expired := h.expireRetainedLocked(desc, st, epoch)
+	st.pub.Unlock()
+	h.purgeExpired(desc, expired)
+	h.drainCleanup()
+	return nil
+}
+
+// supersedeLocked disposes of the file set a replace at epoch at took
+// out of the manifest: every superseded master file is handed to the
+// DFS's deferred deletion — removed immediately unless a pin still
+// holds it, in which case it survives until the last one releases.
+//
+// Retention: with a pin-last-N-epochs window, the superseded file
+// set stays pinned (and the attached cells keyed by its file IDs
+// stay in place) so ManifestAt time-travel reads of the epochs it
+// served remain serviceable; both are reclaimed when those epochs
+// age out of the window. File IDs are never reused and the new
+// files' IDs are disjoint, so the stale cells are invisible to
+// every scan of the new epoch. Without retention, the attached
+// table truncates and the files are condemned immediately — the
+// pre-time-travel behavior. Caller holds pub.
+func (h *Handler) supersedeLocked(desc *metastore.TableDesc, st *tableState, old []metastore.ManifestFile, at uint64) {
+	st.forgetFootersLocked()
 	if n := h.e.MS.RetentionEpochs(desc.Name); n > 0 {
 		// An empty superseded set (replacing an empty table) retains
 		// nothing — but it must NOT fall into the truncate branch,
 		// which would destroy older retained sets' attached cells and
 		// floor every in-window epoch.
-		if len(cur.Files) > 0 {
-			retained := make([]metastore.ManifestFile, 0, len(cur.Files))
-			for _, f := range cur.Files {
+		if len(old) > 0 {
+			retained := make([]metastore.ManifestFile, 0, len(old))
+			for _, f := range old {
 				if err := h.e.FS.Pin(f.Path); err == nil {
 					retained = append(retained, f)
 				}
 			}
-			st.retained = append(st.retained, retainedEpochs{supersededAt: next.Epoch, files: retained})
+			st.retained = append(st.retained, retainedEpochs{supersededAt: at, files: retained})
 			st.everRetained = true
 		}
 	} else {
 		// Truncation destroys the attached history of every epoch
-		// below this publish; record that so no later retention change
-		// can re-admit them.
-		if next.Epoch > st.floorEpoch {
-			st.floorEpoch = next.Epoch
+		// below this publish; record that — before truncating, so an
+		// open whose load the truncation cut short fails its floor
+		// test — and so no later retention change can re-admit them.
+		if at > st.floorEpoch {
+			st.floorEpoch = at
 		}
 		h.e.KV.TruncateTable(attachedName(desc))
 	}
-	for _, f := range cur.Files {
+	for _, f := range old {
 		// Single attempt under the publish lock (retry backoff here
 		// would stall snapshot opens); failures go to the condemned
 		// ledger, re-driven after the lock drops.
@@ -666,41 +617,6 @@ func (h *Handler) publishReplace(desc *metastore.TableDesc, files []metastore.Ma
 			h.condemn(f.Path)
 		}
 	}
-	expired := h.expireRetainedLocked(desc, st, next.Epoch)
-	st.pub.Unlock()
-	h.purgeExpired(desc, expired)
-	h.drainCleanup()
-	return nil
-}
-
-// publishWatermark publishes a new epoch with an unchanged file set
-// and a fresh watermark — the commit point of an EDIT UPDATE/DELETE.
-// Cells the DML wrote carry timestamps above the previous watermark,
-// so snapshots opened before this publish do not see them; the bump
-// makes them visible atomically. The metastore's PublishWatermark fast
-// path shares the current manifest's file slice instead of cloning it
-// twice (once to read the current manifest, once to publish), so a
-// watermark-only commit costs no per-file work.
-func (h *Handler) publishWatermark(desc *metastore.TableDesc) error {
-	st := h.state(desc.Name)
-	st.pub.Lock()
-	if err := h.checkIncarnationLocked(desc, st); err != nil {
-		st.pub.Unlock()
-		return err
-	}
-	epoch, err := h.e.MS.PublishWatermark(desc.Name, h.e.KV.NextTs())
-	if err != nil {
-		st.pub.Unlock()
-		return err
-	}
-	var expired []retainedEpochs
-	if len(st.retained) > 0 {
-		expired = h.expireRetainedLocked(desc, st, epoch)
-	}
-	st.pub.Unlock()
-	h.purgeExpired(desc, expired)
-	h.drainCleanup()
-	return nil
 }
 
 // checkIncarnationLocked rejects work against a dropped or re-created
@@ -740,6 +656,9 @@ func (h *Handler) checkIncarnationLocked(desc *metastore.TableDesc, st *tableSta
 // time-travel open can touch the doomed ranges. Caller holds the
 // table's pub lock.
 func (h *Handler) expireRetainedLocked(desc *metastore.TableDesc, st *tableState, current uint64) []retainedEpochs {
+	if len(st.retained) == 0 {
+		return nil
+	}
 	n := h.e.MS.RetentionEpochs(desc.Name)
 	keep := st.retained[:0]
 	var expired []retainedEpochs
@@ -805,10 +724,7 @@ func (h *Handler) purgeAttachedRanges(desc *metastore.TableDesc, files []metasto
 // CurrentEpoch returns the table's current manifest epoch
 // (observability for tests and the harness).
 func (h *Handler) CurrentEpoch(desc *metastore.TableDesc) (uint64, error) {
-	st := h.state(desc.Name)
-	st.pub.Lock()
-	defer st.pub.Unlock()
-	man, err := h.e.MS.CurrentManifest(desc.Name)
+	man, err := h.currentManifest(desc)
 	if err != nil {
 		return 0, err
 	}

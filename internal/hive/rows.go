@@ -240,12 +240,13 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 // chanOutputFactory streams job output rows into a channel, stopping
 // the job once LIMIT rows have been delivered.
 type chanOutputFactory struct {
-	ctx      context.Context
-	cancel   context.CancelFunc
-	ch       chan<- datum.Row
-	limit    int64 // -1 = none
-	sent     atomic.Int64
-	limitHit atomic.Bool
+	ctx       context.Context
+	cancel    context.CancelFunc
+	ch        chan<- datum.Row
+	limit     int64 // -1 = none
+	reserved  atomic.Int64
+	delivered atomic.Int64
+	limitHit  atomic.Bool
 }
 
 func (f *chanOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
@@ -256,31 +257,24 @@ type chanCollector struct{ f *chanOutputFactory }
 
 func (c *chanCollector) Collect(row datum.Row) error {
 	f := c.f
-	if f.limit >= 0 {
-		// Reserve a slot first so concurrent map tasks cannot
-		// collectively deliver more than LIMIT rows.
-		n := f.sent.Add(1)
-		if n > f.limit {
-			return nil
-		}
-		select {
-		case f.ch <- row: // emit transfers ownership; no clone needed
-			if n == f.limit {
-				// Enough rows delivered: abort the rest of the job.
-				f.limitHit.Store(true)
-				f.cancel()
-			}
-			return nil
-		case <-f.ctx.Done():
-			return f.ctx.Err()
-		}
+	// Reserve a slot first so concurrent map tasks cannot collectively
+	// deliver more than LIMIT rows.
+	if f.limit >= 0 && f.reserved.Add(1) > f.limit {
+		return nil
 	}
 	select {
 	case f.ch <- row: // emit transfers ownership; no clone needed
-		return nil
 	case <-f.ctx.Done():
 		return f.ctx.Err()
 	}
+	// Abort the rest of the job on the last row delivered, not on the
+	// last slot reserved: a task holding an earlier slot may still be in
+	// the select above, and a cancel would race its send.
+	if f.limit >= 0 && f.delivered.Add(1) == f.limit {
+		f.limitHit.Store(true)
+		f.cancel()
+	}
+	return nil
 }
 
 func (c *chanCollector) Close() error { return nil }

@@ -14,7 +14,6 @@ import (
 // Open returned, so WithSource copies share it.
 type Reader struct {
 	r          io.ReaderAt
-	size       int64
 	footerLen  int64
 	schema     datum.Schema
 	userMeta   map[string]string
@@ -46,7 +45,7 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 	if footerOff > body || footerLen > body-footerOff {
 		return nil, fmt.Errorf("orcfile: footer out of bounds")
 	}
-	rd := &Reader{r: r, size: size, footerLen: int64(footerLen), compressed: flags&flagFlate != 0}
+	rd := &Reader{r: r, footerLen: int64(footerLen), compressed: flags&flagFlate != 0}
 	z := inflaters.get()
 	defer inflaters.put(z)
 	fb, err := z.load(z.out, r, int64(footerOff), int(footerLen), rd.compressed)
