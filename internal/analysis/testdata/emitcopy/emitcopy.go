@@ -55,7 +55,41 @@ func (m *mapper) MapBatch(b *RecordBatch, emit Emitter) error {
 	return nil
 }
 
+// A join mapper narrows every surviving record into one row it reuses
+// across shuffle emits (the engine copies). Keeping that row is a
+// finding: the next record overwrites what was kept.
+type joinMapper struct {
+	row     Row
+	keyBuf  []byte
+	pending []Row
+}
+
+func (m *joinMapper) MapBatch(b *RecordBatch, emit Emitter) error {
+	row := m.row[:1]
+	for i := 0; i < b.Len; i++ {
+		row[0] = b.Cols[0].Ints[i]
+		if err := emit(m.keyBuf, row); err != nil {
+			return err
+		}
+		m.pending = append(m.pending, row) // want `append retains a row already passed to emit`
+	}
+	return nil
+}
+
 // --- legal patterns (must stay silent) ---
+
+// The join mapper as it should be: one key buffer and one narrowed row
+// per task, refilled per record, nothing kept.
+func (m *joinMapper) MapBatchReuses(b *RecordBatch, emit Emitter) error {
+	for i := 0; i < b.Len; i++ {
+		m.row[0] = b.Cols[0].Ints[i]
+		m.keyBuf = append(m.keyBuf[:0], byte(m.row[0]))
+		if err := emit(m.keyBuf, m.row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // The batch idioms: scalar reads off vectors and rows, spread copies
 // of a row, emitting a fresh row per record, and handing the batch to

@@ -63,6 +63,20 @@ func (s *scope) resolve(ref *sqlparser.ColumnRef) (int, error) {
 	return found, nil
 }
 
+// matches lists every row index resolve would consider for the
+// reference: one is a unique column, more an ambiguous one.
+func (s *scope) matches(ref *sqlparser.ColumnRef) []int {
+	q := strings.ToLower(ref.Table)
+	n := strings.ToLower(ref.Name)
+	var found []int
+	for i, c := range s.cols {
+		if c.name == n && (q == "" || c.qual == q) {
+			found = append(found, i)
+		}
+	}
+	return found
+}
+
 // kinds returns the scope's column kinds as a schema-like list.
 func (s *scope) kinds() []datum.Kind {
 	out := make([]datum.Kind, len(s.cols))
@@ -905,14 +919,14 @@ func (e *Engine) tryDecorrelate(ec *ExecContext, sel *sqlparser.SelectStmt, oute
 		return nil, false, nil
 	}
 	// The aggregated expression must be inner-only.
-	if !e.refsResolveIn(item, inner) {
+	if !refsResolveIn(item, inner) {
 		return nil, false, nil
 	}
 
 	var residual []sqlparser.Expr
 	var innerKeys, outerKeys []sqlparser.Expr
 	for _, conj := range sqlparser.SplitConjuncts(sel.Where) {
-		if e.refsResolveIn(conj, inner) {
+		if refsResolveIn(conj, inner) {
 			residual = append(residual, conj)
 			continue
 		}
@@ -921,10 +935,10 @@ func (e *Engine) tryDecorrelate(ec *ExecContext, sel *sqlparser.SelectStmt, oute
 			return nil, false, nil
 		}
 		switch {
-		case e.refsResolveIn(bin.L, inner) && e.refsResolveIn(bin.R, outer):
+		case refsResolveIn(bin.L, inner) && refsResolveIn(bin.R, outer):
 			innerKeys = append(innerKeys, bin.L)
 			outerKeys = append(outerKeys, bin.R)
-		case e.refsResolveIn(bin.R, inner) && e.refsResolveIn(bin.L, outer):
+		case refsResolveIn(bin.R, inner) && refsResolveIn(bin.L, outer):
 			innerKeys = append(innerKeys, bin.R)
 			outerKeys = append(outerKeys, bin.L)
 		default:
@@ -965,7 +979,7 @@ func (e *Engine) tryDecorrelate(ec *ExecContext, sel *sqlparser.SelectStmt, oute
 // refsResolveIn reports whether every column reference of x resolves
 // in the given scope (expressions without references resolve
 // anywhere, but such conjuncts are classified as residual first).
-func (e *Engine) refsResolveIn(x sqlparser.Expr, sc *scope) bool {
+func refsResolveIn(x sqlparser.Expr, sc *scope) bool {
 	okAll := true
 	sqlparser.WalkExpr(x, func(n sqlparser.Expr) bool {
 		if ref, isRef := n.(*sqlparser.ColumnRef); isRef {

@@ -582,6 +582,21 @@ func (e *Engine) explain(stmt sqlparser.Statement) (*ResultSet, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		add("SELECT (MapReduce)", "  "+s.String())
+		if s.From == nil {
+			break
+		}
+		// What the planner does with FROM and WHERE: per input the
+		// scanned columns, the conjuncts pushed to it and their
+		// SearchArg; per join its keys and residual ON; and the WHERE
+		// left to evaluate over the result.
+		from, above, err := e.planFrom(s)
+		if err != nil {
+			return nil, err
+		}
+		from.describe(add, "  ")
+		if from.join != nil {
+			add("  residual WHERE " + exprList(sqlparser.SplitConjuncts(above.Where)))
+		}
 	case *sqlparser.UpdateStmt:
 		desc, err := e.MS.Get(s.Table)
 		if err != nil {

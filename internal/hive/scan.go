@@ -12,7 +12,6 @@ import (
 	"dualtable/internal/mapred"
 	"dualtable/internal/metastore"
 	"dualtable/internal/orcfile"
-	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
 )
 
@@ -37,31 +36,6 @@ func (r *relation) Release() {
 		return
 	}
 	r.releaseOnce.Do(r.release)
-}
-
-// buildRelation resolves a FROM clause into a relation. The top-level
-// SELECT is passed in for pushdown analysis on single-table scans.
-func (e *Engine) buildRelation(ec *ExecContext, ref sqlparser.TableRef, sel *sqlparser.SelectStmt, meter *sim.Meter) (*relation, error) {
-	switch t := ref.(type) {
-	case *sqlparser.TableName:
-		return e.buildTableScan(ec, t, sel, meter)
-	case *sqlparser.SubqueryRef:
-		rs, err := e.runSelect(ec, t.Select, meter)
-		if err != nil {
-			return nil, err
-		}
-		sc := &scope{}
-		q := strings.ToLower(t.Alias)
-		kinds := inferKinds(rs)
-		for i, n := range rs.Columns {
-			sc.cols = append(sc.cols, scopeCol{qual: q, name: strings.ToLower(n), kind: kinds[i]})
-		}
-		return materialized(sc, rs.Columns, rs.Rows), nil
-	case *sqlparser.JoinRef:
-		return e.execJoin(ec, t, meter)
-	default:
-		return nil, fmt.Errorf("hive: unsupported FROM clause %T", ref)
-	}
 }
 
 func inferKinds(rs *ResultSet) []datum.Kind {
@@ -104,40 +78,23 @@ func materialized(sc *scope, names []string, rows []datum.Row) *relation {
 	return &relation{sc: sc, names: names, splits: splits}
 }
 
-// buildTableScan plans a base-table scan with projection and
-// predicate pushdown (single-table queries only push predicates) plus
-// time-travel resolution: an AS OF EPOCH clause on the table reference
-// or the session's read.epoch setting pins the scan at a historical
-// manifest epoch.
-func (e *Engine) buildTableScan(ec *ExecContext, t *sqlparser.TableName, sel *sqlparser.SelectStmt, meter *sim.Meter) (*relation, error) {
-	desc, err := e.MS.Get(t.Name)
-	if err != nil {
-		return nil, err
-	}
+// buildTableScan opens a planned base-table scan: projection and
+// predicate pushdown as push decided them (the conjuncts that reached
+// the table make its SearchArg), plus time-travel resolution — an AS OF
+// EPOCH clause on the table reference or the session's read.epoch
+// setting pins the scan at a historical manifest epoch.
+func (e *Engine) buildTableScan(ec *ExecContext, n *fromNode) (*relation, error) {
+	t, desc := n.table, n.desc
 	h, err := e.Handler(desc.Storage)
 	if err != nil {
 		return nil, err
 	}
-	alias := t.Alias
-	if alias == "" {
-		alias = t.Name
-	}
-	sc := newScope(alias, desc.Schema)
-
-	opts := ScanOptions{}
+	opts := ScanOptions{Projection: n.proj}
 	opts.AsOfEpoch, err = resolveReadEpoch(ec, t)
 	if err != nil {
 		return nil, err
 	}
-	// Predicate pushdown only when this table is the sole FROM source
-	// (conjuncts referencing just it are then safe to push).
-	if sel != nil && sel.From == sqlparser.TableRef(t) && sel.Where != nil {
-		opts.SArg = extractSArg(sel.Where, sc, desc.Schema)
-	}
-	// Projection pushdown: columns the query references.
-	if sel != nil && sel.From == sqlparser.TableRef(t) {
-		opts.Projection = referencedColumns(sel, sc)
-	}
+	opts.SArg = extractSArg(n.where, n.sc, desc.Schema)
 
 	// Only DualTable keeps an epoch history. An explicit AS OF clause
 	// on any other table is an error; the session-wide read.epoch pin
@@ -157,7 +114,7 @@ func (e *Engine) buildTableScan(ec *ExecContext, t *sqlparser.TableName, sel *sq
 	if err != nil {
 		return nil, err
 	}
-	return &relation{sc: sc, names: desc.Schema.Names(), splits: splits, release: release}, nil
+	return &relation{sc: n.sc, names: n.names, splits: splits, release: release}, nil
 }
 
 // resolveReadEpoch picks the epoch a table scan reads at: the table
@@ -215,14 +172,14 @@ func rejectDMLUnderReadEpoch(ec *ExecContext, stmt string) error {
 // Returns nil when nothing is pushable. Exported for the DualTable
 // core's statistics-based selectivity estimation.
 func ExtractSearchArg(where sqlparser.Expr, qualifier string, schema datum.Schema) *orcfile.SearchArg {
-	return extractSArg(where, newScope(qualifier, schema), schema)
+	return extractSArg(sqlparser.SplitConjuncts(where), newScope(qualifier, schema), schema)
 }
 
-// extractSArg converts pushable conjuncts (col <op> literal) into an
-// ORC search argument.
-func extractSArg(where sqlparser.Expr, sc *scope, schema datum.Schema) *orcfile.SearchArg {
+// extractSArg converts the pushable ones (col <op> literal) of a scan's
+// conjuncts into an ORC search argument.
+func extractSArg(conjuncts []sqlparser.Expr, sc *scope, schema datum.Schema) *orcfile.SearchArg {
 	var preds []orcfile.Predicate
-	for _, conj := range sqlparser.SplitConjuncts(where) {
+	for _, conj := range conjuncts {
 		bin, ok := conj.(*sqlparser.BinaryExpr)
 		if !ok {
 			continue
@@ -271,27 +228,46 @@ func extractSArg(where sqlparser.Expr, sc *scope, schema datum.Schema) *orcfile.
 	return &orcfile.SearchArg{Predicates: preds}
 }
 
-// referencedColumns lists the table columns the query touches.
-func referencedColumns(sel *sqlparser.SelectStmt, sc *scope) []int {
+// selectExprs lists the expressions of a SELECT outside its FROM clause.
+func selectExprs(sel *sqlparser.SelectStmt) []sqlparser.Expr {
+	exprs := make([]sqlparser.Expr, 0, len(sel.Items)+len(sel.GroupBy)+len(sel.OrderBy)+2)
+	for _, it := range sel.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	exprs = append(exprs, sel.Where)
+	exprs = append(exprs, sel.GroupBy...)
+	exprs = append(exprs, sel.Having)
+	for _, o := range sel.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	return exprs
+}
+
+// referencedColumns lists, ascending, the columns of the scope the
+// expressions mention: every column a reference could name, so what
+// resolves against the scope resolves the same — unknown, unique or
+// ambiguous — against those columns alone. Nil means all columns (a *).
+func referencedColumns(exprs []sqlparser.Expr, sc *scope) []int {
 	needed := map[int]bool{}
 	sawStar := false
-	visit := func(x sqlparser.Expr) {
+	mark := func(ref *sqlparser.ColumnRef) {
+		for _, idx := range sc.matches(ref) {
+			needed[idx] = true
+		}
+	}
+	for _, x := range exprs {
 		sqlparser.WalkExpr(x, func(n sqlparser.Expr) bool {
 			switch v := n.(type) {
 			case *sqlparser.Star:
 				sawStar = true
 			case *sqlparser.ColumnRef:
-				if idx, err := sc.resolve(v); err == nil {
-					needed[idx] = true
-				}
+				mark(v)
 			case *sqlparser.SubqueryExpr:
 				// Correlated refs inside subqueries reference the
 				// outer table too; resolve conservatively.
 				sqlparser.WalkExpr(v.Select.Where, func(m sqlparser.Expr) bool {
 					if ref, ok := m.(*sqlparser.ColumnRef); ok {
-						if idx, err := sc.resolve(ref); err == nil {
-							needed[idx] = true
-						}
+						mark(ref)
 					}
 					return true
 				})
@@ -299,17 +275,6 @@ func referencedColumns(sel *sqlparser.SelectStmt, sc *scope) []int {
 			}
 			return true
 		})
-	}
-	for _, it := range sel.Items {
-		visit(it.Expr)
-	}
-	visit(sel.Where)
-	for _, g := range sel.GroupBy {
-		visit(g)
-	}
-	visit(sel.Having)
-	for _, o := range sel.OrderBy {
-		visit(o.Expr)
 	}
 	if sawStar {
 		return nil // all columns

@@ -2,6 +2,7 @@ package hive
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -67,13 +68,57 @@ type selectPlan struct {
 // Release unpins the plan's source. Idempotent.
 func (p *selectPlan) Release() { p.rel.Release() }
 
-// planSelect resolves the FROM clause (running the jobs a join or a
-// derived table needs, charged to meter) and compiles the SELECT over
+// planFrom plans the FROM clause of a SELECT without running anything.
+// It returns the planned tree and the SELECT left to compile over the
+// tree's output: a copy of sel whose stars are expanded against every
+// column the tree exposes and whose WHERE holds what stayed above the
+// tree — everything, unless conjuncts sank into a join.
+func (e *Engine) planFrom(sel *sqlparser.SelectStmt) (*fromNode, *sqlparser.SelectStmt, error) {
+	from, err := e.resolveFrom(sel.From)
+	if err != nil {
+		return nil, nil, err
+	}
+	above := *sel
+	if above.Items, err = expandStars(sel.Items, from.sc, from.names); err != nil {
+		return nil, nil, err
+	}
+	if from.join == nil {
+		// A lone table is scanned with the columns the statement names
+		// and the SearchArg of its whole WHERE, which stays in the scan.
+		from.where = sqlparser.SplitConjuncts(sel.Where)
+		if from.table != nil {
+			from.proj = referencedColumns(selectExprs(sel), from.sc)
+		}
+		return from, &above, nil
+	}
+	// The consumer of a join tree is this SELECT: conjuncts that may move
+	// are offered to the tree, the rest is evaluated over its output.
+	var movable, fixed []sqlparser.Expr
+	for _, c := range sqlparser.SplitConjuncts(sel.Where) {
+		if sqlparser.ContainsSubquery(c) || sqlparser.ContainsAggregate(c) {
+			fixed = append(fixed, c)
+		} else {
+			movable = append(movable, c)
+		}
+	}
+	above.Where = nil
+	from.push(movable, append(selectExprs(&above), fixed...))
+	above.Where = sqlparser.CombineConjuncts(slices.Concat(from.where, fixed))
+	return from, &above, nil
+}
+
+// planSelect plans the FROM clause, opens it (running the jobs a join or
+// a derived table needs, charged to meter) and compiles the SELECT over
 // it. The plan owns the pinned relation: callers must Release it.
 func (e *Engine) planSelect(ec *ExecContext, sel *sqlparser.SelectStmt, meter *sim.Meter) (*selectPlan, error) {
 	if sel.From == nil {
-		// SELECT without FROM: evaluate items over an empty row.
+		// SELECT without FROM: evaluate items over an empty row; the
+		// tail still applies (LIMIT 0 returns nothing).
 		p := &selectPlan{static: []datum.Row{nil}}
+		var err error
+		if p.limit, err = sel.EffectiveLimit(); err != nil {
+			return nil, err
+		}
 		emptySc := &scope{}
 		for i, it := range sel.Items {
 			fn, err := e.compileExpr(ec, it.Expr, emptySc)
@@ -89,7 +134,11 @@ func (e *Engine) planSelect(ec *ExecContext, sel *sqlparser.SelectStmt, meter *s
 		}
 		return p, nil
 	}
-	rel, err := e.buildRelation(ec, sel.From, sel, meter)
+	from, sel, err := e.planFrom(sel)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := e.buildRelation(ec, from, meter)
 	if err != nil {
 		return nil, err
 	}
@@ -101,12 +150,11 @@ func (e *Engine) planSelect(ec *ExecContext, sel *sqlparser.SelectStmt, meter *s
 	return p, nil
 }
 
-// compileSelect compiles a SELECT over its resolved source.
+// compileSelect compiles a SELECT, its stars already expanded, over its
+// resolved source.
 func (e *Engine) compileSelect(ec *ExecContext, sel *sqlparser.SelectStmt, rel *relation) (*selectPlan, error) {
-	items, err := expandStars(sel.Items, rel)
-	if err != nil {
-		return nil, err
-	}
+	var err error
+	items := sel.Items
 	p := &selectPlan{rel: rel, names: make([]string, len(items)), distinct: sel.Distinct, desc: make([]bool, len(sel.OrderBy))}
 	if p.limit, err = sel.EffectiveLimit(); err != nil {
 		return nil, err
@@ -144,7 +192,7 @@ func (e *Engine) compileSelect(ec *ExecContext, sel *sqlparser.SelectStmt, rel *
 // collect runs the plan to completion and returns the result rows.
 func (p *selectPlan) collect(e *Engine, ec *ExecContext, meter *sim.Meter) ([]datum.Row, error) {
 	if p.job == nil {
-		return p.static, nil
+		return p.tail(p.static, meter), nil
 	}
 	res, err := e.MR.RunContext(ec.Context(), p.job)
 	if err != nil {
@@ -236,7 +284,7 @@ func outputName(it sqlparser.SelectItem, idx int) string {
 }
 
 // expandStars replaces * and t.* items with explicit column refs.
-func expandStars(items []sqlparser.SelectItem, rel *relation) ([]sqlparser.SelectItem, error) {
+func expandStars(items []sqlparser.SelectItem, sc *scope, names []string) ([]sqlparser.SelectItem, error) {
 	var out []sqlparser.SelectItem
 	for _, it := range items {
 		star, ok := it.Expr.(*sqlparser.Star)
@@ -246,14 +294,14 @@ func expandStars(items []sqlparser.SelectItem, rel *relation) ([]sqlparser.Selec
 		}
 		q := strings.ToLower(star.Table)
 		matched := false
-		for i, c := range rel.sc.cols {
+		for i, c := range sc.cols {
 			if q != "" && c.qual != q {
 				continue
 			}
 			matched = true
 			out = append(out, sqlparser.SelectItem{
-				Expr:  &sqlparser.ColumnRef{Table: star.Table, Name: rel.names[i]},
-				Alias: rel.names[i],
+				Expr:  &sqlparser.ColumnRef{Table: star.Table, Name: names[i]},
+				Alias: names[i],
 			})
 		}
 		if !matched {

@@ -19,8 +19,14 @@ import (
 // Exactly one of Cols/Rows is non-nil. Batches and everything they
 // reference are reused by the reader between NextBatch calls; mappers
 // must not retain them (the same contract as row readers' row reuse).
+//
+// Tag is the batch's split's entry in Job.Tags (0 when the job tags
+// nothing): the engine sets it once per task and readers leave it
+// alone, so a job over several inputs — a join — tells them apart per
+// batch instead of per record.
 type RecordBatch struct {
 	Len    int
+	Tag    int
 	Cols   []datum.ColumnVector
 	Rows   []datum.Row
 	BaseID uint64

@@ -217,3 +217,49 @@ func TestRowReaderCancellationIsPromptAndAmortized(t *testing.T) {
 		t.Errorf("context polled %d times for %d records, want at most %d", polls, split.served.Load(), budget)
 	}
 }
+
+// TestBatchesCarryTheirSplitsTag: a job over several inputs labels its
+// splits, and every batch — columnar, or lifted from the row reader —
+// carries its split's label into the mapper.
+func TestBatchesCarryTheirSplitsTag(t *testing.T) {
+	for _, rowScan := range []bool{false, true} {
+		c := NewCluster(sim.GridCluster())
+		c.Parallelism, c.DisableBatchScan = 2, rowScan
+		job := &Job{
+			Splits:    []InputSplit{&dualShapeSplit{base: 0, n: 300}, &dualShapeSplit{base: 1000, n: 300}, &dualShapeSplit{base: 2000, n: 5}},
+			Tags:      []int{0, 1, 0},
+			NewMapper: func() Mapper { return tagMapper{} },
+		}
+		res, err := c.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 605 {
+			t.Fatalf("rowScan=%v: %d rows", rowScan, len(res.Rows))
+		}
+		for _, r := range res.Rows {
+			if want := r[0].I / 1000 % 2; r[1].I != want {
+				t.Fatalf("rowScan=%v: id %d arrived with tag %d, want %d", rowScan, r[0].I, r[1].I, want)
+			}
+		}
+		job.Tags = job.Tags[:2]
+		if _, err := c.Run(job); err == nil {
+			t.Errorf("rowScan=%v: a job with 2 tags for 3 splits ran", rowScan)
+		}
+	}
+}
+
+// tagMapper emits (id, batch tag) per record.
+type tagMapper struct{}
+
+func (tagMapper) Flush(Emitter) error { return nil }
+
+func (tagMapper) MapBatch(b *RecordBatch, emit Emitter) error {
+	for i := 0; i < b.Len; i++ {
+		id := b.RowInto(nil, i)[0]
+		if err := emit(nil, datum.Row{id, datum.Int(int64(b.Tag))}); err != nil {
+			return err
+		}
+	}
+	return nil
+}

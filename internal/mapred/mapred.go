@@ -172,8 +172,11 @@ func (c *Cluster) parallelism() int {
 
 // Job describes one MapReduce job.
 type Job struct {
-	Name        string
-	Splits      []InputSplit
+	Name   string
+	Splits []InputSplit
+	// Tags, when set, labels each split (aligned with Splits); every
+	// batch read from a split carries its label as RecordBatch.Tag.
+	Tags        []int
 	NewMapper   func() Mapper
 	NewReducer  func() Reducer // nil = map-only job
 	NewCombiner func() Reducer // optional map-side combiner
@@ -212,6 +215,9 @@ func (c *Cluster) Run(job *Job) (*Result, error) {
 func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 	if job.NewMapper == nil {
 		return nil, errors.New("mapred: job has no mapper")
+	}
+	if job.Tags != nil && len(job.Tags) != len(job.Splits) {
+		return nil, fmt.Errorf("mapred: job has %d tags for %d splits", len(job.Tags), len(job.Splits))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -379,6 +385,9 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 		br = &rowBatcher{RecordReader: rr}
 	}
 	var batch RecordBatch
+	if job.Tags != nil {
+		batch.Tag = job.Tags[taskID]
+	}
 	for nextPoll := int64(0); ; {
 		// Cancellation check between batches, at most once per 128
 		// records so single-row batches do not pay it each.

@@ -232,6 +232,49 @@ func TestFooterMetadata(t *testing.T) {
 	}
 }
 
+// TestStatsStringSumUnchanged: skipping the parse of strings that cannot
+// be numbers never changes a column's Sum — numberLike says no only where
+// strconv.ParseFloat fails — and the common non-numbers (dates, words)
+// are skipped without allocating.
+func TestStatsStringSumUnchanged(t *testing.T) {
+	corpus := []string{"", " ", "12", " 12.5 ", "-3e2", "+.5", "1e+3", "1E-3", "0x1p-2", "0X1P+2", "1_0", "0x_1p0",
+		"inf", "-Infinity", "NaN", "nan", "330100", "1994-01-01", "2014-04-02 05:30:00", "tag0", "N", "1-URGENT",
+		"Clerk#000000012", "e5", "1e", "1e5-", "--1", "1+1", "0x1e-5", "0x1p", ".", "-", "1.2.3", "in", "1f", "\u00a012\u00a0", "1\u00e9"}
+	const alphabet = "0123456789+-._eExXpPaAfFiInNtTyY zq#:"
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, 1+rng.Intn(6))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		corpus = append(corpus, string(b))
+	}
+	skipped := 0
+	for _, s := range corpus {
+		var st ColumnStats
+		st.Update(datum.String_(s))
+		var want float64
+		f, ok := datum.String_(s).AsFloat()
+		if ok {
+			want += f
+		}
+		if floatBits(st.Sum) != floatBits(want) {
+			t.Errorf("Sum after %q = %v, AsFloat says %v (%v)", s, st.Sum, want, ok)
+		}
+		if !numberLike(s) {
+			skipped++
+		}
+	}
+	if skipped < len(corpus)/2 {
+		t.Errorf("only %d of %d strings skipped the parse", skipped, len(corpus))
+	}
+	var st ColumnStats
+	date := datum.String_("1994-01-01")
+	if n := testing.AllocsPerRun(100, func() { st.Update(date) }); n != 0 {
+		t.Errorf("a date costs %v allocations per Update", n)
+	}
+}
+
 func TestStatsBoundValues(t *testing.T) {
 	rows := makeRows(500, 3)
 	data := writeFile(t, rows, WriterOptions{StripeRows: 100})

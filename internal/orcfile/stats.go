@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 
 	"dualtable/internal/datum"
 )
@@ -41,9 +42,39 @@ func (s *ColumnStats) Update(d datum.Datum) {
 			s.Max = d
 		}
 	}
+	// A string adds to Sum when it reads as a number (footers carry the
+	// value, so it stays). Most do not, and strconv allocates an error
+	// for each of those: skip the parse where it cannot succeed.
+	if d.K == datum.KindString && !numberLike(d.S) {
+		return
+	}
 	if f, ok := d.AsFloat(); ok {
 		s.Sum += f
 	}
+}
+
+// numberLike reports false only for strings strconv.ParseFloat rejects
+// once trimmed: empty ones, ones that do not start like a number, hold a
+// byte no float spelling has (decimal, hex, inf, nan), or carry a sign
+// anywhere but in front or behind an exponent marker — dates, words.
+func numberLike(s string) bool {
+	s = strings.TrimSpace(s)
+	if s == "" || !strings.ContainsRune("0123456789+-.iInN", rune(s[0])) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i] | 0x20; {
+		case s[i] >= '0' && s[i] <= '9', s[i] == '.', s[i] == '_':
+		case c >= 'a' && c <= 'f', c == 'x', c == 'p', c == 'i', c == 'n', c == 't', c == 'y':
+		case s[i] == '+' || s[i] == '-':
+			if p := s[i-1] | 0x20; p != 'e' && p != 'p' {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // Merge folds another stats object (e.g. stripe stats into file

@@ -65,6 +65,20 @@ var selectShapes = []selectShape{
 	{sql: "SELECT COUNT(*), COUNT(t.id), COUNT(d.k) FROM %[1]s t FULL OUTER JOIN diff_dim d ON t.k = d.k AND t.tag = d.name", ordered: true},
 	{sql: "SELECT COUNT(*), SUM(t.k * d.k) FROM %[1]s t CROSS JOIN diff_dim d WHERE t.id < 50", ordered: true},
 	{sql: "SELECT t.id, d.name FROM %[1]s t JOIN diff_dim d ON t.k + 1 = d.k ORDER BY t.id DESC, d.name LIMIT 12", ordered: true},
+	// Where the planner may and may not push below a join: WHERE over one
+	// input, over both, the anti-join idiom on a null-supplying side, an
+	// ON conjunct over the preserved side, a scalar subquery, a three-way
+	// join with a conjunct per table, a derived-table input, t.*.
+	{sql: "SELECT t.id, d.name FROM %[1]s t JOIN diff_dim d ON t.k = d.k WHERE d.w > 2"},
+	{sql: "SELECT t.id, d.name FROM %[1]s t LEFT OUTER JOIN diff_dim d ON t.k = d.k WHERE t.v > 1000 AND d.w > 2 AND t.v > d.w"},
+	{sql: "SELECT t.id, t.k FROM %[1]s t LEFT OUTER JOIN diff_dim d ON t.k = d.k WHERE d.k IS NULL"},
+	{sql: "SELECT d.name, d.w FROM %[1]s t RIGHT OUTER JOIN diff_dim d ON t.k = d.k AND t.tag LIKE 'u%%' WHERE t.id IS NULL"},
+	{sql: "SELECT t.id, d.name FROM %[1]s t LEFT OUTER JOIN diff_dim d ON t.k = d.k AND t.id %% 2 = 0 WHERE t.id < 120"},
+	{sql: "SELECT t.id, d.name FROM %[1]s t FULL OUTER JOIN diff_dim d ON t.k = d.k AND d.w < 3 WHERE t.id < 100 OR t.id IS NULL"},
+	{sql: "SELECT t.id, d.w FROM %[1]s t JOIN diff_dim d ON t.k = d.k WHERE t.v > (SELECT AVG(x) FROM diff_ref) AND d.w < 5"},
+	{sql: "SELECT t.id, d.name, e.name FROM %[1]s t JOIN diff_dim d ON t.k = d.k LEFT OUTER JOIN diff_dim e ON d.k + 1 = e.k WHERE t.id < 300 AND d.w > 1 AND e.w < 5"},
+	{sql: "SELECT t.id, s.n FROM %[1]s t JOIN (SELECT k, COUNT(*) AS n FROM diff_dim GROUP BY k) s ON t.k = s.k WHERE s.n > 1 AND t.id < 500"},
+	{sql: "SELECT t.*, d.name FROM %[1]s t JOIN diff_dim d ON t.k = d.k WHERE t.id < 40"},
 	// FROM-subquery over a join, and over an aggregation.
 	{sql: "SELECT s.name, COUNT(*), SUM(s.v) FROM (SELECT d.name, t.v FROM %[1]s t JOIN diff_dim d ON t.k = d.k WHERE t.v IS NOT NULL) s GROUP BY s.name ORDER BY s.name", ordered: true},
 	{sql: "SELECT g.k, g.n FROM (SELECT k, COUNT(*) AS n FROM %[1]s GROUP BY k) g WHERE g.n > 150"},
@@ -72,6 +86,8 @@ var selectShapes = []selectShape{
 	{sql: "SELECT id, tag FROM %[1]s WHERE k = 2 LIMIT 0", ordered: true},
 	{sql: "SELECT id FROM %[1]s ORDER BY id LIMIT 0", ordered: true},
 	{sql: "SELECT k, COUNT(*) FROM %[1]s GROUP BY k LIMIT 0", ordered: true},
+	{sql: "SELECT t.id, d.name FROM %[1]s t JOIN diff_dim d ON t.k = d.k LIMIT 0", ordered: true},
+	{sql: "SELECT 1, '%[1]s' LIMIT 0", ordered: true},
 }
 
 // asOfShapes run on the DUALTABLE holders only, against the epoch the
@@ -80,7 +96,16 @@ var selectShapes = []selectShape{
 var asOfShapes = []selectShape{
 	{sql: "SELECT id, k, v, tag FROM %[1]s AS OF EPOCH %[2]d ORDER BY id", ordered: true},
 	{sql: "SELECT k, COUNT(*), SUM(v) FROM %[1]s AS OF EPOCH %[2]d GROUP BY k"},
+	{sql: asOfJoin},
 }
+
+// asOfJoin reads one join input at a historical epoch; readEpochJoin is
+// the same join under SET read.epoch (which the ORC dimension table
+// ignores) and must answer the same.
+const (
+	asOfJoin      = "SELECT t.id, t.tag, d.name FROM %[1]s t AS OF EPOCH %[2]d JOIN diff_dim d ON t.k = d.k WHERE t.v > 4 AND d.w < 5"
+	readEpochJoin = "SELECT t.id, t.tag, d.name FROM %[1]s t JOIN diff_dim d ON t.k = d.k WHERE t.v > 4 AND d.w < 5"
+)
 
 // selectTrace is what one configuration of the matrix observed.
 type selectTrace struct {
@@ -190,6 +215,16 @@ func runSelectDifferential(t *testing.T, workers int, rowScan bool) selectTrace 
 			} else if !sameRows(got, want, sh.ordered) {
 				t.Errorf("workers=%d rowScan=%v %s on %s: %d rows differ from the %d captured at that epoch",
 					workers, rowScan, sh.sql, tb.name, len(got), len(want))
+			}
+			if sh.sql != asOfJoin {
+				continue
+			}
+			sessions[i].SetReadEpoch(asOfEpoch[tb.name])
+			pinned := run(sessions[i], tb.name, selectShape{sql: readEpochJoin}, fmt.Sprintf(readEpochJoin, tb.name))
+			sessions[i].ClearReadEpoch()
+			if len(got) == 0 || !sameRows(pinned, got, false) {
+				t.Errorf("workers=%d rowScan=%v %s: %d rows under SET read.epoch, %d with AS OF EPOCH",
+					workers, rowScan, tb.name, len(pinned), len(got))
 			}
 		}
 	}
