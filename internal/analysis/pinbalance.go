@@ -18,7 +18,7 @@ import (
 //   - x.Pin(p) — the path p must reach x.Unpin(p), unless p escapes
 //     into a tracked pin set (appended to a slice, stored in a field,
 //     handed to another call), which is the snapshot accumulator
-//     idiom (core.Snapshot.pinned, released by Snapshot.Release).
+//     idiom (the files a core.Snapshot holds, released by Snapshot.Release).
 //
 // The error-variable idiom is understood: inside `if err != nil`
 // where err is the acquisition's error result, the resource is not

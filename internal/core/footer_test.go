@@ -58,13 +58,17 @@ func manifestPaths(t *testing.T, e *hive.Engine) []string {
 	return paths
 }
 
+// memoPaths lists the files whose footers the table's resident epoch
+// holds.
 func memoPaths(h *Handler) []string {
 	st := h.state("m")
 	st.pub.Lock()
 	defer st.pub.Unlock()
-	paths := make([]string, 0, len(st.footers))
-	for p := range st.footers {
-		paths = append(paths, p)
+	paths := []string{}
+	if st.res != nil {
+		for _, f := range st.res.files {
+			paths = append(paths, f.path)
+		}
 	}
 	sort.Strings(paths)
 	return paths

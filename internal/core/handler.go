@@ -286,7 +286,7 @@ func (h *Handler) Drop(desc *metastore.TableDesc) error {
 		}
 	}
 	st.retained = nil
-	st.forgetFootersLocked()
+	st.res = nil
 	reclaimNow := st.snaps == 0
 	if !reclaimNow {
 		st.pendingDrop = job

@@ -3,11 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"dualtable/internal/datum"
 	"dualtable/internal/hive"
+	"dualtable/internal/kvstore"
 	"dualtable/internal/metastore"
+	"dualtable/internal/orcfile"
 )
 
 // Ordering tests for Handler.open: the onSnapshotLoaded hook runs a
@@ -55,6 +59,15 @@ func duringOpens(t *testing.T, h *Handler, fn func(attempt int)) *[]*Snapshot {
 	return &loaded
 }
 
+// evict empties the table's resident epoch, so the next open is the
+// full load an open of a never-read table is.
+func evict(h *Handler) {
+	st := h.state("m")
+	st.pub.Lock()
+	st.res = nil
+	st.pub.Unlock()
+}
+
 func entryCount(s *Snapshot) int {
 	n := 0
 	for _, mods := range s.entries {
@@ -66,7 +79,7 @@ func entryCount(s *Snapshot) int {
 // wantGone checks that a discarded attempt left nothing behind.
 func wantGone(t *testing.T, e *hive.Engine, s *Snapshot) {
 	t.Helper()
-	for _, p := range s.pinned {
+	for _, p := range s.Files() {
 		if n := e.FS.Pins(p); n != 0 {
 			t.Errorf("%s still has %d pins", p, n)
 		}
@@ -82,6 +95,7 @@ func wantGone(t *testing.T, e *hive.Engine, s *Snapshot) {
 func TestOpenRacingCompactKeepsPinnedEpoch(t *testing.T) {
 	e, h, desc, epoch := editedTable(t, metastore.DefaultRetentionEpochs)
 	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	evict(h) // the scan left the epoch resident, and a resident open has no load to race
 
 	loaded := duringOpens(t, h, func(int) { mustExec(t, e, "COMPACT TABLE m") })
 	snap, err := h.OpenSnapshot(desc)
@@ -194,9 +208,454 @@ func TestOpenBoundedUnderCompactionChurn(t *testing.T) {
 	assertSameScan(t, "scan opened under the lock", runUnionScan(t, e, h, "m", ScanOptions{}, 4, false), got)
 }
 
+// Residency tests: what Handler.open keeps of the current epoch, when
+// it replays it, and what empties it.
+
+// slot returns a copy of the table's resident epoch (nil = empty).
+func slot(h *Handler) *residentEpoch {
+	st := h.state("m")
+	st.pub.Lock()
+	defer st.pub.Unlock()
+	if st.res == nil {
+		return nil
+	}
+	cp := *st.res
+	return &cp
+}
+
+// loads counts the loads outermost opens run from here on: a resident
+// open runs none.
+func loads(t *testing.T, h *Handler) func() int {
+	loaded := duringOpens(t, h, func(int) {})
+	return func() int { return len(*loaded) }
+}
+
+// assertSameBits is assertSameScan with the simulated clock compared
+// bit for bit.
+func assertSameBits(t *testing.T, label string, want, got scanResult) {
+	t.Helper()
+	assertSameScan(t, label, want, got)
+	if w, g := math.Float64bits(want.simSecs), math.Float64bits(got.simSecs); w != g {
+		t.Fatalf("%s: sim seconds bits %#x != %#x", label, g, w)
+	}
+}
+
+// scanResidentAndFresh scans the table twice — as the slot stands, then
+// evicted — and requires the two to agree to the bit. It returns the
+// scan and whether the first open loaded.
+func scanResidentAndFresh(t *testing.T, e *hive.Engine, h *Handler, label string) (scanResult, bool) {
+	t.Helper()
+	n := loads(t, h)
+	got := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	first := n()
+	evict(h)
+	fresh := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	if n() != first+1 {
+		t.Fatalf("%s: the scan of an evicted table did not load", label)
+	}
+	assertSameBits(t, label, fresh, got)
+	return got, first == 1
+}
+
+// Two consecutive opens of an untouched epoch share one overlay, and a
+// scan through the second returns what a scan through a full load does:
+// rows, Counters and the simulated clock to the bit.
+func TestResidentOpenSharesOverlay(t *testing.T) {
+	e, h := testEngine(t)
+	desc := fourFileTable(t, e, h)
+	n := loads(t, h)
+	first, err := h.OpenSnapshot(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Release()
+	second, err := h.OpenSnapshot(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Release()
+	if n() != 1 {
+		t.Fatalf("two opens of one epoch ran %d loads, want 1", n())
+	}
+	if entryCount(first) == 0 {
+		t.Fatal("the table has no attached entries: nothing is being shared")
+	}
+	if reflect.ValueOf(first.entries).Pointer() != reflect.ValueOf(second.entries).Pointer() ||
+		reflect.ValueOf(first.attSeconds).Pointer() != reflect.ValueOf(second.attSeconds).Pointer() ||
+		&first.files[0] != &second.files[0] {
+		t.Error("the second open did not share the first one's files and overlay")
+	}
+	for _, p := range first.Files() {
+		if got := e.FS.Pins(p); got != 2 {
+			t.Errorf("%s has %d pins under two snapshots, want 2", p, got)
+		}
+	}
+	noEntries, err := h.open(desc, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noEntries.entries != nil || n() != 1 {
+		t.Errorf("an open without entries took the overlay (%v) or loaded (%d loads)", noEntries.entries != nil, n())
+	}
+	noEntries.Release()
+	if _, loaded := scanResidentAndFresh(t, e, h, "resident scan"); loaded {
+		t.Error("a scan of the resident epoch loaded")
+	}
+}
+
+// Flush, minor compaction and a region split leave every attached cell
+// as it was and move what scanning them costs. Each must be a miss, and
+// the miss must charge what a load of a never-read table charges.
+func TestResidentOverlayMissesWhenLSMMoves(t *testing.T) {
+	cases := []struct {
+		name   string
+		before func(t *testing.T, e *hive.Engine, att *kvstore.Table) // set-up, before the epoch goes resident
+		move   func(t *testing.T, att *kvstore.Table)
+	}{
+		{"flush", nil, func(t *testing.T, att *kvstore.Table) {
+			if err := att.Flush(nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"minor compaction", func(t *testing.T, e *hive.Engine, att *kvstore.Table) {
+			// Two store files to merge.
+			if err := att.Flush(nil); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, e, "UPDATE m SET v = 1.5 WHERE day = 7")
+			if err := att.Flush(nil); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, att *kvstore.Table) {
+			if err := att.Compact(false, nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"region split", func(t *testing.T, e *hive.Engine, att *kvstore.Table) {
+			if err := att.Flush(nil); err != nil {
+				t.Fatal(err)
+			}
+		}, func(t *testing.T, att *kvstore.Table) {
+			if err := att.SplitRegion(att.Regions()[0], nil); err != nil {
+				t.Fatal(err)
+			}
+			if att.RegionCount() != 2 {
+				t.Fatalf("%d regions after the split, want 2", att.RegionCount())
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, h := testEngine(t)
+			desc := fourFileTable(t, e, h)
+			att, err := h.attached(desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.before != nil {
+				tc.before(t, e, att)
+			}
+			before, _ := scanResidentAndFresh(t, e, h, "before")
+			if res := slot(h); res == nil || res.entries == nil {
+				t.Fatal("the epoch is not resident before the move")
+			}
+			tc.move(t, att)
+			after, loaded := scanResidentAndFresh(t, e, h, "after")
+			if !loaded {
+				t.Error("the open after the move replayed the overlay loaded before it")
+			}
+			if len(after.rows) != len(before.rows) {
+				t.Fatalf("the move changed the table: %d rows, were %d", len(after.rows), len(before.rows))
+			}
+			for i := range after.rows {
+				if after.rows[i] != before.rows[i] {
+					t.Fatalf("the move changed row %d", i)
+				}
+			}
+			if after.simSecs == before.simSecs {
+				t.Errorf("the move left the scan's charge at %v: the case does not tell a replay from a load", after.simSecs)
+			}
+		})
+	}
+}
+
+// Every publish invalidates exactly its share of the slot: footers
+// survive a watermark or append publish and the overlay does not,
+// nothing survives a replace, nothing crosses an incarnation, and reads
+// that are not scans of the current epoch neither use nor fill the
+// overlay.
+func TestResidentEpochInvalidation(t *testing.T) {
+	e, h := testEngine(t)
+	desc := fourFileTable(t, e, h)
+	footersOf := func(res *residentEpoch) map[string]*orcfile.Reader {
+		out := map[string]*orcfile.Reader{}
+		for _, f := range res.files {
+			out[f.path] = f.reader
+		}
+		return out
+	}
+	scan := func() { runUnionScan(t, e, h, "m", ScanOptions{}, 4, false) }
+	opens := func(fn func()) int64 {
+		before := e.FS.Metrics().OpensForRead
+		fn()
+		return e.FS.Metrics().OpensForRead - before
+	}
+	wantOverlay := func(when string) *residentEpoch {
+		t.Helper()
+		res := slot(h)
+		if res == nil || res.entries == nil {
+			t.Fatalf("%s: the epoch is not resident with its overlay", when)
+		}
+		if epoch, _ := h.CurrentEpoch(desc); res.epoch != epoch {
+			t.Fatalf("%s: the slot holds epoch %d, current is %d", when, res.epoch, epoch)
+		}
+		return res
+	}
+	wantFootersOnly := func(when string, footers map[string]*orcfile.Reader) {
+		t.Helper()
+		res := slot(h)
+		if res == nil {
+			t.Fatalf("%s: the slot is empty, want its footers kept", when)
+		}
+		if res.entries != nil || res.attSeconds != nil || res.att != nil {
+			t.Errorf("%s: the overlay survived", when)
+		}
+		if got := footersOf(res); !reflect.DeepEqual(got, footers) {
+			t.Errorf("%s: footers %v, were %v", when, got, footers)
+		}
+	}
+
+	scan()
+	footers := footersOf(wantOverlay("after a scan"))
+
+	// EDIT publish (watermark only).
+	mustExec(t, e, "UPDATE m SET v = 1.5 WHERE day = 7")
+	wantFootersOnly("after an EDIT publish", footers)
+	if n := opens(scan); n != 4 {
+		t.Errorf("the scan after an EDIT publish opened %d files, want 4 (one per split, no footer)", n)
+	}
+	if got := footersOf(wantOverlay("after an EDIT publish and a scan")); !reflect.DeepEqual(got, footers) {
+		t.Error("the scan after an EDIT publish parsed footers again")
+	}
+
+	// A historical read and an open without entries leave the slot alone.
+	held := h.state("m").res
+	epoch, _ := h.CurrentEpoch(desc)
+	mustExec(t, e, fmt.Sprintf("SELECT COUNT(*) FROM m AS OF EPOCH %d", epoch-1))
+	if snap, err := h.open(desc, nil, false); err != nil {
+		t.Fatal(err)
+	} else {
+		snap.Release()
+	}
+	if h.state("m").res != held || slot(h).entries == nil {
+		t.Error("a historical read or an open without entries replaced the resident epoch")
+	}
+
+	// INSERT publish (append).
+	mustExec(t, e, "INSERT INTO m VALUES (1000, 1, 1.5, 'x')")
+	wantFootersOnly("after an INSERT publish", footers)
+	if n := opens(scan); n != 6 {
+		t.Errorf("the scan after an INSERT opened %d files, want 6 (five splits and the new file's footer)", n)
+	}
+	res := wantOverlay("after an INSERT publish and a scan")
+	if len(res.files) != 5 {
+		t.Fatalf("%d resident files after the INSERT, want 5", len(res.files))
+	}
+	for p, rd := range footers {
+		if footersOf(res)[p] != rd {
+			t.Errorf("the scan after an INSERT parsed %s again", p)
+		}
+	}
+
+	// An open without entries of a table with nothing resident keeps the
+	// footers and no overlay.
+	evict(h)
+	if snap, err := h.open(desc, nil, false); err != nil {
+		t.Fatal(err)
+	} else {
+		snap.Release()
+	}
+	if res := slot(h); res == nil || len(res.files) != 5 || res.entries != nil {
+		t.Errorf("after an open without entries the slot is %+v, want five footers and no overlay", res)
+	}
+	scan()
+	wantOverlay("before COMPACT")
+
+	// COMPACT and OVERWRITE (replace).
+	mustExec(t, e, "COMPACT TABLE m")
+	if res := slot(h); res != nil {
+		t.Errorf("after COMPACT the slot holds %+v", res)
+	}
+	mustExec(t, e, "UPDATE m SET v = 2.5 WHERE day = 9") // EDIT again: a delta for the OVERWRITE to read
+	scan()
+	wantOverlay("before OVERWRITE")
+	forcePlan(e, h, "OVERWRITE")
+	mustExec(t, e, "UPDATE m SET v = 3.5 WHERE day = 11")
+	if res := slot(h); res != nil {
+		t.Errorf("after an OVERWRITE update the slot holds %+v", res)
+	}
+
+	// Retention 0: the replace also swaps the attached table.
+	forcePlan(e, h, "EDIT")
+	e.MS.SetRetentionEpochs("m", 0)
+	mustExec(t, e, "UPDATE m SET v = 4.5 WHERE day = 13")
+	scan()
+	oldAtt := wantOverlay("before the truncating COMPACT").att
+	mustExec(t, e, "COMPACT TABLE m")
+	if res := slot(h); res != nil {
+		t.Errorf("after a truncating COMPACT the slot holds %+v", res)
+	}
+	mustExec(t, e, "UPDATE m SET v = 5.5 WHERE day = 15")
+	scan()
+	if res := wantOverlay("after the truncating COMPACT, an EDIT and a scan"); res.att == oldAtt {
+		t.Error("the resident overlay still names the truncated attached table")
+	}
+
+	// DROP + re-CREATE: the old incarnation's state is emptied and the new
+	// one starts empty.
+	oldState := h.state("m")
+	mustExec(t, e, "DROP TABLE m")
+	if oldState.res != nil {
+		t.Errorf("after DROP the slot holds %+v", oldState.res)
+	}
+	fourFileTable(t, e, h)
+	if h.state("m") == oldState {
+		t.Fatal("the re-created table shares the dropped one's state")
+	}
+	if res := slot(h); res != nil && res.entries != nil {
+		t.Errorf("a re-created table that was never scanned holds an overlay: %+v", res)
+	}
+	scan()
+	wantOverlay("re-created table after a scan")
+	if oldState.res != nil {
+		t.Error("a scan of the new incarnation filled the old one's slot")
+	}
+}
+
+// A load that a Put lands inside of is served to its own open and kept
+// for nobody: the next open loads again.
+func TestLoadOverlappingPutIsNotResident(t *testing.T) {
+	e, h, desc, _ := editedTable(t, metastore.DefaultRetentionEpochs)
+	att, err := h.attached(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := &kvstore.Cell{Row: NewRecordID(snapshotFileID(t, h, desc), 0).Key(), Family: attachedFamily,
+		Qualifier: []byte("2"), Type: kvstore.TypePut, Value: datum.AppendDatum(nil, datum.Float(999.5))}
+	evict(h)
+	loaded := duringOpens(t, h, func(attempt int) {
+		if attempt == 0 {
+			if err := att.Put([]*kvstore.Cell{orphan}, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	snap, err := h.OpenSnapshot(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := entryCount(snap); n != 10 {
+		t.Errorf("the overlapped open holds %d entries, want 10", n)
+	}
+	snap.Release()
+	if len(*loaded) != 1 {
+		t.Fatalf("open took %d attempts, want 1: a Put does not invalidate the open it overlaps", len(*loaded))
+	}
+	res := slot(h)
+	if res == nil || len(res.files) != 1 {
+		t.Fatalf("the overlapped open did not keep its footers: %+v", res)
+	}
+	if res.entries != nil {
+		t.Fatal("a load that a Put overlapped is resident")
+	}
+	if _, loaded := scanResidentAndFresh(t, e, h, "after the overlapped open"); !loaded {
+		t.Error("the open after the overlapped one did not load")
+	}
+}
+
+// snapshotFileID returns the file ID of the table's first master file.
+func snapshotFileID(t *testing.T, h *Handler, desc *metastore.TableDesc) uint32 {
+	t.Helper()
+	return snapshotFiles(t, h, desc)[0].fileID
+}
+
+// The cell a failed EDIT left above the watermark is invisible until
+// the table's next publish, however often the epoch is opened in
+// between — from a load or from the slot.
+func TestOrphanCellNeverServedBeforePublish(t *testing.T) {
+	e, h, desc, _ := editedTable(t, metastore.DefaultRetentionEpochs)
+	att, err := h.attached(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid := NewRecordID(snapshotFileID(t, h, desc), 0)
+	if err := att.Put([]*kvstore.Cell{{Row: rid.Key(), Family: attachedFamily, Qualifier: []byte("2"),
+		Type: kvstore.TypePut, Value: datum.AppendDatum(nil, datum.Float(999.5))}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	n := loads(t, h)
+	const q = "SELECT v FROM m WHERE id = 0"
+	for i := 0; i < 3; i++ {
+		if rs := mustExec(t, e, q); len(rs.Rows) != 1 || rs.Rows[0][0].F != 0.5 {
+			t.Fatalf("read %d before the publish: %v, want 0.5", i, rs.Rows)
+		}
+		res := slot(h)
+		if res == nil || res.entries == nil {
+			t.Fatalf("read %d left nothing resident", i)
+		}
+		for _, mods := range res.entries {
+			for _, m := range mods {
+				if m.RID == uint64(rid) {
+					t.Fatalf("read %d: the orphan of record %s is resident", i, rid)
+				}
+			}
+		}
+	}
+	if n() != 1 {
+		t.Errorf("three reads of one epoch loaded %d times, want 1", n())
+	}
+	scanResidentAndFresh(t, e, h, "with an orphan above the watermark")
+	// The table's next writer publishes it.
+	if err := h.publish(desc, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if rs := mustExec(t, e, q); len(rs.Rows) != 1 || rs.Rows[0][0].F != 999.5 {
+		t.Fatalf("after the publish: %v, want 999.5", rs.Rows)
+	}
+}
+
+// The slot never outlives what it describes: an open in flight when a
+// replace or a DROP lands is served and not kept.
+func TestResidentSlotEmptyAfterReplaceAndDrop(t *testing.T) {
+	for _, stmt := range []string{"COMPACT TABLE m", "DROP TABLE m"} {
+		t.Run(stmt, func(t *testing.T) {
+			e, h, desc, _ := editedTable(t, metastore.DefaultRetentionEpochs)
+			st := h.state("m")
+			loaded := duringOpens(t, h, func(int) { mustExec(t, e, stmt) })
+			snap, err := h.OpenSnapshot(desc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(*loaded) != 1 || entryCount(snap) != 10 {
+				t.Errorf("the open took %d attempts and holds %d entries, want 1 and 10", len(*loaded), entryCount(snap))
+			}
+			if st.res != nil {
+				t.Errorf("an open that %s overtook is resident: %+v", stmt, st.res)
+			}
+			snap.Release()
+			if st.res != nil {
+				t.Errorf("after %s and the last release the slot holds %+v", stmt, st.res)
+			}
+		})
+	}
+}
+
 // BenchmarkOpenSnapshot measures one open + release of a table of 8
-// master files × 64 rows with one EDIT update in the attached table:
-// as a scan opens it, and as the cost model does (no entries).
+// master files × 64 rows with one EDIT update (64 entries) in the
+// attached table: hit is a scan's open of an epoch nothing touched since
+// the last one, miss the same open after a watermark publish (footers
+// resident, the overlay materialised again), no-entries the cost
+// model's open.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	e, h := testEngine(b)
 	mustExec(b, e, "CREATE TABLE m (id BIGINT, grp BIGINT, v DOUBLE) STORED AS DUALTABLE")
@@ -216,11 +675,25 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, withEntries := range []bool{true, false} {
-		b.Run(fmt.Sprintf("entries=%v", withEntries), func(b *testing.B) {
+	st := h.state("m")
+	for _, bc := range []struct {
+		name        string
+		withEntries bool
+		before      func()
+	}{
+		{"hit", true, func() {}},
+		{"miss", true, func() {
+			st.pub.Lock()
+			st.dropOverlayLocked()
+			st.pub.Unlock()
+		}},
+		{"no-entries", false, func() {}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				snap, err := h.open(desc, nil, withEntries)
+				bc.before()
+				snap, err := h.open(desc, nil, bc.withEntries)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -59,37 +59,89 @@ type tableState struct {
 	// must never be served again — even if the retention knob is later
 	// raised or their files incidentally survive under other pins.
 	floorEpoch uint64
-	// footers memoises the parsed footer of master files by path, for
-	// files of the current manifest only: an open adds the files it
-	// parsed if no file left the manifest since it pinned them, and a
-	// replace — the one publish that takes files out — empties it. So
-	// it never outgrows the manifest, and since master paths are never
-	// reused inside an incarnation and a re-CREATE starts a new
-	// tableState, an entry can never describe another file's bytes.
-	footers map[string]*orcfile.Reader
-	// replaces counts the times footers was emptied (a replace, DROP):
-	// an open compares the count at its pin with the count after its
-	// load to know whether its files are all still in the manifest.
-	replaces uint64
+	// res is the resident snapshot of the current epoch (nil = none).
+	res *residentEpoch
 }
 
-// rememberFootersLocked memoises the footers a snapshot holds. Caller
-// holds pub and has checked that replaces did not move since the
-// snapshot pinned the current manifest.
-func (st *tableState) rememberFootersLocked(files []masterFile) {
-	if st.footers == nil {
-		st.footers = make(map[string]*orcfile.Reader, len(files))
+// residentEpoch is what a table keeps of the last current-epoch open it
+// loaded, so that opening an epoch nothing has touched since is a pin
+// and not a re-materialisation. There is one per table, it holds no more
+// than the open that filled it held, and everything it points to is
+// read-only and shared with the snapshots that loaded or reuse it.
+// Guarded by pub.
+//
+// files is the epoch's master file set, every file with its parsed
+// footer. A replace — the one publish that takes files out of a
+// manifest — and DROP empty the slot, and every other publish only adds
+// files at the end, so files is always a prefix of the current manifest's
+// list: an open of a newer epoch takes file i's footer from files[i].
+// Master paths are never reused inside an incarnation and a re-CREATE
+// starts a new tableState, so a footer never describes another file's
+// bytes.
+//
+// entries/attSeconds (nil = none) are the attached-table overlay of
+// exactly (epoch, watermark), materialised from att when its mutation
+// counter read mutations. The key has to be that exact: attSeconds is a
+// float sum over the cells and store-file blocks the pre-scan touched,
+// so it depends on the LSM's physical state (memtable vs store files,
+// how many of them, which regions) as well as on the cells. An open
+// replays the overlay only while the epoch, the watermark, the table
+// (TruncateTable and DROP swap it) and the counter (every Put, flush,
+// compaction and split moves it) are all what the load saw — nothing a
+// fresh scan reads has changed, so its charge is bit-identical to the
+// fresh scan's. A watermark or append publish drops the overlay and
+// keeps the footers.
+type residentEpoch struct {
+	epoch, watermark uint64
+	files            []masterFile
+
+	att        *kvstore.Table
+	mutations  uint64
+	entries    map[uint32][]hive.RecordMod
+	attSeconds map[uint32]float64
+}
+
+// holds reports whether r is the resident form of the given epoch.
+func (r *residentEpoch) holds(epoch, watermark uint64) bool {
+	return r != nil && r.epoch == epoch && r.watermark == watermark
+}
+
+// footer returns the resident footer of the manifest's i-th file.
+func (r *residentEpoch) footer(i int, path string) *orcfile.Reader {
+	if r == nil || i >= len(r.files) || r.files[i].path != path {
+		return nil
 	}
-	for _, f := range files {
-		st.footers[f.path] = f.reader
+	return r.files[i].reader
+}
+
+// dropOverlayLocked forgets the overlay: the epoch it belongs to was
+// just superseded. Caller holds pub.
+func (st *tableState) dropOverlayLocked() {
+	if r := st.res; r != nil {
+		r.att, r.entries, r.attSeconds = nil, nil, nil
 	}
 }
 
-// forgetFootersLocked empties the memo: every memoised file just left
-// the manifest. Caller holds pub.
-func (st *tableState) forgetFootersLocked() {
-	st.footers = nil
-	st.replaces++
+// keepLocked makes a freshly loaded current-epoch snapshot the table's
+// resident epoch. It keeps nothing of a load that a publish or a DROP
+// overtook (the epoch is no longer current), and no overlay of a load
+// the attached table changed under (the counter moved across it).
+// Caller holds pub.
+func (st *tableState) keepLocked(snap *Snapshot) {
+	if st.dropped {
+		return
+	}
+	if epoch, _, err := snap.h.e.MS.CurrentEpoch(snap.desc.Name); err != nil || epoch != snap.Epoch {
+		return
+	}
+	res := &residentEpoch{epoch: snap.Epoch, watermark: snap.Watermark, files: snap.files}
+	if snap.entries != nil && snap.att.Mutations() == snap.mutations {
+		res.att, res.mutations = snap.att, snap.mutations
+		res.entries, res.attSeconds = snap.entries, snap.attSeconds
+	} else if cur := st.res; cur != nil && cur.epoch == snap.Epoch {
+		return // the slot already holds this epoch's files, perhaps with an overlay
+	}
+	st.res = res
 }
 
 // retainedEpochs records one superseded master file set and the epoch
@@ -131,14 +183,15 @@ type Snapshot struct {
 	// with timestamp <= Watermark belong to this epoch.
 	Watermark uint64
 
-	// files lists the manifest's files; a file's footer is the table
-	// memo's or, once loadFiles ran, freshly parsed.
+	// files lists the manifest's files, each pinned in the DFS until
+	// Release; a file's footer is the resident epoch's or, once load ran,
+	// freshly parsed. Shared with the resident epoch: read-only once
+	// loaded.
 	files []masterFile
-	// pinned lists the DFS paths this snapshot holds pins on.
-	pinned []string
 	// entries maps master file ID -> that file's attached-table
 	// modifications (sorted by record ID), filtered to the watermark and
-	// decoded into the UNION READ overlay.
+	// decoded into the UNION READ overlay. Shared with the resident
+	// epoch: read-only.
 	entries map[uint32][]hive.RecordMod
 	// attSeconds maps master file ID -> the simulated cost of that
 	// file's attached pre-scan, measured at materialization and
@@ -146,6 +199,10 @@ type Snapshot struct {
 	// per-task makespan accounting is identical to when tasks scanned
 	// the attached table themselves.
 	attSeconds map[uint32]float64
+	// att is the attached table the entries come from and mutations its
+	// counter when this snapshot was pinned (opens with entries only).
+	att       *kvstore.Table
+	mutations uint64
 
 	// st is the table state whose snapshot count this snapshot holds:
 	// Release decrements it and fires a pending DROP's reclamation when
@@ -199,16 +256,25 @@ const optimisticAttempts = 3
 // epoch; a historical one has nothing newer to be, and expires. After a
 // few lost races the load runs with the lock held, where no floor can
 // move, bounding livelock under pathological compaction churn.
+//
+// A current-epoch open whose epoch is resident (residentEpoch) with
+// everything it needs has nothing to load and returns from the first
+// lock hold; one that loaded leaves its load resident for the next.
 func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool) (*Snapshot, error) {
 	st := h.state(desc.Name)
 	for attempt := 0; ; attempt++ {
 		st.pub.Lock()
-		snap, err := h.pinLocked(desc, st, asOf)
+		snap, resident, err := h.pinLocked(desc, st, asOf, withEntries)
 		if err != nil {
 			st.pub.Unlock()
 			return nil, err
 		}
-		replaces := st.replaces
+		if resident {
+			// Nothing to load, so nothing a publish could have discarded:
+			// the resident epoch is the current one, at or above the floor.
+			st.pub.Unlock()
+			return snap, nil
+		}
 		if attempt < optimisticAttempts {
 			st.pub.Unlock()
 			err = snap.load(withEntries)
@@ -220,10 +286,10 @@ func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool
 			err = snap.load(withEntries) // no publish can land: this one is exact
 		}
 		exact := err == nil && snap.Epoch >= st.floorEpoch
-		// A historical epoch adds nothing to the memo: its files may have
-		// left the manifest before it pinned them.
-		if exact && asOf == nil && replaces == st.replaces {
-			st.rememberFootersLocked(snap.files)
+		// A historical epoch is never resident: its files may have left
+		// the manifest before it pinned them.
+		if exact && asOf == nil {
+			st.keepLocked(snap)
 		}
 		st.pub.Unlock()
 		if exact {
@@ -240,47 +306,68 @@ func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool
 	}
 }
 
-// pinLocked resolves the manifest an open reads, pins its files and
-// counts the snapshot. Counting under the same pub hold as the
-// incarnation check means a DROP landing after this point defers its
-// reclamation until this snapshot (and every other) releases. Caller
-// holds pub.
-func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uint64) (*Snapshot, error) {
+// pinLocked resolves the epoch an open reads, pins its files and counts
+// the snapshot. Counting under the same pub hold as the incarnation
+// check means a DROP landing after this point defers its reclamation
+// until this snapshot (and every other) releases. A current-epoch open
+// takes from the resident epoch whatever is still exactly what a load
+// would produce; resident reports that this was everything the open
+// needs, so there is nothing left to load. Caller holds pub.
+func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uint64, withEntries bool) (snap *Snapshot, resident bool, err error) {
 	if err := h.checkIncarnationLocked(desc, st); err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	snap = &Snapshot{h: h, desc: desc, st: st}
+	if withEntries {
+		if snap.att, err = h.attached(desc); err != nil {
+			return nil, false, err
+		}
+		snap.mutations = snap.att.Mutations()
 	}
 	var man *metastore.Manifest
-	var err error
-	if asOf == nil {
-		man, err = h.e.MS.CurrentManifest(desc.Name)
-	} else {
+	res := st.res
+	if asOf != nil {
 		man, err = h.manifestAtLocked(desc, st, *asOf)
+	} else if snap.Epoch, snap.Watermark, err = h.e.MS.CurrentEpoch(desc.Name); err == nil && !res.holds(snap.Epoch, snap.Watermark) {
+		man, err = h.e.MS.CurrentManifest(desc.Name)
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	snap := &Snapshot{h: h, desc: desc, st: st, Epoch: man.Epoch, Watermark: man.Watermark}
-	for _, mf := range man.Files {
-		if err := h.e.FS.Pin(mf.Path); err != nil {
+	if man != nil {
+		snap.Epoch, snap.Watermark = man.Epoch, man.Watermark
+		snap.files = make([]masterFile, len(man.Files))
+		for i, mf := range man.Files {
+			snap.files[i] = newMasterFile(mf, res.footer(i, mf.Path))
+		}
+	} else {
+		snap.files, resident = res.files, true
+		if withEntries {
+			resident = res.entries != nil && res.att == snap.att && res.mutations == snap.mutations
+			if resident {
+				snap.entries, snap.attSeconds = res.entries, res.attSeconds
+			}
+		}
+	}
+	for i := range snap.files {
+		if err := h.e.FS.Pin(snap.files[i].path); err != nil {
 			// Single attempts: retry backoff under pub would stall every
 			// other open and publish.
-			for _, p := range snap.pinned {
-				h.unpinDeferred(p)
+			for _, f := range snap.files[:i] {
+				h.unpinDeferred(f.path)
 			}
 			if asOf != nil {
 				// The manifest survives in history longer than its files
 				// survive retention; a reclaimed file means the epoch aged
 				// out of the serviceable window.
-				return nil, fmt.Errorf("core: %s AS OF EPOCH %d: file %s reclaimed: %w",
-					desc.Name, *asOf, mf.Path, metastore.ErrEpochExpired)
+				return nil, false, fmt.Errorf("core: %s AS OF EPOCH %d: file %s reclaimed: %w",
+					desc.Name, *asOf, snap.files[i].path, metastore.ErrEpochExpired)
 			}
-			return nil, fmt.Errorf("core: pin master file %s: %w", mf.Path, err)
+			return nil, false, fmt.Errorf("core: pin master file %s: %w", snap.files[i].path, err)
 		}
-		snap.pinned = append(snap.pinned, mf.Path)
-		snap.files = append(snap.files, newMasterFile(mf, st.footers[mf.Path]))
 	}
 	st.snaps++
-	return snap, nil
+	return snap, resident, nil
 }
 
 // manifestAtLocked resolves a historical epoch's manifest and checks
@@ -296,13 +383,13 @@ func (h *Handler) manifestAtLocked(desc *metastore.TableDesc, st *tableState, ep
 	// cells were purged at expiry, so serving it would silently drop
 	// that epoch's UPDATE/DELETE effects. ManifestAt succeeded, so the
 	// chain (and its current manifest) exists.
-	cur, err := h.e.MS.CurrentManifest(desc.Name)
+	cur, _, err := h.e.MS.CurrentEpoch(desc.Name)
 	if err != nil {
 		return nil, err
 	}
-	if n := h.e.MS.RetentionEpochs(desc.Name); epoch < cur.Epoch && cur.Epoch-epoch > uint64(n) {
+	if n := h.e.MS.RetentionEpochs(desc.Name); epoch < cur && cur-epoch > uint64(n) {
 		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: outside the retention window (current %d, retained %d): %w",
-			desc.Name, epoch, cur.Epoch, n, metastore.ErrEpochExpired)
+			desc.Name, epoch, cur, n, metastore.ErrEpochExpired)
 	}
 	// The purge floor is authoritative regardless of the (mutable)
 	// retention knob: epochs whose attached cells were already purged
@@ -314,8 +401,8 @@ func (h *Handler) manifestAtLocked(desc *metastore.TableDesc, st *tableState, ep
 	return man, nil
 }
 
-// load parses the footer of every file the memo did not have and, for
-// a scan, materializes the attached entries.
+// load parses the footer of every file the resident epoch did not have
+// and, for a scan, materializes the attached entries.
 func (s *Snapshot) load(withEntries bool) (err error) {
 	for i := range s.files {
 		f := &s.files[i]
@@ -358,93 +445,119 @@ func (h *Handler) openFooter(path string) (*orcfile.Reader, error) {
 // pinned scan immune to the attached truncation a concurrent COMPACT
 // performs when it publishes: the entries this snapshot needs already
 // live in memory (open's floor test rejects a materialization the
-// truncation overtook). EDIT keeps the
-// attached table small relative to the master, so the one-pass
-// buffering is cheap — and scan tasks no longer touch the key-value
-// store at all. Each file's ranged pre-scan is metered separately;
+// truncation overtook). EDIT keeps the attached table small relative to
+// the master, so the one-pass buffering is cheap — and scan tasks no
+// longer touch the key-value store at all. Each file's ranged pre-scan
+// is metered separately;
 // its simulated cost is replayed onto the task meter when the file's
 // split opens, keeping the per-task makespan accounting of the old
 // scan-at-task-open design.
 func (s *Snapshot) loadEntries() error {
-	s.entries = map[uint32][]hive.RecordMod{}
-	s.attSeconds = map[uint32]float64{}
-	att, err := s.h.attached(s.desc)
-	if err != nil {
-		return err
-	}
+	s.entries = make(map[uint32][]hive.RecordMod, len(s.files))
+	s.attSeconds = make(map[uint32]float64, len(s.files))
+	var slab overlaySlab
 	for _, f := range s.files {
 		start, end := FileRange(f.fileID)
 		m := sim.NewMeter(&s.h.e.MR.Params)
-		sc := att.NewRowScanner(kvstore.Scan{Start: start, End: end, Meter: m, MaxVersions: math.MaxInt32})
-		for {
-			res, ok := sc.Next()
-			if !ok {
-				break
-			}
-			rid, err := RecordIDFromKey(res.Row)
-			if err != nil {
-				continue // malformed key: skip (cannot happen with our writers)
-			}
-			mod, err := s.modAtWatermark(rid, res.Cells)
-			if err != nil {
-				sc.Close()
-				return err
-			}
-			if !mod.Deleted && len(mod.Sets) == 0 {
-				continue // every cell is newer than this epoch
-			}
-			s.entries[f.fileID] = append(s.entries[f.fileID], mod)
+		sc := s.att.NewScanner(kvstore.Scan{Start: start, End: end, Meter: m, MaxVersions: math.MaxInt32})
+		mods, err := s.foldOverlay(sc, &slab)
+		if cerr := sc.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("core: scan attached table of %s: %w", s.desc.Name, cerr)
 		}
-		sc.Close()
+		if err != nil {
+			return err
+		}
+		if len(mods) > 0 {
+			s.entries[f.fileID] = mods
+		}
 		s.attSeconds[f.fileID] = m.Seconds()
 	}
 	return nil
 }
 
-// modAtWatermark turns one record's multi-version attached cells into
-// its overlay entry: per column the newest version with Ts <= the
-// snapshot watermark, decoded — a delete marker, or one column set per
-// cell whose qualifier names a schema column. Cells arrive from the
-// version resolver ordered (family, qualifier) ascending with timestamps
-// descending inside each column, so a single pass taking the first
-// qualifying version per column suffices. The ranges this reads hold
-// only puts (delete markers are puts of __del__), so no delete semantics
-// apply here: KV tombstones exist in attached tables only in purged
-// file-ID ranges (written by purgeAttachedRanges at retention expiry),
-// and the purge floor guarantees no snapshot ever materializes those
-// ranges again.
-func (s *Snapshot) modAtWatermark(rid RecordID, cells []kvstore.Cell) (hive.RecordMod, error) {
-	mod := hive.RecordMod{RID: uint64(rid)}
-	for i := 0; i < len(cells); {
-		first := i
-		for i < len(cells) && cells[i].Family == cells[first].Family && bytes.Equal(cells[i].Qualifier, cells[first].Qualifier) {
-			i++
+// overlaySlab is the storage one load's overlays are cut from: every
+// file's entries from mods, every entry's column sets from sets, so the
+// slices grow once per load and not once per file and record.
+type overlaySlab struct {
+	mods []hive.RecordMod
+	sets []hive.ColumnSet
+}
+
+// foldOverlay drains one file's attached range into its overlay: per
+// record and column the newest version with Ts <= the snapshot
+// watermark, decoded — a delete marker, or one column set per cell whose
+// qualifier names a schema column. Cells arrive from the version
+// resolver ordered by row, then (family, qualifier), with timestamps
+// descending inside each column, so each cell is folded as it arrives:
+// the first qualifying version of a column is the one, and a delete
+// marker settles the record. Every cell is still drawn from the scanner
+// (that is what the meter charges for), and a cell is decoded before the
+// scanner advances. The ranges this reads hold only puts (delete markers
+// are puts of __del__), so no delete semantics apply here: KV tombstones
+// exist in attached tables only in purged file-ID ranges (written by
+// purgeAttachedRanges at retention expiry), and the purge floor
+// guarantees no snapshot ever materializes those ranges again.
+func (s *Snapshot) foldOverlay(sc *kvstore.Scanner, slab *overlaySlab) ([]hive.RecordMod, error) {
+	var (
+		row, qual []byte         // the record and column being folded
+		fam       string         // (copies: a scanned cell is the scanner's)
+		mod       hive.RecordMod // the record's entry so far
+		inRow     bool
+		skip      bool // the row's key is malformed, or mod is settled
+		inCol     bool
+		taken     bool // the column's version at the watermark was seen
+	)
+	firstMod, firstSet := len(slab.mods), len(slab.sets) // of the file, of mod
+	emit := func() {
+		if !inRow || (!mod.Deleted && len(slab.sets) == firstSet) {
+			return // no record yet, a malformed key, or every cell newer than this epoch
 		}
-		k := first
-		for k < i && cells[k].Ts > s.Watermark {
-			k++
+		if !mod.Deleted {
+			mod.Sets = slab.sets[firstSet:len(slab.sets):len(slab.sets)]
 		}
-		if k == i {
-			continue // every version of the column is newer than this epoch
+		slab.mods = append(slab.mods, mod)
+	}
+	for {
+		c, ok := sc.Next()
+		if !ok {
+			break
 		}
-		q := string(cells[k].Qualifier)
-		if q == deleteQualifier {
-			return hive.RecordMod{RID: uint64(rid), Deleted: true}, nil
+		if !inRow || !bytes.Equal(c.Row, row) {
+			emit()
+			row = append(row[:0], c.Row...)
+			rid, err := RecordIDFromKey(row)
+			mod, firstSet = hive.RecordMod{RID: uint64(rid)}, len(slab.sets)
+			inRow, inCol = err == nil, false
+			skip = err != nil // malformed key: skip (cannot happen with our writers)
 		}
-		idx, err := strconv.Atoi(q)
+		if skip {
+			continue
+		}
+		if !inCol || c.Family != fam || !bytes.Equal(c.Qualifier, qual) {
+			fam, qual = c.Family, append(qual[:0], c.Qualifier...)
+			inCol, taken = true, false
+		}
+		if taken || c.Ts > s.Watermark {
+			continue
+		}
+		taken = true
+		if string(qual) == deleteQualifier {
+			mod.Deleted, skip = true, true
+			slab.sets = slab.sets[:firstSet]
+			continue
+		}
+		idx, err := strconv.Atoi(string(qual))
 		if err != nil || idx < 0 || idx >= len(s.desc.Schema) {
 			continue
 		}
-		d, _, err := datum.DecodeDatum(cells[k].Value)
+		d, _, err := datum.DecodeDatum(c.Value)
 		if err != nil {
-			return mod, fmt.Errorf("core: decode attached cell %s: %w", rid, err)
+			return nil, fmt.Errorf("core: decode attached cell %s: %w", RecordID(mod.RID), err)
 		}
-		if mod.Sets == nil {
-			mod.Sets = make([]hive.ColumnSet, 0, len(cells)-first)
-		}
-		mod.Sets = append(mod.Sets, hive.ColumnSet{Col: idx, Val: d})
+		slab.sets = append(slab.sets, hive.ColumnSet{Col: idx, Val: d})
 	}
-	return mod, nil
+	emit()
+	return slab.mods[firstMod:len(slab.mods):len(slab.mods)], nil
 }
 
 // Files exposes the pinned master file set (observability).
@@ -491,10 +604,10 @@ func (s *Snapshot) Release() {
 	if s.released.Swap(true) {
 		return
 	}
-	for _, p := range s.pinned {
+	for _, f := range s.files {
 		// Retried delivery: a dropped Unpin would strand the file's
 		// deferred deletion forever.
-		s.h.unpinRetry(p)
+		s.h.unpinRetry(f.path)
 	}
 	s.st.pub.Lock()
 	s.st.snaps--
@@ -560,6 +673,8 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 	// Committed. Cleanup below is best-effort.
 	if replace {
 		h.supersedeLocked(desc, st, superseded, epoch)
+	} else {
+		st.dropOverlayLocked()
 	}
 	expired := h.expireRetainedLocked(desc, st, epoch)
 	st.pub.Unlock()
@@ -583,7 +698,7 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 // table truncates and the files are condemned immediately — the
 // pre-time-travel behavior. Caller holds pub.
 func (h *Handler) supersedeLocked(desc *metastore.TableDesc, st *tableState, old []metastore.ManifestFile, at uint64) {
-	st.forgetFootersLocked()
+	st.res = nil // every resident file just left the manifest
 	if n := h.e.MS.RetentionEpochs(desc.Name); n > 0 {
 		// An empty superseded set (replacing an empty table) retains
 		// nothing — but it must NOT fall into the truncate branch,
@@ -724,9 +839,9 @@ func (h *Handler) purgeAttachedRanges(desc *metastore.TableDesc, files []metasto
 // CurrentEpoch returns the table's current manifest epoch
 // (observability for tests and the harness).
 func (h *Handler) CurrentEpoch(desc *metastore.TableDesc) (uint64, error) {
-	man, err := h.currentManifest(desc)
-	if err != nil {
-		return 0, err
-	}
-	return man.Epoch, nil
+	st := h.state(desc.Name)
+	st.pub.Lock()
+	defer st.pub.Unlock()
+	epoch, _, err := h.e.MS.CurrentEpoch(desc.Name)
+	return epoch, err
 }

@@ -421,6 +421,8 @@ func (m *aggScanMapper) Flush(emit mapred.Emitter) error {
 	return nil
 }
 
+func (m *aggScanMapper) Close() error { return releaseRegisters(&m.filter, m.groups, m.args) }
+
 func (m *aggScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
 	sel, err := m.filter.begin(b)
 	if err != nil {

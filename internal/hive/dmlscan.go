@@ -133,3 +133,5 @@ func (m *dmlScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) err
 }
 
 func (m *dmlScanMapper) Flush(mapred.Emitter) error { return m.sink.Flush(m.meter) }
+
+func (m *dmlScanMapper) Close() error { return releaseRegisters(&m.filter) }

@@ -333,6 +333,8 @@ type joinMapper struct {
 
 func (m *joinMapper) Flush(mapred.Emitter) error { return nil }
 
+func (m *joinMapper) Close() error { return releaseRegisters(&m.filter, m.cols, m.keys) }
+
 func (m *joinMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
 	if m.row == nil {
 		in := m.inputs[b.Tag]

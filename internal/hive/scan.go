@@ -438,6 +438,8 @@ func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
 	return nil
 }
 
+func (m *simpleScanMapper) Close() error { return releaseRegisters(&m.filter, m.projs, m.orders) }
+
 func (m *simpleScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
 	sel, err := m.filter.begin(b)
 	if err != nil {

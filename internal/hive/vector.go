@@ -113,7 +113,8 @@ func colRefIndex(expr sqlparser.Expr, sc *scope) (int, bool) {
 //
 // col, fn and prog are immutable and shared across map tasks; st and
 // res are per-mapper evaluation state, so mappers that run batches in
-// parallel must each own their vecExpr slice (clone it per mapper).
+// parallel must each own their vecExpr slice (clone it per mapper) and
+// return st at Close (releaseRegisters).
 type vecExpr struct {
 	col  int // vector index when direct
 	fn   evalFn
@@ -148,6 +149,30 @@ func (x *vecExpr) beginBatch(b *mapred.RecordBatch) {
 	if x.prog != nil && b.Cols != nil {
 		x.res = x.prog.evalBatch(&x.st, b)
 	}
+}
+
+// release hands the expression's registers to the next mapper. The
+// aliases of batch columns go first: nothing on the free list points
+// into a reader's vectors.
+func (x *vecExpr) release() {
+	if x.st != nil {
+		clear(x.st.regs)
+		vexprStates.Put(x.st)
+		x.st, x.res = nil, nil
+	}
+}
+
+// releaseRegisters is a scan mapper's Close: the registers of its
+// filter and of every expression list return to the free list. The
+// mapper must not evaluate afterwards.
+func releaseRegisters(f *scanFilter, lists ...[]vecExpr) error {
+	f.where.release()
+	for _, xs := range lists {
+		for i := range xs {
+			xs[i].release()
+		}
+	}
+	return nil
 }
 
 // beginBatchAll resolves every expression's vector for the batch.

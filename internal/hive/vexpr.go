@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dualtable/internal/datum"
+	"dualtable/internal/freelist"
 	"dualtable/internal/mapred"
 	"dualtable/internal/sqlparser"
 )
@@ -69,11 +70,17 @@ type vexprProg struct {
 
 // vexprState is the per-mapper evaluation scratch: one vector per
 // register (aliased for vopCol, owned otherwise), reused across
-// batches.
+// batches. A map task is short next to the vectors a program fills, so
+// a mapper borrows its states from vexprStates at its first columnar
+// batch and hands them back at Close (vecExpr.release); a borrowed state
+// may have served a program of any other shape, which is fine, because
+// every instruction resets the register it writes.
 type vexprState struct {
 	regs  []*datum.ColumnVector
 	store []datum.ColumnVector
 }
+
+var vexprStates = freelist.New[vexprState]()
 
 // ---- Compilation ----
 
@@ -408,14 +415,15 @@ func (c *vexprCompiler) compileCase(v *sqlparser.CaseExpr) (int32, datum.Kind) {
 // evalBatch runs the program over a batch, returning the result
 // vector, or nil when a batch column's runtime kind contradicts the
 // static kind the program was compiled for (the caller then falls
-// back to row evaluation for this batch). The state pointer is
-// allocated lazily and reused across batches.
+// back to row evaluation for this batch). The state is borrowed lazily
+// and reused across batches.
 func (p *vexprProg) evalBatch(stp **vexprState, b *mapred.RecordBatch) *datum.ColumnVector {
 	st := *stp
 	if st == nil {
-		st = &vexprState{
-			regs:  make([]*datum.ColumnVector, p.nregs),
-			store: make([]datum.ColumnVector, p.nregs),
+		st = vexprStates.Get()
+		if len(st.store) < p.nregs {
+			st.regs = append(st.regs, make([]*datum.ColumnVector, p.nregs-len(st.regs))...)
+			st.store = append(st.store, make([]datum.ColumnVector, p.nregs-len(st.store))...)
 		}
 		*stp = st
 	}

@@ -3,8 +3,10 @@ package hive
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"dualtable/internal/datum"
@@ -371,4 +373,100 @@ func TestTopNMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drainVexprStates empties the register free list and returns what it
+// held.
+func drainVexprStates() map[*vexprState]bool {
+	held := map[*vexprState]bool{}
+	for {
+		select {
+		case st := <-vexprStates:
+			held[st] = true
+		default:
+			return held
+		}
+	}
+}
+
+// TestVexprRegistersBorrowedAndReturned: a mapper's registers come from
+// the free list and go back at its Close holding no alias of a batch
+// vector, so a second run of the statement constructs none. (That Close
+// runs however a task ends is mapred's TestMapperClosedHoweverTaskEnds.)
+func TestVexprRegistersBorrowedAndReturned(t *testing.T) {
+	e := testEngine(t)
+	e.MR.Parallelism = 1
+	seedVexprTable(t, e, 2600)
+	const q = "SELECT s, SUM(f * (1 - g)), AVG(a + b) FROM vx WHERE a + b > 0 GROUP BY s ORDER BY s"
+	drainVexprStates()
+	first := mustExec(t, e, q)
+	after := drainVexprStates()
+	if len(after) != 3 {
+		t.Fatalf("the statement returned %d register states, want 3 (WHERE and two aggregate arguments)", len(after))
+	}
+	for st := range after {
+		for i, r := range st.regs {
+			if r != nil {
+				t.Errorf("returned state still aliases a vector in register %d", i)
+			}
+		}
+		vexprStates.Put(st)
+	}
+	second := mustExec(t, e, q)
+	if !reflect.DeepEqual(first.Rows, second.Rows) {
+		t.Errorf("recycled registers changed the result: %v, was %v", second.Rows, first.Rows)
+	}
+	again := drainVexprStates()
+	if !reflect.DeepEqual(again, after) {
+		t.Errorf("the second run did not reuse the first run's states: %d held, %d before", len(again), len(after))
+	}
+}
+
+// TestVexprRegistersSharedAcrossStatements runs statements whose
+// programs differ in shape and kinds concurrently, on engines that share
+// the one free list: a register a mapper kept past its Close would be
+// written by another statement's mapper, which the race detector sees
+// and the results show.
+func TestVexprRegistersSharedAcrossStatements(t *testing.T) {
+	queries := []string{
+		"SELECT id, a + b, f * (1 - g) FROM vx WHERE b < 2 ORDER BY id",
+		"SELECT s, COUNT(*), SUM(f * (1 - g)), MIN(a * 2) FROM vx GROUP BY s ORDER BY s",
+		"SELECT id, CASE WHEN a < 0 THEN 'neg' ELSE 'pos' END, (a < b) AND (f >= g) FROM vx WHERE s != 'w' ORDER BY id",
+		"SELECT id, IF(a < b, f, g) FROM vx WHERE 250 <= id AND 1 > g ORDER BY id",
+	}
+	render := func(rs *ResultSet) string {
+		var sb strings.Builder
+		for _, r := range rs.Rows {
+			sb.WriteString(r.String())
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	engines := make([]*Engine, len(queries))
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		engines[i] = testEngine(t)
+		engines[i].MR.Parallelism = 2
+		seedVexprTable(t, engines[i], 2600)
+		want[i] = render(mustExec(t, engines[i], q))
+	}
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 8 {
+				rs, err := engines[i].Execute(q)
+				if err != nil {
+					t.Errorf("query %d: %v", i, err)
+					return
+				}
+				if got := render(rs); got != want[i] {
+					t.Errorf("query %d: result changed under concurrent register reuse", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -134,6 +134,16 @@ func (c *Cell) Clone() Cell {
 	}
 }
 
+// setKey makes c's key (everything CompareCells reads) a copy of src's
+// in c's own buffers: what an iterator remembers of the cell it last
+// saw, without an allocation per cell.
+func (c *Cell) setKey(src *Cell) {
+	c.Row = append(c.Row[:0], src.Row...)
+	c.Family = src.Family
+	c.Qualifier = append(c.Qualifier[:0], src.Qualifier...)
+	c.Ts, c.Type = src.Ts, src.Type
+}
+
 // String renders the cell for debugging.
 func (c *Cell) String() string {
 	return fmt.Sprintf("%q/%s:%q/%d/%s=%q", c.Row, c.Family, c.Qualifier, c.Ts, c.Type, c.Value)

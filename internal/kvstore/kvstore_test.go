@@ -848,3 +848,122 @@ func TestPropertyDifferentialAgainstModel(t *testing.T) {
 		})
 	}
 }
+
+// Mutations moves at the start and at the end of every operation that
+// changes what a scan reads or is charged, and of nothing else.
+func TestMutationsBracketEveryChange(t *testing.T) {
+	c := testCluster(t, DefaultStoreConfig())
+	tbl, _ := c.CreateTable("t")
+	moved := func(what string, want uint64, fn func()) {
+		t.Helper()
+		before := tbl.Mutations()
+		fn()
+		if got := tbl.Mutations() - before; got != want {
+			t.Errorf("%s moved the counter by %d, want %d", what, got, want)
+		}
+	}
+	moved("an empty Put", 0, func() { tbl.Put(nil, nil) })
+	moved("200 Puts", 400, func() {
+		for i := 0; i < 200; i++ {
+			put(t, tbl, fmt.Sprintf("row%04d", i), "q", "v")
+		}
+	})
+	moved("a Get and a scan", 0, func() {
+		getVal(t, tbl, "row0001", "q")
+		sc := tbl.NewScanner(Scan{})
+		for {
+			if _, ok := sc.Next(); !ok {
+				break
+			}
+		}
+		sc.Close()
+	})
+	moved("Flush", 2, func() { tbl.Flush(nil) })
+	moved("Compact", 2, func() { tbl.Compact(false, nil) })
+	moved("SplitRegion", 2, func() {
+		if err := tbl.SplitRegion(tbl.Regions()[0], nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Truncate swaps the table; the old one's counter says nothing about
+	// the new one's cells.
+	if err := c.TruncateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, _ := c.Table("t"); fresh == tbl {
+		t.Error("TruncateTable kept the *Table: a counter comparison would span two contents")
+	}
+}
+
+// A scan between two equal readings of Mutations saw a table nothing
+// was changing: with one writer an even reading is a quiet table, so
+// such a scan returns whole batches — all of the batches finished by
+// then — and two of them at one reading are charged alike. The store
+// flushes and compacts inside the Puts.
+func TestMutationsOrderScansAgainstPuts(t *testing.T) {
+	cfg := DefaultStoreConfig()
+	cfg.FlushThresholdBytes = 2048
+	cfg.CompactionThreshold = 3
+	c := testCluster(t, cfg)
+	tbl, _ := c.CreateTable("t")
+	const batches, perBatch = 60, 8
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for b := 0; b < batches; b++ {
+			cells := make([]*Cell, perBatch)
+			for i := range cells {
+				cells[i] = &Cell{Row: []byte(fmt.Sprintf("row%04d-%d", b, i)), Family: "d", Qualifier: []byte("q"),
+					Type: TypePut, Value: []byte("value-value-value")}
+			}
+			if err := tbl.Put(cells, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	params := sim.GridCluster()
+	scan := func() (int, float64) {
+		m := sim.NewMeter(&params)
+		sc := tbl.NewScanner(Scan{Meter: m})
+		n := 0
+		for {
+			if _, ok := sc.Next(); !ok {
+				break
+			}
+			n++
+		}
+		if err := sc.Close(); err != nil {
+			t.Error(err)
+		}
+		return n, m.Seconds()
+	}
+	quiet := 0
+	lastAt, lastSecs := uint64(1), 0.0
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true // one more scan, of the finished table
+		default:
+		}
+		before := tbl.Mutations()
+		n, secs := scan()
+		if tbl.Mutations() != before || before%2 != 0 {
+			continue
+		}
+		quiet++
+		if want := int(before/2) * perBatch; n != want {
+			t.Fatalf("a scan at reading %d saw %d cells, want the %d of the finished batches", before, n, want)
+		}
+		if before == lastAt && secs != lastSecs {
+			t.Fatalf("two scans at reading %d were charged %v and %v", before, lastSecs, secs)
+		}
+		lastAt, lastSecs = before, secs
+	}
+	if quiet == 0 {
+		t.Fatal("no scan ran between two equal readings")
+	}
+	if got := tbl.Mutations(); got != 2*batches {
+		t.Errorf("counter at %d after %d Puts, want %d", got, batches, 2*batches)
+	}
+}

@@ -24,7 +24,7 @@ type versionResolver struct {
 	colDelTs uint64
 	emitted  int
 
-	prev     Cell
+	prev     Cell // key only
 	havePrev bool
 	err      error
 }
@@ -47,7 +47,7 @@ func (v *versionResolver) Next() (*Cell, bool) {
 		if v.havePrev && CompareCells(c, &v.prev) == 0 {
 			continue
 		}
-		v.prev = c.Clone()
+		v.prev.setKey(c)
 		v.havePrev = true
 
 		if !v.haveRow || !bytes.Equal(c.Row, v.curRow) {

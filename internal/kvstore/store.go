@@ -358,7 +358,7 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 type dedupIterator struct {
 	it   CellIterator
 	have bool
-	prev Cell
+	prev Cell // key only
 }
 
 func (d *dedupIterator) Next() (*Cell, bool) {
@@ -370,7 +370,7 @@ func (d *dedupIterator) Next() (*Cell, bool) {
 		if d.have && CompareCells(c, &d.prev) == 0 {
 			continue
 		}
-		d.prev = c.Clone()
+		d.prev.setKey(c)
 		d.have = true
 		return c, true
 	}

@@ -166,10 +166,24 @@ type Table struct {
 	regions        []*Region // sorted by start key
 	nextRegionID   int
 	splitThreshold int64
+
+	// mutations counts the starts and the ends of the operations that
+	// change what a scan reads or what it is charged for: Put, Flush,
+	// Compact and SplitRegion each add one on entry and one on return.
+	mutations atomic.Uint64
 }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
+
+// Mutations returns a counter that moves whenever the table's cells or
+// their physical layout (memtable, store files, regions) may have: two
+// equal readings mean no Put, Flush, Compact or SplitRegion began or
+// returned between them, so a scan started after the first reading
+// returns the same cells and meters the same charges as one started at
+// the second. TruncateTable and DropTable do not move it — they replace
+// the *Table.
+func (t *Table) Mutations() uint64 { return t.mutations.Load() }
 
 // SetSplitThreshold enables automatic region splitting once a region
 // exceeds n bytes (disabled by default).
@@ -205,6 +219,8 @@ func (t *Table) Put(cells []*Cell, m *sim.Meter) error {
 	if len(cells) == 0 {
 		return nil
 	}
+	t.mutations.Add(1)
+	defer t.mutations.Add(1)
 	var batchTs uint64
 	for _, c := range cells {
 		if c.Ts == 0 {
@@ -407,6 +423,8 @@ func (rs *RowScanner) Close() error {
 
 // Flush forces all regions' memtables to store files.
 func (t *Table) Flush(m *sim.Meter) error {
+	t.mutations.Add(1)
+	defer t.mutations.Add(1)
 	t.mu.RLock()
 	regions := append([]*Region(nil), t.regions...)
 	t.mu.RUnlock()
@@ -420,6 +438,8 @@ func (t *Table) Flush(m *sim.Meter) error {
 
 // Compact runs compaction on all regions (major drops tombstones).
 func (t *Table) Compact(major bool, m *sim.Meter) error {
+	t.mutations.Add(1)
+	defer t.mutations.Add(1)
 	t.mu.RLock()
 	regions := append([]*Region(nil), t.regions...)
 	t.mu.RUnlock()
@@ -482,6 +502,8 @@ func (t *Table) maybeSplit(r *Region, m *sim.Meter) {
 // regions, rewriting the store files. Returns an error when no valid
 // split point exists.
 func (t *Table) SplitRegion(r *Region, m *sim.Meter) error {
+	t.mutations.Add(1)
+	defer t.mutations.Add(1)
 	if err := r.store.flush(m); err != nil {
 		return err
 	}

@@ -106,7 +106,9 @@ type Emitter func(key []byte, value datum.Row) error
 // Mapper processes the input batches of one map task. A fresh Mapper
 // is built per task via Job.NewMapper, so implementations may keep
 // state. The batch and everything it references belong to the reader
-// and are reused after MapBatch returns.
+// and are reused after MapBatch returns. A Mapper that is also an
+// io.Closer is closed when its task ends, however it ends: the place to
+// return what it borrowed for the task.
 type Mapper interface {
 	MapBatch(b *RecordBatch, emit Emitter) error
 	// Flush is called once after the task's last batch.
@@ -351,6 +353,9 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 	}
 	defer rr.Close()
 	mapper := job.NewMapper()
+	if mc, ok := mapper.(io.Closer); ok {
+		defer mc.Close()
+	}
 	if ma, ok := mapper.(MeterAware); ok {
 		ma.SetMeter(meter)
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dualtable/internal/datum"
@@ -235,6 +236,39 @@ func TestMapperErrorPropagates(t *testing.T) {
 	}
 	if _, err := testCluster().Run(job); !errors.Is(err, boom) {
 		t.Errorf("error = %v", err)
+	}
+}
+
+// closingMapper counts its Close calls; it fails its batches on demand.
+type closingMapper struct {
+	fail   error
+	closed *atomic.Int64
+}
+
+func (m *closingMapper) MapBatch(*RecordBatch, Emitter) error { return m.fail }
+func (m *closingMapper) Flush(Emitter) error                  { return nil }
+func (m *closingMapper) Close() error                         { m.closed.Add(1); return nil }
+
+// A mapper that is an io.Closer is closed once per task, whether the
+// task finishes or fails: Close is where a mapper returns what it
+// borrowed.
+func TestMapperClosedHoweverTaskEnds(t *testing.T) {
+	boom := errors.New("boom")
+	for _, fail := range []error{nil, boom} {
+		var made, closed atomic.Int64
+		job := &Job{
+			Splits: wordSplits([]string{"x"}, []string{"y"}, []string{"z"}),
+			NewMapper: func() Mapper {
+				made.Add(1)
+				return &closingMapper{fail: fail, closed: &closed}
+			},
+		}
+		if _, err := testCluster().Run(job); !errors.Is(err, fail) {
+			t.Errorf("fail=%v: job error = %v", fail, err)
+		}
+		if made.Load() == 0 || closed.Load() != made.Load() {
+			t.Errorf("fail=%v: %d mappers made, %d closed", fail, made.Load(), closed.Load())
+		}
 	}
 }
 

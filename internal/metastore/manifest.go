@@ -158,6 +158,18 @@ func (m *Metastore) CurrentManifest(table string) (*Manifest, error) {
 	return ch.current.Clone(), nil
 }
 
+// CurrentEpoch returns the epoch and watermark of the table's current
+// manifest, for callers that need its identity and not its file list.
+func (m *Metastore) CurrentEpoch(table string) (epoch, watermark uint64, err error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	ch, ok := m.manifests[strings.ToLower(table)]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %s", ErrNoManifest, table)
+	}
+	return ch.current.Epoch, ch.current.Watermark, nil
+}
+
 // ManifestAt returns a copy of the manifest at a historical epoch
 // (the basis for time-travel reads). The two failure modes carry
 // distinct sentinels: epochs that aged out of the bounded history

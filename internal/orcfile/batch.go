@@ -46,7 +46,7 @@ type BatchReader struct {
 // NewBatchReader starts a vectorized scan with the same options as
 // NewRowReader.
 func (rd *Reader) NewBatchReader(opts RowReaderOptions) *BatchReader {
-	br := &BatchReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema)), scanScratch: scratches.get()}
+	br := &BatchReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema)), scanScratch: scratches.Get()}
 	// A recycled scratch may come from a file of another width.
 	br.streams = widened(br.streams, len(rd.schema))
 	br.vecs = widened(br.vecs, len(rd.schema))
@@ -72,7 +72,7 @@ func (br *BatchReader) Vectors() []datum.ColumnVector { return br.vecs }
 // every vector and batch obtained through it, must not be used again.
 func (br *BatchReader) Close() {
 	if br.scanScratch != nil {
-		scratches.put(br.scanScratch)
+		scratches.Put(br.scanScratch)
 		br.scanScratch, br.cols = nil, nil
 	}
 }

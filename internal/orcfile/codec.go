@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"dualtable/internal/datum"
+	"dualtable/internal/freelist"
 )
 
 // The state of a flate codec dwarfs the streams this format stores in
@@ -18,37 +19,10 @@ import (
 // it back when done. Everything on a list is reset by its next
 // borrower, so a value that saw a corrupt stream is as good as new.
 
-// freeListSize bounds each list. A borrower beyond it constructs its own
-// state and the surplus is dropped on return, so the lists pin at most
-// this many of each kind however many tasks run at once.
-const freeListSize = 16
-
-// freeList is a bounded free list of *T whose zero value is usable.
-// Unlike sync.Pool it is deterministic — a returned value is the next
-// one borrowed, with or without the race detector — which is what lets
-// a test pin "steady state constructs no codec".
-type freeList[T any] chan *T
-
-func (l freeList[T]) get() *T {
-	select {
-	case v := <-l:
-		return v
-	default:
-		return new(T)
-	}
-}
-
-func (l freeList[T]) put(v *T) {
-	select {
-	case l <- v:
-	default:
-	}
-}
-
 var (
-	inflaters = make(freeList[inflater], freeListSize)
-	deflaters = make(freeList[deflater], freeListSize)
-	scratches = make(freeList[scanScratch], freeListSize)
+	inflaters = freelist.New[inflater]()
+	deflaters = freelist.New[deflater]()
+	scratches = freelist.New[scanScratch]()
 )
 
 // inflater reads byte ranges of a file, inflating the compressed ones.

@@ -302,11 +302,11 @@ func TestInflaterReusedAfterCorruptStream(t *testing.T) {
 
 	// Leave exactly one inflater on the list, so it is the one every
 	// load below borrows.
-	z := inflaters.get()
+	z := inflaters.Get()
 	for len(inflaters) > 0 {
 		<-inflaters
 	}
-	inflaters.put(z)
+	inflaters.Put(z)
 
 	for _, drain := range []func([]byte, int) ([]datum.Row, error){drainBatch, drainRows} {
 		if _, err := drain(bad, 1<<20); err == nil {
@@ -323,10 +323,10 @@ func TestInflaterReusedAfterCorruptStream(t *testing.T) {
 			t.Fatal("good file after a corrupt one: rows differ")
 		}
 	}
-	if got := inflaters.get(); got != z {
+	if got := inflaters.Get(); got != z {
 		t.Fatal("the reads did not go through the one listed inflater")
 	} else {
-		inflaters.put(got)
+		inflaters.Put(got)
 	}
 }
 

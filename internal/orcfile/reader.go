@@ -46,8 +46,8 @@ func Open(r io.ReaderAt, size int64) (*Reader, error) {
 		return nil, fmt.Errorf("orcfile: footer out of bounds")
 	}
 	rd := &Reader{r: r, footerLen: int64(footerLen), compressed: flags&flagFlate != 0}
-	z := inflaters.get()
-	defer inflaters.put(z)
+	z := inflaters.Get()
+	defer inflaters.Put(z)
 	fb, err := z.load(z.out, r, int64(footerOff), int(footerLen), rd.compressed)
 	z.out = fb
 	if err != nil {
@@ -321,8 +321,8 @@ func (rr *RowReader) Next() (datum.Row, int64, error) {
 // them, so they live exactly as long as the stripe is current.
 func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool, streams [][]byte) ([]*columnCursor, error) {
 	cols := make([]*columnCursor, len(rd.schema))
-	z := inflaters.get()
-	defer inflaters.put(z)
+	z := inflaters.Get()
+	defer inflaters.Put(z)
 	for i := range rd.schema {
 		if !project[i] {
 			continue

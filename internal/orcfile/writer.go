@@ -256,7 +256,7 @@ func (w *Writer) maybeCompress(b []byte) ([]byte, error) {
 		return b, nil
 	}
 	if w.z == nil {
-		w.z = deflaters.get()
+		w.z = deflaters.Get()
 	}
 	return w.z.deflate(b)
 }
@@ -291,7 +291,7 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint64(tail[24:], orcMagic)
 	_, err = w.w.Write(tail[:])
 	if w.z != nil {
-		deflaters.put(w.z)
+		deflaters.Put(w.z)
 		w.z = nil
 	}
 	return err
