@@ -4,6 +4,7 @@ import (
 	"database/sql"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"dualtable"
+	"dualtable/internal/datum"
 	"dualtable/internal/server"
 )
 
@@ -235,4 +237,72 @@ func (c *benchClient) do(op int) error {
 		}
 	}
 	return rows.Err()
+}
+
+// BenchmarkWireStream is the result path alone: one client streams all
+// 32 768 rows of a clean 4-file table shaped like bench's serve_stream
+// (two BIGINTs, two DOUBLEs, two short STRINGs) and scans every row into
+// typed destinations. Reported: rows/s, and B/row allocated by server
+// and client together — what is left once neither side builds a row is
+// the boxing of the values database/sql is handed. A development
+// instrument like the others here; the comparable number is serve_stream
+// (BENCHMARK.json).
+func BenchmarkWireStream(b *testing.B) {
+	_, srvDB, addr := startServer(b, server.Config{})
+	if _, err := srvDB.Exec(`CREATE TABLE big (id BIGINT, grp BIGINT, v DOUBLE, w DOUBLE, tag STRING, day STRING) STORED AS DUALTABLE`); err != nil {
+		b.Fatal(err)
+	}
+	const files, perFile = 4, 8192
+	rng := rand.New(rand.NewSource(1))
+	for f := 0; f < files; f++ {
+		rows := make([]datum.Row, perFile)
+		for i := range rows {
+			id := int64(f*perFile + i)
+			rows[i] = datum.Row{datum.Int(id), datum.Int(id % 64),
+				datum.Float(float64(rng.Intn(400000)) / 4), datum.Float(float64(rng.Intn(1000))),
+				datum.String_(fmt.Sprintf("tag-%02d", rng.Intn(97))),
+				datum.String_(fmt.Sprintf("2014-%02d-%02d", 1+rng.Intn(12), 1+rng.Intn(28)))}
+		}
+		if _, err := srvDB.Engine.BulkLoad("big", rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	db := openSQL(b, addr, "")
+	db.SetMaxOpenConns(1)
+	st, err := db.Prepare(`SELECT id, grp, v, w, tag, day FROM big WHERE id >= ?`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := func() {
+		rows, err := st.Query(int64(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var id, grp int64
+		var v, w float64
+		var tag, day string
+		n := 0
+		for rows.Next() {
+			if err := rows.Scan(&id, &grp, &v, &w, &tag, &day); err != nil {
+				b.Fatal(err)
+			}
+			n++
+		}
+		if err := rows.Err(); err != nil || n != files*perFile {
+			b.Fatalf("streamed %d rows, err %v", n, err)
+		}
+		rows.Close()
+	}
+	stream() // warm: plan cache, free lists, the conn's buffers
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stream()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	streamed := float64(b.N * files * perFile)
+	b.ReportMetric(streamed/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/streamed, "B/row")
 }

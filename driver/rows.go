@@ -25,8 +25,14 @@ type rows struct {
 	opID uint64
 	cols []string
 
-	buf []datum.Row
-	idx int
+	// batch holds the frame being delivered, column-major: the vectors
+	// are the stream's own and each frame is decoded over the last. What
+	// Next hands out of them stays valid all the same — numbers are
+	// copied, and a string is a substring of the one string its column
+	// was decoded as, which nothing writes to again.
+	batch datum.Batch
+	idx   int
+	recv  []byte // the stream's receive buffer; DecodeRowBatch keeps none of it
 
 	done bool  // QueryEnd received
 	err  error // terminal stream error (from QueryEnd's code)
@@ -49,15 +55,14 @@ func (r *rows) Columns() []string { return r.cols }
 // the stream (or the stream's terminal error).
 func (r *rows) Next(dest []sqldriver.Value) error {
 	for {
-		if r.idx < len(r.buf) {
-			row := r.buf[r.idx]
+		if r.idx < r.batch.Len {
+			if len(r.batch.Cols) != len(dest) {
+				return fmt.Errorf("dualtable: row has %d columns, want %d", len(r.batch.Cols), len(dest))
+			}
+			for j := range dest {
+				dest[j] = datumToValue(r.batch.Cols[j].Datum(r.idx))
+			}
 			r.idx++
-			if len(row) != len(dest) {
-				return fmt.Errorf("dualtable: row has %d columns, want %d", len(row), len(dest))
-			}
-			for i, d := range row {
-				dest[i] = datumToValue(d)
-			}
 			return nil
 		}
 		if r.done {
@@ -72,48 +77,52 @@ func (r *rows) Next(dest []sqldriver.Value) error {
 	}
 }
 
+// broken ends the stream on a failure that leaves the connection
+// unusable: nothing more is delivered, the pool retires the conn, and
+// every later Next reports err.
+func (r *rows) broken(err error) error {
+	r.c.markBroken()
+	r.done, r.err = true, err
+	r.batch.Len = 0
+	return err
+}
+
 // recvFrame consumes the next stream frame: a row batch (granting a
 // replacement credit) or the terminal QueryEnd.
 func (r *rows) recvFrame() error {
-	t, payload, err := r.c.wc.Recv()
+	t, payload, err := r.c.wc.RecvInto(r.recv)
 	if err != nil {
-		r.c.markBroken()
-		r.done = true
-		return err
+		return r.broken(err)
 	}
+	r.recv = payload
 	switch t {
 	case wire.TypeRowBatch:
-		var rb wire.RowBatch
-		if err := rb.Decode(payload); err != nil {
-			r.c.markBroken()
-			r.done = true
-			return err
-		}
-		if rb.OpID != r.opID {
-			r.c.markBroken()
-			r.done = true
-			return fmt.Errorf("%w: batch for op %d, want %d", dualtable.ErrProtocol, rb.OpID, r.opID)
-		}
-		r.buf = rb.Rows
 		r.idx = 0
-		// Grant a replacement credit for the consumed batch.
-		r.c.wc.Send(wire.TypeFetch, (&wire.Fetch{OpID: r.opID, Credits: 1}).Encode())
+		opID, err := wire.DecodeRowBatch(payload, &r.batch)
+		if err != nil {
+			return r.broken(err)
+		}
+		if opID != r.opID {
+			return r.broken(fmt.Errorf("%w: batch for op %d, want %d", dualtable.ErrProtocol, opID, r.opID))
+		}
+		// Grant a replacement credit for the consumed batch. A grant that
+		// cannot be written means the stream is dead: the server would
+		// wait for the credit and this side for the next frame.
+		if err := r.c.wc.Send(wire.TypeFetch, (&wire.Fetch{OpID: r.opID, Credits: 1}).Encode()); err != nil {
+			return r.broken(fmt.Errorf("dualtable driver: grant stream credit: %w", err))
+		}
 		return nil
 	case wire.TypeQueryEnd:
 		var end wire.QueryEnd
 		if err := end.Decode(payload); err != nil {
-			r.c.markBroken()
-			r.done = true
-			return err
+			return r.broken(err)
 		}
 		r.done = true
 		r.simSeconds = end.SimSeconds
 		r.err = dualtable.CodeError(dualtable.ErrCode(end.Code), end.Msg)
 		return nil
 	default:
-		r.c.markBroken()
-		r.done = true
-		return fmt.Errorf("%w: unexpected %v in query stream", dualtable.ErrProtocol, t)
+		return r.broken(fmt.Errorf("%w: unexpected %v in query stream", dualtable.ErrProtocol, t))
 	}
 }
 
@@ -144,7 +153,7 @@ func (r *rows) Close() error {
 		if err := r.recvFrame(); err != nil {
 			break
 		}
-		r.buf, r.idx = nil, 0 // discard undelivered rows
+		r.batch.Len = 0 // discard undelivered rows
 	}
 	raw.SetReadDeadline(time.Time{})
 	return nil

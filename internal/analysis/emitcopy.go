@@ -22,6 +22,14 @@ import (
 //     a vector b.Cols[j] / &b.Cols[j] — the reader refills them on
 //     the next batch. Scalar reads (b.Rows[i][c], b.Cols[j].Ints[i])
 //     and spread copies (append(dst, b.Rows[i]...)) are legal.
+//   - The batch-sink rule: what MapBatch hands its batch sink (a call
+//     to emitBatch or CollectBatch) the sink may keep, and a streamed
+//     result does, so a result batch must own its storage. Passing the
+//     sink b.Cols[j], &b.Cols[j], b.Cols itself or a vector's storage
+//     (b.Cols[j].Ints, re-sliced or not) — directly or as a field of
+//     a composite literal — is a finding, as is storing any of those in
+//     a field or element on the way there: compact by copying
+//     (ColumnVector.Gather).
 //
 // Candidate functions are those that receive an Emitter — a
 // parameter of type (mapred.)Emitter or named emit — plus Map
@@ -85,12 +93,24 @@ func emitterShape(ft *ast.FuncType) (emitParam, rowParam, batchParam string) {
 }
 
 // batchAlias reports whether e aliases reader-owned batch memory: the
-// batch itself, one of its Rows/Cols/IDs slices, or one element (or
-// sub-slice, or element address) of those.
+// batch itself, one of its Rows/Cols/IDs slices, one element (or
+// sub-slice, or element address) of those, or the storage of one of its
+// vectors (b.Cols[j].Ints, whole or re-sliced).
 func batchAlias(e ast.Expr, batch string) bool {
 	e = ast.Unparen(e)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		e = ast.Unparen(u.X)
+	}
+	if x, ok := e.(*ast.SliceExpr); ok {
+		e = ast.Unparen(x.X)
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
+		switch sel.Sel.Name {
+		case "Nulls", "Ints", "Floats", "Bools", "Strs", "Datums":
+			if x, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok {
+				e = x // the vector whose storage this is
+			}
+		}
 	}
 	switch x := e.(type) {
 	case *ast.IndexExpr:
@@ -149,6 +169,15 @@ func checkEmitCopy(pass *Pass, emitParam, rowParam, batchParam string, body *ast
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
+			if batchParam != "" && isBatchSink(n.Fun) {
+				for _, arg := range n.Args {
+					for _, e := range handedOver(arg) {
+						if batchAlias(e, batchParam) {
+							pass.Reportf(n.Pos(), "the batch sink is handed the reader-owned input batch (reused between batches); a result batch owns its storage, copy into it")
+						}
+					}
+				}
+			}
 			// append(s, row) with the row as a whole element (not
 			// row... spread, which copies elements).
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" && n.Ellipsis == token.NoPos {
@@ -174,4 +203,37 @@ func checkEmitCopy(pass *Pass, emitParam, rowParam, batchParam string, body *ast
 		}
 		return true
 	})
+}
+
+// isBatchSink reports whether fun names a batch sink: emitBatch (a
+// mapper's mapred.BatchEmitter) or a collector's CollectBatch.
+func isBatchSink(fun ast.Expr) bool {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return f.Name == "emitBatch"
+	case *ast.SelectorExpr:
+		return f.Sel.Name == "emitBatch" || f.Sel.Name == "CollectBatch"
+	}
+	return false
+}
+
+// handedOver lists what a sink argument gives away: the argument, or
+// the field values of a (pointer to a) composite literal.
+func handedOver(arg ast.Expr) []ast.Expr {
+	e := ast.Unparen(arg)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = ast.Unparen(u.X)
+	}
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		return []ast.Expr{arg}
+	}
+	var out []ast.Expr
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			el = kv.Value
+		}
+		out = append(out, handedOver(el)...)
+	}
+	return out
 }

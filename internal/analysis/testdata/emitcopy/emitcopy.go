@@ -9,6 +9,17 @@ type Row []int
 
 type ColumnVector struct{ Ints []int }
 
+type Batch struct {
+	Len  int
+	Cols []ColumnVector
+}
+
+type BatchEmitter func(b *Batch) (bool, error)
+
+type BatchCollector interface {
+	CollectBatch(b *Batch) (bool, error)
+}
+
 type RecordBatch struct {
 	Len  int
 	Cols []ColumnVector
@@ -76,7 +87,50 @@ func (m *joinMapper) MapBatch(b *RecordBatch, emit Emitter) error {
 	return nil
 }
 
+// A mapper of column batches hands its sink a result batch the sink may
+// keep. Every way of building that batch out of the reader's storage is
+// a finding: the reader refills it while the sink's consumer still
+// reads.
+type batchMapper struct {
+	emitBatch BatchEmitter
+	sink      BatchCollector
+	out       *Batch
+}
+
+func (m *batchMapper) MapBatch(b *RecordBatch, emit Emitter) error {
+	m.out.Cols[0] = b.Cols[0]                                                // want `assignment retains the reader-owned input batch`
+	m.out.Cols[0].Ints = b.Cols[0].Ints[:b.Len]                              // want `assignment retains the reader-owned input batch`
+	m.out.Cols[0].Ints = b.Cols[0].Ints                                      // want `assignment retains the reader-owned input batch`
+	if _, err := m.emitBatch(&Batch{Len: b.Len, Cols: b.Cols}); err != nil { // want `the batch sink is handed the reader-owned input batch`
+		return err
+	}
+	if _, err := m.emitBatch(&Batch{Len: 1, Cols: []ColumnVector{b.Cols[0]}}); err != nil { // want `the batch sink is handed the reader-owned input batch`
+		return err
+	}
+	if _, err := m.emitBatch(&Batch{Len: 1, Cols: []ColumnVector{{Ints: b.Cols[0].Ints[2:]}}}); err != nil { // want `the batch sink is handed the reader-owned input batch`
+		return err
+	}
+	_, err := m.sink.CollectBatch(&Batch{Cols: b.Cols[1:]}) // want `the batch sink is handed the reader-owned input batch`
+	return err
+}
+
 // --- legal patterns (must stay silent) ---
+
+// The batch mapper as it should be: the result batch is filled by
+// copying — scalar reads, spread appends — and then handed over.
+func (m *batchMapper) MapBatchCopies(b *RecordBatch, emit Emitter) error {
+	out := m.out
+	out.Len = b.Len
+	out.Cols[0].Ints = append(out.Cols[0].Ints[:0], b.Cols[0].Ints...)
+	for i := 0; i < b.Len; i++ {
+		out.Cols[0].Ints[i] = b.Cols[0].Ints[i]
+	}
+	kept, err := m.emitBatch(out)
+	if kept {
+		m.out = nil
+	}
+	return err
+}
 
 // The join mapper as it should be: one key buffer and one narrowed row
 // per task, refilled per record, nothing kept.

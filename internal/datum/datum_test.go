@@ -359,4 +359,9 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeRow([]byte{}); err == nil {
 		t.Error("decode empty row should fail")
 	}
+	// An arity no buffer of this length could hold is refused before a
+	// row of that capacity is made (2^47 datums would not return).
+	if _, _, err := DecodeRow([]byte{0xf4, 0xca, 0xfb, 0x8b, 0xfd, 0x55}); err == nil {
+		t.Error("row arity beyond the buffer should fail")
+	}
 }

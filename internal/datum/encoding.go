@@ -101,6 +101,9 @@ func DecodeRow(b []byte) (Row, int, error) {
 		return nil, 0, fmt.Errorf("datum: bad row arity")
 	}
 	off := n
+	if arity > uint64(len(b)-off) { // each datum costs ≥ 1 byte
+		return nil, 0, fmt.Errorf("datum: row arity %d exceeds buffer", arity)
+	}
 	row := make(Row, 0, arity)
 	for i := uint64(0); i < arity; i++ {
 		d, dn, err := DecodeDatum(b[off:])

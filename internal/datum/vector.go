@@ -1,5 +1,7 @@
 package datum
 
+import "slices"
+
 // ColumnVector holds a batch of decoded values of one column in typed
 // slices — the columnar counterpart of a Row position. Storage is
 // positional: every slice the active kind uses has one slot per batch
@@ -18,6 +20,14 @@ type ColumnVector struct {
 	Floats []float64
 	Bools  []bool
 	Strs   []string
+	// Datums is the storage of a mixed column: a result column whose
+	// values in one batch do not share a kind (a CASE with branches of
+	// two kinds, a COALESCE across kinds). Such a vector has Kind
+	// KindNull — no typed slice is active — and every row not flagged in
+	// Nulls lives whole in Datums[i]. Readers never produce one; Put
+	// does, from the data. Empty on every other vector, the all-NULL
+	// KindNull vector of an unprojected column included.
+	Datums []Datum
 }
 
 // Reset prepares the vector to hold n rows of the given kind, reusing
@@ -29,6 +39,7 @@ func (v *ColumnVector) Reset(kind Kind, n int) {
 	v.Floats = v.Floats[:0]
 	v.Bools = v.Bools[:0]
 	v.Strs = v.Strs[:0]
+	v.Datums = v.Datums[:0]
 	switch kind {
 	case KindInt:
 		v.Ints = resetInts(v.Ints, n)
@@ -133,6 +144,8 @@ func (v *ColumnVector) Datum(i int) Datum {
 		return Datum{K: KindBool, B: v.Bools[i]}
 	case KindString:
 		return Datum{K: KindString, S: v.Strs[i]}
+	case KindNull:
+		return v.Datums[i] // a mixed column: only it has a non-NULL row
 	default:
 		return Null
 	}
@@ -149,6 +162,10 @@ func (v *ColumnVector) SetDatum(i int, d Datum) bool {
 		return true
 	}
 	if v.Kind == KindNull {
+		if len(v.Datums) > 0 { // a mixed column holds any kind
+			v.Datums[i], v.Nulls[i] = d, false
+			return true
+		}
 		// All-NULL vector (unprojected column): adopt the datum's kind
 		// lazily, growing the matching value slice.
 		v.Kind = d.K
@@ -179,4 +196,115 @@ func (v *ColumnVector) SetDatum(i int, d Datum) bool {
 		v.Strs[i] = d.S
 	}
 	return true
+}
+
+// Put is SetDatum for a result column, which must take every datum: one
+// whose kind the vector cannot hold turns it into a mixed column (see
+// Datums), the rows set so far moving over.
+func (v *ColumnVector) Put(i int, d Datum) {
+	if v.SetDatum(i, d) {
+		return
+	}
+	ds := slices.Grow(v.Datums[:0], len(v.Nulls))[:len(v.Nulls)]
+	for k := range ds {
+		ds[k] = v.Datum(k)
+	}
+	v.Kind, v.Datums = KindNull, ds
+	v.Ints, v.Floats, v.Bools, v.Strs = v.Ints[:0], v.Floats[:0], v.Bools[:0], v.Strs[:0]
+	v.Datums[i], v.Nulls[i] = d, false
+}
+
+// Gather resets v to the rows of src that sel lists — row indexes of
+// src, increasing, so a sel as long as src selects all of it. The rows
+// are copied: v shares no storage with src afterwards.
+func (v *ColumnVector) Gather(src *ColumnVector, sel []int32) {
+	if len(sel) == len(src.Nulls) {
+		v.Kind = src.Kind
+		v.Nulls = append(v.Nulls[:0], src.Nulls...)
+		v.Ints = append(v.Ints[:0], src.Ints...)
+		v.Floats = append(v.Floats[:0], src.Floats...)
+		v.Bools = append(v.Bools[:0], src.Bools...)
+		v.Strs = append(v.Strs[:0], src.Strs...)
+		v.Datums = append(v.Datums[:0], src.Datums...)
+		return
+	}
+	v.Reset(src.Kind, len(sel))
+	for k, i := range sel {
+		v.Nulls[k] = src.Nulls[i]
+	}
+	switch src.Kind {
+	case KindInt:
+		for k, i := range sel {
+			v.Ints[k] = src.Ints[i]
+		}
+	case KindFloat:
+		for k, i := range sel {
+			v.Floats[k] = src.Floats[i]
+		}
+	case KindBool:
+		for k, i := range sel {
+			v.Bools[k] = src.Bools[i]
+		}
+	case KindString:
+		for k, i := range sel {
+			v.Strs[k] = src.Strs[i]
+		}
+	case KindNull:
+		if len(src.Datums) > 0 { // a mixed column
+			for _, i := range sel {
+				v.Datums = append(v.Datums, src.Datums[i])
+			}
+		}
+	}
+}
+
+// Truncate drops every row from n on.
+func (v *ColumnVector) Truncate(n int) {
+	v.Nulls = v.Nulls[:n]
+	v.Ints = v.Ints[:min(n, len(v.Ints))]
+	v.Floats = v.Floats[:min(n, len(v.Floats))]
+	v.Bools = v.Bools[:min(n, len(v.Bools))]
+	v.Strs = v.Strs[:min(n, len(v.Strs))]
+	v.Datums = v.Datums[:min(n, len(v.Datums))]
+}
+
+// Append adds rows [from, to) of src at the end of v. Two vectors of
+// one kind append in bulk, and an empty v takes src's kind; any other
+// pairing goes through Put datum by datum, so a column whose batches
+// disagree on kind ends up mixed.
+func (v *ColumnVector) Append(src *ColumnVector, from, to int) {
+	if len(v.Nulls) == 0 {
+		v.Reset(src.Kind, 0)
+	}
+	if v.Kind == src.Kind && len(v.Datums) == 0 && len(src.Datums) == 0 {
+		v.Nulls = append(v.Nulls, src.Nulls[from:to]...)
+		switch v.Kind {
+		case KindInt:
+			v.Ints = append(v.Ints, src.Ints[from:to]...)
+		case KindFloat:
+			v.Floats = append(v.Floats, src.Floats[from:to]...)
+		case KindBool:
+			v.Bools = append(v.Bools, src.Bools[from:to]...)
+		case KindString:
+			v.Strs = append(v.Strs, src.Strs[from:to]...)
+		}
+		return
+	}
+	for i := from; i < to; i++ {
+		// One more NULL row, in whichever storage is active.
+		v.Nulls = append(v.Nulls, true)
+		switch {
+		case v.Kind == KindInt:
+			v.Ints = append(v.Ints, 0)
+		case v.Kind == KindFloat:
+			v.Floats = append(v.Floats, 0)
+		case v.Kind == KindBool:
+			v.Bools = append(v.Bools, false)
+		case v.Kind == KindString:
+			v.Strs = append(v.Strs, "")
+		case len(v.Datums) > 0:
+			v.Datums = append(v.Datums, Null)
+		}
+		v.Put(len(v.Nulls)-1, src.Datum(i))
+	}
 }

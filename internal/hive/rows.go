@@ -2,28 +2,36 @@ package hive
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/mapred"
+	"dualtable/internal/orcfile"
 	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
 )
 
 // Rows is a streaming result iterator in the database/sql idiom:
 // Next/Scan/Close. For streamable queries (no aggregation, DISTINCT or
-// ORDER BY) rows flow from the MapReduce output through a bounded
+// ORDER BY) the result flows from the MapReduce output through a bounded
 // channel while the job runs, so consuming a huge scan needs only
 // O(channel buffer) memory; closing early (or canceling the query's
-// context) aborts the job between records. Queries that inherently
+// context) aborts the job between batches. Queries that inherently
 // materialize (aggregates, sorts) are executed eagerly and then
 // iterated.
+//
+// Underneath, a result is a sequence of column batches, and the cursor
+// Next moves is a position in the current one: the batches the scan's
+// sink was handed for a streamed result, transpositions of at most
+// orcfile.DefaultBatchRows rows at a time for a materialized one.
+// NextBatch yields them whole.
 type Rows struct {
 	cols []string
 
 	// Streaming mode.
-	ch      <-chan datum.Row
+	ch      <-chan *datum.Batch
 	cancel  context.CancelFunc
 	done    <-chan struct{}
 	prodErr *error   // written by the producer before done closes
@@ -32,10 +40,16 @@ type Rows struct {
 
 	// Materialized mode (ch == nil).
 	static []datum.Row
-	idx    int
+	idx    int // first row not yet in a batch
 	sim    float64
 
-	cur datum.Row
+	// cur is borrowed from resultBatches; nil before the first batch and
+	// after the last. Whoever swaps it out hands it back, so a Close from
+	// another goroutine (a session's teardown) and the consumer's own
+	// advance can never both return one batch — the consumer must still
+	// not be reading a row while that Close runs.
+	cur atomic.Pointer[datum.Batch]
+	pos int // the current row in cur; cur.Len when NextBatch yielded it whole
 	err error
 
 	// closeHook, when set, runs exactly once when Close first
@@ -54,43 +68,95 @@ func (r *Rows) Columns() []string { return append([]string(nil), r.cols...) }
 // Next advances to the next row, reporting false at the end of the
 // result set or on error (check Err).
 func (r *Rows) Next() bool {
-	if r.err != nil || r.closed.Load() {
-		return false
-	}
-	if r.ch == nil {
-		if r.idx >= len(r.static) {
-			return false
-		}
-		r.cur = r.static[r.idx]
-		r.idx++
+	if b := r.cur.Load(); b != nil && r.pos+1 < b.Len {
+		r.pos++
 		return true
 	}
-	row, ok := <-r.ch
-	if !ok {
+	r.pos = 0
+	return r.advance() != nil
+}
+
+// NextBatch advances to the next batch of the result and returns it
+// whole, or nil at the end of the result set or on error (check Err).
+// The batch is valid until the next Next, NextBatch or Close. It starts
+// after the batch the cursor is in, whose remaining rows are passed
+// over: a result is read through Next or through NextBatch.
+func (r *Rows) NextBatch() *datum.Batch {
+	b := r.advance()
+	if b != nil {
+		r.pos = b.Len
+	}
+	return b
+}
+
+// release hands the current batch, if any, back to the free list.
+func (r *Rows) release() {
+	if b := r.cur.Swap(nil); b != nil {
+		resultBatches.Put(b)
+	}
+}
+
+// advance hands the current batch back and makes the next one current,
+// returning it; nil at the end of the result or on error.
+func (r *Rows) advance() *datum.Batch {
+	r.release()
+	if r.err != nil || r.closed.Load() {
+		return nil
+	}
+	var b *datum.Batch
+	if r.ch == nil {
+		if r.idx >= len(r.static) {
+			return nil
+		}
+		end := min(r.idx+orcfile.DefaultBatchRows, len(r.static))
+		b = resultBatches.Get()
+		b.SetRows(r.static[r.idx:end], len(r.cols))
+		r.idx = end
+	} else if b = <-r.ch; b == nil { // closed: the producer is done
 		<-r.done
 		r.err = *r.prodErr
 		r.sim = *r.prodSim
-		return false
+		return nil
 	}
-	r.cur = row
-	return true
+	r.cur.Store(b)
+	if r.closed.Load() { // closed meanwhile: Close may have missed b
+		r.release()
+		return nil
+	}
+	return b
 }
 
-// Row returns the current row as raw datums (valid until the next
-// call to Next).
-func (r *Rows) Row() datum.Row { return r.cur }
+// row returns the batch and position of the current row; nil without a
+// successful Next.
+func (r *Rows) row() (*datum.Batch, int) {
+	if b := r.cur.Load(); b != nil && r.pos < b.Len {
+		return b, r.pos
+	}
+	return nil, 0
+}
+
+// Row returns the current row as raw datums, a row of its own that the
+// caller may keep; nil without a successful Next.
+func (r *Rows) Row() datum.Row {
+	b, i := r.row()
+	if b == nil {
+		return nil
+	}
+	return b.Row(i)
+}
 
 // Scan copies the current row into dest pointers. Supported targets:
 // *int64, *int, *float64, *string, *bool, *datum.Datum and *any.
 func (r *Rows) Scan(dest ...any) error {
-	if r.cur == nil {
+	b, pos := r.row()
+	if b == nil {
 		return fmt.Errorf("hive: Scan called without a successful Next")
 	}
-	if len(dest) != len(r.cur) {
-		return fmt.Errorf("hive: Scan expects %d destination(s), got %d", len(r.cur), len(dest))
+	if len(dest) != len(b.Cols) {
+		return fmt.Errorf("hive: Scan expects %d destination(s), got %d", len(b.Cols), len(dest))
 	}
 	for i, d := range dest {
-		v := r.cur[i]
+		v := b.Cols[i].Datum(pos)
 		switch p := d.(type) {
 		case *datum.Datum:
 			*p = v
@@ -145,19 +211,21 @@ func (r *Rows) Err() error { return r.err }
 func (r *Rows) SimSeconds() float64 { return r.sim }
 
 // Close releases the result. For a streaming result it cancels the
-// underlying MapReduce job and drains the channel; closing before
-// exhaustion is not an error.
+// underlying MapReduce job and drains the channel, handing back the
+// batches it never delivered; closing before exhaustion is not an
+// error.
 func (r *Rows) Close() error {
 	if r.closed.Swap(true) {
 		return nil
 	}
 	if r.ch != nil {
 		r.cancel()
-		for range r.ch {
+		for b := range r.ch {
+			resultBatches.Put(b)
 		}
 		<-r.done
 	}
-	r.cur = nil
+	r.release()
 	if r.closeHook != nil {
 		r.closeHook()
 	}
@@ -209,7 +277,7 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 	}
 
 	ctx, cancel := context.WithCancel(ec.Context())
-	ch := make(chan datum.Row, 64)
+	ch := make(chan *datum.Batch, streamDepth)
 	sink := &chanOutputFactory{ctx: ctx, cancel: cancel, ch: ch, limit: plan.limit}
 	plan.job.Output = sink
 
@@ -237,12 +305,20 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 	return rows, nil
 }
 
-// chanOutputFactory streams job output rows into a channel, stopping
-// the job once LIMIT rows have been delivered.
+// streamDepth is how many finished batches a streamed result parks
+// between the job and its consumer. A batch is up to
+// orcfile.DefaultBatchRows rows, so a few keep every map task busy while
+// the consumer encodes or scans one; more would only grow what an early
+// Close throws away and what a slow consumer holds (depth + one per
+// running task + the consumer's own, of resultBatches' freelist.Size).
+const streamDepth = 4
+
+// chanOutputFactory streams a job's result batches into a channel,
+// stopping the job once LIMIT rows have been delivered.
 type chanOutputFactory struct {
 	ctx       context.Context
 	cancel    context.CancelFunc
-	ch        chan<- datum.Row
+	ch        chan<- *datum.Batch
 	limit     int64 // -1 = none
 	reserved  atomic.Int64
 	delivered atomic.Int64
@@ -255,26 +331,43 @@ func (f *chanOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Colle
 
 type chanCollector struct{ f *chanOutputFactory }
 
-func (c *chanCollector) Collect(row datum.Row) error {
+var _ mapred.BatchCollector = (*chanCollector)(nil)
+
+// Collect is never reached: the one mapper a streamed plan runs emits
+// batches.
+func (c *chanCollector) Collect(datum.Row) error {
+	return errors.New("hive: the streaming sink takes column batches")
+}
+
+func (c *chanCollector) CollectBatch(b *datum.Batch) (bool, error) {
 	f := c.f
-	// Reserve a slot first so concurrent map tasks cannot collectively
-	// deliver more than LIMIT rows.
-	if f.limit >= 0 && f.reserved.Add(1) > f.limit {
-		return nil
+	n := int64(b.Len)
+	if f.limit >= 0 {
+		// Reserve slots first so concurrent map tasks cannot collectively
+		// deliver more than LIMIT rows: this batch gets what was left of
+		// the limit before it asked.
+		left := f.limit - (f.reserved.Add(n) - n)
+		if left <= 0 {
+			return false, nil
+		}
+		if left < n {
+			b.Truncate(int(left))
+			n = left
+		}
 	}
 	select {
-	case f.ch <- row: // emit transfers ownership; no clone needed
+	case f.ch <- b: // the consumer's from here on
 	case <-f.ctx.Done():
-		return f.ctx.Err()
+		return false, f.ctx.Err()
 	}
-	// Abort the rest of the job on the last row delivered, not on the
-	// last slot reserved: a task holding an earlier slot may still be in
-	// the select above, and a cancel would race its send.
-	if f.limit >= 0 && f.delivered.Add(1) == f.limit {
+	// Abort the rest of the job on the batch that delivers the last row,
+	// not on the last slot reserved: a task holding earlier slots may
+	// still be in the select above, and a cancel would race its send.
+	if f.limit >= 0 && f.delivered.Add(n) == f.limit {
 		f.limitHit.Store(true)
 		f.cancel()
 	}
-	return nil
+	return true, nil
 }
 
 func (c *chanCollector) Close() error { return nil }

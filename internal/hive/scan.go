@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"dualtable/internal/datum"
+	"dualtable/internal/freelist"
 	"dualtable/internal/mapred"
 	"dualtable/internal/metastore"
 	"dualtable/internal/orcfile"
@@ -370,31 +371,36 @@ func (e *Engine) planSimpleScan(ec *ExecContext, q scanQuery, sc *scope) (*simpl
 }
 
 // newMapper builds one task's mapper. Each mapper owns its filter and
-// vecExpr slices: compiled programs are shared, but per-batch program
+// vecExpr slice: compiled programs are shared, but per-batch program
 // state is not.
 func (p *simpleScanPlan) newMapper() mapred.Mapper {
-	m := &simpleScanMapper{
-		filter: p.filter,
-		projs:  slices.Clone(p.projs),
-		orders: slices.Clone(p.orders),
-	}
+	m := &simpleScanMapper{filter: p.filter, exprs: slices.Concat(p.projs, p.orders)}
 	if p.topN >= 0 {
 		m.top = &topHeap{limit: p.topN, keyAt: len(p.projs), desc: p.desc}
 	}
 	return m
 }
 
-// run pushes rows through one mapper in-process, as a single
-// row-shaped batch, and returns what it emits.
+// run pushes rows through one mapper in-process, as row-shaped batches
+// no longer than a reader's, and returns what it emits.
 func (p *simpleScanPlan) run(rows []datum.Row) ([]datum.Row, error) {
 	var out []datum.Row
 	emit := func(_ []byte, row datum.Row) error {
 		out = append(out, row)
 		return nil
 	}
-	m := p.newMapper()
-	if err := m.MapBatch(&mapred.RecordBatch{Len: len(rows), Rows: rows}, emit); err != nil {
-		return nil, err
+	m := p.newMapper().(*simpleScanMapper)
+	defer m.Close()
+	m.emitBatch = func(b *datum.Batch) (bool, error) {
+		out = b.AppendRows(out)
+		return false, nil
+	}
+	for len(rows) > 0 {
+		n := min(len(rows), orcfile.DefaultBatchRows)
+		if err := m.MapBatch(&mapred.RecordBatch{Len: n, Rows: rows[:n]}, emit); err != nil {
+			return nil, err
+		}
+		rows = rows[n:]
 	}
 	if err := m.Flush(emit); err != nil {
 		return nil, err
@@ -402,29 +408,34 @@ func (p *simpleScanPlan) run(rows []datum.Row) ([]datum.Row, error) {
 	return out, nil
 }
 
+// resultBatches lends the batches a scan's result travels in. A mapper
+// borrows one per batch its sink keeps; whoever consumes the batch — the
+// Rows a streamed SELECT returns — hands it back on moving past it.
+var resultBatches = freelist.New[datum.Batch]()
+
 // simpleScanMapper is the filter+project mapper: the filter step
-// selects a batch's surviving rows and only those are materialized —
-// and of those only the columns an expression actually needs. For
-// ORDER BY ... LIMIT n queries the task streams its rows through a
-// bounded top-N heap and emits at most n at Flush, in arrival order:
-// only a task's n best rows can survive the global stable sort +
-// truncate, so the final result is unchanged while the job stops
-// materializing full result sets.
+// selects a batch's surviving rows and the projections of those rows
+// become one result batch, handed whole to the task's sink (the visible
+// columns first, then the hidden ORDER BY keys). The result batch owns
+// its storage: the reader refills b.Cols on its next NextBatch, so a
+// projection that is a vector is compacted by the selection into the
+// result — copied, never aliased — and one that only a row can evaluate
+// fills its column datum by datum. For ORDER BY ... LIMIT n queries the
+// task offers the batch to a bounded top-N heap instead and emits at
+// most n rows at Flush, in arrival order: only a task's n best rows can
+// survive the global stable sort + truncate, so the final result is
+// unchanged while the job stops materializing full result sets.
 type simpleScanMapper struct {
 	filter scanFilter
-	projs  []vecExpr
-	orders []vecExpr
-	top    *topHeap // nil unless ORDER BY ... LIMIT
+	exprs  []vecExpr // the select list, then the order keys
+	byRow  []int     // of exprs, those this batch evaluates per row
+	top    *topHeap  // nil unless ORDER BY ... LIMIT
+
+	emitBatch mapred.BatchEmitter
+	out       *datum.Batch // borrowed; the sink's once it keeps it
 }
 
-// emitRow routes one projected row to the collector or the top-N heap.
-func (m *simpleScanMapper) emitRow(out datum.Row, emit mapred.Emitter) error {
-	if m.top == nil {
-		return emit(nil, out)
-	}
-	m.top.push(out)
-	return nil
-}
+func (m *simpleScanMapper) SetBatchEmitter(emit mapred.BatchEmitter) { m.emitBatch = emit }
 
 func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
 	if m.top == nil {
@@ -438,36 +449,55 @@ func (m *simpleScanMapper) Flush(emit mapred.Emitter) error {
 	return nil
 }
 
-func (m *simpleScanMapper) Close() error { return releaseRegisters(&m.filter, m.projs, m.orders) }
+func (m *simpleScanMapper) Close() error {
+	if m.out != nil {
+		resultBatches.Put(m.out)
+		m.out = nil
+	}
+	return releaseRegisters(&m.filter, m.exprs)
+}
 
-func (m *simpleScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
+func (m *simpleScanMapper) MapBatch(b *mapred.RecordBatch, _ mapred.Emitter) error {
 	sel, err := m.filter.begin(b)
-	if err != nil {
+	if err != nil || len(sel) == 0 {
 		return err
 	}
-	if len(sel) > 0 {
-		beginBatchAll(m.projs, b)
-		beginBatchAll(m.orders, b)
+	beginBatchAll(m.exprs, b)
+	if m.out == nil {
+		m.out = resultBatches.Get()
 	}
-	for _, i := range sel {
-		out := make(datum.Row, 0, len(m.projs)+len(m.orders))
-		for pi := range m.projs {
-			d, err := m.projs[pi].eval(b, int(i), &m.filter.brow)
-			if err != nil {
-				return err
-			}
-			out = append(out, d)
-		}
-		for oi := range m.orders {
-			d, err := m.orders[oi].eval(b, int(i), &m.filter.brow)
-			if err != nil {
-				return err
-			}
-			out = append(out, d)
-		}
-		if err := m.emitRow(out, emit); err != nil {
-			return err
+	out := m.out
+	out.Reset(len(m.exprs), len(sel))
+	// Vector-backed expressions a column at a time; the rest a row at a
+	// time, so the row their fallbacks evaluate against is materialized
+	// once for all of them.
+	m.byRow = m.byRow[:0]
+	for j := range m.exprs {
+		if src := m.exprs[j].vec(b); src != nil {
+			out.Cols[j].Gather(src, sel)
+		} else {
+			m.byRow = append(m.byRow, j)
 		}
 	}
-	return nil
+	if len(m.byRow) > 0 {
+		for k, i := range sel {
+			row := m.filter.brow.row(b, int(i))
+			for _, j := range m.byRow {
+				d, err := m.exprs[j].fn(row)
+				if err != nil {
+					return err
+				}
+				out.Cols[j].Put(k, d)
+			}
+		}
+	}
+	if m.top != nil {
+		m.top.pushBatch(out)
+		return nil
+	}
+	kept, err := m.emitBatch(out)
+	if kept {
+		m.out = nil
+	}
+	return err
 }

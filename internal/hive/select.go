@@ -332,6 +332,8 @@ type topHeap struct {
 	desc  []bool
 	rows  []topRow
 	seq   int64
+
+	scratch datum.Row // pushBatch's candidate, not yet a row of its own
 }
 
 // worse reports whether a sorts strictly after b.
@@ -383,6 +385,19 @@ func (h *topHeap) push(row datum.Row) {
 		}
 		h.rows[i], h.rows[worst] = h.rows[worst], h.rows[i]
 		i = worst
+	}
+}
+
+// pushBatch offers every row of a result batch to the heap. A row is
+// cut from the batch only on entering the heap.
+func (h *topHeap) pushBatch(b *datum.Batch) {
+	for i := 0; i < b.Len; i++ {
+		h.scratch = b.RowInto(h.scratch, i)
+		if int64(len(h.rows)) < h.limit || (h.limit > 0 && h.worse(h.rows[0], topRow{row: h.scratch, seq: h.seq})) {
+			h.push(slices.Clone(h.scratch))
+		} else {
+			h.seq++
+		}
 	}
 }
 

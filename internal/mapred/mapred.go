@@ -139,6 +139,30 @@ type Collector interface {
 	Close() error
 }
 
+// BatchCollector is a Collector that also takes its output a column
+// batch at a time: the output-side twin of BatchRecordReader, found the
+// same way, by type assertion.
+type BatchCollector interface {
+	Collector
+	// CollectBatch delivers b's rows, in order. kept reports that the
+	// collector retained b, which is then its own to dispose of;
+	// otherwise b is the caller's again when the call returns.
+	CollectBatch(b *datum.Batch) (kept bool, err error)
+}
+
+// BatchEmitter is what a mapper of column batches emits through. It
+// counts b.Len output records and follows CollectBatch's contract.
+type BatchEmitter func(b *datum.Batch) (kept bool, err error)
+
+// BatchEmitterAware is implemented by mappers whose output is column
+// batches. The engine injects the task's BatchEmitter before the first
+// MapBatch call: the collector's CollectBatch when it is a
+// BatchCollector, else — any other collector, or the shuffle — an
+// adapter that cuts the batch into rows and emits each.
+type BatchEmitterAware interface {
+	SetBatchEmitter(emit BatchEmitter)
+}
+
 // OutputFactory builds one Collector per output task.
 type OutputFactory interface {
 	NewCollector(taskID int, m *sim.Meter) (Collector, error)
@@ -385,6 +409,24 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 		}
 	}
 
+	if bm, ok := mapper.(BatchEmitterAware); ok {
+		emitBatch := func(b *datum.Batch) (bool, error) {
+			for i := 0; i < b.Len; i++ {
+				if err := emit(nil, b.Row(i)); err != nil {
+					return false, err
+				}
+			}
+			return false, nil
+		}
+		if bc, ok := collector.(BatchCollector); ok {
+			emitBatch = func(b *datum.Batch) (bool, error) {
+				outRecords += int64(b.Len)
+				return bc.CollectBatch(b)
+			}
+		}
+		bm.SetBatchEmitter(emitBatch)
+	}
+
 	br, ok := rr.(BatchRecordReader)
 	if !ok || c.DisableBatchScan {
 		br = &rowBatcher{RecordReader: rr}
@@ -617,6 +659,12 @@ type memCollector struct {
 func (m *memCollector) Collect(row datum.Row) error {
 	m.rows = append(m.rows, row)
 	return nil
+}
+
+// CollectBatch cuts the batch into rows of the collector's own.
+func (m *memCollector) CollectBatch(b *datum.Batch) (bool, error) {
+	m.rows = b.AppendRows(m.rows)
+	return false, nil
 }
 
 func (m *memCollector) Close() error {

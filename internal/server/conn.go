@@ -593,11 +593,10 @@ func (c *conn) runQuery(op *activeOp, m *wire.Query) (reply opReply) {
 	maxBytes := c.srv.cfg.MaxBytesPerStatement
 	progress := c.srv.cfg.ProgressTimeout
 	var sentRows, sentBytes int64
-	batch := make([]datum.Row, 0, batchCap)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
+	var payload []byte // the statement's encode buffer, reused frame after frame
+	// send streams rows [from, to) of b as one RowBatch frame, for one
+	// credit.
+	send := func(b *datum.Batch, from, to int) error {
 		for credits == 0 {
 			// The progress watchdog: a client that neither grants
 			// credits nor cancels is reaped so its op stops pinning
@@ -625,13 +624,12 @@ func (c *conn) runQuery(op *activeOp, m *wire.Query) (reply opReply) {
 			}
 		}
 		credits--
-		sentRows += int64(len(batch))
+		sentRows += int64(to - from)
 		if maxRows > 0 && sentRows > maxRows {
 			return fmt.Errorf("%w: statement streamed more than %d rows (per-statement cap)",
 				dualtable.ErrQuotaExceeded, maxRows)
 		}
-		rb := wire.RowBatch{OpID: m.OpID, Rows: batch}
-		payload := rb.Encode()
+		payload = wire.AppendRowBatch(payload[:0], m.OpID, b, from, to)
 		sentBytes += int64(len(payload))
 		if maxBytes > 0 && sentBytes > maxBytes {
 			return fmt.Errorf("%w: statement streamed more than %d bytes (per-statement cap)",
@@ -642,27 +640,45 @@ func (c *conn) runQuery(op *activeOp, m *wire.Query) (reply opReply) {
 		}
 		err := c.wc.Send(wire.TypeRowBatch, payload)
 		c.gate.releaseBytes(int64(len(payload)))
-		if err != nil {
-			return err
-		}
-		batch = batch[:0]
-		return nil
+		return err
 	}
 
+	// Every frame but a result's last carries exactly batchCap rows. A
+	// batch that long is cut into frames where it lies; what is left of
+	// it, and every smaller batch — the few rows each split of a
+	// selective scan yields — is gathered in pending, so that a small
+	// result is one frame and one credit however many splits it came
+	// from.
+	var pending datum.Batch
 	var streamErr error
-	for rows.Next() {
-		batch = append(batch, rows.Row())
-		if len(batch) >= batchCap {
-			if streamErr = flush(); streamErr != nil {
-				break
+	for streamErr == nil {
+		b := rows.NextBatch()
+		if b == nil {
+			break
+		}
+		from := 0
+		for pending.Len == 0 && b.Len-from >= batchCap && streamErr == nil {
+			streamErr = send(b, from, from+batchCap)
+			from += batchCap
+		}
+		for from < b.Len && streamErr == nil {
+			if pending.Len == 0 {
+				pending.Reset(len(b.Cols), 0)
+			}
+			to := min(b.Len, from+batchCap-pending.Len)
+			pending.Append(b, from, to)
+			from = to
+			if pending.Len == batchCap {
+				streamErr = send(&pending, 0, batchCap)
+				pending.Truncate(0)
 			}
 		}
 	}
 	if streamErr == nil {
 		streamErr = rows.Err()
 	}
-	if streamErr == nil {
-		streamErr = flush()
+	if streamErr == nil && pending.Len > 0 {
+		streamErr = send(&pending, 0, pending.Len)
 	}
 	if streamErr == nil && ctx.Err() != nil {
 		streamErr = ctx.Err()

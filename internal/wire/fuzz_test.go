@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"testing"
 )
 
@@ -43,6 +44,11 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// Column frames: every kind, NULLs, empty strings, a mixed column
+	// and an all-NULL one, at row counts around a bitmap byte.
+	for _, n := range []int{0, 1, 7, 8, 9} {
+		f.Add((&RowBatch{OpID: 7, Rows: columnRows(rand.New(rand.NewSource(int64(n))), n)}).Encode())
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// Frame reader on raw bytes: must terminate with a frame or
 		// an error.
@@ -78,6 +84,17 @@ func FuzzDecodeNeverPanics(f *testing.F) {
 			}
 			if !bytes.Equal(b2, q2.Encode()) {
 				t.Fatal("re-encode not stable")
+			}
+		}
+		var rb RowBatch
+		if err := rb.Decode(b); err == nil {
+			b2 := rb.Encode()
+			var rb2 RowBatch
+			if err := rb2.Decode(b2); err != nil {
+				t.Fatalf("ROW_BATCH re-decode failed: %v", err)
+			}
+			if !bytes.Equal(b2, rb2.Encode()) {
+				t.Fatal("ROW_BATCH re-encode not stable")
 			}
 		}
 	})

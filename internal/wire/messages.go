@@ -111,7 +111,10 @@ type RowHeader struct {
 	Columns []string
 }
 
-// RowBatch carries one credit's worth of rows.
+// RowBatch carries one credit's worth of rows. It is the row-shaped
+// convenience over the column-major payload (rowbatch.go): Encode
+// transposes Rows and Decode cuts them back out. The server and the
+// driver, which hold vectors, use AppendRowBatch and DecodeRowBatch.
 type RowBatch struct {
 	OpID uint64
 	Rows []datum.Row
@@ -526,20 +529,6 @@ func (m *RowHeader) Decode(b []byte) error {
 	m.OpID = r.uvarint()
 	m.Columns = r.strings()
 	return r.finish("ROW_HEADER")
-}
-
-// Encode serializes the message payload.
-func (m *RowBatch) Encode() []byte {
-	b := binary.AppendUvarint(nil, m.OpID)
-	return appendRows(b, m.Rows)
-}
-
-// Decode parses the message payload.
-func (m *RowBatch) Decode(b []byte) error {
-	r := &reader{b: b}
-	m.OpID = r.uvarint()
-	m.Rows = r.rows()
-	return r.finish("ROW_BATCH")
 }
 
 // Encode serializes the message payload.

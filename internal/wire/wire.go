@@ -2,10 +2,20 @@
 // length-prefixed binary framing with a small message vocabulary —
 // handshake, SET session vars, prepare/bind/execute with '?'
 // placeholders, streaming row batches with credit-based flow control,
-// cancellation, and explicit close. The encoding reuses the engine's
-// self-describing datum format (datum.AppendDatum) for values, so a
-// row travels the wire in exactly the bytes the storage layer already
-// knows how to produce and parse.
+// cancellation, and explicit close. Single values — statement
+// arguments, the rows of a complete Result — reuse the engine's
+// self-describing datum format (datum.AppendDatum), the bytes the
+// storage layer already knows how to produce and parse. A streamed
+// result travels as column batches (see rowbatch.go for the layout):
+// the engine hands the server vectors, the ROW_BATCH payload is those
+// vectors column by column, and the driver decodes it into column
+// buffers it reads positionally, so no row is built on either side. A
+// column whose values in one batch do not share a kind — SQL allows a
+// CASE that — travels as tagged datums; that is decided per column per
+// batch from the data. A decoded batch copies everything out of the
+// payload: the receiver owns the batch, and may reuse the receive
+// buffer for the next frame while values handed out of the batch stay
+// valid.
 //
 // Frame layout:
 //
@@ -42,10 +52,11 @@ import (
 	"time"
 )
 
-// ProtoVersion is the protocol revision sent in the handshake. A
-// server refuses a Hello with a newer major version than its own.
-// Revision 2 added the per-frame payload checksum.
-const ProtoVersion = 2
+// ProtoVersion is the protocol revision sent in the handshake. Both
+// ends live in this tree, so a server refuses any Hello whose revision
+// is not its own. Revision 2 added the per-frame payload checksum;
+// revision 3 made the ROW_BATCH payload column-major.
+const ProtoVersion = 3
 
 // MaxFrame bounds a single frame's payload so a malformed or hostile
 // length prefix cannot make either side allocate unbounded memory.
@@ -193,7 +204,12 @@ func WriteFrame(w io.Writer, t Type, payload []byte) error {
 // ReadFrame reads one frame from r, enforcing MaxFrame. A clean EOF
 // at a frame boundary returns io.EOF; a partial header or payload
 // returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) (Type, []byte, error) {
+func ReadFrame(r io.Reader) (Type, []byte, error) { return readFrame(r, nil) }
+
+// readFrame is ReadFrame with the payload read into buf's storage when
+// it is large enough (into a new slice otherwise); the payload returned
+// is that storage, re-sliced.
+func readFrame(r io.Reader, buf []byte) (Type, []byte, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -211,9 +227,12 @@ func ReadFrame(r io.Reader) (Type, []byte, error) {
 		if sum != 0 {
 			return 0, nil, ErrChecksum
 		}
-		return t, nil, nil
+		return t, buf[:0], nil
 	}
-	payload := make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -279,6 +298,12 @@ func (c *Conn) Send(t Type, payload []byte) error {
 
 // Recv reads the next frame.
 func (c *Conn) Recv() (Type, []byte, error) { return ReadFrame(c.r) }
+
+// RecvInto reads the next frame with its payload in buf's storage,
+// grown when too small: for a receiver that decodes each payload
+// before it reads the next and so needs one buffer, not one per frame.
+// The payload is valid until its storage is passed in again.
+func (c *Conn) RecvInto(buf []byte) (Type, []byte, error) { return readFrame(c.r, buf) }
 
 // Close closes the underlying connection. Safe to call concurrently
 // with Send/Recv (both then fail with a network error).

@@ -30,6 +30,8 @@ var selectShapes = []selectShape{
 	{sql: "SELECT * FROM %[1]s ORDER BY id LIMIT 10", ordered: true},
 	{sql: "SELECT id, v * 2 + k, CASE WHEN k < 3 THEN 'lo' WHEN k < 7 THEN 'mid' ELSE 'hi' END FROM %[1]s WHERE (v - id) * 4 = 1 OR k %% 3 = 0"},
 	{sql: "SELECT id, tag FROM %[1]s WHERE tag LIKE 't1%%' OR k IN (3, 7)"},
+	// Projections whose values do not share a kind: a mixed result column.
+	{sql: "SELECT id, CASE WHEN k < 3 THEN id WHEN k < 7 THEN tag ELSE v END, COALESCE(k, tag) FROM %[1]s WHERE id %% 3 = 0"},
 	{sql: "SELECT id FROM %[1]s WHERE v > (SELECT AVG(x) FROM diff_ref) ORDER BY id LIMIT 5", ordered: true},
 	// GROUP BY column and expression, HAVING, aggregates in ORDER BY.
 	{sql: "SELECT k, COUNT(*), SUM(v), MIN(tag), MAX(id), AVG(v) FROM %[1]s GROUP BY k"},

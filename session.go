@@ -11,8 +11,12 @@ import (
 	"dualtable/internal/sqlparser"
 )
 
-// Rows re-exports the streaming result iterator (Next/Scan/Close).
+// Rows re-exports the streaming result iterator (Next/Scan/Close, or
+// NextBatch for a column batch at a time).
 type Rows = hive.Rows
+
+// Batch re-exports the column batch Rows.NextBatch yields.
+type Batch = datum.Batch
 
 // PlanDecision re-exports one cost-model decision record.
 type PlanDecision = core.PlanDecision

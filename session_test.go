@@ -11,6 +11,7 @@ import (
 
 	"dualtable"
 	"dualtable/internal/datum"
+	"dualtable/internal/orcfile"
 )
 
 // TestSessionConcurrentForcePlan runs two sessions with conflicting
@@ -183,7 +184,9 @@ func TestQueryContextCancelMidScan(t *testing.T) {
 	db := openDB(t)
 	sess := db.Session()
 	sess.MustExec("CREATE TABLE big (id BIGINT, v DOUBLE) STORED AS DUALTABLE")
-	rows := make([]datum.Row, 5000)
+	// More batches than a stream can have in flight, so the job is still
+	// running when the first row is out.
+	rows := make([]datum.Row, 16*orcfile.DefaultBatchRows)
 	for i := range rows {
 		rows[i] = datum.Row{datum.Int(int64(i)), datum.Float(float64(i))}
 	}
@@ -548,14 +551,13 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 	db := openDB(t)
 	s := db.Session()
 	s.MustExec("CREATE TABLE sc (id BIGINT, v DOUBLE) STORED AS DUALTABLE")
-	vals := make([]string, 200)
-	for i := range vals {
-		vals[i] = fmt.Sprintf("(%d, %d.5)", i, i)
+	loaded := make([]datum.Row, 16*orcfile.DefaultBatchRows)
+	for i := range loaded {
+		loaded[i] = datum.Row{datum.Int(int64(i)), datum.Float(float64(i) + 0.5)}
 	}
-	s.MustExec("INSERT INTO sc VALUES " + strings.Join(vals, ", "))
-	// Fold the freshly inserted rows into master files so the scan has
-	// files to pin.
-	s.MustExec("COMPACT TABLE sc")
+	if _, err := db.Engine.BulkLoad("sc", loaded); err != nil {
+		t.Fatal(err)
+	}
 
 	// Baseline: the manifest chain holds a standing pin per current
 	// master file even with no scans live.
@@ -570,9 +572,9 @@ func TestSessionCloseReleasesResources(t *testing.T) {
 	}
 
 	// A mid-flight stream holds extra snapshot pins on the master
-	// files (the row count exceeds the stream buffer, so the producer
-	// is still scanning — and still pinning — while we hold the
-	// iterator).
+	// files (the table is more batches than a stream has in flight, so
+	// the producer is still scanning — and still pinning — while we hold
+	// the iterator).
 	rows, err := s.Query("SELECT id, v FROM sc")
 	if err != nil {
 		t.Fatal(err)
