@@ -48,8 +48,8 @@ func (s diffStmt) sql(table string) string {
 
 // diffHistory builds the statement history; the seed picks its
 // constants. The first DELETE comes early so that every later statement
-// scans UNION READ batches that flipped to row shape on a delete marker
-// next to columnar ones.
+// scans UNION READ batches whose selection leaves out a deleted record
+// next to batches with every record live.
 func diffHistory(seed int64) []diffStmt {
 	r := rand.New(rand.NewSource(seed))
 	lo := 100 + r.Intn(200)

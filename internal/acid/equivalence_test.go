@@ -157,14 +157,15 @@ func TestAcidBatchRowEquivalence(t *testing.T) {
 	}
 }
 
-// shapeMapper records the shape of every batch the map loop hands it.
-type shapeMapper struct{ columnar, rowShaped *int }
+// shapeMapper counts the batches the map loop hands it with every slot
+// live and with a selection.
+type shapeMapper struct{ whole, selected *int }
 
 func (m shapeMapper) MapBatch(b *mapred.RecordBatch, _ mapred.Emitter) error {
-	if b.Cols != nil {
-		*m.columnar++
+	if b.Sel == nil {
+		*m.whole++
 	} else {
-		*m.rowShaped++
+		*m.selected++
 	}
 	return nil
 }
@@ -172,15 +173,15 @@ func (m shapeMapper) MapBatch(b *mapred.RecordBatch, _ mapred.Emitter) error {
 func (shapeMapper) Flush(mapred.Emitter) error { return nil }
 
 // TestAcidScanTakesBatchPath pins what the equivalence test relies on:
-// the map loop gets column vectors from an ACID split — on a clean
-// table and where deltas only update — and rows only for a batch that
-// holds a delete.
+// the map loop gets batches with every slot live from an ACID split —
+// on a clean table and where deltas only update — and a selection only
+// for a batch that holds a delete.
 func TestAcidScanTakesBatchPath(t *testing.T) {
 	e, h := testEngine(t)
 	e.MR.Parallelism = 1
 	seedWide(t, e)
 	desc, _ := e.MS.Get("a")
-	shapes := func() (columnar, rowShaped int) {
+	shapes := func() (whole, selected int) {
 		splits, release, err := h.Splits(desc, hive.ScanOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -197,23 +198,23 @@ func TestAcidScanTakesBatchPath(t *testing.T) {
 			rr.Close()
 		}
 		_, err = e.MR.Run(&mapred.Job{Name: "shapes", Splits: splits,
-			NewMapper: func() mapred.Mapper { return shapeMapper{&columnar, &rowShaped} }})
+			NewMapper: func() mapred.Mapper { return shapeMapper{&whole, &selected} }})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return columnar, rowShaped
+		return whole, selected
 	}
 	// Two files of 2500 rows: three batches each.
-	if c, r := shapes(); c != 6 || r != 0 {
-		t.Fatalf("clean table: %d columnar and %d row-shaped batches, want 6 and 0", c, r)
+	if w, s := shapes(); w != 6 || s != 0 {
+		t.Fatalf("clean table: %d whole and %d selected batches, want 6 and 0", w, s)
 	}
 	mustExec(t, e, "UPDATE a SET v = 1.5, tag = 'u' WHERE grp = 4")
-	if c, r := shapes(); c != 6 || r != 0 {
-		t.Fatalf("updates only: %d columnar and %d row-shaped batches, want 6 and 0", c, r)
+	if w, s := shapes(); w != 6 || s != 0 {
+		t.Fatalf("updates only: %d whole and %d selected batches, want 6 and 0", w, s)
 	}
 	mustExec(t, e, "DELETE FROM a WHERE id = 3000")
-	if c, r := shapes(); c != 5 || r != 1 {
-		t.Fatalf("one delete: %d columnar and %d row-shaped batches, want 5 and 1", c, r)
+	if w, s := shapes(); w != 5 || s != 1 {
+		t.Fatalf("one delete: %d whole and %d selected batches, want 5 and 1", w, s)
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 //     Map must never retain it whole either. Element access
 //     (row[i]) and spread copies (append(dst, row...)) are legal.
 //   - The batch form of the same rule: MapBatch(b *RecordBatch, emit)
-//     must not retain b, its Rows/Cols/IDs slices, a row b.Rows[i] or
-//     a vector b.Cols[j] / &b.Cols[j] — the reader refills them on
-//     the next batch. Scalar reads (b.Rows[i][c], b.Cols[j].Ints[i])
-//     and spread copies (append(dst, b.Rows[i]...)) are legal.
+//     must not retain b, its Cols or Sel slices, or a vector b.Cols[j]
+//     / &b.Cols[j] — the reader refills them on the next batch.
+//     Scalar reads (b.Cols[j].Ints[i], b.Sel[k]) and spread copies
+//     (append(dst, b.Sel...)) are legal.
 //   - The batch-sink rule: what MapBatch hands its batch sink (a call
 //     to emitBatch or CollectBatch) the sink may keep, and a streamed
 //     result does, so a result batch must own its storage. Passing the
@@ -93,9 +93,9 @@ func emitterShape(ft *ast.FuncType) (emitParam, rowParam, batchParam string) {
 }
 
 // batchAlias reports whether e aliases reader-owned batch memory: the
-// batch itself, one of its Rows/Cols/IDs slices, one element (or
-// sub-slice, or element address) of those, or the storage of one of its
-// vectors (b.Cols[j].Ints, whole or re-sliced).
+// batch itself, its Cols or Sel slice, one element (or sub-slice, or
+// element address) of those, or the storage of one of its vectors
+// (b.Cols[j].Ints, whole or re-sliced).
 func batchAlias(e ast.Expr, batch string) bool {
 	e = ast.Unparen(e)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
@@ -120,7 +120,7 @@ func batchAlias(e ast.Expr, batch string) bool {
 	}
 	if sel, ok := e.(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
-		case "Rows", "Cols", "IDs":
+		case "Cols", "Sel":
 			e = ast.Unparen(sel.X)
 		}
 	}

@@ -23,7 +23,7 @@ type BatchCollector interface {
 type RecordBatch struct {
 	Len  int
 	Cols []ColumnVector
-	Rows []Row
+	Sel  []int32
 }
 
 type RecordMeta struct{ RecordID uint64 }
@@ -36,6 +36,8 @@ type mapper struct {
 	byKey map[string]Row
 	batch *RecordBatch
 	vec   *ColumnVector
+	live  []int32
+	sels  [][]int32
 	sum   int
 }
 
@@ -58,11 +60,10 @@ func (m *mapper) MapIndexed(row Row, meta RecordMeta, emit Emitter) error {
 }
 
 func (m *mapper) MapBatch(b *RecordBatch, emit Emitter) error {
-	m.batch = b        // want `assignment retains the reader-owned input batch`
-	m.vec = &b.Cols[0] // want `assignment retains the reader-owned input batch`
-	for i := 0; i < b.Len; i++ {
-		m.saved = append(m.saved, b.Rows[i]) // want `append retains the reader-owned input batch`
-	}
+	m.batch = b                    // want `assignment retains the reader-owned input batch`
+	m.vec = &b.Cols[0]             // want `assignment retains the reader-owned input batch`
+	m.live = b.Sel                 // want `assignment retains the reader-owned input batch`
+	m.sels = append(m.sels, b.Sel) // want `append retains the reader-owned input batch`
 	return nil
 }
 
@@ -145,15 +146,14 @@ func (m *joinMapper) MapBatchReuses(b *RecordBatch, emit Emitter) error {
 	return nil
 }
 
-// The batch idioms: scalar reads off vectors and rows, spread copies
-// of a row, emitting a fresh row per record, and handing the batch to
-// a helper for the duration of the call.
+// The batch idioms: scalar reads off vectors and the selection, a
+// spread copy of the selection, emitting a fresh row per record, and
+// handing the batch to a helper for the duration of the call.
 func (m *mapper) MapBatchCopies(b *RecordBatch, emit Emitter) error {
+	m.live = append(m.live[:0], b.Sel...)
 	for i := 0; i < b.Len; i++ {
-		if b.Rows != nil {
-			m.saved = append(m.saved, append(Row(nil), b.Rows[i]...))
-			m.sum += b.Rows[i][0]
-			continue
+		if b.Sel != nil {
+			m.sum += int(b.Sel[0])
 		}
 		v := &b.Cols[0] // a local alias dies with the call
 		m.sum += v.Ints[i]

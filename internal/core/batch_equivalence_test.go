@@ -7,6 +7,7 @@ import (
 
 	"dualtable/internal/datum"
 	"dualtable/internal/hive"
+	"dualtable/internal/kvstore"
 	"dualtable/internal/mapred"
 	"dualtable/internal/sqlparser"
 )
@@ -144,10 +145,9 @@ func TestBatchRowScanEquivalence(t *testing.T) {
 // filter+project, the two mapper kinds) on batch and row paths across 1
 // and 4 workers and compares results and simulated seconds. Table w is
 // one master file of three batches: the first has updated cells
-// scattered into its vectors, the second flips to row shape on a
-// delete marker mid-scan, the third stays clean — so each WHERE shape
-// is evaluated as a vector program, as the row predicate and across
-// the switch between them within one task.
+// scattered into its vectors, the second carries a selection that
+// leaves out a deleted record, the third stays clean — so each WHERE
+// shape is evaluated over whole and selected batches within one task.
 func TestBatchRowSQLEquivalence(t *testing.T) {
 	e, h := testEngine(t)
 	forcePlan(e, h, "EDIT")
@@ -246,4 +246,127 @@ func mustSchema(t *testing.T, e *hive.Engine, table string) datum.Schema {
 		t.Fatal(err)
 	}
 	return desc.Schema
+}
+
+// TestUnionReadOneDirtyBatch: one master batch holds a delete, an
+// update and an attached value its vector's kind cannot hold. The
+// reader serves it as one batch — the delete left out of the selection,
+// the misfit turning its column mixed — and batch and row scans agree
+// on rows, Counters and SimSeconds, for the raw scan and for SQL whose
+// WHERE reads the mixed column.
+func TestUnionReadOneDirtyBatch(t *testing.T) {
+	e, h := testEngine(t)
+	forcePlan(e, h, "EDIT")
+	mustExec(t, e, "CREATE TABLE ob (id BIGINT, grp BIGINT, v DOUBLE, tag STRING) STORED AS DUALTABLE")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO ob VALUES ")
+	for i := 0; i < 300; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %d.25, 't%d')", i, i%10, i, i%3)
+	}
+	mustExec(t, e, sb.String())
+	desc, _ := e.MS.Get("ob")
+	files := snapshotFiles(t, h, desc)
+	if len(files) != 1 {
+		t.Fatalf("%d master files, want 1", len(files))
+	}
+	// SQL coerces what it writes, so the misfit goes in as a raw cell; the
+	// DML after it publishes a watermark above it.
+	att, err := h.attached(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misfit := NewRecordID(files[0].fileID, 50)
+	if err := att.Put([]*kvstore.Cell{{Row: misfit.Key(), Family: attachedFamily, Qualifier: []byte("1"),
+		Type: kvstore.TypePut, Value: datum.AppendDatum(nil, datum.String_("misfit"))}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "DELETE FROM ob WHERE id = 10")
+	mustExec(t, e, "UPDATE ob SET v = 0.5 WHERE id = 20")
+
+	splits, release, err := h.Splits(desc, ScanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := splits[0].Open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b mapred.RecordBatch
+	if err := rr.(mapred.BatchRecordReader).NextBatch(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len != 300 || b.Live() != 299 || b.Sel[10] != 11 || len(b.Cols[1].Datums) == 0 {
+		t.Fatalf("dirty batch: %d slots, %d live, mixed grp %v", b.Len, b.Live(), len(b.Cols[1].Datums) > 0)
+	}
+	if got := b.RowInto(nil, 50)[1]; got.S != "misfit" {
+		t.Fatalf("slot 50 grp = %v, want the misfit", got)
+	}
+	rr.Close()
+	release()
+
+	for _, opts := range []ScanOptions{{}, {Projection: []int{0, 1}}} {
+		ref := runUnionScan(t, e, h, "ob", opts, 1, true)
+		if len(ref.rows) != 299 {
+			t.Fatalf("proj=%v: %d rows, want 299", opts.Projection, len(ref.rows))
+		}
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("proj=%v workers=%d", opts.Projection, workers)
+			assertSameScan(t, label, ref, runUnionScan(t, e, h, "ob", opts, workers, false))
+		}
+	}
+	for _, q := range []string{
+		"SELECT id, grp, v FROM ob WHERE grp = 'misfit' OR id < 25 ORDER BY id",
+		"SELECT COUNT(*), SUM(v), MIN(grp), MAX(grp) FROM ob",
+		"SELECT grp, COUNT(*) FROM ob WHERE v < 60 GROUP BY grp ORDER BY grp",
+	} {
+		var want *hive.ResultSet
+		for _, disable := range []bool{true, false} {
+			e.MR.DisableBatchScan = disable
+			got := mustExec(t, e, q)
+			if want == nil {
+				want = got
+				continue
+			}
+			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || got.SimSeconds != want.SimSeconds {
+				t.Fatalf("%s: batch %v (%v s), row %v (%v s)", q, got.Rows, got.SimSeconds, want.Rows, want.SimSeconds)
+			}
+		}
+		if q == "SELECT id, grp, v FROM ob WHERE grp = 'misfit' OR id < 25 ORDER BY id" &&
+			(len(want.Rows) != 25 || want.Rows[10][0].I != 11 || want.Rows[24][1].S != "misfit") {
+			t.Fatalf("%s: %v", q, want.Rows)
+		}
+	}
+	e.MR.DisableBatchScan = false
+}
+
+// TestDMLSkipsDeletedSlots: a record deleted earlier still sits in its
+// master batch, left out of the selection. A later UPDATE whose WHERE is
+// true for it — evaluated per row, or absent — must not reach the sink
+// with it: the affected count excludes it, in batch and row scans alike.
+func TestDMLSkipsDeletedSlots(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		e, h := testEngine(t)
+		forcePlan(e, h, "EDIT")
+		e.MR.DisableBatchScan = disable
+		seedDual(t, e)
+		mustExec(t, e, "DELETE FROM m WHERE id = 2")
+		for _, tc := range []struct {
+			sql  string
+			want int64
+		}{
+			{"UPDATE m SET v = 1.0 WHERE tag LIKE 'tag%' AND id < 5", 4}, // LIKE: the row predicate
+			{"UPDATE m SET v = 2.0", 359},                                // no WHERE
+			{"DELETE FROM m WHERE id IN (1, 2, 3)", 2},                   // IN: the row predicate
+		} {
+			if rs := mustExec(t, e, tc.sql); rs.Affected != tc.want {
+				t.Errorf("rowScan=%v %s: %d affected, want %d", disable, tc.sql, rs.Affected, tc.want)
+			}
+		}
+		if rs := mustExec(t, e, "SELECT COUNT(*), SUM(v) FROM m"); rs.Rows[0][0].I != 357 || rs.Rows[0][1].F != 714 {
+			t.Errorf("rowScan=%v: table holds %v, want 357 rows summing to 714", disable, rs.Rows[0])
+		}
+	}
 }

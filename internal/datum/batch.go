@@ -13,13 +13,19 @@ type Batch struct {
 // Reset shapes b to n rows of width columns, every value NULL and no
 // column typed yet, reusing the vectors b has held before.
 func (b *Batch) Reset(width, n int) {
+	b.Shape(width, n)
+	for j := range b.Cols {
+		b.Cols[j].Reset(KindNull, n)
+	}
+}
+
+// Shape sizes b to n rows of width columns and leaves the vectors as
+// they were, for a caller that resets every column itself.
+func (b *Batch) Shape(width, n int) {
 	if cap(b.Cols) < width {
 		b.Cols = append(b.Cols[:cap(b.Cols)], make([]ColumnVector, width-cap(b.Cols))...)
 	}
 	b.Len, b.Cols = n, b.Cols[:width]
-	for j := range b.Cols {
-		b.Cols[j].Reset(KindNull, n)
-	}
 }
 
 // SetRows makes b the transposition of rows, all of the given width. A
@@ -42,7 +48,7 @@ func (b *Batch) RowInto(buf Row, i int) Row {
 	}
 	buf = buf[:len(b.Cols)]
 	for j := range b.Cols {
-		buf[j] = b.Cols[j].Datum(i)
+		b.Cols[j].load(&buf[j], i)
 	}
 	return buf
 }

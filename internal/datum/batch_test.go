@@ -167,3 +167,62 @@ func TestBatchGatherTruncateAppend(t *testing.T) {
 		t.Errorf("a column of NULLs then strings is kind %v", acc.Cols[1].Kind)
 	}
 }
+
+// TestLoadMatchesDatum holds load to Datum, whose switch it copies: for
+// a vector of every kind, the all-NULL vector and a mixed one, every
+// row — NULL or not — loads as Datum returns it.
+func TestLoadMatchesDatum(t *testing.T) {
+	vals := []Datum{Int(-3), Float(2.5), String_("x"), Bool(true), Null}
+	var vecs []ColumnVector
+	for _, d := range vals {
+		var v ColumnVector
+		v.Reset(KindNull, 3)
+		v.Put(0, d)
+		v.Put(2, d)
+		vecs = append(vecs, v)
+	}
+	var mixed ColumnVector
+	mixed.Reset(KindNull, len(vals)+1)
+	for i, d := range vals {
+		mixed.Put(i, d)
+	}
+	if len(mixed.Datums) == 0 {
+		t.Fatal("fixture: vector did not turn mixed")
+	}
+	vecs = append(vecs, mixed)
+	for vi := range vecs {
+		v := &vecs[vi]
+		for i := range v.Nulls {
+			got := Datum{K: KindInt, I: 99} // stale content load must overwrite
+			v.load(&got, i)
+			if want := v.Datum(i); !reflect.DeepEqual(got, want) {
+				t.Errorf("vector %d (kind %v) row %d: load = %v, Datum = %v", vi, v.Kind, i, got, want)
+			}
+		}
+	}
+}
+
+// TestVectorExtendPadsNulls grows vectors of each storage by NULL rows
+// and checks the typed slice, or the mixed column's datums, keep pace.
+func TestVectorExtendPadsNulls(t *testing.T) {
+	var v ColumnVector
+	v.Reset(KindNull, 0)
+	v.Extend(2)
+	v.Put(1, Int(7))
+	v.Extend(4)
+	v.Extend(3) // shorter than v: a no-op
+	if v.Len() != 4 || len(v.Ints) != 4 || v.Kind != KindInt {
+		t.Fatalf("typed: len %d, ints %d, kind %v", v.Len(), len(v.Ints), v.Kind)
+	}
+	v.Put(3, String_("s")) // turns mixed
+	v.Extend(6)
+	if len(v.Datums) != 6 {
+		t.Fatalf("mixed: %d datums for %d rows", len(v.Datums), v.Len())
+	}
+	want := []Datum{Null, Int(7), Null, String_("s"), Null, Null}
+	for i, w := range want {
+		if got := v.Datum(i); !reflect.DeepEqual(got, w) {
+			t.Errorf("row %d = %v, want %v", i, got, w)
+		}
+	}
+}

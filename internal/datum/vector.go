@@ -20,13 +20,14 @@ type ColumnVector struct {
 	Floats []float64
 	Bools  []bool
 	Strs   []string
-	// Datums is the storage of a mixed column: a result column whose
-	// values in one batch do not share a kind (a CASE with branches of
-	// two kinds, a COALESCE across kinds). Such a vector has Kind
-	// KindNull — no typed slice is active — and every row not flagged in
-	// Nulls lives whole in Datums[i]. Readers never produce one; Put
-	// does, from the data. Empty on every other vector, the all-NULL
-	// KindNull vector of an unprojected column included.
+	// Datums is the storage of a mixed column: a column whose values in
+	// one batch do not share a kind (a CASE with branches of two kinds, a
+	// COALESCE across kinds, an attached value its file column's kind
+	// cannot hold). Such a vector has Kind KindNull — no typed slice is
+	// active — and every row not flagged in Nulls lives whole in
+	// Datums[i]. File decoding never produces one; Put does, from the
+	// data. Empty on every other vector, the all-NULL KindNull vector of
+	// an unprojected column included.
 	Datums []Datum
 }
 
@@ -130,7 +131,8 @@ func (v *ColumnVector) Fill(d Datum, n int) {
 // Len returns the number of rows in the vector.
 func (v *ColumnVector) Len() int { return len(v.Nulls) }
 
-// Datum returns row i as a Datum.
+// Datum returns row i as a Datum. load repeats its switch for speed;
+// a change to one is made to both (TestLoadMatchesDatum).
 func (v *ColumnVector) Datum(i int) Datum {
 	if v.Nulls[i] {
 		return Null
@@ -151,13 +153,39 @@ func (v *ColumnVector) Datum(i int) Datum {
 	}
 }
 
+// load stores row i into *d: Datum for a caller filling a row in
+// place. Storing through the pointer skips the temporary that
+// assigning Datum's result copies, which dominates a row fill. It is a
+// copy of Datum's switch, kept separate because Datum calling load
+// measures slower; TestLoadMatchesDatum holds the two together.
+func (v *ColumnVector) load(d *Datum, i int) {
+	if v.Nulls[i] {
+		*d = Null
+		return
+	}
+	switch v.Kind {
+	case KindInt:
+		*d = Datum{K: KindInt, I: v.Ints[i]}
+	case KindFloat:
+		*d = Datum{K: KindFloat, F: v.Floats[i]}
+	case KindBool:
+		*d = Datum{K: KindBool, B: v.Bools[i]}
+	case KindString:
+		*d = Datum{K: KindString, S: v.Strs[i]}
+	case KindNull:
+		*d = v.Datums[i]
+	default:
+		*d = Null
+	}
+}
+
 // SetDatum overwrites row i with d. It accepts NULL, the vector's own
 // kind, or — when the vector is all-NULL with no typed storage yet
 // (an unprojected column receiving a scattered UNION READ merge) —
-// any kind, adopted lazily. It returns false on a kind mismatch; the
-// caller then falls back to materializing rows.
+// any kind, adopted lazily. It returns false on a kind mismatch, which
+// Put resolves by turning the column mixed.
 func (v *ColumnVector) SetDatum(i int, d Datum) bool {
-	if d.IsNull() {
+	if d.K == KindNull { // not d.IsNull(): its receiver copy of d stalls the hot path
 		v.Nulls[i] = true
 		return true
 	}
@@ -198,9 +226,10 @@ func (v *ColumnVector) SetDatum(i int, d Datum) bool {
 	return true
 }
 
-// Put is SetDatum for a result column, which must take every datum: one
-// whose kind the vector cannot hold turns it into a mixed column (see
-// Datums), the rows set so far moving over.
+// Put is SetDatum for a column that must take every datum — a result
+// column, a UNION READ merge, a row adapted to vectors: one whose kind
+// the vector cannot hold turns it into a mixed column (see Datums), the
+// rows set so far moving over.
 func (v *ColumnVector) Put(i int, d Datum) {
 	if v.SetDatum(i, d) {
 		return
@@ -291,7 +320,16 @@ func (v *ColumnVector) Append(src *ColumnVector, from, to int) {
 		return
 	}
 	for i := from; i < to; i++ {
-		// One more NULL row, in whichever storage is active.
+		n := len(v.Nulls)
+		v.Extend(n + 1)
+		v.Put(n, src.Datum(i))
+	}
+}
+
+// Extend pads v with NULL rows up to n rows, in whichever storage is
+// active; a vector already n rows long is left as it is.
+func (v *ColumnVector) Extend(n int) {
+	for len(v.Nulls) < n {
 		v.Nulls = append(v.Nulls, true)
 		switch {
 		case v.Kind == KindInt:
@@ -305,6 +343,5 @@ func (v *ColumnVector) Append(src *ColumnVector, from, to int) {
 		case len(v.Datums) > 0:
 			v.Datums = append(v.Datums, Null)
 		}
-		v.Put(len(v.Nulls)-1, src.Datum(i))
 	}
 }

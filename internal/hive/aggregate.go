@@ -105,8 +105,8 @@ func (e *Engine) planAggregate(ec *ExecContext, sel *sqlparser.SelectStmt, q sca
 	// Vectorized fast paths for the scan side of the aggregation.
 	scan := aggScanSpec{
 		filter: filter,
-		groups: compileVecExprs(sel.GroupBy, groupFns, rel.sc),
-		args:   compileVecExprs(argExprs, argFns, rel.sc),
+		groups: e.compileVecExprs(sel.GroupBy, groupFns, rel.sc),
+		args:   e.compileVecExprs(argExprs, argFns, rel.sc),
 		aggs:   aggs,
 	}
 	if anyDistinct {
@@ -197,7 +197,7 @@ func updatePartial(p datum.Row, d datum.Datum) {
 // min/max accumulator holding a different kind after mixed-kind
 // input, take the generic path.
 func updatePartialVec(p datum.Row, v *datum.ColumnVector, i int) {
-	if v.Kind == datum.KindNull || v.Nulls[i] {
+	if v.Nulls[i] {
 		return
 	}
 	if (v.Kind != datum.KindInt && v.Kind != datum.KindFloat) ||

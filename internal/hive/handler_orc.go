@@ -373,7 +373,7 @@ func (s *textSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hive: %s: %w", s.path, err)
 	}
-	// The parsed rows are served zero-copy; the file read is already
-	// charged above.
+	// The parsed rows are served by a slice reader, which charges
+	// nothing: the file read is already charged above.
 	return (&mapred.SliceSplit{Rows: rows}).Open(nil)
 }

@@ -1,6 +1,8 @@
 package hive
 
 import (
+	"slices"
+
 	"dualtable/internal/datum"
 	"dualtable/internal/dfs"
 	"dualtable/internal/mapred"
@@ -30,15 +32,15 @@ type ColumnSet struct {
 // ordinal), so the merge is one linear pass — §V-B's "read through and
 // merge two sorted ID lists", whatever holds the delta.
 //
-// The reader serves batches with three outcomes: a batch no overlay
-// entry touches passes through as column vectors; updates scatter into
-// the vectors in place; a delete (or a value a vector cannot hold)
-// rebuilds the batch as rows with explicit record IDs. Its row mode
-// (Next) runs the same merge over orcfile.RowReader and exists as the
-// independent oracle behind Cluster.DisableBatchScan.
+// The reader serves batches with two outcomes: a batch no overlay entry
+// touches passes through as column vectors; otherwise updates scatter
+// into the vectors in place (a value a vector's kind cannot hold turns
+// that column mixed) and deletes are left out of the batch's selection.
+// Its row mode (Next) runs the same merge over orcfile.RowReader and
+// exists as the independent oracle behind Cluster.DisableBatchScan.
 //
-// Ownership: the batch, its vectors and its rows are the reader's and
-// are reused between calls, so a mapper must not retain them — and at
+// Ownership: the batch, its vectors and its selection are the reader's
+// and are reused between calls, so a mapper must not retain them — and at
 // Close the vectors and the decode scratch behind them go back to
 // orcfile's free list, where the next task's scan overwrites them. What
 // a mapper keeps, it copies (values are safe: strings are immutable).
@@ -125,10 +127,8 @@ type orcScanReader struct {
 	nMerged int64
 
 	// batch-mode reusable buffers; cols are the batch reader's.
-	cols    []datum.ColumnVector
-	rowsBuf []datum.Row
-	arena   datum.Row
-	ids     []uint64
+	cols []datum.ColumnVector
+	sel  []int32
 }
 
 func (r *orcScanReader) Next() (datum.Row, mapred.RecordMeta, error) {
@@ -164,8 +164,8 @@ func (r *orcScanReader) Next() (datum.Row, mapred.RecordMeta, error) {
 }
 
 // NextBatch decodes the next column-vector batch (consecutive record
-// IDs from its base) and classifies it against the overlay entries in
-// its ID range.
+// IDs from its base) and merges the overlay entries in its ID range
+// into it: sets scatter into the vectors, deletes drop out of Sel.
 func (r *orcScanReader) NextBatch(b *mapred.RecordBatch) error {
 	if r.batch == nil {
 		r.batch = r.rd.NewBatchReader(r.opts)
@@ -186,55 +186,30 @@ func (r *orcScanReader) NextBatch(b *mapred.RecordBatch) error {
 	}
 	mods := r.overlay[lo:r.oi]
 
-	b.Len, b.Cols, b.Rows, b.BaseID, b.IDs = n, r.cols, nil, base, nil
+	b.Len, b.Cols, b.Sel, b.BaseID = n, r.cols, nil, base
+	next := 0 // the first slot not yet in the selection
 	for i := range mods {
-		if mods[i].Deleted {
-			return r.materialize(b, mods)
-		}
 		slot := int(mods[i].RID - base)
-		for _, s := range mods[i].Sets {
-			if !r.cols[s.Col].SetDatum(slot, s.Val) {
-				return r.materialize(b, mods)
+		if !mods[i].Deleted {
+			for _, s := range mods[i].Sets {
+				r.cols[s.Col].Put(slot, s.Val)
 			}
+			continue
 		}
-	}
-	return nil
-}
-
-// materialize rebuilds a batch as rows with explicit record IDs,
-// dropping deleted records — the per-row path of the row-mode merge.
-// Updates already scattered into the vectors are harmless: the rows
-// are read back from the vectors and the sets re-applied.
-func (r *orcScanReader) materialize(b *mapred.RecordBatch, mods []RecordMod) error {
-	n, ncols := b.Len, len(r.cols)
-	if cap(r.rowsBuf) < n {
-		r.rowsBuf = make([]datum.Row, n)
-		r.ids = make([]uint64, n)
-	}
-	if cap(r.arena) < n*ncols {
-		r.arena = make(datum.Row, n*ncols)
-	}
-	rows, ids := r.rowsBuf[:0], r.ids[:0]
-	for i := 0; i < n; i++ {
-		rid := b.BaseID + uint64(i)
-		row := r.arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		for c := range row {
-			row[c] = r.cols[c].Datum(i)
+		if b.Sel == nil {
+			b.Sel = slices.Grow(r.sel[:0], n) // non-nil: a selection, maybe empty
 		}
-		if len(mods) > 0 && mods[0].RID == rid {
-			mod := &mods[0]
-			mods = mods[1:]
-			if mod.Deleted {
-				continue
-			}
-			for _, s := range mod.Sets {
-				row[s.Col] = s.Val
-			}
+		for ; next < slot; next++ {
+			b.Sel = append(b.Sel, int32(next))
 		}
-		rows = append(rows, row)
-		ids = append(ids, rid)
+		next = slot + 1
 	}
-	b.Len, b.Cols, b.Rows, b.IDs = len(rows), nil, rows, ids
+	if b.Sel != nil {
+		for ; next < n; next++ {
+			b.Sel = append(b.Sel, int32(next))
+		}
+		r.sel = b.Sel
+	}
 	return nil
 }
 

@@ -15,8 +15,8 @@ import (
 // overlayORC makes every ORC split of the engine merge mods on read, the
 // way the ACID and DUALTABLE storages feed the shared reader their
 // deltas: a plain ORC table has no overlay of its own, so this is how
-// this package reaches the reader's scattered-update and row-shaped
-// (delete) batches next to its clean columnar ones.
+// this package reaches the reader's scattered-update and selected
+// (delete) batches next to its clean ones.
 func overlayORC(e *Engine, mods []RecordMod) {
 	e.handlers[metastore.StorageORC] = overlayTestHandler{e.handlers[metastore.StorageORC], mods}
 }
@@ -54,8 +54,8 @@ func seedScanTable(t *testing.T, e *Engine) []datum.Row {
 
 // scanTestOverlay touches every outcome of the merge: updates that
 // scatter into the vectors (one into a column scans may not project,
-// one to NULL), a value its vector cannot hold (the batch rebuilds as
-// rows), deletes, a record updated in the batch after a deleted one,
+// one to NULL), a value its vector cannot hold (the column turns
+// mixed), deletes, a record updated in the batch after a deleted one,
 // and the first and last record of the file.
 var scanTestOverlay = []RecordMod{
 	{RID: 0, Sets: []ColumnSet{{Col: 2, Val: datum.Float(-1)}}},
@@ -204,8 +204,10 @@ func TestORCScanBatchRowEquivalence(t *testing.T) {
 
 // TestORCScanTakesBatchPath pins what the equivalence suites rely on: a
 // plain ORC split really serves column vectors that a WHERE vector
-// program runs over, and an overlay produces exactly the three batch
-// outcomes — so the matrix cannot compare the row path with itself.
+// program runs over, and an overlay produces exactly the two batch
+// outcomes — updates scattered into the vectors (a misfit value turning
+// its column mixed, where the program bails), deletes left out of the
+// selection — so the matrix cannot compare the row path with itself.
 func TestORCScanTakesBatchPath(t *testing.T) {
 	e := testEngine(t)
 	seedScanTable(t, e)
@@ -215,7 +217,7 @@ func TestORCScanTakesBatchPath(t *testing.T) {
 		sc.cols = append(sc.cols, scopeCol{qual: "sc", name: c.Name, kind: c.Kind})
 	}
 	where := parseWhere(t, "k < 3 AND v > 100")
-	shapes := func() (columnar, rowShaped int, ids []uint64) {
+	shapes := func() (batches, selected, bailed int, dropped []uint64) {
 		h, _ := e.Handler(desc.Storage)
 		splits, release, err := h.Splits(desc, ScanOptions{})
 		if err != nil || len(splits) != 1 {
@@ -237,32 +239,36 @@ func TestORCScanTakesBatchPath(t *testing.T) {
 		}
 		var b mapred.RecordBatch
 		for br.NextBatch(&b) == nil {
+			batches++
 			if _, err := filter.begin(&b); err != nil {
 				t.Fatal(err)
 			}
-			if b.Cols != nil {
-				columnar++
-				if filter.where.res == nil {
-					t.Fatalf("columnar batch at %d: the WHERE vector program did not run", b.BaseID)
-				}
+			if filter.where.res == nil {
+				bailed++
+			}
+			if b.Sel == nil {
 				continue
 			}
-			rowShaped++
-			ids = append(ids, b.IDs...)
+			selected++
+			for i := 0; i < b.Len; i++ {
+				if !slices.Contains(b.Sel, int32(i)) {
+					dropped = append(dropped, b.Meta(i).RecordID)
+				}
+			}
 		}
-		return columnar, rowShaped, ids
+		return batches, selected, bailed, dropped
 	}
-	if columnar, rowShaped, _ := shapes(); columnar != 21 || rowShaped != 0 {
-		t.Fatalf("clean file: %d columnar and %d row-shaped batches, want 21 and 0", columnar, rowShaped)
+	if batches, selected, bailed, _ := shapes(); batches != 21 || selected != 0 || bailed != 0 {
+		t.Fatalf("clean file: %d batches, %d with a selection, %d where the WHERE program bailed; want 21, 0, 0", batches, selected, bailed)
 	}
 	overlayORC(e, scanTestOverlay)
-	columnar, rowShaped, ids := shapes()
-	// Row-shaped: the batches of records 2000 (delete), 3100 (misfit) and
-	// 20999 (delete); the update-only batches scatter and stay columnar.
-	if columnar != 18 || rowShaped != 3 {
-		t.Fatalf("dirty file: %d columnar and %d row-shaped batches, want 18 and 3", columnar, rowShaped)
+	// Selected: the batches of records 2000 and 20999 (deletes). Bailed:
+	// the batch of 3100, whose BIGINT column k took a STRING.
+	batches, selected, bailed, dropped := shapes()
+	if batches != 21 || selected != 2 || bailed != 1 {
+		t.Fatalf("dirty file: %d batches, %d with a selection, %d where the WHERE program bailed; want 21, 2, 1", batches, selected, bailed)
 	}
-	if slices.Contains(ids, 2000) || slices.Contains(ids, 20999) || !slices.Contains(ids, 2001) || !slices.Contains(ids, 3100) {
-		t.Fatal("row-shaped batches carry the wrong record IDs")
+	if !slices.Equal(dropped, []uint64{2000, 20999}) {
+		t.Fatalf("selections drop records %v, want 2000 and 20999", dropped)
 	}
 }

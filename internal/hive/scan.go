@@ -364,8 +364,8 @@ func (e *Engine) planSimpleScan(ec *ExecContext, q scanQuery, sc *scope) (*simpl
 	}
 	return &simpleScanPlan{
 		filter: filter,
-		projs:  compileVecExprs(q.items, projFns, sc),
-		orders: compileVecExprs(orderExprs, orderFns, sc),
+		projs:  e.compileVecExprs(q.items, projFns, sc),
+		orders: e.compileVecExprs(orderExprs, orderFns, sc),
 		topN:   -1,
 	}, nil
 }
@@ -381,8 +381,8 @@ func (p *simpleScanPlan) newMapper() mapred.Mapper {
 	return m
 }
 
-// run pushes rows through one mapper in-process, as row-shaped batches
-// no longer than a reader's, and returns what it emits.
+// run pushes rows through one mapper in-process, as column batches no
+// longer than a reader's, and returns what it emits.
 func (p *simpleScanPlan) run(rows []datum.Row) ([]datum.Row, error) {
 	var out []datum.Row
 	emit := func(_ []byte, row datum.Row) error {
@@ -395,9 +395,11 @@ func (p *simpleScanPlan) run(rows []datum.Row) ([]datum.Row, error) {
 		out = b.AppendRows(out)
 		return false, nil
 	}
+	var in datum.Batch
 	for len(rows) > 0 {
 		n := min(len(rows), orcfile.DefaultBatchRows)
-		if err := m.MapBatch(&mapred.RecordBatch{Len: n, Rows: rows[:n]}, emit); err != nil {
+		in.SetRows(rows[:n], len(rows[0]))
+		if err := m.MapBatch(&mapred.RecordBatch{Len: n, Cols: in.Cols}, emit); err != nil {
 			return nil, err
 		}
 		rows = rows[n:]

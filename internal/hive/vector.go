@@ -23,16 +23,20 @@ type scanFilter struct {
 	brow  batchRow
 }
 
+// rowOracle: under Cluster.DisableBatchScan every expression compiles
+// to its row function alone, an oracle independent of the vector paths.
+func (e *Engine) rowOracle() bool { return e.MR != nil && e.MR.DisableBatchScan }
+
 // newScanFilter compiles WHERE (nil = none) into its row predicate and,
 // when it is a statically boolean expression the vector compiler
-// covers, its vector program.
+// covers and the cluster is not the row oracle, its vector program.
 func (e *Engine) newScanFilter(ec *ExecContext, where sqlparser.Expr, sc *scope) (scanFilter, error) {
 	f := scanFilter{where: vecExpr{col: -1}}
 	if where == nil {
 		return f, nil
 	}
 	var err error
-	if f.where.fn, err = e.compileExpr(ec, where, sc); err != nil {
+	if f.where.fn, err = e.compileExpr(ec, where, sc); err != nil || e.rowOracle() {
 		return f, err
 	}
 	if prog, ok := compileVexpr(where, sc); ok && prog.kinds[prog.out] == datum.KindBool {
@@ -41,14 +45,18 @@ func (e *Engine) newScanFilter(ec *ExecContext, where sqlparser.Expr, sc *scope)
 	return f, nil
 }
 
-// begin starts a batch and returns the indexes of its rows that pass
-// WHERE (TRUE only: NULL and FALSE drop). A columnar batch runs the
-// vector program once and reduces its result; a row-shaped batch, an
-// uncompilable WHERE or a runtime kind bail evaluates the row
-// predicate per record. The result is valid until the next call.
+// begin starts a batch and returns its live slots that pass WHERE
+// (TRUE only: NULL and FALSE drop), starting from the batch's own
+// selection. A compiled WHERE runs its vector program once over the
+// batch and reads the result at the live slots; an uncompilable WHERE
+// or a runtime kind bail evaluates the row predicate per live slot. The
+// result is valid until the next call.
 func (f *scanFilter) begin(b *mapred.RecordBatch) ([]int32, error) {
 	f.brow.filled = -1
 	if f.where.fn == nil {
+		if b.Sel != nil {
+			return b.Sel, nil
+		}
 		// No WHERE: the identity selection, extended once per size.
 		f.sel = slices.Grow(f.sel, max(b.Len-len(f.sel), 0))
 		for len(f.sel) < b.Len {
@@ -62,22 +70,25 @@ func (f *scanFilter) begin(b *mapred.RecordBatch) ([]int32, error) {
 	// each row can tell.
 	sel := f.sel[:0]
 	f.where.beginBatch(b)
+	live := b.Live()
 	if res := f.where.res; res != nil {
+		pass := func(i int) bool { return !res.Nulls[i] && res.Bools[i] }
 		n := 0
-		for i := 0; i < b.Len; i++ {
-			if !res.Nulls[i] && res.Bools[i] {
+		for k := 0; k < live; k++ {
+			if pass(b.Slot(k)) {
 				n++
 			}
 		}
 		sel = slices.Grow(sel, n)
-		for i := 0; i < b.Len; i++ {
-			if !res.Nulls[i] && res.Bools[i] {
+		for k := 0; k < live; k++ {
+			if i := b.Slot(k); pass(i) {
 				sel = append(sel, int32(i))
 			}
 		}
 	} else {
-		sel = slices.Grow(sel, b.Len)
-		for i := 0; i < b.Len; i++ {
+		sel = slices.Grow(sel, live)
+		for k := 0; k < live; k++ {
+			i := b.Slot(k)
 			ok, err := f.where.fn(f.brow.row(b, i))
 			if err != nil {
 				return nil, err
@@ -124,12 +135,13 @@ type vecExpr struct {
 	res *datum.ColumnVector // prog result for the current batch
 }
 
-// compileVecExprs pairs each expression with its fastest path.
-func compileVecExprs(exprs []sqlparser.Expr, fns []evalFn, sc *scope) []vecExpr {
+// compileVecExprs pairs each expression with its fastest path, or with
+// its row function alone under the row oracle.
+func (e *Engine) compileVecExprs(exprs []sqlparser.Expr, fns []evalFn, sc *scope) []vecExpr {
 	out := make([]vecExpr, len(fns))
 	for i := range fns {
 		out[i] = vecExpr{col: -1, fn: fns[i]}
-		if i < len(exprs) && exprs[i] != nil {
+		if i < len(exprs) && exprs[i] != nil && !e.rowOracle() {
 			if idx, ok := colRefIndex(exprs[i], sc); ok {
 				out[i].col = idx
 			} else if prog, ok := compileVexpr(exprs[i], sc); ok {
@@ -146,7 +158,7 @@ func compileVecExprs(exprs []sqlparser.Expr, fns []evalFn, sc *scope) []vecExpr 
 // back to the row path for this batch.
 func (x *vecExpr) beginBatch(b *mapred.RecordBatch) {
 	x.res = nil
-	if x.prog != nil && b.Cols != nil {
+	if x.prog != nil {
 		x.res = x.prog.evalBatch(&x.st, b)
 	}
 }
@@ -190,9 +202,6 @@ type batchRow struct {
 }
 
 func (br *batchRow) row(b *mapred.RecordBatch, i int) datum.Row {
-	if b.Rows != nil {
-		return b.Rows[i]
-	}
 	if br.filled == i && br.buf != nil {
 		return br.buf
 	}
@@ -205,9 +214,6 @@ func (br *batchRow) row(b *mapred.RecordBatch, i int) datum.Row {
 // aliased batch column for a bare ref, or the program's result for
 // this batch. Callers use it for typed whole-vector folds.
 func (x *vecExpr) vec(b *mapred.RecordBatch) *datum.ColumnVector {
-	if b.Cols == nil {
-		return nil
-	}
 	if x.col >= 0 {
 		return &b.Cols[x.col]
 	}
@@ -216,13 +222,11 @@ func (x *vecExpr) vec(b *mapred.RecordBatch) *datum.ColumnVector {
 
 // eval evaluates one vecExpr for batch row i.
 func (x *vecExpr) eval(b *mapred.RecordBatch, i int, br *batchRow) (datum.Datum, error) {
-	if b.Cols != nil {
-		if x.col >= 0 {
-			return b.Cols[x.col].Datum(i), nil
-		}
-		if x.res != nil {
-			return x.res.Datum(i), nil
-		}
+	if x.col >= 0 {
+		return b.Cols[x.col].Datum(i), nil
+	}
+	if x.res != nil {
+		return x.res.Datum(i), nil
 	}
 	return x.fn(br.row(b, i))
 }

@@ -433,9 +433,10 @@ func (p *vexprProg) evalBatch(stp **vexprState, b *mapred.RecordBatch) *datum.Co
 		if in.op == vopCol {
 			v := &b.Cols[in.colIdx]
 			// An all-NULL vector (KindNull) is fine — every read is
-			// guarded by the null mask. Any other mismatch means the
-			// data contradicts the schema; bail out to the row path.
-			if v.Kind != p.kinds[in.dst] && v.Kind != datum.KindNull {
+			// guarded by the null mask. Any other mismatch, a mixed
+			// column included, means the data contradicts the schema;
+			// bail out to the row path.
+			if len(v.Datums) > 0 || v.Kind != p.kinds[in.dst] && v.Kind != datum.KindNull {
 				return nil
 			}
 			st.regs[in.dst] = v

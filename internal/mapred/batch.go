@@ -2,61 +2,53 @@ package mapred
 
 import (
 	"dualtable/internal/datum"
+	"dualtable/internal/freelist"
+	"dualtable/internal/orcfile"
 )
 
 // RecordBatch carries a batch of input records through the map phase
-// in one of two representations:
-//
-//   - Columnar: Cols holds one typed vector per column (all of length
-//     Len) and record IDs are BaseID + row index. This is the fast
-//     path storage readers produce for untouched data.
-//   - Row: Rows holds materialized rows (len Len) and IDs, when
-//     non-nil, holds each row's record ID (BaseID + index otherwise).
-//     Readers fall back to this shape when per-row work was already
-//     necessary (e.g. a UNION READ merge that dropped deleted rows),
-//     and it is the shape row readers are adapted up to.
-//
-// Exactly one of Cols/Rows is non-nil. Batches and everything they
-// reference are reused by the reader between NextBatch calls; mappers
-// must not retain them (the same contract as row readers' row reuse).
+// as column vectors: Cols holds one vector per column, each Len slots
+// long, and slot i holds the record whose ID is BaseID + i. Sel lists
+// the live slots, increasing; nil means every slot is live. A slot left
+// out of Sel — deleted by the UNION READ merge, or skipped by a row
+// reader's IDs — holds no record; counting, filtering and evaluation
+// all walk Sel. The reader reuses a batch and everything it references
+// between NextBatch calls; mappers must not retain them.
 //
 // Tag is the batch's split's entry in Job.Tags (0 when the job tags
-// nothing): the engine sets it once per task and readers leave it
-// alone, so a job over several inputs — a join — tells them apart per
-// batch instead of per record.
+// nothing), set once per task, so a job over several inputs — a join —
+// tells them apart per batch.
 type RecordBatch struct {
 	Len    int
 	Tag    int
 	Cols   []datum.ColumnVector
-	Rows   []datum.Row
+	Sel    []int32
 	BaseID uint64
-	IDs    []uint64
-
-	rowBuf datum.Row // MapFunc.MapBatch's materialization scratch
 }
 
-// Meta returns row i's record metadata.
-func (b *RecordBatch) Meta(i int) RecordMeta {
-	if b.IDs != nil {
-		return RecordMeta{RecordID: b.IDs[i]}
+// Live returns the number of live slots.
+func (b *RecordBatch) Live() int {
+	if b.Sel != nil {
+		return len(b.Sel)
 	}
-	return RecordMeta{RecordID: b.BaseID + uint64(i)}
+	return b.Len
 }
 
-// RowInto materializes row i into buf (reusing its backing when wide
-// enough) for row-at-a-time consumers of columnar batches.
+// Slot returns the k-th live slot, k < Live().
+func (b *RecordBatch) Slot(k int) int {
+	if b.Sel != nil {
+		return int(b.Sel[k])
+	}
+	return k
+}
+
+// Meta returns slot i's record metadata.
+func (b *RecordBatch) Meta(i int) RecordMeta { return RecordMeta{RecordID: b.BaseID + uint64(i)} }
+
+// RowInto materializes slot i into buf (reusing its backing when wide
+// enough) for row-at-a-time consumers.
 func (b *RecordBatch) RowInto(buf datum.Row, i int) datum.Row {
-	if b.Rows != nil {
-		return b.Rows[i]
-	}
-	if cap(buf) < len(b.Cols) {
-		buf = make(datum.Row, len(b.Cols))
-	}
-	buf = buf[:len(b.Cols)]
-	for c := range b.Cols {
-		buf[c] = b.Cols[c].Datum(i)
-	}
-	return buf
+	return (&datum.Batch{Len: b.Len, Cols: b.Cols}).RowInto(buf, i)
 }
 
 // BatchRecordReader is a RecordReader that can also deliver its
@@ -69,38 +61,78 @@ type BatchRecordReader interface {
 	NextBatch(b *RecordBatch) error
 }
 
-// rowBatcher is the row→batch adapter: it lifts a RecordReader into
-// the map loop's batch input, one single-row batch per Next call (the
-// reader may reuse its row, so rows cannot be gathered without a
-// copy). It sits at the reader boundary so no mapper needs a row
-// entry point.
+// batchSlots bounds the ID window of one adapted batch: the batch size
+// of the column readers, so both kinds of input arrive in batches alike.
+const batchSlots = orcfile.DefaultBatchRows
+
+// rowBatcher is the one row→vector adapter: it lifts a RecordReader into
+// batch input, copying each row into slot rid − BaseID of vectors it
+// owns. A batch ends before a row whose ID does not increase or falls
+// past BaseID + batchSlots; IDs the reader skipped stay out of Sel. The
+// read-ahead row opens the next batch; a read-ahead EOF or error is
+// returned by the next call.
 type rowBatcher struct {
 	RecordReader
-	row [1]datum.Row
-	id  [1]uint64
+	vecs datum.Batch
+	sel  []int32
+
+	primed bool
+	row    datum.Row // read ahead
+	id     uint64
+	err    error
+}
+
+func (a *rowBatcher) readAhead() {
+	row, meta, err := a.Next()
+	a.row, a.id, a.err, a.primed = row, meta.RecordID, err, true
 }
 
 func (a *rowBatcher) NextBatch(b *RecordBatch) error {
-	row, meta, err := a.Next()
-	if err != nil {
-		return err
+	if !a.primed {
+		a.readAhead()
 	}
-	a.row[0], a.id[0] = row, meta.RecordID
-	b.Len, b.Cols, b.Rows, b.IDs = 1, nil, a.row[:], a.id[:]
+	if a.err != nil {
+		return a.err
+	}
+	// Vectors grow to the window the rows fill: a short batch costs its
+	// own rows, not a full batch's reset.
+	v := &a.vecs
+	v.Reset(len(a.row), 0)
+	base, sel := a.id, a.sel[:0]
+	for {
+		slot := int(a.id - base)
+		for j := range v.Cols {
+			v.Cols[j].Extend(slot + 1)
+			v.Cols[j].Put(slot, a.row[j])
+		}
+		sel = append(sel, int32(slot))
+		prev := a.id
+		if a.readAhead(); a.err != nil || a.id <= prev || a.id-base >= batchSlots {
+			break
+		}
+	}
+	a.sel = sel
+	b.Len, b.Cols, b.Sel, b.BaseID = int(sel[len(sel)-1])+1, v.Cols, sel, base
+	if len(sel) == b.Len {
+		b.Sel = nil
+	}
 	return nil
 }
 
-// MapBatch is the batch→row adapter: it feeds the batch to f one
-// record at a time, materializing columnar rows into a buffer reused
-// across the task's batches. Row-at-a-time mappers with state delegate
-// their MapBatch here.
+// rowBufs lends MapFunc.MapBatch the row it materializes records into,
+// so a task reuses one buffer across its batches.
+var rowBufs = freelist.New[datum.Row]()
+
+// MapBatch is the batch→row adapter: it feeds the batch's live records
+// to f one at a time, materialized into one reused buffer. Row-at-a-
+// time mappers with state delegate their MapBatch here.
 func (f MapFunc) MapBatch(b *RecordBatch, emit Emitter) error {
-	if b.Rows == nil && cap(b.rowBuf) < len(b.Cols) {
-		b.rowBuf = make(datum.Row, len(b.Cols))
-	}
-	buf := b.rowBuf // wide enough: RowInto never regrows it
-	for i := 0; i < b.Len; i++ {
-		if err := f(b.RowInto(buf, i), b.Meta(i), emit); err != nil {
+	buf := rowBufs.Get()
+	defer rowBufs.Put(buf)
+	for k := 0; k < b.Live(); k++ {
+		i := b.Slot(k)
+		*buf = b.RowInto(*buf, i)
+		if err := f(*buf, b.Meta(i), emit); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package mapred
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -57,7 +58,7 @@ func (r *dualShapeReader) NextBatch(b *RecordBatch) error {
 		r.cols[0].SetDatum(i, datum.Int(id))
 		r.cols[1].SetDatum(i, datum.String_(word))
 	}
-	b.Len, b.Cols, b.Rows, b.IDs = n, r.cols, nil, nil
+	b.Len, b.Cols, b.Sel = n, r.cols, nil
 	b.BaseID = uint64(r.split.base + r.idx)
 	r.idx += n
 	return nil
@@ -65,8 +66,8 @@ func (r *dualShapeReader) NextBatch(b *RecordBatch) error {
 
 func (r *dualShapeReader) Close() error { return nil }
 
-// wordLenNative is the batch-native twin of wordLenRow: it reads
-// both batch shapes itself instead of going through MapFunc.MapBatch.
+// wordLenNative is the batch-native twin of wordLenRow: it reads the
+// vectors itself instead of going through MapFunc.MapBatch.
 type wordLenNative struct{}
 
 func wordLenRow(row datum.Row, meta RecordMeta, emit Emitter) error {
@@ -77,14 +78,9 @@ func wordLenRow(row datum.Row, meta RecordMeta, emit Emitter) error {
 }
 
 func (wordLenNative) MapBatch(b *RecordBatch, emit Emitter) error {
-	for i := 0; i < b.Len; i++ {
-		var id datum.Datum
-		var word string
-		if b.Cols != nil {
-			id, word = b.Cols[0].Datum(i), b.Cols[1].Strs[i]
-		} else {
-			id, word = b.Rows[i][0], b.Rows[i][1].S
-		}
+	for k := 0; k < b.Live(); k++ {
+		i := b.Slot(k)
+		id, word := b.Cols[0].Datum(i), b.Cols[1].Strs[i]
 		if id.I%3 == 0 {
 			continue
 		}
@@ -171,10 +167,11 @@ func (s *endlessSplit) Length() int64 { return 1 }
 func (s *endlessSplit) Open(*sim.Meter) (RecordReader, error) { return s, nil }
 
 func (s *endlessSplit) Next() (datum.Row, RecordMeta, error) {
-	if s.served.Add(1) == s.cancelAt {
+	n := s.served.Add(1)
+	if n == s.cancelAt {
 		s.cancel()
 	}
-	return datum.Row{datum.Int(1)}, RecordMeta{}, nil
+	return datum.Row{datum.Int(1)}, RecordMeta{RecordID: uint64(n)}, nil
 }
 
 func (s *endlessSplit) Close() error { return nil }
@@ -191,8 +188,8 @@ func (c *pollCountingCtx) Err() error {
 }
 
 // TestRowReaderCancellationIsPromptAndAmortized checks that a task fed
-// single-row batches by the row→batch adapter still stops within 128
-// records of the cancel, without polling the context per record.
+// by the row→batch adapter stops within one batch of the cancel, and
+// polls the context once per batch, not per record.
 func TestRowReaderCancellationIsPromptAndAmortized(t *testing.T) {
 	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -209,11 +206,11 @@ func TestRowReaderCancellationIsPromptAndAmortized(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if over := split.served.Load() - split.cancelAt; over < 0 || over > 128 {
-		t.Errorf("task read %d records past the cancel, want at most 128", over)
+	if over := split.served.Load() - split.cancelAt; over < 0 || over > batchSlots {
+		t.Errorf("task read %d records past the cancel, want at most %d", over, batchSlots)
 	}
-	// One poll per 128 records plus the handful RunContext makes itself.
-	if polls, budget := ctx.polls.Load(), split.served.Load()/128+8; polls > budget {
+	// One poll per batch plus the handful RunContext makes itself.
+	if polls, budget := ctx.polls.Load(), split.served.Load()/batchSlots+8; polls > budget {
 		t.Errorf("context polled %d times for %d records, want at most %d", polls, split.served.Load(), budget)
 	}
 }
@@ -255,11 +252,84 @@ type tagMapper struct{}
 func (tagMapper) Flush(Emitter) error { return nil }
 
 func (tagMapper) MapBatch(b *RecordBatch, emit Emitter) error {
-	for i := 0; i < b.Len; i++ {
-		id := b.RowInto(nil, i)[0]
+	for k := 0; k < b.Live(); k++ {
+		id := b.RowInto(nil, b.Slot(k))[0]
 		if err := emit(nil, datum.Row{id, datum.Int(int64(b.Tag))}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// idReader serves one row per ID, holding the ID as its only value, in
+// the order given; it reuses its row as the reader contract allows.
+type idReader struct {
+	ids []uint64
+	row datum.Row
+}
+
+func (r *idReader) Next() (datum.Row, RecordMeta, error) {
+	if len(r.ids) == 0 {
+		return nil, RecordMeta{}, EOF
+	}
+	id := r.ids[0]
+	r.ids = r.ids[1:]
+	r.row = append(r.row[:0], datum.Int(int64(id)))
+	return r.row, RecordMeta{RecordID: id}, nil
+}
+
+func (r *idReader) Close() error { return nil }
+
+// TestRowBatcherSlotsRecordsByID: the row adapter puts each row at slot
+// ID − BaseID, leaves skipped IDs out of Sel (nil when every slot is
+// live), and starts a new batch when an ID does not increase or leaves
+// the window of batchSlots IDs.
+func TestRowBatcherSlotsRecordsByID(t *testing.T) {
+	type batch struct {
+		base uint64
+		len  int
+		sel  []int32
+	}
+	for _, tc := range []struct {
+		name string
+		ids  []uint64
+		want []batch
+	}{
+		{"empty", nil, nil},
+		{"dense", []uint64{7, 8, 9}, []batch{{7, 3, nil}}},
+		{"gaps", []uint64{10, 11, 13, 16}, []batch{{10, 7, []int32{0, 1, 3, 6}}}},
+		{"backward", []uint64{5, 6, 7, 3, 4}, []batch{{5, 3, nil}, {3, 2, nil}}},
+		{"repeated", []uint64{5, 5}, []batch{{5, 1, nil}, {5, 1, nil}}},
+		{"window edge", []uint64{0, batchSlots - 1}, []batch{{0, batchSlots, []int32{0, batchSlots - 1}}}},
+		{"beyond window", []uint64{0, 1, batchSlots, batchSlots + 1}, []batch{{0, 2, nil}, {batchSlots, 2, nil}}},
+	} {
+		a := &rowBatcher{RecordReader: &idReader{ids: tc.ids}}
+		var got []batch
+		var b RecordBatch
+		for {
+			err := a.NextBatch(&b)
+			if err == EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			got = append(got, batch{b.BaseID, b.Len, append([]int32(nil), b.Sel...)})
+			for k := 0; k < b.Live(); k++ {
+				i := b.Slot(k)
+				if v := b.Cols[0].Datum(i); v.I != int64(b.Meta(i).RecordID) {
+					t.Errorf("%s: slot %d of batch %d holds %v", tc.name, i, b.BaseID, v)
+				}
+			}
+			if len(b.Cols[0].Nulls) != b.Len {
+				t.Errorf("%s: vector of %d slots in a batch of %d", tc.name, len(b.Cols[0].Nulls), b.Len)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: batches %v, want %v", tc.name, got, tc.want)
+		}
+		if err := a.NextBatch(&b); err != EOF {
+			t.Errorf("%s: after the end NextBatch = %v, want EOF", tc.name, err)
+		}
+	}
 }

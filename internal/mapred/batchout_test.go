@@ -23,8 +23,8 @@ func (m *evenIDs) Flush(Emitter) error               { return nil }
 
 func (m *evenIDs) MapBatch(b *RecordBatch, _ Emitter) error {
 	var sel []int32
-	for i := 0; i < b.Len; i++ {
-		if b.RowInto(nil, i)[0].I%2 == 0 {
+	for k := 0; k < b.Live(); k++ {
+		if i := b.Slot(k); b.RowInto(nil, i)[0].I%2 == 0 {
 			sel = append(sel, int32(i))
 		}
 	}
@@ -152,7 +152,7 @@ func TestBatchOutputReachesEveryCollector(t *testing.T) {
 			}
 			emits := 5 // 450 rows in input batches of 100
 			if rowScan {
-				emits = len(want) // the row adapter's single-row batches
+				emits = 1 // the row adapter gathers the 450 consecutive IDs into one batch
 			}
 			if wantBuilt := map[bool]int{true: emits, false: 1}[sink == "batches"]; built != wantBuilt {
 				t.Errorf("%s rowScan=%v: the mapper constructed %d result batches, want %d", sink, rowScan, built, wantBuilt)

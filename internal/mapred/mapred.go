@@ -9,19 +9,19 @@
 //
 // # Batched input
 //
-// The map loop has one input shape, the RecordBatch, and a Mapper has
-// one entry point, MapBatch. Readers that implement BatchRecordReader
-// fill batches themselves — column vectors for untouched data,
-// materialized rows where the reader already paid per-row work. Row
-// shape crosses into that pipeline through exactly two adapters, both
-// in this package: a plain RecordReader is lifted once at the reader
-// boundary into single-row batches (rowBatcher), and a mapper written
-// per record (MapFunc, or a stateful mapper delegating to it) walks
-// each batch through MapFunc.MapBatch. Cluster.DisableBatchScan routes
-// a batching reader's Next through the first adapter, so its
-// independent row decode/merge path stays available as the oracle the
-// equivalence tests compare against (identical output, counters and
-// metering).
+// The map loop has one input shape, the RecordBatch of column vectors
+// with an optional selection of live slots, and a Mapper has one entry
+// point, MapBatch. A BatchRecordReader fills batches itself (a UNION
+// READ merge leaves a deleted record out of the selection). Row shape
+// crosses in through exactly two adapters, both in this package: a
+// plain RecordReader (KV scan, text file, SliceSplit) is lifted at the
+// reader boundary, each row put at its record ID's slot (rowBatcher),
+// and a per-record mapper (MapFunc, or a stateful mapper delegating to
+// it) walks each batch's live slots through MapFunc.MapBatch.
+// Cluster.DisableBatchScan routes a batching reader's Next through the
+// first adapter and has the query engine evaluate every expression by
+// its row function: the oracle the equivalence tests compare against
+// (identical output, counters and metering).
 //
 // # Shuffle
 //
@@ -51,12 +51,15 @@
 //   - A shuffle emit (map phase or combiner of a job with reducers)
 //     copies the value row's datums into the task's run segments, so
 //     mappers and combiners may reuse one row buffer across emits —
-//     including a RecordReader's reused input row.
+//     including the row a MapFunc receives, which the adapter always
+//     reuses for the next record.
 //   - A collector emit (map-only jobs, reducer output) transfers
-//     ownership: the row is stored without cloning, so it must be
-//     owned by the emitter and not mutated afterwards. Reducers may
-//     forward group rows here — group rows are immutable views into
-//     the job's shuffle segments and stay valid through the run.
+//     ownership: the in-memory collector stores the row without
+//     cloning, so it must be owned by the emitter and not mutated
+//     afterwards. The storage collectors (ORC, KV, text) consume the
+//     row inside Collect, so a MapFunc may forward its input row to
+//     them. Reducers may forward group rows anywhere — group rows are
+//     immutable views into the job's shuffle segments.
 //   - The rows slice passed to Reducer.Reduce is reused between
 //     groups: retain its datum.Row elements freely, never the slice.
 //     The rows themselves are engine-owned views; do not mutate them.
@@ -174,9 +177,10 @@ type Cluster struct {
 	Params      sim.CostParams
 	Parallelism int // concurrent tasks (real goroutines); 0 = NumCPU
 	// DisableBatchScan reads a BatchRecordReader through its row-mode
-	// Next instead of NextBatch. Both produce byte-identical results,
-	// counters and simulated seconds (the equivalence tests assert it);
-	// the toggle exists for those tests and for isolating regressions.
+	// Next instead of NextBatch, and the query engine evaluates
+	// expressions by row functions only. Both produce byte-identical
+	// results, counters and simulated seconds (the equivalence tests
+	// assert it); the toggle exists for those tests and regressions.
 	DisableBatchScan bool
 }
 
@@ -237,7 +241,7 @@ func (c *Cluster) Run(job *Job) (*Result, error) {
 
 // RunContext executes the job, aborting promptly when ctx is
 // canceled: pending tasks are not started, and running tasks stop
-// between records. A canceled run returns ctx.Err().
+// between batches. A canceled run returns ctx.Err().
 func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 	if job.NewMapper == nil {
 		return nil, errors.New("mapred: job has no mapper")
@@ -435,14 +439,9 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 	if job.Tags != nil {
 		batch.Tag = job.Tags[taskID]
 	}
-	for nextPoll := int64(0); ; {
-		// Cancellation check between batches, at most once per 128
-		// records so single-row batches do not pay it each.
-		if inRecords >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			nextPoll = inRecords + 128
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if err := br.NextBatch(&batch); err != nil {
 			if errors.Is(err, EOF) {
@@ -450,7 +449,7 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 			}
 			return fmt.Errorf("mapred: split %d: %w", taskID, err)
 		}
-		inRecords += int64(batch.Len)
+		inRecords += int64(batch.Live())
 		if err := mapper.MapBatch(&batch, emit); err != nil {
 			return fmt.Errorf("mapred: map task %d: %w", taskID, err)
 		}
@@ -733,32 +732,14 @@ func (r *sliceReader) Next() (datum.Row, RecordMeta, error) {
 	if r.idx >= len(r.rows) {
 		return nil, RecordMeta{}, EOF
 	}
-	row := r.rows[r.idx]
-	meta := RecordMeta{RecordID: r.base + uint64(r.idx)}
 	r.idx++
-	return row, meta, nil
+	return r.rows[r.idx-1], RecordMeta{RecordID: r.base + uint64(r.idx-1)}, nil
 }
-
-// NextBatch aliases the next run of rows, zero-copy.
-func (r *sliceReader) NextBatch(b *RecordBatch) error {
-	if r.idx >= len(r.rows) {
-		return EOF
-	}
-	end := min(r.idx+sliceBatchRows, len(r.rows))
-	b.Len, b.Cols, b.Rows = end-r.idx, nil, r.rows[r.idx:end]
-	b.BaseID, b.IDs = r.base+uint64(r.idx), nil
-	r.idx = end
-	return nil
-}
-
-// sliceBatchRows keeps the map loop's cancellation poll (once per
-// batch) as fine-grained over slices as it is over row readers.
-const sliceBatchRows = 128
 
 func (r *sliceReader) Close() error { return nil }
 
 // MapFunc adapts a per-record function to the Mapper interface (see
-// MapBatch in batch.go). The row may be reused between calls.
+// MapBatch in batch.go). The row is reused between calls.
 type MapFunc func(row datum.Row, meta RecordMeta, emit Emitter) error
 
 // Flush is a no-op.

@@ -144,6 +144,49 @@ func TestBatchRowEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchReaderRefillsMixedVectors: a consumer may Put a value of
+// another kind into a batch's vector, turning it mixed, or adopt a kind
+// into an unprojected one. The next batch must arrive clean — typed as
+// the file's column, every value its own.
+func TestBatchReaderRefillsMixedVectors(t *testing.T) {
+	schema, rows := genRows(t, 3000, 3)
+	rd := writeBatchFile(t, schema, rows, WriterOptions{StripeRows: 1000})
+	br := rd.NewBatchReader(RowReaderOptions{Columns: []int{0, 4}})
+	defer br.Close()
+	cols := br.Vectors()
+	if _, _, err := br.NextBatch(cols, 0); err != nil {
+		t.Fatal(err)
+	}
+	cols[0].Put(3, datum.String_("seven")) // BIGINT column: mixed
+	cols[4].Put(0, datum.Int(7))           // STRING column: mixed
+	cols[1].Put(5, datum.Float(1.5))       // unprojected: adopts a kind
+	if len(cols[0].Datums) == 0 || len(cols[4].Datums) == 0 {
+		t.Fatal("Put did not turn the vectors mixed")
+	}
+	n, base, err := br.NextBatch(cols, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range []struct {
+		c    int
+		kind datum.Kind
+	}{{0, datum.KindInt}, {1, datum.KindNull}, {4, datum.KindString}} {
+		c, kind := cc.c, cc.kind
+		if v := &cols[c]; v.Kind != kind || len(v.Datums) != 0 || v.Len() != n {
+			t.Fatalf("column %d after a mixed batch: kind %v, %d datums, %d rows; want %v, 0, %d", c, v.Kind, len(v.Datums), v.Len(), kind, n)
+		}
+		for i := 0; i < n; i++ {
+			want := rows[base+int64(i)][c]
+			if c == 1 {
+				want = datum.Null
+			}
+			if got := cols[c].Datum(i); datum.Compare(got, want) != 0 || got.K != want.K {
+				t.Fatalf("column %d row %d after a mixed batch: %v, want %v", c, base+int64(i), got, want)
+			}
+		}
+	}
+}
+
 // TestBatchReaderPruning checks that pruned stripes advance ordinals
 // identically on both readers.
 func TestBatchReaderPruning(t *testing.T) {

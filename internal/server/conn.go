@@ -594,33 +594,36 @@ func (c *conn) runQuery(op *activeOp, m *wire.Query) (reply opReply) {
 	progress := c.srv.cfg.ProgressTimeout
 	var sentRows, sentBytes int64
 	var payload []byte // the statement's encode buffer, reused frame after frame
+	// The progress watchdog: a client that neither grants credits nor
+	// cancels is reaped so its op stops pinning snapshots and memory.
+	// One timer per statement, rearmed for each wait.
+	var watchdog *time.Timer
+	defer func() {
+		if watchdog != nil {
+			watchdog.Stop()
+		}
+	}()
 	// send streams rows [from, to) of b as one RowBatch frame, for one
 	// credit.
 	send := func(b *datum.Batch, from, to int) error {
 		for credits == 0 {
-			// The progress watchdog: a client that neither grants
-			// credits nor cancels is reaped so its op stops pinning
-			// snapshots and memory.
-			var watchdog <-chan time.Time
-			var wt *time.Timer
+			var fired <-chan time.Time
 			if progress > 0 {
-				wt = time.NewTimer(progress)
-				watchdog = wt.C
+				if watchdog == nil {
+					watchdog = time.NewTimer(progress)
+				} else {
+					watchdog.Reset(progress) // drops a fire from an earlier wait
+				}
+				fired = watchdog.C
 			}
 			select {
 			case n := <-op.credits:
 				credits += int64(n)
 			case <-ctx.Done():
-				if wt != nil {
-					wt.Stop()
-				}
 				return ctx.Err()
-			case <-watchdog:
+			case <-fired:
 				return fmt.Errorf("%w: no flow-control credits granted in %v",
 					dualtable.ErrSlowClient, progress)
-			}
-			if wt != nil {
-				wt.Stop()
 			}
 		}
 		credits--

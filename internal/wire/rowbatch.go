@@ -135,7 +135,7 @@ func DecodeRowBatch(payload []byte, b *datum.Batch) (opID uint64, err error) {
 	if r.err != nil {
 		return 0, r.finish("ROW_BATCH")
 	}
-	b.Reset(int(width), int(n))
+	b.Shape(int(width), int(n)) // column resets each vector it decodes
 	for j := range b.Cols {
 		r.column(&b.Cols[j], int(n))
 	}
