@@ -61,7 +61,7 @@ func diffHistory(seed int64) []diffStmt {
 		{set: "v = v", where: fmt.Sprintf("id >= %d AND id < %d", lo, lo+300), noop: true}, // no-op writes
 		{set: "tag = 'u5', k = k + 1", where: "(v > 500 OR tag = 'u1') AND NOT (k = 2)"},   // AND/OR/NOT over NULLs
 		{set: "v = 1.5", where: "k = NULL"},                                                // never TRUE
-		// Shapes that must fall back to the row predicate.
+		// Shapes with adaptor conjuncts (the row closure at the survivors).
 		{set: "tag = NULL", where: "tag LIKE 't1%'"},                       // SET NULL (KV DeleteColumn)
 		{set: "v = 7", where: "k IN (1, 3, 5) AND id < 1000"},              // int literal into DOUBLE
 		{where: "v > (SELECT AVG(x) FROM diff_ref)"},                       // scalar subquery

@@ -43,7 +43,7 @@ func seedWide(t *testing.T, e *hive.Engine) {
 // acidHistory is the DML the equivalence trace applies, one transaction
 // (one delta) per statement. Record 10 is written by four of them with
 // its neighbour deleted in between; later statements touch both base
-// files, fall back to the row predicate, and delete across batches.
+// files, filter through adaptor conjuncts, and delete across batches.
 var acidHistory = []string{
 	"UPDATE a SET v = v + 1000 WHERE id = 10",
 	"UPDATE a SET tag = 'twice', v = 2.5 WHERE id = 10",

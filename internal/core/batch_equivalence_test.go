@@ -189,7 +189,7 @@ func TestBatchRowSQLEquivalence(t *testing.T) {
 		"SELECT tag, COUNT(*) FROM w WHERE k > 9 OR NOT (tag = 't1') GROUP BY tag ORDER BY tag",
 		"SELECT COUNT(*) FROM w WHERE k = NULL OR v < 1",
 		"SELECT COUNT(*), COUNT(DISTINCT tag) FROM w WHERE NOT (k < 0) AND id < 2000",
-		// Shapes that fall back to the row predicate.
+		// Shapes with adaptors (the row closure at the survivors).
 		"SELECT id FROM w WHERE tag LIKE 'u%' OR id IN (7, 1500, 2999) ORDER BY id",
 		"SELECT id FROM w WHERE tag > 3 AND id < 50 ORDER BY id",
 	}
@@ -357,9 +357,9 @@ func TestDMLSkipsDeletedSlots(t *testing.T) {
 			sql  string
 			want int64
 		}{
-			{"UPDATE m SET v = 1.0 WHERE tag LIKE 'tag%' AND id < 5", 4}, // LIKE: the row predicate
+			{"UPDATE m SET v = 1.0 WHERE tag LIKE 'tag%' AND id < 5", 4}, // LIKE: an adaptor conjunct
 			{"UPDATE m SET v = 2.0", 359},                                // no WHERE
-			{"DELETE FROM m WHERE id IN (1, 2, 3)", 2},                   // IN: the row predicate
+			{"DELETE FROM m WHERE id IN (1, 2, 3)", 2},                   // IN: an adaptor conjunct
 		} {
 			if rs := mustExec(t, e, tc.sql); rs.Affected != tc.want {
 				t.Errorf("rowScan=%v %s: %d affected, want %d", disable, tc.sql, rs.Affected, tc.want)

@@ -154,26 +154,24 @@ func (fs *FileSystem) checkWritable() error {
 	return nil
 }
 
-// splitPath normalizes and splits an absolute path into components.
-func splitPath(p string) ([]string, error) {
-	if p == "" || !strings.HasPrefix(p, "/") {
-		return nil, fmt.Errorf("%w: %q (must be absolute)", ErrInvalidPath, p)
+// cleanPath validates an absolute path and returns its components as
+// one clean string without the leading "/" ("" for the root), walked in
+// place: path.Clean hands an already clean path back as it is, so a
+// lookup of one allocates nothing.
+func cleanPath(p string) (string, error) {
+	if p == "" || p[0] != '/' {
+		return "", fmt.Errorf("%w: %q (must be absolute)", ErrInvalidPath, p)
 	}
-	clean := path.Clean(p)
-	if clean == "/" {
-		return nil, nil
-	}
-	return strings.Split(strings.TrimPrefix(clean, "/"), "/"), nil
+	return path.Clean(p)[1:], nil
 }
 
-// lookup walks to the node for p. Caller holds fs.mu.
-func (fs *FileSystem) lookup(p string) (*node, error) {
-	parts, err := splitPath(p)
-	if err != nil {
-		return nil, err
-	}
+// walk follows the components of the clean path rest from the root; a
+// missing component, or a file on the way, fails for p.
+func (fs *FileSystem) walk(rest, p string) (*node, error) {
 	cur := fs.root
-	for _, part := range parts {
+	for rest != "" {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		if !cur.dir {
 			return nil, fmt.Errorf("%w: %q", ErrNotDirectory, p)
 		}
@@ -186,28 +184,34 @@ func (fs *FileSystem) lookup(p string) (*node, error) {
 	return cur, nil
 }
 
+// lookup walks to the node for p. Caller holds fs.mu.
+func (fs *FileSystem) lookup(p string) (*node, error) {
+	clean, err := cleanPath(p)
+	if err != nil {
+		return nil, err
+	}
+	return fs.walk(clean, p)
+}
+
 // lookupParent returns the parent directory node and the final
 // component. Caller holds fs.mu.
 func (fs *FileSystem) lookupParent(p string) (*node, string, error) {
-	parts, err := splitPath(p)
+	clean, err := cleanPath(p)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	if clean == "" {
 		return nil, "", fmt.Errorf("%w: cannot operate on root", ErrInvalidPath)
 	}
-	cur := fs.root
-	for _, part := range parts[:len(parts)-1] {
-		next, ok := cur.children[part]
-		if !ok {
-			return nil, "", fmt.Errorf("%w: %q", ErrNotFound, p)
-		}
-		if !next.dir {
-			return nil, "", fmt.Errorf("%w: %q", ErrNotDirectory, p)
-		}
-		cur = next
+	i := strings.LastIndexByte(clean, '/') // -1: the parent is the root
+	parent, err := fs.walk(clean[:max(i, 0)], p)
+	if err != nil {
+		return nil, "", err
 	}
-	return cur, parts[len(parts)-1], nil
+	if !parent.dir {
+		return nil, "", fmt.Errorf("%w: %q", ErrNotDirectory, p)
+	}
+	return parent, clean[i+1:], nil
 }
 
 func (fs *FileSystem) tick() uint64 {
@@ -243,12 +247,14 @@ func (fs *FileSystem) MkdirAll(p string) error {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	parts, err := splitPath(p)
+	rest, err := cleanPath(p)
 	if err != nil {
 		return err
 	}
 	cur := fs.root
-	for _, part := range parts {
+	for rest != "" {
+		var part string
+		part, rest, _ = strings.Cut(rest, "/")
 		next, ok := cur.children[part]
 		if !ok {
 			next = &node{name: part, dir: true, children: map[string]*node{}}

@@ -395,6 +395,47 @@ func TestInvalidPaths(t *testing.T) {
 	}
 }
 
+// TestPinUnpinCleanPathAllocatesNothing: a lookup walks a clean path's
+// components in place, so a snapshot's pin and unpin of a file cost no
+// allocation, while a malformed path still fails as invalid.
+func TestPinUnpinCleanPathAllocatesNothing(t *testing.T) {
+	fs := testFS()
+	if err := fs.MkdirAll("/warehouse/t/epoch"); err != nil {
+		t.Fatal(err)
+	}
+	w, err := fs.Create("/warehouse/t/epoch/part-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	const p = "/warehouse/t/epoch/part-0"
+	if n := testing.AllocsPerRun(100, func() {
+		if fs.Pin(p) != nil || fs.Unpin(p) != nil {
+			t.Fatal("pin/unpin failed")
+		}
+	}); n != 0 {
+		t.Errorf("Pin+Unpin of a clean path: %v allocations, want 0", n)
+	}
+	// Unclean spellings of the same file still resolve.
+	if err := fs.Pin("/warehouse//t/./epoch/../epoch/part-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unpin(p + "/"); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"", "warehouse/t", "./x"} {
+		if err := fs.Pin(bad); !errors.Is(err, ErrInvalidPath) {
+			t.Errorf("Pin(%q) = %v, want ErrInvalidPath", bad, err)
+		}
+		if err := fs.Unpin(bad); !errors.Is(err, ErrInvalidPath) {
+			t.Errorf("Unpin(%q) = %v, want ErrInvalidPath", bad, err)
+		}
+	}
+	if err := fs.Unpin("/"); !errors.Is(err, ErrInvalidPath) {
+		t.Errorf("Unpin(/) = %v, want ErrInvalidPath", err)
+	}
+}
+
 func TestStatDirectoryVsFile(t *testing.T) {
 	fs := testFS()
 	fs.MkdirAll("/d")

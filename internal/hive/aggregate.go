@@ -45,13 +45,12 @@ func (e *Engine) planAggregate(ec *ExecContext, sel *sqlparser.SelectStmt, q sca
 
 	// Compile group-by expressions and aggregate arguments against
 	// the input scope.
-	groupFns := make([]evalFn, len(sel.GroupBy))
+	scan := aggScanSpec{filter: filter, groups: make([]vecExpr, len(sel.GroupBy))}
 	for i, g := range sel.GroupBy {
 		if sqlparser.ContainsAggregate(g) {
 			return fmt.Errorf("hive: aggregates are not allowed in GROUP BY")
 		}
-		groupFns[i], err = e.compileExpr(ec, g, rel.sc)
-		if err != nil {
+		if scan.groups[i].prog, err = e.compileVexpr(ec, g, rel.sc); err != nil {
 			return err
 		}
 		addPostCol(g.String(), fmt.Sprintf("__grp%d", i))
@@ -81,11 +80,10 @@ func (e *Engine) planAggregate(ec *ExecContext, sel *sqlparser.SelectStmt, q sca
 	for _, k := range q.order {
 		collect(k.expr)
 	}
-	argFns := make([]evalFn, len(aggs))
-	argExprs := make([]sqlparser.Expr, len(aggs))
 	// DISTINCT aggregates cannot be combined map-side; they ship raw
 	// argument values. Everything else shuffles partial aggregates
 	// and runs a combiner (Hive's map-side aggregation).
+	scan.aggs, scan.args = aggs, make([]vecExpr, len(aggs))
 	anyDistinct := false
 	for i, a := range aggs {
 		anyDistinct = anyDistinct || a.distinct
@@ -95,19 +93,9 @@ func (e *Engine) planAggregate(ec *ExecContext, sel *sqlparser.SelectStmt, q sca
 		if len(a.call.Args) != 1 {
 			return fmt.Errorf("hive: %s expects one argument", a.call.Name)
 		}
-		argExprs[i] = a.call.Args[0]
-		argFns[i], err = e.compileExpr(ec, argExprs[i], rel.sc)
-		if err != nil {
+		if scan.args[i].prog, err = e.compileVexpr(ec, a.call.Args[0], rel.sc); err != nil {
 			return err
 		}
-	}
-
-	// Vectorized fast paths for the scan side of the aggregation.
-	scan := aggScanSpec{
-		filter: filter,
-		groups: e.compileVecExprs(sel.GroupBy, groupFns, rel.sc),
-		args:   e.compileVecExprs(argExprs, argFns, rel.sc),
-		aggs:   aggs,
 	}
 	if anyDistinct {
 		p.job = e.rawAggJob(rel, scan)
@@ -272,8 +260,7 @@ func finalizePartial(name string, p datum.Row) datum.Datum {
 }
 
 // aggScanSpec is the compiled scan side of an aggregation: filter,
-// group keys and aggregate arguments, each with its vectorized fast
-// path.
+// group keys and aggregate arguments (a nil program for COUNT(*)).
 type aggScanSpec struct {
 	filter scanFilter
 	groups []vecExpr
@@ -303,7 +290,7 @@ var maxHashGroups = 1 << 16
 // group is emitted at Flush — Hive's hive.map.aggr, which removes the
 // per-record row allocation, emit and combiner merge entirely. In raw
 // mode (DISTINCT) it emits the argument values per record. Group keys
-// and arguments come off the batch's vectors where available.
+// and arguments are read from their programs' vectors.
 type aggScanMapper struct {
 	aggScanSpec
 	partial bool
@@ -315,26 +302,18 @@ type aggScanMapper struct {
 
 // emitRaw emits one batch row (already past the filter) as group
 // values followed by the raw argument values.
-func (m *aggScanMapper) emitRaw(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
+func (m *aggScanMapper) emitRaw(i int, emit mapred.Emitter) error {
 	nGroup := len(m.groups)
 	out := make(datum.Row, 0, nGroup+len(m.aggs))
 	for gi := range m.groups {
-		d, err := m.groups[gi].eval(b, i, &m.filter.brow)
-		if err != nil {
-			return err
-		}
-		out = append(out, d)
+		out = append(out, m.groups[gi].res.Datum(i))
 	}
 	for ai := range m.aggs {
 		if m.aggs[ai].star {
 			out = append(out, datum.Bool(true))
-			continue
+		} else {
+			out = append(out, m.args[ai].res.Datum(i))
 		}
-		d, err := m.args[ai].eval(b, i, &m.filter.brow)
-		if err != nil {
-			return err
-		}
-		out = append(out, d)
 	}
 	m.keyBuf = datum.SortableRowKey(m.keyBuf[:0], out[:nGroup])
 	return emit(m.keyBuf, out)
@@ -371,18 +350,14 @@ func (m *aggScanMapper) accFor(grp datum.Row, emit mapred.Emitter) (datum.Row, e
 // foldPartial folds one batch row (already past the filter) into its
 // group's accumulator: numeric argument vectors fold through the typed
 // updatePartialVec instead of boxing a Datum per (record, aggregate).
-func (m *aggScanMapper) foldPartial(b *mapred.RecordBatch, i int, emit mapred.Emitter) error {
+func (m *aggScanMapper) foldPartial(i int, emit mapred.Emitter) error {
 	nGroup := len(m.groups)
 	if cap(m.groupRw) < nGroup {
 		m.groupRw = make(datum.Row, nGroup)
 	}
 	grp := m.groupRw[:nGroup]
 	for gi := range m.groups {
-		d, err := m.groups[gi].eval(b, i, &m.filter.brow)
-		if err != nil {
-			return err
-		}
-		grp[gi] = d
+		grp[gi] = m.groups[gi].res.Datum(i)
 	}
 	acc, err := m.accFor(grp, emit)
 	if err != nil {
@@ -392,18 +367,9 @@ func (m *aggScanMapper) foldPartial(b *mapred.RecordBatch, i int, emit mapred.Em
 		seg := acc[nGroup+ai*aggPartialWidth:]
 		if m.aggs[ai].star {
 			updatePartial(seg, datum.Bool(true))
-			continue
+		} else {
+			updatePartialVec(seg, m.args[ai].res, i)
 		}
-		x := &m.args[ai]
-		if v := x.vec(b); v != nil {
-			updatePartialVec(seg, v, i)
-			continue
-		}
-		d, err := x.eval(b, i, &m.filter.brow)
-		if err != nil {
-			return err
-		}
-		updatePartial(seg, d)
 	}
 	return nil
 }
@@ -425,18 +391,20 @@ func (m *aggScanMapper) Close() error { return releaseRegisters(&m.filter, m.gro
 
 func (m *aggScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
 	sel, err := m.filter.begin(b)
-	if err != nil {
+	if err != nil || len(sel) == 0 {
 		return err
 	}
-	if len(sel) > 0 {
-		beginBatchAll(m.groups, b)
-		beginBatchAll(m.args, b)
+	if err := beginBatchAll(m.groups, b, sel); err != nil {
+		return err
+	}
+	if err := beginBatchAll(m.args, b, sel); err != nil {
+		return err
 	}
 	for _, i := range sel {
 		if m.partial {
-			err = m.foldPartial(b, int(i), emit)
+			err = m.foldPartial(int(i), emit)
 		} else {
-			err = m.emitRaw(b, int(i), emit)
+			err = m.emitRaw(int(i), emit)
 		}
 		if err != nil {
 			return err

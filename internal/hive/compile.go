@@ -77,15 +77,6 @@ func (s *scope) matches(ref *sqlparser.ColumnRef) []int {
 	return found
 }
 
-// kinds returns the scope's column kinds as a schema-like list.
-func (s *scope) kinds() []datum.Kind {
-	out := make([]datum.Kind, len(s.cols))
-	for i, c := range s.cols {
-		out[i] = c.kind
-	}
-	return out
-}
-
 // evalFn evaluates an expression over one row. Implementations must
 // be safe for concurrent use (map tasks run in parallel).
 type evalFn func(row datum.Row) (datum.Datum, error)

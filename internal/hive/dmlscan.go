@@ -2,6 +2,7 @@ package hive
 
 import (
 	"fmt"
+	"slices"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/mapred"
@@ -59,22 +60,22 @@ func (e *Engine) RunDMLScan(ec *ExecContext, desc *metastore.TableDesc, stmt sql
 		return 0, err
 	}
 	var setCols []int
-	var setFns []evalFn
+	var values []sqlparser.Expr
 	for _, s := range sets {
-		fn, err := e.compileExpr(ec, s.Value, sc)
-		if err != nil {
-			return 0, err
-		}
 		setCols = append(setCols, desc.Schema.ColumnIndex(s.Column))
-		setFns = append(setFns, fn)
+		values = append(values, s.Value)
+	}
+	setVals, err := e.compileVecs(ec, values, sc)
+	if err != nil {
+		return 0, err
 	}
 	job := &mapred.Job{
 		Name:   jobName,
 		Splits: splits,
 		NewMapper: func() mapred.Mapper {
 			return &dmlScanMapper{
-				filter: filter, schema: desc.Schema, setCols: setCols, setFns: setFns,
-				vals: make([]datum.Datum, len(setFns)), sink: newSink(setCols),
+				filter: filter, schema: desc.Schema, setCols: setCols, setVals: slices.Clone(setVals),
+				vals: make([]datum.Datum, len(setVals)), sink: newSink(setCols),
 			}
 		},
 	}
@@ -86,16 +87,17 @@ func (e *Engine) RunDMLScan(ec *ExecContext, desc *metastore.TableDesc, stmt sql
 	return res.Counters.OutputRecords, nil
 }
 
-// dmlScanMapper is the DML scan's only mapper. SET values are evaluated
-// per matched record by the row evaluator over the filter's lazily
-// materialized row: matches are few, and it keeps per-task state to the
-// filter's.
+// dmlScanMapper is the DML scan's only mapper. The SET values are
+// programs like every scan expression, run once per batch over the
+// records WHERE selected; each selected record is then materialized
+// into one reused row for its sink.
 type dmlScanMapper struct {
 	filter  scanFilter
 	schema  datum.Schema
-	setCols []int    // shared, immutable
-	setFns  []evalFn // shared, immutable
+	setCols []int     // shared, immutable
+	setVals []vecExpr // programs shared, registers the mapper's own
 	vals    []datum.Datum
+	row     datum.Row
 	sink    DMLSink
 	meter   *sim.Meter
 }
@@ -105,21 +107,20 @@ func (m *dmlScanMapper) SetMeter(tm *sim.Meter) { m.meter = tm }
 
 func (m *dmlScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error {
 	sel, err := m.filter.begin(b)
-	if err != nil {
+	if err != nil || len(sel) == 0 {
+		return err
+	}
+	if err := beginBatchAll(m.setVals, b, sel); err != nil {
 		return err
 	}
 	for _, i := range sel {
-		row := m.filter.brow.row(b, int(i))
-		for k, fn := range m.setFns {
-			v, err := fn(row)
-			if err != nil {
-				return err
-			}
-			if m.vals[k], err = datum.Coerce(v, m.schema[m.setCols[k]].Kind); err != nil {
+		m.row = b.RowInto(m.row, int(i))
+		for k := range m.setVals {
+			if m.vals[k], err = datum.Coerce(m.setVals[k].res.Datum(int(i)), m.schema[m.setCols[k]].Kind); err != nil {
 				return err
 			}
 		}
-		affected, err := m.sink.Apply(m.meter, b.Meta(int(i)).RecordID, row, m.vals)
+		affected, err := m.sink.Apply(m.meter, b.Meta(int(i)).RecordID, m.row, m.vals)
 		if err != nil {
 			return err
 		}
@@ -134,4 +135,4 @@ func (m *dmlScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) err
 
 func (m *dmlScanMapper) Flush(mapred.Emitter) error { return m.sink.Flush(m.meter) }
 
-func (m *dmlScanMapper) Close() error { return releaseRegisters(&m.filter) }
+func (m *dmlScanMapper) Close() error { return releaseRegisters(&m.filter, m.setVals) }

@@ -15,7 +15,7 @@ import (
 	"dualtable/internal/sim"
 )
 
-func testEngine(t *testing.T) *Engine {
+func testEngine(t testing.TB) *Engine {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
 	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())

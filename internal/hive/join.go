@@ -348,14 +348,16 @@ func (m *joinMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error 
 	if err != nil || len(sel) == 0 {
 		return err
 	}
-	beginBatchAll(m.cols, b)
-	beginBatchAll(m.keys, b)
+	if err := beginBatchAll(m.cols, b, sel); err != nil {
+		return err
+	}
+	if err := beginBatchAll(m.keys, b, sel); err != nil {
+		return err
+	}
 	for _, i := range sel {
 		hasNull := false
 		for ki := range m.keys {
-			if m.keyRow[ki], err = m.keys[ki].eval(b, int(i), &m.filter.brow); err != nil {
-				return err
-			}
+			m.keyRow[ki] = m.keys[ki].res.Datum(int(i))
 			hasNull = hasNull || m.keyRow[ki].IsNull()
 		}
 		switch {
@@ -371,9 +373,7 @@ func (m *joinMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) error 
 			continue
 		}
 		for ci := range m.cols {
-			if m.row[ci], err = m.cols[ci].eval(b, int(i), &m.filter.brow); err != nil {
-				return err
-			}
+			m.row[ci] = m.cols[ci].res.Datum(int(i))
 		}
 		if err := emit(m.keyBuf, m.row); err != nil {
 			return err

@@ -203,11 +203,12 @@ func TestORCScanBatchRowEquivalence(t *testing.T) {
 }
 
 // TestORCScanTakesBatchPath pins what the equivalence suites rely on: a
-// plain ORC split really serves column vectors that a WHERE vector
-// program runs over, and an overlay produces exactly the two batch
+// plain ORC split really serves column vectors that typed WHERE
+// programs run over, and an overlay produces exactly the two batch
 // outcomes — updates scattered into the vectors (a misfit value turning
-// its column mixed, where the program bails), deletes left out of the
-// selection — so the matrix cannot compare the row path with itself.
+// its column mixed, where a program runs its whole row closure
+// instead), deletes left out of the selection — so the matrix cannot
+// compare the row path with itself.
 func TestORCScanTakesBatchPath(t *testing.T) {
 	e := testEngine(t)
 	seedScanTable(t, e)
@@ -237,13 +238,16 @@ func TestORCScanTakesBatchPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(filter.where) != 2 || !filter.where[0].typed() || !filter.where[1].typed() {
+			t.Fatalf("WHERE %s: want two typed conjuncts", where)
+		}
 		var b mapred.RecordBatch
 		for br.NextBatch(&b) == nil {
 			batches++
 			if _, err := filter.begin(&b); err != nil {
 				t.Fatal(err)
 			}
-			if filter.where.res == nil {
+			if !filter.where[0].fits(&b) || !filter.where[1].fits(&b) {
 				bailed++
 			}
 			if b.Sel == nil {

@@ -331,43 +331,33 @@ type simpleScanPlan struct {
 }
 
 // planSimpleScan compiles WHERE, the select list and the hidden ORDER
-// BY key columns against the scope.
+// BY key columns against the scope. An order key that names a select
+// item runs that item's program (the alias names no input column).
 func (e *Engine) planSimpleScan(ec *ExecContext, q scanQuery, sc *scope) (*simpleScanPlan, error) {
 	filter, err := e.newScanFilter(ec, q.where, sc)
 	if err != nil {
 		return nil, err
 	}
-	projFns := make([]evalFn, len(q.items))
-	for i, x := range q.items {
-		projFns[i], err = e.compileExpr(ec, x, sc)
-		if err != nil {
-			return nil, err
-		}
+	projs, err := e.compileVecs(ec, q.items, sc)
+	if err != nil {
+		return nil, err
 	}
-	// Order keys that name a select item keep its evalFn only (the
-	// alias does not name an input column); the others get the
-	// vectorized fast paths like WHERE and the projections: vector
-	// programs for computed expressions, direct vector reads for bare
-	// column refs.
-	orderFns := make([]evalFn, len(q.order))
 	orderExprs := make([]sqlparser.Expr, len(q.order))
 	for i, k := range q.order {
-		if k.item >= 0 {
-			orderFns[i] = projFns[k.item]
-			continue
+		if k.item < 0 {
+			orderExprs[i] = k.expr
 		}
-		orderFns[i], err = e.compileExpr(ec, k.expr, sc)
-		if err != nil {
-			return nil, err
-		}
-		orderExprs[i] = k.expr
 	}
-	return &simpleScanPlan{
-		filter: filter,
-		projs:  e.compileVecExprs(q.items, projFns, sc),
-		orders: e.compileVecExprs(orderExprs, orderFns, sc),
-		topN:   -1,
-	}, nil
+	orders, err := e.compileVecs(ec, orderExprs, sc)
+	if err != nil {
+		return nil, err
+	}
+	for i, k := range q.order {
+		if k.item >= 0 {
+			orders[i] = projs[k.item]
+		}
+	}
+	return &simpleScanPlan{filter: filter, projs: projs, orders: orders, topN: -1}, nil
 }
 
 // newMapper builds one task's mapper. Each mapper owns its filter and
@@ -419,10 +409,9 @@ var resultBatches = freelist.New[datum.Batch]()
 // selects a batch's surviving rows and the projections of those rows
 // become one result batch, handed whole to the task's sink (the visible
 // columns first, then the hidden ORDER BY keys). The result batch owns
-// its storage: the reader refills b.Cols on its next NextBatch, so a
-// projection that is a vector is compacted by the selection into the
-// result — copied, never aliased — and one that only a row can evaluate
-// fills its column datum by datum. For ORDER BY ... LIMIT n queries the
+// its storage: the reader refills b.Cols on its next NextBatch, so each
+// expression's value is compacted by the selection into the result —
+// copied, never aliased. For ORDER BY ... LIMIT n queries the
 // task offers the batch to a bounded top-N heap instead and emits at
 // most n rows at Flush, in arrival order: only a task's n best rows can
 // survive the global stable sort + truncate, so the final result is
@@ -430,7 +419,6 @@ var resultBatches = freelist.New[datum.Batch]()
 type simpleScanMapper struct {
 	filter scanFilter
 	exprs  []vecExpr // the select list, then the order keys
-	byRow  []int     // of exprs, those this batch evaluates per row
 	top    *topHeap  // nil unless ORDER BY ... LIMIT
 
 	emitBatch mapred.BatchEmitter
@@ -464,34 +452,16 @@ func (m *simpleScanMapper) MapBatch(b *mapred.RecordBatch, _ mapred.Emitter) err
 	if err != nil || len(sel) == 0 {
 		return err
 	}
-	beginBatchAll(m.exprs, b)
+	if err := beginBatchAll(m.exprs, b, sel); err != nil {
+		return err
+	}
 	if m.out == nil {
 		m.out = resultBatches.Get()
 	}
 	out := m.out
-	out.Reset(len(m.exprs), len(sel))
-	// Vector-backed expressions a column at a time; the rest a row at a
-	// time, so the row their fallbacks evaluate against is materialized
-	// once for all of them.
-	m.byRow = m.byRow[:0]
+	out.Shape(len(m.exprs), len(sel)) // Gather resets every column
 	for j := range m.exprs {
-		if src := m.exprs[j].vec(b); src != nil {
-			out.Cols[j].Gather(src, sel)
-		} else {
-			m.byRow = append(m.byRow, j)
-		}
-	}
-	if len(m.byRow) > 0 {
-		for k, i := range sel {
-			row := m.filter.brow.row(b, int(i))
-			for _, j := range m.byRow {
-				d, err := m.exprs[j].fn(row)
-				if err != nil {
-					return err
-				}
-				out.Cols[j].Put(k, d)
-			}
-		}
+		out.Cols[j].Gather(m.exprs[j].res, sel)
 	}
 	if m.top != nil {
 		m.top.pushBatch(out)

@@ -2,6 +2,7 @@ package hive
 
 import (
 	"math"
+	"slices"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/freelist"
@@ -9,121 +10,191 @@ import (
 	"dualtable/internal/sqlparser"
 )
 
-// This file holds the expression-to-vector compiler: it widens the
-// vectorized scan path beyond bare column reads to arithmetic
-// (+ - * / %), unary minus/NOT, column-column and column-literal
-// comparisons, AND/OR, CASE WHEN and IF — enough to evaluate TPC-H
-// Q1's disc_price/charge aggregation arguments without materializing
-// rows.
+// This file holds the expression compiler every scan-side expression
+// goes through — WHERE conjuncts, projections, ORDER BY and GROUP BY
+// keys, aggregate arguments, join keys and columns, DML SET values, and
+// HAVING plus the items over an aggregation's reduced rows. Each
+// compiles to exactly one program: a small register machine in which
+// every instruction writes one register (a ColumnVector) with one loop
+// over the batch's selected slots, and column operands alias the batch's
+// vectors (zero copy).
 //
-// An expression compiles into a small register program: each register
-// is a ColumnVector, instructions run one typed loop over the whole
-// batch, and column operands alias the batch's vectors (zero copy).
-// Compilation is static on the scope's schema kinds; anything the
-// compiler cannot prove (string arithmetic, mixed-kind CASE branches,
-// operations whose row semantics depend on runtime kinds) returns
-// ok=false and the caller keeps the row-at-a-time evalFn, so batch
-// and row execution stay byte-identical by construction. The compiled
-// program is immutable and shared across map tasks; all mutable state
-// lives in a per-mapper vexprState.
+// Typed instructions cover arithmetic (+ - * / %), unary minus and NOT,
+// comparisons, AND/OR, CASE WHEN and IF over the scope's static kinds. A
+// subtree they cannot prove row-equivalent — IN, LIKE, BETWEEN, IS NULL,
+// CAST, functions, string coercion, cross-kind comparisons, scope
+// columns of unknown kind — becomes one adaptor instruction: it runs the
+// subtree's row closure (compile.go) at the batch's selected slots only,
+// into a register that turns mixed where the values demand it. An
+// adaptor over a predicate is statically BOOLEAN, so typed
+// AND/OR/NOT/CASE consume it.
 //
-// Per-row semantics mirror compile.go exactly: SQL three-valued
-// logic, int+int staying int with Go wrap-around (except "/"), datum
-// division/modulo by zero yielding NULL, and datum.Compare ordering
-// for comparisons.
+// Three rules keep a program's value equal to its row closure's:
+//  1. An expression holding a subquery is one adaptor over the whole
+//     expression, so its lazily run, metered subquery runs exactly when
+//     the row evaluation's would.
+//  2. A batch whose column contradicts the kind a typed instruction was
+//     compiled for (a mixed column) runs the whole expression's closure
+//     over the selection instead — the one branch, in evalBatch.
+//  3. Under Cluster.DisableBatchScan every program is that one
+//     whole-expression adaptor: row evaluation stays an independent
+//     oracle, and no consumer differs between the two modes.
+//
+// Programs are immutable and shared across map tasks; all mutable state
+// lives in a per-mapper vexprState. Per-row semantics mirror compile.go
+// exactly: SQL three-valued logic, int+int staying int with Go
+// wrap-around (except "/"), division/modulo by zero yielding NULL, and
+// datum.Compare ordering for comparisons.
 
 type vop uint8
 
 const (
-	vopCol     vop = iota // alias batch column colIdx into dst
-	vopConst              // broadcast lit into dst
-	vopToFloat            // float-convert int register a into dst
-	vopNeg                // arithmetic negate register a into dst
-	vopNot                // 3VL NOT of bool register a into dst
-	vopArith              // sym over registers a, b (same kind) into dst
-	vopCmp                // truth of register a vs register b (or lit when b < 0) into bool dst
-	vopAnd                // 3VL AND of bool registers a, b into dst
-	vopOr                 // 3VL OR of bool registers a, b into dst
+	vopCol     vop = iota // alias batch column a
+	vopConst              // broadcast lit
+	vopToFloat            // float-convert int register a
+	vopNeg                // arithmetic negate register a
+	vopNot                // 3VL NOT of bool register a
+	vopArith              // sym over registers a, b (same kind)
+	vopCmp                // truth of register a vs register b (or lit when b < 0)
+	vopAnd                // 3VL AND of bool registers a, b
+	vopOr                 // 3VL OR of bool registers a, b
 	vopCase               // first true conds[i] selects thens[i], else els
+	vopAdapt              // ad's row closure at the selected slots
 )
 
+// kindDynamic is the static kind of a register whose kind only the rows
+// tell: an adaptor over a non-predicate, a scope column of unknown kind.
+// No typed instruction reads one.
+const kindDynamic datum.Kind = 255
+
+// vinst is one instruction. It writes register r, its own index in the
+// program.
 type vinst struct {
-	op     vop
-	sym    string  // operator symbol for vopArith
-	truth  [3]bool // vopCmp outcome for a <, =, > b (see cmpTruths)
-	a, b   int32   // register operands
-	colIdx int32   // vopCol source column
-	dst    int32
-	lit    datum.Datum
-	conds  []int32 // vopCase: bool condition registers
-	thens  []int32 // vopCase: value registers (kind = result kind or NULL)
-	els    int32   // vopCase: else register, -1 = NULL
+	op    vop
+	kind  datum.Kind // static kind of the register written
+	sym   byte       // vopArith operator
+	truth [3]bool    // vopCmp outcome for a <, =, > b (see cmpTruths)
+	a, b  int32      // register operands; vopCol: the batch column
+	els   int32      // vopCase: else register, -1 = NULL
+	lit   datum.Datum
+	conds []int32 // vopCase: bool condition registers
+	thens []int32 // vopCase: value registers (kind = result kind or NULL)
+	ad    *vadaptor
 }
 
-// vexprProg is one compiled vectorized expression. Immutable.
+// vadaptor is the row-mode body of an adaptor instruction: the subtree,
+// its row closure and the columns the closure reads (nil = all).
+type vadaptor struct {
+	x    sqlparser.Expr
+	fn   evalFn
+	cols []int
+}
+
+// vexprProg is one compiled expression. Immutable.
 type vexprProg struct {
-	insts []vinst
-	kinds []datum.Kind // static result kind per register
-	nregs int
-	out   int32 // result register
+	insts []vinst  // register r holds insts[r]'s result; the last is the value
+	whole vadaptor // the whole expression, for rules 2 and 3
 }
 
 // vexprState is the per-mapper evaluation scratch: one vector per
-// register (aliased for vopCol, owned otherwise), reused across
-// batches. A map task is short next to the vectors a program fills, so
-// a mapper borrows its states from vexprStates at its first columnar
-// batch and hands them back at Close (vecExpr.release); a borrowed state
-// may have served a program of any other shape, which is fine, because
-// every instruction resets the register it writes.
+// register (aliased for vopCol, owned otherwise) and the row adaptors
+// read, reused across batches. A map task is short next to the vectors a
+// program fills, so a mapper borrows its states from vexprStates at its
+// first batch and hands them back at Close (releaseState); a borrowed
+// state may have served a program of any other shape, which is fine,
+// because every instruction resets the register it writes.
 type vexprState struct {
 	regs  []*datum.ColumnVector
 	store []datum.ColumnVector
+	row   datum.Row
 }
 
 var vexprStates = freelist.New[vexprState]()
 
 // ---- Compilation ----
 
+// compileVexpr compiles x into its one program. It fails only where x's
+// row closure does not compile.
+func (e *Engine) compileVexpr(ec *ExecContext, x sqlparser.Expr, sc *scope) (*vexprProg, error) {
+	fn, err := e.compileExpr(ec, x, sc)
+	if err != nil {
+		return nil, err
+	}
+	p := &vexprProg{whole: vadaptor{x: x, fn: fn}}
+	if e.rowOracle() || sqlparser.ContainsSubquery(x) {
+		p.insts = []vinst{{op: vopAdapt, kind: adaptorKind(x), ad: &p.whole}}
+		return p, nil
+	}
+	c := vexprCompiler{sc: sc}
+	c.compile(x)
+	p.insts = c.insts
+	for i := range p.insts {
+		ad := p.insts[i].ad
+		switch {
+		case ad == nil:
+			continue
+		case ad.x == x: // its closure is compiled already
+			ad = &p.whole
+			p.insts[i].ad = ad
+		default:
+			if ad.fn, err = e.compileExpr(ec, ad.x, sc); err != nil {
+				return nil, err
+			}
+		}
+		ad.cols = referencedColumns([]sqlparser.Expr{ad.x}, sc)
+	}
+	return p, nil
+}
+
+// typed reports whether the program runs without an adaptor.
+func (p *vexprProg) typed() bool {
+	for i := range p.insts {
+		if p.insts[i].op == vopAdapt {
+			return false
+		}
+	}
+	return true
+}
+
+// adaptorKind is the static kind of an adaptor's register: BOOLEAN over a
+// predicate, whose row closure yields only TRUE, FALSE or NULL.
+func adaptorKind(x sqlparser.Expr) datum.Kind {
+	switch v := x.(type) {
+	case *sqlparser.InExpr, *sqlparser.LikeExpr, *sqlparser.BetweenExpr, *sqlparser.IsNullExpr:
+		return datum.KindBool
+	case *sqlparser.UnaryExpr:
+		if v.Op == "NOT" {
+			return datum.KindBool
+		}
+	case *sqlparser.BinaryExpr:
+		if _, cmp := cmpTruths[v.Op]; cmp || v.Op == "AND" || v.Op == "OR" {
+			return datum.KindBool
+		}
+	}
+	return kindDynamic
+}
+
 // vexprCompiler accumulates instructions while walking an expression.
 type vexprCompiler struct {
 	sc    *scope
-	prog  vexprProg
-	valid bool
+	insts []vinst
 }
 
-// compileVexpr compiles expr into a vector program, or reports
-// ok=false when any node falls outside the supported, provably
-// row-equivalent subset.
-func compileVexpr(expr sqlparser.Expr, sc *scope) (*vexprProg, bool) {
-	c := &vexprCompiler{sc: sc, valid: true}
-	out, _ := c.compile(expr)
-	if !c.valid {
-		return nil, false
+func (c *vexprCompiler) emit(in vinst) (int32, datum.Kind, bool) {
+	c.insts = append(c.insts, in)
+	return int32(len(c.insts) - 1), in.kind, true
+}
+
+// compile returns the register holding x's value and its static kind:
+// x's typed instructions when they cover it, else one adaptor over x.
+func (c *vexprCompiler) compile(x sqlparser.Expr) (int32, datum.Kind) {
+	mark := len(c.insts)
+	r, k, ok := c.typed(x)
+	if !ok {
+		c.insts = c.insts[:mark]
+		r, k, _ = c.emit(vinst{op: vopAdapt, kind: adaptorKind(x), ad: &vadaptor{x: x}})
 	}
-	c.prog.out = out
-	// A bare column or constant has cheaper dedicated paths; a program
-	// is only worth running when it computes something.
-	if len(c.prog.insts) <= 1 {
-		return nil, false
-	}
-	return &c.prog, true
-}
-
-// newReg allocates a register of the given static kind.
-func (c *vexprCompiler) newReg(k datum.Kind) int32 {
-	c.prog.kinds = append(c.prog.kinds, k)
-	c.prog.nregs++
-	return int32(c.prog.nregs - 1)
-}
-
-func (c *vexprCompiler) emit(in vinst) int32 {
-	c.prog.insts = append(c.prog.insts, in)
-	return in.dst
-}
-
-func (c *vexprCompiler) fail() (int32, datum.Kind) {
-	c.valid = false
-	return 0, datum.KindNull
+	return r, k
 }
 
 func numericKind(k datum.Kind) bool {
@@ -132,96 +203,69 @@ func numericKind(k datum.Kind) bool {
 
 // constReg broadcasts a literal. NULL literals get a KindNull register
 // (every read yields NULL).
-func (c *vexprCompiler) constReg(d datum.Datum) (int32, datum.Kind) {
-	dst := c.newReg(d.K)
-	return c.emit(vinst{op: vopConst, lit: d, dst: dst}), d.K
+func (c *vexprCompiler) constReg(d datum.Datum) (int32, datum.Kind, bool) {
+	return c.emit(vinst{op: vopConst, kind: d.K, lit: d})
 }
 
 // toFloat inserts a conversion when the register is not already float.
 // Kinds are restricted to numeric before calling, so the conversion is
 // exactly the row path's AsFloat on an int.
 func (c *vexprCompiler) toFloat(r int32, k datum.Kind) int32 {
-	if k == datum.KindFloat {
-		return r
+	if k != datum.KindFloat {
+		r, _, _ = c.emit(vinst{op: vopToFloat, kind: datum.KindFloat, a: r})
 	}
-	dst := c.newReg(datum.KindFloat)
-	return c.emit(vinst{op: vopToFloat, a: r, dst: dst})
+	return r
 }
 
-// compile returns the register holding expr's value and its static
-// kind. On unsupported input it flags the compiler invalid.
-func (c *vexprCompiler) compile(expr sqlparser.Expr) (int32, datum.Kind) {
-	if !c.valid {
-		return 0, datum.KindNull
-	}
-	switch v := expr.(type) {
+// typed emits x's typed instructions, or reports false when x's own
+// operation is not provably row-equivalent over its operands' kinds.
+func (c *vexprCompiler) typed(x sqlparser.Expr) (int32, datum.Kind, bool) {
+	switch v := x.(type) {
 	case *sqlparser.Literal:
 		return c.constReg(v.Value)
 
 	case *sqlparser.ColumnRef:
 		idx, err := c.sc.resolve(v)
 		if err != nil {
-			return c.fail()
+			return 0, 0, false
 		}
 		k := c.sc.cols[idx].kind
 		if k == datum.KindNull {
-			return c.fail()
+			k = kindDynamic // not known before the rows arrive
 		}
-		dst := c.newReg(k)
-		return c.emit(vinst{op: vopCol, colIdx: int32(idx), dst: dst}), k
+		return c.emit(vinst{op: vopCol, kind: k, a: int32(idx)})
 
 	case *sqlparser.UnaryExpr:
 		r, k := c.compile(v.X)
-		if !c.valid {
-			return 0, datum.KindNull
-		}
-		switch v.Op {
-		case "-":
-			if k == datum.KindNull {
-				return c.constReg(datum.Null)
-			}
-			if !numericKind(k) {
-				return c.fail()
-			}
-			dst := c.newReg(k)
-			return c.emit(vinst{op: vopNeg, a: r, dst: dst}), k
-		case "NOT":
-			if k == datum.KindNull {
-				return c.constReg(datum.Null)
-			}
-			if k != datum.KindBool {
-				return c.fail()
-			}
-			dst := c.newReg(datum.KindBool)
-			return c.emit(vinst{op: vopNot, a: r, dst: dst}), datum.KindBool
-		default:
-			return c.fail()
+		switch {
+		case k == datum.KindNull:
+			return c.constReg(datum.Null)
+		case v.Op == "-" && numericKind(k):
+			return c.emit(vinst{op: vopNeg, kind: k, a: r})
+		case v.Op == "NOT" && k == datum.KindBool:
+			return c.emit(vinst{op: vopNot, kind: k, a: r})
 		}
 
 	case *sqlparser.BinaryExpr:
-		return c.compileBinary(v)
+		return c.binary(v)
 
 	case *sqlparser.CaseExpr:
-		return c.compileCase(v)
+		return c.caseExpr(v)
 
 	case *sqlparser.FuncCall:
 		// IF(c, t, f) is exactly CASE WHEN c THEN t ELSE f END.
 		if v.Name == "IF" && len(v.Args) == 3 && !v.Star && !v.Distinct {
-			return c.compileCase(&sqlparser.CaseExpr{
+			return c.caseExpr(&sqlparser.CaseExpr{
 				Whens: []sqlparser.WhenClause{{Cond: v.Args[0], Then: v.Args[1]}},
 				Else:  v.Args[2],
 			})
 		}
-		return c.fail()
-
-	default:
-		return c.fail()
 	}
+	return 0, 0, false
 }
 
-func (c *vexprCompiler) compileBinary(v *sqlparser.BinaryExpr) (int32, datum.Kind) {
-	switch v.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
+func (c *vexprCompiler) binary(v *sqlparser.BinaryExpr) (int32, datum.Kind, bool) {
+	if _, cmp := cmpTruths[v.Op]; cmp {
 		// A literal on the left only: compare the right operand against
 		// it with the outcome mirrored, so the literal still fuses.
 		x, rhs := v.L, v.R
@@ -232,13 +276,10 @@ func (c *vexprCompiler) compileBinary(v *sqlparser.BinaryExpr) (int32, datum.Kin
 			x, rhs = rhs, x
 		}
 		a, ak := c.compile(x)
-		return c.compileCmp(v.Op, a, ak, rhs, mirrored)
+		return c.cmp(v.Op, a, ak, rhs, mirrored)
 	}
 	l, lk := c.compile(v.L)
 	r, rk := c.compile(v.R)
-	if !c.valid {
-		return 0, datum.KindNull
-	}
 	switch v.Op {
 	case "+", "-", "*", "/", "%":
 		// NULL op anything is NULL.
@@ -249,33 +290,27 @@ func (c *vexprCompiler) compileBinary(v *sqlparser.BinaryExpr) (int32, datum.Kin
 		// AsFloat-coerces strings and booleans, which a typed loop
 		// cannot reproduce without per-row kind dispatch.
 		if !numericKind(lk) || !numericKind(rk) {
-			return c.fail()
+			break
 		}
 		if lk == datum.KindInt && rk == datum.KindInt && v.Op != "/" {
-			dst := c.newReg(datum.KindInt)
-			return c.emit(vinst{op: vopArith, sym: v.Op, a: l, b: r, dst: dst}), datum.KindInt
+			return c.emit(vinst{op: vopArith, kind: datum.KindInt, sym: v.Op[0], a: l, b: r})
 		}
-		lf := c.toFloat(l, lk)
-		rf := c.toFloat(r, rk)
-		dst := c.newReg(datum.KindFloat)
-		return c.emit(vinst{op: vopArith, sym: v.Op, a: lf, b: rf, dst: dst}), datum.KindFloat
+		l, r = c.toFloat(l, lk), c.toFloat(r, rk)
+		return c.emit(vinst{op: vopArith, kind: datum.KindFloat, sym: v.Op[0], a: l, b: r})
 
 	case "AND", "OR":
 		// 3VL with NULL operands is not constant-foldable (NULL AND
 		// FALSE = FALSE), so require statically bool operands.
 		if lk != datum.KindBool || rk != datum.KindBool {
-			return c.fail()
+			break
 		}
 		op := vopAnd
 		if v.Op == "OR" {
 			op = vopOr
 		}
-		dst := c.newReg(datum.KindBool)
-		return c.emit(vinst{op: op, a: l, b: r, dst: dst}), datum.KindBool
-
-	default:
-		return c.fail()
+		return c.emit(vinst{op: op, kind: datum.KindBool, a: l, b: r})
 	}
+	return 0, 0, false
 }
 
 // cmpTruths tabulates each comparison operator over the three
@@ -289,26 +324,23 @@ var cmpTruths = map[string][3]bool{
 	">=": {false, true, true},
 }
 
-// compileCmp emits register a (of kind ak) op rhs. A literal rhs fuses
-// into the instruction instead of being broadcast into a register per
-// batch — the `col op const` filter shape. Kind pairs follow
-// datum.Compare: exact int compare, mixed numerics through float,
-// strings and bools within kind. Cross-kind non-numeric pairs order by
-// kind tag — rejected rather than replicated. A statically NULL side
-// yields a KindNull register (NULL for every row).
-func (c *vexprCompiler) compileCmp(op string, a int32, ak datum.Kind, rhs sqlparser.Expr, mirrored bool) (int32, datum.Kind) {
-	if !c.valid {
-		return 0, datum.KindNull
-	}
-	in := vinst{op: vopCmp, truth: cmpTruths[op], b: -1}
+// cmp emits register a (of kind ak) op rhs. A literal rhs fuses into the
+// instruction instead of being broadcast into a register per batch — the
+// `col op const` filter shape. Kind pairs follow datum.Compare: exact int
+// compare, mixed numerics through float, strings and bools within kind.
+// Cross-kind non-numeric pairs order by kind tag — left to an adaptor
+// rather than replicated. A statically NULL side yields a KindNull
+// register (NULL for every row).
+func (c *vexprCompiler) cmp(op string, a int32, ak datum.Kind, rhs sqlparser.Expr, mirrored bool) (int32, datum.Kind, bool) {
+	in := vinst{op: vopCmp, kind: datum.KindBool, truth: cmpTruths[op], b: -1}
 	if mirrored { // the register is the expression's right operand
 		in.truth[0], in.truth[2] = in.truth[2], in.truth[0]
 	}
 	var bk datum.Kind
 	if lit, ok := rhs.(*sqlparser.Literal); ok {
 		in.lit, bk = lit.Value, lit.Value.K
-	} else if in.b, bk = c.compile(rhs); !c.valid {
-		return 0, datum.KindNull
+	} else {
+		in.b, bk = c.compile(rhs)
 	}
 	if ak == datum.KindNull || bk == datum.KindNull {
 		return c.constReg(datum.Null)
@@ -325,13 +357,13 @@ func (c *vexprCompiler) compileCmp(op string, a int32, ak datum.Kind, rhs sqlpar
 		}
 	case ak == bk && (ak == datum.KindString || ak == datum.KindBool):
 	default:
-		return c.fail()
+		return 0, 0, false
 	}
-	in.a, in.dst = a, c.newReg(datum.KindBool)
-	return c.emit(in), datum.KindBool
+	in.a = a
+	return c.emit(in)
 }
 
-func (c *vexprCompiler) compileCase(v *sqlparser.CaseExpr) (int32, datum.Kind) {
+func (c *vexprCompiler) caseExpr(v *sqlparser.CaseExpr) (int32, datum.Kind, bool) {
 	// Operand form rewrites to searched form: CASE x WHEN w THEN t
 	// matches iff x = w is TRUE, which is exactly the row path's
 	// non-NULL Compare==0 test under 3VL equality.
@@ -339,118 +371,97 @@ func (c *vexprCompiler) compileCase(v *sqlparser.CaseExpr) (int32, datum.Kind) {
 	var opKind datum.Kind
 	if v.Operand != nil {
 		opReg, opKind = c.compile(v.Operand)
-		if !c.valid {
-			return 0, datum.KindNull
-		}
 	}
-	conds := make([]int32, 0, len(v.Whens))
-	thens := make([]int32, 0, len(v.Whens))
-	resKind := datum.KindNull
-	mergeKind := func(k datum.Kind) bool {
-		if k == datum.KindNull {
-			return true // NULL branch adopts the others' kind
-		}
-		if resKind == datum.KindNull {
-			resKind = k
+	in := vinst{op: vopCase, kind: datum.KindNull, els: -1}
+	// A NULL branch adopts the others' kind; two kinds, or one only the
+	// rows tell, do not type.
+	merge := func(k datum.Kind) bool {
+		switch {
+		case k == datum.KindNull:
 			return true
+		case in.kind == datum.KindNull && k != kindDynamic:
+			in.kind = k
 		}
-		return resKind == k
+		return in.kind == k
 	}
 	for _, w := range v.Whens {
 		var cond int32
+		var ck datum.Kind
 		if v.Operand != nil {
-			var ck datum.Kind
-			cond, ck = c.compileCmp("=", opReg, opKind, w.Cond, false)
-			if !c.valid {
-				return 0, datum.KindNull
+			var ok bool
+			if cond, ck, ok = c.cmp("=", opReg, opKind, w.Cond, false); !ok {
+				return 0, 0, false
 			}
-			if ck == datum.KindNull {
-				// Operand-form match requires both sides non-NULL, so
-				// a statically NULL side never matches.
-				c.prog.kinds[cond] = datum.KindBool
-			}
-		} else {
-			var ck datum.Kind
-			cond, ck = c.compile(w.Cond)
-			if !c.valid {
-				return 0, datum.KindNull
-			}
+			// Operand-form match requires both sides non-NULL, so a
+			// statically NULL side never matches.
+			c.insts[cond].kind = datum.KindBool
+		} else if cond, ck = c.compile(w.Cond); ck != datum.KindBool {
 			// Truthy() is false for every non-bool datum; a statically
-			// non-bool condition never selects its branch.
-			if ck != datum.KindBool {
-				return c.fail()
-			}
+			// non-bool condition is left to an adaptor.
+			return 0, 0, false
 		}
-		tr, tk := c.compile(w.Then)
-		if !c.valid {
-			return 0, datum.KindNull
+		t, tk := c.compile(w.Then)
+		if !merge(tk) {
+			return 0, 0, false
 		}
-		if !mergeKind(tk) {
-			return c.fail()
-		}
-		conds = append(conds, cond)
-		thens = append(thens, tr)
+		in.conds, in.thens = append(in.conds, cond), append(in.thens, t)
 	}
-	els := int32(-1)
 	if v.Else != nil {
-		er, ek := c.compile(v.Else)
-		if !c.valid {
-			return 0, datum.KindNull
+		var ek datum.Kind
+		if in.els, ek = c.compile(v.Else); !merge(ek) {
+			return 0, 0, false
 		}
-		if !mergeKind(ek) {
-			return c.fail()
-		}
-		els = er
 	}
-	if resKind == datum.KindNull {
+	if in.kind == datum.KindNull {
 		// Every branch is NULL.
 		return c.constReg(datum.Null)
 	}
-	dst := c.newReg(resKind)
-	return c.emit(vinst{op: vopCase, conds: conds, thens: thens, els: els, dst: dst}), resKind
+	return c.emit(in)
 }
 
 // ---- Evaluation ----
 
-// evalBatch runs the program over a batch, returning the result
-// vector, or nil when a batch column's runtime kind contradicts the
-// static kind the program was compiled for (the caller then falls
-// back to row evaluation for this batch). The state is borrowed lazily
-// and reused across batches.
-func (p *vexprProg) evalBatch(stp **vexprState, b *mapred.RecordBatch) *datum.ColumnVector {
+// evalBatch runs the program over a batch and returns its value, valid
+// at the slots of sel — the only slots an instruction evaluates, so the
+// cost follows the rows that survived — until the program runs again.
+// A bare column is the batch's own vector, whatever
+// it holds. A batch whose columns contradict the kinds the typed
+// instructions were compiled for runs the whole expression's closure
+// instead (rule 2). The registers are borrowed into *stp on first use.
+func (p *vexprProg) evalBatch(stp **vexprState, b *mapred.RecordBatch, sel []int32) (*datum.ColumnVector, error) {
+	if len(p.insts) == 1 && p.insts[0].op == vopCol {
+		return &b.Cols[p.insts[0].a], nil
+	}
 	st := *stp
 	if st == nil {
 		st = vexprStates.Get()
-		if len(st.store) < p.nregs {
-			st.regs = append(st.regs, make([]*datum.ColumnVector, p.nregs-len(st.regs))...)
-			st.store = append(st.store, make([]datum.ColumnVector, p.nregs-len(st.store))...)
-		}
 		*stp = st
 	}
+	if n := len(p.insts); len(st.store) < n {
+		st.regs = append(st.regs, make([]*datum.ColumnVector, n-len(st.regs))...)
+		st.store = append(st.store, make([]datum.ColumnVector, n-len(st.store))...)
+	}
+	last := len(p.insts) - 1
+	if !p.fits(b) {
+		out := &st.store[last]
+		return out, st.adapt(&p.whole, kindDynamic, b, sel, out)
+	}
 	n := b.Len
-	for ii := range p.insts {
-		in := &p.insts[ii]
+	for r := range p.insts {
+		in := &p.insts[r]
 		if in.op == vopCol {
-			v := &b.Cols[in.colIdx]
-			// An all-NULL vector (KindNull) is fine — every read is
-			// guarded by the null mask. Any other mismatch, a mixed
-			// column included, means the data contradicts the schema;
-			// bail out to the row path.
-			if len(v.Datums) > 0 || v.Kind != p.kinds[in.dst] && v.Kind != datum.KindNull {
-				return nil
-			}
-			st.regs[in.dst] = v
+			st.regs[r] = &b.Cols[in.a]
 			continue
 		}
-		out := &st.store[in.dst]
-		st.regs[in.dst] = out
+		out := &st.store[r]
+		st.regs[r] = out
 		switch in.op {
 		case vopConst:
 			out.Fill(in.lit, n)
 		case vopToFloat:
 			a := st.regs[in.a]
 			out.Reset(datum.KindFloat, n)
-			for i := 0; i < n; i++ {
+			for _, i := range sel {
 				if !a.Nulls[i] {
 					out.Floats[i] = float64(a.Ints[i])
 					out.Nulls[i] = false
@@ -458,16 +469,16 @@ func (p *vexprProg) evalBatch(stp **vexprState, b *mapred.RecordBatch) *datum.Co
 			}
 		case vopNeg:
 			a := st.regs[in.a]
-			out.Reset(p.kinds[in.dst], n)
+			out.Reset(in.kind, n)
 			if out.Kind == datum.KindInt {
-				for i := 0; i < n; i++ {
+				for _, i := range sel {
 					if !a.Nulls[i] {
 						out.Ints[i] = -a.Ints[i]
 						out.Nulls[i] = false
 					}
 				}
 			} else {
-				for i := 0; i < n; i++ {
+				for _, i := range sel {
 					if !a.Nulls[i] {
 						out.Floats[i] = -a.Floats[i]
 						out.Nulls[i] = false
@@ -477,74 +488,115 @@ func (p *vexprProg) evalBatch(stp **vexprState, b *mapred.RecordBatch) *datum.Co
 		case vopNot:
 			a := st.regs[in.a]
 			out.Reset(datum.KindBool, n)
-			for i := 0; i < n; i++ {
+			for _, i := range sel {
 				if !a.Nulls[i] {
 					out.Bools[i] = !a.Bools[i]
 					out.Nulls[i] = false
 				}
 			}
 		case vopArith:
-			evalArith(in, st.regs[in.a], st.regs[in.b], out, p.kinds[in.dst], n)
+			evalArith(in, st.regs[in.a], st.regs[in.b], out, n, sel)
 		case vopCmp:
 			var b *datum.ColumnVector // nil = compare against in.lit
 			if in.b >= 0 {
 				b = st.regs[in.b]
 			}
-			evalCmp(in, st.regs[in.a], b, out, p.kinds[in.a], n)
-		case vopAnd:
+			evalCmp(in, st.regs[in.a], b, out, p.insts[in.a].kind, n, sel)
+		case vopAnd, vopOr:
+			dom := in.op == vopOr // the value either operand decides alone
 			a, bb := st.regs[in.a], st.regs[in.b]
 			out.Reset(datum.KindBool, n)
-			for i := 0; i < n; i++ {
-				af, bf := !a.Nulls[i] && !a.Bools[i], !bb.Nulls[i] && !bb.Bools[i]
+			for _, i := range sel {
 				switch {
-				case af || bf:
-					out.Bools[i], out.Nulls[i] = false, false
-				case a.Nulls[i] || bb.Nulls[i]:
-					// stays NULL
-				default:
-					out.Bools[i], out.Nulls[i] = true, false
-				}
-			}
-		case vopOr:
-			a, bb := st.regs[in.a], st.regs[in.b]
-			out.Reset(datum.KindBool, n)
-			for i := 0; i < n; i++ {
-				at, bt := !a.Nulls[i] && a.Bools[i], !bb.Nulls[i] && bb.Bools[i]
-				switch {
-				case at || bt:
-					out.Bools[i], out.Nulls[i] = true, false
-				case a.Nulls[i] || bb.Nulls[i]:
-					// stays NULL
-				default:
-					out.Bools[i], out.Nulls[i] = false, false
-				}
+				case !a.Nulls[i] && a.Bools[i] == dom || !bb.Nulls[i] && bb.Bools[i] == dom:
+					out.Bools[i], out.Nulls[i] = dom, false
+				case !a.Nulls[i] && !bb.Nulls[i]:
+					out.Bools[i], out.Nulls[i] = !dom, false
+				} // else NULL
 			}
 		case vopCase:
-			p.evalCase(st, in, out, n)
+			evalCase(st, in, out, n, sel)
+		case vopAdapt:
+			if err := st.adapt(in.ad, in.kind, b, sel, out); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return st.regs[p.out]
+	return st.regs[last], nil
+}
+
+// fits reports whether every column a typed instruction reads holds the
+// kind it was compiled for. A mixed column does not; an all-NULL vector
+// does, since every typed read is guarded by the null mask.
+func (p *vexprProg) fits(b *mapred.RecordBatch) bool {
+	for i := range p.insts {
+		in := &p.insts[i]
+		if in.op != vopCol || in.kind == kindDynamic {
+			continue
+		}
+		if v := &b.Cols[in.a]; len(v.Datums) > 0 || v.Kind != in.kind && v.Kind != datum.KindNull {
+			return false
+		}
+	}
+	return true
+}
+
+// adapt runs an adaptor's row closure at every slot of sel into out,
+// reading the row from the columns the closure needs. Slots outside sel
+// stay NULL.
+func (st *vexprState) adapt(ad *vadaptor, kind datum.Kind, b *mapred.RecordBatch, sel []int32, out *datum.ColumnVector) error {
+	if kind == kindDynamic {
+		kind = datum.KindNull // the first value's kind, mixed if others differ
+	}
+	out.Reset(kind, b.Len)
+	st.row = slices.Grow(st.row[:0], len(b.Cols))[:len(b.Cols)]
+	for _, i := range sel {
+		if ad.cols == nil {
+			st.row = b.RowInto(st.row, int(i))
+		}
+		for _, c := range ad.cols {
+			st.row[c] = b.Cols[c].Datum(int(i))
+		}
+		d, err := ad.fn(st.row)
+		if err != nil {
+			return err
+		}
+		out.Put(int(i), d)
+	}
+	return nil
+}
+
+// releaseState hands a mapper's registers back. The aliases of batch
+// columns and the adaptors' row go first: nothing on the free list
+// points into a reader's vectors.
+func releaseState(stp **vexprState) {
+	if st := *stp; st != nil {
+		clear(st.regs)
+		clear(st.row)
+		vexprStates.Put(st)
+		*stp = nil
+	}
 }
 
 // evalArith runs one typed arithmetic loop. Operands share the result
 // kind (the compiler inserts conversions); NULL propagates, and
 // division / modulo by zero yields NULL like the row path.
-func evalArith(in *vinst, a, b, out *datum.ColumnVector, kind datum.Kind, n int) {
-	out.Reset(kind, n)
-	if kind == datum.KindInt {
-		for i := 0; i < n; i++ {
+func evalArith(in *vinst, a, b, out *datum.ColumnVector, n int, sel []int32) {
+	out.Reset(in.kind, n)
+	if in.kind == datum.KindInt {
+		for _, i := range sel {
 			if a.Nulls[i] || b.Nulls[i] {
 				continue
 			}
 			x, y := a.Ints[i], b.Ints[i]
 			switch in.sym {
-			case "+":
+			case '+':
 				out.Ints[i] = x + y
-			case "-":
+			case '-':
 				out.Ints[i] = x - y
-			case "*":
+			case '*':
 				out.Ints[i] = x * y
-			case "%":
+			case '%':
 				if y == 0 {
 					continue // NULL
 				}
@@ -554,24 +606,24 @@ func evalArith(in *vinst, a, b, out *datum.ColumnVector, kind datum.Kind, n int)
 		}
 		return
 	}
-	for i := 0; i < n; i++ {
+	for _, i := range sel {
 		if a.Nulls[i] || b.Nulls[i] {
 			continue
 		}
 		x, y := a.Floats[i], b.Floats[i]
 		switch in.sym {
-		case "+":
+		case '+':
 			out.Floats[i] = x + y
-		case "-":
+		case '-':
 			out.Floats[i] = x - y
-		case "*":
+		case '*':
 			out.Floats[i] = x * y
-		case "/":
+		case '/':
 			if y == 0 {
 				continue // NULL
 			}
 			out.Floats[i] = x / y
-		case "%":
+		case '%':
 			if y == 0 {
 				continue // NULL
 			}
@@ -584,7 +636,7 @@ func evalArith(in *vinst, a, b, out *datum.ColumnVector, kind datum.Kind, n int)
 // evalCmp runs one typed comparison loop with datum.Compare ordering
 // (NaN compares neither above nor below, exactly like the row path).
 // A nil b compares against the instruction's fused literal.
-func evalCmp(in *vinst, a, b, out *datum.ColumnVector, operandKind datum.Kind, n int) {
+func evalCmp(in *vinst, a, b, out *datum.ColumnVector, operandKind datum.Kind, n int, sel []int32) {
 	out.Reset(datum.KindBool, n)
 	var bv datum.ColumnVector // all-nil slices select the literal
 	if b != nil {
@@ -592,13 +644,13 @@ func evalCmp(in *vinst, a, b, out *datum.ColumnVector, operandKind datum.Kind, n
 	}
 	switch operandKind {
 	case datum.KindInt:
-		cmpLoop(in.truth, out, a.Nulls, a.Ints, bv.Nulls, bv.Ints, in.lit.I)
+		cmpLoop(in.truth, out, sel, a.Nulls, a.Ints, bv.Nulls, bv.Ints, in.lit.I)
 	case datum.KindFloat:
-		cmpLoop(in.truth, out, a.Nulls, a.Floats, bv.Nulls, bv.Floats, in.lit.F)
+		cmpLoop(in.truth, out, sel, a.Nulls, a.Floats, bv.Nulls, bv.Floats, in.lit.F)
 	case datum.KindString:
-		cmpLoop(in.truth, out, a.Nulls, a.Strs, bv.Nulls, bv.Strs, in.lit.S)
+		cmpLoop(in.truth, out, sel, a.Nulls, a.Strs, bv.Nulls, bv.Strs, in.lit.S)
 	case datum.KindBool:
-		for i := range out.Nulls {
+		for _, i := range sel {
 			if a.Nulls[i] || (b != nil && b.Nulls[i]) {
 				continue
 			}
@@ -617,10 +669,10 @@ func evalCmp(in *vinst, a, b, out *datum.ColumnVector, operandKind datum.Kind, n
 	}
 }
 
-// cmpLoop compares av[i] with bv[i] (or lit when bv is nil) for every
-// row of out where neither side is NULL.
-func cmpLoop[T int64 | float64 | string](truth [3]bool, out *datum.ColumnVector, an []bool, av []T, bn []bool, bv []T, lit T) {
-	for i := range out.Nulls {
+// cmpLoop compares av[i] with bv[i] (or lit when bv is nil) at every
+// selected slot where neither side is NULL.
+func cmpLoop[T int64 | float64 | string](truth [3]bool, out *datum.ColumnVector, sel []int32, an []bool, av []T, bn []bool, bv []T, lit T) {
+	for _, i := range sel {
 		if an[i] || (bn != nil && bn[i]) {
 			continue
 		}
@@ -639,10 +691,9 @@ func cmpLoop[T int64 | float64 | string](truth [3]bool, out *datum.ColumnVector,
 }
 
 // evalCase picks, per row, the first branch whose condition is TRUE.
-func (p *vexprProg) evalCase(st *vexprState, in *vinst, out *datum.ColumnVector, n int) {
-	kind := p.kinds[in.dst]
-	out.Reset(kind, n)
-	for i := 0; i < n; i++ {
+func evalCase(st *vexprState, in *vinst, out *datum.ColumnVector, n int, sel []int32) {
+	out.Reset(in.kind, n)
+	for _, i := range sel {
 		src := in.els
 		for k := range in.conds {
 			cv := st.regs[in.conds[k]]
@@ -659,7 +710,7 @@ func (p *vexprProg) evalCase(st *vexprState, in *vinst, out *datum.ColumnVector,
 			continue // NULL branch value
 		}
 		out.Nulls[i] = false
-		switch kind {
+		switch in.kind {
 		case datum.KindInt:
 			out.Ints[i] = v.Ints[i]
 		case datum.KindFloat:

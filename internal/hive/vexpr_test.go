@@ -35,44 +35,80 @@ func parseSelectExpr(t *testing.T, exprSQL string) sqlparser.Expr {
 	return stmt.(*sqlparser.SelectStmt).Items[0].Expr
 }
 
-// TestCompileVexprCoverage pins which expressions compile to vector
-// programs and which fall back, so the equivalence suite below cannot
-// silently pass with everything on the row path.
+// adaptorsOf lists the subtrees a program runs as adaptors, in
+// instruction order.
+func adaptorsOf(p *vexprProg) []string {
+	var out []string
+	for _, in := range p.insts {
+		if in.op == vopAdapt {
+			out = append(out, in.ad.x.String())
+		}
+	}
+	return out
+}
+
+// TestCompileVexprCoverage pins which nodes of an expression compile to
+// typed instructions and which run as adaptors, so the equivalence suite
+// below cannot silently pass with everything on the row closures; and
+// that under the row oracle every program is one adaptor over its whole
+// expression.
 func TestCompileVexprCoverage(t *testing.T) {
 	sc := vexprTestScope()
-	compiles := []string{
-		"a + b",
-		"a % b",
-		"f * (1 - g)",           // TPC-H Q1 disc_price shape
-		"f * (1 - g) * (1 + a)", // TPC-H Q1 charge shape
-		"-f + a",
-		"CASE WHEN a < b THEN f ELSE g END", // searched CASE
-		"CASE s WHEN 'x' THEN 1 WHEN 'y' THEN 2 ELSE 0 END", // operand CASE
-		"IF(a < b, 1, 0)",
-		"(a < b) AND (f >= g)",
-		"NOT (a = b) OR (f > 1.5)",
-	}
-	for _, src := range compiles {
-		if _, ok := compileVexpr(parseSelectExpr(t, src), sc); !ok {
-			t.Errorf("compileVexpr(%q) fell back, want a program", src)
+	e := testEngine(t)
+	for _, c := range []struct {
+		src      string
+		adaptors []string // nil: typed throughout
+	}{
+		{"a", nil}, // a bare column aliases the batch's vector
+		{"a + b", nil},
+		{"a % b", nil},
+		{"f * (1 - g)", nil},           // TPC-H Q1 disc_price shape
+		{"f * (1 - g) * (1 + a)", nil}, // TPC-H Q1 charge shape
+		{"-f + a", nil},
+		{"CASE WHEN a < b THEN f ELSE g END", nil},                 // searched CASE
+		{"CASE s WHEN 'x' THEN 1 WHEN 'y' THEN 2 ELSE 0 END", nil}, // operand CASE
+		{"IF(a < b, 1, 0)", nil},
+		{"(a < b) AND (f >= g)", nil},
+		{"NOT (a = b) OR (f > 1.5)", nil},
+		{"s + a", []string{"s + a"}}, // string arithmetic coerces per row
+		{"a < s", []string{"a < s"}}, // cross-kind comparison orders by kind tag
+		{"CASE WHEN a < b THEN f ELSE s END", []string{"CASE WHEN a < b THEN f ELSE s END"}}, // mixed-kind branches
+		{"LENGTH(s)", []string{"LENGTH(s)"}},
+		{"LENGTH(s) + a", []string{"LENGTH(s) + a"}}, // a function's kind is only known per row
+		{"CAST(s AS DOUBLE)", []string{"CAST(s AS DOUBLE)"}},
+		// A predicate adaptor is BOOLEAN: typed connectives consume it.
+		{"a < 3 AND s LIKE 'x%'", []string{"s LIKE 'x%'"}},
+		{"NOT (b IN (1, 2)) OR f BETWEEN 0 AND 1", []string{"b IN (1, 2)", "f BETWEEN 0 AND 1"}},
+		{"CASE WHEN s IS NULL THEN a ELSE b END", []string{"s IS NULL"}},
+		{"IF(s LIKE 'x%', f * 2, g)", []string{"s LIKE 'x%'"}},
+		// A subquery makes the whole expression one adaptor.
+		{"a + 1 < (SELECT 2)", []string{"a + 1 < (SELECT 2)"}},
+	} {
+		x := parseSelectExpr(t, c.src)
+		var want []string
+		for _, a := range c.adaptors {
+			want = append(want, parseSelectExpr(t, a).String())
 		}
-	}
-	fallbacks := []string{
-		"s + a",                             // string arithmetic coerces at runtime
-		"a < s",                             // cross-kind comparison orders by kind tag
-		"CASE WHEN a < b THEN f ELSE s END", // mixed-kind branches
-		"LENGTH(s)",                         // unsupported function
-		"a",                                 // bare column has a cheaper direct path
-	}
-	for _, src := range fallbacks {
-		if _, ok := compileVexpr(parseSelectExpr(t, src), sc); ok {
-			t.Errorf("compileVexpr(%q) produced a program, want fallback", src)
+		for _, oracle := range []bool{false, true} {
+			e.MR.DisableBatchScan = oracle
+			p, err := e.compileVexpr(nil, x, sc)
+			if err != nil {
+				t.Fatalf("compileVexpr(%q): %v", c.src, err)
+			}
+			if oracle {
+				want = []string{x.String()}
+			}
+			if got := adaptorsOf(p); !slices.Equal(got, want) {
+				t.Errorf("compileVexpr(%q) oracle=%v: adaptors %q, want %q", c.src, oracle, got, want)
+			}
 		}
+		e.MR.DisableBatchScan = false
 	}
 }
 
-// TestScanFilterCoverage pins which WHERE shapes run as vector
-// programs and which keep the row predicate.
+// TestScanFilterCoverage pins how WHERE splits into conjunct programs,
+// which of them run typed (T) and which hold an adaptor (A), and that
+// the typed ones run first.
 func TestScanFilterCoverage(t *testing.T) {
 	sc := vexprTestScope()
 	e := testEngine(t)
@@ -83,29 +119,37 @@ func TestScanFilterCoverage(t *testing.T) {
 		}
 		return f
 	}
-	vectorized := func(src string) bool { return filterOf(src).where.prog != nil }
-	for _, src := range []string{
-		"a < 5", "f >= 1.5", "s = 'x'", // col op lit per kind
-		"5 > a",            // literal on the left
-		"a < 2.5", "f > 1", // mixed numeric column and literal
-		"a < b", "f != g", // column vs column
-		"a % 20 = 0",             // arithmetic inside the comparison
-		"a < 0 OR NOT (s = 'x')", // 3VL connectives
-		"a < 5 AND f > 0 AND s < 'y'",
-	} {
-		if !vectorized(src) {
-			t.Errorf("WHERE %s keeps the row predicate, want a vector program", src)
+	shape := func(src string) string {
+		var sb strings.Builder
+		for _, p := range filterOf(src).where {
+			if p.typed() {
+				sb.WriteByte('T')
+			} else {
+				sb.WriteByte('A')
+			}
 		}
+		return sb.String()
 	}
-	for _, src := range []string{
-		"a = NULL",       // statically NULL, not boolean
-		"a < s", "s = 1", // cross-kind comparison orders by kind tag
-		"s LIKE 'x%'",    // unsupported node
-		"a IN (1, 2, 3)", // unsupported node
-		"a + b",          // not boolean: never TRUE
+	for src, want := range map[string]string{
+		"a < 5": "T", "f >= 1.5": "T", "s = 'x'": "T", // col op lit per kind
+		"5 > a":   "T",               // literal on the left
+		"a < 2.5": "T", "f > 1": "T", // mixed numeric column and literal
+		"a < b": "T", "f != g": "T", // column vs column
+		"a % 20 = 0":                  "T", // arithmetic inside the comparison
+		"a < 0 OR NOT (s = 'x')":      "T", // 3VL connectives
+		"a = NULL":                    "T", // statically NULL: never TRUE
+		"a + b":                       "T", // not boolean: never TRUE
+		"a < 5 AND f > 0 AND s < 'y'": "TTT",
+		"a < s":                       "A", // cross-kind comparison orders by kind tag
+		"s = 1":                       "A",
+		"s LIKE 'x%'":                 "A",
+		"a IN (1, 2, 3)":              "A",
+		"s LIKE 'x%' AND a < 5 AND b IN (1) AND f > 0": "TTAA", // adaptors run last
+		"a < 0 OR s LIKE 'x%'":                         "A",
+		"a < 5 AND b = (SELECT 1)":                     "A", // a subquery keeps WHERE whole
 	} {
-		if vectorized(src) {
-			t.Errorf("WHERE %s produced a vector program, want the row predicate", src)
+		if got := shape(src); got != want {
+			t.Errorf("WHERE %s: conjuncts %s, want %s", src, got, want)
 		}
 	}
 
@@ -183,8 +227,13 @@ func TestScanFilterVectorRowAgreement(t *testing.T) {
 		"a < 1", "1 >= a", "a < 0.5", "f > 3", "s >= 'x'", "a < f", "a % 2 = 0",
 		"b = 1", "b < a OR f > 10", "NOT (b = 1) OR a < 0", "a < 0 AND (b = 1 OR s = 'w')",
 		"a = NULL", "s LIKE 'x%'", "a IN (1, 2)",
+		"s LIKE 'x%' AND a > -2 AND f IS NOT NULL", "a BETWEEN -1 AND 1 OR s IN ('w', 'z')",
 	} {
 		vf, err := e.newScanFilter(nil, parseSelectExpr(t, src), sc)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		where, err := e.compileExpr(nil, parseSelectExpr(t, src), sc)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -198,7 +247,7 @@ func TestScanFilterVectorRowAgreement(t *testing.T) {
 					continue
 				}
 				cb.Sel = append(cb.Sel, int32(i))
-				ok, err := vf.where.fn(cb.RowInto(nil, i))
+				ok, err := where(cb.RowInto(nil, i))
 				if err != nil {
 					t.Fatalf("%s (row %d): %v", src, i, err)
 				}
@@ -264,15 +313,16 @@ func seedVexprTable(t *testing.T, e *Engine, n int) {
 
 // TestVexprBatchRowEquivalence runs expression-heavy queries across
 // {1, 4 workers} x {batch scan, row scan} and requires byte-identical
-// rows and identical SimSeconds everywhere. Under row scan the engine
-// compiles every expression to its row function alone, so the row path
-// is an independent oracle for the vectorized programs. The table is one
+// rows and identical SimSeconds everywhere. Under row scan every program
+// is one adaptor over its expression's row closure, so row evaluation is
+// an independent oracle for the typed instructions. The table is one
 // file of three batches read through the production ORC reader: an
 // overlay scatters updates into the first (one of them into a column
-// most of the queries do not project), leaves a deleted record out of
-// the second's selection, and leaves the third clean, so every mapper
-// meets whole and selected batches, and the switch between them, inside
-// one task.
+// most of the queries do not project, one a string into the BIGINT
+// column b, turning it mixed), leaves a deleted record out of the
+// second's selection, and leaves the third clean, so every mapper meets
+// whole, selected and mixed batches, and the switch between them,
+// inside one task.
 func TestVexprBatchRowEquivalence(t *testing.T) {
 	queries := []string{
 		// Arithmetic incl. wraparound, div/mod by zero, unary minus.
@@ -301,10 +351,17 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 		"SELECT s, COUNT(*), SUM(f) FROM vx WHERE b < 0 OR NOT (s = 'x') GROUP BY s ORDER BY s",
 		"SELECT COUNT(*), COUNT(DISTINCT s) FROM vx WHERE NOT (a < b) AND g < 1",
 		"SELECT COUNT(*) FROM vx WHERE a = NULL OR b > 4",
-		// Shapes that must fall back to the row predicate.
+		// Conjuncts and subtrees that run as adaptors.
 		"SELECT id FROM vx WHERE s LIKE 'x%' AND b > 0 ORDER BY id",
 		"SELECT id FROM vx WHERE b IN (1, 3, 5) ORDER BY id",
 		"SELECT id FROM vx WHERE s > 1 ORDER BY id",
+		"SELECT id, s FROM vx WHERE b < 3 AND s LIKE 'x%' AND b IN (-5, 0, 2) AND id BETWEEN 100 AND 2400 AND g IS NOT NULL ORDER BY id",
+		"SELECT id, f IS NULL, a BETWEEN b AND 0 FROM vx WHERE f IS NULL AND (b > 0 OR s IN ('y', 'w')) ORDER BY id",
+		"SELECT id, LENGTH(s) + a, LENGTH(s) + b, CAST(b AS DOUBLE) FROM vx ORDER BY id",
+		"SELECT s, SUM(LENGTH(s) + b), MAX(LENGTH(s) + a), COUNT(DISTINCT LENGTH(s) + b) FROM vx GROUP BY s ORDER BY s",
+		"SELECT s, COUNT(*), SUM(b) FROM vx GROUP BY s HAVING s LIKE 'x%' OR SUM(b) > 0 ORDER BY s",
+		"SELECT id FROM vx WHERE id < 0 AND a > (SELECT MIN(a) FROM vx) ORDER BY id",
+		"SELECT id, b FROM vx WHERE b > 3 AND a > (SELECT AVG(a) FROM vx) ORDER BY id",
 		// Streaming top-N: per-task heaps must reproduce sort+truncate.
 		"SELECT id, a + b FROM vx ORDER BY a + b DESC, id LIMIT 5",
 		"SELECT id, f FROM vx WHERE f > 0 ORDER BY f / g, id LIMIT 3",
@@ -324,6 +381,7 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 		overlayORC(e, []RecordMod{
 			{RID: 3, Sets: []ColumnSet{{Col: 1, Val: datum.Int(-4)}, {Col: 5, Val: datum.String_("y")}}},
 			{RID: 700, Sets: []ColumnSet{{Col: 3, Val: datum.Null}, {Col: 4, Val: datum.Float(0.5)}}},
+			{RID: 900, Sets: []ColumnSet{{Col: 2, Val: datum.String_("4")}}},
 			{RID: 1500, Deleted: true},
 			{RID: 1501, Sets: []ColumnSet{{Col: 2, Val: datum.Int(0)}}},
 		})

@@ -89,6 +89,44 @@ func (c *rowCollector) Collect(r datum.Row) error {
 	return nil
 }
 
+// TestMemCollectorSharesSlabs: the in-memory collector cuts short
+// batches into rows from one slab it carries from batch to batch — forty
+// batches allocate what one does — and a row handed out keeps its
+// values while later batches are cut.
+func TestMemCollectorSharesSlabs(t *testing.T) {
+	const rowsPer = 3
+	ins := make([]datum.Batch, 40)
+	var want []datum.Row
+	for k := range ins {
+		ins[k].Reset(2, rowsPer)
+		for i := 0; i < rowsPer; i++ {
+			row := datum.Row{datum.Int(int64(k*rowsPer + i)), datum.String_(string(rune('a' + k%26)))}
+			ins[k].Cols[0].Put(i, row[0])
+			ins[k].Cols[1].Put(i, row[1])
+			want = append(want, row)
+		}
+	}
+	collect := func(f *memOutputFactory, batches []datum.Batch) {
+		c := &memCollector{f: f, rows: make([]datum.Row, 0, len(want))}
+		for k := range batches {
+			if _, err := c.CollectBatch(&batches[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Close()
+	}
+	one := testing.AllocsPerRun(20, func() { collect(newMemOutputFactory(1), ins[:1]) })
+	all := testing.AllocsPerRun(20, func() { collect(newMemOutputFactory(1), ins) })
+	if all != one {
+		t.Errorf("%d short batches made %v allocations, one batch %v: want one shared slab", len(ins), all, one)
+	}
+	f := newMemOutputFactory(1)
+	collect(f, ins)
+	if got := f.rows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("collected rows differ from the batches' rows:\n%v\nwant\n%v", got, want)
+	}
+}
+
 // TestBatchOutputReachesEveryCollector: a mapper of column batches runs
 // against a collector that takes batches, the in-memory collector, a
 // collector that only takes rows and a shuffle, in both input shapes.

@@ -72,6 +72,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 
 	"dualtable/internal/datum"
@@ -653,6 +654,7 @@ type memCollector struct {
 	f      *memOutputFactory
 	taskID int
 	rows   []datum.Row
+	slab   []datum.Datum // the unused tail rows are cut from
 }
 
 func (m *memCollector) Collect(row datum.Row) error {
@@ -660,9 +662,20 @@ func (m *memCollector) Collect(row datum.Row) error {
 	return nil
 }
 
-// CollectBatch cuts the batch into rows of the collector's own.
+// CollectBatch cuts the batch into rows of the collector's own, from a
+// slab of datums the next batch continues: short batches share one, and
+// a slab's tail (the allocator's rounding included) is not dropped
+// between batches. No row handed out is written again.
 func (m *memCollector) CollectBatch(b *datum.Batch) (bool, error) {
-	m.rows = b.AppendRows(m.rows)
+	w := len(b.Cols)
+	for i := 0; i < b.Len; i++ {
+		if len(m.slab) < w {
+			m.slab = slices.Grow([]datum.Datum(nil), max((b.Len-i)*w, batchSlots))
+			m.slab = m.slab[:cap(m.slab)]
+		}
+		m.rows = append(m.rows, b.RowInto(m.slab[:0:w], i))
+		m.slab = m.slab[w:]
+	}
 	return false, nil
 }
 
@@ -670,7 +683,7 @@ func (m *memCollector) Close() error {
 	m.f.mu.Lock()
 	m.f.shards[m.taskID] = append(m.f.shards[m.taskID], m.rows...)
 	m.f.mu.Unlock()
-	m.rows = nil
+	m.rows, m.slab = nil, nil
 	return nil
 }
 
