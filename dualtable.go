@@ -73,21 +73,12 @@ type Config struct {
 	Cluster sim.CostParams
 	// Parallelism bounds real goroutine concurrency (0 = NumCPU).
 	Parallelism int
-	// FollowingReads is the cost model's k (reads after each DML).
-	FollowingReads float64
-	// BlockSizeBytes is the DFS chunk size (default 64 MB).
-	BlockSizeBytes int64
-	// Replication is the DFS replica count (default 3).
-	Replication int
-	// KVFlushThresholdBytes is the LSM memtable flush threshold.
-	KVFlushThresholdBytes int
 }
 
 // DefaultConfig mirrors the paper's cluster settings.
 func DefaultConfig() Config {
 	return Config{
-		Cluster:        sim.GridCluster(),
-		FollowingReads: 1,
+		Cluster: sim.GridCluster(),
 	}
 }
 
@@ -113,26 +104,13 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Cluster.Nodes == 0 {
 		cfg.Cluster = sim.GridCluster()
 	}
-	if cfg.FollowingReads == 0 {
-		cfg.FollowingReads = 1
-	}
 	dfsCfg := dfs.DefaultConfig()
-	if cfg.BlockSizeBytes > 0 {
-		dfsCfg.BlockSize = cfg.BlockSizeBytes
-	}
-	if cfg.Replication > 0 {
-		dfsCfg.Replication = cfg.Replication
-	}
 	workers := cfg.Cluster.Nodes - 1
 	if workers > 0 {
 		dfsCfg.DataNodes = workers
 	}
 	fs := dfs.New(dfsCfg)
-	kvCfg := kvstore.DefaultStoreConfig()
-	if cfg.KVFlushThresholdBytes > 0 {
-		kvCfg.FlushThresholdBytes = cfg.KVFlushThresholdBytes
-	}
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvCfg)
+	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +120,7 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	handler, err := core.Register(engine, core.Options{FollowingReads: cfg.FollowingReads})
+	handler, err := core.Register(engine)
 	if err != nil {
 		return nil, err
 	}

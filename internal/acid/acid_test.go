@@ -32,7 +32,7 @@ func testEngineOn(t *testing.T, cfg dfs.Config) (*hive.Engine, *Handler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Register(e, core.Options{}); err != nil {
+	if _, err := core.Register(e); err != nil {
 		t.Fatal(err)
 	}
 	h, err := Register(e)

@@ -32,7 +32,7 @@ func testEngine(t testing.TB) (*hive.Engine, *Handler) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Register(e, Options{FollowingReads: 1})
+	h, err := Register(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestCostModelSelectsPlanBySelectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Register(e, Options{FollowingReads: 1})
+	h, err := Register(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,8 +143,8 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, s
 		ratio, src = h.est.Estimate(key, statsEst)
 	}
 
-	// k resolution: session setting > table property > open-time option.
-	k := h.opts.FollowingReads
+	// k resolution: session setting > table property > default.
+	k := float64(defaultFollowingReads)
 	if kp := desc.Properties["dualtable.k"]; kp != "" {
 		if v, err := strconv.ParseFloat(kp, 64); err == nil {
 			k = v
@@ -161,7 +161,7 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, s
 		Ratio:          ratio,
 		FollowingReads: k,
 		AvgRowBytes:    avgRow,
-		MarkerBytes:    h.opts.MarkerBytes,
+		MarkerBytes:    markerBytes,
 	}
 	if upd != nil {
 		// Updated payload: encoded size estimate of the SET columns.

@@ -37,17 +37,15 @@ const (
 	genProperty = "dualtable.gen"
 )
 
-// Options tunes the DualTable handler at open time; they never change
-// afterwards. Per-statement overrides are session settings
-// (hive.VarForcePlan, hive.VarFollowingReads, ratio hints).
-type Options struct {
-	// FollowingReads is k in the cost model: the number of full-table
-	// reads expected after a modification. Settable per table via the
-	// table property "dualtable.k".
-	FollowingReads float64
-	// MarkerBytes is m, the delete marker size used by the cost model.
-	MarkerBytes float64
-}
+// The cost model's fixed inputs. defaultFollowingReads is k, the
+// number of full-table reads expected after a modification, unless the
+// table property "dualtable.k" or the session variable
+// hive.VarFollowingReads says otherwise; markerBytes is m, the delete
+// marker size.
+const (
+	defaultFollowingReads = 1
+	markerBytes           = 16
+)
 
 // Handler implements hive.StorageHandler, hive.DMLHandler and
 // hive.Compactor for STORED AS DUALTABLE tables.
@@ -55,7 +53,6 @@ type Handler struct {
 	e     *hive.Engine
 	model *costmodel.Model
 	est   *costmodel.RatioEstimator
-	opts  Options
 
 	mu     sync.Mutex
 	meta   *kvstore.Table
@@ -93,13 +90,7 @@ type PlanDecision struct {
 }
 
 // Register installs the DualTable storage handler on an engine.
-func Register(e *hive.Engine, opts Options) (*Handler, error) {
-	if opts.FollowingReads == 0 {
-		opts.FollowingReads = 1
-	}
-	if opts.MarkerBytes == 0 {
-		opts.MarkerBytes = 16
-	}
+func Register(e *hive.Engine) (*Handler, error) {
 	model, err := costmodel.New(costmodel.RatesFromCluster(e.MR.Params))
 	if err != nil {
 		return nil, err
@@ -108,7 +99,6 @@ func Register(e *hive.Engine, opts Options) (*Handler, error) {
 		e:      e,
 		model:  model,
 		est:    costmodel.NewRatioEstimator(),
-		opts:   opts,
 		states: map[string]*tableState{},
 	}
 	if !e.KV.HasTable(metaTableName) {

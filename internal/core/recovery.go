@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dualtable/internal/dfs"
+	"dualtable/internal/fault"
 	"dualtable/internal/metastore"
 )
 
@@ -36,7 +37,7 @@ var (
 // faults and safe mode are transient; an open file becomes deletable
 // after lease recovery.
 func retryableDFS(err error) bool {
-	return errors.Is(err, dfs.ErrInjected) ||
+	return errors.Is(err, fault.ErrInjected) ||
 		errors.Is(err, dfs.ErrReadOnlyMount) ||
 		errors.Is(err, dfs.ErrFileOpen)
 }

@@ -120,7 +120,7 @@ func TestAbortCleanupRetriesTransientFaults(t *testing.T) {
 	h.SetCompactStagedHook(func(string) {
 		// Fail the first two deletes of every staged file's reclaim.
 		e.FS.SetFaultInjector(dfs.NewScheduleInjector(
-			dfs.FaultRule{Op: dfs.OpDelete, PathContains: "/warehouse/m/", Times: 2},
+			dfs.FaultRule{Op: dfs.OpDelete, Subject: "/warehouse/m/", Times: 2},
 		))
 		cancel()
 	})
@@ -158,7 +158,7 @@ func TestAbortCleanupCondemnsOnPersistentFault(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	h.SetCompactStagedHook(func(string) {
 		e.FS.SetFaultInjector(dfs.NewScheduleInjector(
-			dfs.FaultRule{Op: dfs.OpDelete, PathContains: "/warehouse/m/", Times: 1 << 20},
+			dfs.FaultRule{Op: dfs.OpDelete, Subject: "/warehouse/m/", Times: 1 << 20},
 		))
 		cancel()
 	})
@@ -215,7 +215,7 @@ func TestTornWriteDuringInsertAborts(t *testing.T) {
 	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
 
 	e.FS.SetFaultInjector(dfs.NewScheduleInjector(
-		dfs.FaultRule{Op: dfs.OpWrite, PathContains: "/warehouse/m/", TearBytes: 7},
+		dfs.FaultRule{Op: dfs.OpWrite, Subject: "/warehouse/m/", Verdict: dfs.Fault{TearBytes: 7}},
 	))
 	t.Cleanup(func() { e.FS.SetFaultInjector(nil) })
 	if _, err := e.Execute("INSERT INTO m VALUES (9001, 1, 1.5, 'torn')"); err == nil {
@@ -307,7 +307,7 @@ func TestUnpinFaultDoesNotLeakPins(t *testing.T) {
 		t.Fatal("snapshot pinned no files")
 	}
 	e.FS.SetFaultInjector(dfs.NewScheduleInjector(
-		dfs.FaultRule{Op: dfs.OpUnpin, PathContains: "/warehouse/m/", Times: 3},
+		dfs.FaultRule{Op: dfs.OpUnpin, Subject: "/warehouse/m/", Times: 3},
 	))
 	t.Cleanup(func() { e.FS.SetFaultInjector(nil) })
 	snap.Release()

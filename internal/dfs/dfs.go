@@ -102,9 +102,7 @@ type FileSystem struct {
 
 	safeMode atomic.Bool
 
-	faultMu        sync.RWMutex
-	fault          FaultInjector
-	faultsInjected atomic.Int64
+	injector atomic.Pointer[FaultInjector]
 
 	// Metrics.
 	bytesRead       atomic.Int64

@@ -1,28 +1,20 @@
 package dfs
 
-// Fault injection: a pluggable hook consulted at the entry of every
-// mutating namespace operation (Create/Write/Rename/Delete/Unpin).
-// Injected faults fire *before* the operation mutates any state — with
-// the single deliberate exception of torn writes, which persist a
-// prefix of the payload and then kill the writer, leaving the file
-// with an abandoned lease exactly as a crashed HDFS client would.
-//
-// Two injectors are provided: ScheduleInjector fails the Nth matching
-// operation (deterministic regression tests), and SeededInjector draws
-// from a fixed-seed PRNG (chaos tests that reproduce per seed).
+// Fault injection: a hook consulted at the entry of every mutating
+// namespace operation (Create/Write/Rename/Delete/Unpin). Injected
+// faults fire *before* the operation mutates any state — with the
+// single deliberate exception of torn writes, which persist a prefix
+// of the payload and then kill the writer, leaving the file with an
+// abandoned lease exactly as a crashed HDFS client would. Which
+// operation fails is internal/fault's schedule, shared with the wire.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
-	"sync"
-)
 
-// ErrInjected is the root of every error produced by the built-in
-// injectors. Cleanup paths classify an error as transient — and hence
-// retryable — with errors.Is(err, ErrInjected).
-var ErrInjected = errors.New("dfs: injected fault")
+	"dualtable/internal/fault"
+)
 
 // ErrNotPinned is returned by Unpin when the file has no outstanding
 // pins: a double-unpin would otherwise drive the count negative and
@@ -57,9 +49,10 @@ func (o Op) String() string {
 }
 
 // Fault is an injector's verdict on one operation. Err is returned to
-// the caller and must be non-nil. TearBytes applies only to OpWrite: a
-// prefix of that many bytes is persisted before the writer is killed,
-// simulating a datanode pipeline that died mid-flush.
+// the caller (defaults to a wrapped fault.ErrInjected). TearBytes
+// applies only to OpWrite: a prefix of that many bytes is persisted
+// before the writer is killed, simulating a datanode pipeline that
+// died mid-flush.
 type Fault struct {
 	Err       error
 	TearBytes int
@@ -74,177 +67,62 @@ type FaultInjector interface {
 
 // SetFaultInjector installs (or, with nil, removes) the fault hook.
 func (fs *FileSystem) SetFaultInjector(fi FaultInjector) {
-	fs.faultMu.Lock()
-	fs.fault = fi
-	fs.faultMu.Unlock()
+	if fi == nil {
+		fs.injector.Store(nil)
+		return
+	}
+	fs.injector.Store(&fi)
 }
-
-// FaultsInjected reports how many operations have been failed or torn
-// by the installed injectors over the filesystem's lifetime.
-func (fs *FileSystem) FaultsInjected() int64 { return fs.faultsInjected.Load() }
 
 // inject consults the installed injector. Called at operation entry,
 // before any lock is taken or state mutated.
 func (fs *FileSystem) inject(op Op, p string) *Fault {
-	fs.faultMu.RLock()
-	fi := fs.fault
-	fs.faultMu.RUnlock()
+	fi := fs.injector.Load()
 	if fi == nil {
 		return nil
 	}
-	f := fi.Inject(op, p)
-	if f == nil {
-		return nil
+	f := (*fi).Inject(op, p)
+	if f != nil && f.Err == nil {
+		f.Err = fmt.Errorf("%w: dfs %s %s", fault.ErrInjected, op, p)
 	}
-	if f.Err == nil {
-		f.Err = fmt.Errorf("%w: %s %s", ErrInjected, op, p)
-	}
-	fs.faultsInjected.Add(1)
 	return f
 }
 
-// FaultRule matches operations for a ScheduleInjector. A rule counts
-// the operations matching (Op, PathContains) and fires on occurrences
-// Nth..Nth+Times-1 of that count.
-type FaultRule struct {
-	Op           Op
-	PathContains string // substring match; empty matches every path
-	Nth          int    // 1-based occurrence to fire on (0 means 1)
-	Times        int    // consecutive occurrences to fail (0 means 1)
-	Err          error  // defaults to a wrapped ErrInjected
-	TearBytes    int    // OpWrite only: persist this prefix, then fail
+// FaultRule fails the operations matching (Op, Subject: a path
+// substring) on occurrences Nth..Nth+Times-1 with its Verdict.
+type FaultRule = fault.Rule[Op, Fault]
 
-	seen int
-}
-
-// ScheduleInjector fails exactly the operations its rules name, in
+// NewScheduleInjector fails exactly the operations its rules name, in
 // arrival order — the deterministic injector for regression tests.
-type ScheduleInjector struct {
-	mu    sync.Mutex
-	rules []FaultRule
-	count int64
+func NewScheduleInjector(rules ...FaultRule) *fault.Schedule[Op, Fault] {
+	return fault.NewSchedule(rules...)
 }
 
-// NewScheduleInjector builds a deterministic injector from rules.
-func NewScheduleInjector(rules ...FaultRule) *ScheduleInjector {
-	return &ScheduleInjector{rules: rules}
-}
+// SeededInjector fails a seeded fraction of the operations on matching
+// paths; half of the writes it fails are torn at a random prefix.
+type SeededInjector struct{ *fault.Seeded }
 
-// Inject implements FaultInjector.
-func (s *ScheduleInjector) Inject(op Op, path string) *Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.Op != op || (r.PathContains != "" && !strings.Contains(path, r.PathContains)) {
-			continue
-		}
-		r.seen++
-		nth, times := r.Nth, r.Times
-		if nth <= 0 {
-			nth = 1
-		}
-		if times <= 0 {
-			times = 1
-		}
-		if r.seen >= nth && r.seen < nth+times {
-			s.count++
-			return &Fault{Err: r.Err, TearBytes: r.TearBytes}
-		}
-	}
-	return nil
-}
-
-// Injected reports how many faults this injector has fired.
-func (s *ScheduleInjector) Injected() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// SeededInjector fails a fraction of matching operations drawn from a
-// fixed-seed PRNG. Runs of consecutive injections are capped (MaxRun)
-// so bounded-retry cleanup loops always eventually make progress. The
-// schedule is exactly reproducible for a serial workload; under
-// concurrency the per-op decisions still come from the seeded stream,
-// so a seed reproduces the same fault *density* and interleaving
-// family even when goroutine arrival order varies.
-type SeededInjector struct {
-	mu           sync.Mutex
-	rng          *rand.Rand
-	prob         float64
-	tearProb     float64 // given an OpWrite injection, chance it tears
-	pathContains string
-	ops          map[Op]bool // nil = all ops
-	maxRun       int
-	run          int
-	count        int64
-}
-
-// NewSeededInjector injects a fault on roughly prob of matching
-// operations, deterministically from seed. MaxRun defaults to 3.
+// NewSeededInjector fails roughly prob of the operations,
+// deterministically from seed.
 func NewSeededInjector(seed int64, prob float64) *SeededInjector {
-	return &SeededInjector{
-		rng:      rand.New(rand.NewSource(seed)),
-		prob:     prob,
-		tearProb: 0.5,
-		maxRun:   3,
-	}
-}
-
-// Restrict limits injection to the given ops (default: all).
-func (si *SeededInjector) Restrict(ops ...Op) *SeededInjector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.ops = map[Op]bool{}
-	for _, op := range ops {
-		si.ops[op] = true
-	}
-	return si
+	return &SeededInjector{fault.NewSeeded(seed, prob)}
 }
 
 // PathFilter limits injection to paths containing substr.
 func (si *SeededInjector) PathFilter(substr string) *SeededInjector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.pathContains = substr
+	si.Filter(substr)
 	return si
-}
-
-// SetMaxRun caps consecutive injections; n <= 0 removes the cap.
-func (si *SeededInjector) SetMaxRun(n int) *SeededInjector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.maxRun = n
-	return si
-}
-
-// Injected reports how many faults this injector has fired.
-func (si *SeededInjector) Injected() int64 {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	return si.count
 }
 
 // Inject implements FaultInjector.
 func (si *SeededInjector) Inject(op Op, path string) *Fault {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	if si.ops != nil && !si.ops[op] {
-		return nil
-	}
-	if si.pathContains != "" && !strings.Contains(path, si.pathContains) {
-		return nil
-	}
-	if si.rng.Float64() >= si.prob || (si.maxRun > 0 && si.run >= si.maxRun) {
-		si.run = 0
-		return nil
-	}
-	si.run++
-	si.count++
 	f := &Fault{}
-	if op == OpWrite && si.rng.Float64() < si.tearProb {
-		f.TearBytes = 1 + si.rng.Intn(4096)
+	if !si.Fire(path, func(r *rand.Rand) {
+		if op == OpWrite && r.Float64() < 0.5 {
+			f.TearBytes = 1 + r.Intn(4096)
+		}
+	}) {
+		return nil
 	}
 	return f
 }

@@ -2,8 +2,9 @@ package dfs
 
 import (
 	"errors"
-	"strings"
 	"testing"
+
+	"dualtable/internal/fault"
 )
 
 func TestScheduleInjectorFailsNthOp(t *testing.T) {
@@ -11,13 +12,14 @@ func TestScheduleInjectorFailsNthOp(t *testing.T) {
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetFaultInjector(NewScheduleInjector(FaultRule{Op: OpCreate, PathContains: "/t/", Nth: 2}))
+	inj := NewScheduleInjector(FaultRule{Op: OpCreate, Subject: "/t/", Nth: 2})
+	fs.SetFaultInjector(inj)
 
 	if err := fs.WriteFile("/t/a", []byte("x")); err != nil {
 		t.Fatalf("first create should pass: %v", err)
 	}
 	err := fs.WriteFile("/t/b", []byte("x"))
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("second create: want ErrInjected, got %v", err)
 	}
 	if err := fs.WriteFile("/t/c", []byte("x")); err != nil {
@@ -26,36 +28,8 @@ func TestScheduleInjectorFailsNthOp(t *testing.T) {
 	if fs.Exists("/t/b") {
 		t.Fatal("failed create must not leave a namespace entry")
 	}
-	if got := fs.FaultsInjected(); got != 1 {
-		t.Fatalf("FaultsInjected = %d, want 1", got)
-	}
-}
-
-func TestScheduleInjectorTimesAndPathFilter(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
-	if err := fs.MkdirAll("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.MkdirAll("/b"); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{"/a/f1", "/a/f2", "/b/f1"} {
-		if err := fs.WriteFile(p, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs.SetFaultInjector(NewScheduleInjector(FaultRule{Op: OpDelete, PathContains: "/a/", Times: 2}))
-
-	if err := fs.Delete("/b/f1", false); err != nil {
-		t.Fatalf("path outside filter must pass: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := fs.Delete("/a/f1", false); !errors.Is(err, ErrInjected) {
-			t.Fatalf("delete %d: want ErrInjected, got %v", i, err)
-		}
-	}
-	if err := fs.Delete("/a/f1", false); err != nil {
-		t.Fatalf("third delete should pass: %v", err)
+	if got := inj.Injected(); got != 1 {
+		t.Fatalf("Injected = %d, want 1", got)
 	}
 }
 
@@ -64,7 +38,7 @@ func TestTornWriteLeavesAbandonedLease(t *testing.T) {
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetFaultInjector(NewScheduleInjector(FaultRule{Op: OpWrite, Nth: 2, TearBytes: 3}))
+	fs.SetFaultInjector(NewScheduleInjector(FaultRule{Op: OpWrite, Nth: 2, Verdict: Fault{TearBytes: 3}}))
 
 	w, err := fs.Create("/t/f")
 	if err != nil {
@@ -74,7 +48,7 @@ func TestTornWriteLeavesAbandonedLease(t *testing.T) {
 		t.Fatalf("first write should pass: %v", err)
 	}
 	n, err := w.Write([]byte("worlds"))
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("second write: want ErrInjected, got %v", err)
 	}
 	if n != 3 {
@@ -135,42 +109,6 @@ func TestUnpinOfUnpinnedFileTyped(t *testing.T) {
 	}
 }
 
-func TestSeededInjectorReproducible(t *testing.T) {
-	run := func(seed int64) (string, int64) {
-		fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
-		if err := fs.MkdirAll("/t"); err != nil {
-			t.Fatal(err)
-		}
-		inj := NewSeededInjector(seed, 0.3)
-		fs.SetFaultInjector(inj)
-		var sb strings.Builder
-		for i := 0; i < 40; i++ {
-			p := "/t/f" + string(rune('a'+i%26))
-			if fs.Exists(p) {
-				_ = fs.Delete(p, false)
-			}
-			if err := fs.WriteFile(p, []byte("payload")); err != nil {
-				sb.WriteByte('x')
-			} else {
-				sb.WriteByte('.')
-			}
-		}
-		return sb.String(), inj.Injected()
-	}
-	trace1, n1 := run(42)
-	trace2, n2 := run(42)
-	if trace1 != trace2 || n1 != n2 {
-		t.Fatalf("same seed diverged:\n%s (%d)\n%s (%d)", trace1, n1, trace2, n2)
-	}
-	if n1 == 0 {
-		t.Fatal("seed 42 at p=0.3 injected nothing over 40 ops")
-	}
-	trace3, _ := run(43)
-	if trace1 == trace3 {
-		t.Fatalf("different seeds produced identical traces: %s", trace1)
-	}
-}
-
 func TestSeededInjectorMaxRunAllowsProgress(t *testing.T) {
 	fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
 	if err := fs.MkdirAll("/t"); err != nil {
@@ -180,7 +118,7 @@ func TestSeededInjectorMaxRunAllowsProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Even at p=1.0, MaxRun guarantees a bounded retry loop succeeds.
-	fs.SetFaultInjector(NewSeededInjector(7, 1.0).SetMaxRun(3))
+	fs.SetFaultInjector(NewSeededInjector(7, 1.0))
 	var err error
 	for i := 0; i < 5; i++ {
 		if err = fs.Delete("/t/f", false); err == nil {

@@ -172,7 +172,7 @@ func newEnv(params sim.CostParams, cfg Config, genScale float64) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	handler, err := core.Register(engine, core.Options{FollowingReads: 1})
+	handler, err := core.Register(engine)
 	if err != nil {
 		return nil, err
 	}

@@ -262,7 +262,7 @@ func TestOpenSSTableRejectsGarbage(t *testing.T) {
 func TestWALReplay(t *testing.T) {
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
 	fs.MkdirAll("/r")
-	w, rec, err := openWAL(fs, "/r/wal")
+	w, rec, err := openWAL(fs, "/r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, rec2, err := openWAL(fs, "/r/wal")
+	_, rec2, err := openWAL(fs, "/r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,19 +289,19 @@ func TestWALReplay(t *testing.T) {
 func TestWALTruncatedTailTolerated(t *testing.T) {
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
 	fs.MkdirAll("/r")
-	w, _, err := openWAL(fs, "/r/wal")
+	w, _, err := openWAL(fs, "/r")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Cell{Row: []byte("a"), Family: "d", Qualifier: []byte("q"), Ts: 1, Type: TypePut, Value: []byte("v")}
 	w.Append([]*Cell{&c})
 	w.Close()
-	data, _ := fs.ReadFile("/r/wal")
+	data, _ := fs.ReadFile("/r/wal-000001")
 	// Append garbage simulating a torn write.
-	aw, _ := fs.Append("/r/wal")
+	aw, _ := fs.Append("/r/wal-000001")
 	aw.Write([]byte{0x55, 0x01, 0x02})
 	aw.Close()
-	_, rec, err := openWAL(fs, "/r/wal")
+	_, rec, err := openWAL(fs, "/r")
 	if err != nil {
 		t.Fatal(err)
 	}

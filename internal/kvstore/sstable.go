@@ -409,6 +409,7 @@ func writeSSTableFromIterator(fs *dfs.FileSystem, path string, it CellIterator, 
 			break
 		}
 		if err := sw.Add(c); err != nil {
+			it.Close()
 			return err
 		}
 	}

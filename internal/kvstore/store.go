@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path"
+	"strings"
 	"sync"
 
 	"dualtable/internal/dfs"
@@ -13,17 +14,37 @@ import (
 // store is the storage engine of one region: a memtable, a WAL, and a
 // stack of immutable store files (newest first). It is the analog of
 // an HBase Store/HRegion storage.
+//
+// A flush is atomic for readers and for the log. Under logMu and mu it
+// swaps the memtable out and rotates the WAL together, so a batch's log
+// record and its memtable insert land on the same side of the swap.
+// The swapped memtable stays readable as flushing until its store file
+// is installed, and only then is the sealed segment that covered it
+// deleted.
 type store struct {
 	fs  *dfs.FileSystem
 	dir string
 	cfg StoreConfig
 
-	mu      sync.RWMutex
-	mem     *skiplist
-	files   []*ssTable // newest first
-	nextSeq uint64
-	wal     *wal
-	closed  bool
+	// flushMu runs one flush at a time.
+	flushMu sync.Mutex
+	// logMu is held shared by a put for its WAL append and memtable
+	// insert, and exclusively by a flush's swap.
+	logMu sync.RWMutex
+
+	mu       sync.RWMutex
+	mem      *skiplist
+	flushing *skiplist  // swapped out, readable until its store file is installed
+	sealed   *wal       // the segment that logged flushing
+	files    []*ssTable // newest first
+	nextSeq  uint64
+	wal      *wal
+	closed   bool
+
+	// onFlushSwapped, when set, runs between a flush's swap and the
+	// install of its store file, holding only flushMu (test hook for
+	// reading inside the flush window). Set it before any flush runs.
+	onFlushSwapped func()
 }
 
 // StoreConfig tunes a region store.
@@ -38,8 +59,6 @@ type StoreConfig struct {
 	// CompactionThreshold is the store file count that triggers an
 	// automatic minor compaction after a flush.
 	CompactionThreshold int
-	// DisableWAL skips write-ahead logging (bulk loads).
-	DisableWAL bool
 }
 
 // DefaultStoreConfig mirrors HBase defaults scaled for simulation.
@@ -51,6 +70,10 @@ func DefaultStoreConfig() StoreConfig {
 		CompactionThreshold: 5,
 	}
 }
+
+// tmpPrefix marks a store file being written; writeStoreFile renames it
+// into place once whole.
+const tmpPrefix = "tmp-"
 
 func openStore(fs *dfs.FileSystem, dir string, cfg StoreConfig) (*store, error) {
 	if cfg.FlushThresholdBytes <= 0 {
@@ -72,7 +95,18 @@ func openStore(fs *dfs.FileSystem, dir string, cfg StoreConfig) (*store, error) 
 		return nil, err
 	}
 	for _, fi := range infos {
-		if fi.Name == "wal" {
+		if strings.HasPrefix(fi.Name, walPrefix) {
+			continue
+		}
+		if strings.HasPrefix(fi.Name, tmpPrefix) {
+			// A store file a crash left half written; the log or the
+			// files it was merging still hold its cells.
+			if err := fs.RecoverLease(fi.Path); err != nil {
+				return nil, err
+			}
+			if err := fs.Delete(fi.Path, false); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		st, err := openSSTable(fs, fi.Path, nil)
@@ -85,15 +119,13 @@ func openStore(fs *dfs.FileSystem, dir string, cfg StoreConfig) (*store, error) 
 		}
 	}
 	sortFilesBySeqDesc(s.files)
-	if !cfg.DisableWAL {
-		w, recovered, err := openWAL(fs, path.Join(dir, "wal"))
-		if err != nil {
-			return nil, err
-		}
-		s.wal = w
-		for i := range recovered {
-			s.mem.Insert(recovered[i])
-		}
+	w, recovered, err := openWAL(fs, dir)
+	if err != nil {
+		return nil, err
+	}
+	s.wal = w
+	for i := range recovered {
+		s.mem.Insert(recovered[i])
 	}
 	return s, nil
 }
@@ -109,81 +141,138 @@ func sortFilesBySeqDesc(files []*ssTable) {
 // put applies a batch of cells: WAL first, then memtable; flushes when
 // the memtable exceeds its threshold.
 func (s *store) put(cells []*Cell, m *sim.Meter) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("kvstore: store %s is closed", s.dir)
+	s.logMu.RLock()
+	s.mu.RLock()
+	closed, mem, w := s.closed, s.mem, s.wal
+	s.mu.RUnlock()
+	err := fmt.Errorf("kvstore: store %s is closed", s.dir)
+	if !closed {
+		err = w.Append(cells)
 	}
-	w := s.wal
-	s.mu.Unlock()
-	if w != nil {
-		if err := w.Append(cells); err != nil {
-			return err
+	if err == nil {
+		for _, c := range cells {
+			mem.Insert(c.Clone())
+			m.KVPut(int64(c.Size()))
 		}
 	}
-	var bytesIn int64
-	for _, c := range cells {
-		s.mem.Insert(c.Clone())
-		bytesIn += int64(c.Size())
-		m.KVPut(int64(c.Size()))
+	s.logMu.RUnlock()
+	if err != nil {
+		return err
 	}
-	if s.mem.SizeBytes() >= s.cfg.FlushThresholdBytes {
-		return s.flush(m)
+	if mem.SizeBytes() >= s.cfg.FlushThresholdBytes {
+		return s.flush(m, s.cfg.FlushThresholdBytes)
 	}
 	return nil
 }
 
-// flush writes the memtable to a new store file and truncates the WAL.
-func (s *store) flush(m *sim.Meter) error {
-	s.mu.Lock()
-	if s.mem.Count() == 0 {
-		s.mu.Unlock()
-		return nil
+// flush writes the memtable to a new store file once it holds at least
+// atLeast bytes when this flush's turn comes (puts that crossed the
+// threshold together flush once), then compacts if the files pile up.
+func (s *store) flush(m *sim.Meter, atLeast int) error {
+	s.flushMu.Lock()
+	n, err := s.flushLocked(m, atLeast)
+	s.flushMu.Unlock()
+	if err == nil && n >= s.cfg.CompactionThreshold {
+		return s.compact(false, m)
 	}
-	old := s.mem
-	s.mem = newSkiplist()
-	seq := s.nextSeq
-	s.nextSeq++
-	s.mu.Unlock()
+	return err
+}
 
-	p := path.Join(s.dir, fmt.Sprintf("sf-%06d", seq))
-	it := old.Iterator(nil)
-	err := writeSSTableFromIterator(s.fs, p, it, old.Count(), seq, m)
-	if err != nil {
-		return fmt.Errorf("kvstore: flush to %s: %w", p, err)
+// flushLocked swaps and installs the memtable under flushMu and reports
+// the store file count after it (0 when nothing was flushed).
+func (s *store) flushLocked(m *sim.Meter, atLeast int) (int, error) {
+	if s.flushing != nil {
+		// An earlier flush failed after its swap: its memtable is still
+		// readable and logged, so finish it first.
+		if _, err := s.install(m); err != nil {
+			return 0, err
+		}
 	}
-	st, err := openSSTable(s.fs, p, nil)
+	s.logMu.Lock()
+	s.mu.Lock()
+	if s.mem.Count() == 0 || s.mem.SizeBytes() < atLeast {
+		s.mu.Unlock()
+		s.logMu.Unlock()
+		return 0, nil
+	}
+	next, err := s.wal.rotate()
+	if err == nil {
+		s.flushing, s.sealed = s.mem, s.wal
+		s.mem, s.wal = newSkiplist(), next
+	}
+	s.mu.Unlock()
+	s.logMu.Unlock()
 	if err != nil {
-		return err
+		return 0, err
+	}
+	if s.onFlushSwapped != nil {
+		s.onFlushSwapped()
+	}
+	return s.install(m)
+}
+
+// install writes the flushing memtable to a store file, puts the file
+// in front of the others, and deletes the segment that logged it.
+func (s *store) install(m *sim.Meter) (int, error) {
+	st, err := s.writeStoreFile(s.flushing.Iterator(nil), s.flushing.Count(), m)
+	if err != nil {
+		return 0, fmt.Errorf("kvstore: flush %s: %w", s.dir, err)
 	}
 	s.mu.Lock()
 	s.files = append([]*ssTable{st}, s.files...)
-	w := s.wal
-	n := len(s.files)
+	sealed, n := s.sealed, len(s.files)
+	s.flushing, s.sealed = nil, nil
 	s.mu.Unlock()
-	if w != nil {
-		if err := w.Truncate(); err != nil {
-			return err
-		}
+	return n, sealed.remove()
+}
+
+// writeStoreFile drains it into the next store file. It writes under a
+// temporary name and renames the file into place once whole, so a crash
+// leaves either the store file or a tmp- file openStore deletes.
+func (s *store) writeStoreFile(it CellIterator, expectedKeys int, m *sim.Meter) (*ssTable, error) {
+	s.mu.Lock()
+	seq := s.nextSeq
+	s.nextSeq++
+	s.mu.Unlock()
+	name := fmt.Sprintf("sf-%06d", seq)
+	p, tmp := path.Join(s.dir, name), path.Join(s.dir, tmpPrefix+name)
+	if err := writeSSTableFromIterator(s.fs, tmp, it, expectedKeys, seq, m); err != nil {
+		return nil, err
 	}
-	if n >= s.cfg.CompactionThreshold {
-		return s.compact(false, m)
+	if err := s.fs.Rename(tmp, p); err != nil {
+		return nil, err
 	}
-	return nil
+	return openSSTable(s.fs, p, nil)
+}
+
+// layers snapshots what a read merges, newest first: the memtable, the
+// memtable being flushed (nil when none is), and the store files.
+func (s *store) layers() (mem, flushing *skiplist, files []*ssTable) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.mem, s.flushing, append([]*ssTable(nil), s.files...)
+}
+
+// memIterators opens an iterator at probe on each live memtable.
+func memIterators(mem, flushing *skiplist, probe *Cell) []CellIterator {
+	srcs := []CellIterator{mem.Iterator(probe)}
+	if flushing != nil {
+		srcs = append(srcs, flushing.Iterator(probe))
+	}
+	return srcs
 }
 
 // get returns all visible cells of one row (latest version per
 // column, tombstones applied).
 func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
-	s.mu.RLock()
-	files := append([]*ssTable(nil), s.files...)
-	mem := s.mem
-	s.mu.RUnlock()
+	mem, flushing, files := s.layers()
 
 	m.KVGet(0)
 	probe := seekProbe(row)
 	var srcs []CellIterator
-	srcs = append(srcs, &boundedIterator{it: mem.Iterator(probe), row: row})
+	for _, it := range memIterators(mem, flushing, probe) {
+		srcs = append(srcs, &boundedIterator{it: it, row: row})
+	}
 	for _, f := range files {
 		if s.cfg.BloomEnabled && !f.bloom.MayContain(row) {
 			continue
@@ -223,10 +312,7 @@ func (b *boundedIterator) Close() error { return b.it.Close() }
 // scan returns a resolved iterator over [start, end) (nil end = to
 // the last row; nil start = from the first row).
 func (s *store) scan(start, end []byte, m *sim.Meter, maxVersions int) *scanIterator {
-	s.mu.RLock()
-	files := append([]*ssTable(nil), s.files...)
-	mem := s.mem
-	s.mu.RUnlock()
+	mem, flushing, files := s.layers()
 
 	if maxVersions <= 0 {
 		maxVersions = 1
@@ -236,8 +322,7 @@ func (s *store) scan(start, end []byte, m *sim.Meter, maxVersions int) *scanIter
 	if start != nil {
 		probe = seekProbe(start)
 	}
-	var srcs []CellIterator
-	srcs = append(srcs, mem.Iterator(probe))
+	srcs := memIterators(mem, flushing, probe)
 	for _, f := range files {
 		srcs = append(srcs, f.iterator(start, m))
 	}
@@ -287,27 +372,20 @@ func (it *scanIterator) Err() error { return it.rv.Err() }
 
 // compact merges store files. Minor compaction merges the current
 // files keeping tombstones; major compaction first flushes the
-// memtable, then merges everything, dropping tombstones and versions
-// beyond MaxVersions.
+// memtable (finishing any flush that failed), then merges everything,
+// dropping tombstones and versions beyond MaxVersions.
 func (s *store) compact(major bool, m *sim.Meter) error {
 	if major {
-		if err := s.flush(m); err != nil {
+		if err := s.flush(m, 0); err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
+	s.mu.RLock()
 	files := append([]*ssTable(nil), s.files...)
-	if len(files) < 2 && !major {
-		s.mu.Unlock()
+	s.mu.RUnlock()
+	if len(files) == 0 || (len(files) < 2 && !major) {
 		return nil
 	}
-	if len(files) == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	seq := s.nextSeq
-	s.nextSeq++
-	s.mu.Unlock()
 
 	var srcs []CellIterator
 	var expected int
@@ -320,13 +398,9 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 	if major {
 		it = newCompactionFilter(it, s.cfg.MaxVersions)
 	}
-	p := path.Join(s.dir, fmt.Sprintf("sf-%06d", seq))
-	if err := writeSSTableFromIterator(s.fs, p, it, expected+1, seq, m); err != nil {
-		return fmt.Errorf("kvstore: compact to %s: %w", p, err)
-	}
-	st, err := openSSTable(s.fs, p, nil)
+	st, err := s.writeStoreFile(it, expected+1, m)
 	if err != nil {
-		return err
+		return fmt.Errorf("kvstore: compact %s: %w", s.dir, err)
 	}
 	s.mu.Lock()
 	// Replace exactly the files we merged; new flushes that landed
@@ -383,11 +457,14 @@ func (d *dedupIterator) Close() error { return d.it.Close() }
 func (s *store) size() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var total int64
+	total := int64(s.mem.SizeBytes())
+	if s.flushing != nil {
+		total += int64(s.flushing.SizeBytes())
+	}
 	for _, f := range s.files {
 		total += f.size
 	}
-	return total + int64(s.mem.SizeBytes())
+	return total
 }
 
 // entryCount estimates the number of stored cells (pre-resolution).
@@ -395,6 +472,9 @@ func (s *store) entryCount() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	total := int64(s.mem.Count())
+	if s.flushing != nil {
+		total += int64(s.flushing.Count())
+	}
 	for _, f := range s.files {
 		total += int64(f.entries)
 	}
@@ -426,14 +506,13 @@ func (s *store) middleRow() []byte {
 }
 
 func (s *store) close() error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if s.wal != nil {
-		return s.wal.Close()
-	}
-	return nil
+	return s.wal.Close()
 }

@@ -429,7 +429,7 @@ func (t *Table) Flush(m *sim.Meter) error {
 	regions := append([]*Region(nil), t.regions...)
 	t.mu.RUnlock()
 	for _, r := range regions {
-		if err := r.store.flush(m); err != nil {
+		if err := r.store.flush(m, 0); err != nil {
 			return err
 		}
 	}
@@ -504,7 +504,7 @@ func (t *Table) maybeSplit(r *Region, m *sim.Meter) {
 func (t *Table) SplitRegion(r *Region, m *sim.Meter) error {
 	t.mutations.Add(1)
 	defer t.mutations.Add(1)
-	if err := r.store.flush(m); err != nil {
+	if err := r.store.flush(m, 0); err != nil {
 		return err
 	}
 	mid := r.store.middleRow()
@@ -557,7 +557,7 @@ func (t *Table) SplitRegion(r *Region, m *sim.Meter) error {
 		if err := flushBatch(); err != nil {
 			return nil, err
 		}
-		if err := st.flush(m); err != nil {
+		if err := st.flush(m, 0); err != nil {
 			return nil, err
 		}
 		return &Region{id: id, start: lo, end: hi, store: st}, nil
@@ -586,16 +586,12 @@ func (t *Table) SplitRegion(r *Region, m *sim.Meter) error {
 // scanRaw iterates the raw (unresolved) cells of [start, end) across
 // memtable and files — every version and tombstone, deduplicated.
 func (s *store) scanRaw(start, end []byte, m *sim.Meter) CellIterator {
-	s.mu.RLock()
-	files := append([]*ssTable(nil), s.files...)
-	mem := s.mem
-	s.mu.RUnlock()
+	mem, flushing, files := s.layers()
 	var probe *Cell
 	if start != nil {
 		probe = seekProbe(start)
 	}
-	var srcs []CellIterator
-	srcs = append(srcs, mem.Iterator(probe))
+	srcs := memIterators(mem, flushing, probe)
 	for _, f := range files {
 		srcs = append(srcs, f.iterator(start, m))
 	}

@@ -1,10 +1,10 @@
-// Package netfault injects network faults into net.Conn and
-// net.Listener values: latency spikes, mid-frame truncation,
-// connection resets, byte-level corruption, and read/write stalls.
-// It mirrors the DFS fault injector's API (internal/dfs: schedule- and
-// seed-driven injectors with occurrence rules, op restriction and
-// bounded fault runs) so the same chaos harness drives storage and
-// wire faults alike.
+// Package netfault is the wire layer of the one fault schedule: it
+// wraps net.Conn and net.Listener values and injects latency spikes,
+// mid-frame truncation, connection resets, byte-level corruption, and
+// read/write stalls. Which operation fails is internal/fault's
+// schedule, shared with the DFS; this package keeps the wire's ops, its
+// verdict, the seeded flavour draw, and what a verdict does to a read,
+// a write or an accept.
 //
 // Faults fire at the I/O boundary, never inside it: an injected write
 // fault either delivers a corrupted-but-complete buffer (checksums
@@ -14,19 +14,15 @@
 package netfault
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
 	"sync"
 	"time"
-)
 
-// ErrInjected is the root of every error produced by the built-in
-// injectors; test assertions classify wrapper errors with
-// errors.Is(err, ErrInjected).
-var ErrInjected = errors.New("netfault: injected fault")
+	"dualtable/internal/fault"
+)
 
 // Op classifies the I/O operation a fault decision applies to.
 type Op uint8
@@ -59,7 +55,7 @@ func (o Op) String() string {
 // or stand alone as a pure latency spike).
 type Fault struct {
 	// Err is returned to the caller for reset/truncate/stall faults
-	// (defaults to a wrapped ErrInjected).
+	// (defaults to a wrapped fault.ErrInjected).
 	Err error
 	// Delay sleeps before the operation proceeds — injected latency.
 	Delay time.Duration
@@ -176,7 +172,7 @@ func (c *Conn) errFor(op Op, f *Fault) error {
 	if f.Err != nil {
 		return f.Err
 	}
-	return fmt.Errorf("%w: %s", ErrInjected, op)
+	return fmt.Errorf("%w: net %s", fault.ErrInjected, op)
 }
 
 // apply handles the fault modes common to read and write: latency,
@@ -316,7 +312,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 }
 
-// inject consults an injector, defaulting nil verdict fields.
+// inject consults an injector that may be nil.
 func inject(fi FaultInjector, op Op, n int) *Fault {
 	if fi == nil {
 		return nil
@@ -324,175 +320,68 @@ func inject(fi FaultInjector, op Op, n int) *Fault {
 	return fi.Inject(op, n)
 }
 
-// FaultRule matches operations for a ScheduleInjector: the rule
-// counts ops matching (Op, MinBytes) and fires its fault on
-// occurrences Nth..Nth+Times-1.
-type FaultRule struct {
-	Op       Op
-	MinBytes int // only match buffers at least this large (0 = all)
-	Nth      int // 1-based occurrence to fire on (0 means 1)
-	Times    int // consecutive occurrences to fail (0 means 1)
-	Fault    Fault
+// FaultRule fires its Verdict on occurrences Nth..Nth+Times-1 of Op.
+// A connection has no subject, so Subject stays empty.
+type FaultRule = fault.Rule[Op, Fault]
 
-	seen int
-}
-
-// ScheduleInjector fires exactly the faults its rules name, in
-// arrival order — the deterministic injector for regression tests.
-type ScheduleInjector struct {
-	mu    sync.Mutex
-	rules []FaultRule
-	count int64
-}
+// ScheduleInjector fires exactly the faults its rules name, in arrival
+// order — the deterministic injector for regression tests.
+type ScheduleInjector struct{ *fault.Schedule[Op, Fault] }
 
 // NewScheduleInjector builds a deterministic injector from rules.
-func NewScheduleInjector(rules ...FaultRule) *ScheduleInjector {
-	return &ScheduleInjector{rules: rules}
+func NewScheduleInjector(rules ...FaultRule) ScheduleInjector {
+	return ScheduleInjector{fault.NewSchedule(rules...)}
 }
 
 // Inject implements FaultInjector.
-func (s *ScheduleInjector) Inject(op Op, n int) *Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.rules {
-		r := &s.rules[i]
-		if r.Op != op || n < r.MinBytes {
-			continue
-		}
-		r.seen++
-		nth, times := r.Nth, r.Times
-		if nth <= 0 {
-			nth = 1
-		}
-		if times <= 0 {
-			times = 1
-		}
-		if r.seen >= nth && r.seen < nth+times {
-			s.count++
-			f := r.Fault
-			return &f
-		}
-	}
-	return nil
-}
+func (s ScheduleInjector) Inject(op Op, _ int) *Fault { return s.Schedule.Inject(op, "") }
 
-// Injected reports how many faults this injector has fired.
-func (s *ScheduleInjector) Injected() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// SeededInjector injects faults on roughly prob of matching ops,
-// drawn from a fixed-seed PRNG, choosing a fault flavor per
-// injection: latency (most common), corruption, truncation, reset,
-// and stall (rarest). Runs of consecutive injections are capped
-// (MaxRun, default 3) so a connection under fire still eventually
-// moves bytes. A seed reproduces the same fault density and
-// interleaving family even when goroutine arrival order varies — the
-// same contract as the DFS SeededInjector.
+// SeededInjector injects faults on a seeded fraction of operations,
+// choosing a flavour per injection: latency (most common), corruption,
+// truncation, reset, and stall (rarest).
 type SeededInjector struct {
-	mu       sync.Mutex
-	rng      *rand.Rand
-	prob     float64
-	ops      map[Op]bool // nil = all ops
-	maxRun   int
-	run      int
-	count    int64
-	maxDelay time.Duration
-	stalls   bool
+	*fault.Seeded
+	noStalls bool
 }
 
-// NewSeededInjector injects on roughly prob of matching operations,
-// deterministically from seed. MaxRun defaults to 3, latency spikes
-// to at most 3ms.
+// NewSeededInjector injects on roughly prob of operations,
+// deterministically from seed.
 func NewSeededInjector(seed int64, prob float64) *SeededInjector {
-	return &SeededInjector{
-		rng:      rand.New(rand.NewSource(seed)),
-		prob:     prob,
-		maxRun:   3,
-		maxDelay: 3 * time.Millisecond,
-		stalls:   true,
-	}
-}
-
-// Restrict limits injection to the given ops (default: all).
-func (si *SeededInjector) Restrict(ops ...Op) *SeededInjector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.ops = map[Op]bool{}
-	for _, op := range ops {
-		si.ops[op] = true
-	}
-	return si
-}
-
-// SetMaxRun caps consecutive injections; n <= 0 removes the cap.
-func (si *SeededInjector) SetMaxRun(n int) *SeededInjector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.maxRun = n
-	return si
-}
-
-// SetMaxDelay bounds injected latency spikes (default 3ms).
-func (si *SeededInjector) SetMaxDelay(d time.Duration) *SeededInjector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.maxDelay = d
-	return si
+	return &SeededInjector{Seeded: fault.NewSeeded(seed, prob)}
 }
 
 // DisableStalls replaces stall faults with resets — for harnesses
-// whose victims have no deadline that would ever unblock a stall.
+// whose victims have no deadline that would ever unblock a stall. Call
+// it before the injector is installed.
 func (si *SeededInjector) DisableStalls() *SeededInjector {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	si.stalls = false
+	si.noStalls = true
 	return si
-}
-
-// Injected reports how many faults this injector has fired.
-func (si *SeededInjector) Injected() int64 {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	return si.count
 }
 
 // Inject implements FaultInjector.
 func (si *SeededInjector) Inject(op Op, n int) *Fault {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	if si.ops != nil && !si.ops[op] {
-		return nil
-	}
-	if si.rng.Float64() >= si.prob || (si.maxRun > 0 && si.run >= si.maxRun) {
-		si.run = 0
-		return nil
-	}
-	si.run++
-	si.count++
 	f := &Fault{}
-	roll := si.rng.Float64()
-	switch {
-	case roll < 0.40: // latency spike
-		f.Delay = time.Duration(1 + si.rng.Int63n(int64(si.maxDelay)))
-	case roll < 0.60: // corruption (reads and writes; reset for accept)
-		if op == OpAccept {
+	if !si.Fire("", func(r *rand.Rand) {
+		roll := r.Float64()
+		switch {
+		case roll < 0.40: // latency spike of at most 3ms
+			f.Delay = time.Duration(1 + r.Int63n(int64(3*time.Millisecond)))
+		case roll < 0.60: // corruption (reads and writes; reset for accept)
+			f.Corrupt = op != OpAccept
+			f.Reset = op == OpAccept
+		case roll < 0.75: // truncation (writes; reset elsewhere)
+			if op == OpWrite && n > 1 {
+				f.TruncateBytes = 1 + r.Intn(n-1)
+			} else {
+				f.Reset = true
+			}
+		case roll < 0.92 || si.noStalls: // reset
 			f.Reset = true
-		} else {
-			f.Corrupt = true
+		default: // stall — a silently dead peer
+			f.Stall = true
 		}
-	case roll < 0.75: // truncation (writes; reset elsewhere)
-		if op == OpWrite && n > 1 {
-			f.TruncateBytes = 1 + si.rng.Intn(n-1)
-		} else {
-			f.Reset = true
-		}
-	case roll < 0.92 || !si.stalls: // reset
-		f.Reset = true
-	default: // stall — a silently dead peer
-		f.Stall = true
+	}) {
+		return nil
 	}
 	return f
 }

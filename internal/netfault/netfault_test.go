@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dualtable/internal/fault"
 )
 
 // pipePair returns a wrapped client conn and the raw server end.
@@ -35,7 +37,7 @@ func TestPassThroughNilInjector(t *testing.T) {
 }
 
 func TestWriteCorruptionDeliversAlteredBytes(t *testing.T) {
-	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Fault: Fault{Corrupt: true}})
+	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Verdict: Fault{Corrupt: true}})
 	c, s := pipePair(inj)
 	defer c.Close()
 	defer s.Close()
@@ -74,7 +76,7 @@ func countDiff(a, b []byte) int {
 }
 
 func TestWriteTruncationDeliversPrefixThenCloses(t *testing.T) {
-	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Fault: Fault{TruncateBytes: 3}})
+	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Verdict: Fault{TruncateBytes: 3}})
 	c, s := pipePair(inj)
 	defer s.Close()
 
@@ -87,7 +89,7 @@ func TestWriteTruncationDeliversPrefixThenCloses(t *testing.T) {
 		if err == nil {
 			t.Error("truncated write reported success")
 		}
-		if !errors.Is(err, ErrInjected) {
+		if !errors.Is(err, fault.ErrInjected) {
 			t.Errorf("truncation error = %v, want ErrInjected", err)
 		}
 		if n != 3 {
@@ -103,7 +105,7 @@ func TestWriteTruncationDeliversPrefixThenCloses(t *testing.T) {
 }
 
 func TestResetClosesBeforeBytesMove(t *testing.T) {
-	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Fault: Fault{Reset: true}})
+	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Verdict: Fault{Reset: true}})
 	c, s := pipePair(inj)
 	defer s.Close()
 
@@ -116,13 +118,13 @@ func TestResetClosesBeforeBytesMove(t *testing.T) {
 	if got, _ := io.ReadAll(s); len(got) != 0 {
 		t.Fatalf("reset fault still delivered %q", got)
 	}
-	if err := <-done; !errors.Is(err, ErrInjected) {
+	if err := <-done; !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("reset error = %v, want ErrInjected", err)
 	}
 }
 
 func TestStallBlocksUntilClose(t *testing.T) {
-	inj := NewScheduleInjector(FaultRule{Op: OpRead, Fault: Fault{Stall: true}})
+	inj := NewScheduleInjector(FaultRule{Op: OpRead, Verdict: Fault{Stall: true}})
 	c, s := pipePair(inj)
 	defer s.Close()
 
@@ -139,7 +141,7 @@ func TestStallBlocksUntilClose(t *testing.T) {
 	c.Close()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrInjected) {
+		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("stall error = %v, want ErrInjected", err)
 		}
 	case <-time.After(2 * time.Second):
@@ -152,7 +154,7 @@ func TestStallBlocksUntilClose(t *testing.T) {
 // as a kernel interrupts a blocked read.
 func TestStallHonorsDeadline(t *testing.T) {
 	inj := NewScheduleInjector(
-		FaultRule{Op: OpRead, Times: 2, Fault: Fault{Stall: true}})
+		FaultRule{Op: OpRead, Times: 2, Verdict: Fault{Stall: true}})
 	c, s := pipePair(inj)
 	defer c.Close()
 	defer s.Close()
@@ -191,7 +193,7 @@ func TestStallHonorsDeadline(t *testing.T) {
 }
 
 func TestDelayThenProceed(t *testing.T) {
-	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Fault: Fault{Delay: 60 * time.Millisecond}})
+	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Verdict: Fault{Delay: 60 * time.Millisecond}})
 	c, s := pipePair(inj)
 	defer c.Close()
 	defer s.Close()
@@ -211,77 +213,6 @@ func TestDelayThenProceed(t *testing.T) {
 	}
 }
 
-func TestScheduleRuleNthAndTimes(t *testing.T) {
-	// Fire on the 2nd and 3rd writes only.
-	inj := NewScheduleInjector(FaultRule{Op: OpWrite, Nth: 2, Times: 2, Fault: Fault{Reset: true}})
-	if f := inj.Inject(OpWrite, 10); f != nil {
-		t.Fatal("rule fired on 1st op")
-	}
-	if f := inj.Inject(OpRead, 10); f != nil {
-		t.Fatal("rule fired on a non-matching op")
-	}
-	if f := inj.Inject(OpWrite, 10); f == nil || !f.Reset {
-		t.Fatal("rule missed the 2nd op")
-	}
-	if f := inj.Inject(OpWrite, 10); f == nil {
-		t.Fatal("rule missed the 3rd op")
-	}
-	if f := inj.Inject(OpWrite, 10); f != nil {
-		t.Fatal("rule fired past its window")
-	}
-	if got := inj.Injected(); got != 2 {
-		t.Fatalf("Injected() = %d, want 2", got)
-	}
-}
-
-func TestSeededInjectorDeterministicAndBounded(t *testing.T) {
-	verdicts := func(seed int64) []bool {
-		si := NewSeededInjector(seed, 0.5)
-		out := make([]bool, 200)
-		for i := range out {
-			out[i] = si.Inject(OpWrite, 100) != nil
-		}
-		return out
-	}
-	a, b := verdicts(42), verdicts(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seed 42 diverged at op %d", i)
-		}
-	}
-
-	// MaxRun bounds consecutive injections even at prob 1.
-	si := NewSeededInjector(7, 1.0)
-	run := 0
-	for i := 0; i < 100; i++ {
-		if si.Inject(OpWrite, 100) != nil {
-			run++
-			if run > 3 {
-				t.Fatal("run of injections exceeded MaxRun 3")
-			}
-		} else {
-			run = 0
-		}
-	}
-
-	// Restrict filters ops.
-	ri := NewSeededInjector(7, 1.0).Restrict(OpRead)
-	if ri.Inject(OpWrite, 100) != nil {
-		t.Fatal("restricted injector fired on excluded op")
-	}
-	if ri.Inject(OpRead, 100) == nil {
-		t.Fatal("restricted injector never fires on included op")
-	}
-
-	// DisableStalls yields no stall verdicts.
-	di := NewSeededInjector(3, 1.0).DisableStalls().SetMaxRun(0)
-	for i := 0; i < 500; i++ {
-		if f := di.Inject(OpWrite, 100); f != nil && f.Stall {
-			t.Fatal("DisableStalls still produced a stall")
-		}
-	}
-}
-
 // TestListenerAcceptFaultClosesConnNotLoop: an accept fault hangs up
 // on the client; the listener survives and serves the next dial.
 func TestListenerAcceptFaultClosesConnNotLoop(t *testing.T) {
@@ -289,7 +220,7 @@ func TestListenerAcceptFaultClosesConnNotLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := NewScheduleInjector(FaultRule{Op: OpAccept, Fault: Fault{Reset: true}})
+	inj := NewScheduleInjector(FaultRule{Op: OpAccept, Verdict: Fault{Reset: true}})
 	ln := WrapListener(raw, inj, nil)
 	defer ln.Close()
 

@@ -40,12 +40,11 @@ type CostParams struct {
 	DFSOpenCost    float64 // seconds per file open (namenode RPC)
 
 	// HBase-like attached table storage.
-	KVReadBps    float64 // aggregate scan throughput
-	KVWriteBps   float64 // aggregate put throughput
-	KVGetCost    float64 // seconds per random get (RPC + block seek)
-	KVPutCost    float64 // seconds per put (RPC + WAL sync amortized)
-	KVSeekCost   float64 // seconds per iterator seek
-	KVScanNextBp float64 // unused fine-grained knob (kept 0 by default)
+	KVReadBps  float64 // aggregate scan throughput
+	KVWriteBps float64 // aggregate put throughput
+	KVGetCost  float64 // seconds per random get (RPC + block seek)
+	KVPutCost  float64 // seconds per put (RPC + WAL sync amortized)
+	KVSeekCost float64 // seconds per iterator seek
 
 	// MapReduce engine.
 	JobStartupCost  float64 // seconds to launch one MR job
