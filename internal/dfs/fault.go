@@ -100,7 +100,7 @@ func NewScheduleInjector(rules ...FaultRule) *fault.Schedule[Op, Fault] {
 
 // SeededInjector fails a seeded fraction of the operations on matching
 // paths; half of the writes it fails are torn at a random prefix.
-type SeededInjector struct{ *fault.Seeded }
+type SeededInjector struct{ seeded *fault.Seeded }
 
 // NewSeededInjector fails roughly prob of the operations,
 // deterministically from seed.
@@ -110,14 +110,17 @@ func NewSeededInjector(seed int64, prob float64) *SeededInjector {
 
 // PathFilter limits injection to paths containing substr.
 func (si *SeededInjector) PathFilter(substr string) *SeededInjector {
-	si.Filter(substr)
+	si.seeded.Filter(substr)
 	return si
 }
+
+// Injected reports how many faults the injector has fired.
+func (si *SeededInjector) Injected() int64 { return si.seeded.Injected() }
 
 // Inject implements FaultInjector.
 func (si *SeededInjector) Inject(op Op, path string) *Fault {
 	f := &Fault{}
-	if !si.Fire(path, func(r *rand.Rand) {
+	if !si.seeded.Fire(path, func(r *rand.Rand) {
 		if op == OpWrite && r.Float64() < 0.5 {
 			f.TearBytes = 1 + r.Intn(4096)
 		}

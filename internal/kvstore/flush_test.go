@@ -83,6 +83,40 @@ func TestFlushCrashAtEveryDFSOpKeepsAckedCells(t *testing.T) {
 	}
 }
 
+// When the delete of a flushed segment fails, the next flush deletes it
+// before it swaps. Otherwise a major compaction could drop a tombstone
+// and the put it covers, and a reopen would replay the put from the
+// stale segment and bring the deleted cell back.
+func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
+	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
+	st, err := openStore(fs, "/r", DefaultStoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := putCell(st, "row"); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetFaultInjector(dfs.NewScheduleInjector(dfs.FaultRule{Op: dfs.OpDelete, Subject: walPath("/r", 1)}))
+	if err := st.flush(nil, 0); err == nil {
+		t.Fatal("flush succeeded although its segment delete failed")
+	}
+	fs.SetFaultInjector(nil)
+	del := &Cell{Row: []byte("row"), Family: "d", Qualifier: []byte("q"), Ts: 2, Type: TypeDeleteColumn}
+	if err := st.put([]*Cell{del}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.compact(true, nil); err != nil {
+		t.Fatal(err)
+	}
+	re, err := openStore(fs, "/r", DefaultStoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := re.get([]byte("row"), nil); err != nil || len(got) != 0 {
+		t.Fatalf("deleted row reads back after a reopen as %v, %v", got, err)
+	}
+}
+
 // crashAndReopen runs four putters on a fresh store under inj, abandons
 // the store without closing it, reopens its directory fault-free and
 // describes the first acknowledged cell the reopened store lacks.

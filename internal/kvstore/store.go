@@ -26,16 +26,17 @@ type store struct {
 	dir string
 	cfg StoreConfig
 
-	// flushMu runs one flush at a time.
+	// flushMu runs one flush at a time and guards sealed.
 	flushMu sync.Mutex
+	sealed  *wal // the segment that logged flushing, until it is deleted
 	// logMu is held shared by a put for its WAL append and memtable
-	// insert, and exclusively by a flush's swap.
+	// insert, and exclusively by a flush's swap and by close; mem, wal
+	// and closed change only under both logMu and mu.
 	logMu sync.RWMutex
 
 	mu       sync.RWMutex
 	mem      *skiplist
 	flushing *skiplist  // swapped out, readable until its store file is installed
-	sealed   *wal       // the segment that logged flushing
 	files    []*ssTable // newest first
 	nextSeq  uint64
 	wal      *wal
@@ -142,14 +143,11 @@ func sortFilesBySeqDesc(files []*ssTable) {
 // the memtable exceeds its threshold.
 func (s *store) put(cells []*Cell, m *sim.Meter) error {
 	s.logMu.RLock()
-	s.mu.RLock()
-	closed, mem, w := s.closed, s.mem, s.wal
-	s.mu.RUnlock()
-	err := fmt.Errorf("kvstore: store %s is closed", s.dir)
-	if !closed {
-		err = w.Append(cells)
-	}
-	if err == nil {
+	mem := s.mem
+	var err error
+	if s.closed {
+		err = fmt.Errorf("kvstore: store %s is closed", s.dir)
+	} else if err = s.wal.Append(cells); err == nil {
 		for _, c := range cells {
 			mem.Insert(c.Clone())
 			m.KVPut(int64(c.Size()))
@@ -181,9 +179,11 @@ func (s *store) flush(m *sim.Meter, atLeast int) error {
 // flushLocked swaps and installs the memtable under flushMu and reports
 // the store file count after it (0 when nothing was flushed).
 func (s *store) flushLocked(m *sim.Meter, atLeast int) (int, error) {
-	if s.flushing != nil {
+	if s.sealed != nil {
 		// An earlier flush failed after its swap: its memtable is still
-		// readable and logged, so finish it first.
+		// readable and logged, or its sealed segment is still on disk.
+		// Finish it first, so no later compaction drops a tombstone that
+		// a replay of that segment would outlive.
 		if _, err := s.install(m); err != nil {
 			return 0, err
 		}
@@ -212,18 +212,24 @@ func (s *store) flushLocked(m *sim.Meter, atLeast int) (int, error) {
 }
 
 // install writes the flushing memtable to a store file, puts the file
-// in front of the others, and deletes the segment that logged it.
+// in front of the others, and then deletes the sealed segment that
+// logged it. Each step that fails is left for the next flush to retry.
 func (s *store) install(m *sim.Meter) (int, error) {
-	st, err := s.writeStoreFile(s.flushing.Iterator(nil), s.flushing.Count(), m)
-	if err != nil {
-		return 0, fmt.Errorf("kvstore: flush %s: %w", s.dir, err)
+	if s.flushing != nil {
+		st, err := s.writeStoreFile(s.flushing.Iterator(nil), s.flushing.Count(), m)
+		if err != nil {
+			return 0, fmt.Errorf("kvstore: flush %s: %w", s.dir, err)
+		}
+		s.mu.Lock()
+		s.files = append([]*ssTable{st}, s.files...)
+		s.flushing = nil
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	s.files = append([]*ssTable{st}, s.files...)
-	sealed, n := s.sealed, len(s.files)
-	s.flushing, s.sealed = nil, nil
-	s.mu.Unlock()
-	return n, sealed.remove()
+	if err := s.sealed.remove(); err != nil {
+		return 0, err
+	}
+	s.sealed = nil
+	return s.fileCount(), nil
 }
 
 // writeStoreFile drains it into the next store file. It writes under a
@@ -269,9 +275,9 @@ func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
 
 	m.KVGet(0)
 	probe := seekProbe(row)
-	var srcs []CellIterator
-	for _, it := range memIterators(mem, flushing, probe) {
-		srcs = append(srcs, &boundedIterator{it: it, row: row})
+	srcs := memIterators(mem, flushing, probe)
+	for i, it := range srcs {
+		srcs[i] = &boundedIterator{it: it, row: row}
 	}
 	for _, f := range files {
 		if s.cfg.BloomEnabled && !f.bloom.MayContain(row) {

@@ -340,15 +340,18 @@ func (s ScheduleInjector) Inject(op Op, _ int) *Fault { return s.Schedule.Inject
 // choosing a flavour per injection: latency (most common), corruption,
 // truncation, reset, and stall (rarest).
 type SeededInjector struct {
-	*fault.Seeded
+	seeded   *fault.Seeded
 	noStalls bool
 }
 
 // NewSeededInjector injects on roughly prob of operations,
 // deterministically from seed.
 func NewSeededInjector(seed int64, prob float64) *SeededInjector {
-	return &SeededInjector{Seeded: fault.NewSeeded(seed, prob)}
+	return &SeededInjector{seeded: fault.NewSeeded(seed, prob)}
 }
+
+// Injected reports how many faults the injector has fired.
+func (si *SeededInjector) Injected() int64 { return si.seeded.Injected() }
 
 // DisableStalls replaces stall faults with resets — for harnesses
 // whose victims have no deadline that would ever unblock a stall. Call
@@ -361,7 +364,7 @@ func (si *SeededInjector) DisableStalls() *SeededInjector {
 // Inject implements FaultInjector.
 func (si *SeededInjector) Inject(op Op, n int) *Fault {
 	f := &Fault{}
-	if !si.Fire("", func(r *rand.Rand) {
+	if !si.seeded.Fire("", func(r *rand.Rand) {
 		roll := r.Float64()
 		switch {
 		case roll < 0.40: // latency spike of at most 3ms
