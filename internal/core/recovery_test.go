@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dualtable/internal/dfs"
+	"dualtable/internal/fault"
 	"dualtable/internal/hive"
 )
 
@@ -119,7 +120,7 @@ func TestAbortCleanupRetriesTransientFaults(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	h.SetCompactStagedHook(func(string) {
 		// Fail the first two deletes of every staged file's reclaim.
-		e.FS.SetFaultInjector(dfs.NewScheduleInjector(
+		e.FS.SetFaultInjector(fault.NewSchedule(
 			dfs.FaultRule{Op: dfs.OpDelete, Subject: "/warehouse/m/", Times: 2},
 		))
 		cancel()
@@ -157,7 +158,7 @@ func TestAbortCleanupCondemnsOnPersistentFault(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	h.SetCompactStagedHook(func(string) {
-		e.FS.SetFaultInjector(dfs.NewScheduleInjector(
+		e.FS.SetFaultInjector(fault.NewSchedule(
 			dfs.FaultRule{Op: dfs.OpDelete, Subject: "/warehouse/m/", Times: 1 << 20},
 		))
 		cancel()
@@ -214,7 +215,7 @@ func TestTornWriteDuringInsertAborts(t *testing.T) {
 	before := masterDirFiles(t, e, "m")
 	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
 
-	e.FS.SetFaultInjector(dfs.NewScheduleInjector(
+	e.FS.SetFaultInjector(fault.NewSchedule(
 		dfs.FaultRule{Op: dfs.OpWrite, Subject: "/warehouse/m/", Verdict: dfs.Fault{TearBytes: 7}},
 	))
 	t.Cleanup(func() { e.FS.SetFaultInjector(nil) })
@@ -306,7 +307,7 @@ func TestUnpinFaultDoesNotLeakPins(t *testing.T) {
 	if len(pinned) == 0 {
 		t.Fatal("snapshot pinned no files")
 	}
-	e.FS.SetFaultInjector(dfs.NewScheduleInjector(
+	e.FS.SetFaultInjector(fault.NewSchedule(
 		dfs.FaultRule{Op: dfs.OpUnpin, Subject: "/warehouse/m/", Times: 3},
 	))
 	t.Cleanup(func() { e.FS.SetFaultInjector(nil) })

@@ -89,14 +89,9 @@ func (fs *FileSystem) inject(op Op, p string) *Fault {
 }
 
 // FaultRule fails the operations matching (Op, Subject: a path
-// substring) on occurrences Nth..Nth+Times-1 with its Verdict.
+// substring) on occurrences Nth..Nth+Times-1 with its Verdict;
+// fault.NewSchedule builds the deterministic injector from such rules.
 type FaultRule = fault.Rule[Op, Fault]
-
-// NewScheduleInjector fails exactly the operations its rules name, in
-// arrival order — the deterministic injector for regression tests.
-func NewScheduleInjector(rules ...FaultRule) *fault.Schedule[Op, Fault] {
-	return fault.NewSchedule(rules...)
-}
 
 // SeededInjector fails a seeded fraction of the operations on matching
 // paths; half of the writes it fails are torn at a random prefix.

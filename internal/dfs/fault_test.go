@@ -12,7 +12,7 @@ func TestScheduleInjectorFailsNthOp(t *testing.T) {
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}
-	inj := NewScheduleInjector(FaultRule{Op: OpCreate, Subject: "/t/", Nth: 2})
+	inj := fault.NewSchedule(FaultRule{Op: OpCreate, Subject: "/t/", Nth: 2})
 	fs.SetFaultInjector(inj)
 
 	if err := fs.WriteFile("/t/a", []byte("x")); err != nil {
@@ -38,7 +38,7 @@ func TestTornWriteLeavesAbandonedLease(t *testing.T) {
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetFaultInjector(NewScheduleInjector(FaultRule{Op: OpWrite, Nth: 2, Verdict: Fault{TearBytes: 3}}))
+	fs.SetFaultInjector(fault.NewSchedule(FaultRule{Op: OpWrite, Nth: 2, Verdict: Fault{TearBytes: 3}}))
 
 	w, err := fs.Create("/t/f")
 	if err != nil {

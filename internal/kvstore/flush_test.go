@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dualtable/internal/dfs"
+	"dualtable/internal/fault"
 )
 
 func putCell(st *store, row string) error {
@@ -70,7 +71,7 @@ func TestFlushCrashAtEveryDFSOpKeepsAckedCells(t *testing.T) {
 	} {
 		for k := 1; ; k++ {
 			rule.Subject, rule.Nth = "/r/", k
-			inj := dfs.NewScheduleInjector(rule)
+			inj := fault.NewSchedule(rule)
 			lost := crashAndReopen(t, cfg, inj)
 			if lost != "" {
 				t.Fatalf("%s (tear %d) failed at occurrence %d: %s", rule.Op, rule.Verdict.TearBytes, k, lost)
@@ -96,7 +97,7 @@ func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
 	if err := putCell(st, "row"); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetFaultInjector(dfs.NewScheduleInjector(dfs.FaultRule{Op: dfs.OpDelete, Subject: walPath("/r", 1)}))
+	fs.SetFaultInjector(fault.NewSchedule(dfs.FaultRule{Op: dfs.OpDelete, Subject: walPath("/r", 1)}))
 	if err := st.flush(nil, 0); err == nil {
 		t.Fatal("flush succeeded although its segment delete failed")
 	}
