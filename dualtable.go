@@ -110,7 +110,7 @@ func Open(cfg Config) (*DB, error) {
 		dfsCfg.DataNodes = workers
 	}
 	fs := dfs.New(dfsCfg)
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		return nil, err
 	}

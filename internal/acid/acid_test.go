@@ -22,7 +22,7 @@ func testEngine(t *testing.T) (*hive.Engine, *Handler) {
 func testEngineOn(t *testing.T, cfg dfs.Config) (*hive.Engine, *Handler) {
 	t.Helper()
 	fs := dfs.New(cfg)
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 func testEngine(t testing.TB) (*hive.Engine, *Handler) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestCostModelSelectsPlanBySelectivity(t *testing.T) {
 	// on a genuinely tiny table the OVERWRITE plan's fixed cost always
 	// loses to a handful of puts.
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
 	}

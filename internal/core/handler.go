@@ -458,7 +458,7 @@ func (h *Handler) AttachedEntryCount(desc *metastore.TableDesc) (int64, error) {
 	st.pub.Unlock()
 	if !scanRanges {
 		// No retained ranges ever existed: every cell belongs to a
-		// current master file, so the O(regions) raw count is exact.
+		// current master file, so the O(store files) raw count is exact.
 		return att.EntryCount(), nil
 	}
 	// Retained (or purged) ranges exist: the raw count would include
@@ -478,7 +478,9 @@ func (h *Handler) AttachedEntryCount(desc *metastore.TableDesc) (int64, error) {
 			}
 			total++
 		}
-		sc.Close()
+		if err := sc.Close(); err != nil {
+			return 0, fmt.Errorf("core: count attached entries of %s: %w", desc.Name, err)
+		}
 	}
 	return total, nil
 }

@@ -303,9 +303,9 @@ func TestResidentOpenSharesOverlay(t *testing.T) {
 	}
 }
 
-// Flush, minor compaction and a region split leave every attached cell
-// as it was and move what scanning them costs. Each must be a miss, and
-// the miss must charge what a load of a never-read table charges.
+// Flush and minor compaction leave every attached cell as it was and
+// move what scanning them costs. Each must be a miss, and the miss must
+// charge what a load of a never-read table charges.
 func TestResidentOverlayMissesWhenLSMMoves(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -329,18 +329,6 @@ func TestResidentOverlayMissesWhenLSMMoves(t *testing.T) {
 		}, func(t *testing.T, att *kvstore.Table) {
 			if err := att.Compact(false, nil); err != nil {
 				t.Fatal(err)
-			}
-		}},
-		{"region split", func(t *testing.T, e *hive.Engine, att *kvstore.Table) {
-			if err := att.Flush(nil); err != nil {
-				t.Fatal(err)
-			}
-		}, func(t *testing.T, att *kvstore.Table) {
-			if err := att.SplitRegion(att.Regions()[0], nil); err != nil {
-				t.Fatal(err)
-			}
-			if att.RegionCount() != 2 {
-				t.Fatalf("%d regions after the split, want 2", att.RegionCount())
 			}
 		}},
 	}

@@ -84,13 +84,12 @@ type tableState struct {
 // counter read mutations. The key has to be that exact: attSeconds is a
 // float sum over the cells and store-file blocks the pre-scan touched,
 // so it depends on the LSM's physical state (memtable vs store files,
-// how many of them, which regions) as well as on the cells. An open
-// replays the overlay only while the epoch, the watermark, the table
-// (TruncateTable and DROP swap it) and the counter (every Put, flush,
-// compaction and split moves it) are all what the load saw — nothing a
-// fresh scan reads has changed, so its charge is bit-identical to the
-// fresh scan's. A watermark or append publish drops the overlay and
-// keeps the footers.
+// and how many of them) as well as on the cells. An open replays the
+// overlay only while the epoch, the watermark, the table (TruncateTable
+// and DROP swap it) and the counter (every Put, flush and compaction
+// moves it) are all what the load saw — nothing a fresh scan reads has
+// changed, so its charge is bit-identical to the fresh scan's. A
+// watermark or append publish drops the overlay and keeps the footers.
 type residentEpoch struct {
 	epoch, watermark uint64
 	files            []masterFile

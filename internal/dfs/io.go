@@ -60,11 +60,6 @@ func (fs *FileSystem) CreateMeter(p string, m *sim.Meter) (*FileWriter, error) {
 // mirroring HDFS append semantics (the FEP cluster's bulk-append path
 // in the paper's Figure 1).
 func (fs *FileSystem) Append(p string) (*FileWriter, error) {
-	return fs.AppendMeter(p, nil)
-}
-
-// AppendMeter is Append with simulated-cost accounting on m.
-func (fs *FileSystem) AppendMeter(p string, m *sim.Meter) (*FileWriter, error) {
 	if err := fs.checkWritable(); err != nil {
 		return nil, err
 	}
@@ -82,7 +77,7 @@ func (fs *FileSystem) AppendMeter(p string, m *sim.Meter) (*FileWriter, error) {
 	}
 	n.file.writing = true
 	n.file.mtime = fs.tick()
-	w := &FileWriter{fs: fs, meta: n.file, meter: m, path: path.Clean(p)}
+	w := &FileWriter{fs: fs, meta: n.file, path: path.Clean(p)}
 	// Resume the last block if it has room.
 	if len(n.file.blocks) > 0 {
 		last := n.file.blocks[len(n.file.blocks)-1]
@@ -91,7 +86,6 @@ func (fs *FileSystem) AppendMeter(p string, m *sim.Meter) (*FileWriter, error) {
 			w.tail, w.has = last, true
 		}
 	}
-	m.DFSOpen()
 	return w, nil
 }
 

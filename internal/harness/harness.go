@@ -162,7 +162,7 @@ func newEnv(params sim.CostParams, cfg Config, genScale float64) (*env, error) {
 	}
 	params.DataScale = 1.0 / genScale
 	fs := dfs.New(dfs.Config{BlockSize: 64 << 20, Replication: 3, DataNodes: params.Nodes - 1})
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		return nil, err
 	}

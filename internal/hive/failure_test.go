@@ -117,7 +117,7 @@ func TestCorruptBlockDetectedOnVerifyingRead(t *testing.T) {
 // instead of returning the rows read so far — in batch and in row mode.
 func TestORCScanSurfacesReadFault(t *testing.T) {
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 4, VerifyOnRead: true})
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ import (
 // kvHandler stores tables entirely in the key-value store — the
 // Hive(HBase) baseline of the paper's Figures 11 and 12. Each row
 // gets a monotonically assigned 8-byte row key; each column is one
-// cell (family "d", qualifier = column index). Scans stream whole
-// regions through the MapReduce engine; point DML uses native puts
-// and tombstones (the paper implements this baseline's EDIT-like
-// plans with user defined functions, §VI-B).
+// cell (family "d", qualifier = column index). A scan streams the
+// whole table through the MapReduce engine as one split; point DML
+// uses native puts and tombstones (the paper implements this
+// baseline's EDIT-like plans with user defined functions, §VI-B).
 type kvHandler struct {
 	e *Engine
 }
@@ -55,17 +55,8 @@ func (h *kvHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapre
 	if err != nil {
 		return nil, nil, err
 	}
-	var splits []mapred.InputSplit
-	for _, reg := range tbl.Regions() {
-		splits = append(splits, &kvSplit{
-			tbl:    tbl,
-			start:  reg.Start(),
-			end:    reg.End(),
-			schema: desc.Schema,
-			size:   tbl.Size() / int64(tbl.RegionCount()),
-		})
-	}
-	return splits, noRelease, nil
+	split := &kvSplit{tbl: tbl, schema: desc.Schema, size: tbl.Size()}
+	return []mapred.InputSplit{split}, noRelease, nil
 }
 
 func (h *kvHandler) RowCount(desc *metastore.TableDesc) (int64, error) {
@@ -164,11 +155,9 @@ func (c *kvCollector) flush() error {
 
 func (c *kvCollector) Close() error { return c.flush() }
 
-// kvSplit scans one region range.
+// kvSplit scans the whole table.
 type kvSplit struct {
 	tbl    *kvstore.Table
-	start  []byte
-	end    []byte
 	schema datum.Schema
 	size   int64
 }
@@ -176,7 +165,7 @@ type kvSplit struct {
 func (s *kvSplit) Length() int64 { return s.size }
 
 func (s *kvSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
-	rs := s.tbl.NewRowScanner(kvstore.Scan{Start: s.start, End: s.end, Meter: m})
+	rs := s.tbl.NewRowScanner(kvstore.Scan{Meter: m})
 	return &kvRecordReader{rs: rs, schema: s.schema}, nil
 }
 

@@ -7,26 +7,20 @@ import (
 	"dualtable/internal/dfs"
 )
 
-// Ablation: bloom filters on attached-table gets. DualTable's UNION
-// READ merge path does not need gets, but the cost model's
-// AttachedGetCost and HBase-style point lookups do — the bloom filter
-// is what keeps a get from touching every store file.
-
-func benchTable(b *testing.B, bloom bool, files int) *Table {
+// benchTable builds a table of files store files with disjoint key
+// ranges, 2000 rows each.
+func benchTable(b *testing.B, files int) *Table {
 	b.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
-	cfg := DefaultStoreConfig()
-	cfg.BloomEnabled = bloom
-	cfg.CompactionThreshold = 1000 // keep the file stack
-	c, err := NewCluster(fs, "/hbase", cfg)
+	c, err := NewCluster(fs, "/hbase")
 	if err != nil {
 		b.Fatal(err)
 	}
+	c.cfg.compactFiles = 1000 // keep the file stack
 	tbl, err := c.CreateTable("t")
 	if err != nil {
 		b.Fatal(err)
 	}
-	// files store files, disjoint key ranges, 2000 rows each.
 	for f := 0; f < files; f++ {
 		var cells []*Cell
 		for i := 0; i < 2000; i++ {
@@ -48,30 +42,10 @@ func benchTable(b *testing.B, bloom bool, files int) *Table {
 	return tbl
 }
 
-func benchGets(b *testing.B, bloom bool) {
-	tbl := benchTable(b, bloom, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := []byte(fmt.Sprintf("f%02d-row%05d", i%8, i%2000))
-		cells, err := tbl.Get(key, nil)
-		if err != nil || len(cells) != 1 {
-			b.Fatalf("get %s: %v %v", key, cells, err)
-		}
-	}
-}
-
-// BenchmarkAblationBloomOn measures point gets across 8 store files
-// with bloom filters pruning non-matching files.
-func BenchmarkAblationBloomOn(b *testing.B) { benchGets(b, true) }
-
-// BenchmarkAblationBloomOff is the same workload with bloom filters
-// disabled: every get probes every store file.
-func BenchmarkAblationBloomOff(b *testing.B) { benchGets(b, false) }
-
 // BenchmarkPutThroughput measures raw batched put throughput.
 func BenchmarkPutThroughput(b *testing.B) {
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
-	c, err := NewCluster(fs, "/hbase", DefaultStoreConfig())
+	c, err := NewCluster(fs, "/hbase")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +72,7 @@ func BenchmarkPutThroughput(b *testing.B) {
 // BenchmarkScanThroughput measures sorted range-scan throughput over
 // memtable + store files.
 func BenchmarkScanThroughput(b *testing.B) {
-	tbl := benchTable(b, true, 4)
+	tbl := benchTable(b, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc := tbl.NewScanner(Scan{})

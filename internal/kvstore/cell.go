@@ -2,8 +2,9 @@
 // store: a write-ahead log on the distributed file system, an
 // in-memory memtable (skiplist), immutable sorted store files with
 // block indexes and bloom filters, multi-version cells with
-// timestamps, delete tombstones, minor/major compaction, and
-// range-partitioned regions.
+// timestamps, delete tombstones, and minor/major compaction. A table is
+// one such store: HBase's range-partitioned regions are left out, since
+// an attached table never needs more than one.
 //
 // It is the substrate for DualTable's Attached Tables (paper §III-B):
 // record-level consistency, efficient random writes and reads, sorted
@@ -229,20 +230,3 @@ type CellIterator interface {
 	// Close releases resources.
 	Close() error
 }
-
-// sliceIterator iterates a pre-sorted slice of cells.
-type sliceIterator struct {
-	cells []Cell
-	idx   int
-}
-
-func (it *sliceIterator) Next() (*Cell, bool) {
-	if it.idx >= len(it.cells) {
-		return nil, false
-	}
-	c := &it.cells[it.idx]
-	it.idx++
-	return c, true
-}
-
-func (it *sliceIterator) Close() error { return nil }

@@ -19,7 +19,7 @@ func putCell(st *store, row string) error {
 // readable until the file is in place.
 func TestFlushWindowReaderSeesAckedCells(t *testing.T) {
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
-	st, err := openStore(fs, "/r", DefaultStoreConfig())
+	st, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFlushWindowReaderSeesAckedCells(t *testing.T) {
 				t.Errorf("get row%03d inside the flush window = %v, %v", i, got, err)
 			}
 		}
-		sc := st.scan(nil, nil, nil, 1)
+		sc := &Scanner{st: st}
 		seen := 0
 		for _, ok := sc.Next(); ok; _, ok = sc.Next() {
 			seen++
@@ -54,14 +54,12 @@ func TestFlushWindowReaderSeesAckedCells(t *testing.T) {
 	}
 }
 
-// For each DFS op a region store issues while parallel puts cross a
+// For each DFS op a store issues while parallel puts cross a
 // small flush threshold, and for every k, the k-th occurrence of that
-// op under the region directory fails (a write may also tear). After a
+// op under the store directory fails (a write may also tear). After a
 // crash and a reopen every acknowledged cell is present.
 func TestFlushCrashAtEveryDFSOpKeepsAckedCells(t *testing.T) {
-	cfg := DefaultStoreConfig()
-	cfg.FlushThresholdBytes = 512
-	cfg.CompactionThreshold = 3
+	cfg := storeConfig{flushBytes: 512, compactFiles: 3}
 	for _, rule := range []dfs.FaultRule{
 		{Op: dfs.OpCreate},
 		{Op: dfs.OpWrite},
@@ -90,7 +88,7 @@ func TestFlushCrashAtEveryDFSOpKeepsAckedCells(t *testing.T) {
 // stale segment and bring the deleted cell back.
 func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
-	st, err := openStore(fs, "/r", DefaultStoreConfig())
+	st, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,7 @@ func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
 	if err := st.compact(true, nil); err != nil {
 		t.Fatal(err)
 	}
-	re, err := openStore(fs, "/r", DefaultStoreConfig())
+	re, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +119,7 @@ func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
 // crashAndReopen runs four putters on a fresh store under inj, abandons
 // the store without closing it, reopens its directory fault-free and
 // describes the first acknowledged cell the reopened store lacks.
-func crashAndReopen(t *testing.T, cfg StoreConfig, inj dfs.FaultInjector) string {
+func crashAndReopen(t *testing.T, cfg storeConfig, inj dfs.FaultInjector) string {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 256, Replication: 1, DataNodes: 1})
 	st, err := openStore(fs, "/r", cfg)

@@ -6,16 +6,18 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"dualtable/internal/dfs"
+	"dualtable/internal/fault"
 	"dualtable/internal/sim"
 )
 
-func testCluster(t *testing.T, cfg StoreConfig) *Cluster {
+func testCluster(t *testing.T) *Cluster {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 2})
-	c, err := NewCluster(fs, "/hbase", cfg)
+	c, err := NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +313,7 @@ func TestWALTruncatedTailTolerated(t *testing.T) {
 }
 
 func TestStorePutGetBasic(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, err := c.CreateTable("t")
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +333,7 @@ func TestStorePutGetBasic(t *testing.T) {
 }
 
 func TestOverwriteReturnsLatest(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	put(t, tbl, "r", "q", "old")
 	put(t, tbl, "r", "q", "new")
@@ -341,7 +343,7 @@ func TestOverwriteReturnsLatest(t *testing.T) {
 }
 
 func TestDeleteRowHidesAll(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	put(t, tbl, "r", "q1", "v1")
 	put(t, tbl, "r", "q2", "v2")
@@ -366,7 +368,7 @@ func TestDeleteRowHidesAll(t *testing.T) {
 }
 
 func TestDeleteColumnHidesOnlyColumn(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	put(t, tbl, "r", "q1", "v1")
 	put(t, tbl, "r", "q2", "v2")
@@ -380,7 +382,7 @@ func TestDeleteColumnHidesOnlyColumn(t *testing.T) {
 }
 
 func TestFlushAndReadFromStoreFile(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	for i := 0; i < 100; i++ {
 		put(t, tbl, fmt.Sprintf("row%03d", i), "q", fmt.Sprintf("v%d", i))
@@ -388,9 +390,8 @@ func TestFlushAndReadFromStoreFile(t *testing.T) {
 	if err := tbl.Flush(nil); err != nil {
 		t.Fatal(err)
 	}
-	reg := tbl.Regions()[0]
-	if reg.store.fileCount() != 1 {
-		t.Errorf("fileCount = %d", reg.store.fileCount())
+	if tbl.store.fileCount() != 1 {
+		t.Errorf("fileCount = %d", tbl.store.fileCount())
 	}
 	if v, ok := getVal(t, tbl, "row042", "q"); !ok || v != "v42" {
 		t.Errorf("after flush = %q,%v", v, ok)
@@ -403,14 +404,13 @@ func TestFlushAndReadFromStoreFile(t *testing.T) {
 }
 
 func TestAutoFlushOnThreshold(t *testing.T) {
-	cfg := DefaultStoreConfig()
-	cfg.FlushThresholdBytes = 512
-	c := testCluster(t, cfg)
+	c := testCluster(t)
+	c.cfg.flushBytes = 512
 	tbl, _ := c.CreateTable("t")
 	for i := 0; i < 100; i++ {
 		put(t, tbl, fmt.Sprintf("row%03d", i), "q", "some value content")
 	}
-	if tbl.Regions()[0].store.fileCount() == 0 {
+	if tbl.store.fileCount() == 0 {
 		t.Error("expected automatic flushes")
 	}
 	for i := 0; i < 100; i++ {
@@ -421,7 +421,7 @@ func TestAutoFlushOnThreshold(t *testing.T) {
 }
 
 func TestScanRangeAcrossMemAndFiles(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	for i := 0; i < 50; i++ {
 		put(t, tbl, fmt.Sprintf("row%03d", i), "q", "file")
@@ -452,7 +452,7 @@ func TestScanRangeAcrossMemAndFiles(t *testing.T) {
 }
 
 func TestScanMaxVersions(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	put(t, tbl, "r", "q", "v1")
 	put(t, tbl, "r", "q", "v2")
@@ -473,9 +473,8 @@ func TestScanMaxVersions(t *testing.T) {
 }
 
 func TestMinorCompactionPreservesView(t *testing.T) {
-	cfg := DefaultStoreConfig()
-	cfg.CompactionThreshold = 100 // manual only
-	c := testCluster(t, cfg)
+	c := testCluster(t)
+	c.cfg.compactFiles = 100 // manual only
 	tbl, _ := c.CreateTable("t")
 	put(t, tbl, "a", "q", "v1")
 	tbl.Flush(nil)
@@ -484,13 +483,13 @@ func TestMinorCompactionPreservesView(t *testing.T) {
 	tbl.Flush(nil)
 	tbl.DeleteRow([]byte("b"), nil)
 	tbl.Flush(nil)
-	if got := tbl.Regions()[0].store.fileCount(); got != 3 {
+	if got := tbl.store.fileCount(); got != 3 {
 		t.Fatalf("fileCount = %d", got)
 	}
 	if err := tbl.Compact(false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.Regions()[0].store.fileCount(); got != 1 {
+	if got := tbl.store.fileCount(); got != 1 {
 		t.Errorf("after minor compact fileCount = %d", got)
 	}
 	if v, _ := getVal(t, tbl, "a", "q"); v != "v2" {
@@ -502,7 +501,7 @@ func TestMinorCompactionPreservesView(t *testing.T) {
 }
 
 func TestMajorCompactionDropsTombstones(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	put(t, tbl, "a", "q", "keep")
 	put(t, tbl, "b", "q", "dead")
@@ -510,12 +509,12 @@ func TestMajorCompactionDropsTombstones(t *testing.T) {
 	if err := tbl.Compact(true, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := tbl.Regions()[0].store
+	st := tbl.store
 	if st.fileCount() != 1 {
 		t.Fatalf("fileCount = %d", st.fileCount())
 	}
-	// Raw scan should contain only the surviving put.
-	raw := st.scanRaw(nil, nil, nil)
+	// The one store file should hold only the surviving put.
+	raw := st.files[0].iterator(nil, nil)
 	defer raw.Close()
 	var n int
 	for {
@@ -536,9 +535,128 @@ func TestMajorCompactionDropsTombstones(t *testing.T) {
 	}
 }
 
+// fillFiles flushes files store files of per cells each, with disjoint
+// key ranges.
+func fillFiles(t *testing.T, tbl *Table, files, per int) {
+	t.Helper()
+	for f := 0; f < files; f++ {
+		cells := make([]*Cell, per)
+		for i := range cells {
+			cells[i] = &Cell{Row: []byte(fmt.Sprintf("f%d-row%05d", f, i)), Family: "d", Qualifier: []byte("q"),
+				Type: TypePut, Value: []byte("value")}
+		}
+		if err := tbl.Put(cells, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// storeFiles lists the store files on disk in the table's directory.
+func storeFiles(t *testing.T, tbl *Table) []string {
+	t.Helper()
+	infos, err := tbl.store.fs.ListFiles(tbl.store.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, fi := range infos {
+		if !strings.HasPrefix(fi.Name, walPrefix) {
+			names = append(names, fi.Name)
+		}
+	}
+	return names
+}
+
+// A compaction that replaces the files an open scan is reading leaves
+// them on disk until the scan is done: the scan returns every cell, and
+// the last reader to let go deletes the replaced files.
+func TestScanAcrossCompactionKeepsStoreFiles(t *testing.T) {
+	c := testCluster(t)
+	tbl, _ := c.CreateTable("t")
+	fillFiles(t, tbl, 3, 2000)
+	sc := tbl.NewScanner(Scan{})
+	n := 0
+	for ; n < 10; n++ {
+		if _, ok := sc.Next(); !ok {
+			t.Fatal("scan ended early")
+		}
+	}
+	if err := tbl.Compact(false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(storeFiles(t, tbl)); got != 4 {
+		t.Errorf("%d store files on disk under the open scan, want the 3 replaced and the merged one", got)
+	}
+	for _, ok := sc.Next(); ok; _, ok = sc.Next() {
+		n++
+	}
+	if err := sc.Err(); err != nil {
+		t.Errorf("Err = %v", err)
+	}
+	if err := sc.Close(); err != nil {
+		t.Errorf("Close = %v", err)
+	}
+	if n != 6000 {
+		t.Errorf("the scan saw %d of 6000 cells", n)
+	}
+	if got := storeFiles(t, tbl); len(got) != 1 {
+		t.Errorf("store files after the scan = %v, want only the merged one", got)
+	}
+}
+
+// A read error ends the scan and reaches the caller through Err and
+// Close.
+func TestScannerReportsReadErrors(t *testing.T) {
+	c := testCluster(t)
+	tbl, _ := c.CreateTable("t")
+	fillFiles(t, tbl, 1, 2000)
+	sc := tbl.NewScanner(Scan{})
+	if _, ok := sc.Next(); !ok {
+		t.Fatal("empty scan")
+	}
+	if err := c.fs.Delete(tbl.store.files[0].path, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, ok := sc.Next(); ok; _, ok = sc.Next() {
+	}
+	if err := sc.Err(); !errors.Is(err, dfs.ErrNotFound) {
+		t.Errorf("Err = %v, want %v", err, dfs.ErrNotFound)
+	}
+	if err := sc.Close(); !errors.Is(err, dfs.ErrNotFound) {
+		t.Errorf("Close = %v, want %v", err, dfs.ErrNotFound)
+	}
+}
+
+// A compaction whose delete of a replaced file fails still succeeds;
+// the next compaction deletes the file.
+func TestCompactionRetriesFailedStoreFileDelete(t *testing.T) {
+	c := testCluster(t)
+	tbl, _ := c.CreateTable("t")
+	fillFiles(t, tbl, 2, 10)
+	replaced := tbl.store.files[1].path
+	c.fs.SetFaultInjector(fault.NewSchedule(dfs.FaultRule{Op: dfs.OpDelete, Subject: replaced}))
+	if err := tbl.Compact(false, nil); err != nil {
+		t.Fatalf("a failed delete of a replaced file failed the compaction: %v", err)
+	}
+	c.fs.SetFaultInjector(nil)
+	if !c.fs.Exists(replaced) {
+		t.Fatal("the injected delete fault did not fire")
+	}
+	fillFiles(t, tbl, 1, 10)
+	if err := tbl.Compact(false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := storeFiles(t, tbl); len(got) != 1 {
+		t.Errorf("store files after the second compaction = %v, want only the merged one", got)
+	}
+}
+
 func TestWALRecoveryAfterReopen(t *testing.T) {
 	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
-	st, err := openStore(fs, "/r", DefaultStoreConfig())
+	st, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +665,7 @@ func TestWALRecoveryAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash: no flush, no close; reopen from the same dir.
-	st2, err := openStore(fs, "/r", DefaultStoreConfig())
+	st2, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,79 +678,8 @@ func TestWALRecoveryAfterReopen(t *testing.T) {
 	}
 }
 
-func TestRegionSplitAndRouting(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
-	tbl, _ := c.CreateTable("t")
-	for i := 0; i < 200; i++ {
-		put(t, tbl, fmt.Sprintf("row%04d", i), "q", fmt.Sprintf("v%d", i))
-	}
-	reg := tbl.Regions()[0]
-	if err := tbl.SplitRegion(reg, nil); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.RegionCount() != 2 {
-		t.Fatalf("RegionCount = %d", tbl.RegionCount())
-	}
-	regs := tbl.Regions()
-	if regs[0].Start() != nil || regs[1].End() != nil {
-		t.Error("outer bounds should stay unbounded")
-	}
-	if !bytes.Equal(regs[0].End(), regs[1].Start()) {
-		t.Error("regions not contiguous")
-	}
-	// All rows still readable and writes still routed.
-	for i := 0; i < 200; i++ {
-		if v, ok := getVal(t, tbl, fmt.Sprintf("row%04d", i), "q"); !ok || v != fmt.Sprintf("v%d", i) {
-			t.Fatalf("row%04d after split = %q,%v", i, v, ok)
-		}
-	}
-	put(t, tbl, "row0000", "q", "updated")
-	put(t, tbl, "row0199", "q", "updated")
-	if v, _ := getVal(t, tbl, "row0000", "q"); v != "updated" {
-		t.Error("write to left region lost")
-	}
-	if v, _ := getVal(t, tbl, "row0199", "q"); v != "updated" {
-		t.Error("write to right region lost")
-	}
-	// Full scan still ordered and complete.
-	sc := tbl.NewScanner(Scan{})
-	defer sc.Close()
-	count := 0
-	var prev []byte
-	for {
-		cell, ok := sc.Next()
-		if !ok {
-			break
-		}
-		if prev != nil && bytes.Compare(prev, cell.Row) > 0 {
-			t.Fatal("cross-region scan out of order")
-		}
-		prev = append(prev[:0], cell.Row...)
-		count++
-	}
-	if count != 200 {
-		t.Errorf("scan after split = %d rows", count)
-	}
-}
-
-func TestAutoSplit(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
-	tbl, _ := c.CreateTable("t")
-	tbl.SetSplitThreshold(20 << 10)
-	val := bytes.Repeat([]byte("x"), 256)
-	for i := 0; i < 400; i++ {
-		err := tbl.Put([]*Cell{{Row: []byte(fmt.Sprintf("row%05d", i)), Family: "d", Qualifier: []byte("q"), Type: TypePut, Value: val}}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if tbl.RegionCount() < 2 {
-		t.Errorf("expected auto split, RegionCount = %d", tbl.RegionCount())
-	}
-}
-
 func TestClusterTableLifecycle(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	if _, err := c.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +714,7 @@ func TestClusterTableLifecycle(t *testing.T) {
 }
 
 func TestRowScannerGroupsRows(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	put(t, tbl, "r1", "a", "1")
 	put(t, tbl, "r1", "b", "2")
@@ -693,22 +740,10 @@ func TestRowScannerGroupsRows(t *testing.T) {
 	}
 }
 
-func TestBloomDisabledStillCorrect(t *testing.T) {
-	cfg := DefaultStoreConfig()
-	cfg.BloomEnabled = false
-	c := testCluster(t, cfg)
-	tbl, _ := c.CreateTable("t")
-	put(t, tbl, "r", "q", "v")
-	tbl.Flush(nil)
-	if v, ok := getVal(t, tbl, "r", "q"); !ok || v != "v" {
-		t.Errorf("get without bloom = %q,%v", v, ok)
-	}
-}
-
 func TestMeterChargedOnOps(t *testing.T) {
 	p := sim.GridCluster()
 	m := sim.NewMeter(&p)
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	err := tbl.Put([]*Cell{{Row: []byte("r"), Family: "d", Qualifier: []byte("q"), Type: TypePut, Value: []byte("v")}}, m)
 	if err != nil {
@@ -780,10 +815,9 @@ func TestPropertyDifferentialAgainstModel(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			cfg := DefaultStoreConfig()
-			cfg.FlushThresholdBytes = 2 << 10 // force frequent flushes
-			cfg.CompactionThreshold = 3
-			c := testCluster(t, cfg)
+			c := testCluster(t)
+			c.cfg.flushBytes = 2 << 10 // force frequent flushes
+			c.cfg.compactFiles = 3
 			tbl, _ := c.CreateTable("t")
 			model := newReferenceModel()
 			for op := 0; op < 800; op++ {
@@ -852,7 +886,7 @@ func TestPropertyDifferentialAgainstModel(t *testing.T) {
 // Mutations moves at the start and at the end of every operation that
 // changes what a scan reads or is charged, and of nothing else.
 func TestMutationsBracketEveryChange(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	moved := func(what string, want uint64, fn func()) {
 		t.Helper()
@@ -880,11 +914,6 @@ func TestMutationsBracketEveryChange(t *testing.T) {
 	})
 	moved("Flush", 2, func() { tbl.Flush(nil) })
 	moved("Compact", 2, func() { tbl.Compact(false, nil) })
-	moved("SplitRegion", 2, func() {
-		if err := tbl.SplitRegion(tbl.Regions()[0], nil); err != nil {
-			t.Fatal(err)
-		}
-	})
 	// Truncate swaps the table; the old one's counter says nothing about
 	// the new one's cells.
 	if err := c.TruncateTable("t"); err != nil {
@@ -901,10 +930,9 @@ func TestMutationsBracketEveryChange(t *testing.T) {
 // then — and two of them at one reading are charged alike. The store
 // flushes and compacts inside the Puts.
 func TestMutationsOrderScansAgainstPuts(t *testing.T) {
-	cfg := DefaultStoreConfig()
-	cfg.FlushThresholdBytes = 2048
-	cfg.CompactionThreshold = 3
-	c := testCluster(t, cfg)
+	c := testCluster(t)
+	c.cfg.flushBytes = 2048
+	c.cfg.compactFiles = 3
 	tbl, _ := c.CreateTable("t")
 	const batches, perBatch = 60, 8
 	done := make(chan struct{})

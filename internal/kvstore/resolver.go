@@ -26,7 +26,6 @@ type versionResolver struct {
 
 	prev     Cell // key only
 	havePrev bool
-	err      error
 }
 
 func newVersionResolver(it CellIterator, maxVersions int) *versionResolver {
@@ -87,29 +86,5 @@ func (v *versionResolver) Next() (*Cell, bool) {
 	}
 }
 
-// Close closes the source.
-func (v *versionResolver) Close() error {
-	err := v.it.Close()
-	if v.err == nil {
-		v.err = err
-	}
-	return err
-}
-
-// Err returns the first error observed.
-func (v *versionResolver) Err() error { return v.err }
-
-// compactionFilter emits the cells a major compaction should retain:
-// the visible puts (per versionResolver) — tombstones and shadowed
-// versions are dropped. Implemented as a CellIterator so it can feed
-// writeSSTableFromIterator directly.
-type compactionFilter struct {
-	rv *versionResolver
-}
-
-func newCompactionFilter(it CellIterator, maxVersions int) *compactionFilter {
-	return &compactionFilter{rv: newVersionResolver(it, maxVersions)}
-}
-
-func (f *compactionFilter) Next() (*Cell, bool) { return f.rv.Next() }
-func (f *compactionFilter) Close() error        { return f.rv.Close() }
+// Close closes the source and returns its first read error.
+func (v *versionResolver) Close() error { return v.it.Close() }

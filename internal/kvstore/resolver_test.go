@@ -132,7 +132,7 @@ func TestResolverAgainstBruteForce(t *testing.T) {
 				ops = append(ops, o)
 			}
 			for _, maxV := range []int{1, 2, 3} {
-				c := testCluster(t, DefaultStoreConfig())
+				c := testCluster(t)
 				tbl, _ := c.CreateTable(fmt.Sprintf("t%d", maxV))
 				applyOps(t, tbl, ops)
 				// Interleave a flush/compact to exercise file paths.
@@ -162,7 +162,7 @@ func TestResolverAgainstBruteForce(t *testing.T) {
 func TestResolverTombstoneAtSameTimestamp(t *testing.T) {
 	// A tombstone at ts T hides a put at exactly ts T (HBase
 	// semantics: delete covers cells with ts <= T).
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	applyOps(t, tbl, []rawOp{
 		{row: "r", qual: "q", ts: 5, typ: TypePut, val: "v"},
@@ -174,7 +174,7 @@ func TestResolverTombstoneAtSameTimestamp(t *testing.T) {
 }
 
 func TestResolverRowTombstoneThenNewerPut(t *testing.T) {
-	c := testCluster(t, DefaultStoreConfig())
+	c := testCluster(t)
 	tbl, _ := c.CreateTable("t")
 	applyOps(t, tbl, []rawOp{
 		{row: "r", qual: "q", ts: 3, typ: TypePut, val: "old"},

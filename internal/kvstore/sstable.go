@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"dualtable/internal/dfs"
 	"dualtable/internal/sim"
@@ -156,6 +157,9 @@ type ssTable struct {
 	minTs   uint64
 	maxTs   uint64
 	size    int64
+	// refs counts the holders of the file: the opener, whose reference
+	// passes to the store's stack, and every read that merges it.
+	refs atomic.Int64
 }
 
 // openSSTable reads the trailer, index and bloom filter of a store
@@ -183,6 +187,7 @@ func openSSTable(fs *dfs.FileSystem, path string, m *sim.Meter) (*ssTable, error
 		entries: get(4), seq: get(5), minTs: get(6), maxTs: get(7),
 		size: size,
 	}
+	st.refs.Store(1)
 	indexOff, indexLen := get(0), get(1)
 	filterOff, filterLen := get(2), get(3)
 	fb := make([]byte, filterLen)

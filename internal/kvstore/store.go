@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 
@@ -11,9 +12,9 @@ import (
 	"dualtable/internal/sim"
 )
 
-// store is the storage engine of one region: a memtable, a WAL, and a
+// store is the storage engine of one table: a memtable, a WAL, and a
 // stack of immutable store files (newest first). It is the analog of
-// an HBase Store/HRegion storage.
+// an HBase Store.
 //
 // A flush is atomic for readers and for the log. Under logMu and mu it
 // swaps the memtable out and rotates the WAL together, so a batch's log
@@ -21,10 +22,16 @@ import (
 // The swapped memtable stays readable as flushing until its store file
 // is installed, and only then is the sealed segment that covered it
 // deleted.
+//
+// A read holds a reference on each store file it merges, and the store
+// holds one on each file in its stack. A compaction drops the store's
+// reference on the files it replaces; whoever drops the last reference
+// deletes the file, so a scan that overlaps a compaction reads every
+// block of the files it started with.
 type store struct {
 	fs  *dfs.FileSystem
 	dir string
-	cfg StoreConfig
+	cfg storeConfig
 
 	// flushMu runs one flush at a time and guards sealed.
 	flushMu sync.Mutex
@@ -41,6 +48,9 @@ type store struct {
 	nextSeq  uint64
 	wal      *wal
 	closed   bool
+	// undeleted holds replaced store files whose delete failed; the
+	// next compaction retries them.
+	undeleted []string
 
 	// onFlushSwapped, when set, runs between a flush's swap and the
 	// install of its store file, holding only flushMu (test hook for
@@ -48,44 +58,27 @@ type store struct {
 	onFlushSwapped func()
 }
 
-// StoreConfig tunes a region store.
-type StoreConfig struct {
-	// FlushThresholdBytes triggers a memtable flush (HBase default is
-	// 128 MB; tests use small values).
-	FlushThresholdBytes int
-	// MaxVersions retained per column after major compaction.
-	MaxVersions int
-	// BloomEnabled controls bloom filter usage on Get (ablation knob).
-	BloomEnabled bool
-	// CompactionThreshold is the store file count that triggers an
-	// automatic minor compaction after a flush.
-	CompactionThreshold int
+// retainedVersions is how many versions per column a get returns and
+// a major compaction keeps.
+const retainedVersions = 3
+
+// storeConfig holds a store's flush and compaction thresholds; tests
+// shrink them.
+type storeConfig struct {
+	flushBytes   int // memtable size that triggers a flush (HBase: 128 MB)
+	compactFiles int // store file count that triggers a minor compaction
 }
 
-// DefaultStoreConfig mirrors HBase defaults scaled for simulation.
-func DefaultStoreConfig() StoreConfig {
-	return StoreConfig{
-		FlushThresholdBytes: 8 << 20,
-		MaxVersions:         3,
-		BloomEnabled:        true,
-		CompactionThreshold: 5,
-	}
+// defaultStoreConfig mirrors HBase defaults scaled for simulation.
+func defaultStoreConfig() storeConfig {
+	return storeConfig{flushBytes: 8 << 20, compactFiles: 5}
 }
 
 // tmpPrefix marks a store file being written; writeStoreFile renames it
 // into place once whole.
 const tmpPrefix = "tmp-"
 
-func openStore(fs *dfs.FileSystem, dir string, cfg StoreConfig) (*store, error) {
-	if cfg.FlushThresholdBytes <= 0 {
-		cfg.FlushThresholdBytes = DefaultStoreConfig().FlushThresholdBytes
-	}
-	if cfg.MaxVersions <= 0 {
-		cfg.MaxVersions = 3
-	}
-	if cfg.CompactionThreshold <= 0 {
-		cfg.CompactionThreshold = 5
-	}
+func openStore(fs *dfs.FileSystem, dir string, cfg storeConfig) (*store, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
@@ -157,8 +150,8 @@ func (s *store) put(cells []*Cell, m *sim.Meter) error {
 	if err != nil {
 		return err
 	}
-	if mem.SizeBytes() >= s.cfg.FlushThresholdBytes {
-		return s.flush(m, s.cfg.FlushThresholdBytes)
+	if mem.SizeBytes() >= s.cfg.flushBytes {
+		return s.flush(m, s.cfg.flushBytes)
 	}
 	return nil
 }
@@ -170,7 +163,7 @@ func (s *store) flush(m *sim.Meter, atLeast int) error {
 	s.flushMu.Lock()
 	n, err := s.flushLocked(m, atLeast)
 	s.flushMu.Unlock()
-	if err == nil && n >= s.cfg.CompactionThreshold {
+	if err == nil && n >= s.cfg.compactFiles {
 		return s.compact(false, m)
 	}
 	return err
@@ -252,11 +245,35 @@ func (s *store) writeStoreFile(it CellIterator, expectedKeys int, m *sim.Meter) 
 }
 
 // layers snapshots what a read merges, newest first: the memtable, the
-// memtable being flushed (nil when none is), and the store files.
+// memtable being flushed (nil when none is), and the store files, each
+// with a reference the reader gives back through release.
 func (s *store) layers() (mem, flushing *skiplist, files []*ssTable) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	for _, f := range s.files {
+		f.refs.Add(1)
+	}
 	return s.mem, s.flushing, append([]*ssTable(nil), s.files...)
+}
+
+// release drops one reference on each file. The last reference on a
+// replaced file deletes it.
+func (s *store) release(files []*ssTable) {
+	for _, f := range files {
+		if f.refs.Add(-1) == 0 {
+			s.remove(f.path)
+		}
+	}
+}
+
+// remove deletes a replaced store file, keeping its path for the next
+// compaction to retry when the delete fails.
+func (s *store) remove(p string) {
+	if err := s.fs.Delete(p, false); err != nil {
+		s.mu.Lock()
+		s.undeleted = append(s.undeleted, p)
+		s.mu.Unlock()
+	}
 }
 
 // memIterators opens an iterator at probe on each live memtable.
@@ -268,10 +285,11 @@ func memIterators(mem, flushing *skiplist, probe *Cell) []CellIterator {
 	return srcs
 }
 
-// get returns all visible cells of one row (latest version per
-// column, tombstones applied).
+// get returns all visible cells of one row (the newest
+// retainedVersions per column, tombstones applied).
 func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
 	mem, flushing, files := s.layers()
+	defer s.release(files)
 
 	m.KVGet(0)
 	probe := seekProbe(row)
@@ -280,14 +298,12 @@ func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
 		srcs[i] = &boundedIterator{it: it, row: row}
 	}
 	for _, f := range files {
-		if s.cfg.BloomEnabled && !f.bloom.MayContain(row) {
+		if !f.bloom.MayContain(row) {
 			continue
 		}
 		srcs = append(srcs, &boundedIterator{it: f.iterator(row, m), row: row})
 	}
-	merged := newMergeIterator(srcs)
-	defer merged.Close()
-	rv := newVersionResolver(merged, s.cfg.MaxVersions)
+	rv := newVersionResolver(newMergeIterator(srcs), retainedVersions)
 	var out []Cell
 	for {
 		c, ok := rv.Next()
@@ -296,7 +312,7 @@ func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
 		}
 		out = append(out, c.Clone())
 	}
-	return out, rv.Err()
+	return out, rv.Close()
 }
 
 // boundedIterator restricts an iterator to a single row.
@@ -315,80 +331,97 @@ func (b *boundedIterator) Next() (*Cell, bool) {
 
 func (b *boundedIterator) Close() error { return b.it.Close() }
 
-// scan returns a resolved iterator over [start, end) (nil end = to
-// the last row; nil start = from the first row).
-func (s *store) scan(start, end []byte, m *sim.Meter, maxVersions int) *scanIterator {
-	mem, flushing, files := s.layers()
-
-	if maxVersions <= 0 {
-		maxVersions = 1
-	}
-	m.KVSeek()
-	var probe *Cell
-	if start != nil {
-		probe = seekProbe(start)
-	}
-	srcs := memIterators(mem, flushing, probe)
-	for _, f := range files {
-		srcs = append(srcs, f.iterator(start, m))
-	}
-	merged := newMergeIterator(srcs)
-	return &scanIterator{
-		rv:    newVersionResolver(merged, maxVersions),
-		end:   end,
-		meter: m,
-	}
-}
-
-// scanIterator yields visible cells within the range, charging scan
-// bytes to the meter.
-type scanIterator struct {
-	rv    *versionResolver
-	end   []byte
-	meter *sim.Meter
+// Scanner iterates the visible cells of a table range in row order,
+// charging scan bytes to the scan's meter. It takes its sources at the
+// first Next: the memtables, whose read locks it holds, and a reference
+// on each store file. It gives them back as soon as Next returns false
+// (a DML sink puts into the table it scans before its reader closes),
+// or at Close.
+type Scanner struct {
+	st    *store
+	scan  Scan
+	rv    *versionResolver // nil before the first Next and after the end
+	files []*ssTable
 	done  bool
+	err   error
 }
 
 // Next returns the next visible cell.
-func (it *scanIterator) Next() (*Cell, bool) {
-	if it.done {
+func (sc *Scanner) Next() (*Cell, bool) {
+	if sc.done {
 		return nil, false
 	}
-	c, ok := it.rv.Next()
-	if !ok {
-		it.done = true
+	if sc.rv == nil {
+		sc.open()
+	}
+	c, ok := sc.rv.Next()
+	if !ok || (sc.scan.End != nil && bytes.Compare(c.Row, sc.scan.End) >= 0) {
+		sc.finish()
 		return nil, false
 	}
-	if it.end != nil && bytes.Compare(c.Row, it.end) >= 0 {
-		it.done = true
-		return nil, false
-	}
-	it.meter.KVScan(int64(c.Size()))
+	sc.scan.Meter.KVScan(int64(c.Size()))
 	return c, true
 }
 
-// Close releases the underlying iterators.
-func (it *scanIterator) Close() error {
-	it.done = true
-	return it.rv.Close()
+// open takes the scan's sources, in the order and with the charges of
+// every read: the seek, then each store file's first block.
+func (sc *Scanner) open() {
+	mem, flushing, files := sc.st.layers()
+	sc.files = files
+	sc.scan.Meter.KVSeek()
+	var probe *Cell
+	if sc.scan.Start != nil {
+		probe = seekProbe(sc.scan.Start)
+	}
+	srcs := memIterators(mem, flushing, probe)
+	for _, f := range files {
+		srcs = append(srcs, f.iterator(sc.scan.Start, sc.scan.Meter))
+	}
+	sc.rv = newVersionResolver(newMergeIterator(srcs), sc.scan.MaxVersions)
 }
 
-// Err returns a deferred iteration error.
-func (it *scanIterator) Err() error { return it.rv.Err() }
+// finish closes the sources, keeping the first read error, and gives
+// back the store file references.
+func (sc *Scanner) finish() {
+	sc.done = true
+	if sc.rv == nil {
+		return
+	}
+	sc.err = sc.rv.Close()
+	sc.st.release(sc.files)
+	sc.rv, sc.files = nil, nil
+}
+
+// Close releases the scanner and returns the first read error.
+func (sc *Scanner) Close() error {
+	sc.finish()
+	return sc.err
+}
+
+// Err returns the first read error once Next has returned false.
+func (sc *Scanner) Err() error { return sc.err }
 
 // compact merges store files. Minor compaction merges the current
 // files keeping tombstones; major compaction first flushes the
 // memtable (finishing any flush that failed), then merges everything,
-// dropping tombstones and versions beyond MaxVersions.
+// dropping tombstones and versions beyond retainedVersions. A replaced
+// file is deleted once no read holds it; a delete that fails is
+// retried by the next compaction and fails nothing.
 func (s *store) compact(major bool, m *sim.Meter) error {
 	if major {
 		if err := s.flush(m, 0); err != nil {
 			return err
 		}
 	}
-	s.mu.RLock()
-	files := append([]*ssTable(nil), s.files...)
-	s.mu.RUnlock()
+	s.mu.Lock()
+	retry := s.undeleted
+	s.undeleted = nil
+	s.mu.Unlock()
+	for _, p := range retry {
+		s.remove(p)
+	}
+	_, _, files := s.layers()
+	defer s.release(files)
 	if len(files) == 0 || (len(files) < 2 && !major) {
 		return nil
 	}
@@ -399,36 +432,30 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 		srcs = append(srcs, f.iterator(nil, m))
 		expected += int(f.entries)
 	}
-	var it CellIterator = newMergeIterator(srcs)
-	it = &dedupIterator{it: it}
+	var it CellIterator = &dedupIterator{it: newMergeIterator(srcs)}
 	if major {
-		it = newCompactionFilter(it, s.cfg.MaxVersions)
+		it = newVersionResolver(it, retainedVersions)
 	}
 	st, err := s.writeStoreFile(it, expected+1, m)
 	if err != nil {
 		return fmt.Errorf("kvstore: compact %s: %w", s.dir, err)
 	}
+	// Replace exactly the merged files still in the stack: new flushes
+	// that landed meanwhile stay, and a file a concurrent compaction
+	// already replaced does not lose the store's reference twice.
 	s.mu.Lock()
-	// Replace exactly the files we merged; new flushes that landed
-	// meanwhile stay.
-	merged := make(map[*ssTable]bool, len(files))
-	for _, f := range files {
-		merged[f] = true
-	}
-	var kept []*ssTable
+	kept, replaced := []*ssTable{st}, []*ssTable(nil)
 	for _, f := range s.files {
-		if !merged[f] {
+		if slices.Contains(files, f) {
+			replaced = append(replaced, f)
+		} else {
 			kept = append(kept, f)
 		}
 	}
-	s.files = append(kept, st)
+	s.files = kept
 	sortFilesBySeqDesc(s.files)
 	s.mu.Unlock()
-	for _, f := range files {
-		if err := s.fs.Delete(f.path, false); err != nil {
-			return err
-		}
-	}
+	s.release(replaced)
 	return nil
 }
 
@@ -492,23 +519,6 @@ func (s *store) fileCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.files)
-}
-
-// middleRow estimates the median row key for region splitting: the
-// first row of the middle block of the largest store file.
-func (s *store) middleRow() []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var largest *ssTable
-	for _, f := range s.files {
-		if largest == nil || f.size > largest.size {
-			largest = f
-		}
-	}
-	if largest == nil || len(largest.index) == 0 {
-		return nil
-	}
-	return append([]byte(nil), largest.index[len(largest.index)/2].firstRow...)
 }
 
 func (s *store) close() error {

@@ -13,7 +13,7 @@ import (
 	"dualtable/internal/dfs"
 )
 
-// wal is one segment of a region store's write-ahead log, kept on the
+// wal is one segment of a table store's write-ahead log, kept on the
 // distributed file system like HBase's HLog. A flush seals the open
 // segment and opens the next together with its memtable swap, and
 // deletes the sealed segment only once the flushed store file is
@@ -31,7 +31,7 @@ type wal struct {
 	seg uint64
 
 	// mu serializes use of the log file: parallel map tasks (EDIT
-	// sinks) put to one region store concurrently.
+	// sinks) put to one store concurrently.
 	mu sync.Mutex
 	w  *dfs.FileWriter
 }

@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -369,14 +368,6 @@ func Makespan(durations []float64, slots int, startup float64) float64 {
 		}
 	}
 	return max
-}
-
-// MakespanLPT computes the makespan with longest-processing-time-first
-// ordering, a tighter bound used by speculative-execution simulation.
-func MakespanLPT(durations []float64, slots int, startup float64) float64 {
-	d := append([]float64(nil), durations...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(d)))
-	return Makespan(d, slots, startup)
 }
 
 // String describes the cluster briefly.

@@ -136,15 +136,6 @@ func TestPropertyMakespanBounds(t *testing.T) {
 	}
 }
 
-func TestMakespanLPTNotWorseOnSkew(t *testing.T) {
-	d := []float64{1, 1, 1, 1, 10}
-	fifo := Makespan(d, 2, 0)
-	lpt := MakespanLPT(d, 2, 0)
-	if lpt > fifo+1e-9 {
-		t.Errorf("LPT (%v) worse than FIFO (%v) on skewed input", lpt, fifo)
-	}
-}
-
 func TestClusterPresets(t *testing.T) {
 	g := GridCluster()
 	if g.Nodes != 26 || g.MapSlots() != 150 || g.ReduceSlots() != 50 {

@@ -16,7 +16,7 @@ import (
 func testEngine(t *testing.T) *hive.Engine {
 	t.Helper()
 	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
-	kv, err := kvstore.NewCluster(fs, "/hbase", kvstore.DefaultStoreConfig())
+	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
 	}
