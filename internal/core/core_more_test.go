@@ -50,14 +50,12 @@ func runPinnedScan(e *hive.Engine, splits []mapred.InputSplit, workers int) (sca
 // and SimSeconds byte-identical to a solo scan of that epoch — while
 // concurrent *writers* still block until the compaction finishes. A
 // scan pinned before the epoch swap completes after it, against the
-// superseded files deferred deletion kept alive.
+// superseded files deferred deletion kept alive; the files go once the
+// scan released them and the compaction's epoch left the retention
+// window.
 func TestCompactDoesNotBlockScans(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	// Retention off: this test asserts superseded masters are reclaimed
-	// exactly when the last scan pin drops; the pin-last-N-epochs
-	// time-travel window (covered by TestTimeTravel*) would keep them.
-	e.MS.SetRetentionEpochs("m", 0)
 	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 9999.5 WHERE day < 6")
 	mustExec(t, e, "DELETE FROM m WHERE day = 7")
@@ -165,8 +163,19 @@ func TestCompactDoesNotBlockScans(t *testing.T) {
 		}
 	}
 	releasePin()
-	// The last pin dropped: deferred deletion reclaims every
-	// superseded master — no leak.
+	// The scan pin dropped, but the retention window still serves the
+	// pre-compaction epochs from these files.
+	for _, f := range manBefore.Files {
+		if !e.FS.Exists(f.Path) {
+			t.Errorf("superseded master %s removed inside the retention window", f.Path)
+		}
+	}
+	// RetentionEpochs more publishes take the compaction's epoch out of
+	// the window: deferred deletion reclaims every superseded master —
+	// no leak.
+	for i := 0; i < metastore.RetentionEpochs; i++ {
+		mustExec(t, e, "UPDATE m SET v = 1.0 WHERE id = 1")
+	}
 	for _, f := range manBefore.Files {
 		if e.FS.Exists(f.Path) {
 			t.Errorf("superseded master %s leaked after last pin dropped", f.Path)
@@ -393,21 +402,3 @@ func mustParseUpdate(t *testing.T, sql string) *updateStmtWrapper {
 // Small indirection to keep the sqlparser import local to this file's
 // helper.
 type updateStmtWrapper = updateAlias
-
-func TestFollowingReadsProperty(t *testing.T) {
-	e, h := testEngine(t)
-	seedDual(t, e)
-	// Table property overrides the handler default.
-	if err := e.MS.SetProperty("m", "dualtable.k", "25"); err != nil {
-		t.Fatal(err)
-	}
-	desc, _ := e.MS.Get("m")
-	w, _, err := h.workloadFor(nil, desc, mustParseUpdate(t, "UPDATE m SET v = 0.0 WHERE id = 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.FollowingReads != 25 {
-		t.Errorf("k from property = %v", w.FollowingReads)
-	}
-	_ = metastore.StorageDual
-}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -286,7 +288,6 @@ func TestTimeTravelReadsHistoricalEpochs(t *testing.T) {
 func TestTimeTravelRetentionExpiresEpochs(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", 2)
 	forcePlan(e, h, "EDIT")
 	desc, _ := e.MS.Get("m")
 	mustExec(t, e, "UPDATE m SET v = 99999.5 WHERE day = 1")
@@ -310,9 +311,17 @@ func TestTimeTravelRetentionExpiresEpochs(t *testing.T) {
 		t.Fatalf("in-window AS OF read = %v, want 10", rs.Rows[0])
 	}
 
-	// Advance past the window: each EDIT bumps the epoch by one.
-	mustExec(t, e, "UPDATE m SET v = 1.0 WHERE id = 1")
-	mustExec(t, e, "UPDATE m SET v = 2.0 WHERE id = 2")
+	// Advance to the window's edge: each EDIT bumps the epoch by one,
+	// and epOld is then exactly RetentionEpochs behind — still served.
+	for i := 1; i < metastore.RetentionEpochs; i++ {
+		mustExec(t, e, fmt.Sprintf("UPDATE m SET v = %d.0 WHERE id = %d", i, i))
+	}
+	rs = mustExec(t, e, fmt.Sprintf("SELECT COUNT(*) FROM m AS OF EPOCH %d WHERE v = 99999.5", epOld))
+	if rs.Rows[0][0].I != 10 {
+		t.Fatalf("AS OF read at the window's edge = %v, want 10", rs.Rows[0])
+	}
+	// One more publish takes it out of the window.
+	mustExec(t, e, "UPDATE m SET v = 0.5 WHERE id = 9")
 	for _, f := range manOld.Files {
 		if e.FS.Exists(f.Path) {
 			t.Errorf("superseded master %s survived past the retention window", f.Path)
@@ -333,13 +342,6 @@ func TestTimeTravelRetentionExpiresEpochs(t *testing.T) {
 	}
 	if _, err := e.Execute(fmt.Sprintf("SELECT COUNT(*) FROM m AS OF EPOCH %d", epOld)); !errors.Is(err, metastore.ErrEpochExpired) {
 		t.Fatalf("out-of-window epoch error = %v, want ErrEpochExpired", err)
-	}
-	// Raising the retention knob after the purge must not re-admit the
-	// epoch: its attached history is gone (purge floor, not the
-	// mutable window, is authoritative).
-	e.MS.SetRetentionEpochs("m", 100)
-	if _, err := e.Execute(fmt.Sprintf("SELECT COUNT(*) FROM m AS OF EPOCH %d", epOld)); !errors.Is(err, metastore.ErrEpochExpired) {
-		t.Fatalf("purged epoch re-admitted after retention raise: %v", err)
 	}
 	// Current reads are untouched throughout.
 	rs = mustExec(t, e, "SELECT COUNT(*) FROM m")
@@ -388,7 +390,6 @@ func TestDropCreateRaceLeavesUsableTable(t *testing.T) {
 func TestTimeTravelExpiredEpochRejectedWhileFilesPinned(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", 1)
 	forcePlan(e, h, "EDIT")
 	desc, _ := e.MS.Get("m")
 	mustExec(t, e, "UPDATE m SET v = 4242.5 WHERE day = 2")
@@ -408,8 +409,9 @@ func TestTimeTravelExpiredEpochRejectedWhileFilesPinned(t *testing.T) {
 	defer release()
 
 	mustExec(t, e, "COMPACT TABLE m")
-	mustExec(t, e, "UPDATE m SET v = 1.0 WHERE id = 1")
-	mustExec(t, e, "UPDATE m SET v = 2.0 WHERE id = 2") // window passed
+	for i := 1; i <= metastore.RetentionEpochs; i++ { // window passed
+		mustExec(t, e, fmt.Sprintf("UPDATE m SET v = %d.0 WHERE id = %d", i, i))
+	}
 	for _, f := range manOld.Files {
 		if !e.FS.Exists(f.Path) {
 			t.Fatalf("file %s should still be alive (scan pin)", f.Path)
@@ -417,5 +419,146 @@ func TestTimeTravelExpiredEpochRejectedWhileFilesPinned(t *testing.T) {
 	}
 	if _, err := e.Execute(fmt.Sprintf("SELECT COUNT(*) FROM m AS OF EPOCH %d", epOld)); !errors.Is(err, metastore.ErrEpochExpired) {
 		t.Fatalf("expired epoch with live files = %v, want ErrEpochExpired", err)
+	}
+}
+
+// TestTimeTravelServesExactlyTheWindow runs a history of 3×RetentionEpochs
+// and more publishes — EDIT UPDATE and DELETE, INSERT, COMPACT and a forced
+// OVERWRITE in turn — and records every epoch's rows. An epoch within
+// RetentionEpochs of the current one must read back exactly as recorded,
+// at every point of the history and at its end; an older one must report
+// ErrEpochExpired. At the end the files only expired epochs used are gone
+// with their attached cells, the retained ones hold just their retention
+// pin, and no snapshot is left open.
+func TestTimeTravelServesExactlyTheWindow(t *testing.T) {
+	e, h := testEngine(t)
+	seedDual(t, e)
+	forcePlan(e, h, "EDIT")
+	desc, _ := e.MS.Get("m")
+	const n = metastore.RetentionEpochs
+	sortedRows := func(sql string) []string {
+		t.Helper()
+		rs := mustExec(t, e, sql)
+		rows := make([]string, len(rs.Rows))
+		for i, r := range rs.Rows {
+			rows[i] = r.String()
+		}
+		sort.Strings(rows)
+		return rows
+	}
+	rows := map[uint64][]string{}
+	files := map[uint64][]metastore.ManifestFile{}
+	record := func() uint64 {
+		t.Helper()
+		man, err := e.MS.CurrentManifest("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[man.Epoch] = sortedRows("SELECT id, day, v, tag FROM m")
+		files[man.Epoch] = man.Files
+		return man.Epoch
+	}
+	check := func(when string, epoch, cur uint64) {
+		t.Helper()
+		q := fmt.Sprintf("SELECT id, day, v, tag FROM m AS OF EPOCH %d", epoch)
+		if cur-epoch <= n {
+			if got := sortedRows(q); !reflect.DeepEqual(got, rows[epoch]) {
+				t.Fatalf("%s: AS OF EPOCH %d (current %d) returned %d rows, not the %d recorded",
+					when, epoch, cur, len(got), len(rows[epoch]))
+			}
+		} else if _, err := e.Execute(q); !errors.Is(err, metastore.ErrEpochExpired) {
+			t.Fatalf("%s: AS OF EPOCH %d (current %d) = %v, want ErrEpochExpired", when, epoch, cur, err)
+		}
+	}
+
+	att, err := h.attached(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkFiles holds every file recorded so far to what the window says
+	// of it at cur: in the current manifest, present and unpinned; used by
+	// an epoch in the window, present with its retention pin; else gone,
+	// and its attached cells with it.
+	checkFiles := func(when string, cur uint64) {
+		t.Helper()
+		live := map[string]bool{}
+		for _, f := range files[cur] {
+			live[f.Path] = true
+		}
+		retained := map[string]bool{}
+		for epoch, fs := range files {
+			if cur-epoch <= n {
+				for _, f := range fs {
+					retained[f.Path] = !live[f.Path]
+				}
+			}
+		}
+		for _, fs := range files {
+			for _, f := range fs {
+				exists, pins := e.FS.Exists(f.Path), e.FS.Pins(f.Path)
+				switch {
+				case live[f.Path]:
+					if !exists || pins != 0 {
+						t.Errorf("%s: current file %s: exists %v, %d pins; want it present and unpinned", when, f.Path, exists, pins)
+					}
+				case retained[f.Path]:
+					if !exists || pins != 1 {
+						t.Errorf("%s: retained file %s: exists %v, %d pins; want it present with its retention pin", when, f.Path, exists, pins)
+					}
+				default:
+					if exists || pins != 0 {
+						t.Errorf("%s: expired file %s: exists %v, %d pins; want it gone", when, f.Path, exists, pins)
+					}
+					start, end := FileRange(f.FileID)
+					sc := att.NewScanner(kvstore.Scan{Start: start, End: end})
+					if _, ok := sc.Next(); ok {
+						t.Errorf("%s: attached cells of expired file %s survived", when, f.Path)
+					}
+					sc.Close()
+				}
+			}
+		}
+	}
+
+	last := record()
+	for i := 0; i < 3*n+6; i++ {
+		switch i % 5 {
+		case 0:
+			mustExec(t, e, fmt.Sprintf("UPDATE m SET v = v + 1.25 WHERE day = %d", i%36))
+		case 1:
+			mustExec(t, e, fmt.Sprintf("DELETE FROM m WHERE day = %d", (i*7)%36))
+		case 2:
+			mustExec(t, e, fmt.Sprintf("INSERT INTO m VALUES (%d, %d, %d.75, 'ins')", 1000+i, i%36, i))
+		case 3:
+			mustExec(t, e, "COMPACT TABLE m")
+		case 4:
+			forcePlan(e, h, "OVERWRITE")
+			mustExec(t, e, fmt.Sprintf("UPDATE m SET tag = 'ow%d' WHERE day = %d", i, (i*5)%36))
+			forcePlan(e, h, "EDIT")
+		}
+		cur := record()
+		if cur != last+1 {
+			t.Fatalf("step %d published epoch %d after %d: an epoch went unrecorded", i, cur, last)
+		}
+		last = cur
+		// The window's oldest epoch is served, the one below it is not.
+		for _, epoch := range []uint64{cur - n, cur - n - 1} {
+			if _, ok := rows[epoch]; ok {
+				check(fmt.Sprintf("step %d", i), epoch, cur)
+			}
+		}
+		checkFiles(fmt.Sprintf("step %d", i), cur)
+	}
+
+	for epoch := range rows {
+		check("end", epoch, last)
+	}
+	checkFiles("end", last)
+	st := h.state("m")
+	st.pub.Lock()
+	snaps := st.snaps
+	st.pub.Unlock()
+	if snaps != 0 {
+		t.Errorf("%d snapshots still open", snaps)
 	}
 }

@@ -85,9 +85,9 @@ func (h *Handler) applyForce(ec *hive.ExecContext, plan costmodel.Plan) costmode
 
 // workloadFor builds the cost-model workload for a statement:
 // D and row counts from the current snapshot's master files, α/β from
-// hint → history → stripe-statistics estimate → default, k from
-// options or table property. The second result names the
-// ratio-estimate source.
+// hint → history → stripe-statistics estimate → default, k from the
+// session setting, else defaultFollowingReads. The second result names
+// the ratio-estimate source.
 func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement) (costmodel.Workload, string, error) {
 	key, err := h.StatementKey(stmt)
 	if err != nil {
@@ -143,13 +143,8 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, s
 		ratio, src = h.est.Estimate(key, statsEst)
 	}
 
-	// k resolution: session setting > table property > default.
+	// k resolution: session setting > default.
 	k := float64(defaultFollowingReads)
-	if kp := desc.Properties["dualtable.k"]; kp != "" {
-		if v, err := strconv.ParseFloat(kp, 64); err == nil {
-			k = v
-		}
-	}
 	if ks, ok := ec.Var(hive.VarFollowingReads); ok {
 		if v, err := strconv.ParseFloat(ks, 64); err == nil {
 			k = v

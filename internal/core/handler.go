@@ -39,9 +39,8 @@ const (
 
 // The cost model's fixed inputs. defaultFollowingReads is k, the
 // number of full-table reads expected after a modification, unless the
-// table property "dualtable.k" or the session variable
-// hive.VarFollowingReads says otherwise; markerBytes is m, the delete
-// marker size.
+// session variable hive.VarFollowingReads says otherwise; markerBytes
+// is m, the delete marker size.
 const (
 	defaultFollowingReads = 1
 	markerBytes           = 16
@@ -163,23 +162,16 @@ func masterDir(desc *metastore.TableDesc) string {
 	return path.Join(desc.Location, "master_"+desc.Properties[genProperty])
 }
 
-// attachedName is the incarnation's attached KV table name.
+// attachedName is the incarnation's attached KV table name (Create tags
+// every incarnation).
 func attachedName(desc *metastore.TableDesc) string {
-	base := "dt_" + strings.ToLower(desc.Name) + "_attached"
-	if g := desc.Properties[genProperty]; g != "" {
-		return base + "_" + g
-	}
-	return base
+	return "dt_" + strings.ToLower(desc.Name) + "_attached_" + desc.Properties[genProperty]
 }
 
 // metaRow is the incarnation's file-ID counter row in the system
 // metadata table.
 func metaRow(desc *metastore.TableDesc) []byte {
-	key := strings.ToLower(desc.Name)
-	if g := desc.Properties[genProperty]; g != "" {
-		key += "#" + g
-	}
-	return []byte(key)
+	return []byte(strings.ToLower(desc.Name) + "#" + desc.Properties[genProperty])
 }
 
 // Create provisions the master directory, the attached table, the

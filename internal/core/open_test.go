@@ -16,16 +16,15 @@ import (
 
 // Ordering tests for Handler.open: the onSnapshotLoaded hook runs a
 // publish at the one point where it can matter — after an open loaded
-// its epoch, before the open tests the purge floor — so every
+// its epoch, before the open tests the retention window — so every
 // interleaving below is constructed, not waited for.
 
 // editedTable is seedDual plus one EDIT UPDATE: one master file, ten
 // attached entries.
-func editedTable(t *testing.T, retention int) (*hive.Engine, *Handler, *metastore.TableDesc, uint64) {
+func editedTable(t *testing.T) (*hive.Engine, *Handler, *metastore.TableDesc, uint64) {
 	t.Helper()
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", retention)
 	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 4242.5 WHERE day = 3")
 	desc, err := e.MS.Get("m")
@@ -93,7 +92,7 @@ func wantGone(t *testing.T, e *hive.Engine, s *Snapshot) {
 // superseded set's cells, so the open is exact at the epoch it pinned:
 // one attempt, nothing thrown away.
 func TestOpenRacingCompactKeepsPinnedEpoch(t *testing.T) {
-	e, h, desc, epoch := editedTable(t, metastore.DefaultRetentionEpochs)
+	e, h, desc, epoch := editedTable(t)
 	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
 	evict(h) // the scan left the epoch resident, and a resident open has no load to race
 
@@ -126,14 +125,26 @@ func TestOpenRacingCompactKeepsPinnedEpoch(t *testing.T) {
 	}
 }
 
-// Without retention the same COMPACT truncates the attached table under
-// the load: the floor test fails and the open starts over on the new
-// epoch.
-func TestOpenRacingTruncateRetries(t *testing.T) {
-	e, h, desc, epoch := editedTable(t, 0)
+// leaveWindow publishes a COMPACT and then RetentionEpochs EDIT
+// updates of one row each: the epoch current before it leaves the
+// retention window, and the set the COMPACT superseded expires.
+func leaveWindow(t *testing.T, e *hive.Engine) {
+	t.Helper()
+	mustExec(t, e, "COMPACT TABLE m")
+	for i := 1; i <= metastore.RetentionEpochs; i++ {
+		mustExec(t, e, fmt.Sprintf("UPDATE m SET v = %d.25 WHERE id = %d", i, i))
+	}
+}
+
+// When the same COMPACT is followed by enough publishes that the loaded
+// epoch leaves the retention window, its superseded set's cells are
+// purged under the load: the window test fails and the open starts over
+// on the new epoch.
+func TestOpenRacingExpiryRetries(t *testing.T) {
+	e, h, desc, epoch := editedTable(t)
 	loaded := duringOpens(t, h, func(attempt int) {
 		if attempt == 0 {
-			mustExec(t, e, "COMPACT TABLE m")
+			leaveWindow(t, e)
 		}
 	})
 	snap, err := h.OpenSnapshot(desc)
@@ -144,11 +155,11 @@ func TestOpenRacingTruncateRetries(t *testing.T) {
 	if len(*loaded) != 2 {
 		t.Fatalf("open took %d attempts, want 2", len(*loaded))
 	}
-	if snap != (*loaded)[1] || snap.Epoch != epoch+1 {
-		t.Errorf("snapshot epoch %d, want the second attempt's %d", snap.Epoch, epoch+1)
+	if want := epoch + 1 + metastore.RetentionEpochs; snap != (*loaded)[1] || snap.Epoch != want {
+		t.Errorf("snapshot epoch %d, want the second attempt's %d", snap.Epoch, want)
 	}
-	if n := entryCount(snap); n != 0 {
-		t.Errorf("post-COMPACT snapshot holds %d attached entries, want 0", n)
+	if n := entryCount(snap); n != metastore.RetentionEpochs {
+		t.Errorf("post-COMPACT snapshot holds %d attached entries, want %d", n, metastore.RetentionEpochs)
 	}
 	wantGone(t, e, (*loaded)[0])
 	if got, want := memoPaths(h), manifestPaths(t, e); !reflect.DeepEqual(got, want) {
@@ -156,17 +167,44 @@ func TestOpenRacingTruncateRetries(t *testing.T) {
 	}
 }
 
-// A historical open has no newer epoch to become: when retention+1
-// publishes expire its epoch mid-open, it reports so and lets go.
-func TestOpenAtExpiringMidOpen(t *testing.T) {
-	const retention = 2
-	e, h, desc, epoch := editedTable(t, retention)
+// An open in flight when its table is dropped and re-created is served
+// from the incarnation it pinned, however far past the old epoch the new
+// incarnation's epochs run.
+func TestOpenRacingDropRecreateKeepsPinnedEpoch(t *testing.T) {
+	e, h, desc, epoch := editedTable(t)
+	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
+	evict(h)
 	loaded := duringOpens(t, h, func(int) {
-		mustExec(t, e, "COMPACT TABLE m")
-		for i := 0; i < retention; i++ {
-			mustExec(t, e, fmt.Sprintf("UPDATE m SET v = %d.5 WHERE id = %d", i, i))
+		mustExec(t, e, "DROP TABLE m")
+		seedDual(t, e)
+		for i := uint64(0); i <= epoch+metastore.RetentionEpochs; i++ {
+			mustExec(t, e, fmt.Sprintf("INSERT INTO m VALUES (%d, 1, 1.5, 'new')", 1000+i))
 		}
 	})
+	snap, err := h.OpenSnapshot(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	if len(*loaded) != 1 || snap.Epoch != epoch || entryCount(snap) != 10 {
+		t.Errorf("the open took %d attempts, pinned epoch %d and holds %d entries, want 1, %d and 10",
+			len(*loaded), snap.Epoch, entryCount(snap), epoch)
+	}
+	if cur, _, err := e.MS.CurrentEpoch("m"); err != nil || cur <= epoch+metastore.RetentionEpochs {
+		t.Fatalf("the new incarnation is at epoch %d (%v): not past the old one's window", cur, err)
+	}
+	got, err := runPinnedScan(e, snap.Splits(ScanOptions{}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameScan(t, "scan that raced DROP and re-CREATE", ref, got)
+}
+
+// A historical open has no newer epoch to become: when RetentionEpochs+1
+// publishes expire its epoch mid-open, it reports so and lets go.
+func TestOpenAtExpiringMidOpen(t *testing.T) {
+	e, h, desc, epoch := editedTable(t)
+	loaded := duringOpens(t, h, func(int) { leaveWindow(t, e) })
 	snap, err := h.OpenSnapshotAt(desc, epoch)
 	if !errors.Is(err, metastore.ErrEpochExpired) {
 		if err == nil {
@@ -180,12 +218,12 @@ func TestOpenAtExpiringMidOpen(t *testing.T) {
 	wantGone(t, e, (*loaded)[0])
 }
 
-// A replace inside every optimistic attempt cannot starve the open: the
+// An expiry inside every optimistic attempt cannot starve the open: the
 // attempt after them loads under the publish lock, where nothing can
 // land (the hook is not even fired).
 func TestOpenBoundedUnderCompactionChurn(t *testing.T) {
-	e, h, desc, epoch := editedTable(t, 0)
-	loaded := duringOpens(t, h, func(int) { mustExec(t, e, "COMPACT TABLE m") })
+	e, h, desc, epoch := editedTable(t)
+	loaded := duringOpens(t, h, func(int) { leaveWindow(t, e) })
 	snap, err := h.OpenSnapshot(desc)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +231,7 @@ func TestOpenBoundedUnderCompactionChurn(t *testing.T) {
 	if len(*loaded) != optimisticAttempts {
 		t.Errorf("%d optimistic attempts, want %d", len(*loaded), optimisticAttempts)
 	}
-	if want := epoch + optimisticAttempts; snap.Epoch != want {
+	if want := epoch + optimisticAttempts*(1+metastore.RetentionEpochs); snap.Epoch != want {
 		t.Errorf("snapshot epoch %d, want %d", snap.Epoch, want)
 	}
 	for _, s := range *loaded {
@@ -405,7 +443,7 @@ func TestResidentEpochInvalidation(t *testing.T) {
 		if res == nil {
 			t.Fatalf("%s: the slot is empty, want its footers kept", when)
 		}
-		if res.entries != nil || res.attSeconds != nil || res.att != nil {
+		if res.entries != nil || res.attSeconds != nil {
 			t.Errorf("%s: the overlay survived", when)
 		}
 		if got := footersOf(res); !reflect.DeepEqual(got, footers) {
@@ -483,22 +521,6 @@ func TestResidentEpochInvalidation(t *testing.T) {
 		t.Errorf("after an OVERWRITE update the slot holds %+v", res)
 	}
 
-	// Retention 0: the replace also swaps the attached table.
-	forcePlan(e, h, "EDIT")
-	e.MS.SetRetentionEpochs("m", 0)
-	mustExec(t, e, "UPDATE m SET v = 4.5 WHERE day = 13")
-	scan()
-	oldAtt := wantOverlay("before the truncating COMPACT").att
-	mustExec(t, e, "COMPACT TABLE m")
-	if res := slot(h); res != nil {
-		t.Errorf("after a truncating COMPACT the slot holds %+v", res)
-	}
-	mustExec(t, e, "UPDATE m SET v = 5.5 WHERE day = 15")
-	scan()
-	if res := wantOverlay("after the truncating COMPACT, an EDIT and a scan"); res.att == oldAtt {
-		t.Error("the resident overlay still names the truncated attached table")
-	}
-
 	// DROP + re-CREATE: the old incarnation's state is emptied and the new
 	// one starts empty.
 	oldState := h.state("m")
@@ -523,7 +545,7 @@ func TestResidentEpochInvalidation(t *testing.T) {
 // A load that a Put lands inside of is served to its own open and kept
 // for nobody: the next open loads again.
 func TestLoadOverlappingPutIsNotResident(t *testing.T) {
-	e, h, desc, _ := editedTable(t, metastore.DefaultRetentionEpochs)
+	e, h, desc, _ := editedTable(t)
 	att, err := h.attached(desc)
 	if err != nil {
 		t.Fatal(err)
@@ -571,7 +593,7 @@ func snapshotFileID(t *testing.T, h *Handler, desc *metastore.TableDesc) uint32 
 // the table's next publish, however often the epoch is opened in
 // between — from a load or from the slot.
 func TestOrphanCellNeverServedBeforePublish(t *testing.T) {
-	e, h, desc, _ := editedTable(t, metastore.DefaultRetentionEpochs)
+	e, h, desc, _ := editedTable(t)
 	att, err := h.attached(desc)
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +639,7 @@ func TestOrphanCellNeverServedBeforePublish(t *testing.T) {
 func TestResidentSlotEmptyAfterReplaceAndDrop(t *testing.T) {
 	for _, stmt := range []string{"COMPACT TABLE m", "DROP TABLE m"} {
 		t.Run(stmt, func(t *testing.T) {
-			e, h, desc, _ := editedTable(t, metastore.DefaultRetentionEpochs)
+			e, h, desc, _ := editedTable(t)
 			st := h.state("m")
 			loaded := duringOpens(t, h, func(int) { mustExec(t, e, stmt) })
 			snap, err := h.OpenSnapshot(desc)

@@ -34,11 +34,10 @@ var (
 )
 
 // retryableDFS classifies cleanup errors worth retrying: injected
-// faults and safe mode are transient; an open file becomes deletable
-// after lease recovery.
+// faults are transient; an open file becomes deletable after lease
+// recovery.
 func retryableDFS(err error) bool {
 	return errors.Is(err, fault.ErrInjected) ||
-		errors.Is(err, dfs.ErrReadOnlyMount) ||
 		errors.Is(err, dfs.ErrFileOpen)
 }
 

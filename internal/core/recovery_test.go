@@ -63,7 +63,6 @@ func assertNoOrphans(t *testing.T, e *hive.Engine, table string) {
 func TestCompactAbortReclaimsStagedFiles(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", 0)
 	forcePlan(e, h, "EDIT")
 	mustExec(t, e, "UPDATE m SET v = 1.5 WHERE day < 4")
 	desc, _ := e.MS.Get("m")
@@ -114,7 +113,6 @@ func TestAbortCleanupRetriesTransientFaults(t *testing.T) {
 	fastCleanup(t)
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", 0)
 	before := masterDirFiles(t, e, "m")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -153,7 +151,6 @@ func TestAbortCleanupCondemnsOnPersistentFault(t *testing.T) {
 	fastCleanup(t)
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", 0)
 	before := masterDirFiles(t, e, "m")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -211,7 +208,6 @@ func TestTornWriteDuringInsertAborts(t *testing.T) {
 	fastCleanup(t)
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", 0)
 	before := masterDirFiles(t, e, "m")
 	ref := runUnionScan(t, e, h, "m", ScanOptions{}, 4, false)
 
@@ -296,7 +292,6 @@ func TestUnpinFaultDoesNotLeakPins(t *testing.T) {
 	fastCleanup(t)
 	e, h := testEngine(t)
 	seedDual(t, e)
-	e.MS.SetRetentionEpochs("m", 0)
 	desc, _ := e.MS.Get("m")
 
 	snap, err := h.OpenSnapshot(desc)

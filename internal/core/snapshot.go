@@ -53,12 +53,6 @@ type tableState struct {
 	// while the attached table has never carried retained ranges).
 	retained     []retainedEpochs
 	everRetained bool
-	// floorEpoch is the oldest serviceable epoch: expiring (or
-	// truncating) a superseded file set purges the attached cells of
-	// every epoch below the set's supersede point, so those epochs
-	// must never be served again — even if the retention knob is later
-	// raised or their files incidentally survive under other pins.
-	floorEpoch uint64
 	// res is the resident snapshot of the current epoch (nil = none).
 	res *residentEpoch
 }
@@ -80,21 +74,22 @@ type tableState struct {
 // bytes.
 //
 // entries/attSeconds (nil = none) are the attached-table overlay of
-// exactly (epoch, watermark), materialised from att when its mutation
-// counter read mutations. The key has to be that exact: attSeconds is a
-// float sum over the cells and store-file blocks the pre-scan touched,
-// so it depends on the LSM's physical state (memtable vs store files,
-// and how many of them) as well as on the cells. An open replays the
-// overlay only while the epoch, the watermark, the table (TruncateTable
-// and DROP swap it) and the counter (every Put, flush and compaction
-// moves it) are all what the load saw — nothing a fresh scan reads has
-// changed, so its charge is bit-identical to the fresh scan's. A
-// watermark or append publish drops the overlay and keeps the footers.
+// exactly (epoch, watermark), materialised when the attached table's
+// mutation counter read mutations. The key has to be that exact:
+// attSeconds is a float sum over the cells and store-file blocks the
+// pre-scan touched, so it depends on the LSM's physical state (memtable
+// vs store files, and how many of them) as well as on the cells. An
+// open replays the overlay only while the epoch, the watermark and the
+// counter (every Put, flush and compaction moves it) are all what the
+// load saw — nothing a fresh scan reads has changed, so its charge is
+// bit-identical to the fresh scan's. The attached table itself is the
+// incarnation's for its whole life: only DROP removes it, and a
+// re-CREATE starts a new tableState. A watermark or append publish
+// drops the overlay and keeps the footers.
 type residentEpoch struct {
 	epoch, watermark uint64
 	files            []masterFile
 
-	att        *kvstore.Table
 	mutations  uint64
 	entries    map[uint32][]hive.RecordMod
 	attSeconds map[uint32]float64
@@ -117,7 +112,7 @@ func (r *residentEpoch) footer(i int, path string) *orcfile.Reader {
 // just superseded. Caller holds pub.
 func (st *tableState) dropOverlayLocked() {
 	if r := st.res; r != nil {
-		r.att, r.entries, r.attSeconds = nil, nil, nil
+		r.entries, r.attSeconds = nil, nil
 	}
 }
 
@@ -135,7 +130,7 @@ func (st *tableState) keepLocked(snap *Snapshot) {
 	}
 	res := &residentEpoch{epoch: snap.Epoch, watermark: snap.Watermark, files: snap.files}
 	if snap.entries != nil && snap.att.Mutations() == snap.mutations {
-		res.att, res.mutations = snap.att, snap.mutations
+		res.mutations = snap.mutations
 		res.entries, res.attSeconds = snap.entries, snap.attSeconds
 	} else if cur := st.res; cur != nil && cur.epoch == snap.Epoch {
 		return // the slot already holds this epoch's files, perhaps with an overlay
@@ -219,11 +214,9 @@ func (h *Handler) OpenSnapshot(desc *metastore.TableDesc) (*Snapshot, error) {
 }
 
 // OpenSnapshotAt pins a historical epoch for a time-travel read
-// (SELECT ... AS OF EPOCH n). The epoch must still be in the manifest
-// history, inside the retention window, and above the purge floor —
-// the retention policy (pin the last N epochs' superseded files)
-// guarantees its files and attached cells are intact there. Release
-// must be called exactly once.
+// (SELECT ... AS OF EPOCH n). The epoch must be inside the retention
+// window (inWindowLocked), where retention guarantees its files and
+// attached cells are intact. Release must be called exactly once.
 func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snapshot, error) {
 	return h.open(desc, &epoch, true)
 }
@@ -242,19 +235,18 @@ const optimisticAttempts = 3
 // footer opens and the attached-table materialization — run outside it,
 // so a session-wide read.epoch pin or a large delta does not serialize
 // every open and publish behind a materialization. What a publish can do
-// to a load in flight is exactly one thing: discard the attached cells
-// it is reading, and every discard (the retention-0 truncate, the purge
-// of an expired retained set) first raises floorEpoch above the epochs
-// it destroys, under pub. So the load is exact iff the pinned epoch is
-// still at or above the floor afterwards. Nothing else needs a test: the
-// files are pinned; a COMPACT/OVERWRITE inside the retention window
-// keeps the superseded set's cells, so the snapshot stays exact at its
-// pinned epoch; and cells a concurrent EDIT writes carry timestamps
+// to a load in flight is exactly one thing: purge the attached cells it
+// is reading, and it purges only the cells of epochs that have left the
+// retention window. So the load is exact iff the pinned epoch is still
+// inside the window afterwards (inWindowLocked, under pub). Nothing else
+// needs a test: the files are pinned; a COMPACT/OVERWRITE inside the
+// window keeps the superseded set's cells, so the snapshot stays exact at
+// its pinned epoch; and cells a concurrent EDIT writes carry timestamps
 // above this snapshot's watermark, which the materialization filters
-// out. A current-epoch open that lost its cells retries against the new
+// out. A current-epoch open that left the window retries against the new
 // epoch; a historical one has nothing newer to be, and expires. After a
-// few lost races the load runs with the lock held, where no floor can
-// move, bounding livelock under pathological compaction churn.
+// few lost races the load runs with the lock held, where no publish can
+// land, bounding livelock under pathological compaction churn.
 //
 // A current-epoch open whose epoch is resident (residentEpoch) with
 // everything it needs has nothing to load and returns from the first
@@ -269,8 +261,8 @@ func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool
 			return nil, err
 		}
 		if resident {
-			// Nothing to load, so nothing a publish could have discarded:
-			// the resident epoch is the current one, at or above the floor.
+			// Nothing to load, so nothing a publish could have purged:
+			// the resident epoch is the current one.
 			st.pub.Unlock()
 			return snap, nil
 		}
@@ -284,7 +276,7 @@ func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool
 		} else {
 			err = snap.load(withEntries) // no publish can land: this one is exact
 		}
-		exact := err == nil && snap.Epoch >= st.floorEpoch
+		exact := err == nil && h.inWindowLocked(desc, st, snap.Epoch)
 		// A historical epoch is never resident: its files may have left
 		// the manifest before it pinned them.
 		if exact && asOf == nil {
@@ -342,7 +334,7 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 	} else {
 		snap.files, resident = res.files, true
 		if withEntries {
-			resident = res.entries != nil && res.att == snap.att && res.mutations == snap.mutations
+			resident = res.entries != nil && res.mutations == snap.mutations
 			if resident {
 				snap.entries, snap.attSeconds = res.entries, res.attSeconds
 			}
@@ -370,34 +362,39 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 }
 
 // manifestAtLocked resolves a historical epoch's manifest and checks
-// that the epoch is still serviceable. Caller holds pub.
+// that the epoch is still serviceable. The window is enforced explicitly
+// rather than through a pin failure: an expired epoch's files can
+// incidentally stay alive (another long scan may still pin them), but
+// its attached cells were purged at expiry, so serving it would silently
+// drop that epoch's UPDATE/DELETE effects. Caller holds pub.
 func (h *Handler) manifestAtLocked(desc *metastore.TableDesc, st *tableState, epoch uint64) (*metastore.Manifest, error) {
 	man, err := h.e.MS.ManifestAt(desc.Name, epoch)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: %w", desc.Name, epoch, err)
 	}
-	// Enforce the retention window explicitly rather than relying on a
-	// pin failure: an expired epoch's files can incidentally stay
-	// alive (another long scan may still pin them), but its attached
-	// cells were purged at expiry, so serving it would silently drop
-	// that epoch's UPDATE/DELETE effects. ManifestAt succeeded, so the
-	// chain (and its current manifest) exists.
-	cur, _, err := h.e.MS.CurrentEpoch(desc.Name)
-	if err != nil {
-		return nil, err
-	}
-	if n := h.e.MS.RetentionEpochs(desc.Name); epoch < cur && cur-epoch > uint64(n) {
-		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: outside the retention window (current %d, retained %d): %w",
-			desc.Name, epoch, cur, n, metastore.ErrEpochExpired)
-	}
-	// The purge floor is authoritative regardless of the (mutable)
-	// retention knob: epochs whose attached cells were already purged
-	// stay unserviceable even after the window is widened.
-	if epoch < st.floorEpoch {
-		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: attached history purged up to epoch %d: %w",
-			desc.Name, epoch, st.floorEpoch, metastore.ErrEpochExpired)
+	if !h.inWindowLocked(desc, st, epoch) {
+		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: outside the retention window of %d epochs: %w",
+			desc.Name, epoch, metastore.RetentionEpochs, metastore.ErrEpochExpired)
 	}
 	return man, nil
+}
+
+// inWindowLocked is the one test of whether an epoch of st's
+// incarnation may be served: it is inside the retention window,
+// current − epoch <= RetentionEpochs. Expiry drops the set a replace
+// superseded at epoch S (its files and the attached cells keyed by
+// them) only once S+RetentionEpochs <= current, and that set serves
+// only epochs below S, so every epoch in the window still has its files
+// and its cells. A dropped incarnation publishes and purges nothing
+// more (its attached table goes when its last snapshot releases), so
+// its current epoch stays where the DROP left it — whatever epochs a
+// re-CREATE of the name publishes. Caller holds pub.
+func (h *Handler) inWindowLocked(desc *metastore.TableDesc, st *tableState, epoch uint64) bool {
+	if st.dropped {
+		return true
+	}
+	cur, _, err := h.e.MS.CurrentEpoch(desc.Name)
+	return err == nil && cur-epoch <= metastore.RetentionEpochs
 }
 
 // load parses the footer of every file the resident epoch did not have
@@ -441,10 +438,10 @@ func (h *Handler) openFooter(path string) (*orcfile.Reader, error) {
 // loadEntries materializes the attached table into per-file entry
 // lists, keeping for each (record, column) the newest cell at or
 // below the snapshot watermark. Materializing at open is what makes a
-// pinned scan immune to the attached truncation a concurrent COMPACT
-// performs when it publishes: the entries this snapshot needs already
-// live in memory (open's floor test rejects a materialization the
-// truncation overtook). EDIT keeps the attached table small relative to
+// pinned scan immune to the purge of its cells once its epoch leaves the
+// retention window: the entries this snapshot needs already live in
+// memory (open's window test rejects a materialization the purge
+// overtook). EDIT keeps the attached table small relative to
 // the master, so the one-pass buffering is cheap — and scan tasks no
 // longer touch the key-value store at all. Each file's ranged pre-scan
 // is metered separately;
@@ -494,7 +491,7 @@ type overlaySlab struct {
 // scanner advances. The ranges this reads hold only puts (delete markers
 // are puts of __del__), so no delete semantics apply here: KV tombstones
 // exist in attached tables only in purged file-ID ranges (written by
-// purgeAttachedRanges at retention expiry), and the purge floor
+// purgeAttachedRanges at retention expiry), and the window test
 // guarantees no snapshot ever materializes those ranges again.
 func (s *Snapshot) foldOverlay(sc *kvstore.Scanner, slab *overlaySlab) ([]hive.RecordMod, error) {
 	var (
@@ -633,10 +630,9 @@ func (s *Snapshot) Release() {
 // Post-swap cleanup (the superseded set, retention expiry) is
 // best-effort — a failure there must never surface as a publish
 // failure, because the new epoch is already current and discarding
-// its files would leave the table pointing at nothing. A missed
-// truncation only leaves orphaned cells keyed by superseded file IDs
-// (invisible to the new epoch's scans); a missed delete only leaks a
-// file.
+// its files would leave the table pointing at nothing. A missed purge
+// only leaves orphaned cells keyed by superseded file IDs (invisible
+// to the new epoch's scans); a missed delete only leaks a file.
 func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestFile, replace bool) error {
 	st := h.state(desc.Name)
 	st.pub.Lock()
@@ -671,11 +667,11 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 	}
 	// Committed. Cleanup below is best-effort.
 	if replace {
-		h.supersedeLocked(desc, st, superseded, epoch)
+		h.supersedeLocked(st, superseded, epoch)
 	} else {
 		st.dropOverlayLocked()
 	}
-	expired := h.expireRetainedLocked(desc, st, epoch)
+	expired := h.expireRetainedLocked(st, epoch)
 	st.pub.Unlock()
 	h.purgeExpired(desc, expired)
 	h.drainCleanup()
@@ -687,41 +683,23 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 // DFS's deferred deletion — removed immediately unless a pin still
 // holds it, in which case it survives until the last one releases.
 //
-// Retention: with a pin-last-N-epochs window, the superseded file
-// set stays pinned (and the attached cells keyed by its file IDs
-// stay in place) so ManifestAt time-travel reads of the epochs it
-// served remain serviceable; both are reclaimed when those epochs
-// age out of the window. File IDs are never reused and the new
-// files' IDs are disjoint, so the stale cells are invisible to
-// every scan of the new epoch. Without retention, the attached
-// table truncates and the files are condemned immediately — the
-// pre-time-travel behavior. Caller holds pub.
-func (h *Handler) supersedeLocked(desc *metastore.TableDesc, st *tableState, old []metastore.ManifestFile, at uint64) {
+// Retention: the superseded file set stays pinned (and the attached
+// cells keyed by its file IDs stay in place) so time-travel reads of
+// the epochs it served remain serviceable; both are reclaimed when
+// those epochs leave the retention window. File IDs are never reused
+// and the new files' IDs are disjoint, so the stale cells are
+// invisible to every scan of the new epoch. Caller holds pub.
+func (h *Handler) supersedeLocked(st *tableState, old []metastore.ManifestFile, at uint64) {
 	st.res = nil // every resident file just left the manifest
-	if n := h.e.MS.RetentionEpochs(desc.Name); n > 0 {
-		// An empty superseded set (replacing an empty table) retains
-		// nothing — but it must NOT fall into the truncate branch,
-		// which would destroy older retained sets' attached cells and
-		// floor every in-window epoch.
-		if len(old) > 0 {
-			retained := make([]metastore.ManifestFile, 0, len(old))
-			for _, f := range old {
-				if err := h.e.FS.Pin(f.Path); err == nil {
-					retained = append(retained, f)
-				}
+	if len(old) > 0 {
+		retained := make([]metastore.ManifestFile, 0, len(old))
+		for _, f := range old {
+			if err := h.e.FS.Pin(f.Path); err == nil {
+				retained = append(retained, f)
 			}
-			st.retained = append(st.retained, retainedEpochs{supersededAt: at, files: retained})
-			st.everRetained = true
 		}
-	} else {
-		// Truncation destroys the attached history of every epoch
-		// below this publish; record that — before truncating, so an
-		// open whose load the truncation cut short fails its floor
-		// test — and so no later retention change can re-admit them.
-		if at > st.floorEpoch {
-			st.floorEpoch = at
-		}
-		h.e.KV.TruncateTable(attachedName(desc))
+		st.retained = append(st.retained, retainedEpochs{supersededAt: at, files: retained})
+		st.everRetained = true
 	}
 	for _, f := range old {
 		// Single attempt under the publish lock (retry backoff here
@@ -760,31 +738,26 @@ func (h *Handler) checkIncarnationLocked(desc *metastore.TableDesc, st *tableSta
 }
 
 // expireRetainedLocked drops retained file sets whose serviceable
-// epochs all aged out of the retention window at the given current
-// epoch: their retention pins release (letting the deferred deletions
-// issued at supersede time fire) and the purge floor advances so the
-// expired epochs can never be served again. The expired sets are
-// returned for the caller to purge with purgeExpired AFTER releasing
-// the pub lock — the attached-range scan is the slow part, and the
-// floor (set here, under the lock) already guarantees no new
-// time-travel open can touch the doomed ranges. Caller holds the
+// epochs all left the retention window at the given current epoch:
+// their retention pins release (letting the deferred deletions issued
+// at supersede time fire). The expired sets are returned for the
+// caller to purge with purgeExpired AFTER releasing the pub lock — the
+// attached-range scan is the slow part, and the window test already
+// keeps every new open off the doomed ranges: the epochs they serve
+// are outside the window from this publish on. Caller holds the
 // table's pub lock.
-func (h *Handler) expireRetainedLocked(desc *metastore.TableDesc, st *tableState, current uint64) []retainedEpochs {
+func (h *Handler) expireRetainedLocked(st *tableState, current uint64) []retainedEpochs {
 	if len(st.retained) == 0 {
 		return nil
 	}
-	n := h.e.MS.RetentionEpochs(desc.Name)
 	keep := st.retained[:0]
 	var expired []retainedEpochs
 	for _, re := range st.retained {
 		// The newest epoch a set serves is supersededAt-1; an epoch e
-		// is inside the window iff current-e <= n.
-		if re.supersededAt+uint64(n) <= current {
+		// is inside the window iff current-e <= RetentionEpochs.
+		if re.supersededAt+metastore.RetentionEpochs <= current {
 			for _, f := range re.files {
 				h.unpinDeferred(f.Path)
-			}
-			if re.supersededAt > st.floorEpoch {
-				st.floorEpoch = re.supersededAt
 			}
 			expired = append(expired, re)
 		} else {

@@ -256,22 +256,21 @@ func bisectRatio(f func(float64) float64) float64 {
 type RatioEstimator struct {
 	mu      sync.Mutex
 	history map[string][]float64
-	// DefaultRatio is used with no other signal (conservative: small,
+}
+
+const (
+	// defaultRatio is used with no other signal (conservative: small,
 	// favoring EDIT, mirroring the paper's observation that real
 	// modification ratios are mostly below 10%).
-	DefaultRatio float64
-	// MaxHistory bounds the per-key window.
-	MaxHistory int
-}
+	defaultRatio = 0.05
+	// maxHistory bounds the per-key window.
+	maxHistory = 32
+)
 
 // NewRatioEstimator builds an estimator with the paper-informed
 // default of 5%.
 func NewRatioEstimator() *RatioEstimator {
-	return &RatioEstimator{
-		history:      map[string][]float64{},
-		DefaultRatio: 0.05,
-		MaxHistory:   32,
-	}
+	return &RatioEstimator{history: map[string][]float64{}}
 }
 
 // Observe records the true ratio measured after executing a
@@ -286,8 +285,8 @@ func (r *RatioEstimator) Observe(key string, ratio float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := append(r.history[key], ratio)
-	if len(h) > r.MaxHistory {
-		h = h[len(h)-r.MaxHistory:]
+	if len(h) > maxHistory {
+		h = h[len(h)-maxHistory:]
 	}
 	r.history[key] = h
 }
@@ -306,7 +305,7 @@ func (r *RatioEstimator) Estimate(key string, statsEstimate float64) (float64, s
 	if statsEstimate >= 0 {
 		return statsEstimate, "stats"
 	}
-	return r.DefaultRatio, "default"
+	return defaultRatio, "default"
 }
 
 // HistoryLen reports how many observations exist for a key.

@@ -213,13 +213,17 @@ func TestRatioEstimatorFallbackOrder(t *testing.T) {
 
 func TestRatioEstimatorClampsAndWindows(t *testing.T) {
 	re := NewRatioEstimator()
-	re.MaxHistory = 3
+	re.Observe("c", -5)
+	re.Observe("c", 10)
+	if v, _ := re.Estimate("c", -1); v != 0.5 {
+		t.Errorf("clamped mean = %v, want mean of 0 and 1", v)
+	}
 	re.Observe("k", -5)
 	re.Observe("k", 10)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxHistory+10; i++ {
 		re.Observe("k", 0.5)
 	}
-	if re.HistoryLen("k") != 3 {
+	if re.HistoryLen("k") != maxHistory {
 		t.Errorf("window not applied: %d", re.HistoryLen("k"))
 	}
 	v, _ := re.Estimate("k", -1)

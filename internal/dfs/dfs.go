@@ -24,16 +24,15 @@ import (
 
 // Common errors returned by namespace operations.
 var (
-	ErrNotFound      = errors.New("dfs: no such file or directory")
-	ErrExists        = errors.New("dfs: file already exists")
-	ErrIsDirectory   = errors.New("dfs: is a directory")
-	ErrNotDirectory  = errors.New("dfs: not a directory")
-	ErrNotEmpty      = errors.New("dfs: directory not empty")
-	ErrFileOpen      = errors.New("dfs: file is open for writing")
-	ErrClosed        = errors.New("dfs: handle is closed")
-	ErrCorruptBlock  = errors.New("dfs: block checksum mismatch")
-	ErrInvalidPath   = errors.New("dfs: invalid path")
-	ErrReadOnlyMount = errors.New("dfs: filesystem is in safe mode")
+	ErrNotFound     = errors.New("dfs: no such file or directory")
+	ErrExists       = errors.New("dfs: file already exists")
+	ErrIsDirectory  = errors.New("dfs: is a directory")
+	ErrNotDirectory = errors.New("dfs: not a directory")
+	ErrNotEmpty     = errors.New("dfs: directory not empty")
+	ErrFileOpen     = errors.New("dfs: file is open for writing")
+	ErrClosed       = errors.New("dfs: handle is closed")
+	ErrCorruptBlock = errors.New("dfs: block checksum mismatch")
+	ErrInvalidPath  = errors.New("dfs: invalid path")
 )
 
 // Config configures a FileSystem.
@@ -100,8 +99,6 @@ type FileSystem struct {
 	dnUsed []atomic.Int64 // bytes per datanode (incl. replication)
 	nextDN atomic.Uint64
 
-	safeMode atomic.Bool
-
 	injector atomic.Pointer[FaultInjector]
 
 	// Metrics.
@@ -140,17 +137,6 @@ func New(cfg Config) *FileSystem {
 
 // Config returns the filesystem configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
-
-// SetSafeMode toggles safe mode; while enabled, all mutating
-// operations fail with ErrReadOnlyMount. Used for failure injection.
-func (fs *FileSystem) SetSafeMode(on bool) { fs.safeMode.Store(on) }
-
-func (fs *FileSystem) checkWritable() error {
-	if fs.safeMode.Load() {
-		return ErrReadOnlyMount
-	}
-	return nil
-}
 
 // cleanPath validates an absolute path and returns its components as
 // one clean string without the leading "/" ("" for the root), walked in
@@ -219,9 +205,6 @@ func (fs *FileSystem) tick() uint64 {
 
 // Mkdir creates one directory; parents must exist.
 func (fs *FileSystem) Mkdir(p string) error {
-	if err := fs.checkWritable(); err != nil {
-		return err
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	parent, name, err := fs.lookupParent(p)
@@ -240,9 +223,6 @@ func (fs *FileSystem) Mkdir(p string) error {
 
 // MkdirAll creates a directory and all missing parents.
 func (fs *FileSystem) MkdirAll(p string) error {
-	if err := fs.checkWritable(); err != nil {
-		return err
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	rest, err := cleanPath(p)
@@ -370,9 +350,6 @@ func duLocked(n *node) int64 {
 // Delete removes a file, or a directory when recursive is set (or the
 // directory is empty).
 func (fs *FileSystem) Delete(p string, recursive bool) error {
-	if err := fs.checkWritable(); err != nil {
-		return err
-	}
 	if f := fs.inject(OpDelete, p); f != nil {
 		return f.Err
 	}
@@ -452,9 +429,6 @@ func (fs *FileSystem) Unpin(p string) error {
 // deletion path for superseded master files after a COMPACT or
 // OVERWRITE publishes a new epoch.
 func (fs *FileSystem) DeleteDeferred(p string) error {
-	if err := fs.checkWritable(); err != nil {
-		return err
-	}
 	if f := fs.inject(OpDelete, p); f != nil {
 		return f.Err
 	}
@@ -532,9 +506,6 @@ func (fs *FileSystem) releaseTree(n *node) {
 // Rename atomically moves src to dst. Like HDFS, it fails if dst
 // exists; the destination parent directory must exist.
 func (fs *FileSystem) Rename(src, dst string) error {
-	if err := fs.checkWritable(); err != nil {
-		return err
-	}
 	if f := fs.inject(OpRename, src); f != nil {
 		return f.Err
 	}

@@ -267,25 +267,6 @@ func TestChecksumDetection(t *testing.T) {
 	}
 }
 
-func TestSafeMode(t *testing.T) {
-	fs := testFS()
-	fs.WriteFile("/f", []byte("x"))
-	fs.SetSafeMode(true)
-	if _, err := fs.Create("/g"); !errors.Is(err, ErrReadOnlyMount) {
-		t.Errorf("Create in safe mode = %v", err)
-	}
-	if err := fs.Delete("/f", false); !errors.Is(err, ErrReadOnlyMount) {
-		t.Errorf("Delete in safe mode = %v", err)
-	}
-	if _, err := fs.ReadFile("/f"); err != nil {
-		t.Errorf("reads must work in safe mode: %v", err)
-	}
-	fs.SetSafeMode(false)
-	if _, err := fs.Create("/g"); err != nil {
-		t.Errorf("Create after leaving safe mode = %v", err)
-	}
-}
-
 func TestUserMetaAndFileID(t *testing.T) {
 	fs := testFS()
 	w, err := fs.Create("/orc-1")

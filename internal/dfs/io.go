@@ -31,9 +31,6 @@ func (fs *FileSystem) Create(p string) (*FileWriter, error) {
 
 // CreateMeter is Create with simulated-cost accounting on m.
 func (fs *FileSystem) CreateMeter(p string, m *sim.Meter) (*FileWriter, error) {
-	if err := fs.checkWritable(); err != nil {
-		return nil, err
-	}
 	if f := fs.inject(OpCreate, p); f != nil {
 		return nil, f.Err
 	}
@@ -60,9 +57,6 @@ func (fs *FileSystem) CreateMeter(p string, m *sim.Meter) (*FileWriter, error) {
 // mirroring HDFS append semantics (the FEP cluster's bulk-append path
 // in the paper's Figure 1).
 func (fs *FileSystem) Append(p string) (*FileWriter, error) {
-	if err := fs.checkWritable(); err != nil {
-		return nil, err
-	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n, err := fs.lookup(p)

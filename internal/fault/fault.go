@@ -74,7 +74,7 @@ func (s *Schedule[O, V]) Inject(op O, subject string) *V {
 		}
 		r.seen++
 		nth := max(r.Nth, 1)
-		if r.seen >= nth && r.seen < nth+max(r.Times, 1) {
+		if r.seen >= nth && r.seen-nth < max(r.Times, 1) {
 			s.count++
 			v := r.Verdict
 			return &v

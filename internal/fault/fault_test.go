@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -51,6 +52,8 @@ func TestSchedule(t *testing.T) {
 			{opWrite, "", false}, {opRead, "", false}, {opWrite, "", true}, {opWrite, "", true}, {opWrite, "", false}}},
 		{"times_and_subject", schedule(Rule[op, string]{Op: opDelete, Subject: "/a/", Times: 2}), []step{
 			{opDelete, "/b/f1", false}, {opDelete, "/a/f1", true}, {opDelete, "/a/f1", true}, {opDelete, "/a/f1", false}}},
+		{"times_unbounded", schedule(Rule[op, string]{Op: opWrite, Nth: 2, Times: math.MaxInt}), []step{
+			{opWrite, "", false}, {opWrite, "", true}, {opWrite, "", true}, {opWrite, "", true}}},
 		{"first_firing_rule_wins", schedule(
 			Rule[op, string]{Op: opWrite, Nth: 2}, Rule[op, string]{Op: opWrite}), []step{
 			{opWrite, "", true}, {opWrite, "", true}, {opWrite, "", false}}},

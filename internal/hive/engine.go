@@ -441,11 +441,7 @@ func (e *Engine) execLoad(ec *ExecContext, s *sqlparser.LoadStmt) (*ResultSet, e
 		return nil, fmt.Errorf("hive: LOAD: %w", err)
 	}
 	meter.DFSRead(int64(len(data)))
-	delim := desc.Properties["field.delim"]
-	if delim == "" {
-		delim = "|"
-	}
-	rows, err := parseDelimited(string(data), delim, desc.Schema)
+	rows, err := parseDelimited(string(data), desc.Schema)
 	if err != nil {
 		return nil, err
 	}
@@ -469,14 +465,18 @@ func (e *Engine) execLoad(ec *ExecContext, s *sqlparser.LoadStmt) (*ResultSet, e
 	return &ResultSet{Affected: int64(len(rows)), SimSeconds: meter.Seconds(), Plan: "LOAD"}, nil
 }
 
-// parseDelimited parses delimiter-separated lines into typed rows.
-func parseDelimited(data, delim string, schema datum.Schema) ([]datum.Row, error) {
+// fieldDelim separates the fields of a text table's lines and of LOAD
+// DATA sources (the delimiter dbgen writes).
+const fieldDelim = "|"
+
+// parseDelimited parses fieldDelim-separated lines into typed rows.
+func parseDelimited(data string, schema datum.Schema) ([]datum.Row, error) {
 	var rows []datum.Row
 	for lineNo, line := range strings.Split(data, "\n") {
 		if line == "" {
 			continue
 		}
-		fields := strings.Split(line, delim)
+		fields := strings.Split(line, fieldDelim)
 		// Tolerate a trailing delimiter (dbgen emits one).
 		if len(fields) == len(schema)+1 && fields[len(fields)-1] == "" {
 			fields = fields[:len(schema)]

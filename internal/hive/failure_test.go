@@ -3,31 +3,41 @@ package hive
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/dfs"
+	"dualtable/internal/fault"
 	"dualtable/internal/kvstore"
 	"dualtable/internal/mapred"
 	"dualtable/internal/sim"
 )
 
 // Failure injection: storage-layer faults must surface as errors and
-// never corrupt committed table state.
+// never corrupt committed table state. "Safe mode" in the test names
+// is a DFS on which every file create fails.
+
+// failCreates makes every file create on the engine's DFS fail until
+// the returned function removes the schedule.
+func failCreates(e *Engine) (restore func()) {
+	e.FS.SetFaultInjector(fault.NewSchedule(dfs.FaultRule{Op: dfs.OpCreate, Times: math.MaxInt}))
+	return func() { e.FS.SetFaultInjector(nil) }
+}
 
 func TestInsertFailsInSafeModeLeavesTableIntact(t *testing.T) {
 	e := testEngine(t)
 	seedEmployees(t, e, "ORC")
 	before := mustExec(t, e, "SELECT COUNT(*) FROM emp")
 
-	e.FS.SetSafeMode(true)
+	restore := failCreates(e)
 	if _, err := e.Execute("INSERT INTO emp VALUES (9, 'x', 'y', 1.0)"); err == nil {
-		t.Fatal("insert in safe mode should fail")
+		t.Fatal("insert with failing creates should fail")
 	}
 	if _, err := e.Execute("INSERT OVERWRITE TABLE emp SELECT * FROM emp"); err == nil {
-		t.Fatal("overwrite in safe mode should fail")
+		t.Fatal("overwrite with failing creates should fail")
 	}
-	e.FS.SetSafeMode(false)
+	restore()
 
 	after := mustExec(t, e, "SELECT COUNT(*) FROM emp")
 	if before.Rows[0][0].I != after.Rows[0][0].I {
@@ -40,21 +50,19 @@ func TestInsertFailsInSafeModeLeavesTableIntact(t *testing.T) {
 func TestUpdateFailsInSafeModeORC(t *testing.T) {
 	e := testEngine(t)
 	seedEmployees(t, e, "ORC")
-	e.FS.SetSafeMode(true)
-	defer e.FS.SetSafeMode(false)
+	defer failCreates(e)()
 	if _, err := e.Execute("UPDATE emp SET salary = 0"); err == nil {
-		t.Fatal("rewrite update in safe mode should fail")
+		t.Fatal("rewrite update with failing creates should fail")
 	}
 }
 
 func TestReadsSurviveSafeMode(t *testing.T) {
 	e := testEngine(t)
 	seedEmployees(t, e, "ORC")
-	e.FS.SetSafeMode(true)
-	defer e.FS.SetSafeMode(false)
+	defer failCreates(e)()
 	rs := mustExec(t, e, "SELECT COUNT(*) FROM emp")
 	if rs.Rows[0][0].I != 5 {
-		t.Errorf("read in safe mode = %v", rs.Rows[0])
+		t.Errorf("read with failing creates = %v", rs.Rows[0])
 	}
 }
 

@@ -28,9 +28,6 @@ type kvHandler struct {
 const kvFamily = "d"
 
 func kvTableName(desc *metastore.TableDesc) string {
-	if n := desc.Properties["kv.table"]; n != "" {
-		return n
-	}
 	return "hive_" + desc.Name
 }
 

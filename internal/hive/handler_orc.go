@@ -242,13 +242,6 @@ func (h *textHandler) Drop(desc *metastore.TableDesc) error {
 	return nil
 }
 
-func (h *textHandler) delim(desc *metastore.TableDesc) string {
-	if d := desc.Properties["field.delim"]; d != "" {
-		return d
-	}
-	return "|"
-}
-
 func (h *textHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
 	infos, err := h.e.FS.ListFiles(desc.Location)
 	if err != nil {
@@ -261,7 +254,7 @@ func (h *textHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]map
 		}
 		splits = append(splits, &textSplit{
 			fs: h.e.FS, path: fi.Path, size: fi.Size,
-			schema: desc.Schema, delim: h.delim(desc),
+			schema: desc.Schema,
 		})
 	}
 	return splits, noRelease, nil
@@ -295,7 +288,7 @@ func (h *textHandler) DataSize(desc *metastore.TableDesc) (int64, error) {
 }
 
 func (h *textHandler) Append(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
-	return &textOutputFactory{h: h, dir: desc.Location, delim: h.delim(desc)}, NopCommitter{}, nil
+	return &textOutputFactory{h: h, dir: desc.Location}, NopCommitter{}, nil
 }
 
 func (h *textHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
@@ -304,14 +297,13 @@ func (h *textHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory
 	if err != nil {
 		return nil, nil, err
 	}
-	return &textOutputFactory{h: h, dir: staging, delim: h.delim(desc)}, committer, nil
+	return &textOutputFactory{h: h, dir: staging}, committer, nil
 }
 
 type textOutputFactory struct {
-	h     *textHandler
-	dir   string
-	delim string
-	seq   atomic.Uint64
+	h   *textHandler
+	dir string
+	seq atomic.Uint64
 }
 
 func (f *textOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
@@ -342,7 +334,7 @@ func (c *textCollector) Collect(row datum.Row) error {
 			fields[i] = d.String()
 		}
 	}
-	_, err := c.fw.Write([]byte(strings.Join(fields, c.f.delim) + "\n"))
+	_, err := c.fw.Write([]byte(strings.Join(fields, fieldDelim) + "\n"))
 	return err
 }
 
@@ -358,7 +350,6 @@ type textSplit struct {
 	path   string
 	size   int64
 	schema datum.Schema
-	delim  string
 }
 
 func (s *textSplit) Length() int64 { return s.size }
@@ -369,7 +360,7 @@ func (s *textSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 		return nil, err
 	}
 	m.DFSRead(int64(len(data)))
-	rows, err := parseDelimited(string(data), s.delim, s.schema)
+	rows, err := parseDelimited(string(data), s.schema)
 	if err != nil {
 		return nil, fmt.Errorf("hive: %s: %w", s.path, err)
 	}

@@ -562,13 +562,13 @@ func TestResultColumnNames(t *testing.T) {
 
 func TestParseDelimitedErrors(t *testing.T) {
 	schema := datum.Schema{{Name: "a", Kind: datum.KindInt}}
-	if _, err := parseDelimited("1|2", "|", schema); err == nil {
+	if _, err := parseDelimited("1|2", schema); err == nil {
 		t.Error("field count mismatch should fail")
 	}
-	if _, err := parseDelimited("xx", "|", schema); err == nil {
+	if _, err := parseDelimited("xx", schema); err == nil {
 		t.Error("bad int should fail")
 	}
-	rows, err := parseDelimited("7\n\n8\n", "|", schema)
+	rows, err := parseDelimited("7\n\n8\n", schema)
 	if err != nil || len(rows) != 2 {
 		t.Errorf("blank lines: %v %v", rows, err)
 	}

@@ -23,13 +23,13 @@ var (
 	ErrEpochFuture = errors.New("metastore: manifest epoch not published yet")
 )
 
-// DefaultRetentionEpochs is the pin-last-N-epochs retention default:
-// the files of the last N historical epochs stay pinned against
-// deferred deletion, so AS OF EPOCH reads within the window are
-// serviceable instead of racing the reaper. 0 disables retention
-// (historical epochs become unreadable as soon as their files are
-// superseded and unpinned).
-const DefaultRetentionEpochs = 8
+// RetentionEpochs is the retention window: an epoch e is serviceable
+// (AS OF EPOCH reads, and scans racing a COMPACT) while
+// current-e <= RetentionEpochs, and the superseded master files and
+// attached cells those epochs need stay in place until then. It is
+// below manifestHistoryCap, so every epoch in the window still has its
+// manifest.
+const RetentionEpochs = 8
 
 // manifestHistoryCap bounds the per-table manifest chain kept for
 // historical lookups (ManifestAt). The current manifest never expires.

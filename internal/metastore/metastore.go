@@ -86,8 +86,8 @@ type TableDesc struct {
 	Schema   datum.Schema
 	Storage  StorageKind
 	Location string // DFS directory or KV table name (handler-specific)
-	// Properties carries handler-specific settings (e.g. text
-	// delimiter, attached-table name for DualTable).
+	// Properties carries handler-specific state (DualTable's
+	// incarnation tag).
 	Properties map[string]string
 }
 
@@ -114,63 +114,6 @@ type Metastore struct {
 	manifests map[string]*manifestChain
 	// chainSeq assigns manifest chain identities (see manifestChain.id).
 	chainSeq uint64
-	// retention holds per-table pin-last-N-epochs overrides; absent
-	// tables use defRetention (or DefaultRetentionEpochs when that was
-	// never set).
-	retention    map[string]int
-	defRetention *int
-}
-
-// clampRetention bounds a retention window to what is actually
-// serviceable: below 0 disables retention, and above the bounded
-// manifest history there would be no manifest left to read — the files
-// would stay pinned for epochs no ManifestAt can resolve.
-func clampRetention(n int) int {
-	if n < 0 {
-		return 0
-	}
-	if n > manifestHistoryCap-1 {
-		return manifestHistoryCap - 1
-	}
-	return n
-}
-
-// SetDefaultRetentionEpochs sets the metastore-wide pin-last-N-epochs
-// retention default (how many historical epochs stay serviceable for
-// AS OF EPOCH reads). Clamped to [0, 63]: 0 disables retention, and
-// the manifest history itself is bounded at 64 epochs.
-func (m *Metastore) SetDefaultRetentionEpochs(n int) {
-	n = clampRetention(n)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.defRetention = &n
-}
-
-// SetRetentionEpochs overrides the retention window for one table
-// (clamped like SetDefaultRetentionEpochs).
-func (m *Metastore) SetRetentionEpochs(table string, n int) {
-	n = clampRetention(n)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.retention == nil {
-		m.retention = map[string]int{}
-	}
-	m.retention[strings.ToLower(table)] = n
-}
-
-// RetentionEpochs resolves a table's pin-last-N-epochs window: the
-// per-table override, else the metastore default, else
-// DefaultRetentionEpochs.
-func (m *Metastore) RetentionEpochs(table string) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if n, ok := m.retention[strings.ToLower(table)]; ok {
-		return n
-	}
-	if m.defRetention != nil {
-		return *m.defRetention
-	}
-	return DefaultRetentionEpochs
 }
 
 // New creates an empty metastore.
@@ -226,9 +169,7 @@ func (m *Metastore) Exists(name string) bool {
 	return ok
 }
 
-// Drop removes a table. The per-table retention override dies with
-// the descriptor: a later CREATE of the same name starts from the
-// metastore default instead of silently inheriting a stale window.
+// Drop removes a table.
 func (m *Metastore) Drop(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -237,7 +178,6 @@ func (m *Metastore) Drop(name string) error {
 		return fmt.Errorf("%w: %s", ErrTableNotFound, name)
 	}
 	delete(m.tables, key)
-	delete(m.retention, key)
 	return nil
 }
 
@@ -264,16 +204,4 @@ func (m *Metastore) TableProperty(name, key string) (string, bool) {
 		return "", false
 	}
 	return d.Properties[key], true
-}
-
-// SetProperty updates one property of a registered table.
-func (m *Metastore) SetProperty(name, key, value string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d, ok := m.tables[strings.ToLower(name)]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrTableNotFound, name)
-	}
-	d.Properties[key] = value
-	return nil
 }

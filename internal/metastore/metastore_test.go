@@ -85,21 +85,6 @@ func TestListSorted(t *testing.T) {
 	}
 }
 
-func TestSetProperty(t *testing.T) {
-	m := New()
-	m.Create(desc("t"))
-	if err := m.SetProperty("T", "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	d, _ := m.Get("t")
-	if d.Properties["k"] != "v" {
-		t.Errorf("property = %v", d.Properties)
-	}
-	if err := m.SetProperty("nope", "k", "v"); !errors.Is(err, ErrTableNotFound) {
-		t.Errorf("missing table = %v", err)
-	}
-}
-
 func TestStorageKindNames(t *testing.T) {
 	cases := map[string]StorageKind{
 		"": StorageORC, "ORC": StorageORC, "HBASE": StorageKV, "kv": StorageKV,

@@ -3,8 +3,6 @@ package metastore
 import (
 	"errors"
 	"testing"
-
-	"dualtable/internal/datum"
 )
 
 func publishN(t *testing.T, m *Metastore, table string, upto uint64) {
@@ -99,50 +97,5 @@ func TestManifestChainIdentity(t *testing.T) {
 	m.DropManifestsByID("t", id2)
 	if _, err := m.CurrentManifest("t"); !errors.Is(err, ErrNoManifest) {
 		t.Fatalf("matching DropManifestsByID left the chain: %v", err)
-	}
-}
-
-func TestRetentionEpochKnobs(t *testing.T) {
-	m := New()
-	if n := m.RetentionEpochs("t"); n != DefaultRetentionEpochs {
-		t.Fatalf("default retention = %d, want %d", n, DefaultRetentionEpochs)
-	}
-	m.SetDefaultRetentionEpochs(3)
-	if n := m.RetentionEpochs("t"); n != 3 {
-		t.Fatalf("metastore default = %d, want 3", n)
-	}
-	m.SetRetentionEpochs("T", 5) // case-insensitive
-	if n := m.RetentionEpochs("t"); n != 5 {
-		t.Fatalf("per-table retention = %d, want 5", n)
-	}
-	if n := m.RetentionEpochs("other"); n != 3 {
-		t.Fatalf("other table retention = %d, want 3", n)
-	}
-	m.SetRetentionEpochs("t", -4) // clamps to 0 (disabled)
-	if n := m.RetentionEpochs("t"); n != 0 {
-		t.Fatalf("negative retention = %d, want 0", n)
-	}
-	// Windows wider than the bounded manifest history are unserviceable
-	// (no manifest left to read); clamp instead of pinning files for
-	// epochs ManifestAt can never resolve.
-	m.SetRetentionEpochs("t", 10000)
-	if n := m.RetentionEpochs("t"); n != manifestHistoryCap-1 {
-		t.Fatalf("oversized retention = %d, want %d", n, manifestHistoryCap-1)
-	}
-}
-
-func TestRetentionOverrideDiesWithTable(t *testing.T) {
-	m := New()
-	if err := m.Create(&TableDesc{Name: "t",
-		Schema: datum.Schema{{Name: "id", Kind: datum.KindInt}}}); err != nil {
-		t.Fatal(err)
-	}
-	m.SetRetentionEpochs("t", 0)
-	if err := m.Drop("t"); err != nil {
-		t.Fatal(err)
-	}
-	// A re-created table uses the default again, not the stale 0.
-	if n := m.RetentionEpochs("t"); n != DefaultRetentionEpochs {
-		t.Fatalf("retention after drop = %d, want default %d", n, DefaultRetentionEpochs)
 	}
 }
