@@ -11,7 +11,7 @@ import (
 
 func putCell(st *store, row string) error {
 	return st.put([]*Cell{{Row: []byte(row), Family: "d", Qualifier: []byte("q"), Ts: 1,
-		Type: TypePut, Value: []byte("value-value")}}, nil)
+		Type: TypePut, Value: []byte("value-value")}}, nil, nil)
 }
 
 // A reader opened between a flush's swap and the install of its store
@@ -101,7 +101,7 @@ func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
 	}
 	fs.SetFaultInjector(nil)
 	del := &Cell{Row: []byte("row"), Family: "d", Qualifier: []byte("q"), Ts: 2, Type: TypeDeleteColumn}
-	if err := st.put([]*Cell{del}, nil); err != nil {
+	if err := st.put([]*Cell{del}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.compact(true, nil); err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -496,7 +498,87 @@ func TestMinorCompactionPreservesView(t *testing.T) {
 		t.Errorf("a = %q", v)
 	}
 	if _, ok := getVal(t, tbl, "b", "q"); ok {
-		t.Error("b should stay deleted after minor compaction (tombstone kept)")
+		t.Error("b should stay deleted after minor compaction (tombstone dropped with the put it masks)")
+	}
+}
+
+// scanVersions renders every version a full scan returns, in order.
+func scanVersions(t *testing.T, tbl *Table) []string {
+	t.Helper()
+	sc := tbl.NewScanner(Scan{MaxVersions: math.MaxInt32})
+	var out []string
+	for {
+		c, ok := sc.Next()
+		if !ok {
+			break
+		}
+		out = append(out, fmt.Sprintf("%s/%s:%s@%d=%s", c.Row, c.Family, c.Qualifier, c.Ts, c.Value))
+	}
+	if err := sc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestMinorCompactionDropsTombstonesKeepsView: a seeded history of
+// multi-version puts, row deletes and column deletes, spread over many
+// store files and the memtable, scans the same — every version — before
+// and after a minor compaction, and the compacted store file holds no
+// tombstone.
+func TestMinorCompactionDropsTombstonesKeepsView(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		c := testCluster(t)
+		c.cfg.compactFiles = 100 // manual only
+		tbl, _ := c.CreateTable(fmt.Sprintf("t%d", seed))
+		rng := rand.New(rand.NewSource(seed))
+		var deletes int
+		for op := 0; op < 600; op++ {
+			row := []byte(fmt.Sprintf("row%02d", rng.Intn(20)))
+			qual := []byte(fmt.Sprintf("q%d", rng.Intn(3)))
+			var err error
+			switch n := rng.Intn(20); {
+			case n == 0:
+				err = tbl.DeleteRow(row, nil)
+				deletes++
+			case n < 3:
+				err = tbl.DeleteColumn(row, "d", qual, nil)
+				deletes++
+			case n < 4 && op < 550: // the last ops stay in the memtable
+				err = tbl.Flush(nil)
+			default:
+				err = tbl.Put([]*Cell{{Row: row, Family: "d", Qualifier: qual, Type: TypePut, Value: []byte(fmt.Sprint(op))}}, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if files := tbl.store.fileCount(); files < 10 || deletes < 50 {
+			t.Fatalf("seed %d: history of %d files and %d deletes is too thin", seed, files, deletes)
+		}
+		before := scanVersions(t, tbl)
+		if err := tbl.Compact(false, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := scanVersions(t, tbl); !reflect.DeepEqual(got, before) {
+			t.Fatalf("seed %d: minor compaction changed the view: %d versions before, %d after", seed, len(before), len(got))
+		}
+		st := tbl.store
+		if st.fileCount() != 1 {
+			t.Fatalf("seed %d: %d store files after the compaction", seed, st.fileCount())
+		}
+		raw := st.files[0].iterator(nil, nil)
+		for {
+			cell, ok := raw.Next()
+			if !ok {
+				break
+			}
+			if cell.Type != TypePut {
+				t.Errorf("seed %d: tombstone survived minor compaction: %v", seed, cell)
+			}
+		}
+		if err := raw.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -661,7 +743,7 @@ func TestWALRecoveryAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := []*Cell{{Row: []byte("k"), Family: "d", Qualifier: []byte("q"), Ts: 9, Type: TypePut, Value: []byte("durable")}}
-	if err := st.put(cells, nil); err != nil {
+	if err := st.put(cells, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash: no flush, no close; reopen from the same dir.

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"path"
 	"slices"
 	"strings"
@@ -36,6 +37,8 @@ type store struct {
 	// flushMu runs one flush at a time and guards sealed.
 	flushMu sync.Mutex
 	sealed  *wal // the segment that logged flushing, until it is deleted
+	// compactMu runs one compaction at a time (see compact).
+	compactMu sync.Mutex
 	// logMu is held shared by a put for its WAL append and memtable
 	// insert, and exclusively by a flush's swap and by close; mem, wal
 	// and closed change only under both logMu and mu.
@@ -133,17 +136,31 @@ func sortFilesBySeqDesc(files []*ssTable) {
 }
 
 // put applies a batch of cells: WAL first, then memtable; flushes when
-// the memtable exceeds its threshold.
-func (s *store) put(cells []*Cell, m *sim.Meter) error {
+// the memtable exceeds its threshold. Cells with Ts == 0 get one fresh
+// timestamp from nextTs, drawn under logMu like the inserts, so a flush's
+// swap separates the timestamps it flushed from every later one (see
+// compact).
+func (s *store) put(cells []*Cell, nextTs func() uint64, m *sim.Meter) error {
 	s.logMu.RLock()
 	mem := s.mem
 	var err error
 	if s.closed {
 		err = fmt.Errorf("kvstore: store %s is closed", s.dir)
-	} else if err = s.wal.Append(cells); err == nil {
+	} else {
+		var batchTs uint64
 		for _, c := range cells {
-			mem.Insert(c.Clone())
-			m.KVPut(int64(c.Size()))
+			if c.Ts == 0 {
+				if batchTs == 0 {
+					batchTs = nextTs()
+				}
+				c.Ts = batchTs
+			}
+		}
+		if err = s.wal.Append(cells); err == nil {
+			for _, c := range cells {
+				mem.Insert(c.Clone())
+				m.KVPut(int64(c.Size()))
+			}
 		}
 	}
 	s.logMu.RUnlock()
@@ -401,18 +418,36 @@ func (sc *Scanner) Close() error {
 // Err returns the first read error once Next has returned false.
 func (sc *Scanner) Err() error { return sc.err }
 
-// compact merges store files. Minor compaction merges the current
-// files keeping tombstones; major compaction first flushes the
-// memtable (finishing any flush that failed), then merges everything,
-// dropping tombstones and versions beyond retainedVersions. A replaced
-// file is deleted once no read holds it; a delete that fails is
-// retried by the next compaction and fails nothing.
+// compact merges store files into one, resolving the merged view: a
+// tombstone and every put it masks are dropped. Minor compaction merges
+// the current files and keeps every remaining put version, so an AS OF
+// read inside the retention window stays exact; major compaction first
+// flushes the memtable (finishing any flush that failed), then merges
+// everything and keeps only retainedVersions per column. A replaced file
+// is deleted once no read holds it; a delete that fails is retried by the
+// next compaction and fails nothing.
+//
+// Dropping a tombstone is sound only when every cell it masks is among
+// the merged files: a masked put left outside would come back. Table
+// timestamps are drawn in put under logMu held shared, and a flush swaps
+// the memtable under logMu held exclusively, so every timestamp in a
+// flushed memtable is below every timestamp in a later one; and flushes
+// install their files in swap order. A tombstone in an installed file
+// therefore masks only puts of its own or earlier memtables, whose files
+// are installed too: in the stack this compaction merges, or in the
+// output of an earlier compaction that is. Compactions run one at a time,
+// so no other compaction merges part of the same history and installs a
+// view that still holds a put this one dropped the tombstone of. (A put
+// with an explicit timestamp below an already dropped tombstone is
+// visible, as after an HBase major compaction.)
 func (s *store) compact(major bool, m *sim.Meter) error {
 	if major {
 		if err := s.flush(m, 0); err != nil {
 			return err
 		}
 	}
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	retry := s.undeleted
 	s.undeleted = nil
@@ -432,17 +467,16 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 		srcs = append(srcs, f.iterator(nil, m))
 		expected += int(f.entries)
 	}
-	var it CellIterator = &dedupIterator{it: newMergeIterator(srcs)}
+	versions := math.MaxInt
 	if major {
-		it = newVersionResolver(it, retainedVersions)
+		versions = retainedVersions
 	}
-	st, err := s.writeStoreFile(it, expected+1, m)
+	st, err := s.writeStoreFile(newVersionResolver(newMergeIterator(srcs), versions), expected+1, m)
 	if err != nil {
 		return fmt.Errorf("kvstore: compact %s: %w", s.dir, err)
 	}
-	// Replace exactly the merged files still in the stack: new flushes
-	// that landed meanwhile stay, and a file a concurrent compaction
-	// already replaced does not lose the store's reference twice.
+	// Replace exactly the merged files: new flushes that landed
+	// meanwhile stay.
 	s.mu.Lock()
 	kept, replaced := []*ssTable{st}, []*ssTable(nil)
 	for _, f := range s.files {
@@ -458,32 +492,6 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 	s.release(replaced)
 	return nil
 }
-
-// dedupIterator removes exact-duplicate keys (same row, column, ts,
-// type) that can appear when merging overlapping store files; the
-// first (newest file) copy wins.
-type dedupIterator struct {
-	it   CellIterator
-	have bool
-	prev Cell // key only
-}
-
-func (d *dedupIterator) Next() (*Cell, bool) {
-	for {
-		c, ok := d.it.Next()
-		if !ok {
-			return nil, false
-		}
-		if d.have && CompareCells(c, &d.prev) == 0 {
-			continue
-		}
-		d.prev.setKey(c)
-		d.have = true
-		return c, true
-	}
-}
-
-func (d *dedupIterator) Close() error { return d.it.Close() }
 
 // size returns the total on-DFS size of the store files plus the
 // memtable estimate.

@@ -154,21 +154,14 @@ func (t *Table) Put(cells []*Cell, m *sim.Meter) error {
 	if len(cells) == 0 {
 		return nil
 	}
-	t.mutations.Add(1)
-	defer t.mutations.Add(1)
-	var batchTs uint64
 	for _, c := range cells {
-		if c.Ts == 0 {
-			if batchTs == 0 {
-				batchTs = t.cluster.NextTs()
-			}
-			c.Ts = batchTs
-		}
 		if c.Type != TypePut && c.Type != TypeDeleteRow && c.Type != TypeDeleteColumn {
 			return fmt.Errorf("kvstore: bad cell type %v", c.Type)
 		}
 	}
-	return t.store.put(cells, m)
+	t.mutations.Add(1)
+	defer t.mutations.Add(1)
+	return t.store.put(cells, t.cluster.NextTs, m)
 }
 
 // PutRow is a convenience writing several column values of one row.
@@ -281,8 +274,9 @@ func (t *Table) Flush(m *sim.Meter) error {
 	return t.store.flush(m, 0)
 }
 
-// Compact merges the store files (major also drops tombstones and
-// versions beyond the retained count).
+// Compact merges the store files, dropping tombstones and the cells
+// they mask (major also flushes first and drops versions beyond the
+// retained count).
 func (t *Table) Compact(major bool, m *sim.Meter) error {
 	t.mutations.Add(1)
 	defer t.mutations.Add(1)

@@ -43,10 +43,21 @@ func (z *inflater) load(dst []byte, r io.ReaderAt, off int64, length int, compre
 		_, err := r.ReadAt(dst, off)
 		return dst, err
 	}
-	z.in = slices.Grow(z.in[:0], length)[:length]
-	if _, err := r.ReadAt(z.in, off); err != nil {
+	if err := z.read(r, off, length); err != nil {
 		return dst, err
 	}
+	return z.inflate(dst)
+}
+
+// read reads the length stored bytes of r at off into z.in.
+func (z *inflater) read(r io.ReaderAt, off int64, length int) error {
+	z.in = slices.Grow(z.in[:0], length)[:length]
+	_, err := r.ReadAt(z.in, off)
+	return err
+}
+
+// inflate inflates z.in into dst's storage where it is large enough.
+func (z *inflater) inflate(dst []byte) ([]byte, error) {
 	z.src.Reset(z.in)
 	if z.zr == nil {
 		z.zr = flate.NewReader(&z.src)
@@ -54,8 +65,8 @@ func (z *inflater) load(dst []byte, r io.ReaderAt, off int64, length int, compre
 		return dst, err
 	}
 	dst = dst[:0]
-	if cap(dst) < length {
-		dst = slices.Grow(dst, 2*length) // a first guess; the loop corrects it
+	if cap(dst) < len(z.in) {
+		dst = slices.Grow(dst, 2*len(z.in)) // a first guess; the loop corrects it
 	}
 	for {
 		dst = slices.Grow(dst, 1)
@@ -99,8 +110,9 @@ func (z *deflater) deflate(b []byte) ([]byte, error) {
 }
 
 // scanScratch is what a BatchReader allocates that outlives no scan:
-// the decoded stream of each column of the current stripe, the column
-// vectors it lends its caller, and the dense buffers NULL-bearing
+// one buffer per column for the streams of the current stripe it had to
+// decode itself (a stream cache hit decodes from the shared entry), the
+// column vectors it lends its caller, and the dense buffers NULL-bearing
 // batches scatter from. It returns to the free list at Close.
 type scanScratch struct {
 	streams [][]byte

@@ -398,13 +398,15 @@ func TestSteadyStateConstructsNoCodec(t *testing.T) {
 
 var benchSink int
 
+// BenchmarkOpenDrainSmallFile opens and drains the small file with its
+// streams out of the stream cache (cold: every load inflates, as the
+// first scan of a file does) and in it (warm: every later scan).
 func BenchmarkOpenDrainSmallFile(b *testing.B) {
 	data, err := encodeFile(smallSchema(), smallRows(2), WriterOptions{Compression: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
+	drain := func(b *testing.B) {
 		rd, err := Open(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			b.Fatal(err)
@@ -422,6 +424,20 @@ func BenchmarkOpenDrainSmallFile(b *testing.B) {
 		}
 		br.Close()
 	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			cache.reset()
+			drain(b)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		drain(b)
+		b.ReportAllocs()
+		for b.Loop() {
+			drain(b)
+		}
+	})
 }
 
 func BenchmarkWriteSmallFile(b *testing.B) {

@@ -238,7 +238,7 @@ type RowReader struct {
 	stripeLen  int64
 	rowOrdinal int64
 	row        datum.Row
-	streams    [][]byte // the current stripe's decoded streams
+	streams    [][]byte // scratch for the current stripe's streams, one per column
 }
 
 // columnCursor decodes one column of the current stripe.
@@ -317,8 +317,9 @@ func (rr *RowReader) Next() (datum.Row, int64, error) {
 // openStripeCursors reads and decodes the projected column streams of
 // one stripe — shared by the row and batch readers, so both charge
 // identical I/O and decode identical bytes. streams holds one buffer per
-// column, the caller's to keep between stripes: the cursors read from
-// them, so they live exactly as long as the stripe is current.
+// column, the caller's to keep between stripes: a cursor reads from it,
+// or from a shared stream cache entry, so it lives exactly as long as the
+// stripe is current.
 func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool, streams [][]byte) ([]*columnCursor, error) {
 	cols := make([]*columnCursor, len(rd.schema))
 	z := inflaters.Get()
@@ -328,12 +329,11 @@ func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool, streams [][]b
 			continue
 		}
 		st := sm.streams[i]
-		buf, err := z.load(streams[i], rd.r, int64(sm.offset+st.relOff), int(st.length), rd.compressed)
-		streams[i] = buf
+		buf, e, err := rd.loadStream(z, &streams[i], int64(sm.offset+st.relOff), int(st.length))
 		if err != nil {
 			return nil, fmt.Errorf("orcfile: load stripe stream: %w", err)
 		}
-		cur, err := newColumnCursor(rd.schema[i].Kind, buf)
+		cur, err := newColumnCursor(rd.schema[i].Kind, buf, e)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +342,36 @@ func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool, streams [][]b
 	return cols, nil
 }
 
-func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
+// loadStream returns the decoded bytes of the stream stored at off. A
+// compressed stream is read into z and looked up in the stream cache: a
+// hit returns the entry's bytes, which the caller must not write, and
+// leaves *scratch alone; a miss inflates into *scratch and caches a copy,
+// returning the entry (nil when the stream is too large to cache).
+func (rd *Reader) loadStream(z *inflater, scratch *[]byte, off int64, length int) ([]byte, *streamEntry, error) {
+	if !rd.compressed {
+		buf, err := z.load(*scratch, rd.r, off, length, false)
+		*scratch = buf
+		return buf, nil, err
+	}
+	if err := z.read(rd.r, off, length); err != nil {
+		return nil, nil, err
+	}
+	key, e := cache.lookup(z.in)
+	if e != nil {
+		return e.inflated, e, nil
+	}
+	buf, err := z.inflate(*scratch)
+	*scratch = buf
+	if err != nil {
+		return nil, nil, err
+	}
+	return buf, cache.add(key, z.in, buf), nil
+}
+
+// newColumnCursor parses a column stream's headers. e is the cache entry
+// buf came from or was copied to (nil when none), where a dictionary is
+// parsed once and kept.
+func newColumnCursor(kind datum.Kind, buf []byte, e *streamEntry) (*columnCursor, error) {
 	plen, c := binary.Uvarint(buf)
 	if c <= 0 {
 		return nil, fmt.Errorf("orcfile: bad presence length")
@@ -371,20 +400,20 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 		mode := data[0]
 		data = data[1:]
 		if mode == 0x01 { // dictionary
-			n, c := binary.Uvarint(data)
-			if c <= 0 || n > uint64(len(data)) { // an entry is a byte at least
-				return nil, fmt.Errorf("orcfile: bad dict size")
+			var d *stringDict
+			if e != nil {
+				d = e.dict.Load()
 			}
-			p := c
-			dict := make([]string, 0, n)
-			for i := uint64(0); i < n; i++ {
-				s, np, err := readBytesVal(data, p)
-				if err != nil {
+			if d == nil {
+				var err error
+				if d, err = parseDict(data); err != nil {
 					return nil, err
 				}
-				dict = append(dict, s)
-				p = np
+				if e != nil {
+					e.dict.Store(d)
+				}
 			}
+			p := d.end
 			il, c2 := binary.Uvarint(data[p:])
 			if c2 <= 0 {
 				return nil, fmt.Errorf("orcfile: bad dict index length")
@@ -393,7 +422,7 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 			if il > uint64(len(data)-p) {
 				return nil, fmt.Errorf("orcfile: truncated dict indices")
 			}
-			cur.dict = dict
+			cur.dict = d.vals
 			cur.indices = newIntDecoder(data[p : p+int(il)])
 		} else { // direct
 			ll, c := binary.Uvarint(data)
@@ -411,6 +440,25 @@ func newColumnCursor(kind datum.Kind, buf []byte) (*columnCursor, error) {
 		return nil, fmt.Errorf("orcfile: unsupported column kind %v", kind)
 	}
 	return cur, nil
+}
+
+// parseDict parses the dictionary at the start of a string stream's data.
+func parseDict(data []byte) (*stringDict, error) {
+	n, c := binary.Uvarint(data)
+	if c <= 0 || n > uint64(len(data)) { // an entry is a byte at least
+		return nil, fmt.Errorf("orcfile: bad dict size")
+	}
+	p := c
+	vals := make([]string, 0, n)
+	for i := uint64(0); i < n; i++ {
+		s, np, err := readBytesVal(data, p)
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, s)
+		p = np
+	}
+	return &stringDict{vals: vals, end: p}, nil
 }
 
 func (cur *columnCursor) next() (datum.Datum, error) {
