@@ -131,20 +131,21 @@ func Open(cfg Config) (*DB, error) {
 	db := &DB{Engine: engine, FS: fs, KV: kv, MR: mr, Handler: handler}
 	db.def = db.Session()
 	// Startup recovery scan: sweep each table's master directory for
-	// files no retained manifest references (the residue of a crash
-	// between staging and publish) and reclaim them. A fresh in-memory
-	// cluster has nothing to recover, so this is a no-op here — but it
-	// anchors the recovery contract at the API seam, and DB.Recover
-	// re-runs it on demand (chaos tests, embedding hosts that rebuild
-	// engine state).
+	// files no manifest in the chain (the retention window) names — the
+	// residue of a crash between staging and publish — and reclaim
+	// them. A fresh in-memory cluster has nothing to recover, so this is
+	// a no-op here — but it anchors the recovery contract at the API
+	// seam, and DB.Recover re-runs it on demand (chaos tests, embedding
+	// hosts that rebuild engine state).
 	if _, err := db.Recover(); err != nil {
 		return nil, err
 	}
 	return db, nil
 }
 
-// Recover runs the crash-recovery scan: master files referenced by no
-// manifest still in the bounded history — staged by a write that never
+// Recover runs the crash-recovery scan: owed Unpins are paid first, then
+// master files no manifest in the chain names — the chain holds exactly
+// the retention window, so these were staged by a write that never
 // published — are swept into the DFS's deferred deletion, and any
 // condemned cleanup left over from faulted publishes is re-driven.
 // Unpublished files hold no acknowledged rows, so recovery never loses

@@ -16,6 +16,47 @@ import (
 // PR — a scan racing a DROP used to fail on its next file open) and
 // AS OF EPOCH time travel over the retained manifest history.
 
+// TestDropReleasesRetentionPins drops a table whose chain still names a
+// COMPACT's superseded files while a snapshot of the current epoch
+// defers the reclamation: the superseded files lose their retention
+// pins at the DROP and go at once, the current files stay for the
+// snapshot, and its release reclaims the rest.
+func TestDropReleasesRetentionPins(t *testing.T) {
+	e, h := testEngine(t)
+	seedDual(t, e)
+	old, err := e.MS.CurrentManifest("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "COMPACT TABLE m")
+	cur, err := e.MS.CurrentManifest("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, _ := e.MS.Get("m")
+	snap, err := h.OpenSnapshot(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "DROP TABLE m")
+	for _, f := range old.Files {
+		if e.FS.Exists(f.Path) || e.FS.Pins(f.Path) != 0 {
+			t.Errorf("superseded file %s after DROP: exists %v, %d pins; want its retention pin released and the file gone",
+				f.Path, e.FS.Exists(f.Path), e.FS.Pins(f.Path))
+		}
+	}
+	for _, f := range cur.Files {
+		if !e.FS.Exists(f.Path) || e.FS.Pins(f.Path) != 1 {
+			t.Errorf("current file %s after DROP: exists %v, %d pins; want it kept by the open snapshot",
+				f.Path, e.FS.Exists(f.Path), e.FS.Pins(f.Path))
+		}
+	}
+	snap.Release()
+	if e.FS.Exists(masterDir(desc)) {
+		t.Errorf("master directory %s survived the last release", masterDir(desc))
+	}
+}
+
 // TestDropTableIsPinAware is the regression test for the headline bug:
 // a gated scan pins a snapshot, a concurrent DROP TABLE runs, and the
 // scan must complete byte-identical to a solo scan — while the table's
@@ -491,6 +532,16 @@ func TestTimeTravelServesExactlyTheWindow(t *testing.T) {
 				for _, f := range fs {
 					retained[f.Path] = !live[f.Path]
 				}
+			}
+		}
+		// The chain names exactly the live and retained files.
+		chain, _ := e.MS.ManifestHistoryFiles("m")
+		if len(chain) != len(retained) {
+			t.Errorf("%s: the chain names %d files, the window %d", when, len(chain), len(retained))
+		}
+		for p := range retained {
+			if !chain[p] {
+				t.Errorf("%s: the chain does not name window file %s", when, p)
 			}
 		}
 		for _, fs := range files {

@@ -203,7 +203,7 @@ func (h *Handler) Create(desc *metastore.TableDesc) error {
 	// incarnation awaiting reclamation — is reset, not grown: the
 	// table is brand new and starts at an empty epoch 0.
 	h.e.MS.DropManifests(desc.Name)
-	if err := h.e.MS.PublishManifest(&metastore.Manifest{
+	if _, err := h.e.MS.PublishManifest(&metastore.Manifest{
 		Table:     desc.Name,
 		Epoch:     0,
 		Watermark: h.e.KV.NextTs(),
@@ -251,6 +251,7 @@ func (h *Handler) Drop(desc *metastore.TableDesc) error {
 		return nil // already dropped (idempotent)
 	}
 	man, manErr := h.e.MS.CurrentManifest(desc.Name)
+	chain, _ := h.e.MS.ManifestHistoryFiles(desc.Name)
 	st.dropped = true
 	job := &dropJob{
 		table:     desc.Name,
@@ -260,14 +261,22 @@ func (h *Handler) Drop(desc *metastore.TableDesc) error {
 		location:  desc.Location,
 	}
 	job.chainID, job.hasChain = h.e.MS.ManifestChainID(desc.Name)
-	// Time travel dies with the table: release every retention pin so
-	// the files' deferred deletions can fire once scans let go.
-	for _, re := range st.retained {
-		for _, f := range re.files {
-			h.unpinDeferred(f.Path)
+	// Time travel dies with the table: release the retention pin of
+	// every chain file the current manifest no longer names, so the
+	// files' deferred deletions can fire once scans let go.
+	if manErr == nil {
+		for _, f := range man.Files {
+			delete(chain, f.Path)
 		}
 	}
-	st.retained = nil
+	retained := make([]string, 0, len(chain))
+	for p := range chain {
+		retained = append(retained, p)
+	}
+	sort.Strings(retained) // one DFS op order for the fault schedule
+	for _, p := range retained {
+		h.unpinDeferred(p)
+	}
 	st.res = nil
 	reclaimNow := st.snaps == 0
 	if !reclaimNow {
@@ -435,27 +444,16 @@ func (h *Handler) currentManifest(desc *metastore.TableDesc) (*metastore.Manifes
 
 // AttachedEntryCount returns the number of attached-table cells that
 // belong to the current manifest's master files (UNION READ overhead
-// indicator; COMPACT trigger input). Cells keyed by superseded file
-// IDs — kept alive only so time-travel reads inside the retention
-// window can reconstruct old epochs — do not count: they are invisible
-// to current scans.
+// indicator), counted over those files' ranges — O(live delta), the
+// very quantity being measured. Cells keyed by superseded file IDs —
+// kept alive only so time-travel reads inside the retention window can
+// reconstruct old epochs — do not count: they are invisible to current
+// scans.
 func (h *Handler) AttachedEntryCount(desc *metastore.TableDesc) (int64, error) {
 	att, err := h.attached(desc)
 	if err != nil {
 		return 0, err
 	}
-	st := h.state(desc.Name)
-	st.pub.Lock()
-	scanRanges := st.everRetained
-	st.pub.Unlock()
-	if !scanRanges {
-		// No retained ranges ever existed: every cell belongs to a
-		// current master file, so the O(store files) raw count is exact.
-		return att.EntryCount(), nil
-	}
-	// Retained (or purged) ranges exist: the raw count would include
-	// dead cells and purge tombstones, so count the current ranges
-	// directly — O(live delta), the very quantity being measured.
 	man, err := h.currentManifest(desc)
 	if err != nil {
 		return 0, err

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"path"
 	"testing"
 
 	"dualtable/internal/dfs"
+	"dualtable/internal/metastore"
 )
 
 // dfsFiles counts the plain files under dir and the pins they hold.
@@ -52,6 +54,7 @@ func TestAttachedLSMPlateaus(t *testing.T) {
 	attDir := path.Join("/hbase", att.Name())
 	type sample struct{ size, entries, attFiles, files, pins int64 }
 	var peak sample
+	peakChain := 0
 	oldest := 0
 	for cycle := 0; cycle < cycles; cycle++ {
 		mustExec(t, e, fmt.Sprintf("UPDATE m SET v = v + 1 WHERE day = %d", cycle%36))
@@ -66,6 +69,28 @@ func TestAttachedLSMPlateaus(t *testing.T) {
 		s := sample{att.Size(), att.EntryCount(), int64(attFiles), int64(files), int64(pins)}
 		if c := h.CondemnedPaths(); len(c) > 0 {
 			t.Fatalf("cycle %d: cleanup left condemned: %v", cycle, c)
+		}
+		// The manifest chain is the window: its oldest epoch resolves,
+		// the one below it is expired, and the files it names stay
+		// within half again their warm-up peak.
+		cur, _, err := e.MS.CurrentEpoch("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur > metastore.RetentionEpochs {
+			edge := cur - metastore.RetentionEpochs
+			if _, err := e.MS.ManifestAt("m", edge); err != nil {
+				t.Fatalf("cycle %d: the window's oldest epoch %d (current %d): %v", cycle, edge, cur, err)
+			}
+			if _, err := e.MS.ManifestAt("m", edge-1); !errors.Is(err, metastore.ErrEpochExpired) {
+				t.Fatalf("cycle %d: epoch %d below the window (current %d) = %v, want ErrEpochExpired", cycle, edge-1, cur, err)
+			}
+		}
+		chain, _ := e.MS.ManifestHistoryFiles("m")
+		if cycle < warmup {
+			peakChain = max(peakChain, len(chain))
+		} else if len(chain) > peakChain+peakChain/2 {
+			t.Fatalf("cycle %d: the chain names %d files, more than half again the warm-up peak %d", cycle, len(chain), peakChain)
 		}
 		if cycle < warmup {
 			peak = sample{max(peak.size, s.size), max(peak.entries, s.entries), max(peak.attFiles, s.attFiles),

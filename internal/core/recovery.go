@@ -8,10 +8,11 @@ package core
 // path still cannot be removed — durably condemns it in a handler-side
 // ledger that is re-driven on every later publish and by the startup
 // recovery scan. RecoverOrphans is that scan: it sweeps each table's
-// master directory for files no retained manifest references and
-// routes them through deferred deletion, so a crash between staging
-// and publish never leaks storage (the files were unpublished, so no
-// acknowledged rows live in them and none can be resurrected).
+// master directory for files no manifest in the chain (the retention
+// window) names and routes them through deferred deletion, so a crash
+// between staging and publish never leaks storage (the files were
+// unpublished, so no acknowledged rows live in them and none can be
+// resurrected).
 
 import (
 	"errors"
@@ -136,10 +137,6 @@ func (h *Handler) drainCleanup() {
 	for p := range h.condemned {
 		condemned = append(condemned, p)
 	}
-	debt := make(map[string]int, len(h.pinDebt))
-	for p, n := range h.pinDebt {
-		debt[p] = n
-	}
 	h.cleanupMu.Unlock()
 
 	for _, p := range condemned {
@@ -150,6 +147,17 @@ func (h *Handler) drainCleanup() {
 		delete(h.condemned, p)
 		h.cleanupMu.Unlock()
 	}
+	h.payPinDebt()
+}
+
+// payPinDebt delivers every owed Unpin it can.
+func (h *Handler) payPinDebt() {
+	h.cleanupMu.Lock()
+	debt := make(map[string]int, len(h.pinDebt))
+	for p, n := range h.pinDebt {
+		debt[p] = n
+	}
+	h.cleanupMu.Unlock()
 	for p, n := range debt {
 		paid := 0
 		for i := 0; i < n; i++ {
@@ -197,9 +205,12 @@ func (h *Handler) unpinDeferred(p string) {
 }
 
 // RecoverOrphans is the startup recovery scan: for every DUALTABLE
-// table it sweeps the master directory for files referenced by no
-// manifest still in the bounded history — the residue of a crash (or
-// fault) between staging and publish — and routes them through
+// table it sweeps the master directory for files no manifest in the
+// chain names — every file outside what the retention window can serve
+// is the residue of a crash (or fault) between staging and publish —
+// and routes them through deferred deletion. It pays the pin debt
+// first: a file whose last epoch left the window but whose expiry
+// Unpin is still owed is no orphan, and the paid Unpin fires its
 // deferred deletion. Unpublished files hold no acknowledged rows, so
 // removing them cannot lose a write; and because every read resolves
 // files through a manifest, the orphans were invisible anyway — this
@@ -209,6 +220,7 @@ func (h *Handler) unpinDeferred(p string) {
 // orphans) but never blocks scans. Returns the orphan paths removed or
 // condemned.
 func (h *Handler) RecoverOrphans() ([]string, error) {
+	h.payPinDebt()
 	var recovered []string
 	var firstErr error
 	for _, name := range h.e.MS.List() {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"dualtable/internal/dfs"
 	"dualtable/internal/fault"
 	"dualtable/internal/hive"
+	"dualtable/internal/metastore"
 )
 
 // fastCleanup shrinks the cleanup backoff for the duration of a test.
@@ -283,6 +286,50 @@ func TestRecoverOrphansSweepsUnpublished(t *testing.T) {
 	if err != nil || len(recovered) != 0 {
 		t.Fatalf("second RecoverOrphans = %v, %v; want empty, nil", recovered, err)
 	}
+}
+
+// TestRecoverOrphansPaysOwedExpiryUnpins fails every Unpin of a
+// COMPACT's superseded files until they have left the retention window:
+// their expiry Unpins are owed, so the files are still on disk but no
+// manifest in the chain names them. Once the fault clears, the recovery
+// scan pays the owed Unpins before it sweeps, so the files go through
+// their deferred deletion and none is reported as an orphan.
+func TestRecoverOrphansPaysOwedExpiryUnpins(t *testing.T) {
+	fastCleanup(t)
+	e, h := testEngine(t)
+	seedDual(t, e)
+	forcePlan(e, h, "EDIT")
+	old, err := e.MS.CurrentManifest("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "COMPACT TABLE m")
+	var rules []dfs.FaultRule
+	for _, f := range old.Files {
+		rules = append(rules, dfs.FaultRule{Op: dfs.OpUnpin, Subject: f.Path, Times: math.MaxInt})
+	}
+	e.FS.SetFaultInjector(fault.NewSchedule(rules...))
+	t.Cleanup(func() { e.FS.SetFaultInjector(nil) })
+	for i := 1; i <= metastore.RetentionEpochs; i++ {
+		mustExec(t, e, fmt.Sprintf("UPDATE m SET v = %d.25 WHERE id = %d", i, i))
+	}
+	e.FS.SetFaultInjector(nil)
+	for _, f := range old.Files {
+		if !e.FS.Exists(f.Path) || e.FS.Pins(f.Path) != 1 {
+			t.Fatalf("expired file %s: exists %v, %d pins; want it kept by its owed Unpin", f.Path, e.FS.Exists(f.Path), e.FS.Pins(f.Path))
+		}
+	}
+
+	recovered, err := h.RecoverOrphans()
+	if err != nil || len(recovered) != 0 {
+		t.Fatalf("RecoverOrphans = %v, %v; want no orphans", recovered, err)
+	}
+	for _, f := range old.Files {
+		if e.FS.Exists(f.Path) || e.FS.Pins(f.Path) != 0 {
+			t.Errorf("expired file %s: exists %v, %d pins; want it gone", f.Path, e.FS.Exists(f.Path), e.FS.Pins(f.Path))
+		}
+	}
+	assertNoOrphans(t, e, "m")
 }
 
 // TestUnpinFaultDoesNotLeakPins injects transient unpin faults at

@@ -35,8 +35,10 @@ import (
 //
 // pub additionally guards the MVCC-DDL bookkeeping: the live snapshot
 // count, the dropped flag and pending drop job (pin-aware DROP defers
-// reclamation until the last snapshot releases), and the retention
-// ledger pinning the last N epochs' superseded files for time travel.
+// reclamation until the last snapshot releases), and the resident
+// epoch. Which epochs are kept, and which files they hold, is the
+// manifest chain's record (metastore.RetentionEpochs), not the table
+// state's.
 type tableState struct {
 	writer sync.Mutex
 	pub    sync.Mutex
@@ -47,12 +49,6 @@ type tableState struct {
 	dropped bool
 	// pendingDrop is the reclamation deferred until snaps reaches 0.
 	pendingDrop *dropJob
-	// retained pins superseded master file sets for the retention
-	// window, newest last; everRetained stays true after the first
-	// entry (AttachedEntryCount's exact-count fast path applies only
-	// while the attached table has never carried retained ranges).
-	retained     []retainedEpochs
-	everRetained bool
 	// res is the resident snapshot of the current epoch (nil = none).
 	res *residentEpoch
 }
@@ -138,15 +134,6 @@ func (st *tableState) keepLocked(snap *Snapshot) {
 	st.res = res
 }
 
-// retainedEpochs records one superseded master file set and the epoch
-// whose publish superseded it: the files serve every historical epoch
-// below supersededAt, so they stay pinned until all of those age out
-// of the retention window.
-type retainedEpochs struct {
-	supersededAt uint64
-	files        []metastore.ManifestFile
-}
-
 // state returns (creating on first use) the table's concurrency state.
 func (h *Handler) state(name string) *tableState {
 	h.mu.Lock()
@@ -215,8 +202,9 @@ func (h *Handler) OpenSnapshot(desc *metastore.TableDesc) (*Snapshot, error) {
 
 // OpenSnapshotAt pins a historical epoch for a time-travel read
 // (SELECT ... AS OF EPOCH n). The epoch must be inside the retention
-// window (inWindowLocked), where retention guarantees its files and
-// attached cells are intact. Release must be called exactly once.
+// window — its manifest still in the chain — where retention guarantees
+// its files and attached cells are intact. Release must be called
+// exactly once.
 func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snapshot, error) {
 	return h.open(desc, &epoch, true)
 }
@@ -318,7 +306,9 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 	var man *metastore.Manifest
 	res := st.res
 	if asOf != nil {
-		man, err = h.manifestAtLocked(desc, st, *asOf)
+		if man, err = h.e.MS.ManifestAt(desc.Name, *asOf); err != nil {
+			err = fmt.Errorf("core: %s AS OF EPOCH %d: %w", desc.Name, *asOf, err)
+		}
 	} else if snap.Epoch, snap.Watermark, err = h.e.MS.CurrentEpoch(desc.Name); err == nil && !res.holds(snap.Epoch, snap.Watermark) {
 		man, err = h.e.MS.CurrentManifest(desc.Name)
 	}
@@ -348,9 +338,9 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 				h.unpinDeferred(f.path)
 			}
 			if asOf != nil {
-				// The manifest survives in history longer than its files
-				// survive retention; a reclaimed file means the epoch aged
-				// out of the serviceable window.
+				// A window epoch's files are current or hold their
+				// retention pin; one that is gone all the same (its pin
+				// could not be taken at supersede) cannot be served.
 				return nil, false, fmt.Errorf("core: %s AS OF EPOCH %d: file %s reclaimed: %w",
 					desc.Name, *asOf, snap.files[i].path, metastore.ErrEpochExpired)
 			}
@@ -361,31 +351,14 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 	return snap, resident, nil
 }
 
-// manifestAtLocked resolves a historical epoch's manifest and checks
-// that the epoch is still serviceable. The window is enforced explicitly
-// rather than through a pin failure: an expired epoch's files can
-// incidentally stay alive (another long scan may still pin them), but
-// its attached cells were purged at expiry, so serving it would silently
-// drop that epoch's UPDATE/DELETE effects. Caller holds pub.
-func (h *Handler) manifestAtLocked(desc *metastore.TableDesc, st *tableState, epoch uint64) (*metastore.Manifest, error) {
-	man, err := h.e.MS.ManifestAt(desc.Name, epoch)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: %w", desc.Name, epoch, err)
-	}
-	if !h.inWindowLocked(desc, st, epoch) {
-		return nil, fmt.Errorf("core: %s AS OF EPOCH %d: outside the retention window of %d epochs: %w",
-			desc.Name, epoch, metastore.RetentionEpochs, metastore.ErrEpochExpired)
-	}
-	return man, nil
-}
-
-// inWindowLocked is the one test of whether an epoch of st's
-// incarnation may be served: it is inside the retention window,
-// current − epoch <= RetentionEpochs. Expiry drops the set a replace
-// superseded at epoch S (its files and the attached cells keyed by
-// them) only once S+RetentionEpochs <= current, and that set serves
-// only epochs below S, so every epoch in the window still has its files
-// and its cells. A dropped incarnation publishes and purges nothing
+// inWindowLocked is open's post-load test of whether an epoch of st's
+// incarnation may still be served: it is inside the retention window,
+// current − epoch <= RetentionEpochs, the epochs whose manifests the
+// chain holds. Expiry drops the set a replace superseded at epoch S
+// (its files and the attached cells keyed by them) only once
+// S+RetentionEpochs <= current, when epoch S−1, the last that names
+// them, leaves the chain, so every epoch in the window still has its
+// files and its cells. A dropped incarnation publishes and purges nothing
 // more (its attached table goes when its last snapshot releases), so
 // its current epoch stays where the DROP left it — whatever epochs a
 // re-CREATE of the name publishes. Caller holds pub.
@@ -640,16 +613,13 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 		st.pub.Unlock()
 		return err
 	}
-	var (
-		epoch      uint64
-		superseded []metastore.ManifestFile
-		err        error
-	)
+	var superseded, expired []metastore.ManifestFile
+	var err error
 	if len(files) == 0 && !replace {
 		// File set unchanged: the metastore shares the current manifest's
 		// file slice instead of cloning it twice (once to read it, once to
 		// publish), so a watermark-only commit costs no per-file work.
-		epoch, err = h.e.MS.PublishWatermark(desc.Name, h.e.KV.NextTs())
+		_, expired, err = h.e.MS.PublishWatermark(desc.Name, h.e.KV.NextTs())
 	} else if cur, curErr := h.e.MS.CurrentManifest(desc.Name); curErr != nil {
 		err = curErr
 	} else {
@@ -659,7 +629,7 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 		} else {
 			next.Files = append(cur.Files, files...) // cur is this call's own copy
 		}
-		epoch, err = next.Epoch, h.e.MS.PublishManifest(next)
+		expired, err = h.e.MS.PublishManifest(next)
 	}
 	if err != nil {
 		st.pub.Unlock()
@@ -667,39 +637,45 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 	}
 	// Committed. Cleanup below is best-effort.
 	if replace {
-		h.supersedeLocked(st, superseded, epoch)
+		h.supersedeLocked(st, superseded)
 	} else {
 		st.dropOverlayLocked()
 	}
-	expired := h.expireRetainedLocked(st, epoch)
+	// Retention expiry: the files whose last serviceable epoch just left
+	// the window release their retention pin, so the deferred deletion
+	// issued at supersede fires. Their attached ranges are purged after
+	// the lock drops — the scan is the slow part, and no open can reach
+	// those ranges any more: the epochs that named the files are outside
+	// the window from this publish on.
+	for _, f := range expired {
+		h.unpinDeferred(f.Path)
+	}
 	st.pub.Unlock()
-	h.purgeExpired(desc, expired)
+	if len(expired) > 0 {
+		h.purgeAttachedRanges(desc, expired)
+	}
 	h.drainCleanup()
 	return nil
 }
 
-// supersedeLocked disposes of the file set a replace at epoch at took
-// out of the manifest: every superseded master file is handed to the
-// DFS's deferred deletion — removed immediately unless a pin still
-// holds it, in which case it survives until the last one releases.
+// supersedeLocked disposes of the file set a replace took out of the
+// manifest: every superseded master file is handed to the DFS's
+// deferred deletion — removed immediately unless a pin still holds it,
+// in which case it survives until the last one releases.
 //
-// Retention: the superseded file set stays pinned (and the attached
-// cells keyed by its file IDs stay in place) so time-travel reads of
-// the epochs it served remain serviceable; both are reclaimed when
-// those epochs leave the retention window. File IDs are never reused
-// and the new files' IDs are disjoint, so the stale cells are
-// invisible to every scan of the new epoch. Caller holds pub.
-func (h *Handler) supersedeLocked(st *tableState, old []metastore.ManifestFile, at uint64) {
+// Retention: each superseded file takes a retention pin (and the
+// attached cells keyed by its file ID stay in place) so time-travel
+// reads of the epochs it served remain serviceable; publish releases
+// and purges both when the last manifest naming the file leaves the
+// chain. File IDs are never reused and the new files' IDs are
+// disjoint, so the stale cells are invisible to every scan of the new
+// epoch. Caller holds pub.
+func (h *Handler) supersedeLocked(st *tableState, old []metastore.ManifestFile) {
 	st.res = nil // every resident file just left the manifest
-	if len(old) > 0 {
-		retained := make([]metastore.ManifestFile, 0, len(old))
-		for _, f := range old {
-			if err := h.e.FS.Pin(f.Path); err == nil {
-				retained = append(retained, f)
-			}
-		}
-		st.retained = append(st.retained, retainedEpochs{supersededAt: at, files: retained})
-		st.everRetained = true
+	for _, f := range old {
+		// A file already gone has nothing to retain; its expiry Unpin
+		// then finds nothing, which counts as delivered.
+		_ = h.e.FS.Pin(f.Path)
 	}
 	for _, f := range old {
 		// Single attempt under the publish lock (retry backoff here
@@ -735,45 +711,6 @@ func (h *Handler) checkIncarnationLocked(desc *metastore.TableDesc, st *tableSta
 			metastore.ErrTableNotFound, desc.Name)
 	}
 	return nil
-}
-
-// expireRetainedLocked drops retained file sets whose serviceable
-// epochs all left the retention window at the given current epoch:
-// their retention pins release (letting the deferred deletions issued
-// at supersede time fire). The expired sets are returned for the
-// caller to purge with purgeExpired AFTER releasing the pub lock — the
-// attached-range scan is the slow part, and the window test already
-// keeps every new open off the doomed ranges: the epochs they serve
-// are outside the window from this publish on. Caller holds the
-// table's pub lock.
-func (h *Handler) expireRetainedLocked(st *tableState, current uint64) []retainedEpochs {
-	if len(st.retained) == 0 {
-		return nil
-	}
-	keep := st.retained[:0]
-	var expired []retainedEpochs
-	for _, re := range st.retained {
-		// The newest epoch a set serves is supersededAt-1; an epoch e
-		// is inside the window iff current-e <= RetentionEpochs.
-		if re.supersededAt+metastore.RetentionEpochs <= current {
-			for _, f := range re.files {
-				h.unpinDeferred(f.Path)
-			}
-			expired = append(expired, re)
-		} else {
-			keep = append(keep, re)
-		}
-	}
-	st.retained = keep
-	return expired
-}
-
-// purgeExpired purges the attached ranges of expired retained sets
-// (outside any lock; see expireRetainedLocked).
-func (h *Handler) purgeExpired(desc *metastore.TableDesc, expired []retainedEpochs) {
-	for _, re := range expired {
-		h.purgeAttachedRanges(desc, re.files)
-	}
 }
 
 // purgeAttachedRanges deletes the attached-table rows keyed by the

@@ -235,12 +235,6 @@ func (e *Engine) ExecuteCtx(ec *ExecContext, sql string) (*ResultSet, error) {
 	return e.ExecuteStmtCtx(ec, p.Stmt)
 }
 
-// ExecuteScript runs a semicolon-separated script, returning the last
-// statement's result.
-func (e *Engine) ExecuteScript(sql string) (*ResultSet, error) {
-	return e.ExecuteScriptCtx(nil, sql)
-}
-
 // ExecuteScriptCtx runs a semicolon-separated script under an
 // execution context, returning the last statement's result.
 func (e *Engine) ExecuteScriptCtx(ec *ExecContext, sql string) (*ResultSet, error) {
@@ -256,12 +250,6 @@ func (e *Engine) ExecuteScriptCtx(ec *ExecContext, sql string) (*ResultSet, erro
 		}
 	}
 	return last, nil
-}
-
-// ExecuteStmt runs one parsed statement (no session, background
-// context).
-func (e *Engine) ExecuteStmt(stmt sqlparser.Statement) (*ResultSet, error) {
-	return e.ExecuteStmtCtx(nil, stmt)
 }
 
 // ExecuteStmtCtx runs one parsed statement under an execution context.

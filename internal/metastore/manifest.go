@@ -14,9 +14,9 @@ var (
 	// compare-and-swap on the current epoch (another writer published
 	// first).
 	ErrEpochConflict = errors.New("metastore: manifest epoch conflict")
-	// ErrEpochExpired is returned when a historical epoch has been
-	// garbage-collected from the chain (or its files have been
-	// reclaimed past the retention window).
+	// ErrEpochExpired is returned when a historical epoch has left the
+	// retention window: its manifest is no longer in the chain, and the
+	// files and attached cells only it named are reclaimed.
 	ErrEpochExpired = errors.New("metastore: manifest epoch expired")
 	// ErrEpochFuture is returned when the requested epoch was never
 	// published: it lies beyond the table's current epoch.
@@ -25,15 +25,12 @@ var (
 
 // RetentionEpochs is the retention window: an epoch e is serviceable
 // (AS OF EPOCH reads, and scans racing a COMPACT) while
-// current-e <= RetentionEpochs, and the superseded master files and
-// attached cells those epochs need stay in place until then. It is
-// below manifestHistoryCap, so every epoch in the window still has its
-// manifest.
+// current-e <= RetentionEpochs. A table's manifest chain is the window:
+// it holds exactly the current manifest and the RetentionEpochs
+// manifests before it, and a superseded master file (with the attached
+// cells keyed by it) stays in place while a manifest in the chain names
+// it.
 const RetentionEpochs = 8
-
-// manifestHistoryCap bounds the per-table manifest chain kept for
-// historical lookups (ManifestAt). The current manifest never expires.
-const manifestHistoryCap = 64
 
 // ManifestFile describes one immutable master file of a snapshot.
 type ManifestFile struct {
@@ -68,14 +65,62 @@ func (m *Manifest) Clone() *Manifest {
 	return &cp
 }
 
-// manifestChain is one table's epoch history, newest last. The id is
-// unique per chain incarnation: a DROP whose reclamation is pending
-// records it, so a deferred chain removal cannot destroy the chain a
-// re-CREATE of the same name published meanwhile.
+// manifestChain is one table's retention window: the current manifest
+// and the RetentionEpochs manifests before it, oldest first, with
+// consecutive epochs. The id is unique per chain incarnation: a DROP
+// whose reclamation is pending records it, so a deferred chain removal
+// cannot destroy the chain a re-CREATE of the same name published
+// meanwhile.
 type manifestChain struct {
-	id      uint64
-	current *Manifest
-	history []*Manifest // includes current as the last element
+	id     uint64
+	window []*Manifest
+}
+
+// current returns the chain's newest manifest.
+func (ch *manifestChain) current() *Manifest { return ch.window[len(ch.window)-1] }
+
+// push makes man the current manifest. When that takes the chain past
+// the window, the oldest manifest leaves it, and push returns the files
+// that manifest named and no manifest left in the chain names: their
+// last serviceable epoch just left the window.
+func (ch *manifestChain) push(man *Manifest) []ManifestFile {
+	if len(ch.window) <= RetentionEpochs {
+		ch.window = append(ch.window, man)
+		return nil
+	}
+	gone := ch.window[0].Files
+	copy(ch.window, ch.window[1:])
+	ch.window[len(ch.window)-1] = man
+	// A watermark or append publish keeps the files before it as a
+	// prefix, so unless a replace left the window this compares paths
+	// and allocates nothing.
+	next := ch.window[0].Files
+	kept := len(gone) <= len(next)
+	for i := 0; kept && i < len(gone); i++ {
+		kept = gone[i].Path == next[i].Path
+	}
+	if kept {
+		return nil
+	}
+	named := ch.files()
+	var expired []ManifestFile
+	for _, f := range gone {
+		if !named[f.Path] {
+			expired = append(expired, f)
+		}
+	}
+	return expired
+}
+
+// files returns the paths the chain's manifests name.
+func (ch *manifestChain) files() map[string]bool {
+	files := map[string]bool{}
+	for _, man := range ch.window {
+		for _, f := range man.Files {
+			files[f.Path] = true
+		}
+	}
+	return files
 }
 
 // manifests lazily allocates the manifest map. Caller holds m.mu.
@@ -90,10 +135,12 @@ func (m *Metastore) manifestsLocked() map[string]*manifestChain {
 // compare-and-swap semantics: the new epoch must be exactly one past
 // the current epoch (or any starting epoch when the table has no
 // chain yet). On success the previous manifest stays readable through
-// ManifestAt until it ages out of the bounded history.
-func (m *Metastore) PublishManifest(man *Manifest) error {
+// ManifestAt while it is inside the retention window. It returns the
+// files whose last serviceable epoch this publish took out of the
+// window (see manifestChain.push); the caller reclaims them.
+func (m *Metastore) PublishManifest(man *Manifest) ([]ManifestFile, error) {
 	if man.Table == "" {
-		return fmt.Errorf("metastore: manifest without table name")
+		return nil, fmt.Errorf("metastore: manifest without table name")
 	}
 	key := strings.ToLower(man.Table)
 	m.mu.Lock()
@@ -103,19 +150,16 @@ func (m *Metastore) PublishManifest(man *Manifest) error {
 	cp := man.Clone()
 	if !ok {
 		m.chainSeq++
-		chains[key] = &manifestChain{id: m.chainSeq, current: cp, history: []*Manifest{cp}}
-		return nil
+		window := make([]*Manifest, 1, RetentionEpochs+1)
+		window[0] = cp
+		chains[key] = &manifestChain{id: m.chainSeq, window: window}
+		return nil, nil
 	}
-	if man.Epoch != ch.current.Epoch+1 {
-		return fmt.Errorf("%w: %s publish epoch %d, current %d",
-			ErrEpochConflict, man.Table, man.Epoch, ch.current.Epoch)
+	if cur := ch.current(); man.Epoch != cur.Epoch+1 {
+		return nil, fmt.Errorf("%w: %s publish epoch %d, current %d",
+			ErrEpochConflict, man.Table, man.Epoch, cur.Epoch)
 	}
-	ch.current = cp
-	ch.history = append(ch.history, cp)
-	if len(ch.history) > manifestHistoryCap {
-		ch.history = ch.history[len(ch.history)-manifestHistoryCap:]
-	}
-	return nil
+	return ch.push(cp), nil
 }
 
 // PublishWatermark publishes the next epoch with the current file set
@@ -123,28 +167,24 @@ func (m *Metastore) PublishManifest(man *Manifest) error {
 // PublishManifest, it shares the current manifest's file slice instead
 // of copying it twice (manifests are immutable after publish, and
 // every read path hands out clones), so a watermark-only commit does
-// no per-file work at all. Returns the published epoch.
-func (m *Metastore) PublishWatermark(table string, watermark uint64) (uint64, error) {
+// no per-file work at all. Returns the published epoch and, as
+// PublishManifest does, the files that left the retention window.
+func (m *Metastore) PublishWatermark(table string, watermark uint64) (uint64, []ManifestFile, error) {
 	key := strings.ToLower(table)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ch, ok := m.manifests[key]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoManifest, table)
+		return 0, nil, fmt.Errorf("%w: %s", ErrNoManifest, table)
 	}
-	cur := ch.current
+	cur := ch.current()
 	next := &Manifest{
 		Table:     cur.Table,
 		Epoch:     cur.Epoch + 1,
 		Watermark: watermark,
 		Files:     cur.Files, // shared; manifests are immutable
 	}
-	ch.current = next
-	ch.history = append(ch.history, next)
-	if len(ch.history) > manifestHistoryCap {
-		ch.history = ch.history[len(ch.history)-manifestHistoryCap:]
-	}
-	return next.Epoch, nil
+	return next.Epoch, ch.push(next), nil
 }
 
 // CurrentManifest returns a copy of the table's current manifest.
@@ -155,7 +195,7 @@ func (m *Metastore) CurrentManifest(table string) (*Manifest, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoManifest, table)
 	}
-	return ch.current.Clone(), nil
+	return ch.current().Clone(), nil
 }
 
 // CurrentEpoch returns the epoch and watermark of the table's current
@@ -167,14 +207,15 @@ func (m *Metastore) CurrentEpoch(table string) (epoch, watermark uint64, err err
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %s", ErrNoManifest, table)
 	}
-	return ch.current.Epoch, ch.current.Watermark, nil
+	cur := ch.current()
+	return cur.Epoch, cur.Watermark, nil
 }
 
 // ManifestAt returns a copy of the manifest at a historical epoch
-// (the basis for time-travel reads). The two failure modes carry
-// distinct sentinels: epochs that aged out of the bounded history
-// return ErrEpochExpired, epochs beyond the current one (never
-// published) return ErrEpochFuture.
+// (the basis for time-travel reads): it resolves exactly the epochs of
+// the retention window. The two failure modes carry distinct
+// sentinels: an epoch older than the window returns ErrEpochExpired,
+// an epoch beyond the current one (never published) ErrEpochFuture.
 func (m *Metastore) ManifestAt(table string, epoch uint64) (*Manifest, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -182,24 +223,23 @@ func (m *Metastore) ManifestAt(table string, epoch uint64) (*Manifest, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoManifest, table)
 	}
-	for _, man := range ch.history {
-		if man.Epoch == epoch {
-			return man.Clone(), nil
-		}
+	oldest, cur := ch.window[0].Epoch, ch.current().Epoch
+	switch {
+	case epoch < oldest:
+		return nil, fmt.Errorf("%w: %s epoch %d is outside the retention window of %d epochs (current %d)",
+			ErrEpochExpired, table, epoch, RetentionEpochs, cur)
+	case epoch > cur:
+		return nil, fmt.Errorf("%w: %s epoch %d (current %d)",
+			ErrEpochFuture, table, epoch, cur)
 	}
-	if epoch < ch.current.Epoch {
-		return nil, fmt.Errorf("%w: %s epoch %d aged out of history (current %d)",
-			ErrEpochExpired, table, epoch, ch.current.Epoch)
-	}
-	return nil, fmt.Errorf("%w: %s epoch %d (current %d)",
-		ErrEpochFuture, table, epoch, ch.current.Epoch)
+	return ch.window[epoch-oldest].Clone(), nil
 }
 
-// ManifestHistoryFiles returns the set of file paths referenced by any
-// manifest still in the table's bounded history — every file a current
-// or time-travel read could legitimately resolve. ok is false when the
-// table has no manifest chain. A startup recovery scan treats master
-// files outside this set as orphans of a crashed publish.
+// ManifestHistoryFiles returns the set of file paths named by any
+// manifest in the table's chain — exactly the files the retention
+// window can serve to a current or time-travel read. ok is false when
+// the table has no manifest chain. The startup recovery scan treats
+// master files outside this set as orphans.
 func (m *Metastore) ManifestHistoryFiles(table string) (map[string]bool, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -207,13 +247,7 @@ func (m *Metastore) ManifestHistoryFiles(table string) (map[string]bool, bool) {
 	if !ok {
 		return nil, false
 	}
-	files := map[string]bool{}
-	for _, man := range ch.history {
-		for _, f := range man.Files {
-			files[f.Path] = true
-		}
-	}
-	return files, true
+	return ch.files(), true
 }
 
 // ManifestChainID returns the identity of the table's current manifest

@@ -115,7 +115,7 @@ func TestManifestPublishCAS(t *testing.T) {
 	m := New()
 	base := &Manifest{Table: "T", Epoch: 0, Watermark: 5,
 		Files: []ManifestFile{{Path: "/w/t/master/m-1.orc", Size: 100, FileID: 1, Rows: 10}}}
-	if err := m.PublishManifest(base); err != nil {
+	if _, err := m.PublishManifest(base); err != nil {
 		t.Fatal(err)
 	}
 	// Names are case-insensitive, manifests are copies.
@@ -129,13 +129,13 @@ func TestManifestPublishCAS(t *testing.T) {
 		t.Error("CurrentManifest must return a copy")
 	}
 	// CAS: skipping an epoch or republishing the same epoch fails.
-	if err := m.PublishManifest(&Manifest{Table: "t", Epoch: 0}); !errors.Is(err, ErrEpochConflict) {
+	if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: 0}); !errors.Is(err, ErrEpochConflict) {
 		t.Errorf("same-epoch publish: %v", err)
 	}
-	if err := m.PublishManifest(&Manifest{Table: "t", Epoch: 2}); !errors.Is(err, ErrEpochConflict) {
+	if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: 2}); !errors.Is(err, ErrEpochConflict) {
 		t.Errorf("skipped-epoch publish: %v", err)
 	}
-	if err := m.PublishManifest(&Manifest{Table: "t", Epoch: 1, Watermark: 9}); err != nil {
+	if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: 1, Watermark: 9}); err != nil {
 		t.Fatal(err)
 	}
 	// History: both epochs resolvable; unknown table and future epoch
@@ -155,18 +155,18 @@ func TestManifestPublishCAS(t *testing.T) {
 	if _, err := m.CurrentManifest("t"); !errors.Is(err, ErrNoManifest) {
 		t.Errorf("after drop: %v", err)
 	}
-	if err := m.PublishManifest(&Manifest{Table: "t", Epoch: 0}); err != nil {
+	if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: 0}); err != nil {
 		t.Errorf("re-create after drop: %v", err)
 	}
 }
 
 func TestManifestHistoryBounded(t *testing.T) {
 	m := New()
-	if err := m.PublishManifest(&Manifest{Table: "t", Epoch: 0}); err != nil {
+	if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: 0}); err != nil {
 		t.Fatal(err)
 	}
 	for e := uint64(1); e <= 200; e++ {
-		if err := m.PublishManifest(&Manifest{Table: "t", Epoch: e}); err != nil {
+		if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,5 +175,15 @@ func TestManifestHistoryBounded(t *testing.T) {
 	}
 	if _, err := m.ManifestAt("t", 0); !errors.Is(err, ErrEpochExpired) {
 		t.Errorf("ancient epoch should be expired: %v", err)
+	}
+	// Both sides of the window's edge, and nothing kept beyond it.
+	if man, err := m.ManifestAt("t", 200-RetentionEpochs); err != nil || man.Epoch != 200-RetentionEpochs {
+		t.Errorf("the window's oldest epoch = %v, %v", man, err)
+	}
+	if _, err := m.ManifestAt("t", 200-RetentionEpochs-1); !errors.Is(err, ErrEpochExpired) {
+		t.Errorf("the epoch below the window = %v, want ErrEpochExpired", err)
+	}
+	if n := len(m.manifests["t"].window); n != RetentionEpochs+1 {
+		t.Errorf("the chain holds %d manifests, want %d", n, RetentionEpochs+1)
 	}
 }

@@ -2,13 +2,14 @@ package metastore
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
 func publishN(t *testing.T, m *Metastore, table string, upto uint64) {
 	t.Helper()
 	for e := uint64(0); e <= upto; e++ {
-		err := m.PublishManifest(&Manifest{Table: table, Epoch: e, Watermark: e * 10,
+		_, err := m.PublishManifest(&Manifest{Table: table, Epoch: e, Watermark: e * 10,
 			Files: []ManifestFile{{Path: "/f", FileID: uint32(e)}}})
 		if err != nil {
 			t.Fatal(err)
@@ -31,9 +32,9 @@ func TestManifestAtErrorSentinels(t *testing.T) {
 	if _, err := m.ManifestAt("t", 9); errors.Is(err, ErrEpochExpired) {
 		t.Fatal("future epoch must not also match ErrEpochExpired")
 	}
-	// Aged-out epoch: publish past the history cap.
-	for e := uint64(4); e <= manifestHistoryCap+5; e++ {
-		if err := m.PublishManifest(&Manifest{Table: "t", Epoch: e}); err != nil {
+	// Aged-out epoch: publish past the retention window.
+	for e := uint64(4); e <= RetentionEpochs+5; e++ {
+		if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: e}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +51,7 @@ func TestPublishWatermarkSharesFileSet(t *testing.T) {
 	m := New()
 	publishN(t, m, "t", 1)
 	before, _ := m.CurrentManifest("t")
-	ep, err := m.PublishWatermark("t", 777)
+	ep, _, err := m.PublishWatermark("t", 777)
 	if err != nil || ep != 2 {
 		t.Fatalf("PublishWatermark = %d, %v", ep, err)
 	}
@@ -67,10 +68,10 @@ func TestPublishWatermarkSharesFileSet(t *testing.T) {
 		t.Fatalf("ManifestAt(1) = %+v, %v", old, err)
 	}
 	// A regular CAS publish still applies after the fast path.
-	if err := m.PublishManifest(&Manifest{Table: "t", Epoch: 3}); err != nil {
+	if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PublishWatermark("missing", 1); !errors.Is(err, ErrNoManifest) {
+	if _, _, err := m.PublishWatermark("missing", 1); !errors.Is(err, ErrNoManifest) {
 		t.Fatalf("watermark on missing table = %v, want ErrNoManifest", err)
 	}
 }
@@ -97,5 +98,89 @@ func TestManifestChainIdentity(t *testing.T) {
 	m.DropManifestsByID("t", id2)
 	if _, err := m.CurrentManifest("t"); !errors.Is(err, ErrNoManifest) {
 		t.Fatalf("matching DropManifestsByID left the chain: %v", err)
+	}
+}
+
+// TestPublishReturnsExpiredFiles drives append, watermark and replace
+// publishes and checks what each one returns: a replaced file comes
+// back exactly once, from the publish RetentionEpochs after its
+// replace, and every other publish returns nothing.
+func TestPublishReturnsExpiredFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ops  string // a = append one file, w = watermark, r = replace with one file, e = replace with none
+	}{
+		{"watermarks", "wwwwwwwwwwwwwwwwwwww"},
+		{"appends", "aaaaaaaaaaaaaaaaaaaa"},
+		{"replace every publish", "rrrrrrrrrrrrrrrrrrrr"},
+		{"replace then quiet", "aarwwwwwwwwwwwwwwwwww"},
+		{"replaces inside one window", "aawrawraawwrwwwwwwwwwwwwww"},
+		{"replace by nothing", "aaewwaaewwwwwwwwwwwwww"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New()
+			if _, err := m.PublishManifest(&Manifest{Table: "t", Epoch: 0}); err != nil {
+				t.Fatal(err)
+			}
+			var files []ManifestFile
+			nextFile := 0
+			newFile := func() ManifestFile {
+				nextFile++
+				return ManifestFile{Path: fmt.Sprintf("/t/m-%d", nextFile), FileID: uint32(nextFile)}
+			}
+			replacedAt := map[uint64][]ManifestFile{} // epoch of the replace -> the files it took out
+			returned := map[string]int{}
+			for i, op := range tc.ops {
+				epoch := uint64(i + 1)
+				var expired []ManifestFile
+				var err error
+				switch op {
+				case 'w':
+					var got uint64
+					got, expired, err = m.PublishWatermark("t", epoch)
+					if err == nil && got != epoch {
+						t.Fatalf("watermark publish %d published epoch %d", epoch, got)
+					}
+				default:
+					next := append([]ManifestFile(nil), files...)
+					switch op {
+					case 'a':
+						next = append(next, newFile())
+					case 'r':
+						replacedAt[epoch], next = files, []ManifestFile{newFile()}
+					case 'e':
+						replacedAt[epoch], next = files, nil
+					}
+					files = next
+					expired, err = m.PublishManifest(&Manifest{Table: "t", Epoch: epoch, Files: next})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []ManifestFile
+				if epoch > RetentionEpochs {
+					want = replacedAt[epoch-RetentionEpochs]
+				}
+				if len(expired) != len(want) {
+					t.Fatalf("publish %d (%c) returned %v, want %v", epoch, op, expired, want)
+				}
+				for j := range want {
+					if expired[j] != want[j] {
+						t.Fatalf("publish %d (%c) returned %v, want %v", epoch, op, expired, want)
+					}
+					returned[want[j].Path]++
+				}
+			}
+			for epoch, gone := range replacedAt {
+				if epoch+RetentionEpochs > uint64(len(tc.ops)) {
+					continue // still inside the window at the end
+				}
+				for _, f := range gone {
+					if returned[f.Path] != 1 {
+						t.Errorf("file %s replaced at epoch %d came back %d times, want once", f.Path, epoch, returned[f.Path])
+					}
+				}
+			}
+		})
 	}
 }
