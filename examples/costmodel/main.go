@@ -19,15 +19,8 @@ func main() {
 
 	// The paper's worked example: D = 100 GB, α = 0.01, k = 30, with
 	// HDFS write 1 GB/s and HBase write/read 0.8/0.5 GB/s → 38.75 s.
-	paper, _ := costmodel.New(costmodel.Rates{
-		MasterWriteBps: 1e9, MasterReadBps: 2e9,
-		AttachedWriteBps: 0.8e9, AttachedReadBps: 0.5e9,
-	})
-	w := costmodel.Workload{
-		TableBytes: 100e9, TableRows: 1, Ratio: 0.01,
-		FollowingReads: 30, AvgRowBytes: 100e9,
-	}
-	fmt.Printf("§IV worked example: CostU = %.2f s (paper: 38.75 s)\n\n", paper.UpdateCost(w))
+	paper, w := costmodel.WorkedExample()
+	fmt.Printf("§IV worked example: CostU = %.2f s (paper: 38.75 s)\n\n", costmodel.New(paper).UpdateCost(w))
 
 	// Plan choice across ratios on a 20 GB, 200M-row table.
 	base := costmodel.Workload{

@@ -307,18 +307,18 @@ func (f *baseOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Colle
 // the delta tables. It could not make better decisions at runtime.")
 
 // ExecUpdate writes full updated records into a fresh delta.
-func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	return h.runDeltaJob(ec, e, desc, stmt, m)
+func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, string, error) {
+	return h.runDeltaJob(ec, e, desc, stmt, l)
 }
 
 // ExecDelete writes delete records into a fresh delta.
-func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
-	return h.runDeltaJob(ec, e, desc, stmt, m)
+func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, l *sim.Ledger) (int64, string, error) {
+	return h.runDeltaJob(ec, e, desc, stmt, l)
 }
 
 // runDeltaJob scans the table (merge-on-read) and streams matching
 // records into one new delta file per map task, under one transaction.
-func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, m *sim.Meter) (int64, string, error) {
+func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, l *sim.Ledger) (int64, string, error) {
 	splits, release, err := h.Splits(desc, hive.ScanOptions{})
 	if err != nil {
 		return 0, "", err
@@ -327,7 +327,7 @@ func (h *Handler) runDeltaJob(ec *hive.ExecContext, e *hive.Engine, desc *metast
 	txn := h.allocTxn(desc)
 	dSchema := deltaSchema(desc)
 	var taskCounter atomic.Int64
-	n, err := e.RunDMLScan(ec, desc, stmt, "acid-delta", splits, m, func(setCols []int) hive.DMLSink {
+	n, err := e.RunDMLScan(ec, desc, stmt, "acid-delta", splits, l, func(setCols []int) hive.DMLSink {
 		return &deltaSink{setCols: setCols, open: func(tm *sim.Meter) (*orcfile.Writer, *dfs.FileWriter, error) {
 			name := fmt.Sprintf("delta-%06d-%04d.orc", txn, taskCounter.Add(1))
 			fw, err := h.e.FS.CreateMeter(path.Join(deltaDir(desc), name), tm)
@@ -392,7 +392,7 @@ func (s *deltaSink) Flush(*sim.Meter) error {
 // Compact implements COMPACT TABLE for ACID tables: a major
 // compaction folding all deltas into a new base, cancellable between
 // records via the execution context.
-func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, m *sim.Meter) error {
+func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, l *sim.Ledger) error {
 	if err := ec.Err(); err != nil {
 		return err
 	}
@@ -420,6 +420,6 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 		committer.Abort()
 		return err
 	}
-	m.AddSeconds(res.SimSeconds)
+	l.Add(res.Counts, res.SimSeconds)
 	return committer.Commit()
 }

@@ -224,6 +224,38 @@ func TestOverwritePlanClearsAttached(t *testing.T) {
 	}
 }
 
+// Each statement's ledger counts the jobs it ran, and a scan's counts
+// carry one UNION READ row per record it merged.
+func TestLedgerJobCounts(t *testing.T) {
+	e, h := testEngine(t)
+	seedDual(t, e)
+	mustExec(t, e, "CREATE TABLE n (id BIGINT, day BIGINT, v DOUBLE, tag STRING) STORED AS DUALTABLE")
+	for _, c := range []struct {
+		sql, force string
+		jobs       int64
+	}{
+		{"SELECT id, v FROM m WHERE day = 3", "", 1},
+		{"SELECT day, COUNT(*) FROM m GROUP BY day", "", 1},
+		{"UPDATE m SET v = 1.0 WHERE day = 3", "EDIT", 1},
+		// The SELECT's job, then a map-only job writing its rows.
+		{"INSERT INTO n SELECT * FROM m", "", 2},
+		// OVERWRITE is INSERT OVERWRITE … SELECT, so it runs the same two
+		// jobs, where §IV prices one: ROADMAP item 14's second job.
+		{"UPDATE m SET v = 2.0 WHERE day = 4", "OVERWRITE", 2},
+	} {
+		forcePlan(e, h, c.force)
+		rs := mustExec(t, e, c.sql)
+		if got := rs.Counts[sim.Jobs]; got != c.jobs {
+			t.Errorf("%s (plan %s): ledger counts %d jobs, want %d", c.sql, rs.Plan, got, c.jobs)
+		}
+		if c.jobs == 1 && c.force == "" {
+			if got := rs.Counts[sim.UnionReadRows]; got != 360 {
+				t.Errorf("%s: %d UNION READ rows, want 360", c.sql, got)
+			}
+		}
+	}
+}
+
 func TestCompactFoldsAttachedIntoMaster(t *testing.T) {
 	e, h := testEngine(t)
 	seedDual(t, e)

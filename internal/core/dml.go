@@ -20,7 +20,7 @@ import (
 // INSERT OVERWRITE rewrite, EDIT runs the UPDATE UDTF — a map-only
 // job over UNION READ splits that writes the new values of changed
 // cells into the attached table keyed by record ID.
-func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
+func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, string, error) {
 	w, ratioSrc, err := h.workloadFor(ec, desc, stmt)
 	if err != nil {
 		return 0, "", err
@@ -32,16 +32,16 @@ func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 		Ratio: w.Ratio, RatioSrc: ratioSrc, CostDelta: delta,
 	})
 	if plan == costmodel.PlanOverwrite {
-		n, err := h.runOverwriteUpdate(ec, e, desc, stmt, m)
+		n, err := h.runOverwriteUpdate(ec, e, desc, stmt, l)
 		return n, "OVERWRITE", err
 	}
-	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-update-udtf", m, w)
+	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-update-udtf", l, w)
 	return n, "EDIT", err
 }
 
 // ExecDelete implements DELETE with the same plan selection; the EDIT
 // plan's DELETE UDTF puts one delete marker per matching record.
-func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
+func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, l *sim.Ledger) (int64, string, error) {
 	w, ratioSrc, err := h.workloadFor(ec, desc, stmt)
 	if err != nil {
 		return 0, "", err
@@ -61,10 +61,10 @@ func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metasto
 		if err != nil {
 			return 0, "", err
 		}
-		m.AddSeconds(rs.SimSeconds)
+		l.Add(rs.Counts, rs.SimSeconds)
 		return rs.Affected, "OVERWRITE", nil
 	}
-	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-delete-udtf", m, w)
+	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-delete-udtf", l, w)
 	return n, "EDIT", err
 }
 
@@ -109,13 +109,6 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, s
 	avgRow := 100.0
 	if rows > 0 {
 		avgRow = float64(bytes) / float64(rows)
-	}
-	// DataScale inflates scaled-down experiment data to paper-scale
-	// volume; the cost model must reason at the same scale the meters
-	// charge at.
-	if s := h.e.MR.Params.DataScale; s > 1 {
-		bytes = int64(float64(bytes) * s)
-		rows = int64(float64(rows) * s)
 	}
 
 	// Stripe-statistics selectivity estimate (upper bound): fraction
@@ -259,7 +252,7 @@ func (h *Handler) statsSelectivity(desc *metastore.TableDesc, files []masterFile
 // runOverwriteUpdate executes the OVERWRITE plan via the INSERT
 // OVERWRITE rewrite (reads through UNION READ, writes a fresh master,
 // clears the attached table).
-func (h *Handler) runOverwriteUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, error) {
+func (h *Handler) runOverwriteUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, error) {
 	ins, err := hive.RewriteUpdateToOverwrite(stmt, desc)
 	if err != nil {
 		return 0, err
@@ -268,7 +261,7 @@ func (h *Handler) runOverwriteUpdate(ec *hive.ExecContext, e *hive.Engine, desc 
 	if err != nil {
 		return 0, err
 	}
-	m.AddSeconds(rs.SimSeconds)
+	l.Add(rs.Counts, rs.SimSeconds)
 	return rs.Affected, nil
 }
 
@@ -276,7 +269,7 @@ func (h *Handler) runOverwriteUpdate(ec *hive.ExecContext, e *hive.Engine, desc 
 // DELETE UDTFs: the DML scan over UNION READ splits with an editSink
 // that puts the changed cells (or one delete marker per record) into
 // the attached table keyed by record ID.
-func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, m *sim.Meter, w costmodel.Workload) (int64, error) {
+func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, l *sim.Ledger, w costmodel.Workload) (int64, error) {
 	// Writers serialize against each other (and COMPACT); snapshot
 	// scans run untouched throughout.
 	st := h.state(desc.Name)
@@ -301,7 +294,7 @@ func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 		return 0, err
 	}
 	defer snap.Release()
-	affected, err := e.RunDMLScan(ec, desc, stmt, jobName, snap.Splits(ScanOptions{}), m, func(setCols []int) hive.DMLSink {
+	affected, err := e.RunDMLScan(ec, desc, stmt, jobName, snap.Splits(ScanOptions{}), l, func(setCols []int) hive.DMLSink {
 		return &editSink{att: att, setCols: setCols}
 	})
 	if err != nil {
@@ -385,7 +378,7 @@ func (s *editSink) Flush(tm *sim.Meter) error {
 // context: canceling it aborts the job between records, discards the
 // staged files and releases the writer lock with the table unchanged
 // (nothing was published).
-func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, m *sim.Meter) error {
+func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, l *sim.Ledger) error {
 	if err := ec.Err(); err != nil {
 		return err
 	}
@@ -439,6 +432,6 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 		factory.discard()
 		return err
 	}
-	m.AddSeconds(res.SimSeconds)
+	l.Add(res.Counts, res.SimSeconds)
 	return nil
 }

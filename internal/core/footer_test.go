@@ -214,9 +214,9 @@ func TestFooterHandOffLeavesClockUntouched(t *testing.T) {
 
 	// Split by split: open, drain, close on a fresh task meter.
 	type charge struct {
-		seconds    uint64 // float bits
-		ops, bytes int64
-		rows       int
+		seconds uint64 // float bits
+		counts  sim.Counts
+		rows    int
 	}
 	drain := func(sp mapred.InputSplit, e *hive.Engine) charge {
 		t.Helper()
@@ -238,7 +238,7 @@ func TestFooterHandOffLeavesClockUntouched(t *testing.T) {
 		if err := rr.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return charge{math.Float64bits(m.Seconds()), m.Ops(), m.BytesRead(), n}
+		return charge{math.Float64bits(m.Seconds()), m.Counts(), n}
 	}
 	splits, release, err := hA.Splits(descA, ScanOptions{})
 	if err != nil {
@@ -303,7 +303,7 @@ func TestFooterHandOffLeavesClockUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mB := sim.NewMeter(&eB.MR.Params)
+	mB := sim.NewLedger(&eB.MR.Params)
 	affected, err := eB.RunDMLScan(nil, descB, stmt, "dualtable-update-udtf", withoutFooters(snap.Splits(ScanOptions{})), mB,
 		func(setCols []int) hive.DMLSink { return &editSink{att: att, setCols: setCols} })
 	snap.Release()

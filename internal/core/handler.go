@@ -90,13 +90,9 @@ type PlanDecision struct {
 
 // Register installs the DualTable storage handler on an engine.
 func Register(e *hive.Engine) (*Handler, error) {
-	model, err := costmodel.New(costmodel.RatesFromCluster(e.MR.Params))
-	if err != nil {
-		return nil, err
-	}
 	h := &Handler{
 		e:      e,
-		model:  model,
+		model:  costmodel.New(e.MR.Params),
 		est:    costmodel.NewRatioEstimator(),
 		states: map[string]*tableState{},
 	}
@@ -105,8 +101,8 @@ func Register(e *hive.Engine) (*Handler, error) {
 			return nil, err
 		}
 	}
-	h.meta, err = e.KV.Table(metaTableName)
-	if err != nil {
+	var err error
+	if h.meta, err = e.KV.Table(metaTableName); err != nil {
 		return nil, err
 	}
 	e.RegisterHandler(metastore.StorageDual, h)

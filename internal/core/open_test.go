@@ -12,6 +12,7 @@ import (
 	"dualtable/internal/kvstore"
 	"dualtable/internal/metastore"
 	"dualtable/internal/orcfile"
+	"dualtable/internal/sim"
 )
 
 // Ordering tests for Handler.open: the onSnapshotLoaded hook runs a
@@ -319,7 +320,7 @@ func TestResidentOpenSharesOverlay(t *testing.T) {
 		t.Fatal("the table has no attached entries: nothing is being shared")
 	}
 	if reflect.ValueOf(first.entries).Pointer() != reflect.ValueOf(second.entries).Pointer() ||
-		reflect.ValueOf(first.attSeconds).Pointer() != reflect.ValueOf(second.attSeconds).Pointer() ||
+		reflect.ValueOf(first.preScans).Pointer() != reflect.ValueOf(second.preScans).Pointer() ||
 		&first.files[0] != &second.files[0] {
 		t.Error("the second open did not share the first one's files and overlay")
 	}
@@ -405,6 +406,49 @@ func TestResidentOverlayMissesWhenLSMMoves(t *testing.T) {
 	}
 }
 
+// A split replays exactly what a fresh scan of its file's attached
+// range counts — memtable cells, store-file blocks and the seek — so
+// keeping only a pre-scan's four kinds drops nothing.
+func TestPreScanReplaysTheRangeScansCounts(t *testing.T) {
+	e, h := testEngine(t)
+	desc := fourFileTable(t, e, h)
+	att, err := h.attached(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := att.Flush(nil); err != nil { // store files, and a memtable on top
+		t.Fatal(err)
+	}
+	mustExec(t, e, "UPDATE m SET v = 1.5 WHERE day = 7")
+	snap, err := h.OpenSnapshot(desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	var blocks int64
+	for i, sp := range snap.Splits(ScanOptions{}) {
+		replay := sim.NewMeter(nil)
+		if _, err := sp.(*hive.ORCSplit).LoadOverlay(replay); err != nil {
+			t.Fatal(err)
+		}
+		start, end := FileRange(snap.files[i].fileID)
+		fresh := sim.NewMeter(nil)
+		sc := att.NewScanner(kvstore.Scan{Start: start, End: end, Meter: fresh, MaxVersions: math.MaxInt32})
+		for _, ok := sc.Next(); ok; _, ok = sc.Next() {
+		}
+		if err := sc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if replay.Counts() != fresh.Counts() {
+			t.Errorf("file %d: the split replays %v, a fresh range scan counts %v", i, replay.Counts(), fresh.Counts())
+		}
+		blocks += fresh.Counts()[sim.DFSOpens]
+	}
+	if blocks == 0 {
+		t.Error("no range scan read a store-file block: the case does not cover them")
+	}
+}
+
 // Every publish invalidates exactly its share of the slot: footers
 // survive a watermark or append publish and the overlay does not,
 // nothing survives a replace, nothing crosses an incarnation, and reads
@@ -443,7 +487,7 @@ func TestResidentEpochInvalidation(t *testing.T) {
 		if res == nil {
 			t.Fatalf("%s: the slot is empty, want its footers kept", when)
 		}
-		if res.entries != nil || res.attSeconds != nil {
+		if res.entries != nil || res.preScans != nil {
 			t.Errorf("%s: the overlay survived", when)
 		}
 		if got := footersOf(res); !reflect.DeepEqual(got, footers) {

@@ -51,6 +51,10 @@ type tableState struct {
 	pendingDrop *dropJob
 	// res is the resident snapshot of the current epoch (nil = none).
 	res *residentEpoch
+	// att is the incarnation's attached table once a scan open resolved
+	// it (only DROP removes it; a re-CREATE starts a new tableState).
+	// Guarded by pub.
+	att *kvstore.Table
 }
 
 // residentEpoch is what a table keeps of the last current-epoch open it
@@ -69,16 +73,16 @@ type tableState struct {
 // starts a new tableState, so a footer never describes another file's
 // bytes.
 //
-// entries/attSeconds (nil = none) are the attached-table overlay of
+// entries/preScans (nil = none) are the attached-table overlay of
 // exactly (epoch, watermark), materialised when the attached table's
 // mutation counter read mutations. The key has to be that exact:
-// attSeconds is a float sum over the cells and store-file blocks the
-// pre-scan touched, so it depends on the LSM's physical state (memtable
-// vs store files, and how many of them) as well as on the cells. An
-// open replays the overlay only while the epoch, the watermark and the
-// counter (every Put, flush and compaction moves it) are all what the
-// load saw — nothing a fresh scan reads has changed, so its charge is
-// bit-identical to the fresh scan's. The attached table itself is the
+// preScans count the seek, cells and store-file blocks each file's
+// pre-scan touched, so they depend on the LSM's physical state
+// (memtable vs store files, and how many of them) as well as on the
+// cells. An open replays the overlay only while the epoch, the
+// watermark and the counter (every Put, flush and compaction moves it)
+// are all what the load saw — nothing a fresh scan reads has changed,
+// so its counts are the fresh scan's. The attached table itself is the
 // incarnation's for its whole life: only DROP removes it, and a
 // re-CREATE starts a new tableState. A watermark or append publish
 // drops the overlay and keeps the footers.
@@ -86,9 +90,9 @@ type residentEpoch struct {
 	epoch, watermark uint64
 	files            []masterFile
 
-	mutations  uint64
-	entries    map[uint32][]hive.RecordMod
-	attSeconds map[uint32]float64
+	mutations uint64
+	entries   map[uint32][]hive.RecordMod
+	preScans  []preScan
 }
 
 // holds reports whether r is the resident form of the given epoch.
@@ -108,7 +112,7 @@ func (r *residentEpoch) footer(i int, path string) *orcfile.Reader {
 // just superseded. Caller holds pub.
 func (st *tableState) dropOverlayLocked() {
 	if r := st.res; r != nil {
-		r.entries, r.attSeconds = nil, nil
+		r.entries, r.preScans = nil, nil
 	}
 }
 
@@ -127,7 +131,7 @@ func (st *tableState) keepLocked(snap *Snapshot) {
 	res := &residentEpoch{epoch: snap.Epoch, watermark: snap.Watermark, files: snap.files}
 	if snap.entries != nil && snap.att.Mutations() == snap.mutations {
 		res.mutations = snap.mutations
-		res.entries, res.attSeconds = snap.entries, snap.attSeconds
+		res.entries, res.preScans = snap.entries, snap.preScans
 	} else if cur := st.res; cur != nil && cur.epoch == snap.Epoch {
 		return // the slot already holds this epoch's files, perhaps with an overlay
 	}
@@ -174,12 +178,12 @@ type Snapshot struct {
 	// decoded into the UNION READ overlay. Shared with the resident
 	// epoch: read-only.
 	entries map[uint32][]hive.RecordMod
-	// attSeconds maps master file ID -> the simulated cost of that
-	// file's attached pre-scan, measured at materialization and
-	// charged to the task meter when the file's split opens — so the
-	// per-task makespan accounting is identical to when tasks scanned
-	// the attached table themselves.
-	attSeconds map[uint32]float64
+	// preScans[i] is what the attached pre-scan of files[i] charged,
+	// counted at materialization and charged to the task meter when the
+	// file's split opens — so each task's counts are what they were
+	// when tasks scanned the attached table themselves. Shared with the
+	// resident epoch: read-only.
+	preScans []preScan
 	// att is the attached table the entries come from and mutations its
 	// counter when this snapshot was pinned (opens with entries only).
 	att       *kvstore.Table
@@ -298,9 +302,12 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 	}
 	snap = &Snapshot{h: h, desc: desc, st: st}
 	if withEntries {
-		if snap.att, err = h.attached(desc); err != nil {
-			return nil, false, err
+		if st.att == nil {
+			if st.att, err = h.attached(desc); err != nil {
+				return nil, false, err
+			}
 		}
+		snap.att = st.att
 		snap.mutations = snap.att.Mutations()
 	}
 	var man *metastore.Manifest
@@ -326,7 +333,7 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 		if withEntries {
 			resident = res.entries != nil && res.mutations == snap.mutations
 			if resident {
-				snap.entries, snap.attSeconds = res.entries, res.attSeconds
+				snap.entries, snap.preScans = res.entries, res.preScans
 			}
 		}
 	}
@@ -417,17 +424,18 @@ func (h *Handler) openFooter(path string) (*orcfile.Reader, error) {
 // overtook). EDIT keeps the attached table small relative to
 // the master, so the one-pass buffering is cheap — and scan tasks no
 // longer touch the key-value store at all. Each file's ranged pre-scan
-// is metered separately;
-// its simulated cost is replayed onto the task meter when the file's
-// split opens, keeping the per-task makespan accounting of the old
+// is counted separately (one meter, reset per file, that only counts);
+// its counts are replayed onto the task meter when the file's split
+// opens, keeping the per-task makespan accounting of the old
 // scan-at-task-open design.
 func (s *Snapshot) loadEntries() error {
 	s.entries = make(map[uint32][]hive.RecordMod, len(s.files))
-	s.attSeconds = make(map[uint32]float64, len(s.files))
+	s.preScans = make([]preScan, len(s.files))
 	var slab overlaySlab
-	for _, f := range s.files {
+	m := sim.NewMeter(nil)
+	for i, f := range s.files {
 		start, end := FileRange(f.fileID)
-		m := sim.NewMeter(&s.h.e.MR.Params)
+		m.Reset()
 		sc := s.att.NewScanner(kvstore.Scan{Start: start, End: end, Meter: m, MaxVersions: math.MaxInt32})
 		mods, err := s.foldOverlay(sc, &slab)
 		if cerr := sc.Close(); err == nil && cerr != nil {
@@ -439,10 +447,23 @@ func (s *Snapshot) loadEntries() error {
 		if len(mods) > 0 {
 			s.entries[f.fileID] = mods
 		}
-		s.attSeconds[f.fileID] = m.Seconds()
+		c := m.Counts()
+		s.preScans[i] = preScan{c[sim.KVSeeks], c[sim.KVReadBytes], c[sim.DFSOpens], c[sim.DFSReadBytes]}
 	}
 	return nil
 }
+
+// preScan is what one file's attached pre-scan charged: the seek that
+// opens the range, the bytes of the cells it drew, and the opens and
+// reads of the store-file blocks it loaded. A ranged scan charges
+// nothing else, so it is kept by value in these four counts rather than
+// as a whole sim.Counts.
+type preScan struct {
+	seeks, kvBytes, opens, dfsBytes int64
+}
+
+// noPreScan is the pre-scan of an open without entries.
+var noPreScan preScan
 
 // overlaySlab is the storage one load's overlays are cut from: every
 // file's entries from mods, every entry's column sets from sets, so the
@@ -544,16 +565,19 @@ func (s *Snapshot) Files() []string {
 // READ, §V-B). The splits stay valid until Release.
 func (s *Snapshot) Splits(opts ScanOptions) []mapred.InputSplit {
 	var splits []mapred.InputSplit
-	for _, f := range s.files {
-		entries, attSeconds := s.entries[f.fileID], s.attSeconds[f.fileID]
+	for i, f := range s.files {
+		entries, pre := s.entries[f.fileID], &noPreScan
+		if s.preScans != nil {
+			pre = &s.preScans[i]
+		}
 		splits = append(splits, &hive.ORCSplit{
 			FS: s.h.e.FS, Path: f.path, Size: f.size, Opts: opts, FileID: f.fileID,
 			Footer: f.reader,
 			// The task "performs" the attached pre-scan it got the results
-			// of: its cost, measured at snapshot open, lands on the task
+			// of: its counts, taken at snapshot open, land on the task
 			// meter here.
 			LoadOverlay: func(m *sim.Meter) ([]hive.RecordMod, error) {
-				m.AddSeconds(attSeconds)
+				m.Add(sim.Counts{sim.KVSeeks: pre.seeks, sim.KVReadBytes: pre.kvBytes, sim.DFSOpens: pre.opens, sim.DFSReadBytes: pre.dfsBytes})
 				return entries, nil
 			},
 			// The paper's Fig. 4 per-row "function invocation" overhead of

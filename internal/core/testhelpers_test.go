@@ -26,12 +26,12 @@ type forcedPlan struct {
 	ec *hive.ExecContext
 }
 
-func (f forcedPlan) ExecUpdate(_ *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	return f.Handler.ExecUpdate(f.ec, e, desc, stmt, m)
+func (f forcedPlan) ExecUpdate(_ *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, string, error) {
+	return f.Handler.ExecUpdate(f.ec, e, desc, stmt, l)
 }
 
-func (f forcedPlan) ExecDelete(_ *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
-	return f.Handler.ExecDelete(f.ec, e, desc, stmt, m)
+func (f forcedPlan) ExecDelete(_ *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, l *sim.Ledger) (int64, string, error) {
+	return f.Handler.ExecDelete(f.ec, e, desc, stmt, l)
 }
 
 // hintRatio pins a DML statement's ratio estimate (the designer-given

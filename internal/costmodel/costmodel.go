@@ -13,14 +13,15 @@
 //	  CostD = C^M_Write(D) − β·(C^M_Write(D) + k·C^M_Read(D)
 //	          + (m/d)·C^A_Write(D) + k·(m/d)·C^A_Read(D))
 //
-// CostU/CostD > 0 means the EDIT plan is cheaper. Rates are either
-// calibrated from the simulated cluster parameters or measured from
-// storage metrics; α and β come from historical statistics, column
+// CostU/CostD > 0 means the EDIT plan is cheaper. The model predicts
+// what each plan performs — bytes written and read, records put, jobs
+// launched — as sim.Quantities, and prices them with the cluster's
+// sim.CostParams, the one pricing function the engine's meters are
+// priced by too. α and β come from historical statistics, column
 // statistics, or designer hints — exactly the sources §IV lists.
 package costmodel
 
 import (
-	"fmt"
 	"sync"
 
 	"dualtable/internal/sim"
@@ -45,57 +46,6 @@ func (p Plan) String() string {
 	return "OVERWRITE"
 }
 
-// Rates holds the calibrated storage throughputs (bytes/second,
-// cluster-aggregate) and per-operation costs used by the model.
-type Rates struct {
-	MasterWriteBps   float64 // C^M_Write rate (HDFS streaming write)
-	MasterReadBps    float64 // C^M_Read rate (HDFS streaming read)
-	AttachedWriteBps float64 // C^A_Write rate (HBase put path)
-	AttachedReadBps  float64 // C^A_Read rate (HBase read path)
-	// AttachedPutCost is the per-record overhead of one attached-table
-	// put (RPC + WAL). The paper's linear model folds this into the
-	// rate; keeping it explicit makes the crossover match the measured
-	// figures at small record sizes.
-	AttachedPutCost float64
-	// AttachedGetCost is the per-record overhead of one random read.
-	AttachedGetCost float64
-	// OverwriteFixedCost is the fixed cost the OVERWRITE plan pays
-	// beyond byte I/O (the extra MapReduce write-job launch). The
-	// paper's linear model omits it; including it matters at the
-	// simulator's scale where job startup is a visible fraction.
-	OverwriteFixedCost float64
-}
-
-// RatesFromCluster derives rates from simulated cluster parameters.
-// Throughputs are already cluster-aggregate; per-operation costs are
-// single-task latencies, so they are divided by the map slot count —
-// EDIT-plan puts issue from all map tasks in parallel, and the model
-// reasons about aggregate time like the paper's §IV example.
-func RatesFromCluster(p sim.CostParams) Rates {
-	slots := float64(p.MapSlots())
-	if slots < 1 {
-		slots = 1
-	}
-	return Rates{
-		MasterWriteBps:     p.DFSSeqWriteBps,
-		MasterReadBps:      p.DFSSeqReadBps,
-		AttachedWriteBps:   p.KVWriteBps,
-		AttachedReadBps:    p.KVReadBps,
-		AttachedPutCost:    p.KVPutCost / slots,
-		AttachedGetCost:    p.KVGetCost / slots,
-		OverwriteFixedCost: p.JobStartupCost,
-	}
-}
-
-// Validate reports configuration errors.
-func (r Rates) Validate() error {
-	if r.MasterWriteBps <= 0 || r.MasterReadBps <= 0 ||
-		r.AttachedWriteBps <= 0 || r.AttachedReadBps <= 0 {
-		return fmt.Errorf("costmodel: all throughput rates must be positive: %+v", r)
-	}
-	return nil
-}
-
 // Workload describes one UPDATE or DELETE decision point.
 type Workload struct {
 	// TableBytes is D, the master table size.
@@ -116,88 +66,83 @@ type Workload struct {
 	UpdatedBytesPerRow float64
 }
 
-// Model evaluates the §IV equations.
+// Model evaluates the §IV equations on one cluster's parameters.
 type Model struct {
-	Rates Rates
+	Params sim.CostParams
 }
 
-// New builds a model from rates.
-func New(r Rates) (*Model, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
+// New builds a model that prices plans at the cluster's rates.
+func New(p sim.CostParams) *Model {
+	return &Model{Params: p}
+}
+
+// WorkedExample returns §IV's worked example: D = 100 GB of which
+// α = 0.01 is updated and then read k = 30 times, on a cluster writing
+// HDFS at 1 GB/s, writing HBase at 0.8 GB/s and reading it at 0.5 GB/s.
+// Per-operation costs are zero and the cluster has one map slot, so
+// the closed form holds: CostU = 100 − 0.01·(100/0.8 + 30·100/0.5) =
+// 38.75 s, and EDIT wins.
+func WorkedExample() (sim.CostParams, Workload) {
+	p := sim.CostParams{
+		Name: "paper-§IV", Nodes: 2, MapSlotsPerNode: 1, DataScale: 1,
+		DFSSeqReadBps: 2e9, DFSSeqWriteBps: 1e9, KVReadBps: 0.5e9, KVWriteBps: 0.8e9,
 	}
-	return &Model{Rates: r}, nil
-}
-
-// masterWrite returns C^M_Write(bytes) in seconds.
-func (m *Model) masterWrite(bytes float64) float64 { return bytes / m.Rates.MasterWriteBps }
-
-// masterRead returns C^M_Read(bytes) in seconds.
-func (m *Model) masterRead(bytes float64) float64 { return bytes / m.Rates.MasterReadBps }
-
-// attachedWrite returns C^A_Write for n records of payload bytes.
-func (m *Model) attachedWrite(bytes, records float64) float64 {
-	return bytes/m.Rates.AttachedWriteBps + records*m.Rates.AttachedPutCost
-}
-
-// attachedRead returns C^A_Read for n records of payload bytes. Reads
-// during UNION READ are merge scans, so the per-record cost uses the
-// scan path (no per-get RPC).
-func (m *Model) attachedRead(bytes, records float64) float64 {
-	return bytes / m.Rates.AttachedReadBps
+	w := Workload{
+		TableBytes: 100e9, TableRows: 1, Ratio: 0.01, FollowingReads: 30,
+		AvgRowBytes: 100e9, // αD = 1 GB of attached I/O, as the paper has it
+	}
+	return p, w
 }
 
 // UpdateCost returns CostU = Cost(OVERWRITE) − Cost(EDIT) for an
 // UPDATE (equation 1), in seconds. Positive means EDIT is cheaper.
 func (m *Model) UpdateCost(w Workload) float64 {
 	d := float64(w.TableBytes)
-	rows := float64(w.TableRows)
 	upBytes := w.UpdatedBytesPerRow
 	if upBytes <= 0 {
 		upBytes = w.AvgRowBytes
 	}
-	editRecords := w.Ratio * rows
+	editRecords := w.Ratio * float64(w.TableRows)
 	editBytes := editRecords * upBytes
 
-	overwrite := m.masterWrite(d) + m.Rates.OverwriteFixedCost // + k·C^M_Read(D), which cancels
-	edit := m.attachedWrite(editBytes, editRecords) +
-		w.FollowingReads*m.attachedRead(editBytes, editRecords)
-	return overwrite - edit
+	// OVERWRITE writes D in one more job; both plans read D k times,
+	// so k·C^M_Read(D) cancels.
+	overwrite := sim.Quantities{sim.Jobs: 1, sim.DFSWriteBytes: d}
+	// EDIT puts the changed cells and merges them into each of the k
+	// reads.
+	edit := sim.Quantities{sim.KVPuts: editRecords, sim.KVPutBytes: editBytes, sim.KVReadBytes: w.FollowingReads * editBytes}
+	return m.Params.PlanSeconds(overwrite) - m.Params.PlanSeconds(edit)
 }
 
 // DeleteCost returns CostD = Cost(OVERWRITE) − Cost(EDIT) for a
 // DELETE (equation 2), in seconds. Positive means EDIT is cheaper.
 func (m *Model) DeleteCost(w Workload) float64 {
 	d := float64(w.TableBytes)
-	rows := float64(w.TableRows)
 	marker := w.MarkerBytes
 	if marker <= 0 {
 		marker = 16
 	}
-	delRecords := w.Ratio * rows
+	delRecords := w.Ratio * float64(w.TableRows)
 	markerBytes := delRecords * marker
+	kept := (1 - w.Ratio) * d
 
-	// OVERWRITE writes (1−β)D and reads (1−β)D for k reads.
-	overwrite := m.masterWrite((1-w.Ratio)*d) + m.Rates.OverwriteFixedCost +
-		w.FollowingReads*m.masterRead((1-w.Ratio)*d)
-	// EDIT writes markers and keeps reading the full master table.
-	edit := m.attachedWrite(markerBytes, delRecords) +
-		w.FollowingReads*(m.attachedRead(markerBytes, delRecords)+m.masterRead(d))
-	return overwrite - edit
+	// OVERWRITE writes (1−β)D in one more job and reads (1−β)D k times.
+	overwrite := sim.Quantities{sim.Jobs: 1, sim.DFSWriteBytes: kept, sim.DFSReadBytes: w.FollowingReads * kept}
+	// EDIT puts the markers and keeps reading the full master table,
+	// merged with them.
+	edit := sim.Quantities{sim.KVPuts: delRecords, sim.KVPutBytes: markerBytes,
+		sim.KVReadBytes: w.FollowingReads * markerBytes, sim.DFSReadBytes: w.FollowingReads * d}
+	return m.Params.PlanSeconds(overwrite) - m.Params.PlanSeconds(edit)
 }
 
 // ChooseUpdate picks the plan for an UPDATE.
-func (m *Model) ChooseUpdate(w Workload) (Plan, float64) {
-	c := m.UpdateCost(w)
-	if c > 0 {
-		return PlanEdit, c
-	}
-	return PlanOverwrite, c
-}
+func (m *Model) ChooseUpdate(w Workload) (Plan, float64) { return choose(m.UpdateCost(w)) }
 
 // ChooseDelete picks the plan for a DELETE.
-func (m *Model) ChooseDelete(w Workload) (Plan, float64) {
-	c := m.DeleteCost(w)
+func (m *Model) ChooseDelete(w Workload) (Plan, float64) { return choose(m.DeleteCost(w)) }
+
+// choose picks EDIT when the cost difference favours it.
+func choose(c float64) (Plan, float64) {
 	if c > 0 {
 		return PlanEdit, c
 	}
@@ -206,27 +151,19 @@ func (m *Model) ChooseDelete(w Workload) (Plan, float64) {
 
 // UpdateCrossover returns the ratio α* where the UPDATE plans break
 // even (CostU = 0) for the given workload shape, found by bisection.
-func (m *Model) UpdateCrossover(w Workload) float64 {
-	return bisectRatio(func(r float64) float64 {
-		w2 := w
-		w2.Ratio = r
-		return m.UpdateCost(w2)
-	})
-}
+func (m *Model) UpdateCrossover(w Workload) float64 { return bisectRatio(w, m.UpdateCost) }
 
 // DeleteCrossover returns β* where the DELETE plans break even.
-func (m *Model) DeleteCrossover(w Workload) float64 {
-	return bisectRatio(func(r float64) float64 {
-		w2 := w
-		w2.Ratio = r
-		return m.DeleteCost(w2)
-	})
-}
+func (m *Model) DeleteCrossover(w Workload) float64 { return bisectRatio(w, m.DeleteCost) }
 
-// bisectRatio finds the zero of f on (0, 1); f is expected to be
-// decreasing in the ratio. Returns 1 if EDIT always wins, 0 if
-// OVERWRITE always wins.
-func bisectRatio(f func(float64) float64) float64 {
+// bisectRatio finds the ratio in (0, 1) at which cost, evaluated on w
+// with that ratio, is zero; cost is expected to be decreasing in the
+// ratio. Returns 1 if EDIT always wins, 0 if OVERWRITE always wins.
+func bisectRatio(w Workload, cost func(Workload) float64) float64 {
+	f := func(r float64) float64 {
+		w.Ratio = r
+		return cost(w)
+	}
 	lo, hi := 1e-9, 1.0
 	if f(lo) <= 0 {
 		return 0

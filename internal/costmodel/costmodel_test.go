@@ -8,31 +8,18 @@ import (
 	"dualtable/internal/sim"
 )
 
-// paperRates reproduces the worked example of §IV: HDFS write 1 GB/s,
-// HBase read 0.5 GB/s, HBase write 0.8 GB/s; per-op costs zeroed so
-// the closed-form numbers match exactly.
-func paperRates() Rates {
-	return Rates{
-		MasterWriteBps:   1e9,
-		MasterReadBps:    2e9,
-		AttachedWriteBps: 0.8e9,
-		AttachedReadBps:  0.5e9,
-	}
+// paperParams is the cluster of §IV's worked example (one map slot, no
+// per-operation costs), so per-put costs set on it are the aggregate
+// per-record costs the closed forms below use.
+func paperParams() sim.CostParams {
+	p, _ := WorkedExample()
+	return p
 }
 
 func TestPaperWorkedExample(t *testing.T) {
 	// §IV: D = 100 GB, α = 0.01, k = 30 → CostU = 38.75 s.
-	m, err := New(paperRates())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := Workload{
-		TableBytes:     100e9,
-		TableRows:      1, // irrelevant with zero per-op costs
-		Ratio:          0.01,
-		FollowingReads: 30,
-		AvgRowBytes:    100e9, // αD bytes written = 1 GB exactly as paper
-	}
+	p, w := WorkedExample()
+	m := New(p)
 	// The paper computes with αD = 1 GB of attached I/O:
 	//   100/1 − (1/0.8 + 30·(1/0.5)) · ... = 100 − 0.01·(125+6000)... let
 	// us verify directly: CostU = 100 − 0.01·(100/0.8 + 30·100/0.5).
@@ -51,7 +38,7 @@ func TestPaperWorkedExample(t *testing.T) {
 }
 
 func TestUpdateCostMonotonicInRatioAndK(t *testing.T) {
-	m, _ := New(paperRates())
+	m := New(paperParams())
 	base := Workload{TableBytes: 1e9, TableRows: 1e6, Ratio: 0.1, FollowingReads: 2, AvgRowBytes: 1000}
 	prev := math.Inf(1)
 	for _, ratio := range []float64{0.01, 0.05, 0.1, 0.3, 0.6, 0.9} {
@@ -76,7 +63,7 @@ func TestUpdateCostMonotonicInRatioAndK(t *testing.T) {
 }
 
 func TestPlanSwitchesAtCrossover(t *testing.T) {
-	m, _ := New(paperRates())
+	m := New(paperParams())
 	w := Workload{TableBytes: 1e9, TableRows: 1e6, FollowingReads: 1, AvgRowBytes: 1000}
 	cross := m.UpdateCrossover(w)
 	if cross <= 0 || cross >= 1 {
@@ -104,9 +91,9 @@ func TestDeleteCrossoverBelowUpdateCrossover(t *testing.T) {
 	// OVERWRITE cannot, so the delete crossover falls strictly below
 	// the update crossover — exactly what the paper reports ("the
 	// cross-over point is reached at a lower delete ratio").
-	r := paperRates()
-	r.AttachedPutCost = 30e-6
-	m, _ := New(r)
+	p := paperParams()
+	p.KVPutCost = 30e-6
+	m := New(p)
 	w := Workload{
 		TableBytes:         1e9,
 		TableRows:          1e7,
@@ -126,7 +113,7 @@ func TestDeleteCrossoverBelowUpdateCrossover(t *testing.T) {
 }
 
 func TestDeleteCostSignsAtExtremes(t *testing.T) {
-	m, _ := New(paperRates())
+	m := New(paperParams())
 	w := Workload{TableBytes: 1e9, TableRows: 1e7, FollowingReads: 1, AvgRowBytes: 100, MarkerBytes: 16}
 	w.Ratio = 0.001
 	if c := m.DeleteCost(w); c <= 0 {
@@ -138,27 +125,54 @@ func TestDeleteCostSignsAtExtremes(t *testing.T) {
 	}
 }
 
-func TestRatesFromCluster(t *testing.T) {
-	r := RatesFromCluster(sim.GridCluster())
-	if r.MasterWriteBps != 1e9 || r.AttachedReadBps != 0.5e9 || r.AttachedWriteBps != 0.8e9 {
-		t.Errorf("rates = %+v", r)
-	}
-	if _, err := New(r); err != nil {
-		t.Errorf("cluster rates invalid: %v", err)
-	}
-	if _, err := New(Rates{}); err == nil {
-		t.Error("zero rates should fail validation")
+// The model and the meters price the same events alike, at every
+// DataScale: §IV's arithmetic for a one-record UPDATE and DELETE equals
+// the meters' seconds for exactly the events those plans perform,
+// spread over the map slots, plus the OVERWRITE plan's one job.
+func TestModelAgreesWithMeter(t *testing.T) {
+	for _, scale := range []float64{0.5, 1, 4000} {
+		p := sim.GridCluster()
+		p.DataScale = scale
+		m := New(p)
+		slots := float64(p.MapSlots())
+		const tableBytes, cellBytes, marker = 1 << 20, 100, 16
+		near := func(what string, got, want float64) {
+			t.Helper()
+			if math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Errorf("DataScale %v: %s = %v, the meters say %v", scale, what, got, want)
+			}
+		}
+
+		// UPDATE of the one record, read once: OVERWRITE writes the
+		// table, EDIT puts one cell and merges it into the read.
+		overwrite, edit := sim.NewMeter(&p), sim.NewMeter(&p)
+		overwrite.DFSWrite(tableBytes)
+		edit.KVPut(cellBytes)
+		edit.KVScan(cellBytes)
+		w := Workload{TableBytes: tableBytes, TableRows: 1, Ratio: 1, FollowingReads: 1,
+			AvgRowBytes: tableBytes, UpdatedBytesPerRow: cellBytes}
+		near("CostU", m.UpdateCost(w), p.JobStartupCost+(overwrite.Seconds()-edit.Seconds())/slots)
+
+		// DELETE of the one record, read once: OVERWRITE writes and
+		// reads nothing, EDIT puts one marker, then reads the master
+		// table and the marker.
+		edit = sim.NewMeter(&p)
+		edit.KVPut(marker)
+		edit.KVScan(marker)
+		edit.DFSRead(tableBytes)
+		w.MarkerBytes = marker
+		near("CostD", m.DeleteCost(w), p.JobStartupCost-edit.Seconds()/slots)
 	}
 }
 
 func TestPerPutCostShiftsCrossoverDown(t *testing.T) {
 	// Per-record put overhead makes EDIT more expensive, so the
 	// crossover ratio must drop.
-	base := paperRates()
-	m1, _ := New(base)
+	base := paperParams()
+	m1 := New(base)
 	withOp := base
-	withOp.AttachedPutCost = 100e-6
-	m2, _ := New(withOp)
+	withOp.KVPutCost = 100e-6
+	m2 := New(withOp)
 	w := Workload{TableBytes: 1e9, TableRows: 1e7, FollowingReads: 1, AvgRowBytes: 100}
 	c1 := m1.UpdateCrossover(w)
 	c2 := m2.UpdateCrossover(w)
@@ -168,7 +182,7 @@ func TestPerPutCostShiftsCrossoverDown(t *testing.T) {
 }
 
 func TestPropertyChooseMatchesSign(t *testing.T) {
-	m, _ := New(paperRates())
+	m := New(paperParams())
 	f := func(ratioPct uint8, k uint8, sizeMB uint16) bool {
 		w := Workload{
 			TableBytes:     int64(sizeMB%1000+1) * 1 << 20,
@@ -233,11 +247,11 @@ func TestRatioEstimatorClampsAndWindows(t *testing.T) {
 }
 
 func TestBisectExtremes(t *testing.T) {
-	m, _ := New(paperRates())
+	m := New(paperParams())
 	// Tiny table, huge per-put costs: OVERWRITE always wins.
-	expensive := paperRates()
-	expensive.AttachedPutCost = 10
-	me, _ := New(expensive)
+	expensive := paperParams()
+	expensive.KVPutCost = 10
+	me := New(expensive)
 	w := Workload{TableBytes: 1000, TableRows: 1e6, FollowingReads: 0, AvgRowBytes: 10}
 	if c := me.UpdateCrossover(w); c != 0 {
 		t.Errorf("always-overwrite crossover = %v", c)

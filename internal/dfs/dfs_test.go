@@ -340,8 +340,8 @@ func TestMeterCharges(t *testing.T) {
 	if meter.Seconds() <= 0 {
 		t.Error("meter should have accumulated simulated time")
 	}
-	if meter.BytesWritten() != 1000 || meter.BytesRead() != 1000 {
-		t.Errorf("meter bytes = %d written, %d read", meter.BytesWritten(), meter.BytesRead())
+	if c := meter.Counts(); c[sim.DFSWriteBytes] != 1000 || c[sim.DFSReadBytes] != 1000 {
+		t.Errorf("meter bytes = %d written, %d read", c[sim.DFSWriteBytes], c[sim.DFSReadBytes])
 	}
 }
 

@@ -94,9 +94,9 @@ func runAblUnion(cfg Config) (*Result, error) {
 		attRows := ratio * rows
 		attBytes := attRows * 40
 		// Merge join: one sorted scan of the attached range.
-		merge := attBytes / p.KVReadBps
+		merge := p.PlanSeconds(sim.Quantities{sim.KVReadBytes: attBytes})
 		// Random gets: one RPC per master row (to probe for edits).
-		gets := rows * p.KVGetCost / float64(p.MapSlots())
+		gets := p.PlanSeconds(sim.Quantities{sim.KVGets: rows})
 		res.Rows = append(res.Rows, []string{
 			pct(ratio), fmt.Sprintf("%.1f", merge), fmt.Sprintf("%.0f", gets),
 		})

@@ -26,8 +26,8 @@ func Probe(cfg Config) {
 	fmt.Printf("mx: rows=%d bytes=%d d=%.1fB/row scaledBytes=%.2fGB scaledRows=%.0fM\n",
 		rows, bytes, float64(bytes)/float64(rows),
 		float64(bytes)/g.Scale/1e9, float64(rows)/g.Scale/1e6)
-	fmt.Printf("grid slots=%d perSlotRead=%.1fMB/s perSlotWrite=%.1fMB/s\n",
-		p.MapSlots(), p.DFSSeqReadBps/float64(p.MapSlots())/1e6, p.DFSSeqWriteBps/float64(p.MapSlots())/1e6)
+	fmt.Printf("grid slots=%d perSlotRead=%.1fMB/s perSlotWrite=%.1fMB/s\n", p.MapSlots(),
+		1e-6/p.TaskSeconds(sim.Counts{sim.DFSReadBytes: 1}), 1e-6/p.TaskSeconds(sim.Counts{sim.DFSWriteBytes: 1}))
 
 	t := tpchCfg(cfg)
 	te, err := newTPCHEnv(cfg, "DUALTABLE")

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"dualtable/internal/costmodel"
 	"dualtable/internal/hive"
 	"dualtable/internal/sim"
 	"dualtable/internal/workload"
@@ -304,7 +305,8 @@ func runExCost(cfg Config) (*Result, error) {
 		Title:  "Worked cost-model example (§IV)",
 		Header: []string{"quantity", "value"},
 	}
-	costU := 100.0 - 0.01*(100.0/0.8+30*100.0/0.5)
+	p, w := costmodel.WorkedExample()
+	costU := costmodel.New(p).UpdateCost(w)
 	res.Rows = append(res.Rows,
 		[]string{"D", "100 GB"},
 		[]string{"α", "0.01"},

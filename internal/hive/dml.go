@@ -31,11 +31,11 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 	if err != nil {
 		return nil, err
 	}
-	meter := sim.NewMeter(&e.MR.Params)
+	ledger := sim.NewLedger(&e.MR.Params)
 
 	var rows []datum.Row
 	if s.Select != nil {
-		rs, err := e.runSelect(ec, s.Select, meter)
+		rs, err := e.runSelect(ec, s.Select, ledger)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +77,7 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 		if err != nil {
 			return nil, err
 		}
-		if err := e.writeRows(ec, rows, of, meter); err != nil {
+		if err := e.writeRows(ec, rows, of, ledger); err != nil {
 			committer.Abort()
 			return nil, err
 		}
@@ -89,7 +89,7 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 		if err != nil {
 			return nil, err
 		}
-		if err := e.writeRows(ec, rows, of, meter); err != nil {
+		if err := e.writeRows(ec, rows, of, ledger); err != nil {
 			committer.Abort()
 			return nil, err
 		}
@@ -97,7 +97,7 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 			return nil, err
 		}
 	}
-	return &ResultSet{Affected: int64(len(rows)), SimSeconds: meter.Seconds(), Plan: "INSERT"}, nil
+	return &ResultSet{Affected: int64(len(rows)), SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "INSERT"}, nil
 }
 
 // execUpdate routes UPDATE: handlers with native DML (KV, DualTable)
@@ -119,12 +119,12 @@ func (e *Engine) execUpdate(ec *ExecContext, s *sqlparser.UpdateStmt) (*ResultSe
 		return nil, err
 	}
 	if dml, ok := h.(DMLHandler); ok {
-		meter := sim.NewMeter(&e.MR.Params)
-		n, plan, err := dml.ExecUpdate(ec, e, desc, s, meter)
+		ledger := sim.NewLedger(&e.MR.Params)
+		n, plan, err := dml.ExecUpdate(ec, e, desc, s, ledger)
 		if err != nil {
 			return nil, err
 		}
-		return &ResultSet{Affected: n, SimSeconds: meter.Seconds(), Plan: plan}, nil
+		return &ResultSet{Affected: n, SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: plan}, nil
 	}
 	ins, err := RewriteUpdateToOverwrite(s, desc)
 	if err != nil {
@@ -171,12 +171,12 @@ func (e *Engine) execDelete(ec *ExecContext, s *sqlparser.DeleteStmt) (*ResultSe
 		return nil, err
 	}
 	if dml, ok := h.(DMLHandler); ok {
-		meter := sim.NewMeter(&e.MR.Params)
-		n, plan, err := dml.ExecDelete(ec, e, desc, s, meter)
+		ledger := sim.NewLedger(&e.MR.Params)
+		n, plan, err := dml.ExecDelete(ec, e, desc, s, ledger)
 		if err != nil {
 			return nil, err
 		}
-		return &ResultSet{Affected: n, SimSeconds: meter.Seconds(), Plan: plan}, nil
+		return &ResultSet{Affected: n, SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: plan}, nil
 	}
 	ins, err := RewriteDeleteToOverwrite(s, desc)
 	if err != nil {

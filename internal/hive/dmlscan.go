@@ -35,9 +35,9 @@ type DMLSink interface {
 // of the survivors and hands each to its task's sink. stmt is an
 // *sqlparser.UpdateStmt or *sqlparser.DeleteStmt on desc; newSink
 // receives the schema indexes of the SET targets (nil for DELETE). The
-// job's simulated time is added to m and the affected count returned.
+// job's counts and seconds are added to l and the affected count returned.
 func (e *Engine) RunDMLScan(ec *ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string,
-	splits []mapred.InputSplit, m *sim.Meter, newSink func(setCols []int) DMLSink) (int64, error) {
+	splits []mapred.InputSplit, l *sim.Ledger, newSink func(setCols []int) DMLSink) (int64, error) {
 	var table, qual string
 	var where sqlparser.Expr
 	var sets []sqlparser.SetClause
@@ -83,7 +83,7 @@ func (e *Engine) RunDMLScan(ec *ExecContext, desc *metastore.TableDesc, stmt sql
 	if err != nil {
 		return 0, err
 	}
-	m.AddSeconds(res.SimSeconds)
+	l.Add(res.Counts, res.SimSeconds)
 	return res.Counters.OutputRecords, nil
 }
 

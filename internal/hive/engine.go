@@ -85,8 +85,8 @@ func noRelease() {}
 // scan owns WHERE and SET evaluation — and the row and value slice it
 // passes a sink stay its scratch, valid only during that call.
 type DMLHandler interface {
-	ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error)
-	ExecDelete(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error)
+	ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, string, error)
+	ExecDelete(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, l *sim.Ledger) (int64, string, error)
 }
 
 // Compactor is a StorageHandler supporting the COMPACT statement. The
@@ -94,7 +94,7 @@ type DMLHandler interface {
 // canceled COMPACT aborts between MapReduce records, releases the
 // table lock and leaves the table untouched (staging is discarded).
 type Compactor interface {
-	Compact(ec *ExecContext, e *Engine, desc *metastore.TableDesc, m *sim.Meter) error
+	Compact(ec *ExecContext, e *Engine, desc *metastore.TableDesc, l *sim.Ledger) error
 }
 
 // Engine executes SQL statements.
@@ -213,6 +213,8 @@ type ResultSet struct {
 	Affected int64
 	// SimSeconds is the simulated cluster time the statement took.
 	SimSeconds float64
+	// Counts is the ledger SimSeconds is priced from, jobs included.
+	Counts sim.Counts
 	// Plan describes the physical plan that ran ("OVERWRITE"/"EDIT"
 	// for DualTable DML, job summaries for queries).
 	Plan string
@@ -405,11 +407,11 @@ func (e *Engine) execCompact(ec *ExecContext, s *sqlparser.CompactStmt) (*Result
 	if !ok {
 		return nil, fmt.Errorf("hive: table %s (%v) does not support COMPACT", s.Table, desc.Storage)
 	}
-	meter := sim.NewMeter(&e.MR.Params)
-	if err := c.Compact(ec, e, desc, meter); err != nil {
+	ledger := sim.NewLedger(&e.MR.Params)
+	if err := c.Compact(ec, e, desc, ledger); err != nil {
 		return nil, err
 	}
-	return &ResultSet{SimSeconds: meter.Seconds(), Plan: "COMPACT"}, nil
+	return &ResultSet{SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "COMPACT"}, nil
 }
 
 // execLoad parses a delimited text file from the DFS and appends its
@@ -423,12 +425,12 @@ func (e *Engine) execLoad(ec *ExecContext, s *sqlparser.LoadStmt) (*ResultSet, e
 	if err != nil {
 		return nil, err
 	}
-	meter := sim.NewMeter(&e.MR.Params)
+	ledger := sim.NewLedger(&e.MR.Params)
 	data, err := e.FS.ReadFile(s.Path)
 	if err != nil {
 		return nil, fmt.Errorf("hive: LOAD: %w", err)
 	}
-	meter.DFSRead(int64(len(data)))
+	ledger.Charge(sim.DFSReadBytes, int64(len(data)))
 	rows, err := parseDelimited(string(data), desc.Schema)
 	if err != nil {
 		return nil, err
@@ -443,14 +445,14 @@ func (e *Engine) execLoad(ec *ExecContext, s *sqlparser.LoadStmt) (*ResultSet, e
 	if err != nil {
 		return nil, err
 	}
-	if err := e.writeRows(ec, rows, factory, meter); err != nil {
+	if err := e.writeRows(ec, rows, factory, ledger); err != nil {
 		committer.Abort()
 		return nil, err
 	}
 	if err := committer.Commit(); err != nil {
 		return nil, err
 	}
-	return &ResultSet{Affected: int64(len(rows)), SimSeconds: meter.Seconds(), Plan: "LOAD"}, nil
+	return &ResultSet{Affected: int64(len(rows)), SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "LOAD"}, nil
 }
 
 // fieldDelim separates the fields of a text table's lines and of LOAD
@@ -487,7 +489,7 @@ func parseDelimited(data string, schema datum.Schema) ([]datum.Row, error) {
 
 // writeRows streams rows through an output factory as one map-only
 // job (the write path of INSERT and LOAD).
-func (e *Engine) writeRows(ec *ExecContext, rows []datum.Row, factory mapred.OutputFactory, meter *sim.Meter) error {
+func (e *Engine) writeRows(ec *ExecContext, rows []datum.Row, factory mapred.OutputFactory, ledger *sim.Ledger) error {
 	// Split into chunks so the write parallelizes like a real job.
 	const chunk = 100000
 	var splits []mapred.InputSplit
@@ -519,7 +521,7 @@ func (e *Engine) writeRows(ec *ExecContext, rows []datum.Row, factory mapred.Out
 	if err != nil {
 		return err
 	}
-	meter.AddSeconds(res.SimSeconds)
+	ledger.Add(res.Counts, res.SimSeconds)
 	return nil
 }
 
@@ -540,19 +542,19 @@ func (e *Engine) BulkLoad(table string, rows []datum.Row) (*ResultSet, error) {
 			return nil, fmt.Errorf("hive: bulk load %s: %w", table, err)
 		}
 	}
-	meter := sim.NewMeter(&e.MR.Params)
+	ledger := sim.NewLedger(&e.MR.Params)
 	factory, committer, err := h.Append(desc)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.writeRows(nil, rows, factory, meter); err != nil {
+	if err := e.writeRows(nil, rows, factory, ledger); err != nil {
 		committer.Abort()
 		return nil, err
 	}
 	if err := committer.Commit(); err != nil {
 		return nil, err
 	}
-	return &ResultSet{Affected: int64(len(rows)), SimSeconds: meter.Seconds(), Plan: "BULKLOAD"}, nil
+	return &ResultSet{Affected: int64(len(rows)), SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "BULKLOAD"}, nil
 }
 
 // tmpPath allocates a unique DFS staging path.

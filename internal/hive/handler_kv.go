@@ -201,16 +201,16 @@ func (r *kvRecordReader) Close() error { return r.rs.Close() }
 // baseline) ----
 
 // ExecUpdate scans matching rows and puts the changed cells in place.
-func (h *kvHandler) ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, m *sim.Meter) (int64, string, error) {
-	return h.runDML(ec, e, desc, stmt, "kv-update", m)
+func (h *kvHandler) ExecUpdate(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, string, error) {
+	return h.runDML(ec, e, desc, stmt, "kv-update", l)
 }
 
 // ExecDelete scans matching rows and writes row tombstones.
-func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, m *sim.Meter) (int64, string, error) {
-	return h.runDML(ec, e, desc, stmt, "kv-delete", m)
+func (h *kvHandler) ExecDelete(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, l *sim.Ledger) (int64, string, error) {
+	return h.runDML(ec, e, desc, stmt, "kv-delete", l)
 }
 
-func (h *kvHandler) runDML(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, m *sim.Meter) (int64, string, error) {
+func (h *kvHandler) runDML(ec *ExecContext, e *Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, l *sim.Ledger) (int64, string, error) {
 	tbl, err := h.table(desc)
 	if err != nil {
 		return 0, "", err
@@ -220,7 +220,7 @@ func (h *kvHandler) runDML(ec *ExecContext, e *Engine, desc *metastore.TableDesc
 		return 0, "", err
 	}
 	defer release()
-	n, err := e.RunDMLScan(ec, desc, stmt, jobName, splits, m, func(setCols []int) DMLSink {
+	n, err := e.RunDMLScan(ec, desc, stmt, jobName, splits, l, func(setCols []int) DMLSink {
 		return &kvSink{tbl: tbl, setCols: setCols}
 	})
 	return n, "EDIT-UDF", err

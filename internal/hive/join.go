@@ -197,13 +197,13 @@ func (n *fromNode) inputOf(c sqlparser.Expr) *fromNode {
 
 // buildRelation turns a planned source into the relation its consumer
 // scans, running the jobs a derived table or a join needs (charged to
-// meter). The caller owns the relation: it must Release it.
-func (e *Engine) buildRelation(ec *ExecContext, n *fromNode, meter *sim.Meter) (*relation, error) {
+// ledger). The caller owns the relation: it must Release it.
+func (e *Engine) buildRelation(ec *ExecContext, n *fromNode, ledger *sim.Ledger) (*relation, error) {
 	switch {
 	case n.table != nil:
 		return e.buildTableScan(ec, n)
 	case n.derived != nil:
-		rs, err := e.runSelect(ec, n.derived.Select, meter)
+		rs, err := e.runSelect(ec, n.derived.Select, ledger)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func (e *Engine) buildRelation(ec *ExecContext, n *fromNode, meter *sim.Meter) (
 		}
 		return materialized(n.sc, n.names, rs.Rows), nil
 	default:
-		return e.runJoin(ec, n, meter)
+		return e.runJoin(ec, n, ledger)
 	}
 }
 
@@ -260,13 +260,13 @@ func (e *Engine) planJoinInput(ec *ExecContext, n *fromNode, rel *relation, keys
 // runJoin runs a join as one reduce-side equi-join job over both
 // inputs' splits and returns its output, narrowed to the columns the
 // join's consumer filters by or needs.
-func (e *Engine) runJoin(ec *ExecContext, n *fromNode, meter *sim.Meter) (*relation, error) {
-	leftRel, err := e.buildRelation(ec, n.left, meter)
+func (e *Engine) runJoin(ec *ExecContext, n *fromNode, ledger *sim.Ledger) (*relation, error) {
+	leftRel, err := e.buildRelation(ec, n.left, ledger)
 	if err != nil {
 		return nil, err
 	}
 	defer leftRel.Release()
-	rightRel, err := e.buildRelation(ec, n.right, meter)
+	rightRel, err := e.buildRelation(ec, n.right, ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +308,7 @@ func (e *Engine) runJoin(ec *ExecContext, n *fromNode, meter *sim.Meter) (*relat
 	if err != nil {
 		return nil, err
 	}
-	meter.AddSeconds(res.SimSeconds)
+	ledger.Add(res.Counts, res.SimSeconds)
 	out, outNames := narrowed(pairSc, slices.Concat(left.names, right.names), outCols)
 	return materialized(out, outNames, res.Rows), nil
 }

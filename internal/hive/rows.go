@@ -257,18 +257,18 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 	if err := ec.Err(); err != nil {
 		return nil, err
 	}
-	meter := sim.NewMeter(&e.MR.Params)
-	plan, err := e.planSelect(ec, sel, meter)
+	ledger := sim.NewLedger(&e.MR.Params)
+	plan, err := e.planSelect(ec, sel, ledger)
 	if err != nil {
 		return nil, err
 	}
 	if !plan.streamable {
-		rows, err := plan.collect(e, ec, meter)
+		rows, err := plan.collect(e, ec, ledger)
 		plan.Release()
 		if err != nil {
 			return nil, err
 		}
-		return &Rows{cols: plan.names, static: rows, sim: meter.Seconds()}, nil
+		return &Rows{cols: plan.names, static: rows, sim: ledger.Seconds()}, nil
 	}
 	// LIMIT 0 needs no scan at all.
 	if plan.limit == 0 {
@@ -293,9 +293,9 @@ func (e *Engine) QueryStmtCtx(ec *ExecContext, sel *sqlparser.SelectStmt) (*Rows
 		// unpin the scanned snapshot.
 		plan.Release()
 		if res != nil {
-			meter.AddSeconds(res.SimSeconds)
+			ledger.Add(res.Counts, res.SimSeconds)
 		}
-		prodSim = meter.Seconds()
+		prodSim = ledger.Seconds()
 		// A job aborted because the sink hit LIMIT (or the consumer
 		// closed early) finished cleanly from the caller's view.
 		if err != nil && !sink.limitHit.Load() && !rows.closed.Load() {

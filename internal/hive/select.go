@@ -12,21 +12,23 @@ import (
 	"dualtable/internal/sqlparser"
 )
 
-// runSelect executes a SELECT and returns its rows. Simulated time is
-// accumulated into extMeter when non-nil.
-func (e *Engine) runSelect(ec *ExecContext, sel *sqlparser.SelectStmt, extMeter *sim.Meter) (*ResultSet, error) {
-	meter := sim.NewMeter(&e.MR.Params)
-	plan, err := e.planSelect(ec, sel, meter)
+// runSelect executes a SELECT and returns its rows. Its counts and
+// seconds are added to ext when non-nil.
+func (e *Engine) runSelect(ec *ExecContext, sel *sqlparser.SelectStmt, ext *sim.Ledger) (*ResultSet, error) {
+	ledger := sim.NewLedger(&e.MR.Params)
+	plan, err := e.planSelect(ec, sel, ledger)
 	if err != nil {
 		return nil, err
 	}
 	defer plan.Release()
-	rows, err := plan.collect(e, ec, meter)
+	rows, err := plan.collect(e, ec, ledger)
 	if err != nil {
 		return nil, err
 	}
-	rs := &ResultSet{Columns: plan.names, Rows: rows, SimSeconds: meter.Seconds(), Plan: "SELECT"}
-	extMeter.AddSeconds(rs.SimSeconds)
+	rs := &ResultSet{Columns: plan.names, Rows: rows, SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "SELECT"}
+	if ext != nil {
+		ext.Add(rs.Counts, rs.SimSeconds)
+	}
 	return rs, nil
 }
 
@@ -110,7 +112,7 @@ func (e *Engine) planFrom(sel *sqlparser.SelectStmt) (*fromNode, *sqlparser.Sele
 // planSelect plans the FROM clause, opens it (running the jobs a join or
 // a derived table needs, charged to meter) and compiles the SELECT over
 // it. The plan owns the pinned relation: callers must Release it.
-func (e *Engine) planSelect(ec *ExecContext, sel *sqlparser.SelectStmt, meter *sim.Meter) (*selectPlan, error) {
+func (e *Engine) planSelect(ec *ExecContext, sel *sqlparser.SelectStmt, ledger *sim.Ledger) (*selectPlan, error) {
 	if sel.From == nil {
 		// SELECT without FROM: evaluate items over an empty row; the
 		// tail still applies (LIMIT 0 returns nothing).
@@ -138,7 +140,7 @@ func (e *Engine) planSelect(ec *ExecContext, sel *sqlparser.SelectStmt, meter *s
 	if err != nil {
 		return nil, err
 	}
-	rel, err := e.buildRelation(ec, from, meter)
+	rel, err := e.buildRelation(ec, from, ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -190,15 +192,15 @@ func (e *Engine) compileSelect(ec *ExecContext, sel *sqlparser.SelectStmt, rel *
 }
 
 // collect runs the plan to completion and returns the result rows.
-func (p *selectPlan) collect(e *Engine, ec *ExecContext, meter *sim.Meter) ([]datum.Row, error) {
+func (p *selectPlan) collect(e *Engine, ec *ExecContext, ledger *sim.Ledger) ([]datum.Row, error) {
 	if p.job == nil {
-		return p.tail(p.static, meter), nil
+		return p.tail(p.static, ledger), nil
 	}
 	res, err := e.MR.RunContext(ec.Context(), p.job)
 	if err != nil {
 		return nil, err
 	}
-	meter.AddSeconds(res.SimSeconds)
+	ledger.Add(res.Counts, res.SimSeconds)
 	rows := res.Rows
 	if p.post != nil {
 		if len(rows) == 0 && p.emptyRow != nil {
@@ -208,14 +210,14 @@ func (p *selectPlan) collect(e *Engine, ec *ExecContext, meter *sim.Meter) ([]da
 		if rows, err = p.post.run(rows); err != nil {
 			return nil, err
 		}
-		meter.CPURows(reduced)
+		ledger.Charge(sim.CPURows, reduced)
 	}
-	return p.tail(rows, meter), nil
+	return p.tail(rows, ledger), nil
 }
 
 // tail applies DISTINCT, ORDER BY and LIMIT to the job's rows and
 // strips their hidden order-key columns.
-func (p *selectPlan) tail(rows []datum.Row, meter *sim.Meter) []datum.Row {
+func (p *selectPlan) tail(rows []datum.Row, ledger *sim.Ledger) []datum.Row {
 	nVisible := len(p.names)
 	// DISTINCT on visible columns.
 	if p.distinct {
@@ -228,7 +230,7 @@ func (p *selectPlan) tail(rows []datum.Row, meter *sim.Meter) []datum.Row {
 				out = append(out, r)
 			}
 		}
-		meter.CPURows(int64(len(rows)))
+		ledger.Charge(sim.CPURows, int64(len(rows)))
 		rows = out
 	}
 	// ORDER BY on hidden key columns (appended by the stages).
@@ -260,7 +262,7 @@ func (p *selectPlan) tail(rows []datum.Row, meter *sim.Meter) []datum.Row {
 		})
 		// A total sort still runs on a single reducer in Hive and reads
 		// every row; charge the full pass.
-		meter.CPURows(int64(n) * 2)
+		ledger.Charge(sim.CPURows, int64(n)*2)
 	}
 	if p.limit >= 0 && int64(len(rows)) > p.limit {
 		rows = rows[:p.limit]

@@ -2,10 +2,11 @@
 // layer runs on: jobs over input splits, a map phase with optional
 // combiner, a sorted-run shuffle, and a reduce phase. Tasks execute
 // concurrently on a bounded worker pool (the real parallelism) while
-// each task's I/O and CPU are charged to a sim.Meter; the job's
-// simulated wall time is the slot-scheduled makespan of its task
-// durations plus startup costs, mirroring the paper's Hadoop clusters
-// (6 map + 2 reduce slots per worker).
+// each task's I/O and CPU are counted on a sim.Meter; the job's
+// simulated wall time is the slot-scheduled makespan of its tasks'
+// priced counts plus startup costs, mirroring the paper's Hadoop
+// clusters (6 map + 2 reduce slots per worker), and its Result carries
+// the summed counts.
 //
 // # Batched input
 //
@@ -76,6 +77,7 @@ import (
 	"sync"
 
 	"dualtable/internal/datum"
+	"dualtable/internal/freelist"
 	"dualtable/internal/sim"
 )
 
@@ -227,8 +229,11 @@ type Counters struct {
 
 // Result is the outcome of a job run.
 type Result struct {
-	Counters   Counters
+	Counters Counters
+	// SimSeconds is JobStartupCost plus the tasks' priced makespans.
 	SimSeconds float64
+	// Counts is the job's ledger: its tasks' counts summed, and one job.
+	Counts sim.Counts
 	// Rows holds the output when no OutputFactory was given, in
 	// deterministic task order (map task order for map-only jobs,
 	// reduce task order otherwise).
@@ -254,10 +259,8 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	var cnt struct {
-		sync.Mutex
-		Counters
-	}
+	var cnt jobTally
+	cnt.ledger[sim.Jobs] = 1
 
 	numReducers := job.NumReducers
 	if numReducers <= 0 {
@@ -291,9 +294,9 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 				mapErr[i] = err
 				return
 			}
-			meter := sim.NewMeter(&c.Params)
+			meter := borrowMeter()
 			mapErr[i] = c.runMapTask(ctx, job, i, meter, numReducers, mapOnly, outFactory, &mapOuts[i], &cnt.Counters, &cnt.Mutex)
-			mapOuts[i].secs = meter.Seconds()
+			mapOuts[i].secs = cnt.task(&c.Params, meter, mapErr[i])
 		})
 	}
 	pool.wait()
@@ -310,16 +313,18 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 	// the number of virtual tasks its paper-scale data would produce
 	// so the slot-scheduled makespan reflects the real cluster's
 	// parallelism.
-	var mapDurations []float64
+	mapDurations := make([]float64, 0, len(mapOuts))
 	for i := range mapOuts {
-		mapDurations = append(mapDurations,
-			virtualDurations(mapOuts[i].secs, job.Splits[i].Length(), &c.Params)...)
+		v := c.Params.VirtualTasks(job.Splits[i].Length())
+		for range v {
+			mapDurations = append(mapDurations, mapOuts[i].secs/float64(v))
+		}
 	}
 	res.SimSeconds = c.Params.JobStartupCost +
 		sim.Makespan(mapDurations, c.Params.MapSlots(), c.Params.TaskStartupCost)
 
 	if mapOnly {
-		res.Counters = cnt.Counters
+		res.Counters, res.Counts = cnt.Counters, cnt.ledger
 		if memOut != nil {
 			res.Rows = memOut.rows()
 		}
@@ -337,7 +342,7 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 				reduceErr[r] = err
 				return
 			}
-			meter := sim.NewMeter(&c.Params)
+			meter := borrowMeter()
 			// Gather this partition's pre-sorted runs in map task
 			// order; byte sizes were accumulated at emit time.
 			runs := make([]*shuffleRun, 0, len(mapOuts))
@@ -354,7 +359,7 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 			cnt.ShuffleBytes += shuffleBytes
 			cnt.Unlock()
 			reduceErr[r] = c.runReduceTask(ctx, job, r, meter, runs, outFactory, &cnt.Counters, &cnt.Mutex)
-			reduceSecs[r] = meter.Seconds()
+			reduceSecs[r] = cnt.task(&c.Params, meter, reduceErr[r])
 		})
 	}
 	pool.wait()
@@ -367,11 +372,43 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 		}
 	}
 	res.SimSeconds += sim.Makespan(reduceSecs, c.Params.ReduceSlots(), c.Params.TaskStartupCost)
-	res.Counters = cnt.Counters
+	res.Counters, res.Counts = cnt.Counters, cnt.ledger
 	if memOut != nil {
 		res.Rows = memOut.rows()
 	}
 	return res, nil
+}
+
+// jobTally is what a job's tasks add up under its lock: the Counters
+// and the job's ledger (one job, and its tasks' counts).
+type jobTally struct {
+	sync.Mutex
+	Counters
+	ledger sim.Counts
+}
+
+// task adds a finished task's counts to the job's ledger and returns
+// its priced duration. Only a task that succeeded closed everything
+// that holds its meter, so only its meter goes back to taskMeters.
+func (t *jobTally) task(p *sim.CostParams, meter *sim.Meter, err error) float64 {
+	c := meter.Counts()
+	if err == nil {
+		taskMeters.Put(meter)
+	}
+	t.Lock()
+	t.ledger.Add(c)
+	t.Unlock()
+	return p.TaskSeconds(c)
+}
+
+// taskMeters are the meters tasks charge, reused across jobs.
+var taskMeters = freelist.New[sim.Meter]()
+
+// borrowMeter returns a zeroed task meter.
+func borrowMeter() *sim.Meter {
+	m := taskMeters.Get()
+	m.Reset()
+	return m
 }
 
 func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *sim.Meter, numReducers int, mapOnly bool,
@@ -588,32 +625,6 @@ func (c *Cluster) runReduceTask(ctx context.Context, job *Job, taskID int, meter
 	cnt.OutputRecords += outRecords
 	mu.Unlock()
 	return nil
-}
-
-// virtualDurations splits one real task's simulated duration into the
-// task count its paper-scale input would occupy (ceil of scaled bytes
-// over the DFS block size), for realistic slot scheduling.
-func virtualDurations(secs float64, length int64, p *sim.CostParams) []float64 {
-	scale := p.DataScale
-	if scale <= 0 {
-		scale = 1
-	}
-	block := p.DFSBlockSizeBytes
-	if block <= 0 {
-		block = 64 << 20
-	}
-	v := int(float64(length) * scale / float64(block))
-	if v < 1 {
-		v = 1
-	}
-	if v > 65536 {
-		v = 65536 // cap the expansion; beyond this the makespan is already work/slots
-	}
-	out := make([]float64, v)
-	for i := range out {
-		out[i] = secs / float64(v)
-	}
-	return out
 }
 
 // memOutputFactory collects in-memory job output into one shard per

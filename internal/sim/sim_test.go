@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -16,11 +17,8 @@ func TestMeterAccumulates(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("DFSWrite seconds = %v, want %v", got, want)
 	}
-	if m.BytesWritten() != 1<<30 {
-		t.Errorf("BytesWritten = %d", m.BytesWritten())
-	}
-	if m.Ops() != 1 {
-		t.Errorf("Ops = %d", m.Ops())
+	if m.Counts() != (Counts{DFSWriteBytes: 1 << 30}) {
+		t.Errorf("Counts = %v", m.Counts())
 	}
 }
 
@@ -28,14 +26,17 @@ func TestMeterNilSafe(t *testing.T) {
 	var m *Meter
 	m.DFSRead(100)
 	m.KVPut(10)
-	m.AddSeconds(1)
-	if m.Seconds() != 0 || m.Ops() != 0 {
+	m.Add(Counts{CPURows: 1})
+	if m.Seconds() != 0 || m.Counts() != (Counts{}) {
 		t.Error("nil meter should be inert")
 	}
 	m2 := NewMeter(nil)
-	m2.DFSRead(100) // params nil: no-op
+	m2.DFSRead(100) // params nil: counted, priced at nothing
 	if m2.Seconds() != 0 {
 		t.Error("meter with nil params should not charge time")
+	}
+	if got := m2.Counts(); got != (Counts{DFSReadBytes: 100}) {
+		t.Errorf("meter with nil params counted %v, want 100 bytes read", got)
 	}
 }
 
@@ -48,13 +49,69 @@ func TestMeterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				m.AddSeconds(0.001)
+				m.CPURows(1)
+				m.KVScan(3)
 			}
 		}()
 	}
 	wg.Wait()
-	if math.Abs(m.Seconds()-16.0) > 1e-6 {
-		t.Errorf("concurrent AddSeconds lost updates: %v", m.Seconds())
+	if got := m.Counts(); got != (Counts{CPURows: 16000, KVReadBytes: 48000}) {
+		t.Errorf("concurrent charges lost counts: %v", got)
+	}
+	one := NewMeter(&p)
+	one.CPURows(16000)
+	one.KVScan(48000)
+	if m.Seconds() != one.Seconds() {
+		t.Errorf("concurrent charges price to %v, one charge each to %v", m.Seconds(), one.Seconds())
+	}
+}
+
+// A task's seconds are a function of what it charged, not of how: the
+// same events charged one at a time or in one batch, and in any order,
+// price to the same bits.
+func TestTaskSecondsIndependentOfChargeGranularityAndOrder(t *testing.T) {
+	for _, p := range []CostParams{GridCluster(), TPCHCluster()} {
+		p.DataScale = 4000
+		const n = 1000
+		batch, single := NewMeter(&p), NewMeter(&p)
+		batch.CPURows(n)
+		batch.UnionReadRows(n)
+		for range n {
+			single.CPURows(1)
+			single.UnionReadRows(1)
+		}
+		if a, b := batch.Seconds(), single.Seconds(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s: %d rows charged at once cost %v, one by one %v", p.Name, n, a, b)
+		}
+
+		// Interleaved KV scan and DFS read charges, shuffled.
+		type charge struct {
+			kv bool
+			n  int64
+		}
+		var charges []charge
+		for i := range 64 {
+			charges = append(charges, charge{i%3 == 0, int64(100 + 37*i)})
+		}
+		rng := rand.New(rand.NewSource(1))
+		var want uint64
+		for round := range 20 {
+			m := NewMeter(&p)
+			for _, c := range charges {
+				if c.kv {
+					m.KVScan(c.n)
+				} else {
+					m.DFSRead(c.n)
+				}
+			}
+			if got := math.Float64bits(m.Seconds()); round == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: order %d prices to %v, the first order to %v", p.Name, round,
+					math.Float64frombits(got), math.Float64frombits(want))
+			}
+			rng.Shuffle(len(charges), func(i, j int) { charges[i], charges[j] = charges[j], charges[i] })
+		}
 	}
 }
 
@@ -76,6 +133,40 @@ func TestDataScaleInflatesBytes(t *testing.T) {
 	want := 100 * 1000 * 150 / p.DFSSeqReadBps
 	if math.Abs(m.Seconds()-want) > 1e-12 {
 		t.Errorf("scaled DFSRead = %v, want %v", m.Seconds(), want)
+	}
+}
+
+// A statement's ledger: its jobs' seconds as recorded, each serial
+// charge priced as a task of its own, and every count summed.
+func TestLedgerSumsJobsAndSerialCharges(t *testing.T) {
+	p := GridCluster()
+	l := NewLedger(&p)
+	l.Add(Counts{Jobs: 1, DFSReadBytes: 1 << 20, CPURows: 500}, 12.5)
+	l.Charge(CPURows, 40)
+	l.Add(Counts{Jobs: 1, DFSWriteBytes: 1 << 10}, 13)
+	if want := 12.5 + p.TaskSeconds(Counts{CPURows: 40}) + 13; l.Seconds() != want {
+		t.Errorf("Seconds = %v, want %v", l.Seconds(), want)
+	}
+	want := Counts{Jobs: 2, DFSReadBytes: 1 << 20, DFSWriteBytes: 1 << 10, CPURows: 540}
+	if got := l.Counts(); got != want {
+		t.Errorf("Counts = %v, want %v", got, want)
+	}
+}
+
+// PlanSeconds is §IV's view of the same prices: work spread over every
+// map slot, plus a job startup per job.
+func TestPlanSecondsSpreadsTaskSecondsOverTheSlots(t *testing.T) {
+	p := GridCluster()
+	p.DataScale = 4000
+	c := Counts{DFSWriteBytes: 1 << 20, KVPuts: 10, KVPutBytes: 1000, CPURows: 77}
+	task := p.TaskSeconds(c)
+	q := Quantities{DFSWriteBytes: 1 << 20, KVPuts: 10, KVPutBytes: 1000, CPURows: 77, Jobs: 2}
+	want := task/float64(p.MapSlots()) + 2*p.JobStartupCost
+	if got := p.PlanSeconds(q); math.Abs(got-want) > 1e-12*want {
+		t.Errorf("PlanSeconds = %v, want %v", got, want)
+	}
+	if got := p.TaskSeconds(Counts{}); got != 0 {
+		t.Errorf("no counts price to %v", got)
 	}
 }
 
