@@ -110,7 +110,7 @@ func (e *Engine) planFrom(sel *sqlparser.SelectStmt) (*fromNode, *sqlparser.Sele
 }
 
 // planSelect plans the FROM clause, opens it (running the jobs a join or
-// a derived table needs, charged to meter) and compiles the SELECT over
+// a derived table needs, added to ledger) and compiles the SELECT over
 // it. The plan owns the pinned relation: callers must Release it.
 func (e *Engine) planSelect(ec *ExecContext, sel *sqlparser.SelectStmt, ledger *sim.Ledger) (*selectPlan, error) {
 	if sel.From == nil {
