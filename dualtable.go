@@ -104,12 +104,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Cluster.Nodes == 0 {
 		cfg.Cluster = sim.GridCluster()
 	}
-	dfsCfg := dfs.DefaultConfig()
-	workers := cfg.Cluster.Nodes - 1
-	if workers > 0 {
-		dfsCfg.DataNodes = workers
-	}
-	fs := dfs.New(dfsCfg)
+	fs := dfs.New(dfs.DefaultConfig())
 	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 
 func testEngine(t *testing.T) (*hive.Engine, *Handler) {
 	t.Helper()
-	return testEngineOn(t, dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
+	return testEngineOn(t, dfs.Config{BlockSize: 1 << 20})
 }
 
 func testEngineOn(t *testing.T, cfg dfs.Config) (*hive.Engine, *Handler) {
@@ -210,7 +210,7 @@ func TestAcidReadAmplification(t *testing.T) {
 // in row mode.
 func TestAcidScanSurfacesReadFaults(t *testing.T) {
 	for _, dir := range []string{"base", "deltas"} {
-		e, _ := testEngineOn(t, dfs.Config{BlockSize: 128, Replication: 1, DataNodes: 4, VerifyOnRead: true})
+		e, _ := testEngineOn(t, dfs.Config{BlockSize: 128, VerifyOnRead: true})
 		seed(t, e)
 		mustExec(t, e, "UPDATE a SET v = v + 0.5 WHERE grp < 5")
 		if rs := mustExec(t, e, "SELECT COUNT(v), SUM(id) FROM a"); rs.Rows[0][0].I != 200 {

@@ -21,7 +21,7 @@ import (
 
 func testEngine(t testing.TB) (*hive.Engine, *Handler) {
 	t.Helper()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
 	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestCostModelSelectsPlanBySelectivity(t *testing.T) {
 	// Use a scaled engine: the cost model reasons at paper scale, and
 	// on a genuinely tiny table the OVERWRITE plan's fixed cost always
 	// loses to a handful of puts.
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
 	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
@@ -354,6 +354,35 @@ func TestHistoryFeedsEstimator(t *testing.T) {
 	key2, _ := h.StatementKey(stmt2)
 	if key != key2 {
 		t.Errorf("literal normalization broken: %q vs %q", key, key2)
+	}
+}
+
+// Digits inside an identifier name a column, not a literal: statements
+// on different columns keep apart (history and ratio hints), and only
+// their constants are masked.
+func TestStatementKeySeparatesColumns(t *testing.T) {
+	_, h := testEngine(t)
+	key := func(sql string) string {
+		t.Helper()
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := h.StatementKey(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	c1 := key("UPDATE t SET c1 = 1 WHERE k = 2")
+	if c2 := key("UPDATE t SET c2 = 1 WHERE k = 2"); c1 == c2 {
+		t.Errorf("SET c1 and SET c2 share the key %q", c1)
+	}
+	if d1, d2 := key("DELETE FROM t2 WHERE k_9 = 1"), key("DELETE FROM t2 WHERE k_8 = 1"); d1 == d2 {
+		t.Errorf("k_9 and k_8 share the key %q", d1)
+	}
+	if other := key("UPDATE t SET c1 = 3.5e2 WHERE k = 70"); other != c1 {
+		t.Errorf("different literals keyed apart: %q vs %q", other, c1)
 	}
 }
 

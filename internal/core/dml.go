@@ -21,51 +21,78 @@ import (
 // job over UNION READ splits that writes the new values of changed
 // cells into the attached table keyed by record ID.
 func (h *Handler) ExecUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, string, error) {
-	w, ratioSrc, err := h.workloadFor(ec, desc, stmt)
-	if err != nil {
-		return 0, "", err
-	}
-	plan, delta := h.model.ChooseUpdate(w)
-	plan = h.applyForce(ec, plan)
-	h.logPlan(ec, PlanDecision{
-		Table: desc.Name, Statement: stmt.String(), Plan: plan,
-		Ratio: w.Ratio, RatioSrc: ratioSrc, CostDelta: delta,
-	})
-	if plan == costmodel.PlanOverwrite {
-		n, err := h.runOverwriteUpdate(ec, e, desc, stmt, l)
-		return n, "OVERWRITE", err
-	}
-	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-update-udtf", l, w)
-	return n, "EDIT", err
+	return h.execDML(ec, e, desc, stmt, l)
 }
 
 // ExecDelete implements DELETE with the same plan selection; the EDIT
 // plan's DELETE UDTF puts one delete marker per matching record.
 func (h *Handler) ExecDelete(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.DeleteStmt, l *sim.Ledger) (int64, string, error) {
-	w, ratioSrc, err := h.workloadFor(ec, desc, stmt)
+	return h.execDML(ec, e, desc, stmt, l)
+}
+
+// execDML runs an UPDATE or DELETE: the EDIT plan if edit chose it,
+// else the INSERT OVERWRITE rewrite, which takes the table's writer
+// again before it reads the table.
+func (h *Handler) execDML(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, l *sim.Ledger) (int64, string, error) {
+	n, overwrite, err := h.edit(ec, e, desc, stmt, l)
+	if !overwrite {
+		return n, "EDIT", err
+	}
+	var ins *sqlparser.InsertStmt
+	if upd, ok := stmt.(*sqlparser.UpdateStmt); ok {
+		ins, err = hive.RewriteUpdateToOverwrite(upd, desc)
+	} else {
+		ins, err = hive.RewriteDeleteToOverwrite(stmt.(*sqlparser.DeleteStmt), desc)
+	}
 	if err != nil {
 		return 0, "", err
 	}
-	plan, delta := h.model.ChooseDelete(w)
+	rs, err := e.ExecuteStmtCtx(ec, ins)
+	if err != nil {
+		return 0, "", err
+	}
+	l.Add(rs.Counts, rs.SimSeconds)
+	return rs.Affected, "OVERWRITE", nil
+}
+
+// edit chooses the plan of an UPDATE or DELETE and runs it if it is
+// EDIT. Under the table's writer it pins one snapshot: the §IV workload
+// is sized from it and the EDIT UDTF scans it. OVERWRITE reports
+// overwrite with both released.
+func (h *Handler) edit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, l *sim.Ledger) (n int64, overwrite bool, err error) {
+	// Writers serialize against each other (and COMPACT); snapshot
+	// scans run untouched throughout.
+	st := h.state(desc.Name)
+	st.writer.Lock()
+	defer st.writer.Unlock()
+	snap, err := h.OpenSnapshot(desc)
+	if err != nil {
+		return 0, false, err
+	}
+	defer snap.Release()
+	w, ratioSrc, err := h.workloadFor(ec, desc, stmt, snap.files)
+	if err != nil {
+		return 0, false, err
+	}
+	var plan costmodel.Plan
+	var delta float64
+	jobName := "dualtable-delete-udtf"
+	if _, ok := stmt.(*sqlparser.UpdateStmt); ok {
+		plan, delta = h.model.ChooseUpdate(w)
+		jobName = "dualtable-update-udtf"
+	} else {
+		plan, delta = h.model.ChooseDelete(w)
+	}
 	plan = h.applyForce(ec, plan)
 	h.logPlan(ec, PlanDecision{
 		Table: desc.Name, Statement: stmt.String(), Plan: plan,
 		Ratio: w.Ratio, RatioSrc: ratioSrc, CostDelta: delta,
 	})
 	if plan == costmodel.PlanOverwrite {
-		ins, err := hive.RewriteDeleteToOverwrite(stmt, desc)
-		if err != nil {
-			return 0, "", err
-		}
-		rs, err := e.ExecuteStmtCtx(ec, ins)
-		if err != nil {
-			return 0, "", err
-		}
-		l.Add(rs.Counts, rs.SimSeconds)
-		return rs.Affected, "OVERWRITE", nil
+		return 0, true, nil
 	}
-	n, err := h.runEdit(ec, e, desc, stmt, "dualtable-delete-udtf", l, w)
-	return n, "EDIT", err
+	n, err = h.runEdit(ec, e, desc, stmt, jobName, snap, l, w)
+	return n, false, err
 }
 
 // applyForce resolves plan forcing: the session's
@@ -84,23 +111,15 @@ func (h *Handler) applyForce(ec *hive.ExecContext, plan costmodel.Plan) costmode
 }
 
 // workloadFor builds the cost-model workload for a statement:
-// D and row counts from the current snapshot's master files, α/β from
+// D and row counts from the pinned snapshot's master files, α/β from
 // hint → history → stripe-statistics estimate → default, k from the
 // session setting, else defaultFollowingReads. The second result names
 // the ratio-estimate source.
-func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement) (costmodel.Workload, string, error) {
+func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement, files []masterFile) (costmodel.Workload, string, error) {
 	key, err := h.StatementKey(stmt)
 	if err != nil {
 		return costmodel.Workload{}, "", err
 	}
-	// Cost-model sizing needs file metadata and stripe statistics
-	// only, not attached entries.
-	snap, err := h.open(desc, nil, false)
-	if err != nil {
-		return costmodel.Workload{}, "", err
-	}
-	defer snap.Release()
-	files := snap.files
 	var bytes, rows int64
 	for _, f := range files {
 		bytes += f.size
@@ -192,11 +211,11 @@ func (h *Handler) StatementKey(stmt sqlparser.Statement) (string, error) {
 
 // normalizeStatement masks literals so recurring statements with
 // different constants (dates, codes) share history — the "historical
-// analysis of the execution log" of §IV.
+// analysis of the execution log" of §IV. A digit run is a literal only
+// when no identifier character precedes it: c1 and c2 are two columns.
 func normalizeStatement(s string) string {
 	var sb strings.Builder
-	inStr := false
-	inNum := false
+	inStr, inNum, inIdent := false, false, false
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if inStr {
@@ -205,17 +224,18 @@ func normalizeStatement(s string) string {
 			}
 			continue
 		}
+		digit := c >= '0' && c <= '9'
 		switch {
 		case c == '\'':
 			inStr = true
 			sb.WriteByte('?')
-		case c >= '0' && c <= '9' || (inNum && (c == '.' || c == 'e' || c == 'E')):
-			if !inNum {
-				sb.WriteByte('?')
-				inNum = true
-			}
+		case inNum && (digit || c == '.' || c == 'e' || c == 'E'):
+		case digit && !inIdent:
+			sb.WriteByte('?')
+			inNum = true
 		default:
 			inNum = false
+			inIdent = c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || inIdent && digit
 			sb.WriteByte(c)
 		}
 	}
@@ -249,53 +269,22 @@ func (h *Handler) statsSelectivity(desc *metastore.TableDesc, files []masterFile
 	return float64(matching) / float64(total)
 }
 
-// runOverwriteUpdate executes the OVERWRITE plan via the INSERT
-// OVERWRITE rewrite (reads through UNION READ, writes a fresh master,
-// clears the attached table).
-func (h *Handler) runOverwriteUpdate(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt *sqlparser.UpdateStmt, l *sim.Ledger) (int64, error) {
-	ins, err := hive.RewriteUpdateToOverwrite(stmt, desc)
-	if err != nil {
-		return 0, err
-	}
-	rs, err := e.ExecuteStmtCtx(ec, ins)
-	if err != nil {
-		return 0, err
-	}
-	l.Add(rs.Counts, rs.SimSeconds)
-	return rs.Affected, nil
-}
-
 // runEdit is the EDIT plan of both statements — §V-A's UPDATE and
-// DELETE UDTFs: the DML scan over UNION READ splits with an editSink
-// that puts the changed cells (or one delete marker per record) into
-// the attached table keyed by record ID.
-func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, l *sim.Ledger, w costmodel.Workload) (int64, error) {
-	// Writers serialize against each other (and COMPACT); snapshot
-	// scans run untouched throughout.
-	st := h.state(desc.Name)
-	st.writer.Lock()
-	defer st.writer.Unlock()
-
-	att, err := h.attached(desc)
-	if err != nil {
-		return 0, err
-	}
-	// The UDTF scans its own pinned snapshot; its writes carry
-	// timestamps above the snapshot watermark, so the scan cannot see
-	// them (no Halloween problem) and they become visible atomically
-	// at the watermark publish below. A job that fails or is canceled
-	// mid-flight leaves its partial cells orphaned above the
-	// watermark; they surface when the table's next writer publishes —
-	// the same no-DML-transaction semantics the pre-snapshot code had
-	// (where partial writes were visible immediately), deferred to a
-	// commit boundary.
-	snap, err := h.OpenSnapshot(desc)
-	if err != nil {
-		return 0, err
-	}
-	defer snap.Release()
+// DELETE UDTFs: the DML scan over the snapshot's UNION READ splits with
+// an editSink that puts the changed cells (or one delete marker per
+// record) into the attached table keyed by record ID. The caller holds
+// the table's writer.
+func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, snap *Snapshot, l *sim.Ledger, w costmodel.Workload) (int64, error) {
+	// The writes carry timestamps above the snapshot watermark, so the
+	// scan cannot see them (no Halloween problem) and they become
+	// visible atomically at the watermark publish below. A job that
+	// fails or is canceled mid-flight leaves its partial cells orphaned
+	// above the watermark; they surface when the table's next writer
+	// publishes — the same no-DML-transaction semantics the
+	// pre-snapshot code had (where partial writes were visible
+	// immediately), deferred to a commit boundary.
 	affected, err := e.RunDMLScan(ec, desc, stmt, jobName, snap.Splits(ScanOptions{}), l, func(setCols []int) hive.DMLSink {
-		return &editSink{att: att, setCols: setCols}
+		return &editSink{att: snap.att, setCols: setCols}
 	})
 	if err != nil {
 		return 0, err

@@ -388,7 +388,7 @@ type masterFile struct {
 // manifest via the DFS's deferred deletion, so the scan completes
 // against the exact epoch it opened.
 func (h *Handler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
-	snap, err := h.open(desc, opts.AsOfEpoch, true)
+	snap, err := h.open(desc, opts.AsOfEpoch)
 	if err != nil {
 		return nil, nil, err
 	}

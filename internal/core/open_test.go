@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"dualtable/internal/datum"
@@ -329,16 +330,81 @@ func TestResidentOpenSharesOverlay(t *testing.T) {
 			t.Errorf("%s has %d pins under two snapshots, want 2", p, got)
 		}
 	}
-	noEntries, err := h.open(desc, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noEntries.entries != nil || n() != 1 {
-		t.Errorf("an open without entries took the overlay (%v) or loaded (%d loads)", noEntries.entries != nil, n())
-	}
-	noEntries.Release()
 	if _, loaded := scanResidentAndFresh(t, e, h, "resident scan"); loaded {
 		t.Error("a scan of the resident epoch loaded")
+	}
+}
+
+// A DUALTABLE UPDATE or DELETE plans from the snapshot it scans: one
+// load per statement, cold or after an EDIT publish.
+func TestEditLoadsOneSnapshot(t *testing.T) {
+	e, h := testEngine(t)
+	seedDual(t, e)
+	forcePlan(e, h, "EDIT")
+	n := loads(t, h)
+	for _, sql := range []string{
+		"UPDATE m SET v = 1.5 WHERE day = 3", // cold
+		"UPDATE m SET v = 2.5 WHERE day = 4", // after an EDIT publish
+		"DELETE FROM m WHERE day = 5",
+	} {
+		before := n()
+		mustExec(t, e, sql)
+		if got := n() - before; got != 1 {
+			t.Errorf("%s loaded %d snapshots, want 1", sql, got)
+		}
+	}
+}
+
+// An EDIT that commits while an overwrite reads its source is not
+// replaced away: the overwrite holds the table's writer from before its
+// first open, so the EDIT waits and lands on the rewritten table.
+func TestOverwriteHoldsWriterAcrossSourceRead(t *testing.T) {
+	for name, sql := range map[string]string{
+		"update":           "UPDATE m SET tag = 'x' WHERE day = 3", // forced OVERWRITE
+		"insert-overwrite": "INSERT OVERWRITE TABLE m SELECT id, day, v, IF(day = 3, 'x', tag) FROM m",
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, h := testEngine(t)
+			seedDual(t, e)
+			forced := func(plan string) *hive.ExecContext {
+				vars := hive.NewSessionVars()
+				vars.Set(hive.VarForcePlan, plan)
+				return &hive.ExecContext{Vars: vars}
+			}
+			st := h.state("m")
+			var fired atomic.Bool
+			edit := make(chan error, 1)
+			h.onSnapshotLoaded = func(*Snapshot) {
+				if fired.Swap(true) {
+					return // the EDIT's own opens
+				}
+				if st.writer.TryLock() {
+					st.writer.Unlock()
+					t.Error("the overwrite opened the table without holding its writer")
+				}
+				go func() {
+					_, err := e.ExecuteCtx(forced("EDIT"), "UPDATE m SET v = 9999.5 WHERE id = 7")
+					edit <- err
+				}()
+			}
+			t.Cleanup(func() { h.onSnapshotLoaded = nil })
+			evict(h)
+			if _, err := e.ExecuteCtx(forced("OVERWRITE"), sql); err != nil {
+				t.Fatal(err)
+			}
+			if !fired.Load() {
+				t.Fatal("the overwrite loaded no snapshot")
+			}
+			if err := <-edit; err != nil {
+				t.Fatal(err)
+			}
+			if rs := mustExec(t, e, "SELECT v FROM m WHERE id = 7"); len(rs.Rows) != 1 || rs.Rows[0][0].F != 9999.5 {
+				t.Errorf("id 7 reads %v after the EDIT, want 9999.5", rs.Rows)
+			}
+			if rs := mustExec(t, e, "SELECT COUNT(*) FROM m WHERE tag = 'x'"); rs.Rows[0][0].I != 10 {
+				t.Errorf("%v rows tagged by the overwrite, want 10", rs.Rows[0][0])
+			}
+		})
 	}
 }
 
@@ -508,17 +574,12 @@ func TestResidentEpochInvalidation(t *testing.T) {
 		t.Error("the scan after an EDIT publish parsed footers again")
 	}
 
-	// A historical read and an open without entries leave the slot alone.
+	// A historical read leaves the slot alone.
 	held := h.state("m").res
 	epoch, _ := h.CurrentEpoch(desc)
 	mustExec(t, e, fmt.Sprintf("SELECT COUNT(*) FROM m AS OF EPOCH %d", epoch-1))
-	if snap, err := h.open(desc, nil, false); err != nil {
-		t.Fatal(err)
-	} else {
-		snap.Release()
-	}
 	if h.state("m").res != held || slot(h).entries == nil {
-		t.Error("a historical read or an open without entries replaced the resident epoch")
+		t.Error("a historical read replaced the resident epoch")
 	}
 
 	// INSERT publish (append).
@@ -537,18 +598,6 @@ func TestResidentEpochInvalidation(t *testing.T) {
 		}
 	}
 
-	// An open without entries of a table with nothing resident keeps the
-	// footers and no overlay.
-	evict(h)
-	if snap, err := h.open(desc, nil, false); err != nil {
-		t.Fatal(err)
-	} else {
-		snap.Release()
-	}
-	if res := slot(h); res == nil || len(res.files) != 5 || res.entries != nil {
-		t.Errorf("after an open without entries the slot is %+v, want five footers and no overlay", res)
-	}
-	scan()
 	wantOverlay("before COMPACT")
 
 	// COMPACT and OVERWRITE (replace).
@@ -708,8 +757,7 @@ func TestResidentSlotEmptyAfterReplaceAndDrop(t *testing.T) {
 // master files × 64 rows with one EDIT update (64 entries) in the
 // attached table: hit is a scan's open of an epoch nothing touched since
 // the last one, miss the same open after a watermark publish (footers
-// resident, the overlay materialised again), no-entries the cost
-// model's open.
+// resident, the overlay materialised again).
 func BenchmarkOpenSnapshot(b *testing.B) {
 	e, h := testEngine(b)
 	mustExec(b, e, "CREATE TABLE m (id BIGINT, grp BIGINT, v DOUBLE) STORED AS DUALTABLE")
@@ -731,23 +779,21 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 	}
 	st := h.state("m")
 	for _, bc := range []struct {
-		name        string
-		withEntries bool
-		before      func()
+		name   string
+		before func()
 	}{
-		{"hit", true, func() {}},
-		{"miss", true, func() {
+		{"hit", func() {}},
+		{"miss", func() {
 			st.pub.Lock()
 			st.dropOverlayLocked()
 			st.pub.Unlock()
 		}},
-		{"no-entries", false, func() {}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				bc.before()
-				snap, err := h.open(desc, nil, bc.withEntries)
+				snap, err := h.open(desc, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

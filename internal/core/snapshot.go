@@ -129,7 +129,7 @@ func (st *tableState) keepLocked(snap *Snapshot) {
 		return
 	}
 	res := &residentEpoch{epoch: snap.Epoch, watermark: snap.Watermark, files: snap.files}
-	if snap.entries != nil && snap.att.Mutations() == snap.mutations {
+	if snap.att.Mutations() == snap.mutations {
 		res.mutations = snap.mutations
 		res.entries, res.preScans = snap.entries, snap.preScans
 	} else if cur := st.res; cur != nil && cur.epoch == snap.Epoch {
@@ -185,7 +185,7 @@ type Snapshot struct {
 	// resident epoch: read-only.
 	preScans []preScan
 	// att is the attached table the entries come from and mutations its
-	// counter when this snapshot was pinned (opens with entries only).
+	// counter when this snapshot was pinned.
 	att       *kvstore.Table
 	mutations uint64
 
@@ -201,7 +201,7 @@ type Snapshot struct {
 // attached entries. Release must be called exactly once when the scan
 // is done.
 func (h *Handler) OpenSnapshot(desc *metastore.TableDesc) (*Snapshot, error) {
-	return h.open(desc, nil, true)
+	return h.open(desc, nil)
 }
 
 // OpenSnapshotAt pins a historical epoch for a time-travel read
@@ -210,7 +210,7 @@ func (h *Handler) OpenSnapshot(desc *metastore.TableDesc) (*Snapshot, error) {
 // its files and attached cells are intact. Release must be called
 // exactly once.
 func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snapshot, error) {
-	return h.open(desc, &epoch, true)
+	return h.open(desc, &epoch)
 }
 
 // optimisticAttempts is how many times an open loads outside the
@@ -218,9 +218,6 @@ func (h *Handler) OpenSnapshotAt(desc *metastore.TableDesc, epoch uint64) (*Snap
 const optimisticAttempts = 3
 
 // open pins one epoch — the current one, or *asOf — and loads it.
-// withEntries=false skips the attached-table materialization for
-// callers that only need file metadata and stripe statistics
-// (cost-model sizing).
 //
 // Only the cheap parts run under the publish lock: manifest resolution,
 // file pinning, and afterwards one validity test. The heavy parts —
@@ -243,11 +240,11 @@ const optimisticAttempts = 3
 // A current-epoch open whose epoch is resident (residentEpoch) with
 // everything it needs has nothing to load and returns from the first
 // lock hold; one that loaded leaves its load resident for the next.
-func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool) (*Snapshot, error) {
+func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64) (*Snapshot, error) {
 	st := h.state(desc.Name)
 	for attempt := 0; ; attempt++ {
 		st.pub.Lock()
-		snap, resident, err := h.pinLocked(desc, st, asOf, withEntries)
+		snap, resident, err := h.pinLocked(desc, st, asOf)
 		if err != nil {
 			st.pub.Unlock()
 			return nil, err
@@ -260,13 +257,13 @@ func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool
 		}
 		if attempt < optimisticAttempts {
 			st.pub.Unlock()
-			err = snap.load(withEntries)
+			err = snap.load()
 			if h.onSnapshotLoaded != nil {
 				h.onSnapshotLoaded(snap)
 			}
 			st.pub.Lock()
 		} else {
-			err = snap.load(withEntries) // no publish can land: this one is exact
+			err = snap.load() // no publish can land: this one is exact
 		}
 		exact := err == nil && h.inWindowLocked(desc, st, snap.Epoch)
 		// A historical epoch is never resident: its files may have left
@@ -296,20 +293,18 @@ func (h *Handler) open(desc *metastore.TableDesc, asOf *uint64, withEntries bool
 // takes from the resident epoch whatever is still exactly what a load
 // would produce; resident reports that this was everything the open
 // needs, so there is nothing left to load. Caller holds pub.
-func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uint64, withEntries bool) (snap *Snapshot, resident bool, err error) {
+func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uint64) (snap *Snapshot, resident bool, err error) {
 	if err := h.checkIncarnationLocked(desc, st); err != nil {
 		return nil, false, err
 	}
 	snap = &Snapshot{h: h, desc: desc, st: st}
-	if withEntries {
-		if st.att == nil {
-			if st.att, err = h.attached(desc); err != nil {
-				return nil, false, err
-			}
+	if st.att == nil {
+		if st.att, err = h.attached(desc); err != nil {
+			return nil, false, err
 		}
-		snap.att = st.att
-		snap.mutations = snap.att.Mutations()
 	}
+	snap.att = st.att
+	snap.mutations = snap.att.Mutations()
 	var man *metastore.Manifest
 	res := st.res
 	if asOf != nil {
@@ -329,12 +324,10 @@ func (h *Handler) pinLocked(desc *metastore.TableDesc, st *tableState, asOf *uin
 			snap.files[i] = newMasterFile(mf, res.footer(i, mf.Path))
 		}
 	} else {
-		snap.files, resident = res.files, true
-		if withEntries {
-			resident = res.entries != nil && res.mutations == snap.mutations
-			if resident {
-				snap.entries, snap.preScans = res.entries, res.preScans
-			}
+		snap.files = res.files
+		resident = res.entries != nil && res.mutations == snap.mutations
+		if resident {
+			snap.entries, snap.preScans = res.entries, res.preScans
 		}
 	}
 	for i := range snap.files {
@@ -378,8 +371,8 @@ func (h *Handler) inWindowLocked(desc *metastore.TableDesc, st *tableState, epoc
 }
 
 // load parses the footer of every file the resident epoch did not have
-// and, for a scan, materializes the attached entries.
-func (s *Snapshot) load(withEntries bool) (err error) {
+// and materializes the attached entries.
+func (s *Snapshot) load() (err error) {
 	for i := range s.files {
 		f := &s.files[i]
 		if f.reader != nil {
@@ -389,10 +382,7 @@ func (s *Snapshot) load(withEntries bool) (err error) {
 			return err
 		}
 	}
-	if withEntries {
-		return s.loadEntries()
-	}
-	return nil
+	return s.loadEntries()
 }
 
 func newMasterFile(mf metastore.ManifestFile, footer *orcfile.Reader) masterFile {
@@ -461,9 +451,6 @@ func (s *Snapshot) loadEntries() error {
 type preScan struct {
 	seeks, kvBytes, opens, dfsBytes int64
 }
-
-// noPreScan is the pre-scan of an open without entries.
-var noPreScan preScan
 
 // overlaySlab is the storage one load's overlays are cut from: every
 // file's entries from mods, every entry's column sets from sets, so the
@@ -566,10 +553,7 @@ func (s *Snapshot) Files() []string {
 func (s *Snapshot) Splits(opts ScanOptions) []mapred.InputSplit {
 	var splits []mapred.InputSplit
 	for i, f := range s.files {
-		entries, pre := s.entries[f.fileID], &noPreScan
-		if s.preScans != nil {
-			pre = &s.preScans[i]
-		}
+		entries, pre := s.entries[f.fileID], &s.preScans[i]
 		splits = append(splits, &hive.ORCSplit{
 			FS: s.h.e.FS, Path: f.path, Size: f.size, Opts: opts, FileID: f.fileID,
 			Footer: f.reader,

@@ -6,7 +6,7 @@ import "testing"
 // tests rely on: false for live and absent paths, true from
 // DeleteDeferred-while-pinned until the last pin removes the file.
 func TestCondemnedObservability(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
+	fs := New(Config{BlockSize: 1 << 20})
 	if err := fs.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
 	}

@@ -39,27 +39,21 @@ var (
 type Config struct {
 	// BlockSize is the chunk size; the paper's clusters use 64 MB.
 	BlockSize int64
-	// Replication is the replica count (paper: 3).
-	Replication int
-	// DataNodes is the number of simulated datanodes.
-	DataNodes int
 	// VerifyOnRead enables per-block CRC verification on every read.
 	VerifyOnRead bool
 }
 
-// DefaultConfig mirrors the paper's HDFS settings scaled for tests:
-// 64 MB blocks, 3 replicas, 25 datanodes.
+// DefaultConfig mirrors the paper's HDFS settings: 64 MB blocks.
 func DefaultConfig() Config {
-	return Config{BlockSize: 64 << 20, Replication: 3, DataNodes: 25, VerifyOnRead: false}
+	return Config{BlockSize: 64 << 20, VerifyOnRead: false}
 }
 
 type blockID uint64
 
 type block struct {
-	data      []byte
-	crc       uint32
-	sealed    bool // checksum fixed; no more appends
-	locations []int
+	data   []byte
+	crc    uint32
+	sealed bool // checksum fixed; no more appends
 }
 
 type fileMeta struct {
@@ -96,15 +90,11 @@ type FileSystem struct {
 	blocks map[blockID]*block
 	nextID uint64
 
-	dnUsed []atomic.Int64 // bytes per datanode (incl. replication)
-	nextDN atomic.Uint64
-
 	injector atomic.Pointer[FaultInjector]
 
 	// Metrics.
 	bytesRead       atomic.Int64
 	bytesWritten    atomic.Int64
-	replicaBytes    atomic.Int64
 	filesCreated    atomic.Int64
 	filesDeleted    atomic.Int64
 	opensForRead    atomic.Int64
@@ -118,20 +108,10 @@ func New(cfg Config) *FileSystem {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = def.BlockSize
 	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = def.Replication
-	}
-	if cfg.DataNodes <= 0 {
-		cfg.DataNodes = def.DataNodes
-	}
-	if cfg.Replication > cfg.DataNodes {
-		cfg.Replication = cfg.DataNodes
-	}
 	return &FileSystem{
 		cfg:    cfg,
 		root:   &node{name: "/", dir: true, children: map[string]*node{}},
 		blocks: map[blockID]*block{},
-		dnUsed: make([]atomic.Int64, cfg.DataNodes),
 	}
 }
 
@@ -489,12 +469,7 @@ func (fs *FileSystem) releaseTree(n *node) {
 		fs.filesDeleted.Add(1)
 		fs.blkMu.Lock()
 		for _, id := range n.file.blocks {
-			if b, ok := fs.blocks[id]; ok {
-				for _, dn := range b.locations {
-					fs.dnUsed[dn].Add(-int64(len(b.data)))
-				}
-				delete(fs.blocks, id)
-			}
+			delete(fs.blocks, id)
 		}
 		fs.blkMu.Unlock()
 	}
@@ -554,21 +529,14 @@ func isUnderLocked(ancestor, n *node) bool {
 	return false
 }
 
-// allocBlock creates an empty block with replica placement. Caller
+// allocBlock creates an empty block. Caller
 // must not hold blkMu.
 func (fs *FileSystem) allocBlock() blockID {
 	fs.blkMu.Lock()
 	defer fs.blkMu.Unlock()
 	fs.nextID++
 	id := blockID(fs.nextID)
-	b := &block{}
-	// Round-robin placement across datanodes, like the default HDFS
-	// block placement spreading load.
-	start := int(fs.nextDN.Add(1)) % fs.cfg.DataNodes
-	for i := 0; i < fs.cfg.Replication; i++ {
-		b.locations = append(b.locations, (start+i)%fs.cfg.DataNodes)
-	}
-	fs.blocks[id] = b
+	fs.blocks[id] = &block{}
 	return id
 }
 
@@ -608,14 +576,11 @@ func (fs *FileSystem) CorruptBlock(p string, idx int) error {
 type Metrics struct {
 	BytesRead       int64
 	BytesWritten    int64
-	ReplicatedBytes int64
 	FilesCreated    int64
 	FilesDeleted    int64
 	OpensForRead    int64
 	BlocksCorrupted int64
 	LiveBlocks      int
-	UsedPerDataNode []int64
-	TotalUsedBytes  int64
 }
 
 // Metrics returns a snapshot of counters.
@@ -623,7 +588,6 @@ func (fs *FileSystem) Metrics() Metrics {
 	m := Metrics{
 		BytesRead:       fs.bytesRead.Load(),
 		BytesWritten:    fs.bytesWritten.Load(),
-		ReplicatedBytes: fs.replicaBytes.Load(),
 		FilesCreated:    fs.filesCreated.Load(),
 		FilesDeleted:    fs.filesDeleted.Load(),
 		OpensForRead:    fs.opensForRead.Load(),
@@ -632,10 +596,5 @@ func (fs *FileSystem) Metrics() Metrics {
 	fs.blkMu.RLock()
 	m.LiveBlocks = len(fs.blocks)
 	fs.blkMu.RUnlock()
-	m.UsedPerDataNode = make([]int64, len(fs.dnUsed))
-	for i := range fs.dnUsed {
-		m.UsedPerDataNode[i] = fs.dnUsed[i].Load()
-		m.TotalUsedBytes += m.UsedPerDataNode[i]
-	}
 	return m
 }

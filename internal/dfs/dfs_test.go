@@ -14,7 +14,7 @@ import (
 )
 
 func testFS() *FileSystem {
-	return New(Config{BlockSize: 128, Replication: 3, DataNodes: 5})
+	return New(Config{BlockSize: 128})
 }
 
 func TestWriteReadRoundtrip(t *testing.T) {
@@ -33,7 +33,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 }
 
 func TestMultiBlockFile(t *testing.T) {
-	fs := New(Config{BlockSize: 10, Replication: 1, DataNodes: 2})
+	fs := New(Config{BlockSize: 10})
 	data := make([]byte, 95)
 	for i := range data {
 		data[i] = byte(i)
@@ -113,7 +113,7 @@ func TestMkdirExistingFails(t *testing.T) {
 }
 
 func TestAppendResumesTail(t *testing.T) {
-	fs := New(Config{BlockSize: 8, Replication: 1, DataNodes: 1})
+	fs := New(Config{BlockSize: 8})
 	if err := fs.WriteFile("/log", []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRenameIntoOwnSubtreeFails(t *testing.T) {
 }
 
 func TestReaderAtAndSeek(t *testing.T) {
-	fs := New(Config{BlockSize: 4, Replication: 1, DataNodes: 1})
+	fs := New(Config{BlockSize: 4})
 	fs.WriteFile("/f", []byte("0123456789"))
 	r, err := fs.Open("/f")
 	if err != nil {
@@ -248,7 +248,7 @@ func TestReaderAtAndSeek(t *testing.T) {
 }
 
 func TestChecksumDetection(t *testing.T) {
-	fs := New(Config{BlockSize: 8, Replication: 1, DataNodes: 1, VerifyOnRead: true})
+	fs := New(Config{BlockSize: 8, VerifyOnRead: true})
 	fs.WriteFile("/f", []byte("abcdefgh12345678"))
 	if err := fs.VerifyChecksums("/f"); err != nil {
 		t.Fatalf("clean file reports corruption: %v", err)
@@ -287,37 +287,6 @@ func TestUserMetaAndFileID(t *testing.T) {
 	fi, _ := fs.Stat("/orc-1")
 	if fi.FileID != 42 {
 		t.Errorf("Stat.FileID = %d", fi.FileID)
-	}
-}
-
-func TestBlockLocationsAndReplication(t *testing.T) {
-	fs := New(Config{BlockSize: 4, Replication: 3, DataNodes: 5})
-	fs.WriteFile("/f", []byte("0123456789"))
-	locs, err := fs.BlockLocations("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(locs) != 3 {
-		t.Fatalf("want 3 blocks, got %d", len(locs))
-	}
-	for _, l := range locs {
-		if len(l) != 3 {
-			t.Errorf("want 3 replicas, got %v", l)
-		}
-		seen := map[int]bool{}
-		for _, dn := range l {
-			if seen[dn] {
-				t.Errorf("duplicate replica placement: %v", l)
-			}
-			seen[dn] = true
-		}
-	}
-	m := fs.Metrics()
-	if m.ReplicatedBytes != 30 {
-		t.Errorf("ReplicatedBytes = %d, want 30", m.ReplicatedBytes)
-	}
-	if m.TotalUsedBytes != 30 {
-		t.Errorf("TotalUsedBytes = %d, want 30", m.TotalUsedBytes)
 	}
 }
 
@@ -437,7 +406,7 @@ func TestStatDirectoryVsFile(t *testing.T) {
 }
 
 func TestConcurrentWritersDistinctFiles(t *testing.T) {
-	fs := New(Config{BlockSize: 64, Replication: 2, DataNodes: 4})
+	fs := New(Config{BlockSize: 64})
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -470,7 +439,7 @@ func TestConcurrentWritersDistinctFiles(t *testing.T) {
 func TestPropertyRoundtripArbitrarySizes(t *testing.T) {
 	f := func(seed int64, blockExp uint8, size uint16) bool {
 		bs := int64(1) << (blockExp%8 + 1) // 2..256
-		fs := New(Config{BlockSize: bs, Replication: 2, DataNodes: 3})
+		fs := New(Config{BlockSize: bs})
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, int(size)%4096)
 		rng.Read(data)
@@ -490,7 +459,7 @@ func TestPropertyRoundtripArbitrarySizes(t *testing.T) {
 
 func TestPropertyAppendEquivalentToSingleWrite(t *testing.T) {
 	f := func(seed int64, chunks uint8) bool {
-		fs := New(Config{BlockSize: 16, Replication: 1, DataNodes: 2})
+		fs := New(Config{BlockSize: 16})
 		rng := rand.New(rand.NewSource(seed))
 		var want []byte
 		w, err := fs.Create("/f")

@@ -8,7 +8,7 @@ import (
 )
 
 func TestScheduleInjectorFailsNthOp(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
+	fs := New(Config{BlockSize: 1 << 20})
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestScheduleInjectorFailsNthOp(t *testing.T) {
 }
 
 func TestTornWriteLeavesAbandonedLease(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
+	fs := New(Config{BlockSize: 1 << 20})
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTornWriteLeavesAbandonedLease(t *testing.T) {
 }
 
 func TestUnpinOfUnpinnedFileTyped(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
+	fs := New(Config{BlockSize: 1 << 20})
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestUnpinOfUnpinnedFileTyped(t *testing.T) {
 }
 
 func TestSeededInjectorMaxRunAllowsProgress(t *testing.T) {
-	fs := New(Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
+	fs := New(Config{BlockSize: 1 << 20})
 	if err := fs.MkdirAll("/t"); err != nil {
 		t.Fatal(err)
 	}

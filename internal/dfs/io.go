@@ -145,14 +145,10 @@ func (w *FileWriter) write(p []byte) (int, error) {
 			w.fs.mu.Unlock()
 		}
 		b.data = append(b.data, p[:n]...)
-		for _, dn := range b.locations {
-			w.fs.dnUsed[dn].Add(n)
-		}
 		w.fs.mu.Lock()
 		w.meta.size += n
 		w.fs.mu.Unlock()
 		w.fs.bytesWritten.Add(n)
-		w.fs.replicaBytes.Add(n * int64(w.fs.cfg.Replication))
 		w.meter.DFSWrite(n)
 		p = p[n:]
 	}
@@ -419,30 +415,6 @@ func (fs *FileSystem) UserMeta(p string) (map[string]string, uint64, error) {
 		out[k] = v
 	}
 	return out, n.file.fileID, nil
-}
-
-// BlockLocations returns the datanode ids hosting each block of p, in
-// block order — the information a MapReduce scheduler uses for
-// locality-aware split placement.
-func (fs *FileSystem) BlockLocations(p string) ([][]int, error) {
-	fs.mu.RLock()
-	n, err := fs.lookup(p)
-	fs.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	if n.file == nil {
-		return nil, fmt.Errorf("%w: %q", ErrIsDirectory, p)
-	}
-	out := make([][]int, 0, len(n.file.blocks))
-	for _, id := range n.file.blocks {
-		b, ok := fs.getBlock(id)
-		if !ok {
-			return nil, fmt.Errorf("dfs: missing block %d", id)
-		}
-		out = append(out, append([]int(nil), b.locations...))
-	}
-	return out, nil
 }
 
 // Walk visits every file under root (depth-first, sorted), calling fn

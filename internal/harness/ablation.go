@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"dualtable/internal/acid"
 	"dualtable/internal/hive"
 	"dualtable/internal/sim"
 	"dualtable/internal/workload"
@@ -25,18 +24,15 @@ func runAblAcid(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := acid.Register(e.engine); err != nil {
-			return nil, err
-		}
 		tc := t
 		tc.Storage = storage
-		return e, workload.SetupTPCH(e.engine, tc)
+		return e, workload.SetupTPCH(e.db.Engine, tc)
 	}
 	dual, err := build("DUALTABLE")
 	if err != nil {
 		return nil, err
 	}
-	dual.vars.Set(hive.VarForcePlan, "EDIT") // isolate the delta mechanisms
+	dual.sess.Set(hive.VarForcePlan, "EDIT") // isolate the delta mechanisms
 	ac, err := build("ACID")
 	if err != nil {
 		return nil, err

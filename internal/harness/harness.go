@@ -13,13 +13,9 @@ import (
 	"sort"
 	"strings"
 
-	"dualtable/internal/core"
-	"dualtable/internal/dfs"
+	"dualtable"
 	"dualtable/internal/hive"
-	"dualtable/internal/kvstore"
-	"dualtable/internal/mapred"
 	"dualtable/internal/sim"
-	"dualtable/internal/sqlparser"
 )
 
 // Config tunes experiment scale.
@@ -144,60 +140,27 @@ func Get(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// env is one assembled system under test.
+// env is one assembled system under test: the stack dualtable.Open
+// builds, and the session every statement of the system runs under
+// (plan forcing, k and ratio hints are its settings).
 type env struct {
-	engine  *hive.Engine
-	handler *core.Handler
-	fs      *dfs.FileSystem
-	// vars are the session settings (plan forcing, k, ratio hints) every
-	// statement of this system runs under.
-	vars *hive.SessionVars
+	db   *dualtable.DB
+	sess *dualtable.Session
 }
 
-// newEnv builds an engine on the given cluster parameters with
-// DataScale set to the inverse of the actual generation scale.
+// newEnv opens a system on the given cluster parameters with DataScale
+// set to the inverse of the actual generation scale.
 func newEnv(params sim.CostParams, cfg Config, genScale float64) (*env, error) {
-	if genScale <= 0 {
-		genScale = cfg.Scale
-	}
 	params.DataScale = 1.0 / genScale
-	fs := dfs.New(dfs.Config{BlockSize: 64 << 20, Replication: 3, DataNodes: params.Nodes - 1})
-	kv, err := kvstore.NewCluster(fs, "/hbase")
+	db, err := dualtable.Open(dualtable.Config{Cluster: params, Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
-	mr := mapred.NewCluster(params)
-	mr.Parallelism = cfg.Parallelism
-	engine, err := hive.NewEngine(hive.Config{FS: fs, KV: kv, MR: mr})
-	if err != nil {
-		return nil, err
-	}
-	handler, err := core.Register(engine)
-	if err != nil {
-		return nil, err
-	}
-	return &env{engine: engine, handler: handler, fs: fs, vars: hive.NewSessionVars()}, nil
+	return &env{db: db, sess: db.Session()}, nil
 }
 
-// mustSeconds runs a statement and returns its simulated seconds.
-func (e *env) run(sql string) (*hive.ResultSet, error) {
-	return e.engine.ExecuteCtx(&hive.ExecContext{Vars: e.vars}, sql)
-}
-
-// hintRatio pins a DML statement's modification ratio (the
-// designer-given α/β of §IV).
-func (e *env) hintRatio(sql string, ratio float64) error {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return err
-	}
-	key, err := e.handler.StatementKey(stmt)
-	if err != nil {
-		return err
-	}
-	e.vars.SetRatioHint(key, ratio)
-	return nil
-}
+// run executes one statement on the system's session.
+func (e *env) run(sql string) (*hive.ResultSet, error) { return e.sess.Exec(sql) }
 
 func secs(v float64) string { return fmt.Sprintf("%.1f", v) }
 
@@ -210,20 +173,4 @@ func ratioPct(v float64) string {
 		return fmt.Sprintf("%.2g%%", p)
 	}
 	return fmt.Sprintf("%.0f%%", p)
-}
-
-// ratioPoints returns the sweep points for the grid figures (n/36).
-func gridRatioPoints(quick bool) []int {
-	if quick {
-		return []int{1, 9, 17}
-	}
-	return []int{1, 3, 5, 7, 9, 11, 13, 15, 17}
-}
-
-// tpchRatioPoints returns the 1–50 % sweep of Figures 13–18.
-func tpchRatioPoints(quick bool) []int {
-	if quick {
-		return []int{1, 25, 50}
-	}
-	return []int{1, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50}
 }

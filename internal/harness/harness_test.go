@@ -257,3 +257,26 @@ func TestExCostWorkedExample(t *testing.T) {
 		t.Error("missing computed CostU row")
 	}
 }
+
+// The three figures that view one sweep read one computation of it.
+func TestSweepFiguresShareOneSweep(t *testing.T) {
+	cfg := quickCfg().normalized()
+	sweepMu.Lock()
+	before := len(sweeps)
+	sweepMu.Unlock()
+	var rows []int
+	for _, id := range []string{"fig5", "fig7", "fig8"} {
+		rows = append(rows, len(runExp(t, id).Rows))
+	}
+	sweepMu.Lock()
+	added, points := len(sweeps)-before, sweeps[sweepKey{gridSet, true, cfg}]
+	sweepMu.Unlock()
+	if added > 1 || points == nil {
+		t.Fatalf("fig5, fig7 and fig8 added %d sweeps (memoized: %v), want the one grid UPDATE sweep", added, points != nil)
+	}
+	for i, n := range rows {
+		if n != len(points) {
+			t.Errorf("figure %d has %d rows, the sweep %d points", i, n, len(points))
+		}
+	}
+}

@@ -18,8 +18,8 @@ func Probe(cfg Config) {
 		fmt.Println("probe:", err)
 		return
 	}
-	desc, _ := e.engine.MS.Get("tj_gbsjwzl_mx")
-	h, _ := e.engine.Handler(desc.Storage)
+	desc, _ := e.db.Engine.MS.Get("tj_gbsjwzl_mx")
+	h, _ := e.db.Engine.Handler(desc.Storage)
 	rows, _ := h.RowCount(desc)
 	bytes, _ := h.DataSize(desc)
 	p := sim.GridCluster()
@@ -35,8 +35,8 @@ func Probe(cfg Config) {
 		fmt.Println("probe:", err)
 		return
 	}
-	ldesc, _ := te.engine.MS.Get("lineitem")
-	lh, _ := te.engine.Handler(ldesc.Storage)
+	ldesc, _ := te.db.Engine.MS.Get("lineitem")
+	lh, _ := te.db.Engine.Handler(ldesc.Storage)
 	lrows, _ := lh.RowCount(ldesc)
 	lbytes, _ := lh.DataSize(ldesc)
 	ts := float64(t.LineitemRows) / 180e6

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dualtable/internal/datum"
+	"dualtable/internal/mapred"
 	"dualtable/internal/metastore"
 	"dualtable/internal/sim"
 	"dualtable/internal/sqlparser"
@@ -27,13 +28,29 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.Handler(desc.Storage)
+	ledger := sim.NewLedger(&e.MR.Params)
+	n, err := e.writeTable(ec, desc, s.Overwrite, ledger, func() ([]datum.Row, error) {
+		rows, err := e.insertRows(ec, s, desc, ledger)
+		if err != nil {
+			return nil, err
+		}
+		// Coerce to the target schema.
+		for _, r := range rows {
+			if err := desc.Schema.CoerceRow(r); err != nil {
+				return nil, fmt.Errorf("hive: INSERT into %s: %w", s.Table, err)
+			}
+		}
+		return rows, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	ledger := sim.NewLedger(&e.MR.Params)
+	return &ResultSet{Affected: n, SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "INSERT"}, nil
+}
 
-	var rows []datum.Row
+// insertRows evaluates an INSERT's source: its SELECT or its VALUES
+// rows.
+func (e *Engine) insertRows(ec *ExecContext, s *sqlparser.InsertStmt, desc *metastore.TableDesc, ledger *sim.Ledger) ([]datum.Row, error) {
 	if s.Select != nil {
 		rs, err := e.runSelect(ec, s.Select, ledger)
 		if err != nil {
@@ -43,61 +60,64 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 			return nil, fmt.Errorf("hive: INSERT into %s: query returns %d columns, table has %d",
 				s.Table, len(rs.Columns), len(desc.Schema))
 		}
-		rows = rs.Rows
-	} else {
-		emptySc := &scope{}
-		for _, exprRow := range s.Rows {
-			if len(exprRow) != len(desc.Schema) {
-				return nil, fmt.Errorf("hive: INSERT into %s: VALUES row has %d columns, table has %d",
-					s.Table, len(exprRow), len(desc.Schema))
-			}
-			row := make(datum.Row, len(exprRow))
-			for i, x := range exprRow {
-				fn, err := e.compileExpr(ec, x, emptySc)
-				if err != nil {
-					return nil, err
-				}
-				row[i], err = fn(nil)
-				if err != nil {
-					return nil, err
-				}
-			}
-			rows = append(rows, row)
-		}
+		return rs.Rows, nil
 	}
-	// Coerce to the target schema.
-	for _, r := range rows {
-		if err := desc.Schema.CoerceRow(r); err != nil {
-			return nil, fmt.Errorf("hive: INSERT into %s: %w", s.Table, err)
+	var rows []datum.Row
+	emptySc := &scope{}
+	for _, exprRow := range s.Rows {
+		if len(exprRow) != len(desc.Schema) {
+			return nil, fmt.Errorf("hive: INSERT into %s: VALUES row has %d columns, table has %d",
+				s.Table, len(exprRow), len(desc.Schema))
 		}
+		row := make(datum.Row, len(exprRow))
+		for i, x := range exprRow {
+			fn, err := e.compileExpr(ec, x, emptySc)
+			if err != nil {
+				return nil, err
+			}
+			row[i], err = fn(nil)
+			if err != nil {
+				return nil, err
+			}
+		}
+		rows = append(rows, row)
 	}
+	return rows, nil
+}
 
-	if s.Overwrite {
-		of, committer, err := h.Overwrite(desc)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.writeRows(ec, rows, of, ledger); err != nil {
-			committer.Abort()
-			return nil, err
-		}
-		if err := committer.Commit(); err != nil {
-			return nil, err
-		}
-	} else {
-		of, committer, err := h.Append(desc)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.writeRows(ec, rows, of, ledger); err != nil {
-			committer.Abort()
-			return nil, err
-		}
-		if err := committer.Commit(); err != nil {
-			return nil, err
-		}
+// writeTable writes the rows produce returns into desc through its
+// storage handler, replacing the table's contents (overwrite) or adding
+// to them, and returns how many it wrote. The target's factory and
+// committer — for DUALTABLE, its writer — are taken before produce
+// runs: a writer that publishes while the source is read waits for this
+// one instead of being replaced away by it. Every later error aborts.
+func (e *Engine) writeTable(ec *ExecContext, desc *metastore.TableDesc, overwrite bool, ledger *sim.Ledger, produce func() ([]datum.Row, error)) (int64, error) {
+	h, err := e.Handler(desc.Storage)
+	if err != nil {
+		return 0, err
 	}
-	return &ResultSet{Affected: int64(len(rows)), SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "INSERT"}, nil
+	var of mapred.OutputFactory
+	var committer Committer
+	if overwrite {
+		of, committer, err = h.Overwrite(desc)
+	} else {
+		of, committer, err = h.Append(desc)
+	}
+	if err != nil {
+		return 0, err
+	}
+	rows, err := produce()
+	if err == nil {
+		err = e.writeRows(ec, rows, of, ledger)
+	}
+	if err != nil {
+		committer.Abort()
+		return 0, err
+	}
+	if err := committer.Commit(); err != nil {
+		return 0, err
+	}
+	return int64(len(rows)), nil
 }
 
 // execUpdate routes UPDATE: handlers with native DML (KV, DualTable)

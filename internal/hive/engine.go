@@ -11,7 +11,6 @@ import (
 	"path"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dualtable/internal/datum"
 	"dualtable/internal/dfs"
@@ -107,7 +106,6 @@ type Engine struct {
 
 	handlers map[metastore.StorageKind]StorageHandler
 	plans    *planCache
-	tmpSeq   atomic.Uint64
 
 	// ddlMu guards ddlLocks, the per-table-name DDL mutexes. CREATE
 	// and DROP each pair a metastore namespace change with a handler
@@ -421,38 +419,19 @@ func (e *Engine) execLoad(ec *ExecContext, s *sqlparser.LoadStmt) (*ResultSet, e
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.Handler(desc.Storage)
-	if err != nil {
-		return nil, err
-	}
 	ledger := sim.NewLedger(&e.MR.Params)
-	data, err := e.FS.ReadFile(s.Path)
-	if err != nil {
-		return nil, fmt.Errorf("hive: LOAD: %w", err)
-	}
-	ledger.Charge(sim.DFSReadBytes, int64(len(data)))
-	rows, err := parseDelimited(string(data), desc.Schema)
-	if err != nil {
-		return nil, err
-	}
-	var factory mapred.OutputFactory
-	var committer Committer
-	if s.Overwrite {
-		factory, committer, err = h.Overwrite(desc)
-	} else {
-		factory, committer, err = h.Append(desc)
-	}
+	n, err := e.writeTable(ec, desc, s.Overwrite, ledger, func() ([]datum.Row, error) {
+		data, err := e.FS.ReadFile(s.Path)
+		if err != nil {
+			return nil, fmt.Errorf("hive: LOAD: %w", err)
+		}
+		ledger.Charge(sim.DFSReadBytes, int64(len(data)))
+		return parseDelimited(string(data), desc.Schema)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := e.writeRows(ec, rows, factory, ledger); err != nil {
-		committer.Abort()
-		return nil, err
-	}
-	if err := committer.Commit(); err != nil {
-		return nil, err
-	}
-	return &ResultSet{Affected: int64(len(rows)), SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "LOAD"}, nil
+	return &ResultSet{Affected: n, SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "LOAD"}, nil
 }
 
 // fieldDelim separates the fields of a text table's lines and of LOAD
@@ -533,33 +512,19 @@ func (e *Engine) BulkLoad(table string, rows []datum.Row) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.Handler(desc.Storage)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range rows {
-		if err := desc.Schema.CoerceRow(r); err != nil {
-			return nil, fmt.Errorf("hive: bulk load %s: %w", table, err)
-		}
-	}
 	ledger := sim.NewLedger(&e.MR.Params)
-	factory, committer, err := h.Append(desc)
+	n, err := e.writeTable(nil, desc, false, ledger, func() ([]datum.Row, error) {
+		for _, r := range rows {
+			if err := desc.Schema.CoerceRow(r); err != nil {
+				return nil, fmt.Errorf("hive: bulk load %s: %w", table, err)
+			}
+		}
+		return rows, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := e.writeRows(nil, rows, factory, ledger); err != nil {
-		committer.Abort()
-		return nil, err
-	}
-	if err := committer.Commit(); err != nil {
-		return nil, err
-	}
-	return &ResultSet{Affected: int64(len(rows)), SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "BULKLOAD"}, nil
-}
-
-// tmpPath allocates a unique DFS staging path.
-func (e *Engine) tmpPath(prefix string) string {
-	return path.Join("/tmp", fmt.Sprintf("%s-%d", prefix, e.tmpSeq.Add(1)))
+	return &ResultSet{Affected: n, SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "BULKLOAD"}, nil
 }
 
 func (e *Engine) explain(stmt sqlparser.Statement) (*ResultSet, error) {

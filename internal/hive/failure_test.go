@@ -90,12 +90,17 @@ func TestStagingCleanupAfterFailedOverwrite(t *testing.T) {
 func TestKVTableSurvivesFailedStatement(t *testing.T) {
 	e := testEngine(t)
 	seedEmployees(t, e, "HBASE")
-	if _, err := e.Execute("UPDATE emp SET salary = nosuch + 1"); err == nil {
-		t.Fatal("bogus SET expression should fail")
-	}
-	rs := mustExec(t, e, "SELECT SUM(salary) FROM emp")
-	if rs.Rows[0][0].F != 400 {
-		t.Errorf("kv table corrupted by failed update: %v", rs.Rows[0])
+	for _, sql := range []string{
+		"UPDATE emp SET salary = nosuch + 1",
+		"INSERT OVERWRITE TABLE emp SELECT nosuch FROM emp",
+	} {
+		if _, err := e.Execute(sql); err == nil {
+			t.Fatalf("%s: a bogus column should fail", sql)
+		}
+		rs := mustExec(t, e, "SELECT SUM(salary) FROM emp")
+		if rs.Rows[0][0].F != 400 {
+			t.Errorf("kv table corrupted by failed %s: %v", sql, rs.Rows[0])
+		}
 	}
 }
 
@@ -124,7 +129,7 @@ func TestCorruptBlockDetectedOnVerifyingRead(t *testing.T) {
 // opens, the stripe read faults mid-scan, and the statement must fail
 // instead of returning the rows read so far — in batch and in row mode.
 func TestORCScanSurfacesReadFault(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 4, VerifyOnRead: true})
+	fs := dfs.New(dfs.Config{BlockSize: 4096, VerifyOnRead: true})
 	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)

@@ -75,24 +75,23 @@ func (h *kvHandler) DataSize(desc *metastore.TableDesc) (int64, error) {
 }
 
 func (h *kvHandler) Append(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
-	tbl, err := h.table(desc)
-	if err != nil {
+	f := &kvOutputFactory{h: h, name: kvTableName(desc)}
+	if _, err := f.table(); err != nil {
 		return nil, nil, err
 	}
-	return &kvOutputFactory{h: h, tbl: tbl, schema: desc.Schema}, NopCommitter{}, nil
+	return f, NopCommitter{}, nil
 }
 
+// Overwrite truncates then appends, with no staging for the KV baseline
+// (Hive-on-HBase overwrite behaves the same way). The truncate waits for
+// the first collector — or the commit, when nothing is written — so the
+// source of INSERT OVERWRITE t SELECT … FROM t reads t whole.
 func (h *kvHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory, Committer, error) {
-	// Truncate then append; commit is trivial (no staging for the KV
-	// baseline — Hive-on-HBase overwrite behaves the same way).
-	if err := h.e.KV.TruncateTable(kvTableName(desc)); err != nil {
+	if _, err := h.table(desc); err != nil {
 		return nil, nil, err
 	}
-	tbl, err := h.table(desc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &kvOutputFactory{h: h, tbl: tbl, schema: desc.Schema}, NopCommitter{}, nil
+	f := &kvOutputFactory{h: h, name: kvTableName(desc), truncate: true}
+	return f, kvTruncateCommitter{f}, nil
 }
 
 // rowKey builds the 8-byte big-endian key for a row id.
@@ -102,26 +101,58 @@ func rowKey(id uint64) []byte {
 	return k[:]
 }
 
-// kvOutputFactory writes rows as cells.
+// kvOutputFactory writes rows as cells into the named table, resolved
+// (and, for an overwrite, truncated) once, by the first caller of table.
 type kvOutputFactory struct {
-	h      *kvHandler
-	tbl    *kvstore.Table
-	schema datum.Schema
-	mu     sync.Mutex
+	h        *kvHandler
+	name     string
+	truncate bool
+
+	once sync.Once
+	tbl  *kvstore.Table
+	err  error
+}
+
+func (f *kvOutputFactory) table() (*kvstore.Table, error) {
+	f.once.Do(func() {
+		if f.truncate {
+			if f.err = f.h.e.KV.TruncateTable(f.name); f.err != nil {
+				return
+			}
+		}
+		f.tbl, f.err = f.h.e.KV.Table(f.name)
+	})
+	return f.tbl, f.err
 }
 
 func (f *kvOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
-	return &kvCollector{f: f, meter: m}, nil
+	tbl, err := f.table()
+	if err != nil {
+		return nil, err
+	}
+	return &kvCollector{h: f.h, tbl: tbl, meter: m}, nil
 }
 
+// kvTruncateCommitter commits an overwrite that wrote no rows: the
+// table is still truncated.
+type kvTruncateCommitter struct{ f *kvOutputFactory }
+
+func (c kvTruncateCommitter) Commit() error {
+	_, err := c.f.table()
+	return err
+}
+
+func (kvTruncateCommitter) Abort() error { return nil }
+
 type kvCollector struct {
-	f     *kvOutputFactory
+	h     *kvHandler
+	tbl   *kvstore.Table
 	meter *sim.Meter
 	batch []*kvstore.Cell
 }
 
 func (c *kvCollector) Collect(row datum.Row) error {
-	id := c.f.h.e.KV.NextTs()
+	id := c.h.e.KV.NextTs()
 	key := rowKey(id)
 	for i, d := range row {
 		if d.IsNull() {
@@ -145,7 +176,7 @@ func (c *kvCollector) flush() error {
 	if len(c.batch) == 0 {
 		return nil
 	}
-	err := c.f.tbl.Put(c.batch, c.meter)
+	err := c.tbl.Put(c.batch, c.meter)
 	c.batch = c.batch[:0]
 	return err
 }

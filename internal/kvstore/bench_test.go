@@ -11,7 +11,7 @@ import (
 // ranges, 2000 rows each.
 func benchTable(b *testing.B, files int) *Table {
 	b.Helper()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
 	c, err := NewCluster(fs, "/hbase")
 	if err != nil {
 		b.Fatal(err)
@@ -44,7 +44,7 @@ func benchTable(b *testing.B, files int) *Table {
 
 // BenchmarkPutThroughput measures raw batched put throughput.
 func BenchmarkPutThroughput(b *testing.B) {
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 2})
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
 	c, err := NewCluster(fs, "/hbase")
 	if err != nil {
 		b.Fatal(err)

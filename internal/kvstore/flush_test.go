@@ -18,7 +18,7 @@ func putCell(st *store, row string) error {
 // file sees every acknowledged cell: the swapped memtable stays
 // readable until the file is in place.
 func TestFlushWindowReaderSeesAckedCells(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 4096})
 	st, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestFlushCrashAtEveryDFSOpKeepsAckedCells(t *testing.T) {
 // and the put it covers, and a reopen would replay the put from the
 // stale segment and bring the deleted cell back.
 func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 4096})
 	st, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestFlushRetriesFailedSegmentDelete(t *testing.T) {
 // describes the first acknowledged cell the reopened store lacks.
 func crashAndReopen(t *testing.T, cfg storeConfig, inj dfs.FaultInjector) string {
 	t.Helper()
-	fs := dfs.New(dfs.Config{BlockSize: 256, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 256})
 	st, err := openStore(fs, "/r", cfg)
 	if err != nil {
 		t.Fatal(err)

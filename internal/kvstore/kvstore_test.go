@@ -18,7 +18,7 @@ import (
 
 func testCluster(t *testing.T) *Cluster {
 	t.Helper()
-	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 2})
+	fs := dfs.New(dfs.Config{BlockSize: 4096})
 	c, err := NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestSkiplistSeek(t *testing.T) {
 }
 
 func TestSSTableWriteReadSeek(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
 	fs.MkdirAll("/t")
 	w, err := fs.Create("/t/sf-1")
 	if err != nil {
@@ -252,7 +252,7 @@ func TestSSTableWriteReadSeek(t *testing.T) {
 }
 
 func TestOpenSSTableRejectsGarbage(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 1024, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 1024})
 	fs.WriteFile("/junk", bytes.Repeat([]byte("a"), 100))
 	if _, err := openSSTable(fs, "/junk", nil); err == nil {
 		t.Error("garbage file should not open")
@@ -264,7 +264,7 @@ func TestOpenSSTableRejectsGarbage(t *testing.T) {
 }
 
 func TestWALReplay(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 4096})
 	fs.MkdirAll("/r")
 	w, rec, err := openWAL(fs, "/r")
 	if err != nil {
@@ -291,7 +291,7 @@ func TestWALReplay(t *testing.T) {
 }
 
 func TestWALTruncatedTailTolerated(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 4096})
 	fs.MkdirAll("/r")
 	w, _, err := openWAL(fs, "/r")
 	if err != nil {
@@ -737,7 +737,7 @@ func TestCompactionRetriesFailedStoreFileDelete(t *testing.T) {
 }
 
 func TestWALRecoveryAfterReopen(t *testing.T) {
-	fs := dfs.New(dfs.Config{BlockSize: 4096, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 4096})
 	st, err := openStore(fs, "/r", defaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -166,7 +166,7 @@ func TestStreamCacheMissesCorruptTwin(t *testing.T) {
 		}
 	}
 
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 1})
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
 	writeDFS(t, fs, "/f", good)
 	cache.reset()
 	if _, err := drainDFS(t, fs, "/f", nil); err != nil {
@@ -230,7 +230,7 @@ func TestStreamCacheChargesLikeAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Replication: 1, DataNodes: 2})
+	fs := dfs.New(dfs.Config{BlockSize: 4 << 10})
 	writeDFS(t, fs, "/f", data)
 	params := sim.GridCluster()
 	scan := func() (float64, int64) {

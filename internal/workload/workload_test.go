@@ -15,7 +15,7 @@ import (
 
 func testEngine(t *testing.T) *hive.Engine {
 	t.Helper()
-	fs := dfs.New(dfs.Config{BlockSize: 1 << 20, Replication: 1, DataNodes: 4})
+	fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
 	kv, err := kvstore.NewCluster(fs, "/hbase")
 	if err != nil {
 		t.Fatal(err)
