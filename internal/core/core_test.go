@@ -359,7 +359,8 @@ func TestHistoryFeedsEstimator(t *testing.T) {
 
 // Digits inside an identifier name a column, not a literal: statements
 // on different columns keep apart (history and ratio hints), and only
-// their constants are masked.
+// their constants are masked. A folded negative constant is one
+// literal and masks like any other; TRUE, FALSE and NULL stay.
 func TestStatementKeySeparatesColumns(t *testing.T) {
 	_, h := testEngine(t)
 	key := func(sql string) string {
@@ -383,6 +384,19 @@ func TestStatementKeySeparatesColumns(t *testing.T) {
 	}
 	if other := key("UPDATE t SET c1 = 3.5e2 WHERE k = 70"); other != c1 {
 		t.Errorf("different literals keyed apart: %q vs %q", other, c1)
+	}
+	if neg := key("UPDATE t SET c1 = -4 WHERE k = -2.5"); neg != c1 {
+		t.Errorf("negative literals keyed apart: %q vs %q", neg, c1)
+	}
+	if want := "U:t:UPDATE t SET c1 = ? WHERE (k = ?)"; c1 != want {
+		t.Errorf("key = %q, want %q", c1, want)
+	}
+	if k := key("DELETE FROM t WHERE (b = TRUE) OR (n IS NULL) OR (s = 'x')"); k !=
+		"D:t:DELETE FROM t WHERE (((b = true) OR (n IS NULL)) OR (s = ?))" {
+		t.Errorf("TRUE/NULL masked or string kept: %q", k)
+	}
+	if f, n := key("DELETE FROM t WHERE b = FALSE"), key("DELETE FROM t WHERE b = NULL"); f == n {
+		t.Errorf("FALSE and NULL share the key %q", f)
 	}
 }
 

@@ -196,50 +196,34 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, s
 }
 
 // StatementKey returns the estimator key of an UPDATE or DELETE
-// statement (literals normalized). Sessions use it to pin
-// designer-given ratios (SessionVars.SetRatioHint), as §IV allows.
+// statement: its text with every number and string literal masked to
+// '?', so recurring statements with different constants (dates, codes)
+// share history — the "historical analysis of the execution log" of
+// §IV. Sessions use it to pin designer-given ratios
+// (SessionVars.SetRatioHint), as §IV allows.
 func (h *Handler) StatementKey(stmt sqlparser.Statement) (string, error) {
+	var prefix string
 	switch s := stmt.(type) {
 	case *sqlparser.UpdateStmt:
-		return "U:" + strings.ToLower(s.Table) + ":" + normalizeStatement(s.String()), nil
+		prefix = "U:" + strings.ToLower(s.Table)
 	case *sqlparser.DeleteStmt:
-		return "D:" + strings.ToLower(s.Table) + ":" + normalizeStatement(s.String()), nil
+		prefix = "D:" + strings.ToLower(s.Table)
 	default:
 		return "", fmt.Errorf("core: statement keys exist only for UPDATE/DELETE, got %T", stmt)
 	}
+	return prefix + ":" + sqlparser.RewriteStatement(stmt, maskLiteral).String(), nil
 }
 
-// normalizeStatement masks literals so recurring statements with
-// different constants (dates, codes) share history — the "historical
-// analysis of the execution log" of §IV. A digit run is a literal only
-// when no identifier character precedes it: c1 and c2 are two columns.
-func normalizeStatement(s string) string {
-	var sb strings.Builder
-	inStr, inNum, inIdent := false, false, false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			if c == '\'' {
-				inStr = false
-			}
-			continue
-		}
-		digit := c >= '0' && c <= '9'
-		switch {
-		case c == '\'':
-			inStr = true
-			sb.WriteByte('?')
-		case inNum && (digit || c == '.' || c == 'e' || c == 'E'):
-		case digit && !inIdent:
-			sb.WriteByte('?')
-			inNum = true
-		default:
-			inNum = false
-			inIdent = c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || inIdent && digit
-			sb.WriteByte(c)
+// maskLiteral turns an int, float or string literal into a '?'.
+// TRUE, FALSE and NULL stay: they name a case, not a constant.
+func maskLiteral(e sqlparser.Expr) sqlparser.Expr {
+	if lit, ok := e.(*sqlparser.Literal); ok {
+		switch lit.Value.K {
+		case datum.KindInt, datum.KindFloat, datum.KindString:
+			return &sqlparser.Placeholder{}
 		}
 	}
-	return sb.String()
+	return e
 }
 
 // statsSelectivity estimates the matching fraction from ORC stripe

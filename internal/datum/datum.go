@@ -119,13 +119,21 @@ func (d Datum) String() string {
 	}
 }
 
-// SQLLiteral renders the datum as a SQL literal (strings quoted).
+// SQLLiteral renders the datum as a SQL literal that lexes back to
+// the same text: strings are quoted with their quotes and backslashes
+// escaped, and a negative zero keeps its point (-0 would read back as
+// the integer 0).
 func (d Datum) SQLLiteral() string {
-	if d.K == KindString {
-		return "'" + strings.ReplaceAll(d.S, "'", "''") + "'"
+	switch {
+	case d.K == KindString:
+		return "'" + sqlQuoter.Replace(d.S) + "'"
+	case d.K == KindFloat && d.F == 0 && math.Signbit(d.F):
+		return "-0.0"
 	}
 	return d.String()
 }
+
+var sqlQuoter = strings.NewReplacer("'", "''", `\`, `\\`)
 
 // AsFloat converts numeric datums to float64. Booleans convert to 0/1,
 // strings are parsed when possible; NULL yields (0, false).

@@ -224,9 +224,8 @@ func (e *Engine) Execute(sql string) (*ResultSet, error) {
 	return e.ExecuteCtx(nil, sql)
 }
 
-// ExecuteCtx parses (through the plan cache, with literal
-// normalization) and runs one SQL statement under an execution
-// context.
+// ExecuteCtx parses (through the plan cache, keyed by exact text) and
+// runs one SQL statement under an execution context.
 func (e *Engine) ExecuteCtx(ec *ExecContext, sql string) (*ResultSet, error) {
 	p, err := e.PrepareCtx(ec, sql)
 	if err != nil {

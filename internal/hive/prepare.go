@@ -20,31 +20,24 @@ type Prepared struct {
 }
 
 // Bind substitutes the '?' placeholders with argument literals,
-// returning a new statement ready for ExecuteStmtCtx.
+// returning a new statement ready for ExecuteStmtCtx. It copies the
+// AST once, and not at all when there are no placeholders.
 func (p *Prepared) Bind(args []datum.Datum) (sqlparser.Statement, error) {
-	return sqlparser.BindStatement(p.Stmt, args)
+	return sqlparser.BindStatement(p.Stmt, p.NumParams, args)
 }
 
 // planCacheCap bounds the engine's compiled-statement cache.
 const planCacheCap = 512
 
 // planCache is a mutex-guarded LRU of Prepared statements keyed by
-// SQL text (exact texts and literal-normalized templates share the
-// same LRU). Hit/miss accounting is done by the callers in PrepareCtx
-// so the two-level lookup counts each Prepare exactly once.
+// exact SQL text.
 type planCache struct {
 	mu  sync.Mutex
 	cap int
-	ll  *list.List // front = most recently used; values are *planEntry
+	ll  *list.List // front = most recently used; values are *Prepared
 	m   map[string]*list.Element
 
 	hits, misses atomic.Int64
-	normHits     atomic.Int64 // hits satisfied via a normalized template
-}
-
-type planEntry struct {
-	key string
-	p   *Prepared
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -62,23 +55,24 @@ func (c *planCache) get(sql string) (*Prepared, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*planEntry).p, true
+	return el.Value.(*Prepared), true
 }
 
-func (c *planCache) put(sql string, p *Prepared) {
+// put caches p unless its text is cached already, and returns the
+// cached entry, so racing misses on one text share the first parse.
+func (c *planCache) put(p *Prepared) *Prepared {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[sql]; ok {
+	if el, ok := c.m[p.SQL]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*planEntry).p = p
-		return
+		return el.Value.(*Prepared)
 	}
-	c.m[sql] = c.ll.PushFront(&planEntry{key: sql, p: p})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.m, last.Value.(*planEntry).key)
+	c.m[p.SQL] = c.ll.PushFront(p)
+	if c.ll.Len() > c.cap {
+		last := c.ll.Remove(c.ll.Back()).(*Prepared)
+		delete(c.m, last.SQL)
 	}
+	return p
 }
 
 func (c *planCache) len() int {
@@ -96,83 +90,24 @@ func (e *Engine) Prepare(sql string) (*Prepared, error) {
 
 // PrepareCtx is Prepare with per-session cache accounting: hits and
 // misses are also recorded on the execution context's PlanCacheStats
-// when present.
-//
-// Lookups are two-level. An exact-text hit returns the cached plan
-// directly. On a miss, the text is normalized — literals masked to
-// '?' placeholders (sqlparser.NormalizeForCache) — and the literal-
-// free template is looked up instead; a template hit binds the
-// extracted literals into a fresh AST without reparsing, so generated
-// workloads whose statements differ only in constants still hit the
-// cache. Both the template and the bound text are cached for next
-// time.
+// when present. The cache is keyed by exact text; a text it does not
+// hold is parsed.
 func (e *Engine) PrepareCtx(ec *ExecContext, sql string) (*Prepared, error) {
 	if p, ok := e.plans.get(sql); ok {
 		e.plans.hits.Add(1)
-		ec.countPlanCache(true, false)
-		return p, nil
-	}
-	if p := e.prepareNormalized(ec, sql); p != nil {
+		ec.countPlanCache(true)
 		return p, nil
 	}
 	e.plans.misses.Add(1)
-	ec.countPlanCache(false, false)
-	stmt, err := sqlparser.Parse(sql)
+	ec.countPlanCache(false)
+	stmt, n, err := sqlparser.ParseParams(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{SQL: sql, Stmt: stmt, NumParams: sqlparser.NumPlaceholders(stmt)}
-	e.plans.put(sql, p)
-	return p, nil
-}
-
-// prepareNormalized tries the literal-normalized template path.
-// Returns nil when the text is not normalizable or the template
-// disagrees with the extracted literals (the caller then parses the
-// raw text).
-func (e *Engine) prepareNormalized(ec *ExecContext, sql string) *Prepared {
-	tmpl, args, ok := sqlparser.NormalizeForCache(sql)
-	if !ok || tmpl == sql {
-		return nil
-	}
-	tp, hit := e.plans.get(tmpl)
-	if !hit {
-		// Parse and cache the template so the next constant variant
-		// binds without parsing. A template that fails to parse or
-		// disagrees on placeholder count falls back to the raw text.
-		tstmt, err := sqlparser.Parse(tmpl)
-		if err != nil || sqlparser.NumPlaceholders(tstmt) != len(args) {
-			return nil
-		}
-		tp = &Prepared{SQL: tmpl, Stmt: tstmt, NumParams: len(args)}
-		e.plans.put(tmpl, tp)
-	}
-	if tp.NumParams != len(args) {
-		return nil
-	}
-	bound, err := tp.Bind(args)
-	if err != nil {
-		return nil
-	}
-	p := &Prepared{SQL: sql, Stmt: bound, NumParams: 0}
-	e.plans.put(sql, p)
-	if hit {
-		e.plans.normHits.Add(1)
-		ec.countPlanCache(true, true)
-	} else {
-		e.plans.misses.Add(1)
-		ec.countPlanCache(false, false)
-	}
-	return p
+	return e.plans.put(&Prepared{SQL: sql, Stmt: stmt, NumParams: n}), nil
 }
 
 // PlanCacheStats reports the plan cache's size, hits and misses.
-// Hits include normalized hits: lookups satisfied by binding a
-// literal-normalized template rather than an exact text match.
 func (e *Engine) PlanCacheStats() (size int, hits, misses int64) {
-	return e.plans.len(), e.plans.hits.Load() + e.plans.normHits.Load(), e.plans.misses.Load()
+	return e.plans.len(), e.plans.hits.Load(), e.plans.misses.Load()
 }
-
-// PlanCacheNormalizedHits reports how many cache hits came from the
-// literal-normalization path.
-func (e *Engine) PlanCacheNormalizedHits() int64 { return e.plans.normHits.Load() }

@@ -132,14 +132,13 @@ type ExecContext struct {
 	PlanStats *PlanCacheStats
 }
 
-// PlanCacheStats counts plan-cache outcomes for one session: exact or
-// normalized-template hits, misses, and the subset of hits that came
-// from literal normalization. All fields are atomically updated, so a
-// session shared across goroutines stays race-free.
+// PlanCacheStats counts plan-cache outcomes for one session: hits
+// (the exact text was cached) and misses (it was parsed). Both fields
+// are atomically updated, so a session shared across goroutines stays
+// race-free.
 type PlanCacheStats struct {
-	Hits           atomic.Int64
-	Misses         atomic.Int64
-	NormalizedHits atomic.Int64
+	Hits   atomic.Int64
+	Misses atomic.Int64
 }
 
 // HitRate returns the fraction of lookups served from the cache
@@ -153,15 +152,12 @@ func (s *PlanCacheStats) HitRate() float64 {
 }
 
 // countPlanCache records one plan-cache outcome on the context.
-func (ec *ExecContext) countPlanCache(hit, normalized bool) {
+func (ec *ExecContext) countPlanCache(hit bool) {
 	if ec == nil || ec.PlanStats == nil {
 		return
 	}
 	if hit {
 		ec.PlanStats.Hits.Add(1)
-		if normalized {
-			ec.PlanStats.NormalizedHits.Add(1)
-		}
 	} else {
 		ec.PlanStats.Misses.Add(1)
 	}

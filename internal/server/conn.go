@@ -241,8 +241,9 @@ func (c *conn) dispatch(t wire.Type, payload []byte) error {
 		c.opWG.Add(1)
 		go func() {
 			defer c.opWG.Done()
-			defer c.unregisterOp(m.OpID)
-			c.sendReply(c.runExec(op, &m))
+			reply := c.runExec(op, &m)
+			c.unregisterOp(m.OpID)
+			c.sendReply(reply)
 		}()
 		return nil
 
@@ -258,8 +259,9 @@ func (c *conn) dispatch(t wire.Type, payload []byte) error {
 		c.opWG.Add(1)
 		go func() {
 			defer c.opWG.Done()
-			defer c.unregisterOp(m.OpID)
-			c.sendReply(c.runQuery(op, &m))
+			reply := c.runQuery(op, &m)
+			c.unregisterOp(m.OpID)
+			c.sendReply(reply)
 		}()
 		return nil
 
@@ -336,11 +338,22 @@ func (c *conn) activeOpCount() int {
 }
 
 // opReply is the one frame that ends an op: Result or QueryEnd, or an
-// Error. It is built inside the admitted section and sent only after
-// the op has retired (rows closed, gate slot released, activeOps
-// decremented), so a client that issues its next statement on reading
-// the reply can never race the previous op's retirement. The zero value
-// sends nothing (the peer is already gone).
+// Error. An op's life has five steps, in this order:
+//
+//   - admit: dispatch registers the op id in c.ops, and runExec or
+//     runQuery takes an activeOps count and a gate slot;
+//   - execute: the statement runs and the reply is built;
+//   - retire: runExec's or runQuery's defers close the rows (dropping
+//     snapshot pins), release the gate slot and the activeOps count;
+//   - unregister: the op id leaves c.ops, so Fetch and Cancel frames
+//     for it are dropped and the id may be reused;
+//   - reply: the frame is sent, and the result bytes it reserved on
+//     the tenant's gate are released.
+//
+// A client that has read the reply therefore sees the op gone from
+// every count and list, and its next statement can never race the
+// previous op's retirement. The zero value sends nothing (the peer is
+// already gone).
 type opReply struct {
 	typ      wire.Type
 	payload  []byte

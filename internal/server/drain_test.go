@@ -172,7 +172,9 @@ func TestOpPanicAnswersErrorFrame(t *testing.T) {
 
 	// The gate slot and activeOps counter were not leaked and the
 	// connection still serves.
-	waitFor(t, func() bool { return s.Stats().ActiveOps == 0 })
+	if n := s.Stats().ActiveOps; n != 0 {
+		t.Fatalf("ActiveOps = %d after the error reply, want 0", n)
+	}
 	ping(t, nc)
 	sendExec(t, nc, 4, "CREATE TABLE tb_fine (id BIGINT) STORED AS DUALTABLE")
 	readResult(t, nc, 4)
@@ -197,6 +199,22 @@ func TestQueryPanicAnswersErrorFrame(t *testing.T) {
 		_ = code
 	}
 	ping(t, nc)
+}
+
+// TestOpIDFreeOnReply: an op leaves the connection's op table before
+// its reply is sent, so a client may reuse the id the moment it reads
+// the reply. A reuse that raced the retirement would be a duplicate op
+// id, which drops the connection.
+func TestOpIDFreeOnReply(t *testing.T) {
+	s := newTestServer(t, Config{})
+	nc := dialRaw(t, s)
+	handshake(t, nc)
+	sendExec(t, nc, 9, "CREATE TABLE tb_reuse (id BIGINT) STORED AS DUALTABLE")
+	readResult(t, nc, 9)
+	for i := 0; i < 50; i++ {
+		sendExec(t, nc, 9, "SELECT COUNT(*) FROM tb_reuse")
+		readResult(t, nc, 9)
+	}
 }
 
 // TestIdleReaper closes silent connections but spares one with an op

@@ -99,7 +99,9 @@ func TestStatementTimeoutSessionVar(t *testing.T) {
 	setVar(t, nc, hive.VarStatementTimeout, "")
 	sendExec(t, nc, 3, "CREATE TABLE tb_fine (id BIGINT) STORED AS DUALTABLE")
 	readResult(t, nc, 3)
-	waitFor(t, func() bool { return s.Stats().ActiveOps == 0 })
+	if n := s.Stats().ActiveOps; n != 0 {
+		t.Fatalf("ActiveOps = %d after the reply, want 0", n)
+	}
 }
 
 // TestStatementTimeoutRecoverableViaSet: a session that sets a
@@ -135,7 +137,9 @@ func TestStatementTimeoutRecoverableViaSet(t *testing.T) {
 	if code := readError(t, nc); code != dualtable.CodeStatementTimeout {
 		t.Fatalf("mixed-script code = %v, want CodeStatementTimeout", code)
 	}
-	waitFor(t, func() bool { return s.Stats().ActiveOps == 0 })
+	if n := s.Stats().ActiveOps; n != 0 {
+		t.Fatalf("ActiveOps = %d after the reply, want 0", n)
+	}
 }
 
 // TestStatementTimeoutServerDefaultAndMax: the server default applies
@@ -286,10 +290,14 @@ func TestSlowClientReapedAndPinsReleased(t *testing.T) {
 		t.Fatal("no RowBatch before the watchdog fired")
 	}
 
-	// The op retired, its pins dropped back to the manifest baseline,
-	// and the connection still serves.
-	waitFor(t, func() bool { return s.Stats().ActiveOps == 0 })
-	waitFor(t, func() bool { return sumPins(s, files) == base })
+	// The op retired before its QueryEnd was sent: its pins are back
+	// at the manifest baseline, and the connection still serves.
+	if n := s.Stats().ActiveOps; n != 0 {
+		t.Fatalf("ActiveOps = %d after QueryEnd, want 0", n)
+	}
+	if got := sumPins(s, files); got != base {
+		t.Fatalf("pins = %d after QueryEnd, want the baseline %d", got, base)
+	}
 	ping(t, nc)
 	sendExec(t, nc, 3, "CREATE TABLE tb_after (id BIGINT) STORED AS DUALTABLE")
 	readResult(t, nc, 3)

@@ -141,14 +141,14 @@ func TestAsOfEpochStringRoundTrip(t *testing.T) {
 }
 
 func TestAsOfEpochPlaceholderBinds(t *testing.T) {
-	stmt, err := Parse("SELECT * FROM t AS OF EPOCH ? WHERE id = ?")
+	stmt, n, err := ParseParams("SELECT * FROM t AS OF EPOCH ? WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := NumPlaceholders(stmt); n != 2 {
+	if n != 2 {
 		t.Fatalf("placeholders = %d, want 2", n)
 	}
-	bound, err := BindStatement(stmt, []datum.Datum{datum.Int(9), datum.Int(5)})
+	bound, err := BindStatement(stmt, n, []datum.Datum{datum.Int(9), datum.Int(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,54 +161,5 @@ func TestAsOfEpochPlaceholderBinds(t *testing.T) {
 	orig := stmt.(*SelectStmt).From.(*TableName)
 	if _, ok := orig.AsOf.(*Placeholder); !ok {
 		t.Fatalf("binding mutated the cached AST: %#v", orig.AsOf)
-	}
-}
-
-// TestSoftKeywordNormalizeUnaryContext: a soft-keyword column followed
-// by a binary minus must normalize to a parseable template (epoch - 3
-// is a subtraction, not a negative-literal fold).
-func TestSoftKeywordNormalizeUnaryContext(t *testing.T) {
-	src := "SELECT v FROM t WHERE epoch - 3 > 0"
-	tmpl, args, ok := NormalizeForCache(src)
-	if !ok {
-		t.Fatal("normalization refused")
-	}
-	stmt, err := Parse(tmpl)
-	if err != nil {
-		t.Fatalf("template %q does not parse: %v", tmpl, err)
-	}
-	bound, err := BindStatement(stmt, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Parse(src)
-	if bound.String() != want.String() {
-		t.Fatalf("bound = %q, want %q", bound.String(), want.String())
-	}
-}
-
-func TestAsOfEpochNormalizesForCache(t *testing.T) {
-	tmpl, args, ok := NormalizeForCache("SELECT v FROM t AS OF EPOCH 12 WHERE id = 3")
-	if !ok {
-		t.Fatal("normalization refused")
-	}
-	if !strings.Contains(tmpl, "AS OF EPOCH ?") {
-		t.Fatalf("template = %q", tmpl)
-	}
-	if len(args) != 2 || args[0].I != 12 || args[1].I != 3 {
-		t.Fatalf("args = %v", args)
-	}
-	// The template parses and binds back to the original statement.
-	stmt, err := Parse(tmpl)
-	if err != nil {
-		t.Fatalf("parse template %q: %v", tmpl, err)
-	}
-	bound, err := BindStatement(stmt, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := Parse("SELECT v FROM t AS OF EPOCH 12 WHERE id = 3")
-	if bound.String() != want.String() {
-		t.Fatalf("bound = %q, want %q", bound.String(), want.String())
 	}
 }

@@ -130,14 +130,27 @@ func (e *Literal) String() string { return e.Value.SQLLiteral() }
 
 func (e *ColumnRef) String() string {
 	if e.Table != "" {
-		return e.Table + "." + e.Name
+		return ident(e.Table) + "." + ident(e.Name)
 	}
-	return e.Name
+	return ident(e.Name)
+}
+
+// ident prints a name so that it lexes back as one identifier: bare
+// when it is a plain name and no keyword, in backquotes otherwise.
+func ident(name string) string {
+	plain := name != "" && !keywords[strings.ToUpper(name)]
+	for i := 0; plain && i < len(name); i++ {
+		plain = isIdentPart(name[i]) && (i > 0 || isIdentStart(name[i]))
+	}
+	if plain {
+		return name
+	}
+	return "`" + name + "`"
 }
 
 func (e *Star) String() string {
 	if e.Table != "" {
-		return e.Table + ".*"
+		return ident(e.Table) + ".*"
 	}
 	return "*"
 }
@@ -154,8 +167,12 @@ func (e *UnaryExpr) String() string {
 }
 
 func (e *FuncCall) String() string {
+	name := e.Name
+	if name != "IF" || len(e.Args) != 3 || e.Distinct { // IF(c, a, b) is the keyword form
+		name = ident(name)
+	}
 	if e.Star {
-		return e.Name + "(*)"
+		return name + "(*)"
 	}
 	args := make([]string, len(e.Args))
 	for i, a := range e.Args {
@@ -165,7 +182,7 @@ func (e *FuncCall) String() string {
 	if e.Distinct {
 		d = "DISTINCT "
 	}
-	return fmt.Sprintf("%s(%s%s)", e.Name, d, strings.Join(args, ", "))
+	return fmt.Sprintf("%s(%s%s)", name, d, strings.Join(args, ", "))
 }
 
 func (e *CaseExpr) String() string {
@@ -294,9 +311,9 @@ func (*SubqueryRef) tableRefNode() {}
 func (*JoinRef) tableRefNode()     {}
 
 func (t *TableName) String() string {
-	s := t.Name
+	s := ident(t.Name)
 	if t.Alias != "" {
-		s += " " + t.Alias
+		s += " " + ident(t.Alias)
 	}
 	if t.AsOf != nil {
 		s += " AS OF EPOCH " + t.AsOf.String()
@@ -305,7 +322,7 @@ func (t *TableName) String() string {
 }
 
 func (t *SubqueryRef) String() string {
-	return "(" + t.Select.String() + ") " + t.Alias
+	return "(" + t.Select.String() + ") " + ident(t.Alias)
 }
 
 func (t *JoinRef) String() string {
@@ -326,7 +343,7 @@ type SelectItem struct {
 
 func (it SelectItem) String() string {
 	if it.Alias != "" {
-		return it.Expr.String() + " AS " + it.Alias
+		return it.Expr.String() + " AS " + ident(it.Alias)
 	}
 	return it.Expr.String()
 }
@@ -357,8 +374,7 @@ type SelectStmt struct {
 	// LimitExpr carries a parameterized LIMIT: a Placeholder when the
 	// statement text says LIMIT ?, the bound Literal after
 	// BindStatement. nil when the LIMIT is a literal count (Limit) or
-	// absent. Statements differing only in LIMIT therefore share one
-	// cached plan template.
+	// absent.
 	LimitExpr Expr
 }
 
@@ -516,7 +532,7 @@ func (s *InsertStmt) String() string {
 		kw = "OVERWRITE"
 	}
 	if s.Select != nil {
-		return fmt.Sprintf("INSERT %s TABLE %s %s", kw, s.Table, s.Select)
+		return fmt.Sprintf("INSERT %s TABLE %s %s", kw, ident(s.Table), s.Select)
 	}
 	rows := make([]string, len(s.Rows))
 	for i, r := range s.Rows {
@@ -526,17 +542,17 @@ func (s *InsertStmt) String() string {
 		}
 		rows[i] = "(" + strings.Join(vals, ", ") + ")"
 	}
-	return fmt.Sprintf("INSERT %s TABLE %s VALUES %s", kw, s.Table, strings.Join(rows, ", "))
+	return fmt.Sprintf("INSERT %s TABLE %s VALUES %s", kw, ident(s.Table), strings.Join(rows, ", "))
 }
 
 func (s *UpdateStmt) String() string {
 	sets := make([]string, len(s.Sets))
 	for i, c := range s.Sets {
-		sets[i] = fmt.Sprintf("%s = %s", c.Column, c.Value)
+		sets[i] = fmt.Sprintf("%s = %s", ident(c.Column), c.Value)
 	}
-	out := "UPDATE " + s.Table
+	out := "UPDATE " + ident(s.Table)
 	if s.Alias != "" {
-		out += " " + s.Alias
+		out += " " + ident(s.Alias)
 	}
 	out += " SET " + strings.Join(sets, ", ")
 	if s.Where != nil {
@@ -546,9 +562,9 @@ func (s *UpdateStmt) String() string {
 }
 
 func (s *DeleteStmt) String() string {
-	out := "DELETE FROM " + s.Table
+	out := "DELETE FROM " + ident(s.Table)
 	if s.Alias != "" {
-		out += " " + s.Alias
+		out += " " + ident(s.Alias)
 	}
 	if s.Where != nil {
 		out += " WHERE " + s.Where.String()
@@ -559,15 +575,15 @@ func (s *DeleteStmt) String() string {
 func (s *CreateTableStmt) String() string {
 	cols := make([]string, len(s.Columns))
 	for i, c := range s.Columns {
-		cols[i] = c.Name + " " + c.Type
+		cols[i] = ident(c.Name) + " " + ident(c.Type)
 	}
 	ine := ""
 	if s.IfNotExists {
 		ine = "IF NOT EXISTS "
 	}
-	out := fmt.Sprintf("CREATE TABLE %s%s (%s)", ine, s.Name, strings.Join(cols, ", "))
+	out := fmt.Sprintf("CREATE TABLE %s%s (%s)", ine, ident(s.Name), strings.Join(cols, ", "))
 	if s.StoredAs != "" {
-		out += " STORED AS " + s.StoredAs
+		out += " STORED AS " + ident(s.StoredAs)
 	}
 	return out
 }
@@ -577,7 +593,7 @@ func (s *DropTableStmt) String() string {
 	if s.IfExists {
 		ie = "IF EXISTS "
 	}
-	return "DROP TABLE " + ie + s.Name
+	return "DROP TABLE " + ie + ident(s.Name)
 }
 
 func (s *LoadStmt) String() string {
@@ -585,17 +601,21 @@ func (s *LoadStmt) String() string {
 	if s.Overwrite {
 		ow = "OVERWRITE "
 	}
-	return fmt.Sprintf("LOAD DATA INPATH '%s' %sINTO TABLE %s", s.Path, ow, s.Table)
+	return fmt.Sprintf("LOAD DATA INPATH %s %sINTO TABLE %s", datum.String_(s.Path).SQLLiteral(), ow, ident(s.Table))
 }
 
-func (s *CompactStmt) String() string { return "COMPACT TABLE " + s.Table }
+func (s *CompactStmt) String() string { return "COMPACT TABLE " + ident(s.Table) }
 
 func (s *SetStmt) String() string {
 	if s.Key == "" {
 		return "SET"
 	}
-	return fmt.Sprintf("SET %s = '%s'", s.Key, strings.ReplaceAll(s.Value, "'", "''"))
+	parts := strings.Split(s.Key, ".")
+	for i, part := range parts {
+		parts[i] = ident(part)
+	}
+	return "SET " + strings.Join(parts, ".") + " = " + datum.String_(s.Value).SQLLiteral()
 }
 func (s *ShowTablesStmt) String() string { return "SHOW TABLES" }
-func (s *DescribeStmt) String() string   { return "DESCRIBE " + s.Table }
+func (s *DescribeStmt) String() string   { return "DESCRIBE " + ident(s.Table) }
 func (s *ExplainStmt) String() string    { return "EXPLAIN " + s.Stmt.String() }

@@ -140,40 +140,17 @@ func RewriteStatement(stmt Statement, fn func(Expr) Expr) Statement {
 	}
 }
 
-// WalkStatementExprs calls fn on every expression node of a statement,
-// descending into subquery selects and derived tables (unlike
-// WalkExpr, which stops at subquery boundaries).
-func WalkStatementExprs(stmt Statement, fn func(Expr) bool) {
-	RewriteStatement(stmt, func(e Expr) Expr {
-		fn(e)
-		return e
-	})
-}
-
-// NumPlaceholders returns the number of '?' parameters a statement
-// takes (the highest placeholder index + 1).
-func NumPlaceholders(stmt Statement) int {
-	n := 0
-	WalkStatementExprs(stmt, func(e Expr) bool {
-		if ph, ok := e.(*Placeholder); ok && ph.Idx+1 > n {
-			n = ph.Idx + 1
-		}
-		return true
-	})
-	return n
-}
-
-// BindStatement returns a copy of the statement with every '?'
-// placeholder replaced by the corresponding argument literal. The
-// input statement is not modified, so a cached plan can be bound by
-// concurrent sessions. Binding with zero placeholders returns the
-// statement unchanged.
-func BindStatement(stmt Statement, args []datum.Datum) (Statement, error) {
-	want := NumPlaceholders(stmt)
-	if want != len(args) {
-		return nil, fmt.Errorf("sql: statement has %d placeholder(s), got %d argument(s)", want, len(args))
+// BindStatement returns a copy of a statement with every '?'
+// placeholder replaced by its argument's literal; numParams is the
+// statement's placeholder count, as ParseParams returns it. The input
+// statement is not modified, so a cached plan can be bound by
+// concurrent sessions. A statement without placeholders is returned
+// as it is.
+func BindStatement(stmt Statement, numParams int, args []datum.Datum) (Statement, error) {
+	if numParams != len(args) {
+		return nil, fmt.Errorf("sql: statement has %d placeholder(s), got %d argument(s)", numParams, len(args))
 	}
-	if want == 0 {
+	if numParams == 0 {
 		return stmt, nil
 	}
 	return RewriteStatement(stmt, func(e Expr) Expr {

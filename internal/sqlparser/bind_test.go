@@ -8,43 +8,43 @@ import (
 )
 
 func TestPlaceholderParsing(t *testing.T) {
-	stmt, err := Parse("SELECT a FROM t WHERE b = ? AND c IN (?, ?)")
+	stmt, n, err := ParseParams("SELECT a FROM t WHERE b = ? AND c IN (?, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := NumPlaceholders(stmt); n != 3 {
-		t.Errorf("NumPlaceholders = %d, want 3", n)
+	if n != 3 {
+		t.Errorf("placeholders = %d, want 3", n)
 	}
 	// Canonical SQL keeps the placeholders and round-trips.
 	s := stmt.String()
 	if strings.Count(s, "?") != 3 {
 		t.Errorf("String() = %q", s)
 	}
-	again, err := Parse(s)
+	again, n, err := ParseParams(s)
 	if err != nil {
 		t.Fatalf("reparse %q: %v", s, err)
 	}
-	if NumPlaceholders(again) != 3 {
+	if n != 3 {
 		t.Errorf("reparse lost placeholders: %q", again)
 	}
 }
 
 func TestPlaceholderInSubquery(t *testing.T) {
-	stmt, err := Parse("SELECT (SELECT MAX(x) FROM u WHERE u.k = ?) FROM t WHERE y = ?")
+	_, n, err := ParseParams("SELECT (SELECT MAX(x) FROM u WHERE u.k = ?) FROM t WHERE y = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := NumPlaceholders(stmt); n != 2 {
-		t.Errorf("NumPlaceholders = %d, want 2", n)
+	if n != 2 {
+		t.Errorf("placeholders = %d, want 2", n)
 	}
 }
 
 func TestBindStatement(t *testing.T) {
-	stmt, err := Parse("UPDATE t SET v = ? WHERE id = ?")
+	stmt, n, err := ParseParams("UPDATE t SET v = ? WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := BindStatement(stmt, []datum.Datum{datum.Float(2.5), datum.Int(7)})
+	bound, err := BindStatement(stmt, n, []datum.Datum{datum.Float(2.5), datum.Int(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,18 +54,57 @@ func TestBindStatement(t *testing.T) {
 	}
 	// The original statement still carries its placeholders (the
 	// cached AST must not be mutated by binding).
-	if NumPlaceholders(stmt) != 2 {
-		t.Error("bind mutated the source statement")
+	if stmt.String() != "UPDATE t SET v = ? WHERE (id = ?)" {
+		t.Errorf("bind mutated the source statement: %q", stmt)
 	}
 	// Arity mismatch.
-	if _, err := BindStatement(stmt, []datum.Datum{datum.Int(1)}); err == nil {
+	if _, err := BindStatement(stmt, n, []datum.Datum{datum.Int(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
 	// Zero placeholders binds to the identical statement.
 	plain, _ := Parse("SELECT 1")
-	same, err := BindStatement(plain, nil)
+	same, err := BindStatement(plain, 0, nil)
 	if err != nil || same != plain {
 		t.Errorf("zero-arg bind = (%v, %v)", same, err)
+	}
+}
+
+func TestLimitPlaceholderParseAndBind(t *testing.T) {
+	stmt, n, err := ParseParams("SELECT v FROM t WHERE a = ? LIMIT ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("placeholders = %d, want 2", n)
+	}
+	if s := stmt.String(); s != "SELECT v FROM t WHERE (a = ?) LIMIT ?" {
+		t.Fatalf("String = %q", s)
+	}
+	// Unbound LIMIT parameter refuses to resolve.
+	if _, err := stmt.(*SelectStmt).EffectiveLimit(); err == nil {
+		t.Fatal("EffectiveLimit on unbound placeholder should error")
+	}
+	bound, err := BindStatement(stmt, n, []datum.Datum{datum.Int(7), datum.Int(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit, err := bound.(*SelectStmt).EffectiveLimit()
+	if err != nil || limit != 3 {
+		t.Fatalf("EffectiveLimit = %d, %v; want 3", limit, err)
+	}
+	// The original cached AST is untouched by binding.
+	if _, ok := stmt.(*SelectStmt).LimitExpr.(*Placeholder); !ok {
+		t.Fatal("binding mutated the cached statement's LimitExpr")
+	}
+	// Negative and non-integer bindings are rejected at resolution.
+	for _, bad := range []datum.Datum{datum.Int(-1), datum.Float(1.5), datum.String_("x")} {
+		b, err := BindStatement(stmt, n, []datum.Datum{datum.Int(7), bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.(*SelectStmt).EffectiveLimit(); err == nil {
+			t.Fatalf("EffectiveLimit(%v) should error", bad)
+		}
 	}
 }
 

@@ -17,20 +17,27 @@ type Parser struct {
 
 // Parse parses one statement (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
+	stmt, _, err := ParseParams(src)
+	return stmt, err
+}
+
+// ParseParams is Parse that also returns the number of '?'
+// placeholders, which the parser numbers 0, 1, ... as it meets them.
+func ParseParams(src string) (Statement, int, error) {
 	toks, err := Tokenize(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &Parser{toks: toks}
 	stmt, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p.accept(TokOp, ";")
 	if !p.atEOF() {
-		return nil, p.errf("unexpected %s after statement", p.cur())
+		return nil, 0, p.errf("unexpected %s after statement", p.cur())
 	}
-	return stmt, nil
+	return stmt, p.params, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
@@ -836,54 +843,15 @@ func (p *Parser) parseComparison() (Expr, error) {
 				return nil, err
 			}
 			l = &IsNullExpr{X: l, Not: not}
-		case p.isKeyword("IN"):
-			p.next()
-			if _, err := p.expect(TokOp, "("); err != nil {
-				return nil, err
-			}
-			var list []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				list = append(list, e)
-				if !p.accept(TokOp, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(TokOp, ")"); err != nil {
-				return nil, err
-			}
-			l = &InExpr{X: l, List: list}
-		case p.isKeyword("BETWEEN"):
-			p.next()
-			lo, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokKeyword, "AND"); err != nil {
-				return nil, err
-			}
-			hi, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &BetweenExpr{X: l, Lo: lo, Hi: hi}
-		case p.isKeyword("LIKE"):
-			p.next()
-			pat, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &LikeExpr{X: l, Pattern: pat}
-		case p.isKeyword("NOT"):
-			// x NOT IN / NOT BETWEEN / NOT LIKE
-			save := p.pos
-			p.next()
-			switch {
-			case p.isKeyword("IN"):
+		default:
+			// x [NOT] IN / BETWEEN / LIKE
+			not := p.isKeyword("NOT") && (p.peekKeyword(1, "IN") ||
+				p.peekKeyword(1, "BETWEEN") || p.peekKeyword(1, "LIKE"))
+			if not {
 				p.next()
+			}
+			switch {
+			case p.accept(TokKeyword, "IN"):
 				if _, err := p.expect(TokOp, "("); err != nil {
 					return nil, err
 				}
@@ -901,9 +869,8 @@ func (p *Parser) parseComparison() (Expr, error) {
 				if _, err := p.expect(TokOp, ")"); err != nil {
 					return nil, err
 				}
-				l = &InExpr{X: l, List: list, Not: true}
-			case p.isKeyword("BETWEEN"):
-				p.next()
+				l = &InExpr{X: l, List: list, Not: not}
+			case p.accept(TokKeyword, "BETWEEN"):
 				lo, err := p.parseAdditive()
 				if err != nil {
 					return nil, err
@@ -915,20 +882,16 @@ func (p *Parser) parseComparison() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				l = &BetweenExpr{X: l, Lo: lo, Hi: hi, Not: true}
-			case p.isKeyword("LIKE"):
-				p.next()
+				l = &BetweenExpr{X: l, Lo: lo, Hi: hi, Not: not}
+			case p.accept(TokKeyword, "LIKE"):
 				pat, err := p.parseAdditive()
 				if err != nil {
 					return nil, err
 				}
-				l = &LikeExpr{X: l, Pattern: pat, Not: true}
+				l = &LikeExpr{X: l, Pattern: pat, Not: not}
 			default:
-				p.pos = save
 				return l, nil
 			}
-		default:
-			return l, nil
 		}
 	}
 }

@@ -310,27 +310,34 @@ func TestParseScript(t *testing.T) {
 	}
 }
 
+// fixpointStatements cover every statement kind and expression form;
+// they seed the round-trip test and the fuzz target.
+var fixpointStatements = []string{
+	"SELECT a, b AS x, COUNT(*) FROM t WHERE a > 5 AND b < 3 GROUP BY a, b HAVING COUNT(*) > 1 ORDER BY a DESC, b ASC LIMIT 10",
+	"SELECT DISTINCT l_returnflag FROM lineitem",
+	"SELECT * FROM a JOIN b ON a.id = b.id LEFT OUTER JOIN c ON b.x = c.x",
+	"SELECT * FROM (SELECT k, SUM(v) s FROM t GROUP BY k) g WHERE g.s > 0",
+	"INSERT OVERWRITE TABLE t SELECT a + 1, IF(b = 2, 'y', 'n') FROM s",
+	"INSERT INTO TABLE t VALUES (1, 'a'), (2, NULL)",
+	"UPDATE t SET a = a + 1, b = 'x' WHERE c IS NOT NULL",
+	"DELETE FROM t WHERE k IN (1, 2) OR v BETWEEN 3 AND 4",
+	"CREATE TABLE IF NOT EXISTS t (a BIGINT, b DOUBLE, c STRING, d BOOLEAN) STORED AS DUALTABLE",
+	"DROP TABLE IF EXISTS t",
+	"LOAD DATA INPATH '/x' OVERWRITE INTO TABLE t",
+	"COMPACT TABLE t",
+	"SELECT CASE WHEN a THEN 1 ELSE 0 END FROM t",
+	"SELECT x FROM t WHERE s LIKE 'ab%' AND u NOT LIKE '%z'",
+	"SELECT (SELECT SUM(k.v) FROM k WHERE k.id = t.id) FROM t",
+	"EXPLAIN SELECT 1",
+	"SELECT v FROM t AS OF EPOCH ? WHERE id NOT IN (?, -2) AND w NOT BETWEEN -1.5 AND 2e3 LIMIT ?",
+	"SELECT CAST(a AS DOUBLE), -b, NOT c FROM t WHERE d IS NULL ORDER BY 1",
+	"SET dualtable.force.plan = 'EDIT'",
+	"SELECT `select`, `a b`.c, `if`(1), `if`(DISTINCT 1, 2, 3) FROM `from` `a b` WHERE s = 'it''s a\\\\b' AND f = -0.0",
+}
+
 // Round-trip: parse → String → parse → String must be a fixpoint.
 func TestStringRoundtripFixpoint(t *testing.T) {
-	cases := []string{
-		"SELECT a, b AS x, COUNT(*) FROM t WHERE a > 5 AND b < 3 GROUP BY a, b HAVING COUNT(*) > 1 ORDER BY a DESC, b ASC LIMIT 10",
-		"SELECT DISTINCT l_returnflag FROM lineitem",
-		"SELECT * FROM a JOIN b ON a.id = b.id LEFT OUTER JOIN c ON b.x = c.x",
-		"SELECT * FROM (SELECT k, SUM(v) s FROM t GROUP BY k) g WHERE g.s > 0",
-		"INSERT OVERWRITE TABLE t SELECT a + 1, IF(b = 2, 'y', 'n') FROM s",
-		"INSERT INTO TABLE t VALUES (1, 'a'), (2, NULL)",
-		"UPDATE t SET a = a + 1, b = 'x' WHERE c IS NOT NULL",
-		"DELETE FROM t WHERE k IN (1, 2) OR v BETWEEN 3 AND 4",
-		"CREATE TABLE IF NOT EXISTS t (a BIGINT, b DOUBLE, c STRING, d BOOLEAN) STORED AS DUALTABLE",
-		"DROP TABLE IF EXISTS t",
-		"LOAD DATA INPATH '/x' OVERWRITE INTO TABLE t",
-		"COMPACT TABLE t",
-		"SELECT CASE WHEN a THEN 1 ELSE 0 END FROM t",
-		"SELECT x FROM t WHERE s LIKE 'ab%' AND u NOT LIKE '%z'",
-		"SELECT (SELECT SUM(k.v) FROM k WHERE k.id = t.id) FROM t",
-		"EXPLAIN SELECT 1",
-	}
-	for _, src := range cases {
+	for _, src := range fixpointStatements {
 		s1 := mustParse(t, src)
 		r1 := s1.String()
 		s2, err := Parse(r1)
@@ -342,6 +349,31 @@ func TestStringRoundtripFixpoint(t *testing.T) {
 			t.Errorf("not a fixpoint:\n  src: %s\n  r1:  %s\n  r2:  %s", src, r1, r2)
 		}
 	}
+}
+
+// FuzzParseStringFixpoint: any text that parses prints a statement
+// that parses again and prints the same text, and no text makes the
+// lexer or parser panic. Estimator keys (core.Handler.StatementKey)
+// are printed statements, so a print that does not round-trip would
+// key two statements alike or one statement two ways.
+func FuzzParseStringFixpoint(f *testing.F) {
+	for _, src := range fixpointStatements {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		stmt, err := Parse(src)
+		if err != nil {
+			return
+		}
+		r1 := stmt.String()
+		again, err := Parse(r1)
+		if err != nil {
+			t.Fatalf("%q prints %q, which does not parse: %v", src, r1, err)
+		}
+		if r2 := again.String(); r2 != r1 {
+			t.Fatalf("%q prints %q, which prints %q", src, r1, r2)
+		}
+	})
 }
 
 func TestWalkHelpers(t *testing.T) {

@@ -308,11 +308,9 @@ func (s *Session) PlanLog() []PlanDecision {
 	return append([]PlanDecision(nil), s.planLog...)
 }
 
-// PlanCacheStats returns this session's plan-cache outcomes: hits
-// (exact-text or literal-normalized template hits), misses, and the
-// subset of hits served by normalizing literals — statements differing
-// only in constants bind against one cached template instead of
-// reparsing. HitRate() on the result gives the session's hit rate.
+// PlanCacheStats returns this session's plan-cache outcomes: hits (a
+// text the engine had already parsed, byte for byte) and misses.
+// HitRate() on the result gives the session's hit rate.
 func (s *Session) PlanCacheStats() *hive.PlanCacheStats { return &s.planStats }
 
 // Stmt is a prepared statement bound to a session.
