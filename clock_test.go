@@ -16,15 +16,14 @@ import (
 
 // openClockTPCH loads the analytic_union data set of bench/ — a TPC-H
 // lineitem/orders pair whose lineitem carries a forced-EDIT delta (5 %
-// updated, 2 % deleted) — on one worker, so rewrite output is a
-// function of the input alone.
+// updated, 2 % deleted). Rewrite output is a function of the input
+// alone on any number of workers.
 func openClockTPCH(tb testing.TB, lineitem, orders int, storage string) *dualtable.DB {
 	tb.Helper()
 	db, err := dualtable.Open(dualtable.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	db.MR.Parallelism = 1
 	cfg := workload.DefaultTPCHConfig()
 	cfg.LineitemRows, cfg.OrdersRows, cfg.Seed, cfg.Storage = lineitem, orders, 1, storage
 	if err := workload.SetupTPCH(db.Engine, cfg); err != nil {
@@ -45,7 +44,9 @@ func openClockTPCH(tb testing.TB, lineitem, orders int, storage string) *dualtab
 }
 
 // clockNonJoin are statements no join touches, with the SimSeconds each
-// returned at the parent commit (84e5e76) on openClockTPCH(6000, 1500).
+// returned at the parent commit (84e5e76) on openClockTPCH(6000, 1500),
+// COMPACT's one ulp later since a rewrite reserves its file IDs once for
+// its job, ahead of its tasks.
 var clockNonJoin = []struct {
 	name, sql string
 	force     string
@@ -57,7 +58,7 @@ var clockNonJoin = []struct {
 	{name: "topn", sql: `SELECT l_orderkey, l_extendedprice FROM lineitem ORDER BY l_extendedprice DESC LIMIT 20`, want: 0x40290da14b3ec2b4},
 	{name: "groupby", sql: `SELECT l_partkey % 1000, COUNT(*), SUM(l_quantity) FROM lineitem GROUP BY l_partkey % 1000`, want: 0x402a0cea38ee5e17},
 	{name: "edit_update", sql: `UPDATE lineitem SET l_comment = 'clock' WHERE l_partkey % 25 = 3`, force: "EDIT", want: 0x40292fdee858438e},
-	{name: "compact", sql: `COMPACT TABLE lineitem`, want: 0x40292b01fe726146},
+	{name: "compact", sql: `COMPACT TABLE lineitem`, want: 0x40292b01fe726147},
 }
 
 func TestClockNonJoinStatementsUnchanged(t *testing.T) {

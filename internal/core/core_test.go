@@ -237,11 +237,11 @@ func TestLedgerJobCounts(t *testing.T) {
 		{"SELECT id, v FROM m WHERE day = 3", "", 1},
 		{"SELECT day, COUNT(*) FROM m GROUP BY day", "", 1},
 		{"UPDATE m SET v = 1.0 WHERE day = 3", "EDIT", 1},
-		// The SELECT's job, then a map-only job writing its rows.
-		{"INSERT INTO n SELECT * FROM m", "", 2},
-		// OVERWRITE is INSERT OVERWRITE … SELECT, so it runs the same two
-		// jobs, where §IV prices one: ROADMAP item 14's second job.
-		{"UPDATE m SET v = 2.0 WHERE day = 4", "OVERWRITE", 2},
+		// The SELECT's job writes its rows from its map tasks.
+		{"INSERT INTO n SELECT * FROM m", "", 1},
+		// OVERWRITE is INSERT OVERWRITE … SELECT: one job, as §IV prices
+		// it.
+		{"UPDATE m SET v = 2.0 WHERE day = 4", "OVERWRITE", 1},
 	} {
 		forcePlan(e, h, c.force)
 		rs := mustExec(t, e, c.sql)

@@ -7,6 +7,7 @@ import (
 
 	"dualtable/internal/costmodel"
 	"dualtable/internal/datum"
+	"dualtable/internal/freelist"
 	"dualtable/internal/hive"
 	"dualtable/internal/kvstore"
 	"dualtable/internal/mapred"
@@ -70,10 +71,11 @@ func (h *Handler) edit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.Tab
 		return 0, false, err
 	}
 	defer snap.Release()
-	w, ratioSrc, err := h.workloadFor(ec, desc, stmt, snap.files)
+	key, err := h.StatementKey(stmt)
 	if err != nil {
 		return 0, false, err
 	}
+	w, ratioSrc := h.workloadFor(ec, desc, stmt, key, snap.files)
 	var plan costmodel.Plan
 	var delta float64
 	jobName := "dualtable-delete-udtf"
@@ -91,7 +93,7 @@ func (h *Handler) edit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.Tab
 	if plan == costmodel.PlanOverwrite {
 		return 0, true, nil
 	}
-	n, err = h.runEdit(ec, e, desc, stmt, jobName, snap, l, w)
+	n, err = h.runEdit(ec, e, desc, stmt, key, jobName, snap, l, w)
 	return n, false, err
 }
 
@@ -110,16 +112,12 @@ func (h *Handler) applyForce(ec *hive.ExecContext, plan costmodel.Plan) costmode
 	}
 }
 
-// workloadFor builds the cost-model workload for a statement:
-// D and row counts from the pinned snapshot's master files, α/β from
-// hint → history → stripe-statistics estimate → default, k from the
-// session setting, else defaultFollowingReads. The second result names
-// the ratio-estimate source.
-func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement, files []masterFile) (costmodel.Workload, string, error) {
-	key, err := h.StatementKey(stmt)
-	if err != nil {
-		return costmodel.Workload{}, "", err
-	}
+// workloadFor builds the cost-model workload for a statement with
+// estimator key key: D and row counts from the pinned snapshot's master
+// files, α/β from hint → history → stripe-statistics estimate →
+// default, k from the session setting, else defaultFollowingReads. The
+// second result names the ratio-estimate source.
+func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, stmt sqlparser.Statement, key string, files []masterFile) (costmodel.Workload, string) {
 	var bytes, rows int64
 	for _, f := range files {
 		bytes += f.size
@@ -192,7 +190,7 @@ func (h *Handler) workloadFor(ec *hive.ExecContext, desc *metastore.TableDesc, s
 		}
 		w.UpdatedBytesPerRow = payload
 	}
-	return w, src, nil
+	return w, src
 }
 
 // StatementKey returns the estimator key of an UPDATE or DELETE
@@ -256,9 +254,10 @@ func (h *Handler) statsSelectivity(desc *metastore.TableDesc, files []masterFile
 // runEdit is the EDIT plan of both statements — §V-A's UPDATE and
 // DELETE UDTFs: the DML scan over the snapshot's UNION READ splits with
 // an editSink that puts the changed cells (or one delete marker per
-// record) into the attached table keyed by record ID. The caller holds
-// the table's writer.
-func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, jobName string, snap *Snapshot, l *sim.Ledger, w costmodel.Workload) (int64, error) {
+// record) into the attached table keyed by record ID, then the measured
+// ratio fed back to the estimator under key. The caller holds the
+// table's writer.
+func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.TableDesc, stmt sqlparser.Statement, key, jobName string, snap *Snapshot, l *sim.Ledger, w costmodel.Workload) (int64, error) {
 	// The writes carry timestamps above the snapshot watermark, so the
 	// scan cannot see them (no Halloween problem) and they become
 	// visible atomically at the watermark publish below. A job that
@@ -276,7 +275,7 @@ func (h *Handler) runEdit(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 	if err := h.publish(desc, nil, false); err != nil {
 		return 0, err
 	}
-	if key, err := h.StatementKey(stmt); err == nil && w.TableRows > 0 {
+	if w.TableRows > 0 {
 		// Feed the measured modification ratio back into the historical
 		// estimator.
 		h.est.Observe(key, float64(affected)/float64(w.TableRows))
@@ -373,14 +372,10 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 	// them yet, so concurrent scans cannot see them.
 	factory := &masterOutputFactory{h: h, desc: desc, dir: masterDir(desc)}
 	job := &mapred.Job{
-		Name:   "dualtable-compact",
-		Splits: snap.Splits(ScanOptions{}),
-		NewMapper: func() mapred.Mapper {
-			return mapred.MapFunc(func(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-				return emit(nil, row)
-			})
-		},
-		Output: factory,
+		Name:      "dualtable-compact",
+		Splits:    snap.Splits(ScanOptions{}),
+		NewMapper: func() mapred.Mapper { return &compactMapper{} },
+		Output:    factory,
 	}
 	res, err := e.MR.RunContext(ec.Context(), job)
 	if err != nil {
@@ -406,5 +401,55 @@ func (h *Handler) Compact(ec *hive.ExecContext, e *hive.Engine, desc *metastore.
 		return err
 	}
 	l.Add(res.Counts, res.SimSeconds)
+	return nil
+}
+
+// compactBatches lends compactMapper its result batches.
+var compactBatches = freelist.New[datum.Batch]()
+
+// compactMapper is COMPACT's map side: it hands each UNION READ batch's
+// live records to the task's writer as one batch. The scan's vectors
+// are the reader's to refill, so the records are copied into a batch of
+// the mapper's own (ColumnVector.Gather), not handed on in place.
+type compactMapper struct {
+	emitBatch mapred.BatchEmitter
+	out       *datum.Batch // borrowed; the writer's once it keeps it
+	all       []int32      // 0, 1, …: the selection of a batch with no Sel
+}
+
+func (m *compactMapper) SetBatchEmitter(emit mapred.BatchEmitter) { m.emitBatch = emit }
+
+func (m *compactMapper) MapBatch(b *mapred.RecordBatch, _ mapred.Emitter) error {
+	sel := b.Sel
+	if sel == nil {
+		for len(m.all) < b.Len {
+			m.all = append(m.all, int32(len(m.all)))
+		}
+		sel = m.all[:b.Len]
+	}
+	if len(sel) == 0 {
+		return nil
+	}
+	if m.out == nil {
+		m.out = compactBatches.Get()
+	}
+	m.out.Shape(len(b.Cols), len(sel))
+	for j := range b.Cols {
+		m.out.Cols[j].Gather(&b.Cols[j], sel)
+	}
+	kept, err := m.emitBatch(m.out)
+	if kept {
+		m.out = nil
+	}
+	return err
+}
+
+func (m *compactMapper) Flush(mapred.Emitter) error { return nil }
+
+func (m *compactMapper) Close() error {
+	if m.out != nil {
+		compactBatches.Put(m.out)
+		m.out = nil
+	}
 	return nil
 }

@@ -205,10 +205,6 @@ func withoutFooters(splits []mapred.InputSplit) []mapred.InputSplit {
 func TestFooterHandOffLeavesClockUntouched(t *testing.T) {
 	eA, hA := testEngine(t)
 	eB, hB := testEngine(t)
-	// One worker: with more, a rewrite's tasks draw their file IDs in
-	// completion order (ROADMAP item 1), which moves the sizes of the
-	// files COMPACT writes — and every later byte count — between runs.
-	eA.MR.Parallelism, eB.MR.Parallelism = 1, 1
 	descA := fourFileTable(t, eA, hA)
 	descB := fourFileTable(t, eB, hB)
 

@@ -340,10 +340,11 @@ func (h *Handler) attached(desc *metastore.TableDesc) (*kvstore.Table, error) {
 	return h.e.KV.Table(attachedName(desc))
 }
 
-// nextFileID allocates one incremental file ID from the system
-// metadata table (paper §V-B: "we maintain an incremental integer
-// file ID for each DualTable in the system wide metadata table").
-func (h *Handler) nextFileID(desc *metastore.TableDesc, m *sim.Meter) (uint32, error) {
+// reserveFileIDs allocates n consecutive file IDs from the system
+// metadata table (paper §V-B: "we maintain an incremental integer file
+// ID for each DualTable in the system wide metadata table") with one Get
+// and one Put, and returns the first.
+func (h *Handler) reserveFileIDs(desc *metastore.TableDesc, n int, m *sim.Meter) (uint32, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	row := metaRow(desc)
@@ -361,7 +362,7 @@ func (h *Handler) nextFileID(desc *metastore.TableDesc, m *sim.Meter) (uint32, e
 		}
 	}
 	err = h.meta.PutRow(row, attachedFamily,
-		map[string][]byte{"nextfile": []byte(fmt.Sprintf("%d", next+1))}, m)
+		map[string][]byte{"nextfile": []byte(fmt.Sprintf("%d", next+uint32(n)))}, m)
 	if err != nil {
 		return 0, err
 	}
@@ -534,11 +535,17 @@ func (c *publishCommitter) Abort() error {
 
 // masterOutputFactory writes ORC master files with allocated file
 // IDs, tracking every file it creates so the committer can publish
-// (or discard) exactly that set.
+// (or discard) exactly that set. Its job reserves the IDs before any
+// task starts and task first+i writes file ID base+i, so a rewrite's
+// files and manifest depend on its input and plan, not on the order
+// its tasks finish in.
 type masterOutputFactory struct {
 	h    *Handler
 	desc *metastore.TableDesc
 	dir  string
+
+	first int    // the first task of the reservation
+	base  uint32 // its file ID
 
 	mu      sync.Mutex
 	written []metastore.ManifestFile
@@ -548,14 +555,22 @@ type masterOutputFactory struct {
 	opened map[string]bool
 }
 
+func (f *masterOutputFactory) Reserve(first, n int, m *sim.Meter) error {
+	if n == 0 {
+		return nil
+	}
+	base, err := f.h.reserveFileIDs(f.desc, n, m)
+	f.first, f.base = first, base
+	return err
+}
+
 func (f *masterOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
-	var fid uint32
+	if f.base == 0 {
+		return nil, fmt.Errorf("core: %s: task %d writes before its job reserved file IDs", f.desc.Name, taskID)
+	}
+	fid := f.base + uint32(taskID-f.first)
 	return &hive.ORCTaskWriter{FS: f.h.e.FS, Schema: f.desc.Schema, Meter: m,
 		Create: func() (string, uint32, map[string]string, error) {
-			var err error
-			if fid, err = f.h.nextFileID(f.desc, m); err != nil {
-				return "", 0, nil, err
-			}
 			p := path.Join(f.dir, fmt.Sprintf("m-%08d.orc", fid))
 			f.noteOpened(p)
 			return p, fid, map[string]string{fileIDMetaKey: fmt.Sprintf("%d", fid)}, nil

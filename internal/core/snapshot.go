@@ -393,12 +393,7 @@ func newMasterFile(mf metastore.ManifestFile, footer *orcfile.Reader) masterFile
 // metadata only — its file handle is closed; a scan task binds it to the
 // handle it opens under its own meter (hive.ORCSplit.Footer).
 func (h *Handler) openFooter(path string) (*orcfile.Reader, error) {
-	fr, err := h.e.FS.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := orcfile.Open(fr, fr.Size())
-	fr.Close()
+	rd, err := hive.OpenFooter(h.e.FS, path)
 	if err != nil {
 		return nil, fmt.Errorf("core: open master file %s: %w", path, err)
 	}

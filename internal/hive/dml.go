@@ -29,18 +29,15 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 		return nil, err
 	}
 	ledger := sim.NewLedger(&e.MR.Params)
-	n, err := e.writeTable(ec, desc, s.Overwrite, ledger, func() ([]datum.Row, error) {
-		rows, err := e.insertRows(ec, s, desc, ledger)
+	n, err := e.writeTable(desc, s.Overwrite, func(of mapred.OutputFactory) (int64, error) {
+		if s.Select != nil {
+			return e.insertSelect(ec, s, desc, of, ledger)
+		}
+		rows, err := e.valuesRows(ec, s, desc)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		// Coerce to the target schema.
-		for _, r := range rows {
-			if err := desc.Schema.CoerceRow(r); err != nil {
-				return nil, fmt.Errorf("hive: INSERT into %s: %w", s.Table, err)
-			}
-		}
-		return rows, nil
+		return int64(len(rows)), e.writeRows(ec, rows, of, ledger)
 	})
 	if err != nil {
 		return nil, err
@@ -48,20 +45,8 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 	return &ResultSet{Affected: n, SimSeconds: ledger.Seconds(), Counts: ledger.Counts(), Plan: "INSERT"}, nil
 }
 
-// insertRows evaluates an INSERT's source: its SELECT or its VALUES
-// rows.
-func (e *Engine) insertRows(ec *ExecContext, s *sqlparser.InsertStmt, desc *metastore.TableDesc, ledger *sim.Ledger) ([]datum.Row, error) {
-	if s.Select != nil {
-		rs, err := e.runSelect(ec, s.Select, ledger)
-		if err != nil {
-			return nil, err
-		}
-		if len(rs.Columns) != len(desc.Schema) {
-			return nil, fmt.Errorf("hive: INSERT into %s: query returns %d columns, table has %d",
-				s.Table, len(rs.Columns), len(desc.Schema))
-		}
-		return rs.Rows, nil
-	}
+// valuesRows evaluates an INSERT's VALUES rows, coerced to the target.
+func (e *Engine) valuesRows(ec *ExecContext, s *sqlparser.InsertStmt, desc *metastore.TableDesc) ([]datum.Row, error) {
 	var rows []datum.Row
 	emptySc := &scope{}
 	for _, exprRow := range s.Rows {
@@ -82,42 +67,12 @@ func (e *Engine) insertRows(ec *ExecContext, s *sqlparser.InsertStmt, desc *meta
 		}
 		rows = append(rows, row)
 	}
+	for _, r := range rows {
+		if err := desc.Schema.CoerceRow(r); err != nil {
+			return nil, fmt.Errorf("hive: INSERT into %s: %w", s.Table, err)
+		}
+	}
 	return rows, nil
-}
-
-// writeTable writes the rows produce returns into desc through its
-// storage handler, replacing the table's contents (overwrite) or adding
-// to them, and returns how many it wrote. The target's factory and
-// committer — for DUALTABLE, its writer — are taken before produce
-// runs: a writer that publishes while the source is read waits for this
-// one instead of being replaced away by it. Every later error aborts.
-func (e *Engine) writeTable(ec *ExecContext, desc *metastore.TableDesc, overwrite bool, ledger *sim.Ledger, produce func() ([]datum.Row, error)) (int64, error) {
-	h, err := e.Handler(desc.Storage)
-	if err != nil {
-		return 0, err
-	}
-	var of mapred.OutputFactory
-	var committer Committer
-	if overwrite {
-		of, committer, err = h.Overwrite(desc)
-	} else {
-		of, committer, err = h.Append(desc)
-	}
-	if err != nil {
-		return 0, err
-	}
-	rows, err := produce()
-	if err == nil {
-		err = e.writeRows(ec, rows, of, ledger)
-	}
-	if err != nil {
-		committer.Abort()
-		return 0, err
-	}
-	if err := committer.Commit(); err != nil {
-		return 0, err
-	}
-	return int64(len(rows)), nil
 }
 
 // execUpdate routes UPDATE: handlers with native DML (KV, DualTable)

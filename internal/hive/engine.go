@@ -419,13 +419,17 @@ func (e *Engine) execLoad(ec *ExecContext, s *sqlparser.LoadStmt) (*ResultSet, e
 		return nil, err
 	}
 	ledger := sim.NewLedger(&e.MR.Params)
-	n, err := e.writeTable(ec, desc, s.Overwrite, ledger, func() ([]datum.Row, error) {
+	n, err := e.writeTable(desc, s.Overwrite, func(of mapred.OutputFactory) (int64, error) {
 		data, err := e.FS.ReadFile(s.Path)
 		if err != nil {
-			return nil, fmt.Errorf("hive: LOAD: %w", err)
+			return 0, fmt.Errorf("hive: LOAD: %w", err)
 		}
 		ledger.Charge(sim.DFSReadBytes, int64(len(data)))
-		return parseDelimited(string(data), desc.Schema)
+		rows, err := parseDelimited(string(data), desc.Schema)
+		if err != nil {
+			return 0, err
+		}
+		return int64(len(rows)), e.writeRows(ec, rows, of, ledger)
 	})
 	if err != nil {
 		return nil, err
@@ -465,44 +469,6 @@ func parseDelimited(data string, schema datum.Schema) ([]datum.Row, error) {
 	return rows, nil
 }
 
-// writeRows streams rows through an output factory as one map-only
-// job (the write path of INSERT and LOAD).
-func (e *Engine) writeRows(ec *ExecContext, rows []datum.Row, factory mapred.OutputFactory, ledger *sim.Ledger) error {
-	// Split into chunks so the write parallelizes like a real job.
-	const chunk = 100000
-	var splits []mapred.InputSplit
-	for off := 0; off < len(rows); off += chunk {
-		end := off + chunk
-		if end > len(rows) {
-			end = len(rows)
-		}
-		var simSize int64
-		for _, r := range rows[off:end] {
-			simSize += int64(datum.RowEncodedSize(r))
-		}
-		splits = append(splits, &mapred.SliceSplit{Rows: rows[off:end], SimSize: simSize})
-	}
-	if len(splits) == 0 {
-		return nil
-	}
-	job := &mapred.Job{
-		Name:   "write",
-		Splits: splits,
-		NewMapper: func() mapred.Mapper {
-			return mapred.MapFunc(func(row datum.Row, _ mapred.RecordMeta, emit mapred.Emitter) error {
-				return emit(nil, row)
-			})
-		},
-		Output: factory,
-	}
-	res, err := e.MR.RunContext(ec.Context(), job)
-	if err != nil {
-		return err
-	}
-	ledger.Add(res.Counts, res.SimSeconds)
-	return nil
-}
-
 // BulkLoad appends pre-built rows to a table through its storage
 // handler — the fast path workload generators use instead of huge
 // INSERT ... VALUES statements. Rows are coerced to the table schema.
@@ -512,13 +478,13 @@ func (e *Engine) BulkLoad(table string, rows []datum.Row) (*ResultSet, error) {
 		return nil, err
 	}
 	ledger := sim.NewLedger(&e.MR.Params)
-	n, err := e.writeTable(nil, desc, false, ledger, func() ([]datum.Row, error) {
+	n, err := e.writeTable(desc, false, func(of mapred.OutputFactory) (int64, error) {
 		for _, r := range rows {
 			if err := desc.Schema.CoerceRow(r); err != nil {
-				return nil, fmt.Errorf("hive: bulk load %s: %w", table, err)
+				return 0, fmt.Errorf("hive: bulk load %s: %w", table, err)
 			}
 		}
-		return rows, nil
+		return int64(len(rows)), e.writeRows(nil, rows, of, ledger)
 	})
 	if err != nil {
 		return nil, err

@@ -162,10 +162,11 @@ func (f *orcOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collec
 		}}, nil
 }
 
-// ORCTaskWriter collects one task's output rows into one ORC file,
-// created when the first row arrives so empty tasks leave no file
-// behind. It is the writer of every ORC-backed storage; the hooks carry
-// what differs between them.
+// ORCTaskWriter collects one task's output into one ORC file, created
+// when the first row arrives so empty tasks leave no file behind. It is
+// the writer of every ORC-backed storage; the hooks carry what differs
+// between them. Rows and column batches alike are consumed inside the
+// call: it keeps neither.
 type ORCTaskWriter struct {
 	FS     *dfs.FileSystem
 	Schema datum.Schema
@@ -183,28 +184,47 @@ type ORCTaskWriter struct {
 }
 
 func (c *ORCTaskWriter) Collect(row datum.Row) error {
-	if c.w == nil {
-		p, fileID, meta, err := c.Create()
-		if err != nil {
-			return err
-		}
-		fw, err := c.FS.CreateMeter(p, c.Meter)
-		if err != nil {
-			return err
-		}
-		if meta != nil {
-			fw.SetFileID(uint64(fileID))
-			for k, v := range meta {
-				fw.SetUserMeta(k, v)
-			}
-		}
-		w, err := orcfile.NewWriter(fw, c.Schema, orcfile.WriterOptions{Compression: true, UserMeta: meta})
-		if err != nil {
-			return err
-		}
-		c.path, c.fw, c.w = p, fw, w
+	if err := c.start(); err != nil {
+		return err
 	}
 	return c.w.WriteRow(row)
+}
+
+func (c *ORCTaskWriter) CollectBatch(b *datum.Batch) (bool, error) {
+	if b.Len == 0 {
+		return false, nil
+	}
+	if err := c.start(); err != nil {
+		return false, err
+	}
+	return false, c.w.WriteBatch(b)
+}
+
+// start creates the task's file on first use.
+func (c *ORCTaskWriter) start() error {
+	if c.w != nil {
+		return nil
+	}
+	p, fileID, meta, err := c.Create()
+	if err != nil {
+		return err
+	}
+	fw, err := c.FS.CreateMeter(p, c.Meter)
+	if err != nil {
+		return err
+	}
+	if meta != nil {
+		fw.SetFileID(uint64(fileID))
+		for k, v := range meta {
+			fw.SetUserMeta(k, v)
+		}
+	}
+	w, err := orcfile.NewWriter(fw, c.Schema, orcfile.WriterOptions{Compression: true, UserMeta: meta})
+	if err != nil {
+		return err
+	}
+	c.path, c.fw, c.w = p, fw, w
+	return nil
 }
 
 func (c *ORCTaskWriter) Close() error {
@@ -228,7 +248,8 @@ func (c *ORCTaskWriter) Close() error {
 // textHandler stores tables as delimited text files (LOAD DATA
 // sources and simple fixtures).
 type textHandler struct {
-	e *Engine
+	e       *Engine
+	fileSeq atomic.Uint64 // numbers the files of every write, so no two share a name
 }
 
 func (h *textHandler) Create(desc *metastore.TableDesc) error {
@@ -303,7 +324,6 @@ func (h *textHandler) Overwrite(desc *metastore.TableDesc) (mapred.OutputFactory
 type textOutputFactory struct {
 	h   *textHandler
 	dir string
-	seq atomic.Uint64
 }
 
 func (f *textOutputFactory) NewCollector(taskID int, m *sim.Meter) (mapred.Collector, error) {
@@ -319,7 +339,7 @@ type textCollector struct {
 
 func (c *textCollector) Collect(row datum.Row) error {
 	if c.fw == nil {
-		name := fmt.Sprintf("part-%05d-%06d.txt", c.taskID, c.f.seq.Add(1))
+		name := fmt.Sprintf("part-%05d-%06d.txt", c.taskID, c.f.h.fileSeq.Add(1))
 		fw, err := c.f.h.e.FS.CreateMeter(path.Join(c.f.dir, name), c.meter)
 		if err != nil {
 			return err

@@ -75,6 +75,17 @@ type ORCSplit struct {
 
 func (s *ORCSplit) Length() int64 { return s.Size }
 
+// OpenFooter reads and parses the footer of the ORC file at p, leaving
+// no handle open: what an ORCSplit's Footer holds.
+func OpenFooter(fs *dfs.FileSystem, p string) (*orcfile.Reader, error) {
+	fr, err := fs.Open(p)
+	if err != nil {
+		return nil, err
+	}
+	defer fr.Close()
+	return orcfile.Open(fr, fr.Size())
+}
+
 func (s *ORCSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 	fr, err := s.FS.OpenMeter(s.Path, m)
 	if err != nil {

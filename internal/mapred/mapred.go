@@ -174,6 +174,18 @@ type OutputFactory interface {
 	NewCollector(taskID int, m *sim.Meter) (Collector, error)
 }
 
+// Reserver is an OutputFactory that learns, before a job's first task
+// starts, which tasks will ask it for collectors: tasks first through
+// first+n-1 (the map tasks of a map-only job, else the reduce tasks).
+// What it charges m is the job's own work, ahead of its tasks, and lands
+// on the job's counts. A factory that names its outputs after the task
+// index instead of the order tasks finish in writes the same output on
+// every run.
+type Reserver interface {
+	OutputFactory
+	Reserve(first, n int, m *sim.Meter) error
+}
+
 // Cluster describes the execution environment: calibrated cost
 // parameters for simulated time and the real goroutine parallelism.
 type Cluster struct {
@@ -282,6 +294,20 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 		outFactory = memOut
 	}
 
+	var setupSecs float64
+	if r, ok := outFactory.(Reserver); ok {
+		first, n := 0, len(job.Splits)
+		if !mapOnly {
+			first, n = len(job.Splits), numReducers
+		}
+		meter := borrowMeter()
+		err := r.Reserve(first, n, meter)
+		setupSecs = cnt.task(&c.Params, meter, err)
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	// ---- Map phase ----
 	mapOuts := make([]mapTaskOutput, len(job.Splits))
 	mapErr := make([]error, len(job.Splits))
@@ -320,7 +346,7 @@ func (c *Cluster) RunContext(ctx context.Context, job *Job) (*Result, error) {
 			mapDurations = append(mapDurations, mapOuts[i].secs/float64(v))
 		}
 	}
-	res.SimSeconds = c.Params.JobStartupCost +
+	res.SimSeconds = c.Params.JobStartupCost + setupSecs +
 		sim.Makespan(mapDurations, c.Params.MapSlots(), c.Params.TaskStartupCost)
 
 	if mapOnly {
@@ -761,6 +787,94 @@ func (r *sliceReader) Next() (datum.Row, RecordMeta, error) {
 }
 
 func (r *sliceReader) Close() error { return nil }
+
+// CombinedSplit is consecutive splits read as one task's input, one
+// after another — Hive's CombineHiveInputFormat, for a job that writes
+// one output per task. Each part is opened when the one before it ends,
+// charging the task's meter as it would its own task's.
+type CombinedSplit []InputSplit
+
+// Length is the parts' total size.
+func (s CombinedSplit) Length() int64 {
+	var n int64
+	for _, p := range s {
+		n += p.Length()
+	}
+	return n
+}
+
+// Open returns a reader over the parts in order.
+func (s CombinedSplit) Open(m *sim.Meter) (RecordReader, error) {
+	r := &combinedReader{parts: s, m: m}
+	return r, r.advance()
+}
+
+// combinedReader chains its parts' readers, in rows or, through each
+// part's own batches (a row-only part lifted by rowBatcher), in batches.
+type combinedReader struct {
+	parts CombinedSplit
+	m     *sim.Meter
+	cur   RecordReader
+	batch BatchRecordReader
+}
+
+// advance closes the current part and opens the next; with none left,
+// cur stays nil.
+func (r *combinedReader) advance() error {
+	if err := r.Close(); err != nil {
+		return err
+	}
+	if len(r.parts) == 0 {
+		return nil
+	}
+	rr, err := r.parts[0].Open(r.m)
+	if err != nil {
+		return err
+	}
+	r.parts, r.cur = r.parts[1:], rr
+	if br, ok := rr.(BatchRecordReader); ok {
+		r.batch = br
+	} else {
+		r.batch = &rowBatcher{RecordReader: rr}
+	}
+	return nil
+}
+
+func (r *combinedReader) Next() (datum.Row, RecordMeta, error) {
+	for r.cur != nil {
+		row, meta, err := r.cur.Next()
+		if !errors.Is(err, EOF) {
+			return row, meta, err
+		}
+		if err := r.advance(); err != nil {
+			return nil, RecordMeta{}, err
+		}
+	}
+	return nil, RecordMeta{}, EOF
+}
+
+func (r *combinedReader) NextBatch(b *RecordBatch) error {
+	for r.cur != nil {
+		err := r.batch.NextBatch(b)
+		if !errors.Is(err, EOF) {
+			return err
+		}
+		if err := r.advance(); err != nil {
+			return err
+		}
+	}
+	return EOF
+}
+
+// Close closes the current part's reader.
+func (r *combinedReader) Close() error {
+	if r.cur == nil {
+		return nil
+	}
+	err := r.cur.Close()
+	r.cur, r.batch = nil, nil
+	return err
+}
 
 // MapFunc adapts a per-record function to the Mapper interface (see
 // MapBatch in batch.go). The row is reused between calls.

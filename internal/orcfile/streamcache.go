@@ -54,8 +54,8 @@ type stringDict struct {
 }
 
 type streamCache struct {
-	seed   maphash.Seed
-	budget int
+	hashSeed maphash.Seed
+	budget   int
 
 	mu    sync.Mutex
 	byKey map[streamKey]*streamEntry
@@ -64,7 +64,7 @@ type streamCache struct {
 }
 
 func newStreamCache(budget int) *streamCache {
-	c := &streamCache{seed: maphash.MakeSeed(), budget: budget, byKey: map[streamKey]*streamEntry{}}
+	c := &streamCache{hashSeed: maphash.MakeSeed(), budget: budget, byKey: map[streamKey]*streamEntry{}}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
 }
@@ -74,7 +74,7 @@ func newStreamCache(budget int) *streamCache {
 // against the entry's own copy of the compressed bytes, so it returns
 // exactly what inflating them would.
 func (c *streamCache) lookup(compressed []byte) (streamKey, *streamEntry) {
-	key := streamKey{maphash.Bytes(c.seed, compressed), len(compressed)}
+	key := c.key(compressed)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.byKey[key]
@@ -84,6 +84,18 @@ func (c *streamCache) lookup(compressed []byte) (streamKey, *streamEntry) {
 	c.unlink(e)
 	c.pushFront(e)
 	return key, e
+}
+
+func (c *streamCache) key(compressed []byte) streamKey {
+	return streamKey{maphash.Bytes(c.hashSeed, compressed), len(compressed)}
+}
+
+// seed caches a stream a writer has just compressed from inflated, so
+// the first scan of a fresh file finds what inflating it would return.
+// Its file is read, charged and verified as before: only the inflate is
+// spared.
+func (c *streamCache) seed(compressed, inflated []byte) {
+	c.add(c.key(compressed), compressed, inflated)
 }
 
 // add caches an exact-size copy of a stream lookup missed, evicting the

@@ -119,25 +119,8 @@ func (w *Writer) WriteRow(row datum.Row) error {
 		return fmt.Errorf("orcfile: row arity %d, schema arity %d", len(row), len(w.schema))
 	}
 	for i, d := range row {
-		cb := w.cols[i]
-		if !d.IsNull() && d.K != cb.kind {
-			return fmt.Errorf("orcfile: column %s expects %s, got %s", w.schema[i].Name, cb.kind, d.K)
-		}
-		cb.stats.Update(d)
-		if d.IsNull() {
-			cb.presence.Append(false)
-			continue
-		}
-		cb.presence.Append(true)
-		switch cb.kind {
-		case datum.KindInt:
-			cb.ints.Append(d.I)
-		case datum.KindFloat:
-			cb.floats.Append(d.F)
-		case datum.KindBool:
-			cb.bools.Append(d.B)
-		case datum.KindString:
-			cb.strs = append(cb.strs, d.S)
+		if !w.cols[i].append(d) {
+			return w.kindError(i, d)
 		}
 	}
 	w.rowsIn++
@@ -148,6 +131,102 @@ func (w *Writer) WriteRow(row datum.Row) error {
 	return nil
 }
 
+// WriteBatch appends b's rows in order, writing exactly the bytes a
+// WriteRow per row would: a stripe that fills inside the batch is
+// flushed there. A column vector holds the schema's kind, or is all
+// NULL, or is mixed with values of that kind.
+func (w *Writer) WriteBatch(b *datum.Batch) error {
+	if w.closed {
+		return fmt.Errorf("orcfile: writer closed")
+	}
+	if len(b.Cols) != len(w.schema) {
+		return fmt.Errorf("orcfile: batch arity %d, schema arity %d", len(b.Cols), len(w.schema))
+	}
+	for from := 0; from < b.Len; {
+		to := min(b.Len, from+w.opts.StripeRows-w.rowsIn)
+		for j, cb := range w.cols {
+			if i := cb.appendVector(&b.Cols[j], from, to); i >= 0 {
+				return w.kindError(j, b.Cols[j].Datum(i))
+			}
+		}
+		w.rowsIn += to - from
+		w.totalRows += int64(to - from)
+		from = to
+		if w.rowsIn >= w.opts.StripeRows {
+			if err := w.flushStripe(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (w *Writer) kindError(col int, d datum.Datum) error {
+	return fmt.Errorf("orcfile: column %s expects %s, got %s", w.schema[col].Name, w.cols[col].kind, d.K)
+}
+
+// append adds one value; false means d is of another kind.
+func (cb *columnBuilder) append(d datum.Datum) bool {
+	if d.IsNull() {
+		cb.stats.Update(d)
+		cb.presence.Append(false)
+		return true
+	}
+	if d.K != cb.kind {
+		return false
+	}
+	cb.stats.Update(d)
+	cb.presence.Append(true)
+	switch cb.kind {
+	case datum.KindInt:
+		cb.ints.Append(d.I)
+	case datum.KindFloat:
+		cb.floats.Append(d.F)
+	case datum.KindBool:
+		cb.bools.Append(d.B)
+	case datum.KindString:
+		cb.strs = append(cb.strs, d.S)
+	}
+	return true
+}
+
+// appendVector adds rows [from, to) of v and returns -1, or the first
+// row whose value is of another kind. A typed vector of the column's
+// kind appends from its slice; any other goes datum by datum.
+func (cb *columnBuilder) appendVector(v *datum.ColumnVector, from, to int) int {
+	if v.Kind != cb.kind || len(v.Datums) > 0 {
+		for i := from; i < to; i++ {
+			if !cb.append(v.Datum(i)) {
+				return i
+			}
+		}
+		return -1
+	}
+	for i := from; i < to; i++ {
+		if v.Nulls[i] {
+			cb.stats.Update(datum.Null)
+			cb.presence.Append(false)
+			continue
+		}
+		cb.presence.Append(true)
+		switch cb.kind {
+		case datum.KindInt:
+			cb.stats.Update(datum.Int(v.Ints[i]))
+			cb.ints.Append(v.Ints[i])
+		case datum.KindFloat:
+			cb.stats.Update(datum.Float(v.Floats[i]))
+			cb.floats.Append(v.Floats[i])
+		case datum.KindBool:
+			cb.stats.Update(datum.Bool(v.Bools[i]))
+			cb.bools.Append(v.Bools[i])
+		case datum.KindString:
+			cb.stats.Update(datum.String_(v.Strs[i]))
+			cb.strs = append(cb.strs, v.Strs[i])
+		}
+	}
+	return -1
+}
+
 // flushStripe encodes and writes the buffered stripe.
 func (w *Writer) flushStripe() error {
 	if w.rowsIn == 0 {
@@ -156,10 +235,14 @@ func (w *Writer) flushStripe() error {
 	sm := stripeMeta{offset: w.offset, rows: int64(w.rowsIn)}
 	var rel uint64
 	for i, cb := range w.cols {
-		stream := cb.encodeStream()
-		stream, err := w.maybeCompress(stream)
+		raw := cb.encodeStream()
+		stream, err := w.maybeCompress(raw)
 		if err != nil {
 			return err
+		}
+		if w.opts.Compression {
+			// The stream a scan of this file would inflate next.
+			cache.seed(stream, raw)
 		}
 		if _, err := w.w.Write(stream); err != nil {
 			return err

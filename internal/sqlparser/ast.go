@@ -139,8 +139,9 @@ func (e *ColumnRef) String() string {
 // when it is a plain name and no keyword, in backquotes otherwise.
 func ident(name string) string {
 	plain := name != "" && !keywords[strings.ToUpper(name)]
-	for i := 0; plain && i < len(name); i++ {
-		plain = isIdentPart(name[i]) && (i > 0 || isIdentStart(name[i]))
+	for i, r := range name {
+		// An invalid byte ranges as utf8.RuneError, which is no letter.
+		plain = plain && isIdentPart(r) && (i > 0 || isIdentStart(r))
 	}
 	if plain {
 		return name

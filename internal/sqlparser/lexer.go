@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexer tokens.
@@ -139,12 +140,18 @@ func (l *Lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-func isIdentStart(b byte) bool {
-	return b == '_' || unicode.IsLetter(rune(b))
+func isIdentStart(r rune) bool {
+	return r == '_' || unicode.IsLetter(r)
 }
 
-func isIdentPart(b byte) bool {
-	return b == '_' || unicode.IsLetter(rune(b)) || unicode.IsDigit(rune(b))
+func isIdentPart(r rune) bool {
+	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// peekRune decodes the UTF-8 rune at the cursor and its width; an
+// invalid byte decodes as utf8.RuneError of width 1.
+func (l *Lexer) peekRune() (rune, int) {
+	return utf8.DecodeRuneInString(l.src[l.pos:])
 }
 
 // Next returns the next token.
@@ -158,11 +165,20 @@ func (l *Lexer) Next() (Token, error) {
 		return tok, nil
 	}
 	b := l.peekByte()
+	r, w := l.peekRune()
 	switch {
-	case isIdentStart(b):
+	case r == utf8.RuneError && w == 1:
+		return Token{}, l.errf("invalid UTF-8 byte %#x", b)
+	case isIdentStart(r):
 		start := l.pos
-		for l.pos < len(l.src) && isIdentPart(l.peekByte()) {
-			l.advance()
+		for l.pos < len(l.src) {
+			r, w := l.peekRune()
+			if !isIdentPart(r) || r == utf8.RuneError && w == 1 {
+				break
+			}
+			for range w {
+				l.advance()
+			}
 		}
 		text := l.src[start:l.pos]
 		upper := strings.ToUpper(text)

@@ -43,6 +43,30 @@ func TestLexerErrors(t *testing.T) {
 	}
 }
 
+// TestLexerUTF8Identifiers: an identifier is read rune by rune, so a
+// UTF-8 letter is one identifier, and a byte that is not UTF-8 is a lex
+// error, not a letter of some other encoding.
+func TestLexerUTF8Identifiers(t *testing.T) {
+	toks, err := Tokenize("SELECT é FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks[1].Kind != TokIdent || toks[1].Text != "é" || toks[2].Text != "FROM" {
+		t.Errorf("tokens = %+v", toks[:3])
+	}
+	for _, src := range []string{"SET \xe1=''", "SELECT a\xff FROM t"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
+	if got := (&ColumnRef{Name: "é"}).String(); got != "é" {
+		t.Errorf("ColumnRef é prints %s", got)
+	}
+	if got := (&ColumnRef{Name: "a\xff"}).String(); got != "`a\xff`" {
+		t.Errorf("ColumnRef a\\xff prints %s", got)
+	}
+}
+
 func TestLexerBackquotedIdent(t *testing.T) {
 	toks, err := Tokenize("`select` x")
 	if err != nil {
