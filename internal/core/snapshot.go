@@ -465,10 +465,10 @@ type overlaySlab struct {
 // marker settles the record. Every cell is still drawn from the scanner
 // (that is what the meter charges for), and a cell is decoded before the
 // scanner advances. The ranges this reads hold only puts (delete markers
-// are puts of __del__), so no delete semantics apply here: KV tombstones
-// exist in attached tables only in purged file-ID ranges (written by
-// purgeAttachedRanges at retention expiry), and the window test
-// guarantees no snapshot ever materializes those ranges again.
+// are puts of __del__), so no delete semantics apply here: DualTable
+// writes no KV tombstone into an attached table, and the ranges
+// purgeAttachedRanges retires at retention expiry are ones the window
+// test guarantees no snapshot ever materializes again.
 func (s *Snapshot) foldOverlay(sc *kvstore.Scanner, slab *overlaySlab) ([]hive.RecordMod, error) {
 	var (
 		row, qual []byte         // the record and column being folded
@@ -647,9 +647,9 @@ func (h *Handler) publish(desc *metastore.TableDesc, files []metastore.ManifestF
 	// Retention expiry: the files whose last serviceable epoch just left
 	// the window release their retention pin, so the deferred deletion
 	// issued at supersede fires. Their attached ranges are purged after
-	// the lock drops — the scan is the slow part, and no open can reach
-	// those ranges any more: the epochs that named the files are outside
-	// the window from this publish on.
+	// the lock drops: no open can reach those ranges any more, since the
+	// epochs that named the files are outside the window from this
+	// publish on.
 	for _, f := range expired {
 		h.unpinDeferred(f.Path)
 	}
@@ -716,35 +716,21 @@ func (h *Handler) checkIncarnationLocked(desc *metastore.TableDesc, st *tableSta
 	return nil
 }
 
-// purgeAttachedRanges deletes the attached-table rows keyed by the
-// given (superseded) master files' record ID ranges, as one batched
-// write of row tombstones. Best effort: the cells are invisible to
-// every live scan regardless, so a missed purge only delays space
-// reclamation.
+// purgeAttachedRanges retires the attached-table rows keyed by the
+// given (superseded) master files' record ID ranges: scans stop
+// returning them at once, and the attached table's next flush or
+// compaction drops them. File IDs are never reused, so no writer puts
+// into those ranges again. Nothing is read or written, so the publish
+// that expires a file set pays nothing for the size of its delta. Best
+// effort: the cells are invisible to every live scan regardless, so a
+// missed purge only delays space reclamation.
 func (h *Handler) purgeAttachedRanges(desc *metastore.TableDesc, files []metastore.ManifestFile) {
 	att, err := h.attached(desc)
 	if err != nil {
 		return
 	}
-	var batch []*kvstore.Cell
 	for _, f := range files {
-		start, end := FileRange(f.FileID)
-		sc := att.NewScanner(kvstore.Scan{Start: start, End: end})
-		var last []byte
-		for {
-			c, ok := sc.Next()
-			if !ok {
-				break
-			}
-			if last == nil || !bytes.Equal(last, c.Row) {
-				last = append([]byte(nil), c.Row...)
-				batch = append(batch, &kvstore.Cell{Row: last, Type: kvstore.TypeDeleteRow})
-			}
-		}
-		sc.Close()
-	}
-	if len(batch) > 0 {
-		att.Put(batch, nil)
+		att.RetireRange(FileRange(f.FileID))
 	}
 }
 

@@ -996,6 +996,7 @@ func TestMutationsBracketEveryChange(t *testing.T) {
 	})
 	moved("Flush", 2, func() { tbl.Flush(nil) })
 	moved("Compact", 2, func() { tbl.Compact(false, nil) })
+	moved("RetireRange", 2, func() { tbl.RetireRange([]byte("row0100"), []byte("row0110")) })
 	// Truncate swaps the table; the old one's counter says nothing about
 	// the new one's cells.
 	if err := c.TruncateTable("t"); err != nil {

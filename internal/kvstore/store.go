@@ -54,6 +54,9 @@ type store struct {
 	// undeleted holds replaced store files whose delete failed; the
 	// next compaction retries them.
 	undeleted []string
+	// retired holds the row ranges RetireRange took out: reads skip
+	// their cells, and flushes and compactions leave them out.
+	retired retiredSet
 
 	// onFlushSwapped, when set, runs between a flush's swap and the
 	// install of its store file, holding only flushMu (test hook for
@@ -221,12 +224,14 @@ func (s *store) flushLocked(m *sim.Meter, atLeast int) (int, error) {
 	return s.install(m)
 }
 
-// install writes the flushing memtable to a store file, puts the file
-// in front of the others, and then deletes the sealed segment that
-// logged it. Each step that fails is left for the next flush to retry.
+// install writes the flushing memtable, without its retired rows, to a
+// store file, puts the file in front of the others, and then deletes
+// the sealed segment that logged it. Each step that fails is left for
+// the next flush to retry.
 func (s *store) install(m *sim.Meter) (int, error) {
 	if s.flushing != nil {
-		st, err := s.writeStoreFile(s.flushing.Iterator(nil), s.flushing.Count(), m)
+		it := s.retiredNow().filter(s.flushing.Iterator(nil))
+		st, err := s.writeStoreFile(it, s.flushing.Count(), m)
 		if err != nil {
 			return 0, fmt.Errorf("kvstore: flush %s: %w", s.dir, err)
 		}
@@ -259,6 +264,20 @@ func (s *store) writeStoreFile(it CellIterator, expectedKeys int, m *sim.Meter) 
 		return nil, err
 	}
 	return openSSTable(s.fs, p, nil)
+}
+
+// retire takes the rows in [start, end) out of the store.
+func (s *store) retire(start, end []byte) {
+	s.mu.Lock()
+	s.retired = s.retired.with(start, end)
+	s.mu.Unlock()
+}
+
+// retiredNow returns the retired ranges as they stand.
+func (s *store) retiredNow() retiredSet {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.retired
 }
 
 // layers snapshots what a read merges, newest first: the memtable, the
@@ -309,6 +328,9 @@ func (s *store) get(row []byte, m *sim.Meter) ([]Cell, error) {
 	defer s.release(files)
 
 	m.KVGet(0)
+	if rs := s.retiredNow(); rs.hides(row) {
+		return nil, nil
+	}
 	probe := seekProbe(row)
 	srcs := memIterators(mem, flushing, probe)
 	for i, it := range srcs {
@@ -350,17 +372,19 @@ func (b *boundedIterator) Close() error { return b.it.Close() }
 
 // Scanner iterates the visible cells of a table range in row order,
 // charging scan bytes to the scan's meter. It takes its sources at the
-// first Next: the memtables, whose read locks it holds, and a reference
-// on each store file. It gives them back as soon as Next returns false
-// (a DML sink puts into the table it scans before its reader closes),
-// or at Close.
+// first Next: the memtables, whose read locks it holds, a reference on
+// each store file, and the retired ranges inside the scan's range. It
+// gives them back as soon as Next returns false (a DML sink puts into
+// the table it scans before its reader closes), or at Close.
 type Scanner struct {
 	st    *store
 	scan  Scan
 	rv    *versionResolver // nil before the first Next and after the end
 	files []*ssTable
-	done  bool
-	err   error
+	// retired holds the retired ranges the scan has not passed yet.
+	retired retiredSet
+	done    bool
+	err     error
 }
 
 // Next returns the next visible cell.
@@ -371,13 +395,18 @@ func (sc *Scanner) Next() (*Cell, bool) {
 	if sc.rv == nil {
 		sc.open()
 	}
-	c, ok := sc.rv.Next()
-	if !ok || (sc.scan.End != nil && bytes.Compare(c.Row, sc.scan.End) >= 0) {
-		sc.finish()
-		return nil, false
+	for {
+		c, ok := sc.rv.Next()
+		if !ok || (sc.scan.End != nil && bytes.Compare(c.Row, sc.scan.End) >= 0) {
+			sc.finish()
+			return nil, false
+		}
+		if sc.retired != nil && sc.retired.hides(c.Row) {
+			continue
+		}
+		sc.scan.Meter.KVScan(int64(c.Size()))
+		return c, true
 	}
-	sc.scan.Meter.KVScan(int64(c.Size()))
-	return c, true
 }
 
 // open takes the scan's sources, in the order and with the charges of
@@ -385,6 +414,7 @@ func (sc *Scanner) Next() (*Cell, bool) {
 func (sc *Scanner) open() {
 	mem, flushing, files := sc.st.layers()
 	sc.files = files
+	sc.retired = sc.st.retiredNow().within(sc.scan.Start, sc.scan.End)
 	sc.scan.Meter.KVSeek()
 	var probe *Cell
 	if sc.scan.Start != nil {
@@ -440,6 +470,10 @@ func (sc *Scanner) Err() error { return sc.err }
 // view that still holds a put this one dropped the tombstone of. (A put
 // with an explicit timestamp below an already dropped tombstone is
 // visible, as after an HBase major compaction.)
+//
+// A compaction also leaves out the rows of the ranges retired when it
+// started. When it merged every file and no memtable holds a cell of
+// such a range, nothing does, and the store forgets the range.
 func (s *store) compact(major bool, m *sim.Meter) error {
 	if major {
 		if err := s.flush(m, 0); err != nil {
@@ -460,6 +494,7 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 	if len(files) == 0 || (len(files) < 2 && !major) {
 		return nil
 	}
+	retired := s.retiredNow()
 
 	var srcs []CellIterator
 	var expected int
@@ -471,7 +506,7 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 	if major {
 		versions = retainedVersions
 	}
-	st, err := s.writeStoreFile(newVersionResolver(newMergeIterator(srcs), versions), expected+1, m)
+	st, err := s.writeStoreFile(retired.filter(newVersionResolver(newMergeIterator(srcs), versions)), expected+1, m)
 	if err != nil {
 		return fmt.Errorf("kvstore: compact %s: %w", s.dir, err)
 	}
@@ -488,9 +523,34 @@ func (s *store) compact(major bool, m *sim.Meter) error {
 	}
 	s.files = kept
 	sortFilesBySeqDesc(s.files)
+	// With no flush landed or in flight, the merged files were every
+	// file, so the ranges retired before the merge are gone from them
+	// all, and every later flush leaves them out.
+	whole, mem := len(kept) == 1 && s.flushing == nil, s.mem
 	s.mu.Unlock()
 	s.release(replaced)
+	if whole && len(retired) > 0 {
+		s.forgetEmptied(retired, mem)
+	}
 	return nil
+}
+
+// forgetEmptied forgets the ranges of retired that mem holds no cell
+// of. It reads mem without holding mu: a scan holds a memtable's read
+// lock while it takes mu.
+func (s *store) forgetEmptied(retired retiredSet, mem *skiplist) {
+	var gone retiredSet
+	for _, r := range retired {
+		if !mem.holds(r) {
+			gone = append(gone, r)
+		}
+	}
+	if len(gone) == 0 {
+		return
+	}
+	s.mu.Lock()
+	s.retired = s.retired.without(gone)
+	s.mu.Unlock()
 }
 
 // size returns the total on-DFS size of the store files plus the

@@ -184,6 +184,19 @@ func (t *Table) DeleteColumn(row []byte, family string, qualifier []byte, m *sim
 	return t.Put([]*Cell{{Row: row, Family: family, Qualifier: qualifier, Type: TypeDeleteColumn}}, m)
 }
 
+// RetireRange takes the rows in [start, end) out of the table for good:
+// reads stop returning their cells at once, and the next flush or
+// compaction leaves them out of the file it writes. Nothing is read or
+// logged, so it costs no more for a large range than for an empty one.
+// It is for ranges no writer uses again: a put into a retired range is
+// hidden until a compaction has emptied the range and the table
+// forgets it, and a reopened table forgets every retired range.
+func (t *Table) RetireRange(start, end []byte) {
+	t.mutations.Add(1)
+	defer t.mutations.Add(1)
+	t.store.retire(start, end)
+}
+
 // Get returns the visible cells of one row (empty if absent/deleted).
 func (t *Table) Get(row []byte, m *sim.Meter) ([]Cell, error) {
 	return t.store.get(row, m)
