@@ -1,6 +1,8 @@
 package datum
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -223,6 +225,64 @@ func TestVectorExtendPadsNulls(t *testing.T) {
 	for i, w := range want {
 		if got := v.Datum(i); !reflect.DeepEqual(got, w) {
 			t.Errorf("row %d = %v, want %v", i, got, w)
+		}
+	}
+}
+
+// TestVectorSortableKeyMatchesDatum: a row's key built straight from
+// its typed vectors is SortableRowKey of its boxed values, for every
+// storage — NULLs, NaN, ±0, strings holding 0x00, and a mixed column.
+func TestVectorSortableKeyMatchesDatum(t *testing.T) {
+	vals := [][]Datum{
+		{Int(0), Int(-7), Int(1 << 62), Null, Int(math.MinInt64), Int(3)},
+		{Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Null, Float(math.Inf(-1)), Float(3)},
+		{String_(""), String_("a\x00b"), String_("\x00"), Null, String_("zz"), String_("3")},
+		{Bool(true), Bool(false), Null, Null, Bool(true), Bool(false)},
+		{Int(1), Float(1), String_("1"), Null, Bool(true), Int(-1)}, // turns mixed
+		{Null, Null, Null, Null, Null, Null},
+	}
+	vecs := make([]ColumnVector, len(vals))
+	for c, col := range vals {
+		vecs[c].Reset(KindNull, len(col))
+		for i, d := range col {
+			vecs[c].Put(i, d)
+		}
+	}
+	if len(vecs[4].Datums) == 0 {
+		t.Fatal("fixture: vector did not turn mixed")
+	}
+	for i := range vals[0] {
+		row := make(Row, len(vals))
+		var got []byte
+		for c := range vecs {
+			row[c] = vecs[c].Datum(i)
+			got = vecs[c].SortableKey(got, i)
+		}
+		if want := SortableRowKey(nil, row); !bytes.Equal(got, want) {
+			t.Errorf("row %d %v: vector key %x, SortableRowKey %x", i, row, got, want)
+		}
+	}
+}
+
+// TestResetBoolsFills: every length up to a few doubling steps past a
+// batch, both values, over a dirty reused backing array.
+func TestResetBoolsFills(t *testing.T) {
+	buf := make([]bool, 0, 1100)
+	for n := 0; n <= 1100; n++ {
+		for _, val := range []bool{true, false} {
+			buf = buf[:cap(buf)]
+			for i := range buf {
+				buf[i] = !val
+			}
+			got := resetBools(buf[:0], n, val)
+			if len(got) != n {
+				t.Fatalf("n=%d: len %d", n, len(got))
+			}
+			for i, b := range got {
+				if b != val {
+					t.Fatalf("n=%d val=%v: slot %d is %v", n, val, i, b)
+				}
+			}
 		}
 	}
 }

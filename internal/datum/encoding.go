@@ -176,38 +176,74 @@ func SortableKey(dst []byte, d Datum) []byte {
 	switch d.K {
 	case KindNull:
 		return append(dst, 0x00)
-	case KindInt, KindFloat:
-		f, _ := d.AsFloat()
-		bits := math.Float64bits(f)
-		// Flip so that byte order matches numeric order: positive
-		// numbers get the sign bit set, negatives are inverted.
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
-		dst = append(dst, 0x01)
-		return binary.BigEndian.AppendUint64(dst, bits)
+	case KindInt:
+		return sortableNumber(dst, float64(d.I))
+	case KindFloat:
+		return sortableNumber(dst, d.F)
 	case KindString:
-		dst = append(dst, 0x02)
-		for i := 0; i < len(d.S); i++ {
-			c := d.S[i]
-			if c == 0x00 {
-				dst = append(dst, 0x00, 0xFF)
-			} else {
-				dst = append(dst, c)
-			}
-		}
-		return append(dst, 0x00, 0x01)
+		return sortableString(dst, d.S)
 	case KindBool:
-		dst = append(dst, 0x03)
-		if d.B {
-			return append(dst, 0x01)
-		}
-		return append(dst, 0x00)
+		return sortableBool(dst, d.B)
 	default:
 		return append(dst, 0xFF)
 	}
+}
+
+// SortableKey appends the SortableKey encoding of row i straight from
+// the typed slice — SortableKey(dst, v.Datum(i)) without boxing the
+// value (TestVectorSortableKeyMatchesDatum).
+func (v *ColumnVector) SortableKey(dst []byte, i int) []byte {
+	if v.Nulls[i] {
+		return append(dst, 0x00)
+	}
+	switch v.Kind {
+	case KindInt:
+		return sortableNumber(dst, float64(v.Ints[i]))
+	case KindFloat:
+		return sortableNumber(dst, v.Floats[i])
+	case KindString:
+		return sortableString(dst, v.Strs[i])
+	case KindBool:
+		return sortableBool(dst, v.Bools[i])
+	default:
+		return SortableKey(dst, v.Datum(i))
+	}
+}
+
+// sortableNumber encodes a number (an integer by its float64 value).
+func sortableNumber(dst []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	// Flip so that byte order matches numeric order: positive
+	// numbers get the sign bit set, negatives are inverted.
+	if bits&(1<<63) != 0 {
+		bits = ^bits
+	} else {
+		bits |= 1 << 63
+	}
+	dst = append(dst, 0x01)
+	return binary.BigEndian.AppendUint64(dst, bits)
+}
+
+// sortableString escapes each 0x00 byte as 0x00 0xFF and terminates
+// with 0x00 0x01, so a prefix orders before its extensions.
+func sortableString(dst []byte, s string) []byte {
+	dst = append(dst, 0x02)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == 0x00 {
+			dst = append(dst, 0x00, 0xFF)
+		} else {
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, 0x00, 0x01)
+}
+
+func sortableBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 0x03, 0x01)
+	}
+	return append(dst, 0x03, 0x00)
 }
 
 // SortableRowKey appends the order-preserving encoding of each datum

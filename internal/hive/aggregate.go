@@ -151,9 +151,11 @@ const aggPartialWidth = 6
 var zeroPartial = [aggPartialWidth]datum.Datum{datum.Int(0), datum.Float(0), datum.Int(0), datum.Bool(true), datum.Null, datum.Null}
 
 // updatePartial folds one argument value into a partial segment in
-// place. NULL arguments are no-ops. It is the one fold: the map-side
-// hash aggregation calls it per record and the DISTINCT reducer per
-// distinct value, so plain and DISTINCT aggregates cannot disagree.
+// place. NULL arguments are no-ops. It is the one fold of record: the
+// DISTINCT reducer calls it per distinct value, and the map-side hash
+// aggregation's typed state (partialAcc) is its exact transcription,
+// falling back to it for any value off the typed path, so plain and
+// DISTINCT aggregates cannot disagree.
 func updatePartial(p datum.Row, d datum.Datum) {
 	if d.IsNull() {
 		return
@@ -176,44 +178,6 @@ func updatePartial(p datum.Row, d datum.Datum) {
 	}
 	if p[5].IsNull() || datum.Compare(d, p[5]) > 0 {
 		p[5] = d
-	}
-}
-
-// updatePartialVec folds row i of a typed vector into a partial
-// segment — exactly updatePartial(p, v.Datum(i)) without the Datum
-// round-trip on the int/float hot path. Non-numeric kinds, and a
-// min/max accumulator holding a different kind after mixed-kind
-// input, take the generic path.
-func updatePartialVec(p datum.Row, v *datum.ColumnVector, i int) {
-	if v.Nulls[i] {
-		return
-	}
-	if (v.Kind != datum.KindInt && v.Kind != datum.KindFloat) ||
-		(!p[4].IsNull() && p[4].K != v.Kind) || (!p[5].IsNull() && p[5].K != v.Kind) {
-		updatePartial(p, v.Datum(i))
-		return
-	}
-	p[0].I++
-	if v.Kind == datum.KindInt {
-		x := v.Ints[i]
-		p[1].F += float64(x)
-		p[2].I += x
-		if p[4].IsNull() || x < p[4].I {
-			p[4] = datum.Int(x)
-		}
-		if p[5].IsNull() || x > p[5].I {
-			p[5] = datum.Int(x)
-		}
-		return
-	}
-	f := v.Floats[i]
-	p[1].F += f
-	p[3].B = false
-	if p[4].IsNull() || f < p[4].F {
-		p[4] = datum.Float(f)
-	}
-	if p[5].IsNull() || f > p[5].F {
-		p[5] = datum.Float(f)
 	}
 }
 
@@ -284,20 +248,126 @@ func (s aggScanSpec) cloneForMapper() aggScanSpec {
 // overflow path is testable.
 var maxHashGroups = 1 << 16
 
+// accKind is the state of one (group slot, aggregate) accumulator.
+type accKind uint8
+
+const (
+	accEmpty accKind = iota // no value folded yet
+	accInt                  // only BIGINT values: typed count, sums, min, max
+	accFloat                // only DOUBLE values: typed count, sum, min, max
+	accDatum                // anything else: the six-Datum segment in seg
+)
+
+// partialAcc is one (group slot, aggregate) accumulator of the map-side
+// hash aggregation: updatePartial's segment held as typed fields while
+// every value folded into it is a BIGINT, or every one a DOUBLE. The
+// first value of a second kind, or of a non-numeric kind, moves it to
+// the segment itself, which updatePartial folds from then on. Either way
+// appendPartial writes the segment updatePartial would have built.
+type partialAcc struct {
+	kind       accKind
+	count      int64
+	sum        float64
+	sumInt     int64
+	minI, maxI int64
+	minF, maxF float64
+	seg        datum.Row // accDatum only
+}
+
+func (a *partialAcc) addInt(x int64) {
+	switch a.kind {
+	case accInt:
+		a.minI = min(a.minI, x)
+		a.maxI = max(a.maxI, x)
+	case accEmpty:
+		a.kind, a.minI, a.maxI = accInt, x, x
+	default:
+		updatePartial(a.segment(), datum.Int(x))
+		return
+	}
+	a.count++
+	a.sum += float64(x)
+	a.sumInt += x
+}
+
+// addFloat keeps updatePartial's min/max: replace only on a strict
+// comparison, so a NaN never displaces a value, a NaN folded first is
+// never displaced, and of ±0 the first seen stays.
+func (a *partialAcc) addFloat(f float64) {
+	switch a.kind {
+	case accFloat:
+		if f < a.minF {
+			a.minF = f
+		}
+		if f > a.maxF {
+			a.maxF = f
+		}
+	case accEmpty:
+		a.kind, a.minF, a.maxF = accFloat, f, f
+	default:
+		updatePartial(a.segment(), datum.Float(f))
+		return
+	}
+	a.count++
+	// f first, as updatePartial's p[1].F += f compiles: of two NaNs the
+	// sum carries the first operand's bits (TestPartialFoldMatchesRow).
+	a.sum = f + a.sum
+}
+
+// segment moves the accumulator to its six-Datum segment and returns it.
+func (a *partialAcc) segment() datum.Row {
+	if a.kind != accDatum {
+		a.seg = a.appendPartial(make(datum.Row, 0, aggPartialWidth))
+		a.kind = accDatum
+	}
+	return a.seg
+}
+
+// appendPartial appends the accumulator's partial segment to row.
+func (a *partialAcc) appendPartial(row datum.Row) datum.Row {
+	switch a.kind {
+	case accInt:
+		return append(row, datum.Int(a.count), datum.Float(a.sum), datum.Int(a.sumInt), datum.Bool(true),
+			datum.Int(a.minI), datum.Int(a.maxI))
+	case accFloat:
+		return append(row, datum.Int(a.count), datum.Float(a.sum), datum.Int(0), datum.Bool(false),
+			datum.Float(a.minF), datum.Float(a.maxF))
+	case accDatum:
+		return append(row, a.seg...)
+	default:
+		return append(row, zeroPartial[:]...)
+	}
+}
+
+// appendStarPartial appends the segment updatePartial builds by folding
+// TRUE n ≥ 1 times — COUNT(*)'s, whose accumulator is a plain counter
+// (partialAcc.count alone) that every row of its slot increments.
+func appendStarPartial(row datum.Row, n int64) datum.Row {
+	t := datum.Bool(true)
+	return append(row, datum.Int(n), datum.Float(float64(n)), datum.Int(0), datum.Bool(false), t, t)
+}
+
 // aggScanMapper is the scan side of an aggregation. In partial mode
-// (everything but DISTINCT) it hash-aggregates map-side: each record
-// folds into its group's accumulator in place and one partial row per
-// group is emitted at Flush — Hive's hive.map.aggr, which removes the
-// per-record row allocation, emit and combiner merge entirely. In raw
-// mode (DISTINCT) it emits the argument values per record. Group keys
-// and arguments are read from their programs' vectors.
+// (everything but DISTINCT) it hash-aggregates map-side, Hive's
+// hive.map.aggr: a batch's selected rows first resolve to group slots
+// in one pass, then each aggregate folds its whole argument vector into
+// the slots' typed accumulators in one loop per vector kind, and Flush
+// emits one partial row per group. In raw mode (DISTINCT) it emits the
+// argument values per record. Group keys and arguments are read from
+// their programs' vectors.
 type aggScanMapper struct {
 	aggScanSpec
 	partial bool
 	keyBuf  []byte
-	groupRw datum.Row // reused group-value scratch
-	accum   map[string]datum.Row
-	order   []string // accum keys in first-seen order (deterministic Flush)
+
+	// The partial mode's hash table. Slots number the groups in
+	// first-seen order, the order Flush emits them in.
+	slotOf  map[string]int32 // group key → slot
+	keys    []string         // slot → group key
+	grpVals []datum.Datum    // slot s's group values: [s*len(groups), (s+1)*len(groups))
+	accs    [][]partialAcc   // per aggregate, per slot (COUNT(*) uses count only)
+	slots   []int32          // slot of each selected row of the current batch
+	out     datum.Row        // Flush's row buffer (the shuffle copies it)
 }
 
 // emitRaw emits one batch row (already past the filter) as group
@@ -319,71 +389,111 @@ func (m *aggScanMapper) emitRaw(i int, emit mapred.Emitter) error {
 	return emit(m.keyBuf, out)
 }
 
-// accFor returns the partial accumulator for the group values,
-// creating it (and flushing the table when full) on first sight.
-func (m *aggScanMapper) accFor(grp datum.Row, emit mapred.Emitter) (datum.Row, error) {
-	nGroup := len(m.groups)
-	m.keyBuf = datum.SortableRowKey(m.keyBuf[:0], grp)
-	if m.accum == nil {
-		m.accum = make(map[string]datum.Row)
+// resolveSlots fills m.slots with the group slot of each selected row,
+// adding a slot for each new group. It stops before a new group the
+// full table cannot take and returns how many rows it resolved.
+func (m *aggScanMapper) resolveSlots(sel []int32) int {
+	if m.slotOf == nil {
+		m.slotOf = make(map[string]int32)
+		m.accs = make([][]partialAcc, len(m.aggs))
 	}
-	acc, ok := m.accum[string(m.keyBuf)]
-	if !ok {
-		if len(m.accum) >= maxHashGroups {
-			if err := m.Flush(emit); err != nil {
-				return nil, err
+	if cap(m.slots) < len(sel) {
+		m.slots = make([]int32, len(sel))
+	}
+	slots := m.slots[:len(sel)]
+	for k, i := range sel {
+		key := m.keyBuf[:0]
+		for gi := range m.groups {
+			key = m.groups[gi].res.SortableKey(key, int(i))
+		}
+		m.keyBuf = key
+		s, ok := m.slotOf[string(key)]
+		if !ok {
+			if len(m.keys) >= maxHashGroups && len(m.keys) > 0 {
+				return k
 			}
-			m.accum = make(map[string]datum.Row)
+			s = int32(len(m.keys))
+			str := string(key)
+			m.slotOf[str] = s
+			m.keys = append(m.keys, str)
+			for gi := range m.groups {
+				m.grpVals = append(m.grpVals, m.groups[gi].res.Datum(int(i)))
+			}
+			for ai := range m.accs {
+				m.accs[ai] = append(m.accs[ai], partialAcc{})
+			}
 		}
-		acc = make(datum.Row, 0, nGroup+len(m.aggs)*aggPartialWidth)
-		acc = append(acc, grp...)
-		for range m.aggs {
-			acc = append(acc, zeroPartial[:]...)
-		}
-		key := string(m.keyBuf)
-		m.accum[key] = acc
-		m.order = append(m.order, key)
+		slots[k] = s
 	}
-	return acc, nil
+	return len(sel)
 }
 
-// foldPartial folds one batch row (already past the filter) into its
-// group's accumulator: numeric argument vectors fold through the typed
-// updatePartialVec instead of boxing a Datum per (record, aggregate).
-func (m *aggScanMapper) foldPartial(i int, emit mapred.Emitter) error {
-	nGroup := len(m.groups)
-	if cap(m.groupRw) < nGroup {
-		m.groupRw = make(datum.Row, nGroup)
-	}
-	grp := m.groupRw[:nGroup]
-	for gi := range m.groups {
-		grp[gi] = m.groups[gi].res.Datum(i)
-	}
-	acc, err := m.accFor(grp, emit)
-	if err != nil {
-		return err
-	}
+// foldAggs folds each aggregate's argument at the selected rows into
+// the accumulators of the slots resolveSlots gave them, one aggregate
+// and one loop at a time. Each slot still sees its rows in batch order,
+// so float sums add in the order updatePartial would.
+func (m *aggScanMapper) foldAggs(sel []int32) {
+	slots := m.slots[:len(sel)]
 	for ai := range m.aggs {
-		seg := acc[nGroup+ai*aggPartialWidth:]
+		accs := m.accs[ai]
 		if m.aggs[ai].star {
-			updatePartial(seg, datum.Bool(true))
-		} else {
-			updatePartialVec(seg, m.args[ai].res, i)
+			for _, s := range slots {
+				accs[s].count++
+			}
+			continue
+		}
+		v := m.args[ai].res
+		switch v.Kind {
+		case datum.KindInt:
+			for k, i := range sel {
+				if !v.Nulls[i] {
+					accs[slots[k]].addInt(v.Ints[i])
+				}
+			}
+		case datum.KindFloat:
+			for k, i := range sel {
+				if !v.Nulls[i] {
+					accs[slots[k]].addFloat(v.Floats[i])
+				}
+			}
+		default:
+			for k, i := range sel {
+				if !v.Nulls[i] {
+					updatePartial(accs[slots[k]].segment(), v.Datum(int(i)))
+				}
+			}
 		}
 	}
-	return nil
 }
+
+// FlushRecords is the number of partial rows Flush would emit now.
+func (m *aggScanMapper) FlushRecords() int { return len(m.keys) }
 
 // Flush emits the hash-aggregated partial groups in first-seen order
 // and resets the table.
 func (m *aggScanMapper) Flush(emit mapred.Emitter) error {
-	for _, key := range m.order {
-		if err := emit([]byte(key), m.accum[key]); err != nil {
+	nGroup := len(m.groups)
+	for s, key := range m.keys {
+		row := append(m.out[:0], m.grpVals[s*nGroup:(s+1)*nGroup]...)
+		for ai := range m.aggs {
+			if m.aggs[ai].star {
+				row = appendStarPartial(row, m.accs[ai][s].count)
+			} else {
+				row = m.accs[ai][s].appendPartial(row)
+			}
+		}
+		m.out = row
+		m.keyBuf = append(m.keyBuf[:0], key...)
+		if err := emit(m.keyBuf, row); err != nil {
 			return err
 		}
 	}
-	m.accum = nil
-	m.order = m.order[:0]
+	clear(m.slotOf)
+	m.keys = m.keys[:0]
+	m.grpVals = m.grpVals[:0]
+	for ai := range m.accs {
+		m.accs[ai] = m.accs[ai][:0]
+	}
 	return nil
 }
 
@@ -400,17 +510,28 @@ func (m *aggScanMapper) MapBatch(b *mapred.RecordBatch, emit mapred.Emitter) err
 	if err := beginBatchAll(m.args, b, sel); err != nil {
 		return err
 	}
-	for _, i := range sel {
-		if m.partial {
-			err = m.foldPartial(int(i), emit)
-		} else {
-			err = m.emitRaw(int(i), emit)
+	if !m.partial {
+		for _, i := range sel {
+			if err := m.emitRaw(int(i), emit); err != nil {
+				return err
+			}
 		}
-		if err != nil {
+		return nil
+	}
+	// A table that fills mid-batch flushes at the record that overflows
+	// it, as a record-at-a-time fold would: fold the rows before it,
+	// flush, and go on from it.
+	for {
+		n := m.resolveSlots(sel)
+		m.foldAggs(sel[:n])
+		if n == len(sel) {
+			return nil
+		}
+		if err := m.Flush(emit); err != nil {
 			return err
 		}
+		sel = sel[n:]
 	}
-	return nil
 }
 
 // partialAggJob shuffles partial aggregates with a map-side combiner

@@ -37,7 +37,7 @@ func (e *Engine) execInsert(ec *ExecContext, s *sqlparser.InsertStmt) (*ResultSe
 		if err != nil {
 			return 0, err
 		}
-		return int64(len(rows)), e.writeRows(ec, rows, of, ledger)
+		return int64(len(rows)), e.writeRows(ec, rows, 0, of, ledger)
 	})
 	if err != nil {
 		return nil, err

@@ -424,12 +424,11 @@ func (e *Engine) execLoad(ec *ExecContext, s *sqlparser.LoadStmt) (*ResultSet, e
 		if err != nil {
 			return 0, fmt.Errorf("hive: LOAD: %w", err)
 		}
-		ledger.Charge(sim.DFSReadBytes, int64(len(data)))
 		rows, err := parseDelimited(string(data), desc.Schema)
 		if err != nil {
 			return 0, err
 		}
-		return int64(len(rows)), e.writeRows(ec, rows, of, ledger)
+		return int64(len(rows)), e.writeRows(ec, rows, int64(len(data)), of, ledger)
 	})
 	if err != nil {
 		return nil, err
@@ -484,7 +483,7 @@ func (e *Engine) BulkLoad(table string, rows []datum.Row) (*ResultSet, error) {
 				return 0, fmt.Errorf("hive: bulk load %s: %w", table, err)
 			}
 		}
-		return int64(len(rows)), e.writeRows(nil, rows, of, ledger)
+		return int64(len(rows)), e.writeRows(nil, rows, 0, of, ledger)
 	})
 	if err != nil {
 		return nil, err

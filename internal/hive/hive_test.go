@@ -396,6 +396,32 @@ func TestLoadData(t *testing.T) {
 	}
 }
 
+// TestLoadChargesFileOnce: LOAD DATA's ledger reads its source file's
+// bytes exactly once — in the write job's tasks, spread over them by
+// rows — and charges no read of the parsed rows besides.
+func TestLoadChargesFileOnce(t *testing.T) {
+	e := testEngine(t)
+	mustExec(t, e, "CREATE TABLE li (id BIGINT, qty DOUBLE, flag STRING) STORED AS ORC")
+	var src strings.Builder
+	for i := range 1000 {
+		fmt.Fprintf(&src, "%d|%d.25|%c|\n", i, i%50, 'A'+i%3)
+	}
+	e.FS.MkdirAll("/gen")
+	if err := e.FS.WriteFile("/gen/li.tbl", []byte(src.String())); err != nil {
+		t.Fatal(err)
+	}
+	rs := mustExec(t, e, "LOAD DATA INPATH '/gen/li.tbl' INTO TABLE li")
+	if rs.Affected != 1000 {
+		t.Fatalf("loaded = %d", rs.Affected)
+	}
+	if got, want := rs.Counts[sim.DFSReadBytes], int64(src.Len()); got != want {
+		t.Errorf("LOAD of a %d-byte file charged DFSReadBytes %d", want, got)
+	}
+	if got := mustExec(t, e, "SELECT COUNT(*) FROM li").Rows[0][0].I; got != 1000 {
+		t.Errorf("count after load = %d", got)
+	}
+}
+
 func TestShowDescribeDropExplain(t *testing.T) {
 	e := testEngine(t)
 	seedEmployees(t, e, "ORC")

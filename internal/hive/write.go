@@ -74,7 +74,7 @@ func (e *Engine) insertSelect(ec *ExecContext, s *sqlparser.InsertStmt, desc *me
 			return 0, fmt.Errorf("hive: INSERT into %s: %w", s.Table, err)
 		}
 	}
-	return int64(len(rows)), e.writeRows(ec, rows, of, ledger)
+	return int64(len(rows)), e.writeRows(ec, rows, 0, of, ledger)
 }
 
 // writeTable writes into desc through its storage handler, replacing
@@ -111,15 +111,23 @@ func (e *Engine) writeTable(desc *metastore.TableDesc, overwrite bool, write fun
 
 // writeRows streams rows through an output factory as one map-only
 // job: the write of VALUES, LOAD, BulkLoad and the baseline storages'
-// collected INSERT … SELECT. Its splits charge a DFS read of the rows'
+// collected INSERT … SELECT. srcBytes is the size of the file the rows
+// were parsed from (LOAD's): the tasks charge its DFS read, each its
+// share by rows, so the file is charged once. With srcBytes 0 the rows
+// have no source file, and each task charges a DFS read of its rows'
 // encoded size that no DFS serves (ROADMAP item 17).
-func (e *Engine) writeRows(ec *ExecContext, rows []datum.Row, factory mapred.OutputFactory, ledger *sim.Ledger) error {
+func (e *Engine) writeRows(ec *ExecContext, rows []datum.Row, srcBytes int64, factory mapred.OutputFactory, ledger *sim.Ledger) error {
 	var splits []mapred.InputSplit
 	for off := 0; off < len(rows); off += writeTaskRows {
 		end := min(off+writeTaskRows, len(rows))
 		var simSize int64
-		for _, r := range rows[off:end] {
-			simSize += int64(datum.RowEncodedSize(r))
+		if srcBytes > 0 {
+			n := int64(len(rows))
+			simSize = srcBytes*int64(end)/n - srcBytes*int64(off)/n
+		} else {
+			for _, r := range rows[off:end] {
+				simSize += int64(datum.RowEncodedSize(r))
+			}
 		}
 		splits = append(splits, &mapred.SliceSplit{Rows: rows[off:end], SimSize: simSize})
 	}

@@ -129,6 +129,13 @@ type Reducer interface {
 	Flush(emit Emitter) error
 }
 
+// FlushSizer is implemented by a mapper that knows how many records its
+// Flush will emit — a map-side hash aggregation, one per group. The
+// task sizes the shuffle runs those records open from the count.
+type FlushSizer interface {
+	FlushRecords() int
+}
+
 // MeterAware is implemented by mappers that perform side-effect I/O
 // (e.g. DualTable's EDIT UDTFs writing to the attached table). The
 // engine injects the task's meter before the first MapBatch call so the
@@ -518,6 +525,9 @@ func (c *Cluster) runMapTask(ctx context.Context, job *Job, taskID int, meter *s
 			return fmt.Errorf("mapred: map task %d: %w", taskID, err)
 		}
 	}
+	if fs, ok := mapper.(FlushSizer); ok && sw != nil {
+		sw.expect(fs.FlushRecords())
+	}
 	if err := mapper.Flush(emit); err != nil {
 		return fmt.Errorf("mapred: map flush %d: %w", taskID, err)
 	}
@@ -574,7 +584,7 @@ type mapTaskOutput struct {
 // order, so the seal almost always resolves to the identity — only a
 // Flush emission can break the order and force a permutation).
 func runCombiner(comb Reducer, in *shuffleRun) (shuffleRun, error) {
-	var out shuffleRun
+	out := shuffleRun{hint: in.len()} // a combiner folds records: its input bounds its output
 	flushEmit := func(key []byte, value datum.Row) error {
 		out.appendSized(key, value)
 		return nil

@@ -38,6 +38,10 @@ type shuffleRun struct {
 	valOff   []int32
 	perm     []int32
 	bytes    int64 // encoded wire size of the run
+	// hint is the number of records the producer expects to append
+	// (0: unknown). The first append sizes the segments from it and
+	// from the first record's width.
+	hint int
 }
 
 // len returns the number of records in the run.
@@ -73,13 +77,17 @@ func (r *shuffleRun) idx(i int) int32 {
 func (r *shuffleRun) append(key []byte, row datum.Row) {
 	if len(r.keyOff) == 0 {
 		if cap(r.keyOff) == 0 {
-			// Presize for a few hundred records so early doubling
-			// doesn't churn the allocator on every partition.
-			const hint = 512
+			// Presize for the records the producer expects, or, when
+			// it cannot tell, for a few hundred records so early
+			// doubling doesn't churn the allocator on every partition.
+			hint, keyCap, valCap := 512, 8<<10, 2*512
+			if r.hint > 0 {
+				hint, keyCap, valCap = r.hint, r.hint*len(key), r.hint*len(row)
+			}
 			r.keyOff = make([]int32, 0, hint+1)
 			r.valOff = make([]int32, 0, hint+1)
-			r.keyBytes = make([]byte, 0, 8<<10)
-			r.vals = make([]datum.Datum, 0, 2*hint)
+			r.keyBytes = make([]byte, 0, keyCap)
+			r.vals = make([]datum.Datum, 0, valCap)
 		}
 		r.keyOff = append(r.keyOff, 0)
 		r.valOff = append(r.valOff, 0)
@@ -196,6 +204,18 @@ func (w *shuffleWriter) add(key []byte, row datum.Row) {
 	r.append(key, row)
 	if w.sizeOnEmit {
 		r.bytes += int64(len(key) + datum.RowEncodedSize(row))
+	}
+}
+
+// expect tells the runs not yet written that n more records are
+// coming, spread over the partitions by key hash: each such run sizes
+// its first allocation for its even share.
+func (w *shuffleWriter) expect(n int) {
+	share := (n + len(w.runs) - 1) / len(w.runs)
+	for p := range w.runs {
+		if cap(w.runs[p].keyOff) == 0 {
+			w.runs[p].hint = share
+		}
 	}
 }
 

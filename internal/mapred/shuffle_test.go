@@ -220,3 +220,39 @@ func TestShuffleBytesMatchReducerWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestShuffleRunSizedFromCount: a run whose producer announced a count
+// sizes its first allocation for its share of it, by the first record's
+// width; a run with no count keeps the 512-record default; a combiner's
+// output run is sized from its input.
+func TestShuffleRunSizedFromCount(t *testing.T) {
+	key, row := []byte("key"), datum.Row{datum.Int(1), datum.Int(2), datum.Int(3)}
+	w := newShuffleWriter(4, false)
+	w.runs[0].append(key, row) // written before the count: keeps its allocation
+	w.expect(10)
+	for p := range w.runs {
+		w.runs[p].append(key, row)
+	}
+	if r := &w.runs[0]; cap(r.keyOff) != 513 || cap(r.vals) != 1024 {
+		t.Errorf("unhinted run: keyOff cap %d, vals cap %d; want 513, 1024", cap(r.keyOff), cap(r.vals))
+	}
+	for p := 1; p < len(w.runs); p++ {
+		if r := &w.runs[p]; cap(r.keyOff) != 4 || cap(r.vals) != 3*len(row) || cap(r.keyBytes) != 3*len(key) {
+			t.Errorf("run %d: keyOff cap %d, vals cap %d, keyBytes cap %d; want 4, %d, %d",
+				p, cap(r.keyOff), cap(r.vals), cap(r.keyBytes), 3*len(row), 3*len(key))
+		}
+	}
+	in := &w.runs[0]
+	in.append([]byte("other"), row)
+	in.seal()
+	out, err := runCombiner(ReduceFunc(func(key []byte, rows []datum.Row, emit Emitter) error {
+		return emit(key, rows[0])
+	}), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.len() != 2 || cap(out.keyOff) != 4 || cap(out.vals) != 3*len(row) {
+		t.Errorf("combiner output: %d records, keyOff cap %d, vals cap %d; want 2, 4, %d",
+			out.len(), cap(out.keyOff), cap(out.vals), 3*len(row))
+	}
+}
