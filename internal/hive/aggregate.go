@@ -163,7 +163,7 @@ func updatePartial(p datum.Row, d datum.Datum) {
 	p[0].I++
 	intOnly := d.K == datum.KindInt
 	if f, ok := d.AsFloat(); ok {
-		p[1].F += f
+		p[1].F = addSum(p[1].F, f)
 		if intOnly {
 			p[2].I += d.I
 		}
@@ -286,7 +286,7 @@ func (a *partialAcc) addInt(x int64) {
 		return
 	}
 	a.count++
-	a.sum += float64(x)
+	a.sum = addSum(a.sum, float64(x))
 	a.sumInt += x
 }
 
@@ -309,9 +309,21 @@ func (a *partialAcc) addFloat(f float64) {
 		return
 	}
 	a.count++
-	// f first, as updatePartial's p[1].F += f compiles: of two NaNs the
-	// sum carries the first operand's bits (TestPartialFoldMatchesRow).
-	a.sum = f + a.sum
+	a.sum = addSum(a.sum, f)
+}
+
+// addSum is the one addition a partial's sum makes, in updatePartial
+// and in partialAcc's typed folds alike, so the two cannot disagree
+// (TestPartialFoldMatchesRow compares their sums bit for bit). Of two
+// NaN operands an addition keeps one operand's payload, and which one
+// the hardware keeps (amd64: the destination register's) is left to the
+// compiler at each site; the sums have always kept the folded value's,
+// so a NaN f wins here explicitly, quieted as the addition would.
+func addSum(sum, f float64) float64 {
+	if f != f {
+		return f + f
+	}
+	return sum + f
 }
 
 // segment moves the accumulator to its six-Datum segment and returns it.

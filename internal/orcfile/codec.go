@@ -14,15 +14,18 @@ import (
 // small files: an inflater carries ~44 KB of Huffman tables and window,
 // a deflater ~650 KB of hash chains, while a 512-row column stream is a
 // few KB. Readers and writers therefore never construct codec state per
-// stream (or per file): they borrow it, with the byte buffers around it
-// and a batch scan's decode scratch, from the free lists below and hand
-// it back when done. Everything on a list is reset by its next
-// borrower, so a value that saw a corrupt stream is as good as new.
+// stream (or per file): they borrow it, with the byte buffers around it,
+// a batch scan's decode scratch and a writer's column builders, from the
+// free lists below and hand it back when done. Everything on a list is
+// reset by its next borrower — or, for column builders, by the writer
+// that returns them — so a value that saw a corrupt stream is as good as
+// new.
 
 var (
-	inflaters = freelist.New[inflater]()
-	deflaters = freelist.New[deflater]()
-	scratches = freelist.New[scanScratch]()
+	inflaters       = freelist.New[inflater]()
+	deflaters       = freelist.New[deflater]()
+	scratches       = freelist.New[scanScratch]()
+	columnScratches = freelist.New[columnScratch]()
 )
 
 // inflater reads byte ranges of a file, inflating the compressed ones.
@@ -121,6 +124,15 @@ type scanScratch struct {
 	ints    []int64
 	floats  []float64
 	bools   []bool
+}
+
+// columnScratch is one writer's column builders and footer buffer,
+// borrowed at NewWriter. Close resets the builders, clearing their
+// string slices so they pin no strings, and returns it; a writer that is
+// never closed just drops it.
+type columnScratch struct {
+	cols   []columnBuilder
+	footer []byte
 }
 
 // widened returns s with length n, keeping every element it ever held

@@ -130,7 +130,7 @@ func craftFile(schema datum.Schema, rows int64, streams [][]byte, mutate func(st
 	if mutate != nil {
 		mutate(w.stripes)
 	}
-	return appendTail(body, w.encodeFooter(), uint64(len(body)), 0)
+	return appendTail(body, w.appendFooter(nil), uint64(len(body)), 0)
 }
 
 // appendTail appends footer and a tail that declares it at footerOff.

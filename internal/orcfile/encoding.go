@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // intEncoder run-length encodes int64 values: repeats of length >= 3
@@ -56,6 +57,19 @@ func (e *intEncoder) Append(v int64) {
 	e.pending = append(e.pending, v)
 	if len(e.pending) >= 2*maxEncodeRun {
 		e.flushPending(false)
+	}
+}
+
+// AppendAll appends vs as an Append per value would: the buffer is
+// flushed at the same points, so the RLE groups are the same.
+func (e *intEncoder) AppendAll(vs []int64) {
+	for len(vs) > 0 {
+		n := min(len(vs), 2*maxEncodeRun-len(e.pending))
+		e.pending = append(e.pending, vs[:n]...)
+		vs = vs[n:]
+		if len(e.pending) >= 2*maxEncodeRun {
+			e.flushPending(false)
+		}
 	}
 }
 
@@ -300,6 +314,27 @@ func (w *bitWriter) Append(b bool) {
 	}
 }
 
+// AppendNot appends one bit per value, set where the value is false —
+// a presence bitmap from a vector's NULL flags — and returns how many
+// were true.
+func (w *bitWriter) AppendNot(bs []bool) int {
+	set := 0
+	cur, nbit := w.cur, w.nbit
+	for _, b := range bs {
+		if b {
+			set++
+		} else {
+			cur |= 1 << nbit
+		}
+		if nbit++; nbit == 8 {
+			w.out = append(w.out, cur)
+			cur, nbit = 0, 0
+		}
+	}
+	w.cur, w.nbit = cur, nbit
+	return set
+}
+
 func (w *bitWriter) Finish() []byte {
 	if w.nbit > 0 {
 		w.out = append(w.out, w.cur)
@@ -351,6 +386,16 @@ type floatEncoder struct{ out []byte }
 func (e *floatEncoder) Append(v float64) {
 	e.out = binary.LittleEndian.AppendUint64(e.out, math.Float64bits(v))
 }
+
+// AppendAll appends vs in one grow.
+func (e *floatEncoder) AppendAll(vs []float64) {
+	n := len(e.out)
+	e.out = slices.Grow(e.out, 8*len(vs))[:n+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(e.out[n+8*i:], math.Float64bits(v))
+	}
+}
+
 func (e *floatEncoder) Finish() []byte { return e.out }
 func (e *floatEncoder) Reset()         { e.out = e.out[:0] }
 

@@ -251,15 +251,15 @@ func TestStatsStringSumUnchanged(t *testing.T) {
 	}
 	skipped := 0
 	for _, s := range corpus {
-		var st ColumnStats
-		st.Update(datum.String_(s))
+		var st stripeStats
+		st.addString(s)
 		var want float64
 		f, ok := datum.String_(s).AsFloat()
 		if ok {
 			want += f
 		}
-		if floatBits(st.Sum) != floatBits(want) {
-			t.Errorf("Sum after %q = %v, AsFloat says %v (%v)", s, st.Sum, want, ok)
+		if floatBits(st.sum) != floatBits(want) {
+			t.Errorf("Sum after %q = %v, AsFloat says %v (%v)", s, st.sum, want, ok)
 		}
 		if !numberLike(s) {
 			skipped++
@@ -268,10 +268,10 @@ func TestStatsStringSumUnchanged(t *testing.T) {
 	if skipped < len(corpus)/2 {
 		t.Errorf("only %d of %d strings skipped the parse", skipped, len(corpus))
 	}
-	var st ColumnStats
-	date := datum.String_("1994-01-01")
-	if n := testing.AllocsPerRun(100, func() { st.Update(date) }); n != 0 {
-		t.Errorf("a date costs %v allocations per Update", n)
+	var st stripeStats
+	date := "1994-01-01"
+	if n := testing.AllocsPerRun(100, func() { st.addString(date) }); n != 0 {
+		t.Errorf("a date costs %v allocations per addString", n)
 	}
 }
 

@@ -25,32 +25,107 @@ type ColumnStats struct {
 	Sum       float64 // meaningful for numeric columns
 }
 
-// Update folds one value into the stats.
-func (s *ColumnStats) Update(d datum.Datum) {
-	if d.IsNull() {
-		s.NullCount++
-		return
+// stripeStats is one column's statistics for the stripe being written,
+// kept typed: a value folds in without becoming a Datum or meeting
+// datum.Compare, and flushStripe turns the state into a ColumnStats
+// once. WriteRow and WriteBatch fold through the same add* helpers.
+// Bounds replace only on a strict comparison, as Compare orders values:
+// a NaN folded first stays, a later NaN displaces nothing, and of ±0 the
+// first seen stays.
+type stripeStats struct {
+	count, nulls int64
+	sum          float64
+	minI, maxI   int64
+	minF, maxF   float64
+	minS, maxS   string
+	minB, maxB   bool
+}
+
+func (s *stripeStats) addInt(v int64) {
+	if s.count == 0 || v < s.minI {
+		s.minI = v
 	}
-	s.Count++
-	if !s.HasMinMax {
-		s.Min, s.Max, s.HasMinMax = d, d, true
-	} else {
-		if datum.Compare(d, s.Min) < 0 {
-			s.Min = d
+	if s.count == 0 || v > s.maxI {
+		s.maxI = v
+	}
+	s.count++
+	s.sum = addSum(s.sum, float64(v))
+}
+
+func (s *stripeStats) addFloat(v float64) {
+	if s.count == 0 || v < s.minF {
+		s.minF = v
+	}
+	if s.count == 0 || v > s.maxF {
+		s.maxF = v
+	}
+	s.count++
+	s.sum = addSum(s.sum, v)
+}
+
+// addString adds to the sum only a string that reads as a number
+// (footers carry the value, so it stays). Most do not, and strconv
+// allocates an error for each of those: the parse is skipped where it
+// cannot succeed.
+func (s *stripeStats) addString(v string) {
+	if s.count == 0 || v < s.minS {
+		s.minS = v
+	}
+	if s.count == 0 || v > s.maxS {
+		s.maxS = v
+	}
+	s.count++
+	if numberLike(v) {
+		if f, ok := datum.String_(v).AsFloat(); ok {
+			s.sum = addSum(s.sum, f)
 		}
-		if datum.Compare(d, s.Max) > 0 {
-			s.Max = d
-		}
 	}
-	// A string adds to Sum when it reads as a number (footers carry the
-	// value, so it stays). Most do not, and strconv allocates an error
-	// for each of those: skip the parse where it cannot succeed.
-	if d.K == datum.KindString && !numberLike(d.S) {
-		return
+}
+
+func (s *stripeStats) addBool(v bool) {
+	if s.count == 0 {
+		s.minB, s.maxB = v, v
 	}
-	if f, ok := d.AsFloat(); ok {
-		s.Sum += f
+	s.minB, s.maxB = s.minB && v, s.maxB || v
+	s.count++
+	var f float64
+	if v {
+		f = 1
 	}
+	s.sum = addSum(s.sum, f)
+}
+
+// columnStats returns the stripe's statistics for a column of kind.
+func (s *stripeStats) columnStats(kind datum.Kind) ColumnStats {
+	cs := ColumnStats{Count: s.count, NullCount: s.nulls, HasMinMax: s.count > 0, Sum: s.sum}
+	if !cs.HasMinMax {
+		return cs
+	}
+	switch kind {
+	case datum.KindInt:
+		cs.Min, cs.Max = datum.Int(s.minI), datum.Int(s.maxI)
+	case datum.KindFloat:
+		cs.Min, cs.Max = datum.Float(s.minF), datum.Float(s.maxF)
+	case datum.KindString:
+		cs.Min, cs.Max = datum.String_(s.minS), datum.String_(s.maxS)
+	case datum.KindBool:
+		cs.Min, cs.Max = datum.Bool(s.minB), datum.Bool(s.maxB)
+	}
+	return cs
+}
+
+// addSum is the one addition every statistics sum makes. Of two NaN
+// operands an addition keeps one operand's payload, and which one the
+// hardware keeps (amd64: the destination register's) is left to the
+// compiler at each call site. The written sums have always kept the
+// added value's, so a NaN v wins here explicitly — quieted, as the
+// addition would — and the file bytes cannot depend on how a site
+// compiled.
+func addSum(sum, v float64) float64 {
+	if v != v {
+		return v + v
+	}
+	return sum + v
 }
 
 // numberLike reports false only for strings strconv.ParseFloat rejects
@@ -82,7 +157,9 @@ func numberLike(s string) bool {
 func (s *ColumnStats) Merge(o ColumnStats) {
 	s.Count += o.Count
 	s.NullCount += o.NullCount
-	s.Sum += o.Sum
+	// Of two NaN sums the running one keeps its payload, as files have
+	// always been written: addSum keeps its second operand's.
+	s.Sum = addSum(o.Sum, s.Sum)
 	if o.HasMinMax {
 		if !s.HasMinMax {
 			s.Min, s.Max, s.HasMinMax = o.Min, o.Max, true

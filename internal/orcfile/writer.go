@@ -2,9 +2,12 @@ package orcfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"dualtable/internal/datum"
 )
@@ -49,21 +52,26 @@ type WriterOptions struct {
 
 // Writer streams rows into an ORC-like file. The destination only
 // needs io.Writer (no seeking), so it can write straight to a DFS
-// file.
+// file. The first error a call returns sticks: every later call
+// returns it, and Close then writes no footer, so a file whose columns
+// a failed call left at different row counts never becomes readable.
 type Writer struct {
 	w      io.Writer
 	schema datum.Schema
 	opts   WriterOptions
 
-	cols      []*columnBuilder
+	scratch   *columnScratch // borrowed at NewWriter, returned at Close
+	cols      []columnBuilder
 	rowsIn    int // rows in current stripe
 	totalRows int64
 	offset    uint64 // bytes written so far
 	stripes   []stripeMeta
 	fileStats []ColumnStats
-	closed    bool
+	err       error     // the first error, or errClosed after Close
 	z         *deflater // borrowed at the first compressed stream, returned at Close
 }
+
+var errClosed = errors.New("orcfile: writer closed")
 
 type stripeMeta struct {
 	offset  uint64
@@ -79,7 +87,7 @@ type streamMeta struct {
 }
 
 // columnBuilder accumulates one column's values for the current
-// stripe.
+// stripe. Everything but kind is scratch that outlives the stripe.
 type columnBuilder struct {
 	kind     datum.Kind
 	presence bitWriter
@@ -87,7 +95,20 @@ type columnBuilder struct {
 	floats   floatEncoder
 	bools    bitWriter
 	strs     []string
-	stats    ColumnStats
+	stats    stripeStats
+
+	stream []byte // the encoded stream
+
+	// The string section's: the distinct values numbered in order of
+	// first appearance (dict, firsts), each string's number (ids), the
+	// numbers in dictionary order (order) and each one's rank in it, and
+	// the encoder of the lengths or indexes.
+	dict   map[string]int32
+	firsts []string
+	ids    []int32
+	order  []int32
+	rank   []int32
+	aux    intEncoder
 }
 
 // NewWriter creates a writer emitting rows of the given schema.
@@ -98,12 +119,13 @@ func NewWriter(w io.Writer, schema datum.Schema, opts WriterOptions) (*Writer, e
 	if opts.StripeRows <= 0 {
 		opts.StripeRows = DefaultStripeRows
 	}
-	wr := &Writer{w: w, schema: schema.Clone(), opts: opts,
-		fileStats: make([]ColumnStats, len(schema))}
-	for _, c := range schema {
-		wr.cols = append(wr.cols, &columnBuilder{kind: c.Kind})
+	sc := columnScratches.Get()
+	sc.cols = widened(sc.cols, len(schema))
+	for i, c := range schema {
+		sc.cols[i].kind = c.Kind
 	}
-	return wr, nil
+	return &Writer{w: w, schema: schema.Clone(), opts: opts, scratch: sc, cols: sc.cols,
+		fileStats: make([]ColumnStats, len(schema))}, nil
 }
 
 // Schema returns the writer's schema.
@@ -112,11 +134,11 @@ func (w *Writer) Schema() datum.Schema { return w.schema }
 // WriteRow appends one row; datums must match the schema kinds (NULLs
 // allowed anywhere).
 func (w *Writer) WriteRow(row datum.Row) error {
-	if w.closed {
-		return fmt.Errorf("orcfile: writer closed")
+	if w.err != nil {
+		return w.err
 	}
 	if len(row) != len(w.schema) {
-		return fmt.Errorf("orcfile: row arity %d, schema arity %d", len(row), len(w.schema))
+		return w.fail(fmt.Errorf("orcfile: row arity %d, schema arity %d", len(row), len(w.schema)))
 	}
 	for i, d := range row {
 		if !w.cols[i].append(d) {
@@ -126,7 +148,7 @@ func (w *Writer) WriteRow(row datum.Row) error {
 	w.rowsIn++
 	w.totalRows++
 	if w.rowsIn >= w.opts.StripeRows {
-		return w.flushStripe()
+		return w.fail(w.flushStripe())
 	}
 	return nil
 }
@@ -136,16 +158,16 @@ func (w *Writer) WriteRow(row datum.Row) error {
 // flushed there. A column vector holds the schema's kind, or is all
 // NULL, or is mixed with values of that kind.
 func (w *Writer) WriteBatch(b *datum.Batch) error {
-	if w.closed {
-		return fmt.Errorf("orcfile: writer closed")
+	if w.err != nil {
+		return w.err
 	}
 	if len(b.Cols) != len(w.schema) {
-		return fmt.Errorf("orcfile: batch arity %d, schema arity %d", len(b.Cols), len(w.schema))
+		return w.fail(fmt.Errorf("orcfile: batch arity %d, schema arity %d", len(b.Cols), len(w.schema)))
 	}
 	for from := 0; from < b.Len; {
 		to := min(b.Len, from+w.opts.StripeRows-w.rowsIn)
-		for j, cb := range w.cols {
-			if i := cb.appendVector(&b.Cols[j], from, to); i >= 0 {
+		for j := range w.cols {
+			if i := w.cols[j].appendVector(&b.Cols[j], from, to); i >= 0 {
 				return w.kindError(j, b.Cols[j].Datum(i))
 			}
 		}
@@ -154,37 +176,48 @@ func (w *Writer) WriteBatch(b *datum.Batch) error {
 		from = to
 		if w.rowsIn >= w.opts.StripeRows {
 			if err := w.flushStripe(); err != nil {
-				return err
+				return w.fail(err)
 			}
 		}
 	}
 	return nil
 }
 
+// fail makes err, when there is one, the writer's sticky error.
+func (w *Writer) fail(err error) error {
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+	return err
+}
+
 func (w *Writer) kindError(col int, d datum.Datum) error {
-	return fmt.Errorf("orcfile: column %s expects %s, got %s", w.schema[col].Name, w.cols[col].kind, d.K)
+	return w.fail(fmt.Errorf("orcfile: column %s expects %s, got %s", w.schema[col].Name, w.cols[col].kind, d.K))
 }
 
 // append adds one value; false means d is of another kind.
 func (cb *columnBuilder) append(d datum.Datum) bool {
 	if d.IsNull() {
-		cb.stats.Update(d)
+		cb.stats.nulls++
 		cb.presence.Append(false)
 		return true
 	}
 	if d.K != cb.kind {
 		return false
 	}
-	cb.stats.Update(d)
 	cb.presence.Append(true)
 	switch cb.kind {
 	case datum.KindInt:
+		cb.stats.addInt(d.I)
 		cb.ints.Append(d.I)
 	case datum.KindFloat:
+		cb.stats.addFloat(d.F)
 		cb.floats.Append(d.F)
 	case datum.KindBool:
+		cb.stats.addBool(d.B)
 		cb.bools.Append(d.B)
 	case datum.KindString:
+		cb.stats.addString(d.S)
 		cb.strs = append(cb.strs, d.S)
 	}
 	return true
@@ -192,7 +225,10 @@ func (cb *columnBuilder) append(d datum.Datum) bool {
 
 // appendVector adds rows [from, to) of v and returns -1, or the first
 // row whose value is of another kind. A typed vector of the column's
-// kind appends from its slice; any other goes datum by datum.
+// kind appends a column at a time: the presence bits in one pass, the
+// values in bulk where the range holds no NULL, and one loop over the
+// slice that folds the statistics (and appends the values where it
+// does). Any other vector goes datum by datum.
 func (cb *columnBuilder) appendVector(v *datum.ColumnVector, from, to int) int {
 	if v.Kind != cb.kind || len(v.Datums) > 0 {
 		for i := from; i < to; i++ {
@@ -202,26 +238,55 @@ func (cb *columnBuilder) appendVector(v *datum.ColumnVector, from, to int) int {
 		}
 		return -1
 	}
-	for i := from; i < to; i++ {
-		if v.Nulls[i] {
-			cb.stats.Update(datum.Null)
-			cb.presence.Append(false)
-			continue
+	nulls := v.Nulls[from:to]
+	nn := cb.presence.AppendNot(nulls)
+	cb.stats.nulls += int64(nn)
+	switch cb.kind {
+	case datum.KindInt:
+		vals := v.Ints[from:to]
+		if nn == 0 {
+			cb.ints.AppendAll(vals)
 		}
-		cb.presence.Append(true)
-		switch cb.kind {
-		case datum.KindInt:
-			cb.stats.Update(datum.Int(v.Ints[i]))
-			cb.ints.Append(v.Ints[i])
-		case datum.KindFloat:
-			cb.stats.Update(datum.Float(v.Floats[i]))
-			cb.floats.Append(v.Floats[i])
-		case datum.KindBool:
-			cb.stats.Update(datum.Bool(v.Bools[i]))
-			cb.bools.Append(v.Bools[i])
-		case datum.KindString:
-			cb.stats.Update(datum.String_(v.Strs[i]))
-			cb.strs = append(cb.strs, v.Strs[i])
+		for i, x := range vals {
+			if !nulls[i] {
+				cb.stats.addInt(x)
+				if nn > 0 {
+					cb.ints.Append(x)
+				}
+			}
+		}
+	case datum.KindFloat:
+		vals := v.Floats[from:to]
+		if nn == 0 {
+			cb.floats.AppendAll(vals)
+		}
+		for i, x := range vals {
+			if !nulls[i] {
+				cb.stats.addFloat(x)
+				if nn > 0 {
+					cb.floats.Append(x)
+				}
+			}
+		}
+	case datum.KindBool:
+		for i, x := range v.Bools[from:to] {
+			if !nulls[i] {
+				cb.stats.addBool(x)
+				cb.bools.Append(x)
+			}
+		}
+	case datum.KindString:
+		vals := v.Strs[from:to]
+		if nn == 0 {
+			cb.strs = append(cb.strs, vals...)
+		}
+		for i, x := range vals {
+			if !nulls[i] {
+				cb.stats.addString(x)
+				if nn > 0 {
+					cb.strs = append(cb.strs, x)
+				}
+			}
 		}
 	}
 	return -1
@@ -232,9 +297,11 @@ func (w *Writer) flushStripe() error {
 	if w.rowsIn == 0 {
 		return nil
 	}
-	sm := stripeMeta{offset: w.offset, rows: int64(w.rowsIn)}
+	sm := stripeMeta{offset: w.offset, rows: int64(w.rowsIn),
+		streams: make([]streamMeta, 0, len(w.cols)), stats: make([]ColumnStats, 0, len(w.cols))}
 	var rel uint64
-	for i, cb := range w.cols {
+	for i := range w.cols {
+		cb := &w.cols[i]
 		raw := cb.encodeStream()
 		stream, err := w.maybeCompress(raw)
 		if err != nil {
@@ -249,8 +316,9 @@ func (w *Writer) flushStripe() error {
 		}
 		sm.streams = append(sm.streams, streamMeta{relOff: rel, length: uint64(len(stream))})
 		rel += uint64(len(stream))
-		sm.stats = append(sm.stats, cb.stats)
-		w.fileStats[i].Merge(cb.stats)
+		st := cb.stats.columnStats(cb.kind)
+		sm.stats = append(sm.stats, st)
+		w.fileStats[i].Merge(st)
 		cb.reset()
 	}
 	sm.length = rel
@@ -260,10 +328,11 @@ func (w *Writer) flushStripe() error {
 	return nil
 }
 
-// encodeStream builds the uncompressed column stream.
+// encodeStream builds the uncompressed column stream in cb.stream,
+// valid until the builder's next encode.
 func (cb *columnBuilder) encodeStream() []byte {
 	presence := cb.presence.Finish()
-	out := binary.AppendUvarint(nil, uint64(len(presence)))
+	out := binary.AppendUvarint(cb.stream[:0], uint64(len(presence)))
 	out = append(out, presence...)
 	switch cb.kind {
 	case datum.KindInt:
@@ -273,27 +342,49 @@ func (cb *columnBuilder) encodeStream() []byte {
 	case datum.KindBool:
 		out = append(out, cb.bools.Finish()...)
 	case datum.KindString:
-		out = appendStringSection(out, cb.strs)
+		out = cb.appendStringSection(out)
 	}
+	cb.stream = out
 	return out
 }
 
-// appendStringSection chooses dictionary or direct encoding.
-func appendStringSection(out []byte, strs []string) []byte {
-	distinct := map[string]int{}
-	for _, s := range strs {
-		distinct[s] = 0
+// appendStringSection chooses dictionary or direct encoding. A
+// dictionary may hold at most half as many values as there are strings,
+// so numbering the distinct values stops at the first one too many; a
+// string equal to the one before it (a run) skips the map.
+func (cb *columnBuilder) appendStringSection(out []byte) []byte {
+	strs := cb.strs
+	if cb.dict == nil {
+		cb.dict = map[string]int32{}
 	}
-	useDict := len(strs) > 0 && float64(len(distinct)) <= dictionaryThreshold*float64(len(strs))
-	if !useDict {
-		out = append(out, 0x00) // direct
-		var lens intEncoder
-		for _, s := range strs {
-			lens.Append(int64(len(s)))
+	maxDict := int(dictionaryThreshold * float64(len(strs)))
+	firsts, ids := cb.firsts[:0], cb.ids[:0]
+	for i, s := range strs {
+		if i > 0 && s == strs[i-1] {
+			ids = append(ids, ids[i-1])
+			continue
 		}
-		enc := lens.Finish()
-		out = binary.AppendUvarint(out, uint64(len(enc)))
-		out = append(out, enc...)
+		id, ok := cb.dict[s]
+		if !ok {
+			if len(firsts) == maxDict {
+				break
+			}
+			id = int32(len(firsts))
+			cb.dict[s] = id
+			firsts = append(firsts, s)
+		}
+		ids = append(ids, id)
+	}
+	cb.firsts, cb.ids = firsts, ids
+	enc := &cb.aux
+	if len(strs) == 0 || len(ids) < len(strs) {
+		out = append(out, 0x00) // direct
+		for _, s := range strs {
+			enc.Append(int64(len(s)))
+		}
+		lens := enc.Finish()
+		out = binary.AppendUvarint(out, uint64(len(lens)))
+		out = append(out, lens...)
 		for _, s := range strs {
 			out = append(out, s...)
 		}
@@ -301,35 +392,41 @@ func appendStringSection(out []byte, strs []string) []byte {
 	}
 	// Dictionary: sorted for deterministic output and future range
 	// optimizations.
-	dict := make([]string, 0, len(distinct))
-	for s := range distinct {
-		dict = append(dict, s)
+	order := cb.order[:0]
+	for id := range firsts {
+		order = append(order, int32(id))
 	}
-	sort.Strings(dict)
-	for i, s := range dict {
-		distinct[s] = i
-	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(firsts[a], firsts[b]) })
+	rank := widened(cb.rank, len(firsts))
+	cb.order, cb.rank = order, rank
 	out = append(out, 0x01)
-	out = binary.AppendUvarint(out, uint64(len(dict)))
-	for _, s := range dict {
-		out = appendBytesVal(out, s)
+	out = binary.AppendUvarint(out, uint64(len(order)))
+	for r, id := range order {
+		out = appendBytesVal(out, firsts[id])
+		rank[id] = int32(r)
 	}
-	var idx intEncoder
-	for _, s := range strs {
-		idx.Append(int64(distinct[s]))
+	for _, id := range ids {
+		enc.Append(int64(rank[id]))
 	}
-	enc := idx.Finish()
-	out = binary.AppendUvarint(out, uint64(len(enc)))
-	return append(out, enc...)
+	idx := enc.Finish()
+	out = binary.AppendUvarint(out, uint64(len(idx)))
+	return append(out, idx...)
 }
 
+// reset empties the builder for the next stripe, keeping its buffers;
+// nothing it keeps refers to a string it was given.
 func (cb *columnBuilder) reset() {
 	cb.presence.Reset()
 	cb.ints.Reset()
 	cb.floats.Reset()
 	cb.bools.Reset()
+	clear(cb.strs)
 	cb.strs = cb.strs[:0]
-	cb.stats = ColumnStats{}
+	cb.stats = stripeStats{}
+	clear(cb.dict)
+	clear(cb.firsts)
+	cb.firsts = cb.firsts[:0]
+	cb.aux.Reset()
 }
 
 // maybeCompress returns b deflated when the file is compressed. The
@@ -344,18 +441,38 @@ func (w *Writer) maybeCompress(b []byte) ([]byte, error) {
 	return w.z.deflate(b)
 }
 
-// Close flushes the final stripe and writes the footer and tail.
+// Close flushes the final stripe and writes the footer and tail, unless
+// an earlier call failed: then it returns that error and writes
+// nothing. Either way the writer's scratch goes back to its free lists.
 func (w *Writer) Close() error {
-	if w.closed {
-		return fmt.Errorf("orcfile: writer already closed")
+	if w.err == nil {
+		w.err = w.finish()
 	}
+	if w.z != nil {
+		deflaters.Put(w.z)
+		w.z = nil
+	}
+	if w.scratch != nil {
+		for i := range w.cols {
+			w.cols[i].reset()
+		}
+		columnScratches.Put(w.scratch)
+		w.scratch, w.cols = nil, nil
+	}
+	err := w.err
+	if err == nil {
+		w.err = errClosed
+	}
+	return err
+}
+
+// finish flushes the final stripe and writes the footer and tail.
+func (w *Writer) finish() error {
 	if err := w.flushStripe(); err != nil {
 		return err
 	}
-	w.closed = true
-
-	footer := w.encodeFooter()
-	footer, err := w.maybeCompress(footer)
+	w.scratch.footer = w.appendFooter(w.scratch.footer[:0])
+	footer, err := w.maybeCompress(w.scratch.footer)
 	if err != nil {
 		return err
 	}
@@ -373,17 +490,13 @@ func (w *Writer) Close() error {
 	binary.LittleEndian.PutUint64(tail[16:], flags)
 	binary.LittleEndian.PutUint64(tail[24:], orcMagic)
 	_, err = w.w.Write(tail[:])
-	if w.z != nil {
-		deflaters.Put(w.z)
-		w.z = nil
-	}
 	return err
 }
 
-// encodeFooter serializes schema, user metadata, stripe directory and
+// appendFooter serializes schema, user metadata, stripe directory and
 // file statistics.
-func (w *Writer) encodeFooter() []byte {
-	out := binary.AppendUvarint(nil, uint64(len(w.schema)))
+func (w *Writer) appendFooter(out []byte) []byte {
+	out = binary.AppendUvarint(out, uint64(len(w.schema)))
 	for _, c := range w.schema {
 		out = appendBytesVal(out, c.Name)
 		out = append(out, byte(c.Kind))
