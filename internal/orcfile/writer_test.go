@@ -220,7 +220,8 @@ func TestWriterReusesScratch(t *testing.T) {
 			wide, one, perFile)
 	}
 	for len(columnScratches) > 0 {
-		for _, cb := range (<-columnScratches).cols {
+		cols := (<-columnScratches).cols
+		for _, cb := range cols[:cap(cols)] {
 			for _, s := range append(cb.strs[:cap(cb.strs)], cb.firsts[:cap(cb.firsts)]...) {
 				if s != "" {
 					t.Fatalf("a returned column builder holds %q", s)
