@@ -157,30 +157,36 @@ func (h *Handler) loadOverlay(infos []dfs.FileInfo, fileID uint32, m *sim.Meter)
 			fr.Close()
 			return nil, err
 		}
-		rr := rd.NewRowReader(orcfile.RowReaderOptions{})
+		br := rd.NewBatchReader(orcfile.RowReaderOptions{})
+		cols := br.Vectors()
 		for {
-			row, _, err := rr.Next()
+			n, _, err := br.NextBatch(cols, 0)
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			if err != nil {
+				br.Close()
 				fr.Close()
 				return nil, fmt.Errorf("acid: read delta %s: %w", fi.Path, err)
 			}
-			rid := uint64(row[0].I)
-			if uint32(rid>>32) != fileID {
-				continue
-			}
-			mod := hive.RecordMod{RID: rid, Deleted: row[1].I == opDelete}
-			if !mod.Deleted {
-				// The delta carries the whole record.
-				mod.Sets = make([]hive.ColumnSet, len(row)-2)
-				for c, d := range row[2:] {
-					mod.Sets[c] = hive.ColumnSet{Col: c, Val: d}
+			rids, ops := cols[0].Ints, cols[1].Ints
+			for i := 0; i < n; i++ {
+				rid := uint64(rids[i])
+				if uint32(rid>>32) != fileID {
+					continue
 				}
+				mod := hive.RecordMod{RID: rid, Deleted: ops[i] == opDelete}
+				if !mod.Deleted {
+					// The delta carries the whole record.
+					mod.Sets = make([]hive.ColumnSet, len(cols)-2)
+					for c := range mod.Sets {
+						mod.Sets[c] = hive.ColumnSet{Col: c, Val: cols[c+2].Datum(i)}
+					}
+				}
+				out = append(out, mod)
 			}
-			out = append(out, mod)
 		}
+		br.Close()
 		fr.Close()
 	}
 	// By record; the stable sort keeps a record's entries in transaction

@@ -262,3 +262,109 @@ func writeBaseFile(t *testing.T, e *hive.Engine, desc *metastore.TableDesc, p st
 		t.Fatal(err)
 	}
 }
+
+// TestAcidDeltaSpanningBatches: one delta file holding more records
+// than one batch — whole-record updates with strings (direct and
+// dictionary encoded) and NULLs, deletes, and an entry for another base
+// file — merges into the base as the model says, in batch and in row
+// mode.
+func TestAcidDeltaSpanningBatches(t *testing.T) {
+	const rows = 3000
+	e, h := testEngine(t)
+	mustExec(t, e, "CREATE TABLE a (id BIGINT, v DOUBLE, tag STRING) STORED AS ACID")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO a VALUES ")
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d.5, 't%d')", i, i, i%7)
+	}
+	mustExec(t, e, sb.String())
+	desc, err := e.MS.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := h.baseFiles(desc)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("base files %v, %v; want one", files, err)
+	}
+	base := uint64(files[0].fileID) << 32
+
+	model := make([]datum.Row, rows)
+	for i := range model {
+		model[i] = datum.Row{datum.Int(int64(i)), datum.Float(float64(i) + 0.5), datum.String_(fmt.Sprintf("t%d", i%7))}
+	}
+	var delta []datum.Row
+	for i := 0; i < 2400; i++ {
+		rid := datum.Int(int64(base) + int64(i))
+		switch {
+		case i%3 == 2:
+			continue
+		case i%5 == 0:
+			delta = append(delta, datum.Row{rid, datum.Int(opDelete), datum.Null, datum.Null, datum.Null})
+			model[i] = nil
+			continue
+		case i%5 == 1:
+			model[i] = datum.Row{datum.Int(int64(i)), datum.Null, datum.Null}
+		default:
+			tag := fmt.Sprintf("u%d", i) // unique early: direct stripes
+			if i >= 1200 {
+				tag = fmt.Sprintf("u%d", i%4) // then dictionary stripes
+			}
+			model[i] = datum.Row{datum.Int(int64(i)), datum.Float(float64(2 * i)), datum.String_(tag)}
+		}
+		delta = append(delta, append(datum.Row{rid, datum.Int(opUpsert)}, model[i]...))
+	}
+	// Another base file's record: left out of this file's overlay.
+	other := datum.Int(int64(base+1<<32) + 5)
+	delta = append(delta, datum.Row{other, datum.Int(opUpsert), datum.Int(-1), datum.Null, datum.String_("other")})
+	if len(delta) <= 1+orcfile.DefaultBatchRows {
+		t.Fatalf("delta of %d records fits one batch", len(delta))
+	}
+	fw, err := e.FS.Create(deltaDir(desc) + "/delta-000001-0001.orc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := orcfile.NewWriter(fw, deltaSchema(desc), orcfile.WriterOptions{Compression: true, StripeRows: 700})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range delta {
+		if err := w.WriteRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []string
+	for i, r := range model {
+		if r != nil {
+			want = append(want, append(r, datum.Int(int64(base)+int64(i))).String())
+		}
+	}
+	slices.Sort(want)
+	for _, rowScan := range []bool{false, true} {
+		e.MR.DisableBatchScan = rowScan
+		got, _, _ := runAcidScan(t, e, h, hive.ScanOptions{})
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("rowScan=%v: %d rows, want %d; first difference %q",
+				rowScan, len(got), len(want), firstDiff(got, want))
+		}
+	}
+}
+
+func firstDiff(got, want []string) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return got[i] + " against " + want[i]
+		}
+	}
+	return "at the end"
+}

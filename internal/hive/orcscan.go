@@ -36,8 +36,8 @@ type ColumnSet struct {
 // touches passes through as column vectors; otherwise updates scatter
 // into the vectors in place (a value a vector's kind cannot hold turns
 // that column mixed) and deletes are left out of the batch's selection.
-// Its row mode (Next) runs the same merge over orcfile.RowReader and
-// exists as the independent oracle behind Cluster.DisableBatchScan.
+// Its row mode (Next) merges the same decoded batches one record at a
+// time, the independent merge behind Cluster.DisableBatchScan.
 //
 // Ownership: the batch, its vectors and its selection are the reader's
 // and are reused between calls, so a mapper must not retain them — and at
@@ -122,14 +122,13 @@ func (s *ORCSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 }
 
 // orcScanReader implements the merge. The MapReduce engine picks row
-// or batch mode per task and never mixes them, so the ORC-side
-// machinery is created lazily for whichever mode runs.
+// or batch mode per task and never mixes them; both decode through one
+// orcfile.BatchReader, created at the first call.
 type orcScanReader struct {
 	fr      *dfs.FileReader
 	rd      *orcfile.Reader
 	opts    orcfile.RowReaderOptions
-	rows    *orcfile.RowReader   // row mode, lazy
-	batch   *orcfile.BatchReader // batch mode, lazy
+	batch   *orcfile.BatchReader // lazy
 	overlay []RecordMod
 	oi      int    // first overlay entry not yet passed
 	base    uint64 // record ID of the file's row 0
@@ -137,40 +136,56 @@ type orcScanReader struct {
 	merged  func(*sim.Meter, int64)
 	nMerged int64
 
-	// batch-mode reusable buffers; cols are the batch reader's.
+	// reusable buffers; cols are the batch reader's.
 	cols []datum.ColumnVector
 	sel  []int32
+	// row mode: the decoded batch's length and next slot, the record
+	// ID of its first row, and the row Next returns.
+	n, slot int
+	first   uint64
+	row     datum.Row
+}
+
+// decode fills r.cols with the next batch of the file.
+func (r *orcScanReader) decode() (int, int64, error) {
+	if r.batch == nil {
+		r.batch = r.rd.NewBatchReader(r.opts)
+		r.cols = r.batch.Vectors()
+	}
+	return r.batch.NextBatch(r.cols, 0)
 }
 
 func (r *orcScanReader) Next() (datum.Row, mapred.RecordMeta, error) {
-	if r.rows == nil {
-		r.rows = r.rd.NewRowReader(r.opts)
-	}
 	for {
-		row, ord, err := r.rows.Next()
-		if err != nil {
-			return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
+		if r.slot == r.n {
+			n, ord, err := r.decode()
+			if err != nil {
+				return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
+			}
+			r.n, r.slot, r.first = n, 0, r.base+uint64(ord)
 		}
+		i := r.slot
+		r.slot++
 		r.nMerged++
-		rid := r.base + uint64(ord)
+		rid := r.first + uint64(i)
 		// Overlay IDs below the file row are orphans (aborted writes).
 		for r.oi < len(r.overlay) && r.overlay[r.oi].RID < rid {
 			r.oi++
 		}
+		r.row = (&datum.Batch{Len: r.n, Cols: r.cols}).RowInto(r.row, i)
 		if r.oi < len(r.overlay) && r.overlay[r.oi].RID == rid {
 			mod := &r.overlay[r.oi]
 			r.oi++
 			if mod.Deleted {
 				continue
 			}
-			// The ORC reader refills its one row buffer on the next call,
-			// so the sets can be written into it; a set on an unprojected
-			// column is overwritten the same way before anyone reads it.
+			// The row is refilled whole on the next call, so the sets can
+			// be written into it, a set on an unprojected column included.
 			for _, s := range mod.Sets {
-				row[s.Col] = s.Val
+				r.row[s.Col] = s.Val
 			}
 		}
-		return row, mapred.RecordMeta{RecordID: rid}, nil
+		return r.row, mapred.RecordMeta{RecordID: rid}, nil
 	}
 }
 
@@ -178,11 +193,7 @@ func (r *orcScanReader) Next() (datum.Row, mapred.RecordMeta, error) {
 // IDs from its base) and merges the overlay entries in its ID range
 // into it: sets scatter into the vectors, deletes drop out of Sel.
 func (r *orcScanReader) NextBatch(b *mapred.RecordBatch) error {
-	if r.batch == nil {
-		r.batch = r.rd.NewBatchReader(r.opts)
-		r.cols = r.batch.Vectors()
-	}
-	n, ord, err := r.batch.NextBatch(r.cols, 0)
+	n, ord, err := r.decode()
 	if err != nil {
 		return err // io.EOF ends the stream
 	}

@@ -13,28 +13,23 @@ import (
 const DefaultBatchRows = 1024
 
 // BatchReader decodes a file stripe-by-stripe into typed column
-// vectors, the vectorized counterpart of RowReader. A batch never
-// spans a stripe boundary, so the rows of one batch always carry
-// consecutive file ordinals starting at the batch's base ordinal —
-// the property DualTable's UNION READ fast path uses to classify a
-// whole batch against the attached table with two comparisons.
+// vectors. A batch never spans a stripe boundary, so the rows of one
+// batch always carry consecutive file ordinals starting at the batch's
+// base ordinal — the property DualTable's UNION READ fast path uses to
+// classify a whole batch against the attached table with two
+// comparisons. Pruned stripes still advance the ordinal.
 //
-// Batch and row readers share the stripe cursors and therefore decode
-// byte-identical values; pruned stripes advance the ordinal exactly
-// like RowReader.
-//
-// A BatchReader borrows its scratch — decoded streams, the vectors
-// Vectors lends, dense buffers — from a free list and returns it at
-// Close, after which another scan overwrites it: nothing read through
-// the reader may be retained past Close except the values themselves
-// (strings are copies). A reader dropped without Close is merely
-// garbage.
+// A BatchReader borrows its scratch — stripe cursors, decoded streams,
+// the vectors Vectors lends, dense buffers — from a free list and
+// returns it at Close, after which another scan overwrites it: nothing
+// read through the reader may be retained past Close except the values
+// themselves (strings are copies). A reader dropped without Close is
+// merely garbage.
 type BatchReader struct {
 	rd        *Reader
 	opts      RowReaderOptions
 	project   []bool
 	stripeIdx int
-	cols      []*columnCursor
 	inStripe  int64
 	stripeLen int64
 	// rowOrdinal is the file ordinal of the next undecoded row.
@@ -43,11 +38,11 @@ type BatchReader struct {
 	*scanScratch // nil once closed
 }
 
-// NewBatchReader starts a vectorized scan with the same options as
-// NewRowReader.
+// NewBatchReader starts a scan.
 func (rd *Reader) NewBatchReader(opts RowReaderOptions) *BatchReader {
 	br := &BatchReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema)), scanScratch: scratches.Get()}
 	// A recycled scratch may come from a file of another width.
+	br.cursors = widened(br.cursors, len(rd.schema))
 	br.streams = widened(br.streams, len(rd.schema))
 	br.vecs = widened(br.vecs, len(rd.schema))
 	if opts.Columns == nil {
@@ -72,16 +67,19 @@ func (br *BatchReader) Vectors() []datum.ColumnVector { return br.vecs }
 // every vector and batch obtained through it, must not be used again.
 func (br *BatchReader) Close() {
 	if br.scanScratch != nil {
+		// A cursor points into stream cache entries and dictionaries: a
+		// listed scratch must not keep them alive.
+		clear(br.cursors)
 		scratches.Put(br.scanScratch)
-		br.scanScratch, br.cols = nil, nil
+		br.scanScratch = nil
 	}
 }
 
 // NextBatch decodes up to max rows (DefaultBatchRows when max <= 0)
 // into cols, which must have one vector per schema column.
 // Unprojected columns become all-NULL vectors, keeping column indexes
-// stable like the row reader. It returns the number of rows decoded
-// and the file ordinal of the batch's first row; io.EOF ends the scan.
+// stable. It returns the number of rows decoded and the file ordinal of
+// the batch's first row; io.EOF ends the scan.
 func (br *BatchReader) NextBatch(cols []datum.ColumnVector, max int) (int, int64, error) {
 	if len(cols) != len(br.rd.schema) {
 		return 0, 0, fmt.Errorf("orcfile: batch arity %d, schema arity %d", len(cols), len(br.rd.schema))
@@ -102,11 +100,9 @@ func (br *BatchReader) NextBatch(cols []datum.ColumnVector, max int) (int, int64
 			br.stripeIdx++
 			continue
 		}
-		cursors, err := br.rd.openStripeCursors(sm, br.project, br.streams)
-		if err != nil {
+		if err := br.openStripeCursors(sm); err != nil {
 			return 0, 0, err
 		}
-		br.cols = cursors
 		br.stripeIdx++
 		br.inStripe = 0
 		br.stripeLen = sm.rows
@@ -116,12 +112,12 @@ func (br *BatchReader) NextBatch(cols []datum.ColumnVector, max int) (int, int64
 		n = rem
 	}
 	base := br.rowOrdinal
-	for i, cur := range br.cols {
-		if cur == nil {
+	for i := range cols {
+		if !br.project[i] {
 			cols[i].Reset(datum.KindNull, n)
 			continue
 		}
-		if err := br.fillVector(&cols[i], cur, n); err != nil {
+		if err := br.fillVector(&cols[i], &br.cursors[i], n); err != nil {
 			return 0, 0, fmt.Errorf("orcfile: column %s rows %d..%d: %w",
 				br.rd.schema[i].Name, base, base+int64(n)-1, err)
 		}
@@ -129,6 +125,29 @@ func (br *BatchReader) NextBatch(cols []datum.ColumnVector, max int) (int, int64
 	br.inStripe += int64(n)
 	br.rowOrdinal += int64(n)
 	return n, base, nil
+}
+
+// openStripeCursors reads and decodes the projected column streams of
+// one stripe into the reader's cursors. A stream is decoded into the
+// column's buffer in the scratch, or read from a shared stream cache
+// entry, so a cursor is good exactly while its stripe is current.
+func (br *BatchReader) openStripeCursors(sm stripeMeta) error {
+	z := inflaters.Get()
+	defer inflaters.Put(z)
+	for i, c := range br.rd.schema {
+		if !br.project[i] {
+			continue
+		}
+		st := sm.streams[i]
+		buf, e, err := br.rd.loadStream(z, &br.streams[i], int64(sm.offset+st.relOff), int(st.length))
+		if err != nil {
+			return fmt.Errorf("orcfile: load stripe stream: %w", err)
+		}
+		if err := br.cursors[i].open(c.Kind, buf, e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fillVector decodes n values of one column into v: presence bits in
@@ -211,11 +230,11 @@ func (br *BatchReader) fillVector(v *datum.ColumnVector, cur *columnCursor, n in
 
 // fillStrings decodes n string slots: dictionary indexes map to shared
 // dict entries (no per-value allocation); direct mode slices the blob
-// and converts, exactly the bytes the row reader would produce.
+// and converts.
 func (br *BatchReader) fillStrings(v *datum.ColumnVector, cur *columnCursor, present []bool, nonNull int) error {
 	vals := br.scratchInts(nonNull)
 	if cur.dict != nil {
-		if err := cur.indices.Fill(vals); err != nil {
+		if err := cur.ints.Fill(vals); err != nil {
 			return err
 		}
 		k := 0
@@ -232,7 +251,7 @@ func (br *BatchReader) fillStrings(v *datum.ColumnVector, cur *columnCursor, pre
 		}
 		return nil
 	}
-	if err := cur.lens.Fill(vals); err != nil {
+	if err := cur.ints.Fill(vals); err != nil {
 		return err
 	}
 	k := 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dualtable/internal/datum"
@@ -75,9 +76,10 @@ func writeBatchFile(t *testing.T, schema datum.Schema, rows []datum.Row, opts Wr
 	return rd
 }
 
-// TestBatchRowEquivalence checks that the batch reader reproduces the
-// row reader exactly — values, NULLs, ordinals — across compression,
-// stripe sizes, batch sizes and projections.
+// TestBatchRowEquivalence checks that the batch reader gives back the
+// rows that were written — values, NULLs, ordinals — across
+// compression, stripe sizes, batch sizes and projections. An
+// unprojected column reads NULL.
 func TestBatchRowEquivalence(t *testing.T) {
 	schema, rows := genRows(t, 3777, 1)
 	cases := []struct {
@@ -94,50 +96,45 @@ func TestBatchRowEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		rd := writeBatchFile(t, schema, rows, tc.opts)
 		for _, proj := range projections {
+			projected := make([]bool, len(schema))
+			for c := range projected {
+				projected[c] = proj == nil || slices.Contains(proj, c)
+			}
 			for _, bs := range batchSizes {
-				opts := RowReaderOptions{Columns: proj}
-				rr := rd.NewRowReader(opts)
-				br := rd.NewBatchReader(opts)
+				br := rd.NewBatchReader(RowReaderOptions{Columns: proj})
 				cols := make([]datum.ColumnVector, len(schema))
-				var batchOrd int64
-				var inBatch, batchLen int
+				var next int64
 				for {
-					wantRow, wantOrd, rerr := rr.Next()
-					for inBatch >= batchLen {
-						n, base, berr := br.NextBatch(cols, bs)
-						if berr == io.EOF {
-							batchLen = -1
-							break
-						}
-						if berr != nil {
-							t.Fatalf("%s proj=%v bs=%d: %v", tc.name, proj, bs, berr)
-						}
-						batchOrd, inBatch, batchLen = base, 0, n
-					}
-					if rerr == io.EOF {
-						if batchLen != -1 {
-							t.Fatalf("%s proj=%v bs=%d: batch reader has extra rows", tc.name, proj, bs)
-						}
+					n, base, err := br.NextBatch(cols, bs)
+					if err == io.EOF {
 						break
 					}
-					if rerr != nil {
-						t.Fatal(rerr)
+					if err != nil {
+						t.Fatalf("%s proj=%v bs=%d: %v", tc.name, proj, bs, err)
 					}
-					if batchLen == -1 {
-						t.Fatalf("%s proj=%v bs=%d: batch reader ended early at ord %d", tc.name, proj, bs, wantOrd)
+					if base != next {
+						t.Fatalf("%s proj=%v bs=%d: batch at ordinal %d, want %d", tc.name, proj, bs, base, next)
 					}
-					gotOrd := batchOrd + int64(inBatch)
-					if gotOrd != wantOrd {
-						t.Fatalf("%s proj=%v bs=%d: ordinal %d != %d", tc.name, proj, bs, gotOrd, wantOrd)
+					if bs > 0 && n > bs || next+int64(n) > int64(len(rows)) {
+						t.Fatalf("%s proj=%v bs=%d: %d rows at ordinal %d", tc.name, proj, bs, n, base)
 					}
-					for c := range schema {
-						got := cols[c].Datum(inBatch)
-						if datum.Compare(got, wantRow[c]) != 0 || got.K != wantRow[c].K {
-							t.Fatalf("%s proj=%v bs=%d row %d col %d: %v != %v",
-								tc.name, proj, bs, wantOrd, c, got, wantRow[c])
+					for i := 0; i < n; i++ {
+						for c := range schema {
+							want := datum.Null
+							if projected[c] {
+								want = rows[next][c]
+							}
+							if got := cols[c].Datum(i); datum.Compare(got, want) != 0 || got.K != want.K {
+								t.Fatalf("%s proj=%v bs=%d row %d col %d: %v != %v",
+									tc.name, proj, bs, next, c, got, want)
+							}
 						}
+						next++
 					}
-					inBatch++
+				}
+				br.Close()
+				if next != int64(len(rows)) {
+					t.Fatalf("%s proj=%v bs=%d: read %d rows of %d", tc.name, proj, bs, next, len(rows))
 				}
 			}
 		}
@@ -187,39 +184,39 @@ func TestBatchReaderRefillsMixedVectors(t *testing.T) {
 	}
 }
 
-// TestBatchReaderPruning checks that pruned stripes advance ordinals
-// identically on both readers.
+// TestBatchReaderPruning checks that pruned stripes advance the
+// ordinal: exactly the rows of the stripes the predicate keeps survive,
+// at their file ordinals.
 func TestBatchReaderPruning(t *testing.T) {
 	schema, rows := genRows(t, 3000, 2)
 	rd := writeBatchFile(t, schema, rows, WriterOptions{StripeRows: 500})
 	sarg := &SearchArg{Predicates: []Predicate{{Column: 0, Op: OpGE, Value: datum.Int(2200)}}}
-	opts := RowReaderOptions{SearchArg: sarg}
-	rr := rd.NewRowReader(opts)
-	br := rd.NewBatchReader(opts)
-	var rowOrds, batchOrds []int64
-	for {
-		_, ord, err := rr.Next()
-		if err != nil {
-			break
-		}
-		rowOrds = append(rowOrds, ord)
-	}
+	br := rd.NewBatchReader(RowReaderOptions{SearchArg: sarg})
+	defer br.Close()
+	var ords []int64
 	cols := make([]datum.ColumnVector, len(schema))
 	for {
 		n, base, err := br.NextBatch(cols, 0)
-		if err != nil {
+		if err == io.EOF {
 			break
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < n; i++ {
-			batchOrds = append(batchOrds, base+int64(i))
+			ords = append(ords, base+int64(i))
+			if got := cols[0].Datum(i); got.I != base+int64(i) {
+				t.Fatalf("ordinal %d holds id %v", base+int64(i), got)
+			}
 		}
 	}
-	if len(rowOrds) == 0 || len(rowOrds) != len(batchOrds) {
-		t.Fatalf("ordinal count mismatch: %d vs %d", len(rowOrds), len(batchOrds))
+	// id = ordinal, so of the six 500-row stripes the last two can hold
+	// an id >= 2200: ordinals 2000..2999.
+	var want []int64
+	for o := int64(2000); o < 3000; o++ {
+		want = append(want, o)
 	}
-	for i := range rowOrds {
-		if rowOrds[i] != batchOrds[i] {
-			t.Fatalf("ordinal %d: %d != %d", i, rowOrds[i], batchOrds[i])
-		}
+	if !slices.Equal(ords, want) {
+		t.Fatalf("%d surviving ordinals, want 2000..2999: %v", len(ords), ords)
 	}
 }

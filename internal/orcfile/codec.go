@@ -113,11 +113,13 @@ func (z *deflater) deflate(b []byte) ([]byte, error) {
 }
 
 // scanScratch is what a BatchReader allocates that outlives no scan:
-// one buffer per column for the streams of the current stripe it had to
-// decode itself (a stream cache hit decodes from the shared entry), the
-// column vectors it lends its caller, and the dense buffers NULL-bearing
-// batches scatter from. It returns to the free list at Close.
+// one cursor per column for the current stripe, one buffer per column
+// for the streams of that stripe it had to decode itself (a stream cache
+// hit decodes from the shared entry), the column vectors it lends its
+// caller, and the dense buffers NULL-bearing batches scatter from. It
+// returns to the free list at Close, its cursors cleared.
 type scanScratch struct {
+	cursors []columnCursor
 	streams [][]byte
 	vecs    []datum.ColumnVector
 	present []bool

@@ -57,61 +57,48 @@ func encodeFile(schema datum.Schema, rows []datum.Row, opts WriterOptions) ([]by
 // drainBatch reads at most limit rows of data through the batch reader
 // and its own vectors, returning the scratch at the end.
 func drainBatch(data []byte, limit int) ([]datum.Row, error) {
+	return drainBatches(data, limit, 0)
+}
+
+// drainOneRowBatches reads data as drainBatch does, in batches of one
+// row: every decoder call ends at a row, inside RLE groups and bitmap
+// bytes.
+func drainOneRowBatches(data []byte, limit int) ([]datum.Row, error) {
+	return drainBatches(data, limit, 1)
+}
+
+func drainBatches(data []byte, limit, batchRows int) ([]datum.Row, error) {
 	rd, err := Open(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
 	br := rd.NewBatchReader(RowReaderOptions{})
 	defer br.Close()
-	cols := br.Vectors()
+	b := datum.Batch{Cols: br.Vectors()}
 	var rows []datum.Row
 	for len(rows) < limit {
-		n, _, err := br.NextBatch(cols, 0)
+		n, _, err := br.NextBatch(b.Cols, batchRows)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return rows, err
 		}
-		for i := 0; i < n; i++ {
-			row := make(datum.Row, len(cols))
-			for c := range cols {
-				row[c] = cols[c].Datum(i)
-			}
-			rows = append(rows, row)
-		}
+		b.Len = n
+		rows = b.AppendRows(rows)
 	}
 	return rows, nil
 }
 
-func drainRows(data []byte, limit int) ([]datum.Row, error) {
-	rd, err := Open(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	rr := rd.NewRowReader(RowReaderOptions{})
-	var rows []datum.Row
-	for len(rows) < limit {
-		row, _, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, row.Clone())
-	}
-	return rows, nil
-}
-
-// openAndDrain is what a scan does with a file, by both readers. It
-// returns the first error; a panic anywhere is the caller's failure.
+// openAndDrain is what a scan does with a file, in batches of the
+// default size and of one row. It returns the first error; a panic
+// anywhere is the caller's failure.
 func openAndDrain(data []byte) error {
 	const limit = 1 << 16
 	if _, err := drainBatch(data, limit); err != nil {
 		return err
 	}
-	_, err := drainRows(data, limit)
+	_, err := drainOneRowBatches(data, limit)
 	return err
 }
 
@@ -142,7 +129,7 @@ func appendTail(body, footer []byte, footerOff, flags uint64) []byte {
 	return binary.LittleEndian.AppendUint64(out, orcMagic)
 }
 
-// TestCorruptFilesReturnErrors feeds Open and both readers files whose
+// TestCorruptFilesReturnErrors feeds Open and both drains files whose
 // tail, footer or stream headers declare sizes far outside the file.
 // Each must come back as an error: a length that is compared after
 // conversion to int, or after an addition that wraps, panics instead
@@ -241,9 +228,9 @@ func FuzzOpenNeverPanics(f *testing.F) {
 
 // TestConcurrentWritersAndReadersShareCodecState: the free lists are
 // the first state orcfile shares between tasks. Eight goroutines each
-// write a compressed file and read it back by batch and by row, over
-// and over; every file and every row must equal what a lone goroutine
-// produced. Run under -race.
+// write a compressed file and read it back in full batches and in
+// one-row batches, over and over; every file and every row must equal
+// what a lone goroutine produced. Run under -race.
 func TestConcurrentWritersAndReadersShareCodecState(t *testing.T) {
 	const workers, rounds = 8, 25
 	opts := WriterOptions{Compression: true, StripeRows: 200} // three stripes
@@ -271,7 +258,7 @@ func TestConcurrentWritersAndReadersShareCodecState(t *testing.T) {
 					t.Errorf("worker %d round %d: file differs from the serial one", g, i)
 					return
 				}
-				for name, drain := range map[string]func([]byte, int) ([]datum.Row, error){"batch": drainBatch, "row": drainRows} {
+				for name, drain := range map[string]func([]byte, int) ([]datum.Row, error){"batch": drainBatch, "one-row batch": drainOneRowBatches} {
 					rows, err := drain(data, 1<<20)
 					if err != nil {
 						t.Errorf("worker %d round %d %s: %v", g, i, name, err)
@@ -308,7 +295,7 @@ func TestInflaterReusedAfterCorruptStream(t *testing.T) {
 	}
 	inflaters.Put(z)
 
-	for _, drain := range []func([]byte, int) ([]datum.Row, error){drainBatch, drainRows} {
+	for _, drain := range []func([]byte, int) ([]datum.Row, error){drainBatch, drainOneRowBatches} {
 		if _, err := drain(bad, 1<<20); err == nil {
 			t.Fatal("corrupt stripe read without error")
 		}
@@ -459,5 +446,37 @@ func BenchmarkWriteSmallFile(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink += out.Len()
+	}
+}
+
+// TestStripeOpenAllocatesNothing: a scan keeps its stripe cursors, and
+// the decoders in them, by value in its recycled scratch, so in steady
+// state draining a file of 32 stripes costs no more allocations than
+// draining the same rows in one stripe. (Open is left out: inflating a
+// larger footer allocates in flate.)
+func TestStripeOpenAllocatesNothing(t *testing.T) {
+	allocs := func(stripeRows int) float64 {
+		data, err := encodeFile(smallSchema(), smallRows(3), WriterOptions{Compression: true, StripeRows: stripeRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := Open(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			br := rd.NewBatchReader(RowReaderOptions{})
+			defer br.Close()
+			for {
+				if _, _, err := br.NextBatch(br.Vectors(), 0); err == io.EOF {
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	if one, many := allocs(512), allocs(16); many > one {
+		t.Errorf("drain: %v allocations in 32 stripes, %v in one", many, one)
 	}
 }

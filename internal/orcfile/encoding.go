@@ -7,17 +7,14 @@
 // The file footer records the schema, the stripe directory, file-level
 // statistics, and user metadata — DualTable stores its master-table
 // file ID there (paper §V-B), and the reader reports the row number of
-// every row it returns, which is how DualTable derives record IDs at
+// every batch it returns, which is how DualTable derives record IDs at
 // zero storage cost.
 //
-// Files can be scanned two ways. RowReader decodes one datum.Row per
-// Next call. BatchReader decodes chunks of up to DefaultBatchRows rows
-// into typed column vectors (datum.ColumnVector), expanding whole RLE
-// groups per iteration instead of dispatching per value; a batch never
-// spans a stripe boundary, so its rows carry consecutive file
-// ordinals. Both readers share the stripe cursors, read the same
-// streams and produce byte-identical values — the batch form is purely
-// a cheaper delivery shape for vectorized execution.
+// BatchReader is the one decoder: it decodes chunks of up to
+// DefaultBatchRows rows into typed column vectors (datum.ColumnVector),
+// expanding whole RLE groups per iteration instead of dispatching per
+// value. A batch never spans a stripe boundary, so its rows carry
+// consecutive file ordinals.
 package orcfile
 
 import (
@@ -182,8 +179,6 @@ type intDecoder struct {
 	delta int64
 }
 
-func newIntDecoder(buf []byte) *intDecoder { return &intDecoder{buf: buf} }
-
 // loadGroup decodes the next RLE group header, leaving d.left > 0.
 func (d *intDecoder) loadGroup() error {
 	for d.left == 0 {
@@ -230,32 +225,9 @@ func (d *intDecoder) loadGroup() error {
 	return nil
 }
 
-func (d *intDecoder) Next() (int64, error) {
-	if d.left == 0 {
-		if err := d.loadGroup(); err != nil {
-			return 0, err
-		}
-	}
-	d.left--
-	switch d.mode {
-	case rleRun:
-		return d.cur, nil
-	case rleDelta:
-		d.cur += d.delta
-		return d.cur, nil
-	default: // literal
-		v, c := binary.Uvarint(d.buf[d.off:])
-		if c <= 0 {
-			return 0, fmt.Errorf("orcfile: bad literal value")
-		}
-		d.off += c
-		return decodeZigzag(v), nil
-	}
-}
-
 // Fill decodes len(dst) values, expanding whole RLE groups per
-// iteration instead of paying the per-value group dispatch of Next —
-// the batch read path's inner loop.
+// iteration — the batch read path's inner loop. A call may end inside a
+// group; the next one continues it.
 func (d *intDecoder) Fill(dst []int64) error {
 	for len(dst) > 0 {
 		if d.left == 0 {
@@ -354,18 +326,6 @@ type bitReader struct {
 	idx int
 }
 
-func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
-
-func (r *bitReader) Next() (bool, error) {
-	byteIdx := r.idx / 8
-	if byteIdx >= len(r.buf) {
-		return false, fmt.Errorf("orcfile: bit stream exhausted")
-	}
-	b := r.buf[byteIdx]&(1<<(r.idx%8)) != 0
-	r.idx++
-	return b, nil
-}
-
 // Fill unpacks len(dst) booleans in one pass.
 func (r *bitReader) Fill(dst []bool) error {
 	if (r.idx+len(dst)+7)/8 > len(r.buf) {
@@ -402,17 +362,6 @@ func (e *floatEncoder) Reset()         { e.out = e.out[:0] }
 type floatDecoder struct {
 	buf []byte
 	off int
-}
-
-func newFloatDecoder(buf []byte) *floatDecoder { return &floatDecoder{buf: buf} }
-
-func (d *floatDecoder) Next() (float64, error) {
-	if d.off+8 > len(d.buf) {
-		return 0, fmt.Errorf("orcfile: float stream exhausted")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v, nil
 }
 
 // Fill decodes len(dst) floats in one bounds-checked pass.

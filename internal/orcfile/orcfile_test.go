@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -28,21 +29,31 @@ func TestIntRLERoundtrip(t *testing.T) {
 		for _, v := range vals {
 			e.Append(v)
 		}
-		enc := e.Finish()
-		d := newIntDecoder(enc)
-		for i, want := range vals {
-			got, err := d.Next()
-			if err != nil {
-				t.Fatalf("%v: decode %d: %v", vals, i, err)
-			}
-			if got != want {
-				t.Fatalf("%v: index %d: got %d want %d", vals, i, got, want)
-			}
+		d := intDecoder{buf: e.Finish()}
+		got := make([]int64, len(vals))
+		if err := fillChunked(got, d.Fill); err != nil {
+			t.Fatalf("%v: decode: %v", vals, err)
 		}
-		if _, err := d.Next(); err == nil {
+		if !slices.Equal(got, vals) {
+			t.Fatalf("%v: got %v", vals, got)
+		}
+		if err := d.Fill(make([]int64, 1)); err == nil {
 			t.Errorf("%v: decoder should be exhausted", vals)
 		}
 	}
+}
+
+// fillChunked fills dst through fill in chunks of 1, 2, 3 and 7 values
+// and then the rest, so that calls end inside RLE groups and bytes.
+func fillChunked[T any](dst []T, fill func([]T) error) error {
+	for _, k := range []int{1, 2, 3, 7} {
+		k = min(k, len(dst))
+		if err := fill(dst[:k]); err != nil {
+			return err
+		}
+		dst = dst[k:]
+	}
+	return fill(dst)
 }
 
 func TestIntRLECompressesRuns(t *testing.T) {
@@ -85,15 +96,12 @@ func TestPropertyIntRLE(t *testing.T) {
 		for _, v := range vals {
 			e.Append(v)
 		}
-		d := newIntDecoder(e.Finish())
-		for _, want := range vals {
-			got, err := d.Next()
-			if err != nil || got != want {
-				return false
-			}
+		d := intDecoder{buf: e.Finish()}
+		got := make([]int64, len(vals))
+		if err := fillChunked(got, d.Fill); err != nil || !slices.Equal(got, vals) {
+			return false
 		}
-		_, err := d.Next()
-		return err != nil
+		return d.Fill(make([]int64, 1)) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -106,12 +114,14 @@ func TestBitPackRoundtrip(t *testing.T) {
 	for _, v := range vals {
 		w.Append(v)
 	}
-	r := newBitReader(w.Finish())
-	for i, want := range vals {
-		got, err := r.Next()
-		if err != nil || got != want {
-			t.Fatalf("bit %d: %v %v", i, got, err)
-		}
+	r := bitReader{buf: w.Finish()}
+	got := make([]bool, len(vals))
+	if err := fillChunked(got, r.Fill); err != nil || !slices.Equal(got, vals) {
+		t.Fatalf("got %v, %v; want %v", got, err, vals)
+	}
+	// The last byte holds 6 padding bits; a fill past them fails.
+	if err := r.Fill(make([]bool, 7)); err == nil {
+		t.Error("bit reader should be exhausted")
 	}
 }
 
@@ -161,25 +171,33 @@ func writeFile(t *testing.T, rows []datum.Row, opts WriterOptions) []byte {
 	return buf.Bytes()
 }
 
-func readAll(t *testing.T, data []byte, opts RowReaderOptions) ([]datum.Row, []int64) {
+// readAll drains data in batches of batchRows rows (DefaultBatchRows
+// when 0), returning each row and its file ordinal.
+func readAll(t *testing.T, data []byte, opts RowReaderOptions, batchRows int) ([]datum.Row, []int64) {
 	t.Helper()
 	rd, err := Open(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := rd.NewRowReader(opts)
+	br := rd.NewBatchReader(opts)
+	defer br.Close()
+	cols := br.Vectors()
+	b := datum.Batch{Cols: cols}
 	var rows []datum.Row
 	var ords []int64
 	for {
-		row, ord, err := rr.Next()
+		n, base, err := br.NextBatch(cols, batchRows)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, row.Clone())
-		ords = append(ords, ord)
+		b.Len = n
+		rows = b.AppendRows(rows)
+		for i := 0; i < n; i++ {
+			ords = append(ords, base+int64(i))
+		}
 	}
 	return rows, ords
 }
@@ -189,7 +207,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			rows := makeRows(2500, 1)
 			data := writeFile(t, rows, WriterOptions{StripeRows: 1000, Compression: compress})
-			got, ords := readAll(t, data, RowReaderOptions{})
+			got, ords := readAll(t, data, RowReaderOptions{}, 0)
 			if len(got) != len(rows) {
 				t.Fatalf("rows: %d vs %d", len(got), len(rows))
 			}
@@ -268,10 +286,32 @@ func TestStatsStringSumUnchanged(t *testing.T) {
 	if skipped < len(corpus)/2 {
 		t.Errorf("only %d of %d strings skipped the parse", skipped, len(corpus))
 	}
-	var st stripeStats
-	date := "1994-01-01"
-	if n := testing.AllocsPerRun(100, func() { st.addString(date) }); n != 0 {
-		t.Errorf("a date costs %v allocations per addString", n)
+	// Folded in runs, a string equal to the one before it reuses that
+	// one's parse: the same count, bounds and sum, added in order.
+	var st, want stripeStats
+	for i, s := range corpus {
+		for k := 0; k <= i%3; k++ {
+			st.addString(s)
+			want.count++
+			if want.count == 1 || s < want.minS {
+				want.minS = s
+			}
+			if want.count == 1 || s > want.maxS {
+				want.maxS = s
+			}
+			if f, ok := datum.String_(s).AsFloat(); ok {
+				want.sum = addSum(want.sum, f)
+			}
+		}
+	}
+	if st.count != want.count || st.minS != want.minS || st.maxS != want.maxS || floatBits(st.sum) != floatBits(want.sum) {
+		t.Errorf("folded in runs: count %d, bounds [%q, %q], sum %v; want %d, [%q, %q], %v",
+			st.count, st.minS, st.maxS, st.sum, want.count, want.minS, want.maxS, want.sum)
+	}
+	st = stripeStats{}
+	date, date2 := "1994-01-01", "1994-01-02"
+	if n := testing.AllocsPerRun(100, func() { st.addString(date); st.addString(date2) }); n != 0 {
+		t.Errorf("a date costs %v allocations per addString", n/2)
 	}
 }
 
@@ -309,7 +349,7 @@ func TestStatsBoundValues(t *testing.T) {
 func TestProjection(t *testing.T) {
 	rows := makeRows(100, 4)
 	data := writeFile(t, rows, WriterOptions{StripeRows: 50})
-	got, _ := readAll(t, data, RowReaderOptions{Columns: []int{0, 2}})
+	got, _ := readAll(t, data, RowReaderOptions{Columns: []int{0, 2}}, 0)
 	for i, row := range got {
 		if row[0].K != datum.KindInt || row[2].K != datum.KindString {
 			t.Fatalf("row %d projected cols missing: %v", i, row)
@@ -326,7 +366,7 @@ func TestPredicatePushdownSkipsStripes(t *testing.T) {
 	// id >= 850: only stripes 8 and 9 qualify; ordinals must still be
 	// the global row numbers.
 	sa := &SearchArg{Predicates: []Predicate{{Column: 0, Op: OpGE, Value: datum.Int(850)}}}
-	got, ords := readAll(t, data, RowReaderOptions{SearchArg: sa})
+	got, ords := readAll(t, data, RowReaderOptions{SearchArg: sa}, 0)
 	if len(got) != 200 {
 		t.Fatalf("pushdown returned %d rows, want 200 (2 stripes)", len(got))
 	}
@@ -356,7 +396,7 @@ func TestPushdownNeverDropsMatches(t *testing.T) {
 			val = datum.Float(rng.Float64() * 1000)
 		}
 		sa := &SearchArg{Predicates: []Predicate{{Column: col, Op: op, Value: val}}}
-		got, _ := readAll(t, data, RowReaderOptions{SearchArg: sa})
+		got, _ := readAll(t, data, RowReaderOptions{SearchArg: sa}, 0)
 		gotSet := map[int64]bool{}
 		for _, r := range got {
 			gotSet[r[0].I] = true
@@ -402,31 +442,18 @@ func TestAllNullColumn(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr := rd.NewRowReader(RowReaderOptions{})
-	n := 0
-	for {
-		row, _, err := rr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	all, _ := readAll(t, buf.Bytes(), RowReaderOptions{}, 0)
+	for _, row := range all {
 		if !row[0].IsNull() {
 			t.Fatalf("expected NULL, got %v", row[0])
 		}
-		n++
 	}
-	if n != 25 {
-		t.Errorf("read %d rows", n)
+	if len(all) != 25 {
+		t.Errorf("read %d rows", len(all))
 	}
 	// An equality predicate on the all-null column prunes everything.
 	sa := &SearchArg{Predicates: []Predicate{{Column: 0, Op: OpEQ, Value: datum.String_("x")}}}
-	got, _ := readAll(t, buf.Bytes(), RowReaderOptions{SearchArg: sa})
+	got, _ := readAll(t, buf.Bytes(), RowReaderOptions{SearchArg: sa}, 0)
 	if len(got) != 0 {
 		t.Errorf("all-null pruning failed: %d rows", len(got))
 	}
@@ -462,18 +489,13 @@ func TestDictionaryEncodingChosen(t *testing.T) {
 			w.WriteRow(datum.Row{datum.String_(s)})
 		}
 		w.Close()
-		rd, err := Open(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-		if err != nil {
-			t.Fatal(err)
+		got, _ := readAll(t, buf.Bytes(), RowReaderOptions{}, 0)
+		if len(got) != len(want) {
+			t.Fatalf("card %d: read %d rows of %d", card, len(got), len(want))
 		}
-		rr := rd.NewRowReader(RowReaderOptions{})
 		for i, wantS := range want {
-			row, _, err := rr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if row[0].S != wantS {
-				t.Fatalf("card %d row %d: %q vs %q", card, i, row[0].S, wantS)
+			if got[i][0].S != wantS {
+				t.Fatalf("card %d row %d: %q vs %q", card, i, got[i][0].S, wantS)
 			}
 		}
 	}
@@ -519,9 +541,10 @@ func TestEmptyFileRoundtrip(t *testing.T) {
 	if rd.NumRows() != 0 || rd.NumStripes() != 0 {
 		t.Errorf("empty file: rows=%d stripes=%d", rd.NumRows(), rd.NumStripes())
 	}
-	rr := rd.NewRowReader(RowReaderOptions{})
-	if _, _, err := rr.Next(); err != io.EOF {
-		t.Errorf("Next on empty = %v", err)
+	br := rd.NewBatchReader(RowReaderOptions{})
+	defer br.Close()
+	if _, _, err := br.NextBatch(br.Vectors(), 0); err != io.EOF {
+		t.Errorf("NextBatch on empty = %v", err)
 	}
 }
 
@@ -564,7 +587,7 @@ func (quickRows) Generate(rng *rand.Rand, size int) reflect.Value {
 }
 
 func TestPropertyFileRoundtrip(t *testing.T) {
-	f := func(qr quickRows, compress bool, stripeExp uint8) bool {
+	f := func(qr quickRows, compress bool, stripeExp, batchRows uint8) bool {
 		stripeRows := 1 << (stripeExp%8 + 1) // 2..256
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf, testSchema(), WriterOptions{StripeRows: stripeRows, Compression: compress})
@@ -583,15 +606,27 @@ func TestPropertyFileRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rr := rd.NewRowReader(RowReaderOptions{})
-		for i, want := range qr.rows {
-			row, ord, err := rr.Next()
-			if err != nil || ord != int64(i) || !row.Equal(want) {
+		br := rd.NewBatchReader(RowReaderOptions{})
+		defer br.Close()
+		cols := br.Vectors()
+		next := 0
+		for {
+			n, base, err := br.NextBatch(cols, int(batchRows)) // 0: DefaultBatchRows
+			if err == io.EOF {
+				return next == len(qr.rows)
+			}
+			if err != nil || base != int64(next) || next+n > len(qr.rows) {
 				return false
 			}
+			for i := 0; i < n; i++ {
+				for c, want := range qr.rows[next] {
+					if got := cols[c].Datum(i); got.K != want.K || !datum.Equal(got, want) {
+						return false
+					}
+				}
+				next++
+			}
 		}
-		_, _, err = rr.Next()
-		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

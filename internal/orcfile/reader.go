@@ -215,131 +215,32 @@ func (rd *Reader) FileStats() []ColumnStats { return rd.fileStats }
 // StripeRows returns the row count of stripe i.
 func (rd *Reader) StripeRows(i int) int64 { return rd.stripes[i].rows }
 
-// RowReaderOptions configures a row scan.
+// RowReaderOptions configures a scan.
 type RowReaderOptions struct {
-	// Columns projects a subset of columns by index (nil = all). The
-	// returned rows still have full schema arity; unprojected columns
-	// are NULL — this keeps column indexes stable for the engine.
+	// Columns projects a subset of columns by index (nil = all). A
+	// batch still has one vector per schema column; unprojected columns
+	// are all NULL — this keeps column indexes stable for the engine.
 	Columns []int
 	// SearchArg prunes stripes by statistics.
 	SearchArg *SearchArg
 }
 
-// RowReader iterates the rows of a file in order, reporting each
-// row's ordinal (the ORC row number DualTable uses in record IDs —
-// pruned stripes still advance the ordinal).
-type RowReader struct {
-	rd         *Reader
-	opts       RowReaderOptions
-	project    []bool
-	stripeIdx  int
-	cols       []*columnCursor
-	inStripe   int64
-	stripeLen  int64
-	rowOrdinal int64
-	row        datum.Row
-	streams    [][]byte // scratch for the current stripe's streams, one per column
-}
-
-// columnCursor decodes one column of the current stripe.
+// columnCursor decodes one column of the current stripe. A reader keeps
+// its cursors by value in its scan scratch and overwrites each one as it
+// opens a stripe.
 type columnCursor struct {
 	kind     datum.Kind
-	presence *bitReader
-	ints     *intDecoder
-	floats   *floatDecoder
-	bools    *bitReader
-	// string state
+	presence bitReader
+	// ints holds the values of an int column, and the dictionary
+	// indexes or the value lengths of a string column.
+	ints   intDecoder
+	floats floatDecoder
+	bools  bitReader
+	// A string column's dictionary (nil when it is stored direct), or
+	// its blob of values and the offset of the next one.
 	dict    []string
-	indices *intDecoder
-	lens    *intDecoder
 	blob    []byte
 	blobOff int
-}
-
-// NewRowReader starts a scan.
-func (rd *Reader) NewRowReader(opts RowReaderOptions) *RowReader {
-	rr := &RowReader{rd: rd, opts: opts, project: make([]bool, len(rd.schema))}
-	if opts.Columns == nil {
-		for i := range rr.project {
-			rr.project[i] = true
-		}
-	} else {
-		for _, c := range opts.Columns {
-			if c >= 0 && c < len(rr.project) {
-				rr.project[c] = true
-			}
-		}
-	}
-	rr.row = make(datum.Row, len(rd.schema))
-	rr.streams = make([][]byte, len(rd.schema))
-	return rr
-}
-
-// Next returns the next row and its file row number. The returned row
-// is reused between calls; clone it to retain.
-func (rr *RowReader) Next() (datum.Row, int64, error) {
-	for rr.inStripe >= rr.stripeLen {
-		if rr.stripeIdx >= len(rr.rd.stripes) {
-			return nil, 0, io.EOF
-		}
-		sm := rr.rd.stripes[rr.stripeIdx]
-		if rr.opts.SearchArg != nil && !rr.opts.SearchArg.MaybeMatches(sm.stats) {
-			rr.rowOrdinal += sm.rows
-			rr.stripeIdx++
-			continue
-		}
-		cols, err := rr.rd.openStripeCursors(sm, rr.project, rr.streams)
-		if err != nil {
-			return nil, 0, err
-		}
-		rr.cols = cols
-		rr.stripeIdx++
-		rr.inStripe = 0
-		rr.stripeLen = sm.rows
-	}
-	ord := rr.rowOrdinal
-	for i, cur := range rr.cols {
-		if cur == nil {
-			rr.row[i] = datum.Null
-			continue
-		}
-		d, err := cur.next()
-		if err != nil {
-			return nil, 0, fmt.Errorf("orcfile: column %s row %d: %w", rr.rd.schema[i].Name, ord, err)
-		}
-		rr.row[i] = d
-	}
-	rr.inStripe++
-	rr.rowOrdinal++
-	return rr.row, ord, nil
-}
-
-// openStripeCursors reads and decodes the projected column streams of
-// one stripe — shared by the row and batch readers, so both charge
-// identical I/O and decode identical bytes. streams holds one buffer per
-// column, the caller's to keep between stripes: a cursor reads from it,
-// or from a shared stream cache entry, so it lives exactly as long as the
-// stripe is current.
-func (rd *Reader) openStripeCursors(sm stripeMeta, project []bool, streams [][]byte) ([]*columnCursor, error) {
-	cols := make([]*columnCursor, len(rd.schema))
-	z := inflaters.Get()
-	defer inflaters.Put(z)
-	for i := range rd.schema {
-		if !project[i] {
-			continue
-		}
-		st := sm.streams[i]
-		buf, e, err := rd.loadStream(z, &streams[i], int64(sm.offset+st.relOff), int(st.length))
-		if err != nil {
-			return nil, fmt.Errorf("orcfile: load stripe stream: %w", err)
-		}
-		cur, err := newColumnCursor(rd.schema[i].Kind, buf, e)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = cur
-	}
-	return cols, nil
 }
 
 // loadStream returns the decoded bytes of the stream stored at off. A
@@ -368,34 +269,31 @@ func (rd *Reader) loadStream(z *inflater, scratch *[]byte, off int64, length int
 	return buf, cache.add(key, z.in, buf), nil
 }
 
-// newColumnCursor parses a column stream's headers. e is the cache entry
+// open parses a column stream's headers into cur. e is the cache entry
 // buf came from or was copied to (nil when none), where a dictionary is
 // parsed once and kept.
-func newColumnCursor(kind datum.Kind, buf []byte, e *streamEntry) (*columnCursor, error) {
+func (cur *columnCursor) open(kind datum.Kind, buf []byte, e *streamEntry) error {
 	plen, c := binary.Uvarint(buf)
 	if c <= 0 {
-		return nil, fmt.Errorf("orcfile: bad presence length")
+		return fmt.Errorf("orcfile: bad presence length")
 	}
 	// Lengths are compared as they were read, unsigned: a converted one
 	// can come out negative and pass.
 	if plen > uint64(len(buf)-c) {
-		return nil, fmt.Errorf("orcfile: truncated presence bitmap")
+		return fmt.Errorf("orcfile: truncated presence bitmap")
 	}
 	data := buf[c+int(plen):]
-	cur := &columnCursor{kind: kind, presence: newBitReader(buf[c : c+int(plen)])}
+	*cur = columnCursor{kind: kind, presence: bitReader{buf: buf[c : c+int(plen)]}}
 	switch kind {
 	case datum.KindInt:
-		cur.ints = newIntDecoder(data)
+		cur.ints.buf = data
 	case datum.KindFloat:
-		cur.floats = newFloatDecoder(data)
+		cur.floats.buf = data
 	case datum.KindBool:
-		cur.bools = newBitReader(data)
+		cur.bools.buf = data
 	case datum.KindString:
 		if len(data) == 0 {
-			// Zero non-null strings in this stripe.
-			cur.lens = newIntDecoder(nil)
-			cur.blob = nil
-			break
+			break // zero non-null strings in this stripe
 		}
 		mode := data[0]
 		data = data[1:]
@@ -407,7 +305,7 @@ func newColumnCursor(kind datum.Kind, buf []byte, e *streamEntry) (*columnCursor
 			if d == nil {
 				var err error
 				if d, err = parseDict(data); err != nil {
-					return nil, err
+					return err
 				}
 				if e != nil {
 					e.dict.Store(d)
@@ -416,30 +314,30 @@ func newColumnCursor(kind datum.Kind, buf []byte, e *streamEntry) (*columnCursor
 			p := d.end
 			il, c2 := binary.Uvarint(data[p:])
 			if c2 <= 0 {
-				return nil, fmt.Errorf("orcfile: bad dict index length")
+				return fmt.Errorf("orcfile: bad dict index length")
 			}
 			p += c2
 			if il > uint64(len(data)-p) {
-				return nil, fmt.Errorf("orcfile: truncated dict indices")
+				return fmt.Errorf("orcfile: truncated dict indices")
 			}
 			cur.dict = d.vals
-			cur.indices = newIntDecoder(data[p : p+int(il)])
+			cur.ints.buf = data[p : p+int(il)]
 		} else { // direct
 			ll, c := binary.Uvarint(data)
 			if c <= 0 {
-				return nil, fmt.Errorf("orcfile: bad length-stream size")
+				return fmt.Errorf("orcfile: bad length-stream size")
 			}
 			p := c
 			if ll > uint64(len(data)-p) {
-				return nil, fmt.Errorf("orcfile: truncated length stream")
+				return fmt.Errorf("orcfile: truncated length stream")
 			}
-			cur.lens = newIntDecoder(data[p : p+int(ll)])
+			cur.ints.buf = data[p : p+int(ll)]
 			cur.blob = data[p+int(ll):]
 		}
 	default:
-		return nil, fmt.Errorf("orcfile: unsupported column kind %v", kind)
+		return fmt.Errorf("orcfile: unsupported column kind %v", kind)
 	}
-	return cur, nil
+	return nil
 }
 
 // parseDict parses the dictionary at the start of a string stream's data.
@@ -459,57 +357,4 @@ func parseDict(data []byte) (*stringDict, error) {
 		p = np
 	}
 	return &stringDict{vals: vals, end: p}, nil
-}
-
-func (cur *columnCursor) next() (datum.Datum, error) {
-	present, err := cur.presence.Next()
-	if err != nil {
-		return datum.Null, err
-	}
-	if !present {
-		return datum.Null, nil
-	}
-	switch cur.kind {
-	case datum.KindInt:
-		v, err := cur.ints.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		return datum.Int(v), nil
-	case datum.KindFloat:
-		v, err := cur.floats.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		return datum.Float(v), nil
-	case datum.KindBool:
-		v, err := cur.bools.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		return datum.Bool(v), nil
-	case datum.KindString:
-		if cur.dict != nil {
-			idx, err := cur.indices.Next()
-			if err != nil {
-				return datum.Null, err
-			}
-			if idx < 0 || int(idx) >= len(cur.dict) {
-				return datum.Null, fmt.Errorf("orcfile: dict index %d out of range", idx)
-			}
-			return datum.String_(cur.dict[idx]), nil
-		}
-		l, err := cur.lens.Next()
-		if err != nil {
-			return datum.Null, err
-		}
-		end := cur.blobOff + int(l)
-		if end > len(cur.blob) || end < cur.blobOff {
-			return datum.Null, fmt.Errorf("orcfile: string blob exhausted")
-		}
-		s := string(cur.blob[cur.blobOff:end])
-		cur.blobOff = end
-		return datum.String_(s), nil
-	}
-	return datum.Null, fmt.Errorf("orcfile: bad cursor kind")
 }

@@ -39,6 +39,10 @@ type stripeStats struct {
 	minF, maxF   float64
 	minS, maxS   string
 	minB, maxB   bool
+	// The last string folded and what it added to sum, if anything.
+	lastS  string
+	lastF  float64
+	lastOK bool
 }
 
 func (s *stripeStats) addInt(v int64) {
@@ -66,8 +70,16 @@ func (s *stripeStats) addFloat(v float64) {
 // addString adds to the sum only a string that reads as a number
 // (footers carry the value, so it stays). Most do not, and strconv
 // allocates an error for each of those: the parse is skipped where it
-// cannot succeed.
+// cannot succeed. A string equal to the one before it cannot move the
+// bounds, and adds what that one added.
 func (s *stripeStats) addString(v string) {
+	if s.count > 0 && v == s.lastS {
+		s.count++
+		if s.lastOK {
+			s.sum = addSum(s.sum, s.lastF)
+		}
+		return
+	}
 	if s.count == 0 || v < s.minS {
 		s.minS = v
 	}
@@ -75,9 +87,11 @@ func (s *stripeStats) addString(v string) {
 		s.maxS = v
 	}
 	s.count++
+	s.lastS, s.lastOK = v, false
 	if numberLike(v) {
-		if f, ok := datum.String_(v).AsFloat(); ok {
-			s.sum = addSum(s.sum, f)
+		s.lastF, s.lastOK = datum.String_(v).AsFloat()
+		if s.lastOK {
+			s.sum = addSum(s.sum, s.lastF)
 		}
 	}
 }

@@ -99,12 +99,12 @@ func cacheCorpus(t *testing.T) map[string][]byte {
 	return out
 }
 
-// TestStreamCacheIsInvisible: every corpus file decodes to the same rows
-// by both readers cold, warm, and through a cache so small that nearly
-// every load evicts; the warm pass inflates nothing.
+// TestStreamCacheIsInvisible: every corpus file decodes to the same rows,
+// in full and in one-row batches, cold, warm, and through a cache so
+// small that nearly every load evicts; the warm pass inflates nothing.
 func TestStreamCacheIsInvisible(t *testing.T) {
 	corpus := cacheCorpus(t)
-	drains := map[string]func([]byte, int) ([]datum.Row, error){"batch": drainBatch, "row": drainRows}
+	drains := map[string]func([]byte, int) ([]datum.Row, error){"batch": drainBatch, "one-row batch": drainOneRowBatches}
 	for name, data := range corpus {
 		for how, drain := range drains {
 			useCache(t, newStreamCache(streamCacheBytes))
@@ -156,7 +156,7 @@ func TestStreamCacheMissesCorruptTwin(t *testing.T) {
 	}
 	bad := append([]byte(nil), good...)
 	bad[0] = 0xFF // first deflate block of the first stream: reserved block type
-	for _, drain := range []func([]byte, int) ([]datum.Row, error){drainBatch, drainRows} {
+	for _, drain := range []func([]byte, int) ([]datum.Row, error){drainBatch, drainOneRowBatches} {
 		cache.reset()
 		if rows, err := drain(good, 1<<20); err != nil || !reflect.DeepEqual(rows, want) {
 			t.Fatalf("clean file: %d rows, %v", len(rows), err)
@@ -281,7 +281,7 @@ func TestStreamCacheConcurrentScans(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					drain := drainBatch
 					if (g+i)%2 == 1 {
-						drain = drainRows
+						drain = drainOneRowBatches
 					}
 					rows, err := drain(data, 1<<20)
 					if err != nil {

@@ -316,7 +316,7 @@ func FuzzWriteBatchMatchesWriteRow(f *testing.F) {
 			t.Fatalf("%d rows in stripes of %d: WriteBatch wrote %d bytes unlike WriteRow's %d",
 				len(rows), opts.StripeRows, buf.Len(), len(want))
 		}
-		got, err := drainRows(want, len(rows)+1)
+		got, err := drainOneRowBatches(want, len(rows)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
