@@ -57,16 +57,16 @@ func TestParseAsOfEpochWithAlias(t *testing.T) {
 }
 
 func TestParseAsOfEpochErrors(t *testing.T) {
-	for _, sql := range []string{
-		"SELECT * FROM t AS OF 3",          // missing EPOCH
-		"SELECT * FROM t AS OF EPOCH",      // missing operand
-		"SELECT * FROM t AS OF EPOCH -1",   // negative
-		"SELECT * FROM t AS OF EPOCH 'x'",  // wrong type
-		"SELECT * FROM t AS OF EPOCH 1.5",  // fractional
-		"SELECT * FROM t AS OF EPOCH WHEN", // keyword
+	for _, c := range []struct{ src, want string }{
+		{`SELECT * FROM t AS OF 3`, `sql: line 1 col 23: unexpected "3" after statement`},                        // missing EPOCH
+		{`SELECT * FROM t AS OF EPOCH`, `sql: line 1 col 28: expected "token kind 3", got end of input`},         // missing operand
+		{`SELECT * FROM t AS OF EPOCH -1`, `sql: line 1 col 29: expected "token kind 3", got "-"`},               // negative
+		{`SELECT * FROM t AS OF EPOCH 'x'`, `sql: line 1 col 29: expected "token kind 3", got "x"`},              // wrong type
+		{`SELECT * FROM t AS OF EPOCH 1.5`, `sql: line 1 col 32: bad epoch "1.5" (want a non-negative integer)`}, // fractional
+		{`SELECT * FROM t AS OF EPOCH WHEN`, `sql: line 1 col 29: expected "token kind 3", got "WHEN"`},          // keyword
 	} {
-		if _, err := Parse(sql); err == nil {
-			t.Errorf("Parse(%s) succeeded, want error", sql)
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%s) = %v, want %s", c.src, err, c.want)
 		}
 	}
 }

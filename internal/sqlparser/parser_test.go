@@ -154,8 +154,9 @@ func TestParsePaperUpdateListing1(t *testing.T) {
 }
 
 func TestParseUpdateQualifierMismatch(t *testing.T) {
-	if _, err := Parse("UPDATE t a SET b.x = 1"); err == nil {
-		t.Error("mismatched SET qualifier should fail")
+	const want = `sql: line 1 col 20: SET qualifier "b" does not match updated table`
+	if _, err := Parse("UPDATE t a SET b.x = 1"); err == nil || err.Error() != want {
+		t.Errorf("mismatched SET qualifier: %v, want %s", err, want)
 	}
 	// Qualifier matching the table name itself is fine.
 	mustParse(t, "UPDATE t SET t.x = 1")
@@ -284,35 +285,134 @@ func TestNegativeLiteralFolding(t *testing.T) {
 	}
 }
 
+// TestParseErrors pins each bad input's error: its text, line and
+// column. The parser reports the first error it meets.
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"SELEC 1",
-		"SELECT",
-		"SELECT FROM t",
-		"SELECT * FROM",
-		"SELECT * FROM t WHERE",
-		"SELECT * FROM t GROUP",
-		"SELECT * FROM t LIMIT -1",
-		"SELECT * FROM t LIMIT x",
-		"INSERT TABLE t SELECT 1",
-		"UPDATE t",
-		"UPDATE t SET",
-		"UPDATE t SET x",
-		"DELETE t",
-		"CREATE TABLE t",
-		"CREATE TABLE t ()",
-		"DROP t",
-		"LOAD DATA 'x' INTO TABLE t",
-		"COMPACT t",
-		"SELECT CASE END",
-		"SELECT IF(a, b)",
-		"SELECT 1 2",
-		"SELECT (1",
+	cases := []struct{ src, want string }{
+		// Inputs that fail at the first token they cannot take.
+		{"", `sql: line 1 col 1: expected a statement, got end of input`},
+		{`SELEC 1`, `sql: line 1 col 1: expected a statement, got "SELEC"`},
+		{`SELECT`, `sql: line 1 col 7: expected expression, got end of input`},
+		{`SELECT FROM t`, `sql: line 1 col 8: expected expression, got "FROM"`},
+		{`SELECT * FROM`, `sql: line 1 col 14: expected identifier, got end of input`},
+		{`SELECT * FROM t WHERE`, `sql: line 1 col 22: expected expression, got end of input`},
+		{`SELECT * FROM t GROUP`, `sql: line 1 col 22: expected "BY", got end of input`},
+		{`SELECT * FROM t LIMIT -1`, `sql: line 1 col 23: expected "token kind 3", got "-"`},
+		{`SELECT * FROM t LIMIT x`, `sql: line 1 col 23: expected "token kind 3", got "x"`},
+		{`INSERT TABLE t SELECT 1`, `sql: line 1 col 8: expected INTO or OVERWRITE after INSERT`},
+		{`UPDATE t`, `sql: line 1 col 9: expected "SET", got end of input`},
+		{`UPDATE t SET`, `sql: line 1 col 13: expected identifier, got end of input`},
+		{`UPDATE t SET x`, `sql: line 1 col 15: expected "=", got end of input`},
+		{`DELETE t`, `sql: line 1 col 8: expected "FROM", got "t"`},
+		{`CREATE TABLE t`, `sql: line 1 col 15: expected "(", got end of input`},
+		{`CREATE TABLE t ()`, `sql: line 1 col 17: expected identifier, got ")"`},
+		{`DROP t`, `sql: line 1 col 6: expected "TABLE", got "t"`},
+		{`LOAD DATA 'x' INTO TABLE t`, `sql: line 1 col 11: expected "INPATH", got "x"`},
+		{`COMPACT t`, `sql: line 1 col 9: expected "TABLE", got "t"`},
+		{`SELECT CASE END`, `sql: line 1 col 13: expected expression, got "END"`},
+		{`SELECT IF(a, b)`, `sql: line 1 col 16: IF requires 3 arguments, got 2`},
+		{`SELECT 1 2`, `sql: line 1 col 10: unexpected "2" after statement`},
+		{`SELECT (1`, `sql: line 1 col 10: expected ")", got end of input`},
+		// One input per error message of the parser and the lexer.
+		{`DESCRIBE 1`, `sql: line 1 col 10: expected identifier, got "1"`},
+		{`SELECT * FROM t LIMIT 1.5`, `sql: line 1 col 26: bad LIMIT "1.5"`},
+		{`SELECT * FROM t LIMIT 99999999999999999999`, `sql: line 1 col 43: bad LIMIT "99999999999999999999"`},
+		{`SELECT * FROM (SELECT 1)`, `sql: line 1 col 25: derived table requires an alias`},
+		{`SELECT * FROM t AS OF EPOCH 1.5`, `sql: line 1 col 32: bad epoch "1.5" (want a non-negative integer)`},
+		{`UPDATE t a SET b.x = 1`, `sql: line 1 col 20: SET qualifier "b" does not match updated table`},
+		{`CREATE TABLE t (a)`, `sql: line 1 col 18: expected column type, got ")"`},
+		{`CREATE TABLE t (x BLOB)`, `sql: line 1 col 23: unsupported column type "BLOB"`},
+		{`SET 1 = 2`, `sql: line 1 col 5: expected setting name, got "1"`},
+		{`SET a = (`, `sql: line 1 col 9: expected setting value, got "("`},
+		{`SELECT 1e999`, `sql: line 1 col 13: bad number "1e999"`},
+		{`SELECT 1e+`, `sql: line 1 col 11: bad number "1e+"`},
+		{`SELECT CAST(a AS BLOB)`, `sql: line 1 col 22: bad CAST type "BLOB"`},
+		{`SELECT CASE a END`, `sql: line 1 col 15: CASE requires at least one WHEN`},
+		{`SELECT @`, `sql: line 1 col 8: unexpected character "@"`},
+		// Paths that clauses, lists and join prefixes share.
+		{`SELECT * FROM t AS OF EPOCH 1 AS OF EPOCH 2`, `sql: line 1 col 31: unexpected "AS" after statement`},
+		{`SELECT * FROM t x AS OF 3`, `sql: line 1 col 25: expected "EPOCH", got "3"`},
+		{`SELECT * FROM t AS OF x`, `sql: line 1 col 23: unexpected "x" after statement`},
+		{`SELECT IF()`, `sql: line 1 col 11: expected expression, got ")"`},
+		{`SELECT IF(*)`, `sql: line 1 col 11: expected expression, got "*"`},
+		{`SELECT IF(DISTINCT a, b, c)`, `sql: line 1 col 11: expected expression, got "DISTINCT"`},
+		{`SELECT IF(a, b, c, d)`, `sql: line 1 col 22: IF requires 3 arguments, got 4`},
+		{`SELECT IF a`, `sql: line 1 col 11: expected "(", got "a"`},
+		{`SELECT * FROM a INNER OUTER JOIN b ON a.x = b.x`, `sql: line 1 col 23: expected "JOIN", got "OUTER"`},
+		{`SELECT * FROM a CROSS JOIN b ON a.x = b.x`, `sql: line 1 col 30: unexpected "ON" after statement`},
+		{`SELECT * FROM a CROSS OUTER JOIN b`, `sql: line 1 col 23: expected "JOIN", got "OUTER"`},
+		{`SELECT * FROM a LEFT b`, `sql: line 1 col 22: expected "JOIN", got "b"`},
+		{`SELECT * FROM a FULL OUTER b`, `sql: line 1 col 28: expected "JOIN", got "b"`},
+		{`SELECT * FROM a JOIN b`, `sql: line 1 col 23: expected "ON", got end of input`},
+		{`SELECT * FROM a JOIN b ON`, `sql: line 1 col 26: expected expression, got end of input`},
+		{`SELECT * FROM a, (SELECT 1) AS`, `sql: line 1 col 31: derived table requires an alias`},
+		{`UPDATE t AS x SET a = 1`, `sql: line 1 col 10: expected "SET", got "AS"`},
+		{`DELETE FROM t AS x`, `sql: line 1 col 15: unexpected "AS" after statement`},
+		{`DELETE FROM t WHERE`, `sql: line 1 col 20: expected expression, got end of input`},
+		{`CREATE TABLE IF EXISTS t (a INT)`, `sql: line 1 col 17: expected "NOT", got "EXISTS"`},
+		{`DROP TABLE IF NOT EXISTS t`, `sql: line 1 col 15: expected "EXISTS", got "NOT"`},
+		{`LOAD DATA INPATH x INTO TABLE t`, `sql: line 1 col 18: expected "token kind 4", got "x"`},
+		{`LOAD DATA INPATH 'x' INTO t`, `sql: line 1 col 27: expected "TABLE", got "t"`},
+		{`LOAD DATA INPATH 'x' OVERWRITE TABLE t`, `sql: line 1 col 32: expected "INTO", got "TABLE"`},
+		{`SELECT a FROM t GROUP a`, `sql: line 1 col 23: expected "BY", got "a"`},
+		{`SELECT a FROM t ORDER a`, `sql: line 1 col 23: expected "BY", got "a"`},
+		{`SELECT a FROM t ORDER BY a DESC,`, `sql: line 1 col 33: expected expression, got end of input`},
+		{`SELECT a FROM t HAVING`, `sql: line 1 col 23: expected expression, got end of input`},
+		{`SELECT a AS 1`, `sql: line 1 col 13: expected identifier, got "1"`},
+		{`SELECT a AS FROM t`, `sql: line 1 col 13: expected identifier, got "FROM"`},
+		{`SELECT t.* x FROM t`, `sql: line 1 col 12: unexpected "x" after statement`},
+		{`SELECT COUNT(* FROM t`, `sql: line 1 col 16: expected ")", got "FROM"`},
+		{`SELECT f(a,`, `sql: line 1 col 12: expected expression, got end of input`},
+		{`SELECT f(a b)`, `sql: line 1 col 12: expected ")", got "b"`},
+		{`SELECT x IN 1`, `sql: line 1 col 13: expected "(", got "1"`},
+		{`SELECT x IN ()`, `sql: line 1 col 14: expected expression, got ")"`},
+		{`SELECT x NOT IN (1`, `sql: line 1 col 19: expected ")", got end of input`},
+		{`SELECT x BETWEEN 1 OR 2`, `sql: line 1 col 20: expected "AND", got "OR"`},
+		{`SELECT x IS 1`, `sql: line 1 col 13: expected "NULL", got "1"`},
+		{`SELECT x IS NOT 1`, `sql: line 1 col 17: expected "NULL", got "1"`},
+		{`SELECT x LIKE`, `sql: line 1 col 14: expected expression, got end of input`},
+		{`SELECT CASE WHEN a 1 END`, `sql: line 1 col 20: expected "THEN", got "1"`},
+		{`SELECT CASE WHEN a THEN 1`, `sql: line 1 col 26: expected "END", got end of input`},
+		{`SELECT CASE WHEN a THEN 1 ELSE END`, `sql: line 1 col 32: expected expression, got "END"`},
+		{`SELECT CAST(a DOUBLE)`, `sql: line 1 col 15: expected "AS", got "DOUBLE"`},
+		{`SELECT CAST(a AS DOUBLE`, `sql: line 1 col 24: expected ")", got end of input`},
+		{`SELECT a.1`, `sql: line 1 col 9: unexpected ".1" after statement`},
+		{`SELECT (SELECT 1`, `sql: line 1 col 17: expected ")", got end of input`},
+		{`SELECT 1 +`, `sql: line 1 col 11: expected expression, got end of input`},
+		{`SELECT 1 * `, `sql: line 1 col 12: expected expression, got end of input`},
+		{`SELECT NOT`, `sql: line 1 col 11: expected expression, got end of input`},
+		{`SELECT - `, `sql: line 1 col 10: expected expression, got end of input`},
+		{`SELECT a OR`, `sql: line 1 col 12: expected expression, got end of input`},
+		{`SELECT a AND`, `sql: line 1 col 13: expected expression, got end of input`},
+		{`INSERT INTO t VALUES 1`, `sql: line 1 col 22: expected "(", got "1"`},
+		{`INSERT INTO t VALUES (1`, `sql: line 1 col 24: expected ")", got end of input`},
+		{`INSERT INTO t VALUES (1),`, `sql: line 1 col 26: expected "(", got end of input`},
+		{`INSERT INTO t`, `sql: line 1 col 14: expected "SELECT", got end of input`},
+		{`UPDATE t SET a = 1,`, `sql: line 1 col 20: expected identifier, got end of input`},
+		{`UPDATE t SET a = 1 WHERE`, `sql: line 1 col 25: expected expression, got end of input`},
+		{`UPDATE t SET t.1 = 2`, `sql: line 1 col 15: expected "=", got ".1"`},
+		{`UPDATE 1 SET a = 2`, `sql: line 1 col 8: expected identifier, got "1"`},
+		{`UPDATE t x y SET a = 1`, `sql: line 1 col 12: expected "SET", got "y"`},
+		{`CREATE TABLE t (a BIGINT`, `sql: line 1 col 25: expected ")", got end of input`},
+		{`CREATE TABLE t (a BIGINT,)`, `sql: line 1 col 26: expected identifier, got ")"`},
+		{`CREATE TABLE t (a BIGINT) STORED DUALTABLE`, `sql: line 1 col 34: expected "AS", got "DUALTABLE"`},
+		{`CREATE TABLE t (a BIGINT) STORED AS 1`, `sql: line 1 col 37: expected identifier, got "1"`},
+		{`CREATE t (a BIGINT)`, `sql: line 1 col 8: expected "TABLE", got "t"`},
+		{`SHOW TABLE`, `sql: line 1 col 6: expected "TABLES", got "TABLE"`},
+		{`DESCRIBE`, `sql: line 1 col 9: expected identifier, got end of input`},
+		{`EXPLAIN`, `sql: line 1 col 8: expected a statement, got end of input`},
+		{`EXPLAIN EXPLAIN`, `sql: line 1 col 16: expected a statement, got end of input`},
+		{`SET a.`, `sql: line 1 col 7: expected setting name, got end of input`},
+		{`SET a = `, `sql: line 1 col 9: expected setting value, got end of input`},
+		{`SET a b`, `sql: line 1 col 7: expected "=", got "b"`},
+		{`COMPACT TABLE`, `sql: line 1 col 14: expected identifier, got end of input`},
+		{`SELECT ?, ? FROM t LIMIT ? 1`, `sql: line 1 col 28: unexpected "1" after statement`},
+		{`SELECT 1;;`, `sql: line 1 col 10: unexpected ";" after statement`},
+		{`SELECT 1; SELECT 2`, `sql: line 1 col 11: unexpected "SELECT" after statement`},
 	}
-	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) should fail", src)
+	for _, c := range cases {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
 		}
 	}
 }
@@ -329,48 +429,91 @@ func TestParseScript(t *testing.T) {
 	if len(stmts) != 3 {
 		t.Fatalf("got %d statements", len(stmts))
 	}
-	if _, err := ParseScript("SELECT 1 SELECT 2"); err == nil {
-		t.Error("missing semicolon should fail")
+	for _, c := range []struct{ src, want string }{
+		{`SELECT 1 SELECT 2`, `sql: line 1 col 10: expected ';' between statements, got "SELECT"`},
+		{`SELECT 1; SELEC 2`, `sql: line 1 col 11: expected a statement, got "SELEC"`},
+		{`;;SELECT (;`, `sql: line 1 col 11: expected expression, got ";"`},
+		{`SELECT 1; @`, `sql: line 1 col 11: unexpected character "@"`},
+	} {
+		if _, err := ParseScript(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("ParseScript(%q) = %v, want %s", c.src, err, c.want)
+		}
 	}
 }
 
-// fixpointStatements cover every statement kind and expression form;
-// they seed the round-trip test and the fuzz target.
-var fixpointStatements = []string{
-	"SELECT a, b AS x, COUNT(*) FROM t WHERE a > 5 AND b < 3 GROUP BY a, b HAVING COUNT(*) > 1 ORDER BY a DESC, b ASC LIMIT 10",
-	"SELECT DISTINCT l_returnflag FROM lineitem",
-	"SELECT * FROM a JOIN b ON a.id = b.id LEFT OUTER JOIN c ON b.x = c.x",
-	"SELECT * FROM (SELECT k, SUM(v) s FROM t GROUP BY k) g WHERE g.s > 0",
-	"INSERT OVERWRITE TABLE t SELECT a + 1, IF(b = 2, 'y', 'n') FROM s",
-	"INSERT INTO TABLE t VALUES (1, 'a'), (2, NULL)",
-	"UPDATE t SET a = a + 1, b = 'x' WHERE c IS NOT NULL",
-	"DELETE FROM t WHERE k IN (1, 2) OR v BETWEEN 3 AND 4",
-	"CREATE TABLE IF NOT EXISTS t (a BIGINT, b DOUBLE, c STRING, d BOOLEAN) STORED AS DUALTABLE",
-	"DROP TABLE IF EXISTS t",
-	"LOAD DATA INPATH '/x' OVERWRITE INTO TABLE t",
-	"COMPACT TABLE t",
-	"SELECT CASE WHEN a THEN 1 ELSE 0 END FROM t",
-	"SELECT x FROM t WHERE s LIKE 'ab%' AND u NOT LIKE '%z'",
-	"SELECT (SELECT SUM(k.v) FROM k WHERE k.id = t.id) FROM t",
-	"EXPLAIN SELECT 1",
-	"SELECT v FROM t AS OF EPOCH ? WHERE id NOT IN (?, -2) AND w NOT BETWEEN -1.5 AND 2e3 LIMIT ?",
-	"SELECT CAST(a AS DOUBLE), -b, NOT c FROM t WHERE d IS NULL ORDER BY 1",
-	"SET dualtable.force.plan = 'EDIT'",
-	"SELECT `select`, `a b`.c, `if`(1), `if`(DISTINCT 1, 2, 3) FROM `from` `a b` WHERE s = 'it''s a\\\\b' AND f = -0.0",
+// fixpointStatements cover every statement kind and expression form,
+// and one left-deep chain per binary precedence level; they seed the
+// round-trip test and the fuzz target. Each carries its first print,
+// so a parser that re-associated a chain would fail even though its
+// print would still be a fixpoint.
+var fixpointStatements = []struct{ src, print string }{
+	{"SELECT a, b AS x, COUNT(*) FROM t WHERE a > 5 AND b < 3 GROUP BY a, b HAVING COUNT(*) > 1 ORDER BY a DESC, b ASC LIMIT 10",
+		"SELECT a, b AS x, COUNT(*) FROM t WHERE ((a > 5) AND (b < 3)) GROUP BY a, b HAVING (COUNT(*) > 1) ORDER BY a DESC, b ASC LIMIT 10"},
+	{"SELECT DISTINCT l_returnflag FROM lineitem",
+		"SELECT DISTINCT l_returnflag FROM lineitem"},
+	{"SELECT * FROM a JOIN b ON a.id = b.id LEFT OUTER JOIN c ON b.x = c.x",
+		"SELECT * FROM a JOIN b ON (a.id = b.id) LEFT OUTER JOIN c ON (b.x = c.x)"},
+	{"SELECT * FROM (SELECT k, SUM(v) s FROM t GROUP BY k) g WHERE g.s > 0",
+		"SELECT * FROM (SELECT k, SUM(v) AS s FROM t GROUP BY k) g WHERE (g.s > 0)"},
+	{"INSERT OVERWRITE TABLE t SELECT a + 1, IF(b = 2, 'y', 'n') FROM s",
+		"INSERT OVERWRITE TABLE t SELECT (a + 1), IF((b = 2), 'y', 'n') FROM s"},
+	{"INSERT INTO TABLE t VALUES (1, 'a'), (2, NULL)",
+		"INSERT INTO TABLE t VALUES (1, 'a'), (2, NULL)"},
+	{"UPDATE t SET a = a + 1, b = 'x' WHERE c IS NOT NULL",
+		"UPDATE t SET a = (a + 1), b = 'x' WHERE (c IS NOT NULL)"},
+	{"DELETE FROM t WHERE k IN (1, 2) OR v BETWEEN 3 AND 4",
+		"DELETE FROM t WHERE ((k IN (1, 2)) OR (v BETWEEN 3 AND 4))"},
+	{"CREATE TABLE IF NOT EXISTS t (a BIGINT, b DOUBLE, c STRING, d BOOLEAN) STORED AS DUALTABLE",
+		"CREATE TABLE IF NOT EXISTS t (a BIGINT, b DOUBLE, c STRING, d BOOLEAN) STORED AS DUALTABLE"},
+	{"DROP TABLE IF EXISTS t",
+		"DROP TABLE IF EXISTS t"},
+	{"LOAD DATA INPATH '/x' OVERWRITE INTO TABLE t",
+		"LOAD DATA INPATH '/x' OVERWRITE INTO TABLE t"},
+	{"COMPACT TABLE t",
+		"COMPACT TABLE t"},
+	{"SELECT CASE WHEN a THEN 1 ELSE 0 END FROM t",
+		"SELECT CASE WHEN a THEN 1 ELSE 0 END FROM t"},
+	{"SELECT x FROM t WHERE s LIKE 'ab%' AND u NOT LIKE '%z'",
+		"SELECT x FROM t WHERE ((s LIKE 'ab%') AND (u NOT LIKE '%z'))"},
+	{"SELECT (SELECT SUM(k.v) FROM k WHERE k.id = t.id) FROM t",
+		"SELECT (SELECT SUM(k.v) FROM k WHERE (k.id = t.id)) FROM t"},
+	{"EXPLAIN SELECT 1",
+		"EXPLAIN SELECT 1"},
+	{"SELECT v FROM t AS OF EPOCH ? WHERE id NOT IN (?, -2) AND w NOT BETWEEN -1.5 AND 2e3 LIMIT ?",
+		"SELECT v FROM t AS OF EPOCH ? WHERE ((id NOT IN (?, -2)) AND (w NOT BETWEEN -1.5 AND 2000)) LIMIT ?"},
+	{"SELECT CAST(a AS DOUBLE), -b, NOT c FROM t WHERE d IS NULL ORDER BY 1",
+		"SELECT CAST(a AS DOUBLE), (-b), (NOT c) FROM t WHERE (d IS NULL) ORDER BY 1 ASC"},
+	{"SET dualtable.force.plan = 'EDIT'",
+		"SET dualtable.force.plan = 'EDIT'"},
+	{"SELECT `select`, `a b`.c, `if`(1), `if`(DISTINCT 1, 2, 3) FROM `from` `a b` WHERE s = 'it''s a\\\\b' AND f = -0.0",
+		"SELECT `select`, `a b`.c, `IF`(1), `IF`(DISTINCT 1, 2, 3) FROM `from` `a b` WHERE ((s = 'it''s a\\\\b') AND (f = -0.0))"},
+	{"SELECT a OR b OR c, a AND b AND c FROM t",
+		"SELECT ((a OR b) OR c), ((a AND b) AND c) FROM t"},
+	{"SELECT a < b = c, a IS NULL IS NOT NULL, a LIKE b NOT LIKE c FROM t",
+		"SELECT ((a < b) = c), ((a IS NULL) IS NOT NULL), ((a LIKE b) NOT LIKE c) FROM t"},
+	{"SELECT a - b - c + d, a / b * c % d, - - a, NOT NOT a FROM t",
+		"SELECT (((a - b) - c) + d), (((a / b) * c) % d), (-(-a)), (NOT (NOT a)) FROM t"},
+	{"SELECT a OR b AND NOT c = d + e * - f FROM t",
+		"SELECT (a OR (b AND (NOT (c = (d + (e * (-f))))))) FROM t"},
+	{"SELECT * FROM a, b CROSS JOIN c INNER JOIN d ON a.k = d.k RIGHT JOIN e ON e.k = d.k FULL OUTER JOIN f ON f.k = e.k",
+		"SELECT * FROM a CROSS JOIN b CROSS JOIN c JOIN d ON (a.k = d.k) RIGHT OUTER JOIN e ON (e.k = d.k) FULL OUTER JOIN f ON (f.k = e.k)"},
 }
 
-// Round-trip: parse → String → parse → String must be a fixpoint.
+// Round-trip: parse → String → parse → String must be a fixpoint, and
+// the first String is the recorded print.
 func TestStringRoundtripFixpoint(t *testing.T) {
-	for _, src := range fixpointStatements {
-		s1 := mustParse(t, src)
-		r1 := s1.String()
+	for _, c := range fixpointStatements {
+		r1 := mustParse(t, c.src).String()
+		if r1 != c.print {
+			t.Errorf("%q prints\n  %s\nwant\n  %s", c.src, r1, c.print)
+		}
 		s2, err := Parse(r1)
 		if err != nil {
-			t.Fatalf("re-parse of %q -> %q failed: %v", src, r1, err)
+			t.Fatalf("re-parse of %q -> %q failed: %v", c.src, r1, err)
 		}
 		r2 := s2.String()
 		if r1 != r2 {
-			t.Errorf("not a fixpoint:\n  src: %s\n  r1:  %s\n  r2:  %s", src, r1, r2)
+			t.Errorf("not a fixpoint:\n  src: %s\n  r1:  %s\n  r2:  %s", c.src, r1, r2)
 		}
 	}
 }
@@ -381,8 +524,8 @@ func TestStringRoundtripFixpoint(t *testing.T) {
 // are printed statements, so a print that does not round-trip would
 // key two statements alike or one statement two ways.
 func FuzzParseStringFixpoint(f *testing.F) {
-	for _, src := range fixpointStatements {
-		f.Add(src)
+	for _, c := range fixpointStatements {
+		f.Add(c.src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := Parse(src)
