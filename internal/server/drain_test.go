@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -249,4 +250,60 @@ func TestIdleReaper(t *testing.T) {
 	close(release)
 	readResult(t, busy, 1)
 	ping(t, busy)
+}
+
+// TestDeeplyNestedStatementAnswersError: a statement nested far past
+// the parser's bound, sent as Exec, as Query, or after a SET (which is
+// parsed before admission), gets an error reply, and the connection
+// and server keep serving. Without the bound the parser or the
+// engine's compiler overflowed the goroutine's stack, a fatal error no
+// recover catches; the stack is capped at 64 MiB here so that failure
+// shows at inputs of a few hundred kilobytes.
+func TestDeeplyNestedStatementAnswersError(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
+	const n = 100_000
+	deep := []string{
+		"SELECT " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n),
+		"SELECT " + strings.Repeat("NOT ", n) + "TRUE",
+		"SELECT " + strings.Repeat("- ", n) + "1",
+		"SELECT 1" + strings.Repeat("+1", n),
+		"SELECT TRUE" + strings.Repeat(" OR TRUE", n),
+		strings.Repeat("SELECT (", n) + "SELECT 1" + strings.Repeat(")", n),
+		strings.Repeat("SELECT * FROM (", n) + "SELECT 1" + strings.Repeat(") d", n),
+	}
+	s := newTestServer(t, Config{})
+	nc := dialRaw(t, s)
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	handshake(t, nc)
+	expectNestingError := func(op uint64) {
+		t.Helper()
+		ft, payload, err := wire.ReadFrame(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ef wire.ErrorFrame
+		if ft != wire.TypeError || ef.Decode(payload) != nil {
+			t.Fatalf("op %d: got %v, want an ERROR frame", op, ft)
+		}
+		if ef.OpID != op || !strings.Contains(ef.Msg, "statement nests deeper than 1000 levels") {
+			t.Fatalf("op %d: error frame %+v", op, ef)
+		}
+	}
+	op := uint64(0)
+	for _, sql := range deep {
+		for _, text := range []string{sql, "SET a = 1; " + sql} {
+			op++
+			sendExec(t, nc, op, text)
+			expectNestingError(op)
+		}
+		op++
+		q := wire.Query{OpID: op, SQL: sql, Window: 1}
+		if err := wire.WriteFrame(nc, wire.TypeQuery, q.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		expectNestingError(op)
+		op++
+		sendExec(t, nc, op, "SELECT 1")
+		readResult(t, nc, op)
+	}
 }

@@ -5,6 +5,18 @@
 // DDL (CREATE/DROP TABLE, LOAD DATA). Scalar subqueries are supported
 // in expressions because the paper's motivating UPDATE statement
 // (Listing 1) assigns from a correlated subquery.
+//
+// The parser keeps the first error it meets, with its line and column,
+// and stops there: every later token reads as the end of input, so the
+// parse methods return nodes only and the entry points check the error
+// once.
+//
+// A statement that nests deeper than 1000 levels fails with "statement
+// nests deeper than 1000 levels" (see maxNesting). Everything that
+// recurses over a parsed tree relies on that bound, downstream of the
+// parser too: the printers, BindStatement, the walkers and the engine's
+// expression compiler recurse once per level, and a goroutine stack
+// overflow kills the process.
 package sqlparser
 
 import (
@@ -14,30 +26,30 @@ import (
 	"unicode/utf8"
 )
 
-// TokenKind classifies lexer tokens.
-type TokenKind uint8
+// tokenKind classifies lexer tokens.
+type tokenKind uint8
 
 // Token kinds.
 const (
-	TokEOF TokenKind = iota
-	TokIdent
-	TokKeyword
-	TokNumber
-	TokString
-	TokOp // operators and punctuation
+	tokEOF tokenKind = iota
+	tokIdent
+	tokKeyword
+	tokNumber
+	tokString
+	tokOp // operators and punctuation
 )
 
-// Token is one lexical token with its source position.
-type Token struct {
-	Kind TokenKind
+// token is one lexical token with its source position.
+type token struct {
+	Kind tokenKind
 	Text string // keywords are upper-cased; idents keep original case
 	Pos  int    // byte offset
 	Line int
 	Col  int
 }
 
-func (t Token) String() string {
-	if t.Kind == TokEOF {
+func (t token) String() string {
+	if t.Kind == tokEOF {
 		return "end of input"
 	}
 	return fmt.Sprintf("%q", t.Text)
@@ -62,38 +74,38 @@ var keywords = map[string]bool{
 	"PARTITIONED": true, "TBLPROPERTIES": true, "OF": true, "EPOCH": true,
 }
 
-// Lexer tokenizes a SQL string.
-type Lexer struct {
+// lexer tokenizes a SQL string.
+type lexer struct {
 	src  string
 	pos  int
 	line int
 	col  int
 }
 
-// NewLexer creates a lexer for src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+// newLexer creates a lexer for src.
+func newLexer(src string) *lexer {
+	return &lexer{src: src, line: 1, col: 1}
 }
 
-func (l *Lexer) errf(format string, args ...interface{}) error {
+func (l *lexer) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("sql: line %d col %d: %s", l.line, l.col, fmt.Sprintf(format, args...))
 }
 
-func (l *Lexer) peekByte() byte {
+func (l *lexer) peekByte() byte {
 	if l.pos >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos]
 }
 
-func (l *Lexer) peekByteAt(off int) byte {
+func (l *lexer) peekByteAt(off int) byte {
 	if l.pos+off >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos+off]
 }
 
-func (l *Lexer) advance() byte {
+func (l *lexer) advance() byte {
 	b := l.src[l.pos]
 	l.pos++
 	if b == '\n' {
@@ -107,7 +119,7 @@ func (l *Lexer) advance() byte {
 
 // skipSpaceAndComments consumes whitespace, -- line comments and
 // /* */ block comments.
-func (l *Lexer) skipSpaceAndComments() error {
+func (l *lexer) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
 		b := l.peekByte()
 		switch {
@@ -150,25 +162,25 @@ func isIdentPart(r rune) bool {
 
 // peekRune decodes the UTF-8 rune at the cursor and its width; an
 // invalid byte decodes as utf8.RuneError of width 1.
-func (l *Lexer) peekRune() (rune, int) {
+func (l *lexer) peekRune() (rune, int) {
 	return utf8.DecodeRuneInString(l.src[l.pos:])
 }
 
-// Next returns the next token.
-func (l *Lexer) Next() (Token, error) {
+// next returns the next token.
+func (l *lexer) next() (token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
-		return Token{}, err
+		return token{}, err
 	}
-	tok := Token{Pos: l.pos, Line: l.line, Col: l.col}
+	tok := token{Pos: l.pos, Line: l.line, Col: l.col}
 	if l.pos >= len(l.src) {
-		tok.Kind = TokEOF
+		tok.Kind = tokEOF
 		return tok, nil
 	}
 	b := l.peekByte()
 	r, w := l.peekRune()
 	switch {
 	case r == utf8.RuneError && w == 1:
-		return Token{}, l.errf("invalid UTF-8 byte %#x", b)
+		return token{}, l.errf("invalid UTF-8 byte %#x", b)
 	case isIdentStart(r):
 		start := l.pos
 		for l.pos < len(l.src) {
@@ -183,10 +195,10 @@ func (l *Lexer) Next() (Token, error) {
 		text := l.src[start:l.pos]
 		upper := strings.ToUpper(text)
 		if keywords[upper] {
-			tok.Kind = TokKeyword
+			tok.Kind = tokKeyword
 			tok.Text = upper
 		} else {
-			tok.Kind = TokIdent
+			tok.Kind = tokIdent
 			tok.Text = text
 		}
 		return tok, nil
@@ -218,7 +230,7 @@ func (l *Lexer) Next() (Token, error) {
 			}
 		}
 	numDone:
-		tok.Kind = TokNumber
+		tok.Kind = tokNumber
 		tok.Text = l.src[start:l.pos]
 		return tok, nil
 	case b == '\'':
@@ -226,7 +238,7 @@ func (l *Lexer) Next() (Token, error) {
 		var sb strings.Builder
 		for {
 			if l.pos >= len(l.src) {
-				return Token{}, l.errf("unterminated string literal")
+				return token{}, l.errf("unterminated string literal")
 			}
 			c := l.advance()
 			if c == '\'' {
@@ -256,7 +268,7 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			sb.WriteByte(c)
 		}
-		tok.Kind = TokString
+		tok.Kind = tokString
 		tok.Text = sb.String()
 		return tok, nil
 	case b == '`':
@@ -267,11 +279,11 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		if l.pos >= len(l.src) {
-			return Token{}, l.errf("unterminated quoted identifier")
+			return token{}, l.errf("unterminated quoted identifier")
 		}
 		text := l.src[start:l.pos]
 		l.advance()
-		tok.Kind = TokIdent
+		tok.Kind = tokIdent
 		tok.Text = text
 		return tok, nil
 	default:
@@ -284,7 +296,7 @@ func (l *Lexer) Next() (Token, error) {
 		case "<=", ">=", "!=", "<>", "==":
 			l.advance()
 			l.advance()
-			tok.Kind = TokOp
+			tok.Kind = tokOp
 			if two == "<>" {
 				two = "!="
 			}
@@ -297,25 +309,25 @@ func (l *Lexer) Next() (Token, error) {
 		switch b {
 		case '+', '-', '*', '/', '%', '(', ')', ',', '=', '<', '>', '.', ';', '?':
 			l.advance()
-			tok.Kind = TokOp
+			tok.Kind = tokOp
 			tok.Text = string(b)
 			return tok, nil
 		}
-		return Token{}, l.errf("unexpected character %q", string(b))
+		return token{}, l.errf("unexpected character %q", string(b))
 	}
 }
 
-// Tokenize runs the lexer to EOF.
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
+// tokenize runs the lexer to EOF.
+func tokenize(src string) ([]token, error) {
+	l := newLexer(src)
+	var out []token
 	for {
-		t, err := l.Next()
+		t, err := l.next()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, t)
-		if t.Kind == TokEOF {
+		if t.Kind == tokEOF {
 			return out, nil
 		}
 	}

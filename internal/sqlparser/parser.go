@@ -8,11 +8,31 @@ import (
 	"dualtable/internal/datum"
 )
 
-// Parser is a recursive-descent parser over the token stream.
-type Parser struct {
-	toks   []Token
+// maxNesting bounds how deep one statement may nest, in two counts.
+// The parser recurses once per parenthesis, expression argument,
+// subquery, derived table and EXPLAIN (p.depth). The printers,
+// BindStatement, the walkers and the engine's compiler recurse once per
+// level of the tree, where each of those but a bare parenthesis opens a
+// level and each NOT, unary minus, and operator or join that extends a
+// left-deep chain puts its node one level above its operands (p.peak).
+// Go cannot recover from a stack overflow, so a statement past the
+// bound in either count fails to parse. Parentheses count only toward
+// the first, because the printer wraps every operator node in them:
+// so a printed statement nests no deeper than the statement it prints.
+const maxNesting = 1000
+
+// parser is a recursive-descent parser over the token stream. It keeps
+// the first error it meets (see fail): from then on the current token
+// reads as the end of input, so every loop ends and every parse method
+// returns at once with whatever node it holds.
+type parser struct {
+	toks   []token
 	pos    int
 	params int // '?' placeholders seen so far (assigns Placeholder.Idx)
+	err    error
+	depth  int // recursions open at the current token (see nest)
+	parens int // of which bare parentheses
+	peak   int // highest tree level reached (see measure)
 }
 
 // Parse parses one statement (a trailing semicolon is allowed).
@@ -24,75 +44,94 @@ func Parse(src string) (Statement, error) {
 // ParseParams is Parse that also returns the number of '?'
 // placeholders, which the parser numbers 0, 1, ... as it meets them.
 func ParseParams(src string) (Statement, int, error) {
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &Parser{toks: toks}
-	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, 0, err
-	}
-	p.accept(TokOp, ";")
+	p := &parser{toks: toks}
+	stmt := p.parseStatement()
+	p.accept(tokOp, ";")
 	if !p.atEOF() {
-		return nil, 0, p.errf("unexpected %s after statement", p.cur())
+		p.fail("unexpected %s after statement", p.cur())
+	}
+	if p.err != nil {
+		return nil, 0, p.err
 	}
 	return stmt, p.params, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &parser{toks: toks}
 	var out []Statement
 	for {
-		for p.accept(TokOp, ";") {
+		for p.accept(tokOp, ";") {
 		}
 		if p.atEOF() {
-			return out, nil
+			break
 		}
-		stmt, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, stmt)
-		if !p.accept(TokOp, ";") && !p.atEOF() {
-			return nil, p.errf("expected ';' between statements, got %s", p.cur())
+		out = append(out, p.parseStatement())
+		if !p.accept(tokOp, ";") && !p.atEOF() {
+			p.fail("expected ';' between statements, got %s", p.cur())
 		}
 	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return out, nil
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
+// peek returns the token off places ahead: the end of input past the
+// last token or after a failure.
+func (p *parser) peek(off int) *token {
+	if i := p.pos + off; p.err == nil && i < len(p.toks) {
+		return &p.toks[i]
+	}
+	return &p.toks[len(p.toks)-1]
+}
 
-func (p *Parser) atEOF() bool { return p.cur().Kind == TokEOF }
+func (p *parser) cur() *token { return p.peek(0) }
 
-func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
+func (p *parser) atEOF() bool { return p.cur().Kind == tokEOF }
+
+func (p *parser) next() *token {
+	t := p.cur()
+	if t.Kind != tokEOF {
 		p.pos++
 	}
 	return t
 }
 
-func (p *Parser) errf(format string, args ...interface{}) error {
-	t := p.cur()
-	return fmt.Errorf("sql: line %d col %d: %s", t.Line, t.Col, fmt.Sprintf(format, args...))
+// fail records the error at the current token, unless an earlier one
+// stands: a statement reports the first error in it.
+func (p *parser) fail(format string, args ...interface{}) {
+	if p.err == nil {
+		t := p.cur()
+		p.err = fmt.Errorf("sql: line %d col %d: %s", t.Line, t.Col, fmt.Sprintf(format, args...))
+	}
 }
 
 // is reports whether the current token matches kind and (optionally)
 // text.
-func (p *Parser) is(kind TokenKind, text string) bool {
-	t := p.cur()
+func (p *parser) is(kind tokenKind, text string) bool { return p.isAt(0, kind, text) }
+
+func (p *parser) isAt(off int, kind tokenKind, text string) bool {
+	t := p.peek(off)
 	return t.Kind == kind && (text == "" || t.Text == text)
 }
 
-func (p *Parser) isKeyword(kw string) bool { return p.is(TokKeyword, kw) }
+func (p *parser) isKeyword(kw string) bool { return p.is(tokKeyword, kw) }
+
+// peekKeyword reports whether the token at offset off from the
+// current position is the given keyword.
+func (p *parser) peekKeyword(off int, kw string) bool { return p.isAt(off, tokKeyword, kw) }
 
 // accept consumes the current token when it matches.
-func (p *Parser) accept(kind TokenKind, text string) bool {
+func (p *parser) accept(kind tokenKind, text string) bool {
 	if p.is(kind, text) {
 		p.pos++
 		return true
@@ -101,15 +140,52 @@ func (p *Parser) accept(kind TokenKind, text string) bool {
 }
 
 // expect consumes a required token.
-func (p *Parser) expect(kind TokenKind, text string) (Token, error) {
+func (p *parser) expect(kind tokenKind, text string) *token {
 	if p.is(kind, text) {
-		return p.next(), nil
+		return p.next()
 	}
 	want := text
 	if want == "" {
 		want = fmt.Sprintf("token kind %d", kind)
 	}
-	return Token{}, p.errf("expected %q, got %s", want, p.cur())
+	p.fail("expected %q, got %s", want, p.cur())
+	return p.cur()
+}
+
+// expectKeywords consumes a required keyword sequence.
+func (p *parser) expectKeywords(kws ...string) {
+	for _, kw := range kws {
+		p.expect(tokKeyword, kw)
+	}
+}
+
+// acceptKeywords consumes the keyword sequence kws when its first
+// keyword is next; the rest must follow.
+func (p *parser) acceptKeywords(kws ...string) bool {
+	if !p.accept(tokKeyword, kws[0]) {
+		return false
+	}
+	p.expectKeywords(kws[1:]...)
+	return true
+}
+
+// list parses item {sep item}.
+func list[T any](p *parser, sep string, item func() T) []T {
+	var out []T
+	for {
+		out = append(out, item())
+		if !p.accept(tokOp, sep) {
+			return out
+		}
+	}
+}
+
+// parenList parses ( expr {, expr} ).
+func (p *parser) parenList() []Expr {
+	p.expect(tokOp, "(")
+	l := list(p, ",", p.parseExpr)
+	p.expect(tokOp, ")")
+	return l
 }
 
 // softKeywords are context-sensitive: the lexer tokenizes them as
@@ -121,649 +197,351 @@ var softKeywords = map[string]bool{"OF": true, "EPOCH": true}
 
 // identLike reports whether the current token can serve as an
 // identifier (a real identifier or a soft keyword).
-func (p *Parser) identLike() bool {
+func (p *parser) identLike() bool {
 	t := p.cur()
-	return t.Kind == TokIdent || (t.Kind == TokKeyword && softKeywords[t.Text])
-}
-
-// peekKeyword reports whether the token at offset off from the
-// current position is the given keyword.
-func (p *Parser) peekKeyword(off int, kw string) bool {
-	if p.pos+off >= len(p.toks) {
-		return false
-	}
-	t := p.toks[p.pos+off]
-	return t.Kind == TokKeyword && t.Text == kw
+	return t.Kind == tokIdent || (t.Kind == tokKeyword && softKeywords[t.Text])
 }
 
 // expectIdent consumes an identifier (soft keywords allowed, reserved
 // keywords not).
-func (p *Parser) expectIdent() (string, error) {
+func (p *parser) expectIdent() string {
+	if !p.identLike() {
+		p.fail("expected identifier, got %s", p.cur())
+	}
+	return p.next().Text
+}
+
+// alias parses an optional alias: a bare name, or AS name where as is
+// set.
+func (p *parser) alias(as bool) string {
+	if as && p.accept(tokKeyword, "AS") {
+		return p.expectIdent()
+	}
 	if p.identLike() {
-		return p.next().Text, nil
+		return p.next().Text
 	}
-	return "", p.errf("expected identifier, got %s", p.cur())
+	return ""
 }
 
-func (p *Parser) parseStatement() (Statement, error) {
-	switch {
-	case p.isKeyword("SELECT"):
-		return p.parseSelect()
-	case p.isKeyword("INSERT"):
-		return p.parseInsert()
-	case p.isKeyword("UPDATE"):
-		return p.parseUpdate()
-	case p.isKeyword("DELETE"):
-		return p.parseDelete()
-	case p.isKeyword("CREATE"):
-		return p.parseCreateTable()
-	case p.isKeyword("DROP"):
-		return p.parseDropTable()
-	case p.isKeyword("LOAD"):
-		return p.parseLoad()
-	case p.isKeyword("COMPACT"):
-		return p.parseCompact()
-	case p.isKeyword("SET"):
-		return p.parseSet()
-	case p.isKeyword("SHOW"):
-		p.next()
-		if _, err := p.expect(TokKeyword, "TABLES"); err != nil {
-			return nil, err
-		}
-		return &ShowTablesStmt{}, nil
-	case p.isKeyword("DESCRIBE"):
-		p.next()
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &DescribeStmt{Table: name}, nil
-	case p.isKeyword("EXPLAIN"):
-		p.next()
-		inner, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		return &ExplainStmt{Stmt: inner}, nil
-	default:
-		return nil, p.errf("expected a statement, got %s", p.cur())
+// parseWhere parses an optional WHERE clause.
+func (p *parser) parseWhere() Expr {
+	if p.accept(tokKeyword, "WHERE") {
+		return p.parseExpr()
 	}
-}
-
-func (p *Parser) parseSelect() (*SelectStmt, error) {
-	if _, err := p.expect(TokKeyword, "SELECT"); err != nil {
-		return nil, err
-	}
-	s := &SelectStmt{Limit: -1}
-	if p.accept(TokKeyword, "DISTINCT") {
-		s.Distinct = true
-	} else {
-		p.accept(TokKeyword, "ALL")
-	}
-	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
-		s.Items = append(s.Items, item)
-		if !p.accept(TokOp, ",") {
-			break
-		}
-	}
-	if p.accept(TokKeyword, "FROM") {
-		from, err := p.parseTableRef()
-		if err != nil {
-			return nil, err
-		}
-		s.From = from
-	}
-	if p.accept(TokKeyword, "WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Where = w
-	}
-	if p.accept(TokKeyword, "GROUP") {
-		if _, err := p.expect(TokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			g, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, g)
-			if !p.accept(TokOp, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(TokKeyword, "HAVING") {
-		h, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Having = h
-	}
-	if p.accept(TokKeyword, "ORDER") {
-		if _, err := p.expect(TokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
-			if p.accept(TokKeyword, "DESC") {
-				item.Desc = true
-			} else {
-				p.accept(TokKeyword, "ASC")
-			}
-			s.OrderBy = append(s.OrderBy, item)
-			if !p.accept(TokOp, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(TokKeyword, "LIMIT") {
-		// LIMIT takes a literal count or a '?' parameter (bound to a
-		// non-negative integer at execution time).
-		if p.accept(TokOp, "?") {
-			s.LimitExpr = &Placeholder{Idx: p.params}
-			p.params++
-			return s, nil
-		}
-		t, err := p.expect(TokNumber, "")
-		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil || n < 0 {
-			return nil, p.errf("bad LIMIT %q", t.Text)
-		}
-		s.Limit = n
-	}
-	return s, nil
-}
-
-func (p *Parser) parseSelectItem() (SelectItem, error) {
-	// Bare * or qualified t.*
-	if p.accept(TokOp, "*") {
-		return SelectItem{Expr: &Star{}}, nil
-	}
-	if p.identLike() && p.pos+2 < len(p.toks) &&
-		p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "." &&
-		p.toks[p.pos+2].Kind == TokOp && p.toks[p.pos+2].Text == "*" {
-		tab := p.next().Text
-		p.next()
-		p.next()
-		return SelectItem{Expr: &Star{Table: tab}}, nil
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return SelectItem{}, err
-	}
-	item := SelectItem{Expr: e}
-	if p.accept(TokKeyword, "AS") {
-		a, err := p.expectIdent()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = a
-	} else if p.identLike() {
-		item.Alias = p.next().Text
-	}
-	return item, nil
-}
-
-// parseTableRef parses a FROM clause with left-associative joins.
-func (p *Parser) parseTableRef() (TableRef, error) {
-	left, err := p.parsePrimaryTableRef()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var jt JoinType
-		switch {
-		case p.accept(TokKeyword, "JOIN"):
-			jt = JoinInner
-		case p.isKeyword("INNER"):
-			p.next()
-			if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			jt = JoinInner
-		case p.isKeyword("LEFT"):
-			p.next()
-			p.accept(TokKeyword, "OUTER")
-			if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			jt = JoinLeft
-		case p.isKeyword("RIGHT"):
-			p.next()
-			p.accept(TokKeyword, "OUTER")
-			if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			jt = JoinRight
-		case p.isKeyword("FULL"):
-			p.next()
-			p.accept(TokKeyword, "OUTER")
-			if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			jt = JoinFull
-		case p.isKeyword("CROSS"):
-			p.next()
-			if _, err := p.expect(TokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			jt = JoinCross
-		case p.accept(TokOp, ","): // implicit cross join
-			jt = JoinCross
-		default:
-			return left, nil
-		}
-		right, err := p.parsePrimaryTableRef()
-		if err != nil {
-			return nil, err
-		}
-		join := &JoinRef{Type: jt, Left: left, Right: right}
-		if jt != JoinCross {
-			if _, err := p.expect(TokKeyword, "ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			join.On = on
-		}
-		left = join
-	}
-}
-
-func (p *Parser) parsePrimaryTableRef() (TableRef, error) {
-	if p.accept(TokOp, "(") {
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokOp, ")"); err != nil {
-			return nil, err
-		}
-		p.accept(TokKeyword, "AS")
-		alias, err := p.expectIdent()
-		if err != nil {
-			return nil, p.errf("derived table requires an alias")
-		}
-		return &SubqueryRef{Select: sel, Alias: alias}, nil
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	ref := &TableName{Name: name}
-	if p.accept(TokKeyword, "AS") {
-		// AS introduces either an alias or the AS OF EPOCH time-travel
-		// clause; OF is a soft keyword, so the clause is recognized
-		// only by the full AS OF EPOCH sequence — "t AS of" still
-		// aliases the table as "of".
-		if p.isKeyword("OF") && p.peekKeyword(1, "EPOCH") {
-			if err := p.parseAsOf(ref); err != nil {
-				return nil, err
-			}
-		} else {
-			a, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			ref.Alias = a
-		}
-	} else if p.identLike() {
-		ref.Alias = p.next().Text
-	}
-	// AS OF EPOCH after an alias: t x AS OF EPOCH 3.
-	if ref.AsOf == nil && p.isKeyword("AS") && p.peekKeyword(1, "OF") {
-		p.next()
-		if err := p.parseAsOf(ref); err != nil {
-			return nil, err
-		}
-	}
-	return ref, nil
-}
-
-// parseAsOf parses the OF EPOCH (n | ?) tail of a time-travel clause
-// (the leading AS is already consumed).
-func (p *Parser) parseAsOf(ref *TableName) error {
-	if _, err := p.expect(TokKeyword, "OF"); err != nil {
-		return err
-	}
-	if _, err := p.expect(TokKeyword, "EPOCH"); err != nil {
-		return err
-	}
-	if p.accept(TokOp, "?") {
-		ref.AsOf = &Placeholder{Idx: p.params}
-		p.params++
-		return nil
-	}
-	t, err := p.expect(TokNumber, "")
-	if err != nil {
-		return err
-	}
-	n, err := strconv.ParseInt(t.Text, 10, 64)
-	if err != nil || n < 0 {
-		return p.errf("bad epoch %q (want a non-negative integer)", t.Text)
-	}
-	ref.AsOf = &Literal{Value: datum.Int(n)}
 	return nil
 }
 
-func (p *Parser) parseInsert() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "INSERT"); err != nil {
-		return nil, err
+func (p *parser) placeholder() *Placeholder {
+	p.params++
+	return &Placeholder{Idx: p.params - 1}
+}
+
+// natural parses a '?' placeholder or a non-negative integer; bad is
+// the error format for any other number.
+func (p *parser) natural(bad string) (int64, *Placeholder) {
+	if p.accept(tokOp, "?") {
+		return 0, p.placeholder()
 	}
-	stmt := &InsertStmt{}
+	t := p.expect(tokNumber, "")
+	n, err := strconv.ParseInt(t.Text, 10, 64)
+	if err != nil || n < 0 {
+		p.fail(bad, t.Text)
+	}
+	return n, nil
+}
+
+// nest opens one recursion; the caller closes it with p.depth--.
+func (p *parser) nest() {
+	p.depth++
+	p.reach(p.depth - p.parens)
+}
+
+// reach records that the tree has grown to level at the current token,
+// and fails the statement past the bound in either count.
+func (p *parser) reach(level int) {
+	p.peak = max(p.peak, level)
+	if level > maxNesting || p.depth > maxNesting {
+		p.fail("statement nests deeper than %d levels", maxNesting)
+	}
+}
+
+// measure parses an operand of a node that is built in a loop rather
+// than by recursion (a left-deep chain, a run of NOTs or minus signs),
+// so nest cannot count the node's level. It returns the operand and
+// the highest level the operand reached.
+func measure[T any](p *parser, parse func() T) (T, int) {
+	outer := p.peak
+	p.peak = p.depth - p.parens
+	x := parse()
+	h := p.peak
+	p.peak = max(outer, h)
+	return x, h
+}
+
+func (p *parser) parseStatement() Statement {
 	switch {
-	case p.accept(TokKeyword, "OVERWRITE"):
-		stmt.Overwrite = true
-	case p.accept(TokKeyword, "INTO"):
-	default:
-		return nil, p.errf("expected INTO or OVERWRITE after INSERT")
+	case p.isKeyword("SELECT"):
+		return p.parseSelect()
+	case p.accept(tokKeyword, "INSERT"):
+		return p.parseInsert()
+	case p.accept(tokKeyword, "UPDATE"):
+		return p.parseUpdate()
+	case p.accept(tokKeyword, "DELETE"):
+		p.expect(tokKeyword, "FROM")
+		return &DeleteStmt{Table: p.expectIdent(), Alias: p.alias(false), Where: p.parseWhere()}
+	case p.accept(tokKeyword, "CREATE"):
+		return p.parseCreateTable()
+	case p.accept(tokKeyword, "DROP"):
+		p.expect(tokKeyword, "TABLE")
+		return &DropTableStmt{IfExists: p.acceptKeywords("IF", "EXISTS"), Name: p.expectIdent()}
+	case p.accept(tokKeyword, "LOAD"):
+		p.expectKeywords("DATA", "INPATH")
+		stmt := &LoadStmt{Path: p.expect(tokString, "").Text, Overwrite: p.accept(tokKeyword, "OVERWRITE")}
+		p.expectKeywords("INTO", "TABLE")
+		stmt.Table = p.expectIdent()
+		return stmt
+	case p.accept(tokKeyword, "COMPACT"):
+		p.expect(tokKeyword, "TABLE")
+		return &CompactStmt{Table: p.expectIdent()}
+	case p.accept(tokKeyword, "SET"):
+		return p.parseSet()
+	case p.accept(tokKeyword, "SHOW"):
+		p.expect(tokKeyword, "TABLES")
+		return &ShowTablesStmt{}
+	case p.accept(tokKeyword, "DESCRIBE"):
+		return &DescribeStmt{Table: p.expectIdent()}
+	case p.accept(tokKeyword, "EXPLAIN"):
+		p.nest()
+		stmt := &ExplainStmt{Stmt: p.parseStatement()}
+		p.depth--
+		return stmt
 	}
-	p.accept(TokKeyword, "TABLE")
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Table = name
-	if p.accept(TokKeyword, "VALUES") {
-		for {
-			if _, err := p.expect(TokOp, "("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if !p.accept(TokOp, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(TokOp, ")"); err != nil {
-				return nil, err
-			}
-			stmt.Rows = append(stmt.Rows, row)
-			if !p.accept(TokOp, ",") {
-				break
-			}
-		}
-		return stmt, nil
-	}
-	sel, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Select = sel
-	return stmt, nil
+	p.fail("expected a statement, got %s", p.cur())
+	return nil
 }
 
-func (p *Parser) parseUpdate() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "UPDATE"); err != nil {
-		return nil, err
+func (p *parser) parseSelect() *SelectStmt {
+	p.expect(tokKeyword, "SELECT")
+	s := &SelectStmt{Limit: -1, Distinct: p.accept(tokKeyword, "DISTINCT")}
+	if !s.Distinct {
+		p.accept(tokKeyword, "ALL")
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
+	s.Items = list(p, ",", p.parseSelectItem)
+	if p.accept(tokKeyword, "FROM") {
+		s.From = p.parseTableRef()
 	}
-	stmt := &UpdateStmt{Table: name}
-	if p.identLike() {
-		stmt.Alias = p.next().Text
+	s.Where = p.parseWhere()
+	if p.acceptKeywords("GROUP", "BY") {
+		s.GroupBy = list(p, ",", p.parseExpr)
 	}
-	if _, err := p.expect(TokKeyword, "SET"); err != nil {
-		return nil, err
+	if p.accept(tokKeyword, "HAVING") {
+		s.Having = p.parseExpr()
 	}
-	for {
-		col, err := p.parseSetTarget(stmt)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokOp, "="); err != nil {
-			return nil, err
-		}
-		val, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Sets = append(stmt.Sets, SetClause{Column: col, Value: val})
-		if !p.accept(TokOp, ",") {
-			break
-		}
+	if p.acceptKeywords("ORDER", "BY") {
+		s.OrderBy = list(p, ",", p.parseOrderItem)
 	}
-	if p.accept(TokKeyword, "WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = w
-	}
-	return stmt, nil
-}
-
-// parseSetTarget parses the column of a SET clause, accepting an
-// optional alias qualifier (UPDATE t SET t.col = ...).
-func (p *Parser) parseSetTarget(stmt *UpdateStmt) (string, error) {
-	first, err := p.expectIdent()
-	if err != nil {
-		return "", err
-	}
-	if p.accept(TokOp, ".") {
-		col, err := p.expectIdent()
-		if err != nil {
-			return "", err
-		}
-		if !strings.EqualFold(first, stmt.Alias) && !strings.EqualFold(first, stmt.Table) {
-			return "", p.errf("SET qualifier %q does not match updated table", first)
-		}
-		return col, nil
-	}
-	return first, nil
-}
-
-func (p *Parser) parseDelete() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "DELETE"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokKeyword, "FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	stmt := &DeleteStmt{Table: name}
-	if p.identLike() {
-		stmt.Alias = p.next().Text
-	}
-	if p.accept(TokKeyword, "WHERE") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		stmt.Where = w
-	}
-	return stmt, nil
-}
-
-func (p *Parser) parseCreateTable() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "CREATE"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	stmt := &CreateTableStmt{}
-	if p.accept(TokKeyword, "IF") {
-		if _, err := p.expect(TokKeyword, "NOT"); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokKeyword, "EXISTS"); err != nil {
-			return nil, err
-		}
-		stmt.IfNotExists = true
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Name = name
-	if _, err := p.expect(TokOp, "("); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		var typ string
-		if p.cur().Kind == TokIdent {
-			typ = strings.ToUpper(p.next().Text)
+	if p.accept(tokKeyword, "LIMIT") {
+		// LIMIT takes a literal count or a '?' parameter (bound to a
+		// non-negative integer at execution time).
+		if n, ph := p.natural("bad LIMIT %q"); ph != nil {
+			s.LimitExpr = ph
 		} else {
-			return nil, p.errf("expected column type, got %s", p.cur())
-		}
-		if _, err := datum.KindFromSQL(typ); err != nil {
-			return nil, p.errf("unsupported column type %q", typ)
-		}
-		stmt.Columns = append(stmt.Columns, ColumnDef{Name: col, Type: typ})
-		if !p.accept(TokOp, ",") {
-			break
+			s.Limit = n
 		}
 	}
-	if _, err := p.expect(TokOp, ")"); err != nil {
-		return nil, err
-	}
-	if p.accept(TokKeyword, "STORED") {
-		if _, err := p.expect(TokKeyword, "AS"); err != nil {
-			return nil, err
-		}
-		fmtName, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		stmt.StoredAs = strings.ToUpper(fmtName)
-	}
-	return stmt, nil
+	return s
 }
 
-func (p *Parser) parseDropTable() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "DROP"); err != nil {
-		return nil, err
+func (p *parser) parseSelectItem() SelectItem {
+	// Bare * or qualified t.*
+	if p.accept(tokOp, "*") {
+		return SelectItem{Expr: &Star{}}
 	}
-	if _, err := p.expect(TokKeyword, "TABLE"); err != nil {
-		return nil, err
+	if p.identLike() && p.isAt(1, tokOp, ".") && p.isAt(2, tokOp, "*") {
+		tab := p.next().Text
+		p.pos += 2
+		return SelectItem{Expr: &Star{Table: tab}}
 	}
-	stmt := &DropTableStmt{}
-	if p.accept(TokKeyword, "IF") {
-		if _, err := p.expect(TokKeyword, "EXISTS"); err != nil {
-			return nil, err
-		}
-		stmt.IfExists = true
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	stmt.Name = name
-	return stmt, nil
+	return SelectItem{Expr: p.parseExpr(), Alias: p.alias(true)}
 }
 
-func (p *Parser) parseLoad() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "LOAD"); err != nil {
-		return nil, err
+func (p *parser) parseOrderItem() OrderItem {
+	item := OrderItem{Expr: p.parseExpr(), Desc: p.accept(tokKeyword, "DESC")}
+	if !item.Desc {
+		p.accept(tokKeyword, "ASC")
 	}
-	if _, err := p.expect(TokKeyword, "DATA"); err != nil {
-		return nil, err
+	return item
+}
+
+// joinPrefixes are the keywords that open a join before its JOIN; the
+// outer joins take an optional OUTER between the two.
+var joinPrefixes = map[string]JoinType{
+	"INNER": JoinInner, "LEFT": JoinLeft, "RIGHT": JoinRight, "FULL": JoinFull, "CROSS": JoinCross,
+}
+
+// joinType consumes a join operator, or reports that none is next.
+func (p *parser) joinType() (JoinType, bool) {
+	if p.accept(tokKeyword, "JOIN") {
+		return JoinInner, true
 	}
-	if _, err := p.expect(TokKeyword, "INPATH"); err != nil {
-		return nil, err
+	if p.accept(tokOp, ",") { // implicit cross join
+		return JoinCross, true
 	}
-	pathTok, err := p.expect(TokString, "")
-	if err != nil {
-		return nil, err
+	jt, ok := joinPrefixes[p.cur().Text]
+	if !ok || !p.is(tokKeyword, "") {
+		return 0, false
 	}
-	stmt := &LoadStmt{Path: pathTok.Text}
-	if p.accept(TokKeyword, "OVERWRITE") {
-		stmt.Overwrite = true
+	p.next()
+	if jt != JoinInner && jt != JoinCross {
+		p.accept(tokKeyword, "OUTER")
 	}
-	if _, err := p.expect(TokKeyword, "INTO"); err != nil {
-		return nil, err
+	p.expect(tokKeyword, "JOIN")
+	return jt, true
+}
+
+// parseTableRef parses a FROM clause with left-associative joins.
+func (p *parser) parseTableRef() TableRef {
+	left, h := measure(p, p.parsePrimaryTableRef)
+	for {
+		join, hr := measure(p, func() *JoinRef { return p.parseJoin(left) })
+		if join == nil {
+			return left
+		}
+		left, h = join, max(h, hr)+1
+		p.reach(h)
 	}
-	if _, err := p.expect(TokKeyword, "TABLE"); err != nil {
-		return nil, err
+}
+
+// parseJoin parses a join of left to the next table, or returns nil
+// when no join operator is next.
+func (p *parser) parseJoin(left TableRef) *JoinRef {
+	jt, ok := p.joinType()
+	if !ok {
+		return nil
 	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
+	join := &JoinRef{Type: jt, Left: left, Right: p.parsePrimaryTableRef()}
+	if jt != JoinCross {
+		p.expect(tokKeyword, "ON")
+		join.On = p.parseExpr()
 	}
-	stmt.Table = name
-	return stmt, nil
+	return join
+}
+
+func (p *parser) parsePrimaryTableRef() TableRef {
+	if p.accept(tokOp, "(") {
+		p.nest()
+		sel := p.parseSelect()
+		p.expect(tokOp, ")")
+		p.depth--
+		p.accept(tokKeyword, "AS")
+		if !p.identLike() {
+			p.fail("derived table requires an alias")
+		}
+		return &SubqueryRef{Select: sel, Alias: p.expectIdent()}
+	}
+	ref := &TableName{Name: p.expectIdent()}
+	// AS introduces either an alias or the AS OF EPOCH time-travel
+	// clause; OF is a soft keyword, so before an alias the clause is
+	// recognized only by the full AS OF EPOCH sequence — "t AS of"
+	// aliases the table as "of" — and after one by AS OF: t x AS OF
+	// EPOCH 3.
+	if !(p.isKeyword("AS") && p.peekKeyword(1, "OF") && p.peekKeyword(2, "EPOCH")) {
+		ref.Alias = p.alias(true)
+	}
+	if p.isKeyword("AS") && p.peekKeyword(1, "OF") {
+		p.next()
+		p.expectKeywords("OF", "EPOCH")
+		if n, ph := p.natural("bad epoch %q (want a non-negative integer)"); ph != nil {
+			ref.AsOf = ph
+		} else {
+			ref.AsOf = &Literal{Value: datum.Int(n)}
+		}
+	}
+	return ref
+}
+
+func (p *parser) parseInsert() Statement {
+	stmt := &InsertStmt{Overwrite: p.accept(tokKeyword, "OVERWRITE")}
+	if !stmt.Overwrite && !p.accept(tokKeyword, "INTO") {
+		p.fail("expected INTO or OVERWRITE after INSERT")
+	}
+	p.accept(tokKeyword, "TABLE")
+	stmt.Table = p.expectIdent()
+	if p.accept(tokKeyword, "VALUES") {
+		stmt.Rows = list(p, ",", p.parenList)
+	} else {
+		stmt.Select = p.parseSelect()
+	}
+	return stmt
+}
+
+func (p *parser) parseUpdate() Statement {
+	stmt := &UpdateStmt{Table: p.expectIdent(), Alias: p.alias(false)}
+	p.expect(tokKeyword, "SET")
+	stmt.Sets = list(p, ",", func() SetClause { return p.parseSetClause(stmt) })
+	stmt.Where = p.parseWhere()
+	return stmt
+}
+
+// parseSetClause parses col = expr, where col may carry the updated
+// table's name or alias as a qualifier (UPDATE t SET t.col = ...).
+func (p *parser) parseSetClause(stmt *UpdateStmt) SetClause {
+	col := p.expectIdent()
+	if p.accept(tokOp, ".") {
+		qual := col
+		col = p.expectIdent()
+		if !strings.EqualFold(qual, stmt.Alias) && !strings.EqualFold(qual, stmt.Table) {
+			p.fail("SET qualifier %q does not match updated table", qual)
+		}
+	}
+	p.expect(tokOp, "=")
+	return SetClause{Column: col, Value: p.parseExpr()}
+}
+
+func (p *parser) parseCreateTable() Statement {
+	p.expect(tokKeyword, "TABLE")
+	stmt := &CreateTableStmt{IfNotExists: p.acceptKeywords("IF", "NOT", "EXISTS"), Name: p.expectIdent()}
+	p.expect(tokOp, "(")
+	stmt.Columns = list(p, ",", p.parseColumnDef)
+	p.expect(tokOp, ")")
+	if p.acceptKeywords("STORED", "AS") {
+		stmt.StoredAs = strings.ToUpper(p.expectIdent())
+	}
+	return stmt
+}
+
+func (p *parser) parseColumnDef() ColumnDef {
+	col := p.expectIdent()
+	if !p.is(tokIdent, "") {
+		p.fail("expected column type, got %s", p.cur())
+	}
+	typ := strings.ToUpper(p.next().Text)
+	if _, err := datum.KindFromSQL(typ); err != nil {
+		p.fail("unsupported column type %q", typ)
+	}
+	return ColumnDef{Name: col, Type: typ}
 }
 
 // parseSet parses SET key = value (session settings; keys are dotted
 // identifier paths like dualtable.force.plan) or a bare SET that lists
 // the session's settings.
-func (p *Parser) parseSet() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "SET"); err != nil {
-		return nil, err
+func (p *parser) parseSet() Statement {
+	if p.atEOF() || p.is(tokOp, ";") {
+		return &SetStmt{}
 	}
-	if p.atEOF() || p.is(TokOp, ";") {
-		return &SetStmt{}, nil
-	}
-	var parts []string
-	for {
-		t := p.cur()
-		if t.Kind != TokIdent && t.Kind != TokKeyword {
-			return nil, p.errf("expected setting name, got %s", t)
+	parts := list(p, ".", func() string {
+		if !p.is(tokIdent, "") && !p.is(tokKeyword, "") {
+			p.fail("expected setting name, got %s", p.cur())
 		}
-		p.next()
-		parts = append(parts, t.Text)
-		if !p.accept(TokOp, ".") {
-			break
-		}
-	}
-	if _, err := p.expect(TokOp, "="); err != nil {
-		return nil, err
-	}
+		return p.next().Text
+	})
+	p.expect(tokOp, "=")
 	t := p.cur()
-	var val string
-	switch t.Kind {
-	case TokString, TokNumber, TokIdent, TokKeyword:
-		p.next()
-		val = t.Text
-	default:
-		return nil, p.errf("expected setting value, got %s", t)
+	if t.Kind == tokEOF || t.Kind == tokOp {
+		p.fail("expected setting value, got %s", t)
 	}
-	return &SetStmt{Key: strings.ToLower(strings.Join(parts, ".")), Value: val}, nil
-}
-
-func (p *Parser) parseCompact() (Statement, error) {
-	if _, err := p.expect(TokKeyword, "COMPACT"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	name, err := p.expectIdent()
-	if err != nil {
-		return nil, err
-	}
-	return &CompactStmt{Table: name}, nil
+	p.next()
+	return &SetStmt{Key: strings.ToLower(strings.Join(parts, ".")), Value: t.Text}
 }
 
 // ---- Expression parsing (precedence climbing) ----
@@ -778,364 +556,241 @@ func (p *Parser) parseCompact() (Statement, error) {
 //	unary -
 //	primary
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+// Binary precedence levels, loosest first.
+const (
+	levelOr = iota
+	levelAnd
+	levelCmp
+	levelAdd
+	levelMul
+)
 
-func (p *Parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(TokKeyword, "OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: "OR", L: l, R: r}
-	}
-	return l, nil
+// binaryOps are the operators of each binary level.
+var binaryOps = [...][]string{
+	levelOr:  {"OR"},
+	levelAnd: {"AND"},
+	levelCmp: {"=", "!=", "<", "<=", ">", ">="},
+	levelAdd: {"+", "-"},
+	levelMul: {"*", "/", "%"},
 }
 
-func (p *Parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(TokKeyword, "AND") {
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: "AND", L: l, R: r}
-	}
-	return l, nil
+func (p *parser) parseExpr() Expr {
+	p.nest()
+	e := p.parseChain(levelOr)
+	p.depth--
+	return e
 }
 
-func (p *Parser) parseNot() (Expr, error) {
-	if p.accept(TokKeyword, "NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", X: x}, nil
-	}
-	return p.parseComparison()
-}
-
-func (p *Parser) parseComparison() (Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
+// parseChain parses a left-deep chain of level's operators.
+func (p *parser) parseChain(level int) Expr {
+	x, h := measure(p, func() Expr { return p.operand(level) })
 	for {
-		switch {
-		case p.is(TokOp, "="), p.is(TokOp, "!="), p.is(TokOp, "<"),
-			p.is(TokOp, "<="), p.is(TokOp, ">"), p.is(TokOp, ">="):
-			op := p.next().Text
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: op, L: l, R: r}
-		case p.isKeyword("IS"):
-			p.next()
-			not := p.accept(TokKeyword, "NOT")
-			if _, err := p.expect(TokKeyword, "NULL"); err != nil {
-				return nil, err
-			}
-			l = &IsNullExpr{X: l, Not: not}
-		default:
-			// x [NOT] IN / BETWEEN / LIKE
-			not := p.isKeyword("NOT") && (p.peekKeyword(1, "IN") ||
-				p.peekKeyword(1, "BETWEEN") || p.peekKeyword(1, "LIKE"))
-			if not {
+		y, hr := measure(p, func() Expr { return p.link(level, x) })
+		if y == nil {
+			return x
+		}
+		x, h = y, max(h, hr)+1
+		p.reach(h)
+	}
+}
+
+// operand parses an operand of level's operators: an expression of the
+// next tighter level.
+func (p *parser) operand(level int) Expr {
+	switch level {
+	case levelAnd:
+		return p.parseNot()
+	case levelMul:
+		return p.parseUnary()
+	}
+	return p.parseChain(level + 1)
+}
+
+// link consumes one of level's operators with its right side, and
+// returns the node that joins it to l, or nil when none is next.
+func (p *parser) link(level int, l Expr) Expr {
+	if t := p.cur(); t.Kind == tokOp || t.Kind == tokKeyword {
+		for _, op := range binaryOps[level] {
+			if t.Text == op {
 				p.next()
-			}
-			switch {
-			case p.accept(TokKeyword, "IN"):
-				if _, err := p.expect(TokOp, "("); err != nil {
-					return nil, err
-				}
-				var list []Expr
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					list = append(list, e)
-					if !p.accept(TokOp, ",") {
-						break
-					}
-				}
-				if _, err := p.expect(TokOp, ")"); err != nil {
-					return nil, err
-				}
-				l = &InExpr{X: l, List: list, Not: not}
-			case p.accept(TokKeyword, "BETWEEN"):
-				lo, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(TokKeyword, "AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &BetweenExpr{X: l, Lo: lo, Hi: hi, Not: not}
-			case p.accept(TokKeyword, "LIKE"):
-				pat, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &LikeExpr{X: l, Pattern: pat, Not: not}
-			default:
-				return l, nil
+				return &BinaryExpr{Op: op, L: l, R: p.operand(level)}
 			}
 		}
 	}
+	if level != levelCmp {
+		return nil
+	}
+	if p.accept(tokKeyword, "IS") {
+		not := p.accept(tokKeyword, "NOT")
+		p.expect(tokKeyword, "NULL")
+		return &IsNullExpr{X: l, Not: not}
+	}
+	// x [NOT] IN / BETWEEN / LIKE
+	not := p.isKeyword("NOT") && (p.peekKeyword(1, "IN") ||
+		p.peekKeyword(1, "BETWEEN") || p.peekKeyword(1, "LIKE"))
+	if not {
+		p.next()
+	}
+	switch {
+	case p.accept(tokKeyword, "IN"):
+		return &InExpr{X: l, List: p.parenList(), Not: not}
+	case p.accept(tokKeyword, "BETWEEN"):
+		lo := p.operand(levelCmp)
+		p.expect(tokKeyword, "AND")
+		return &BetweenExpr{X: l, Lo: lo, Hi: p.operand(levelCmp), Not: not}
+	case p.accept(tokKeyword, "LIKE"):
+		return &LikeExpr{X: l, Pattern: p.operand(levelCmp), Not: not}
+	}
+	return nil
 }
 
-func (p *Parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
+func (p *parser) parseNot() Expr {
+	n := 0
+	for p.accept(tokKeyword, "NOT") {
+		n++
 	}
-	for p.is(TokOp, "+") || p.is(TokOp, "-") {
-		op := p.next().Text
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
+	if n == 0 {
+		return p.parseChain(levelCmp)
 	}
-	return l, nil
+	x, h := measure(p, func() Expr { return p.parseChain(levelCmp) })
+	p.reach(h + n)
+	for range n {
+		x = &UnaryExpr{Op: "NOT", X: x}
+	}
+	return x
 }
 
-func (p *Parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+func (p *parser) parseUnary() Expr {
+	n := 0
+	for p.accept(tokOp, "-") {
+		n++
 	}
-	for p.is(TokOp, "*") || p.is(TokOp, "/") || p.is(TokOp, "%") {
-		op := p.next().Text
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
+	p.accept(tokOp, "+")
+	if n == 0 {
+		return p.parsePrimary()
 	}
-	return l, nil
-}
-
-func (p *Parser) parseUnary() (Expr, error) {
-	if p.accept(TokOp, "-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
+	x, h := measure(p, p.parsePrimary)
+	p.reach(h + n)
+	for range n {
 		// Fold negative numeric literals.
-		if lit, ok := x.(*Literal); ok {
-			switch lit.Value.K {
-			case datum.KindInt:
-				return &Literal{Value: datum.Int(-lit.Value.I)}, nil
-			case datum.KindFloat:
-				return &Literal{Value: datum.Float(-lit.Value.F)}, nil
-			}
+		lit, _ := x.(*Literal)
+		switch {
+		case lit != nil && lit.Value.K == datum.KindInt:
+			x = &Literal{Value: datum.Int(-lit.Value.I)}
+		case lit != nil && lit.Value.K == datum.KindFloat:
+			x = &Literal{Value: datum.Float(-lit.Value.F)}
+		default:
+			x = &UnaryExpr{Op: "-", X: x}
 		}
-		return &UnaryExpr{Op: "-", X: x}, nil
 	}
-	p.accept(TokOp, "+")
-	return p.parsePrimary()
+	return x
 }
 
-func (p *Parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() Expr {
 	t := p.cur()
 	switch {
-	case t.Kind == TokOp && t.Text == "?":
-		p.next()
-		ph := &Placeholder{Idx: p.params}
-		p.params++
-		return ph, nil
-	case t.Kind == TokNumber:
+	case p.accept(tokOp, "?"):
+		return p.placeholder()
+	case t.Kind == tokNumber:
 		p.next()
 		if !strings.ContainsAny(t.Text, ".eE") {
-			v, err := strconv.ParseInt(t.Text, 10, 64)
-			if err == nil {
-				return &Literal{Value: datum.Int(v)}, nil
+			if v, err := strconv.ParseInt(t.Text, 10, 64); err == nil {
+				return &Literal{Value: datum.Int(v)}
 			}
 		}
 		f, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, p.errf("bad number %q", t.Text)
+			p.fail("bad number %q", t.Text)
 		}
-		return &Literal{Value: datum.Float(f)}, nil
-	case t.Kind == TokString:
+		return &Literal{Value: datum.Float(f)}
+	case t.Kind == tokString:
 		p.next()
-		return &Literal{Value: datum.String_(t.Text)}, nil
-	case p.isKeyword("TRUE"):
-		p.next()
-		return &Literal{Value: datum.Bool(true)}, nil
-	case p.isKeyword("FALSE"):
-		p.next()
-		return &Literal{Value: datum.Bool(false)}, nil
-	case p.isKeyword("NULL"):
-		p.next()
-		return &Literal{Value: datum.Null}, nil
-	case p.isKeyword("CASE"):
+		return &Literal{Value: datum.String_(t.Text)}
+	case p.accept(tokKeyword, "TRUE"):
+		return &Literal{Value: datum.Bool(true)}
+	case p.accept(tokKeyword, "FALSE"):
+		return &Literal{Value: datum.Bool(false)}
+	case p.accept(tokKeyword, "NULL"):
+		return &Literal{Value: datum.Null}
+	case p.accept(tokKeyword, "CASE"):
 		return p.parseCase()
-	case p.isKeyword("CAST"):
-		p.next()
-		if _, err := p.expect(TokOp, "("); err != nil {
-			return nil, err
-		}
-		x, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokKeyword, "AS"); err != nil {
-			return nil, err
-		}
-		typ, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
+	case p.accept(tokKeyword, "CAST"):
+		p.expect(tokOp, "(")
+		x := p.parseExpr()
+		p.expect(tokKeyword, "AS")
+		typ := p.expectIdent()
 		if _, err := datum.KindFromSQL(typ); err != nil {
-			return nil, p.errf("bad CAST type %q", typ)
+			p.fail("bad CAST type %q", typ)
 		}
-		if _, err := p.expect(TokOp, ")"); err != nil {
-			return nil, err
-		}
-		return &CastExpr{X: x, Type: strings.ToUpper(typ)}, nil
-	case p.isKeyword("IF"):
+		p.expect(tokOp, ")")
+		return &CastExpr{X: x, Type: strings.ToUpper(typ)}
+	case p.accept(tokKeyword, "IF"):
 		// IF(cond, then, else) — IF is also a keyword in DDL, so it is
 		// handled here explicitly as a function call.
-		p.next()
-		if _, err := p.expect(TokOp, "("); err != nil {
-			return nil, err
-		}
-		var args []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, e)
-			if !p.accept(TokOp, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(TokOp, ")"); err != nil {
-			return nil, err
-		}
+		args := p.parenList()
 		if len(args) != 3 {
-			return nil, p.errf("IF requires 3 arguments, got %d", len(args))
+			p.fail("IF requires 3 arguments, got %d", len(args))
 		}
-		return &FuncCall{Name: "IF", Args: args}, nil
-	case t.Kind == TokOp && t.Text == "(":
-		p.next()
+		return &FuncCall{Name: "IF", Args: args}
+	case p.accept(tokOp, "("):
+		var e Expr
 		if p.isKeyword("SELECT") {
-			sel, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokOp, ")"); err != nil {
-				return nil, err
-			}
-			return &SubqueryExpr{Select: sel}, nil
+			e = &SubqueryExpr{Select: p.parseSelect()}
+		} else {
+			p.parens++
+			e = p.parseExpr()
+			p.parens--
 		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokOp, ")"); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case t.Kind == TokIdent || (t.Kind == TokKeyword && softKeywords[t.Text]):
+		p.expect(tokOp, ")")
+		return e
+	case p.identLike():
 		name := p.next().Text
-		// Function call?
-		if p.accept(TokOp, "(") {
-			fc := &FuncCall{Name: strings.ToUpper(name)}
-			if p.accept(TokOp, "*") {
-				fc.Star = true
-				if _, err := p.expect(TokOp, ")"); err != nil {
-					return nil, err
-				}
-				return fc, nil
-			}
-			if p.accept(TokKeyword, "DISTINCT") {
-				fc.Distinct = true
-			}
-			if !p.accept(TokOp, ")") {
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					fc.Args = append(fc.Args, e)
-					if !p.accept(TokOp, ",") {
-						break
-					}
-				}
-				if _, err := p.expect(TokOp, ")"); err != nil {
-					return nil, err
-				}
-			}
-			return fc, nil
+		if p.accept(tokOp, "(") {
+			return p.parseCall(name)
 		}
 		// Qualified column?
-		if p.accept(TokOp, ".") {
-			col, err := p.expectIdent()
-			if err != nil {
-				return nil, err
-			}
-			return &ColumnRef{Table: name, Name: col}, nil
+		if p.accept(tokOp, ".") {
+			return &ColumnRef{Table: name, Name: p.expectIdent()}
 		}
-		return &ColumnRef{Name: name}, nil
-	default:
-		return nil, p.errf("expected expression, got %s", t)
+		return &ColumnRef{Name: name}
 	}
+	p.fail("expected expression, got %s", t)
+	return nil
 }
 
-func (p *Parser) parseCase() (Expr, error) {
-	if _, err := p.expect(TokKeyword, "CASE"); err != nil {
-		return nil, err
+// parseCall parses a function call's arguments after its '('.
+func (p *parser) parseCall(name string) Expr {
+	fc := &FuncCall{Name: strings.ToUpper(name)}
+	if p.accept(tokOp, "*") {
+		fc.Star = true
+	} else {
+		fc.Distinct = p.accept(tokKeyword, "DISTINCT")
+		if p.accept(tokOp, ")") {
+			return fc
+		}
+		fc.Args = list(p, ",", p.parseExpr)
 	}
+	p.expect(tokOp, ")")
+	return fc
+}
+
+// parseCase parses a CASE expression after its CASE.
+func (p *parser) parseCase() Expr {
 	ce := &CaseExpr{}
 	if !p.isKeyword("WHEN") {
-		op, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Operand = op
+		ce.Operand = p.parseExpr()
 	}
-	for p.accept(TokKeyword, "WHEN") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokKeyword, "THEN"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Whens = append(ce.Whens, WhenClause{Cond: cond, Then: then})
+	for p.accept(tokKeyword, "WHEN") {
+		cond := p.parseExpr()
+		p.expect(tokKeyword, "THEN")
+		ce.Whens = append(ce.Whens, WhenClause{Cond: cond, Then: p.parseExpr()})
 	}
 	if len(ce.Whens) == 0 {
-		return nil, p.errf("CASE requires at least one WHEN")
+		p.fail("CASE requires at least one WHEN")
 	}
-	if p.accept(TokKeyword, "ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Else = e
+	if p.accept(tokKeyword, "ELSE") {
+		ce.Else = p.parseExpr()
 	}
-	if _, err := p.expect(TokKeyword, "END"); err != nil {
-		return nil, err
-	}
-	return ce, nil
+	p.expect(tokKeyword, "END")
+	return ce
 }

@@ -18,13 +18,13 @@ func mustParse(t *testing.T, src string) Statement {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := Tokenize("SELECT a, 'it''s', 3.5e2 FROM t -- comment\n WHERE x >= 10 /* block */ ;")
+	toks, err := tokenize("SELECT a, 'it''s', 3.5e2 FROM t -- comment\n WHERE x >= 10 /* block */ ;")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var texts []string
 	for _, tok := range toks {
-		if tok.Kind == TokEOF {
+		if tok.Kind == tokEOF {
 			break
 		}
 		texts = append(texts, tok.Text)
@@ -37,8 +37,8 @@ func TestLexerBasics(t *testing.T) {
 
 func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{"'unterminated", "`unterminated", "/* unterminated", "SELECT @"} {
-		if _, err := Tokenize(src); err == nil {
-			t.Errorf("Tokenize(%q) should fail", src)
+		if _, err := tokenize(src); err == nil {
+			t.Errorf("tokenize(%q) should fail", src)
 		}
 	}
 }
@@ -47,11 +47,11 @@ func TestLexerErrors(t *testing.T) {
 // UTF-8 letter is one identifier, and a byte that is not UTF-8 is a lex
 // error, not a letter of some other encoding.
 func TestLexerUTF8Identifiers(t *testing.T) {
-	toks, err := Tokenize("SELECT é FROM t")
+	toks, err := tokenize("SELECT é FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[1].Kind != TokIdent || toks[1].Text != "é" || toks[2].Text != "FROM" {
+	if toks[1].Kind != tokIdent || toks[1].Text != "é" || toks[2].Text != "FROM" {
 		t.Errorf("tokens = %+v", toks[:3])
 	}
 	for _, src := range []string{"SET \xe1=''", "SELECT a\xff FROM t"} {
@@ -68,11 +68,11 @@ func TestLexerUTF8Identifiers(t *testing.T) {
 }
 
 func TestLexerBackquotedIdent(t *testing.T) {
-	toks, err := Tokenize("`select` x")
+	toks, err := tokenize("`select` x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != TokIdent || toks[0].Text != "select" {
+	if toks[0].Kind != tokIdent || toks[0].Text != "select" {
 		t.Errorf("backquoted = %+v", toks[0])
 	}
 }
@@ -520,12 +520,18 @@ func TestStringRoundtripFixpoint(t *testing.T) {
 
 // FuzzParseStringFixpoint: any text that parses prints a statement
 // that parses again and prints the same text, and no text makes the
-// lexer or parser panic. Estimator keys (core.Handler.StatementKey)
+// lexer or parser panic. Seeds include every nesting shape just under
+// and just over the nesting bound: the print of a statement just under
+// it must still be under it. Estimator keys (core.Handler.StatementKey)
 // are printed statements, so a print that does not round-trip would
 // key two statements alike or one statement two ways.
 func FuzzParseStringFixpoint(f *testing.F) {
 	for _, c := range fixpointStatements {
 		f.Add(c.src)
+	}
+	for _, s := range nestShapes {
+		f.Add(s.build(maxNesting - 1))
+		f.Add(s.build(maxNesting + 1))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := Parse(src)

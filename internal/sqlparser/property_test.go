@@ -146,7 +146,7 @@ func TestPropertyRandomStatementsFixpoint(t *testing.T) {
 	}
 }
 
-// Lexer never panics and either tokenizes or errors on arbitrary
+// lexer never panics and either tokenizes or errors on arbitrary
 // byte strings.
 func TestPropertyLexerTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -158,23 +158,23 @@ func TestPropertyLexerTotal(t *testing.T) {
 			const chars = "abcSELECT*,.;()'=<>!0123456789 \n\t-/%`_"
 			b[j] = chars[rng.Intn(len(chars))]
 		}
-		toks, err := Tokenize(string(b))
+		toks, err := tokenize(string(b))
 		if err == nil && len(toks) == 0 {
 			t.Fatalf("no tokens and no error for %q", b)
 		}
-		if err == nil && toks[len(toks)-1].Kind != TokEOF {
+		if err == nil && toks[len(toks)-1].Kind != tokEOF {
 			t.Fatalf("missing EOF for %q", b)
 		}
 	}
 }
 
 func TestKeywordsAreUpperCased(t *testing.T) {
-	toks, err := Tokenize("select Update dElEtE")
+	toks, err := tokenize("select Update dElEtE")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tok := range toks[:3] {
-		if tok.Kind != TokKeyword || tok.Text != strings.ToUpper(tok.Text) {
+		if tok.Kind != tokKeyword || tok.Text != strings.ToUpper(tok.Text) {
 			t.Errorf("keyword token = %+v", tok)
 		}
 	}
