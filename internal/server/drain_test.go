@@ -261,7 +261,7 @@ func TestIdleReaper(t *testing.T) {
 // shows at inputs of a few hundred kilobytes.
 func TestDeeplyNestedStatementAnswersError(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(64 << 20))
-	const n = 100_000
+	const n = 50_000
 	deep := []string{
 		"SELECT " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n),
 		"SELECT " + strings.Repeat("NOT ", n) + "TRUE",

@@ -82,11 +82,6 @@ type lexer struct {
 	col  int
 }
 
-// newLexer creates a lexer for src.
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
-}
-
 func (l *lexer) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("sql: line %d col %d: %s", l.line, l.col, fmt.Sprintf(format, args...))
 }
@@ -319,7 +314,7 @@ func (l *lexer) next() (token, error) {
 
 // tokenize runs the lexer to EOF.
 func tokenize(src string) ([]token, error) {
-	l := newLexer(src)
+	l := &lexer{src: src, line: 1, col: 1}
 	var out []token
 	for {
 		t, err := l.next()

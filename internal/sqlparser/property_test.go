@@ -146,7 +146,7 @@ func TestPropertyRandomStatementsFixpoint(t *testing.T) {
 	}
 }
 
-// lexer never panics and either tokenizes or errors on arbitrary
+// The lexer never panics and either tokenizes or errors on arbitrary
 // byte strings.
 func TestPropertyLexerTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
