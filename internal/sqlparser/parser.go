@@ -565,31 +565,32 @@ const (
 	levelMul
 )
 
-// binaryOps are the operators of each binary level.
-var binaryOps = [...][]string{
-	levelOr:  {"OR"},
-	levelAnd: {"AND"},
-	levelCmp: {"=", "!=", "<", "<=", ">", ">="},
-	levelAdd: {"+", "-"},
-	levelMul: {"*", "/", "%"},
-}
-
 func (p *parser) parseExpr() Expr {
 	p.nest()
-	e := p.parseChain(levelOr)
+	e := p.parseBinary(levelOr)
 	p.depth--
 	return e
 }
 
-// parseChain parses a left-deep chain of level's operators.
-func (p *parser) parseChain(level int) Expr {
-	x, h := measure(p, func() Expr { return p.operand(level) })
+// parseBinary parses operands joined by binary operators of level
+// lowest and tighter, by precedence climbing: each operator's right
+// side is an operand of the next tighter level, so it takes every
+// tighter operator, and operators of one level chain left-deep. After
+// a link at level l only operators of level l or looser may follow:
+// "a IS NULL + 1" stops before the "+", as the grammar requires.
+func (p *parser) parseBinary(lowest int) Expr {
+	first, limit := p.parseUnary, levelMul
+	if lowest <= levelAnd {
+		first, limit = p.parseNot, levelAnd
+	}
+	x, h := measure(p, first)
 	for {
-		y, hr := measure(p, func() Expr { return p.link(level, x) })
-		if y == nil {
+		level := p.opLevel()
+		if level < lowest || level > limit {
 			return x
 		}
-		x, h = y, max(h, hr)+1
+		y, hr := measure(p, func() Expr { return p.link(level, x) })
+		x, h, limit = y, max(h, hr)+1, level
 		p.reach(h)
 	}
 }
@@ -603,22 +604,46 @@ func (p *parser) operand(level int) Expr {
 	case levelMul:
 		return p.parseUnary()
 	}
-	return p.parseChain(level + 1)
+	return p.parseBinary(level + 1)
 }
 
-// link consumes one of level's operators with its right side, and
-// returns the node that joins it to l, or nil when none is next.
-func (p *parser) link(level int, l Expr) Expr {
-	if t := p.cur(); t.Kind == tokOp || t.Kind == tokKeyword {
-		for _, op := range binaryOps[level] {
-			if t.Text == op {
-				p.next()
-				return &BinaryExpr{Op: op, L: l, R: p.operand(level)}
+// opLevel returns the level of the binary operator at the current
+// token, or -1.
+func (p *parser) opLevel() int {
+	t := p.cur()
+	switch t.Kind {
+	case tokOp:
+		switch t.Text {
+		case "=", "!=", "<", "<=", ">", ">=":
+			return levelCmp
+		case "+", "-":
+			return levelAdd
+		case "*", "/", "%":
+			return levelMul
+		}
+	case tokKeyword:
+		switch t.Text {
+		case "OR":
+			return levelOr
+		case "AND":
+			return levelAnd
+		case "IS", "IN", "BETWEEN", "LIKE":
+			return levelCmp
+		case "NOT":
+			if p.peekKeyword(1, "IN") || p.peekKeyword(1, "BETWEEN") || p.peekKeyword(1, "LIKE") {
+				return levelCmp
 			}
 		}
 	}
-	if level != levelCmp {
-		return nil
+	return -1
+}
+
+// link consumes an operator of level (opLevel found it) with its right
+// side, and returns the node that joins it to l.
+func (p *parser) link(level int, l Expr) Expr {
+	if t := p.cur(); t.Kind == tokOp || t.Text == "OR" || t.Text == "AND" {
+		p.next()
+		return &BinaryExpr{Op: t.Text, L: l, R: p.operand(level)}
 	}
 	if p.accept(tokKeyword, "IS") {
 		not := p.accept(tokKeyword, "NOT")
@@ -626,11 +651,7 @@ func (p *parser) link(level int, l Expr) Expr {
 		return &IsNullExpr{X: l, Not: not}
 	}
 	// x [NOT] IN / BETWEEN / LIKE
-	not := p.isKeyword("NOT") && (p.peekKeyword(1, "IN") ||
-		p.peekKeyword(1, "BETWEEN") || p.peekKeyword(1, "LIKE"))
-	if not {
-		p.next()
-	}
+	not := p.accept(tokKeyword, "NOT")
 	switch {
 	case p.accept(tokKeyword, "IN"):
 		return &InExpr{X: l, List: p.parenList(), Not: not}
@@ -638,10 +659,9 @@ func (p *parser) link(level int, l Expr) Expr {
 		lo := p.operand(levelCmp)
 		p.expect(tokKeyword, "AND")
 		return &BetweenExpr{X: l, Lo: lo, Hi: p.operand(levelCmp), Not: not}
-	case p.accept(tokKeyword, "LIKE"):
-		return &LikeExpr{X: l, Pattern: p.operand(levelCmp), Not: not}
 	}
-	return nil
+	p.expect(tokKeyword, "LIKE")
+	return &LikeExpr{X: l, Pattern: p.operand(levelCmp), Not: not}
 }
 
 func (p *parser) parseNot() Expr {
@@ -650,9 +670,9 @@ func (p *parser) parseNot() Expr {
 		n++
 	}
 	if n == 0 {
-		return p.parseChain(levelCmp)
+		return p.parseBinary(levelCmp)
 	}
-	x, h := measure(p, func() Expr { return p.parseChain(levelCmp) })
+	x, h := measure(p, func() Expr { return p.parseBinary(levelCmp) })
 	p.reach(h + n)
 	for range n {
 		x = &UnaryExpr{Op: "NOT", X: x}
