@@ -8,17 +8,18 @@ import (
 	"dualtable/internal/datum"
 )
 
-// maxNesting bounds how deep one statement may nest, in two counts.
-// The parser recurses once per parenthesis, expression argument,
-// subquery, derived table and EXPLAIN (p.depth). The printers,
-// BindStatement, the walkers and the engine's compiler recurse once per
-// level of the tree, where each of those but a bare parenthesis opens a
-// level and each NOT, unary minus, and operator or join that extends a
-// left-deep chain puts its node one level above its operands (p.peak).
-// Go cannot recover from a stack overflow, so a statement past the
-// bound in either count fails to parse. Parentheses count only toward
-// the first, because the printer wraps every operator node in them:
-// so a printed statement nests no deeper than the statement it prints.
+// maxNesting bounds how deep one statement may nest, counted two ways.
+// p.depth counts the parser's own recursion: one per parenthesis,
+// expression argument, subquery clause, derived table and EXPLAIN.
+// p.peak measures the height of the tree that the printers,
+// BindStatement, the walkers and the engine's compiler recurse over:
+// each of those constructs except a bare parenthesis is a level, and
+// each NOT, unary minus, and operator or join that extends a left-deep
+// chain puts its node one level above its operands. Go cannot recover
+// from a stack overflow, so a statement past the bound in either count
+// fails to parse. A bare parenthesis counts only toward the first
+// because the printer wraps every operator node in one: a printed
+// statement thus nests no deeper than the statement it prints.
 const maxNesting = 1000
 
 // parser is a recursive-descent parser over the token stream. It keeps
