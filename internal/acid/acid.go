@@ -145,8 +145,10 @@ func (h *Handler) baseFiles(desc *metastore.TableDesc) ([]baseFile, error) {
 // charging the meter, and folds the records of one base file into a scan
 // overlay. infos is in transaction order; the last transaction to touch
 // a record wins.
-func (h *Handler) loadOverlay(infos []dfs.FileInfo, fileID uint32, m *sim.Meter) ([]hive.RecordMod, error) {
-	var out []hive.RecordMod
+func (h *Handler) loadOverlay(infos []dfs.FileInfo, fileID uint32, m *sim.Meter) (*hive.Overlay, error) {
+	b := hive.NewOverlayBuilder()
+	defer b.Release()
+	b.File()
 	for _, fi := range infos {
 		fr, err := h.e.FS.OpenMeter(fi.Path, m)
 		if err != nil {
@@ -175,32 +177,25 @@ func (h *Handler) loadOverlay(infos []dfs.FileInfo, fileID uint32, m *sim.Meter)
 				if uint32(rid>>32) != fileID {
 					continue
 				}
-				mod := hive.RecordMod{RID: rid, Deleted: ops[i] == opDelete}
-				if !mod.Deleted {
-					// The delta carries the whole record.
-					mod.Sets = make([]hive.ColumnSet, len(cols)-2)
-					for c := range mod.Sets {
-						mod.Sets[c] = hive.ColumnSet{Col: c, Val: cols[c+2].Datum(i)}
-					}
+				// The builder keeps the last record of an ordinal, and
+				// the deltas come in transaction order.
+				b.Record(uint32(rid))
+				if ops[i] == opDelete {
+					b.Delete()
+					continue
 				}
-				out = append(out, mod)
+				for c := 2; c < len(cols); c++ { // the delta carries the whole record
+					b.Set(c-2, cols[c].Datum(i))
+				}
 			}
 		}
 		br.Close()
 		fr.Close()
 	}
-	// By record; the stable sort keeps a record's entries in transaction
-	// order, and the last one replaces the rest.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].RID < out[j].RID })
-	n := 0
-	for i := range out {
-		if i+1 < len(out) && out[i+1].RID == out[i].RID {
-			continue
-		}
-		out[n] = out[i]
-		n++
+	if overlays := b.Finish(); len(overlays) > 0 {
+		return &overlays[0], nil
 	}
-	return out[:n], nil
+	return nil, nil
 }
 
 // DeltaFileCount reports the number of delta files (observability).
@@ -233,7 +228,7 @@ func (h *Handler) Splits(desc *metastore.TableDesc, opts hive.ScanOptions) ([]ma
 			FS: h.e.FS, Path: f.path, Size: f.size, FileID: f.fileID,
 			// Projection only: stripes are never pruned by statistics.
 			Opts: hive.ScanOptions{Projection: opts.Projection},
-			LoadOverlay: func(m *sim.Meter) ([]hive.RecordMod, error) {
+			LoadOverlay: func(m *sim.Meter) (*hive.Overlay, error) {
 				return h.loadOverlay(deltas, f.fileID, m)
 			},
 		})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -69,12 +70,24 @@ func evict(h *Handler) {
 	st.pub.Unlock()
 }
 
+// entryCount is the number of records the snapshot's overlays touch.
 func entryCount(s *Snapshot) int {
 	n := 0
-	for _, mods := range s.entries {
-		n += len(mods)
+	for _, ov := range s.entries {
+		n += len(overlayRecords(ov))
 	}
 	return n
+}
+
+// overlayRecords returns the ordinals an overlay deletes or patches,
+// ascending.
+func overlayRecords(ov *hive.Overlay) []uint32 {
+	ords := slices.Clone(ov.Deleted)
+	for _, p := range ov.Patches {
+		ords = append(ords, p.Ords...)
+	}
+	slices.Sort(ords)
+	return slices.Compact(ords)
 }
 
 // wantGone checks that a discarded attempt left nothing behind.
@@ -706,12 +719,8 @@ func TestOrphanCellNeverServedBeforePublish(t *testing.T) {
 		if res == nil || res.entries == nil {
 			t.Fatalf("read %d left nothing resident", i)
 		}
-		for _, mods := range res.entries {
-			for _, m := range mods {
-				if m.RID == uint64(rid) {
-					t.Fatalf("read %d: the orphan of record %s is resident", i, rid)
-				}
-			}
+		if ov := res.entries[rid.FileID()]; ov != nil && slices.Contains(overlayRecords(ov), rid.RowNumber()) {
+			t.Fatalf("read %d: the orphan of record %s is resident", i, rid)
 		}
 	}
 	if n() != 1 {

@@ -91,7 +91,7 @@ type residentEpoch struct {
 	files            []masterFile
 
 	mutations uint64
-	entries   map[uint32][]hive.RecordMod
+	entries   map[uint32]*hive.Overlay
 	preScans  []preScan
 }
 
@@ -174,10 +174,10 @@ type Snapshot struct {
 	// loaded.
 	files []masterFile
 	// entries maps master file ID -> that file's attached-table
-	// modifications (sorted by record ID), filtered to the watermark and
-	// decoded into the UNION READ overlay. Shared with the resident
-	// epoch: read-only.
-	entries map[uint32][]hive.RecordMod
+	// modifications, filtered to the watermark and decoded into the
+	// UNION READ overlay; a file without any has no entry. Shared with
+	// the resident epoch: read-only.
+	entries map[uint32]*hive.Overlay
 	// preScans[i] is what the attached pre-scan of files[i] charged,
 	// counted at materialization and charged to the task meter when the
 	// file's split opens — so each task's counts are what they were
@@ -414,26 +414,31 @@ func (h *Handler) openFooter(path string) (*orcfile.Reader, error) {
 // opens, keeping the per-task makespan accounting of the old
 // scan-at-task-open design.
 func (s *Snapshot) loadEntries() error {
-	s.entries = make(map[uint32][]hive.RecordMod, len(s.files))
 	s.preScans = make([]preScan, len(s.files))
-	var slab overlaySlab
+	b := hive.NewOverlayBuilder()
+	defer b.Release()
 	m := sim.NewMeter(nil)
 	for i, f := range s.files {
 		start, end := FileRange(f.fileID)
 		m.Reset()
 		sc := s.att.NewScanner(kvstore.Scan{Start: start, End: end, Meter: m, MaxVersions: math.MaxInt32})
-		mods, err := s.foldOverlay(sc, &slab)
+		b.File()
+		err := s.foldOverlay(sc, b)
 		if cerr := sc.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("core: scan attached table of %s: %w", s.desc.Name, cerr)
 		}
 		if err != nil {
 			return err
 		}
-		if len(mods) > 0 {
-			s.entries[f.fileID] = mods
-		}
 		c := m.Counts()
 		s.preScans[i] = preScan{c[sim.KVSeeks], c[sim.KVReadBytes], c[sim.DFSOpens], c[sim.DFSReadBytes]}
+	}
+	overlays := b.Finish()
+	s.entries = make(map[uint32]*hive.Overlay, len(overlays))
+	for i := range overlays {
+		if !overlays[i].Empty() {
+			s.entries[s.files[i].fileID] = &overlays[i]
+		}
 	}
 	return nil
 }
@@ -447,60 +452,44 @@ type preScan struct {
 	seeks, kvBytes, opens, dfsBytes int64
 }
 
-// overlaySlab is the storage one load's overlays are cut from: every
-// file's entries from mods, every entry's column sets from sets, so the
-// slices grow once per load and not once per file and record.
-type overlaySlab struct {
-	mods []hive.RecordMod
-	sets []hive.ColumnSet
-}
-
-// foldOverlay drains one file's attached range into its overlay: per
-// record and column the newest version with Ts <= the snapshot
-// watermark, decoded — a delete marker, or one column set per cell whose
-// qualifier names a schema column. Cells arrive from the version
-// resolver ordered by row, then (family, qualifier), with timestamps
-// descending inside each column, so each cell is folded as it arrives:
-// the first qualifying version of a column is the one, and a delete
-// marker settles the record. Every cell is still drawn from the scanner
-// (that is what the meter charges for), and a cell is decoded before the
-// scanner advances. The ranges this reads hold only puts (delete markers
-// are puts of __del__), so no delete semantics apply here: DualTable
-// writes no KV tombstone into an attached table, and the ranges
-// purgeAttachedRanges retires at retention expiry are ones the window
-// test guarantees no snapshot ever materializes again.
-func (s *Snapshot) foldOverlay(sc *kvstore.Scanner, slab *overlaySlab) ([]hive.RecordMod, error) {
+// foldOverlay drains one file's attached range into the builder's
+// current file: per record and column the newest version with Ts <= the
+// snapshot watermark, decoded — a delete marker, or one column value per
+// cell whose qualifier names a schema column. Cells arrive from the
+// version resolver ordered by row, then (family, qualifier), with
+// timestamps descending inside each column, so each cell is folded as
+// it arrives: the first qualifying version of a column is the one, and
+// a delete marker settles the record. Every cell is still drawn from the
+// scanner (that is what the meter charges for), and a cell is decoded
+// before the scanner advances. The ranges this reads hold only puts
+// (delete markers are puts of __del__), so no delete semantics apply
+// here: DualTable writes no KV tombstone into an attached table, and the
+// ranges purgeAttachedRanges retires at retention expiry are ones the
+// window test guarantees no snapshot ever materializes again.
+func (s *Snapshot) foldOverlay(sc *kvstore.Scanner, b *hive.OverlayBuilder) error {
 	var (
-		row, qual []byte         // the record and column being folded
-		fam       string         // (copies: a scanned cell is the scanner's)
-		mod       hive.RecordMod // the record's entry so far
+		row, qual []byte // the record and column being folded
+		fam       string // (copies: a scanned cell is the scanner's)
+		rid       RecordID
 		inRow     bool
-		skip      bool // the row's key is malformed, or mod is settled
+		skip      bool // the row's key is malformed, or the record is settled
 		inCol     bool
 		taken     bool // the column's version at the watermark was seen
 	)
-	firstMod, firstSet := len(slab.mods), len(slab.sets) // of the file, of mod
-	emit := func() {
-		if !inRow || (!mod.Deleted && len(slab.sets) == firstSet) {
-			return // no record yet, a malformed key, or every cell newer than this epoch
-		}
-		if !mod.Deleted {
-			mod.Sets = slab.sets[firstSet:len(slab.sets):len(slab.sets)]
-		}
-		slab.mods = append(slab.mods, mod)
-	}
 	for {
 		c, ok := sc.Next()
 		if !ok {
-			break
+			return nil
 		}
 		if !inRow || !bytes.Equal(c.Row, row) {
-			emit()
 			row = append(row[:0], c.Row...)
-			rid, err := RecordIDFromKey(row)
-			mod, firstSet = hive.RecordMod{RID: uint64(rid)}, len(slab.sets)
-			inRow, inCol = err == nil, false
+			var err error
+			rid, err = RecordIDFromKey(row)
+			inRow, inCol = true, false
 			skip = err != nil // malformed key: skip (cannot happen with our writers)
+			if !skip {
+				b.Record(rid.RowNumber())
+			}
 		}
 		if skip {
 			continue
@@ -514,8 +503,8 @@ func (s *Snapshot) foldOverlay(sc *kvstore.Scanner, slab *overlaySlab) ([]hive.R
 		}
 		taken = true
 		if string(qual) == deleteQualifier {
-			mod.Deleted, skip = true, true
-			slab.sets = slab.sets[:firstSet]
+			b.Delete()
+			skip = true
 			continue
 		}
 		idx, err := strconv.Atoi(string(qual))
@@ -524,12 +513,10 @@ func (s *Snapshot) foldOverlay(sc *kvstore.Scanner, slab *overlaySlab) ([]hive.R
 		}
 		d, _, err := datum.DecodeDatum(c.Value)
 		if err != nil {
-			return nil, fmt.Errorf("core: decode attached cell %s: %w", RecordID(mod.RID), err)
+			return fmt.Errorf("core: decode attached cell %s: %w", rid, err)
 		}
-		slab.sets = append(slab.sets, hive.ColumnSet{Col: idx, Val: d})
+		b.Set(idx, d)
 	}
-	emit()
-	return slab.mods[firstMod:len(slab.mods):len(slab.mods)], nil
 }
 
 // Files exposes the pinned master file set (observability).
@@ -555,7 +542,7 @@ func (s *Snapshot) Splits(opts ScanOptions) []mapred.InputSplit {
 			// The task "performs" the attached pre-scan it got the results
 			// of: its counts, taken at snapshot open, land on the task
 			// meter here.
-			LoadOverlay: func(m *sim.Meter) ([]hive.RecordMod, error) {
+			LoadOverlay: func(m *sim.Meter) (*hive.Overlay, error) {
 				m.Add(sim.Counts{sim.KVSeeks: pre.seeks, sim.KVReadBytes: pre.kvBytes, sim.DFSOpens: pre.opens, sim.DFSReadBytes: pre.dfsBytes})
 				return entries, nil
 			},

@@ -10,42 +10,30 @@ import (
 	"dualtable/internal/sim"
 )
 
-// RecordMod is one record's entry in an ORC scan's overlay: the record
-// is deleted, or some of its columns take new values.
-type RecordMod struct {
-	RID     uint64
-	Deleted bool
-	Sets    []ColumnSet // ignored when Deleted
-}
-
-// ColumnSet assigns one column, by schema index, of a modified record.
-type ColumnSet struct {
-	Col int
-	Val datum.Datum
-}
-
 // ORCSplit is the one scan of an ORC file. Every ORC-backed storage
 // reads through it and differs only in the overlay it merges on read:
 // a plain ORC table has none, an ACID table folds its delta files into
 // one, a DUALTABLE table decodes its attached cells into one. The file
-// and the overlay are both sorted by record ID (FileID<<32 | row
-// ordinal), so the merge is one linear pass — §V-B's "read through and
-// merge two sorted ID lists", whatever holds the delta.
+// and every list of the overlay (its deletes, each column's patch) are
+// sorted by row ordinal, so the merge is one linear pass per list —
+// §V-B's "read through and merge two sorted ID lists", whatever holds
+// the delta.
 //
 // The reader serves batches with two outcomes: a batch no overlay entry
-// touches passes through as column vectors; otherwise updates scatter
-// into the vectors in place (a value a vector's kind cannot hold turns
-// that column mixed) and deletes are left out of the batch's selection.
-// Its row mode (Next) merges the same decoded batches one record at a
-// time, the independent merge behind Cluster.DisableBatchScan.
+// touches passes through as column vectors; otherwise each patch
+// scatters its values into its column's vector in place (a value a
+// vector's kind cannot hold turns that column mixed) and deletes are
+// left out of the batch's selection. Its row mode (Next) applies the
+// same patches to the same decoded batches one record at a time, the
+// independent merge behind Cluster.DisableBatchScan.
 //
 // Ownership: the batch, its vectors and its selection are the reader's
 // and are reused between calls, so a mapper must not retain them — and at
 // Close the vectors and the decode scratch behind them go back to
 // orcfile's free list, where the next task's scan overwrites them. What
 // a mapper keeps, it copies (values are safe: strings are immutable).
-// The overlay is read-only, sorted by RID, and its column indexes lie
-// inside the file's schema; splits of concurrent scans may share it.
+// The overlay is read-only and its patches' columns lie inside the
+// file's schema; splits of concurrent scans may share it.
 //
 // Pushdown is decided per file, not per table: statistics may prune a
 // stripe whose rows an overlay update would make match, so Opts.SArg
@@ -66,7 +54,8 @@ type ORCSplit struct {
 	Footer *orcfile.Reader
 	// LoadOverlay, when set, produces the file's overlay as the task
 	// opens the split, charging what reading it costs to the task meter.
-	LoadOverlay func(m *sim.Meter) ([]RecordMod, error)
+	// A nil overlay is an empty one.
+	LoadOverlay func(m *sim.Meter) (*Overlay, error)
 	// Merged, when set, is told at Close how many file rows went through
 	// the merge, so a storage can charge its per-row merge overhead once
 	// per task instead of once per record.
@@ -110,13 +99,15 @@ func (s *ORCSplit) Open(m *sim.Meter) (mapred.RecordReader, error) {
 		merged: s.Merged,
 	}
 	if s.LoadOverlay != nil {
-		if r.overlay, err = s.LoadOverlay(m); err != nil {
+		ov, err := s.LoadOverlay(m)
+		if err != nil {
 			fr.Close()
 			return nil, err
 		}
-	}
-	if len(r.overlay) > 0 {
-		r.opts.SearchArg = nil
+		if !ov.Empty() {
+			r.overlay, r.pat = ov, make([]int, len(ov.Patches))
+			r.opts.SearchArg = nil
+		}
 	}
 	return r, nil
 }
@@ -129,8 +120,11 @@ type orcScanReader struct {
 	rd      *orcfile.Reader
 	opts    orcfile.RowReaderOptions
 	batch   *orcfile.BatchReader // lazy
-	overlay []RecordMod
-	oi      int    // first overlay entry not yet passed
+	overlay *Overlay             // nil when empty
+	// The overlay cursors: del and pat[p] index the first entry of
+	// Deleted and of Patches[p] not yet passed.
+	del     int
+	pat     []int
 	base    uint64 // record ID of the file's row 0
 	meter   *sim.Meter
 	merged  func(*sim.Meter, int64)
@@ -139,8 +133,8 @@ type orcScanReader struct {
 	// reusable buffers; cols are the batch reader's.
 	cols []datum.ColumnVector
 	sel  []int32
-	// row mode: the decoded batch's length and next slot, the record
-	// ID of its first row, and the row Next returns.
+	// row mode: the decoded batch's length and next slot, the ordinal
+	// of its first row, and the row Next returns.
 	n, slot int
 	first   uint64
 	row     datum.Row
@@ -162,76 +156,88 @@ func (r *orcScanReader) Next() (datum.Row, mapred.RecordMeta, error) {
 			if err != nil {
 				return nil, mapred.RecordMeta{}, err // io.EOF ends the stream
 			}
-			r.n, r.slot, r.first = n, 0, r.base+uint64(ord)
+			r.n, r.slot, r.first = n, 0, uint64(ord)
 		}
 		i := r.slot
 		r.slot++
 		r.nMerged++
-		rid := r.first + uint64(i)
-		// Overlay IDs below the file row are orphans (aborted writes).
-		for r.oi < len(r.overlay) && r.overlay[r.oi].RID < rid {
-			r.oi++
-		}
-		r.row = (&datum.Batch{Len: r.n, Cols: r.cols}).RowInto(r.row, i)
-		if r.oi < len(r.overlay) && r.overlay[r.oi].RID == rid {
-			mod := &r.overlay[r.oi]
-			r.oi++
-			if mod.Deleted {
+		ord := r.first + uint64(i)
+		ov := r.overlay
+		if ov != nil {
+			if r.del = skipTo(ov.Deleted, r.del, ord); r.del < len(ov.Deleted) && uint64(ov.Deleted[r.del]) == ord {
 				continue
 			}
-			// The row is refilled whole on the next call, so the sets can
-			// be written into it, a set on an unprojected column included.
-			for _, s := range mod.Sets {
-				r.row[s.Col] = s.Val
+		}
+		r.row = (&datum.Batch{Len: r.n, Cols: r.cols}).RowInto(r.row, i)
+		if ov != nil {
+			// The row is refilled whole on the next call, so the patches
+			// can be written into it, one on an unprojected column included.
+			for p := range ov.Patches {
+				pt := &ov.Patches[p]
+				k := skipTo(pt.Ords, r.pat[p], ord)
+				if k < len(pt.Ords) && uint64(pt.Ords[k]) == ord {
+					r.row[pt.Col] = pt.Vals.Datum(k)
+				}
+				r.pat[p] = k
 			}
 		}
-		return r.row, mapred.RecordMeta{RecordID: rid}, nil
+		return r.row, mapred.RecordMeta{RecordID: r.base + ord}, nil
 	}
 }
 
-// NextBatch decodes the next column-vector batch (consecutive record
-// IDs from its base) and merges the overlay entries in its ID range
-// into it: sets scatter into the vectors, deletes drop out of Sel.
+// skipTo returns the first index from i on whose ordinal is at least
+// ord. Ordinals below the file row reached are orphans (aborted writes).
+func skipTo(ords []uint32, i int, ord uint64) int {
+	for i < len(ords) && uint64(ords[i]) < ord {
+		i++
+	}
+	return i
+}
+
+// NextBatch decodes the next column-vector batch (consecutive ordinals
+// from its first) and merges the overlay entries in its ordinal range
+// into it: each patch scatters into its column's vector, deletes drop
+// out of Sel. A column no patch touches is not visited.
 func (r *orcScanReader) NextBatch(b *mapred.RecordBatch) error {
 	n, ord, err := r.decode()
 	if err != nil {
 		return err // io.EOF ends the stream
 	}
 	r.nMerged += int64(n)
-	base := r.base + uint64(ord)
-	for r.oi < len(r.overlay) && r.overlay[r.oi].RID < base {
-		r.oi++
+	b.Len, b.Cols, b.Sel, b.BaseID = n, r.cols, nil, r.base+uint64(ord)
+	ov := r.overlay
+	if ov == nil {
+		return nil
 	}
-	lo := r.oi
-	for r.oi < len(r.overlay) && r.overlay[r.oi].RID < base+uint64(n) {
-		r.oi++
+	lo, hi := uint64(ord), uint64(ord)+uint64(n)
+	for p := range ov.Patches {
+		pt := &ov.Patches[p]
+		i := skipTo(pt.Ords, r.pat[p], lo)
+		j := skipTo(pt.Ords, i, hi)
+		if i < j {
+			pt.scatter(&r.cols[pt.Col], i, j, lo)
+		}
+		r.pat[p] = j
 	}
-	mods := r.overlay[lo:r.oi]
-
-	b.Len, b.Cols, b.Sel, b.BaseID = n, r.cols, nil, base
-	next := 0 // the first slot not yet in the selection
-	for i := range mods {
-		slot := int(mods[i].RID - base)
-		if !mods[i].Deleted {
-			for _, s := range mods[i].Sets {
-				r.cols[s.Col].Put(slot, s.Val)
-			}
-			continue
-		}
-		if b.Sel == nil {
-			b.Sel = slices.Grow(r.sel[:0], n) // non-nil: a selection, maybe empty
-		}
+	i := skipTo(ov.Deleted, r.del, lo)
+	j := skipTo(ov.Deleted, i, hi)
+	r.del = j
+	if i == j {
+		return nil
+	}
+	b.Sel = slices.Grow(r.sel[:0], n) // non-nil: a selection, maybe empty
+	next := 0                         // the first slot not yet in the selection
+	for _, o := range ov.Deleted[i:j] {
+		slot := int(uint64(o) - lo)
 		for ; next < slot; next++ {
 			b.Sel = append(b.Sel, int32(next))
 		}
 		next = slot + 1
 	}
-	if b.Sel != nil {
-		for ; next < n; next++ {
-			b.Sel = append(b.Sel, int32(next))
-		}
-		r.sel = b.Sel
+	for ; next < n; next++ {
+		b.Sel = append(b.Sel, int32(next))
 	}
+	r.sel = b.Sel
 	return nil
 }
 

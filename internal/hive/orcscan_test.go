@@ -17,19 +17,19 @@ import (
 // deltas: a plain ORC table has no overlay of its own, so this is how
 // this package reaches the reader's scattered-update and selected
 // (delete) batches next to its clean ones.
-func overlayORC(e *Engine, mods []RecordMod) {
-	e.handlers[metastore.StorageORC] = overlayTestHandler{e.handlers[metastore.StorageORC], mods}
+func overlayORC(e *Engine, ov *Overlay) {
+	e.handlers[metastore.StorageORC] = overlayTestHandler{e.handlers[metastore.StorageORC], ov}
 }
 
 type overlayTestHandler struct {
 	StorageHandler
-	mods []RecordMod
+	ov *Overlay
 }
 
 func (h overlayTestHandler) Splits(desc *metastore.TableDesc, opts ScanOptions) ([]mapred.InputSplit, func(), error) {
 	splits, release, err := h.StorageHandler.Splits(desc, opts)
 	for _, s := range splits {
-		s.(*ORCSplit).LoadOverlay = func(*sim.Meter) ([]RecordMod, error) { return h.mods, nil }
+		s.(*ORCSplit).LoadOverlay = func(*sim.Meter) (*Overlay, error) { return h.ov, nil }
 	}
 	return splits, release, err
 }
@@ -57,41 +57,69 @@ func seedScanTable(t *testing.T, e *Engine) []datum.Row {
 // one to NULL), a value its vector cannot hold (the column turns
 // mixed), deletes, a record updated in the batch after a deleted one,
 // and the first and last record of the file.
-var scanTestOverlay = []RecordMod{
-	{RID: 0, Sets: []ColumnSet{{Col: 2, Val: datum.Float(-1)}}},
-	{RID: 5, Sets: []ColumnSet{{Col: 3, Val: datum.String_("hot")}, {Col: 1, Val: datum.Null}}},
-	{RID: 2000, Deleted: true},
-	{RID: 2001, Sets: []ColumnSet{{Col: 1, Val: datum.Int(77)}}},
-	{RID: 3100, Sets: []ColumnSet{{Col: 1, Val: datum.String_("seven")}}}, // BIGINT vector, STRING value
-	{RID: 10500, Sets: []ColumnSet{{Col: 2, Val: datum.Float(0.5)}, {Col: 3, Val: datum.String_("late")}}},
-	{RID: 20999, Deleted: true},
+var scanTestOverlay = buildOverlay(func(b *OverlayBuilder) {
+	b.Record(0)
+	b.Set(2, datum.Float(-1))
+	b.Record(5)
+	b.Set(3, datum.String_("hot"))
+	b.Set(1, datum.Null)
+	b.Record(2000)
+	b.Delete()
+	b.Record(2001)
+	b.Set(1, datum.Int(77))
+	b.Record(3100)
+	b.Set(1, datum.String_("seven")) // BIGINT vector, STRING value
+	b.Record(10500)
+	b.Set(2, datum.Float(0.5))
+	b.Set(3, datum.String_("late"))
+	b.Record(20999)
+	b.Delete()
+})
+
+// buildOverlay returns the one-file overlay that fill's records make.
+func buildOverlay(fill func(b *OverlayBuilder)) *Overlay {
+	b := NewOverlayBuilder()
+	b.File()
+	fill(b)
+	if ovs := b.Finish(); len(ovs) > 0 {
+		return &ovs[0]
+	}
+	return nil
 }
 
 // applyOverlay is the model of the merge over the file's rows from
 // ordinal from on: rows with their record IDs appended, deleted records
-// dropped.
-func applyOverlay(rows []datum.Row, from int, mods []RecordMod, proj []int) []string {
-	byRID := map[uint64]RecordMod{}
-	for _, m := range mods {
-		byRID[m.RID] = m
+// dropped, and every patch value written into its record's row.
+func applyOverlay(rows []datum.Row, from int, ov *Overlay, proj []int) []string {
+	deleted := map[uint32]bool{}
+	sets := map[uint32]map[int]datum.Datum{}
+	if ov != nil {
+		for _, o := range ov.Deleted {
+			deleted[o] = true
+		}
+		for _, p := range ov.Patches {
+			for k, o := range p.Ords {
+				if sets[o] == nil {
+					sets[o] = map[int]datum.Datum{}
+				}
+				sets[o][p.Col] = p.Vals.Datum(k)
+			}
+		}
 	}
 	var out []string
 	for i := from; i < len(rows); i++ {
-		r := rows[i]
-		m, dirty := byRID[uint64(i)]
-		if m.Deleted {
+		if deleted[uint32(i)] {
 			continue
 		}
+		r := rows[i]
 		row := make(datum.Row, len(r), len(r)+1)
 		for c := range r {
 			if proj == nil || slices.Contains(proj, c) {
 				row[c] = r[c]
 			}
 		}
-		if dirty {
-			for _, s := range m.Sets {
-				row[s.Col] = s.Val
-			}
+		for c, v := range sets[uint32(i)] {
+			row[c] = v
 		}
 		out = append(out, append(row, datum.Int(int64(i))).String())
 	}
@@ -162,7 +190,7 @@ func TestORCScanBatchRowEquivalence(t *testing.T) {
 	if sarg == nil {
 		t.Fatal("no SearchArg extracted")
 	}
-	for _, overlay := range [][]RecordMod{nil, scanTestOverlay} {
+	for _, overlay := range []*Overlay{nil, scanTestOverlay} {
 		if overlay != nil {
 			overlayORC(e, overlay)
 		}

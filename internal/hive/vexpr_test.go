@@ -378,13 +378,20 @@ func TestVexprBatchRowEquivalence(t *testing.T) {
 		e := testEngine(t)
 		e.MR.Parallelism = workers
 		seedVexprTable(t, e, 2600)
-		overlayORC(e, []RecordMod{
-			{RID: 3, Sets: []ColumnSet{{Col: 1, Val: datum.Int(-4)}, {Col: 5, Val: datum.String_("y")}}},
-			{RID: 700, Sets: []ColumnSet{{Col: 3, Val: datum.Null}, {Col: 4, Val: datum.Float(0.5)}}},
-			{RID: 900, Sets: []ColumnSet{{Col: 2, Val: datum.String_("4")}}},
-			{RID: 1500, Deleted: true},
-			{RID: 1501, Sets: []ColumnSet{{Col: 2, Val: datum.Int(0)}}},
-		})
+		overlayORC(e, buildOverlay(func(b *OverlayBuilder) {
+			b.Record(3)
+			b.Set(1, datum.Int(-4))
+			b.Set(5, datum.String_("y"))
+			b.Record(700)
+			b.Set(3, datum.Null)
+			b.Set(4, datum.Float(0.5))
+			b.Record(900)
+			b.Set(2, datum.String_("4"))
+			b.Record(1500)
+			b.Delete()
+			b.Record(1501)
+			b.Set(2, datum.Int(0))
+		}))
 		configs = append(configs, config{workers, e})
 	}
 

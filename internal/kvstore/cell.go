@@ -168,8 +168,10 @@ func appendCell(dst []byte, c *Cell) []byte {
 	return dst
 }
 
-// decodeCell parses one cell from b, returning bytes consumed.
-func decodeCell(b []byte) (Cell, int, error) {
+// decodeCell parses one cell from b, returning bytes consumed. The
+// cell's byte slices alias b. fam is the family of the cell decoded
+// before, if any: a cell of that family shares its string.
+func decodeCell(b []byte, fam string) (Cell, int, error) {
 	var c Cell
 	off := 0
 	readBytes := func() ([]byte, error) {
@@ -190,7 +192,7 @@ func decodeCell(b []byte) (Cell, int, error) {
 	if err != nil {
 		return c, 0, err
 	}
-	fam, err := readBytes()
+	famBytes, err := readBytes()
 	if err != nil {
 		return c, 0, err
 	}
@@ -212,7 +214,11 @@ func decodeCell(b []byte) (Cell, int, error) {
 	if err != nil {
 		return c, 0, err
 	}
-	c = Cell{Row: row, Family: string(fam), Qualifier: qual, Ts: ts, Type: typ, Value: val}
+	family := fam
+	if string(famBytes) != fam {
+		family = string(famBytes)
+	}
+	c = Cell{Row: row, Family: family, Qualifier: qual, Ts: ts, Type: typ, Value: val}
 	return c, off, nil
 }
 

@@ -80,7 +80,7 @@ func TestCompareCellsOrdering(t *testing.T) {
 func TestCellEncodeRoundtrip(t *testing.T) {
 	c := Cell{Row: []byte("row\x00key"), Family: "fam", Qualifier: []byte("q"), Ts: 12345, Type: TypeDeleteColumn, Value: []byte("value bytes")}
 	enc := appendCell(nil, &c)
-	dec, n, err := decodeCell(enc)
+	dec, n, err := decodeCell(enc, "")
 	if err != nil || n != len(enc) {
 		t.Fatalf("decode: %v, consumed %d of %d", err, n, len(enc))
 	}
@@ -93,7 +93,7 @@ func TestDecodeCellErrors(t *testing.T) {
 	c := Cell{Row: []byte("r"), Family: "f", Qualifier: []byte("q"), Ts: 1, Type: TypePut, Value: []byte("v")}
 	enc := appendCell(nil, &c)
 	for cut := 1; cut < len(enc); cut++ {
-		if _, _, err := decodeCell(enc[:cut]); err == nil {
+		if _, _, err := decodeCell(enc[:cut], ""); err == nil {
 			t.Errorf("truncation at %d should fail", cut)
 		}
 	}
@@ -190,6 +190,52 @@ func TestSkiplistSeek(t *testing.T) {
 	c, ok := it.Next()
 	if !ok || string(c.Row) != "r052" {
 		t.Errorf("seek landed on %v", c)
+	}
+}
+
+// Draining a store-file block allocates the block buffer and the cell
+// slice, not a copy of every cell: the count is the same for a block of
+// 8 cells and one of 512.
+func TestSSTableBlockAllocsIndependentOfCells(t *testing.T) {
+	drainAllocs := func(n int) float64 {
+		fs := dfs.New(dfs.Config{BlockSize: 1 << 20})
+		fs.MkdirAll("/t")
+		w, err := fs.Create("/t/sf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := newSSTableWriter(w, n, 1)
+		sw.blockSz = 1 << 20 // one block
+		for i := 0; i < n; i++ {
+			c := Cell{Row: []byte(fmt.Sprintf("row%05d", i)), Family: "df", Qualifier: []byte("3"), Ts: uint64(i + 1), Type: TypePut, Value: []byte("value")}
+			if err := sw.Add(&c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := openSSTable(fs, "/t/sf", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.index) != 1 {
+			t.Fatalf("%d cells wrote %d blocks, want 1", n, len(st.index))
+		}
+		return testing.AllocsPerRun(20, func() {
+			it := st.iterator(nil, nil)
+			got := 0
+			for _, ok := it.Next(); ok; _, ok = it.Next() {
+				got++
+			}
+			if got != n || it.Close() != nil {
+				t.Fatalf("drained %d of %d cells", got, n)
+			}
+		})
+	}
+	small, large := drainAllocs(8), drainAllocs(512)
+	if small != large {
+		t.Errorf("draining a block of 8 cells allocates %v times, of 512 cells %v times", small, large)
 	}
 }
 

@@ -230,7 +230,10 @@ func openSSTable(fs *dfs.FileSystem, path string, m *sim.Meter) (*ssTable, error
 	return st, nil
 }
 
-// blockCells reads and decodes one data block.
+// blockCells reads and decodes one data block. The cells alias the
+// block buffer, which this call allocates and nothing writes again, so
+// a block costs the buffer and the cell slice whatever the number of
+// cells it holds, and its cells stay valid as long as they are held.
 func (st *ssTable) blockCells(e indexEntry, m *sim.Meter) ([]Cell, error) {
 	r, err := st.fs.OpenMeter(st.path, m)
 	if err != nil {
@@ -246,14 +249,14 @@ func (st *ssTable) blockCells(e indexEntry, m *sim.Meter) ([]Cell, error) {
 		return nil, fmt.Errorf("kvstore: bad block header in %s", st.path)
 	}
 	cells := make([]Cell, 0, n)
-	off := consumed
+	off, fam := consumed, ""
 	for i := uint64(0); i < n; i++ {
-		c, cn, err := decodeCell(buf[off:])
+		c, cn, err := decodeCell(buf[off:], fam)
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: decode cell in %s: %w", st.path, err)
 		}
-		cells = append(cells, c.Clone())
-		off += cn
+		cells = append(cells, c)
+		off, fam = off+cn, c.Family
 	}
 	return cells, nil
 }

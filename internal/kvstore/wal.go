@@ -140,7 +140,7 @@ func replayWAL(data []byte) []Cell {
 		ok := true
 		batch := make([]Cell, 0, cnt)
 		for i := uint64(0); i < cnt; i++ {
-			c, consumed, err := decodeCell(payload[p:])
+			c, consumed, err := decodeCell(payload[p:], "")
 			if err != nil {
 				ok = false
 				break
