@@ -34,8 +34,26 @@ type ColumnVector struct {
 // Reset prepares the vector to hold n rows of the given kind, reusing
 // backing arrays. All rows start NULL with zero value slots.
 func (v *ColumnVector) Reset(kind Kind, n int) {
+	v.Shape(kind, n)
+	resetBools(v.Nulls)
+	switch kind {
+	case KindInt:
+		clear(v.Ints)
+	case KindFloat:
+		clear(v.Floats)
+	case KindBool:
+		clear(v.Bools)
+	case KindString:
+		clear(v.Strs)
+	}
+}
+
+// Shape sizes the vector to n rows of the given kind as Reset does, but
+// writes no row: the NULL flags and the kind's value slots hold what the
+// reused arrays held, for a decoder that writes every one itself.
+func (v *ColumnVector) Shape(kind Kind, n int) {
 	v.Kind = kind
-	v.Nulls = resetBools(v.Nulls, n, true)
+	v.Nulls = sized(v.Nulls, n)
 	v.Ints = v.Ints[:0]
 	v.Floats = v.Floats[:0]
 	v.Bools = v.Bools[:0]
@@ -43,69 +61,41 @@ func (v *ColumnVector) Reset(kind Kind, n int) {
 	v.Datums = v.Datums[:0]
 	switch kind {
 	case KindInt:
-		v.Ints = resetInts(v.Ints, n)
+		v.Ints = sized(v.Ints, n)
 	case KindFloat:
-		v.Floats = resetFloats(v.Floats, n)
+		v.Floats = sized(v.Floats, n)
 	case KindBool:
-		v.Bools = resetBools(v.Bools[:0], n, false)
+		v.Bools = sized(v.Bools, n)
 	case KindString:
-		v.Strs = resetStrs(v.Strs, n)
+		v.Strs = sized(v.Strs, n)
 	}
 }
 
-// resetBools returns s resized to n values, all val: clear for false,
-// and for true one set byte doubled by copy, so either fill runs at
-// memory speed instead of a byte per iteration.
-func resetBools(s []bool, n int, val bool) []bool {
+// sized returns s resliced to n values, or a new slice when it cannot
+// hold them.
+func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		s = make([]bool, n)
-	} else {
-		s = s[:n]
+		return make([]T, n)
 	}
-	if !val {
-		clear(s)
-		return s
-	}
-	if n > 0 {
+	return s[:n]
+}
+
+// zeroed returns s resized to n zero values.
+func zeroed[T any](s []T, n int) []T {
+	s = sized(s, n)
+	clear(s)
+	return s
+}
+
+// resetBools sets every flag of s: one set byte doubled by copy, so the
+// fill runs at memory speed instead of a byte per iteration.
+func resetBools(s []bool) {
+	if len(s) > 0 {
 		s[0] = true
-		for k := 1; k < n; k *= 2 {
+		for k := 1; k < len(s); k *= 2 {
 			copy(s[k:], s[:k])
 		}
 	}
-	return s
-}
-
-func resetInts(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resetFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resetStrs(s []string, n int) []string {
-	if cap(s) < n {
-		return make([]string, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = ""
-	}
-	return s
 }
 
 // Fill resets the vector to n rows all holding d — the broadcast
@@ -210,13 +200,13 @@ func (v *ColumnVector) SetDatum(i int, d Datum) bool {
 		n := len(v.Nulls)
 		switch d.K {
 		case KindInt:
-			v.Ints = resetInts(v.Ints, n)
+			v.Ints = zeroed(v.Ints, n)
 		case KindFloat:
-			v.Floats = resetFloats(v.Floats, n)
+			v.Floats = zeroed(v.Floats, n)
 		case KindBool:
-			v.Bools = resetBools(v.Bools[:0], n, false)
+			v.Bools = zeroed(v.Bools, n)
 		case KindString:
-			v.Strs = resetStrs(v.Strs, n)
+			v.Strs = zeroed(v.Strs, n)
 		}
 	}
 	if d.K != v.Kind {

@@ -188,10 +188,8 @@ func runFold(t *testing.T, m mapred.Mapper, c foldCase) []foldEmit {
 	return out
 }
 
-// checkPartialFold runs seed's case through the map-side hash
-// aggregation and through rowFoldMapper, with the table's flush cap at
-// 3 on odd seeds so flushes land inside batches, and requires the same
-// (key, row) sequence, floats compared by bits.
+// checkPartialFold compares the two folds over seed's case, with the
+// table's flush cap at 3 on odd seeds so flushes land inside batches.
 func checkPartialFold(t *testing.T, e *Engine, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	c := genFoldCase(r)
@@ -200,6 +198,14 @@ func checkPartialFold(t *testing.T, e *Engine, seed int64) {
 		maxHashGroups = 3
 		defer func() { maxHashGroups = old }()
 	}
+	compareFold(t, e, seed, c)
+}
+
+// compareFold runs c through the map-side hash aggregation and through
+// rowFoldMapper and requires the same (key, row) sequence, floats
+// compared by bits.
+func compareFold(t *testing.T, e *Engine, seed int64, c foldCase) {
+	t.Helper()
 	sc := foldTestScope()
 	col := func(i int) vecExpr {
 		p, err := e.compileVexpr(nil, parseSelectExpr(t, fmt.Sprintf("c%d", i)), sc)
@@ -264,6 +270,31 @@ func FuzzPartialFoldMatchesRow(f *testing.F) {
 	}
 	e := testEngine(f)
 	f.Fuzz(func(t *testing.T, seed int64) { checkPartialFold(t, e, seed) })
+}
+
+// TestPartialFoldNoGroupBy: without GROUP BY every selected row folds
+// into the one group, over batches that all carry a selection vector,
+// and a table cut of one group never splits it.
+func TestPartialFoldNoGroupBy(t *testing.T) {
+	e := testEngine(t)
+	old := maxHashGroups
+	maxHashGroups = 1
+	defer func() { maxHashGroups = old }()
+	for seed := range int64(100) {
+		c := genFoldCase(rand.New(rand.NewSource(seed)))
+		c.groups = nil
+		for _, b := range c.batches {
+			if b.Sel == nil {
+				b.Sel = []int32{}
+				for i := range b.Len {
+					if i%3 != 1 {
+						b.Sel = append(b.Sel, int32(i))
+					}
+				}
+			}
+		}
+		compareFold(t, e, seed, c)
+	}
 }
 
 // TestPartialFoldSwitchesKind pins the fallback: a group that meets

@@ -403,7 +403,8 @@ func (m *aggScanMapper) emitRaw(i int, emit mapred.Emitter) error {
 
 // resolveSlots fills m.slots with the group slot of each selected row,
 // adding a slot for each new group. It stops before a new group the
-// full table cannot take and returns how many rows it resolved.
+// full table cannot take and returns how many rows it resolved. With no
+// GROUP BY column there is one group, slot 0, and no key to look up.
 func (m *aggScanMapper) resolveSlots(sel []int32) int {
 	if m.slotOf == nil {
 		m.slotOf = make(map[string]int32)
@@ -413,6 +414,13 @@ func (m *aggScanMapper) resolveSlots(sel []int32) int {
 		m.slots = make([]int32, len(sel))
 	}
 	slots := m.slots[:len(sel)]
+	if len(m.groups) == 0 {
+		if len(m.keys) == 0 {
+			m.addSlot("", 0)
+		}
+		clear(slots)
+		return len(sel)
+	}
 	for k, i := range sel {
 		key := m.keyBuf[:0]
 		for gi := range m.groups {
@@ -424,20 +432,25 @@ func (m *aggScanMapper) resolveSlots(sel []int32) int {
 			if len(m.keys) >= maxHashGroups && len(m.keys) > 0 {
 				return k
 			}
-			s = int32(len(m.keys))
-			str := string(key)
-			m.slotOf[str] = s
-			m.keys = append(m.keys, str)
-			for gi := range m.groups {
-				m.grpVals = append(m.grpVals, m.groups[gi].res.Datum(int(i)))
-			}
-			for ai := range m.accs {
-				m.accs[ai] = append(m.accs[ai], partialAcc{})
-			}
+			s = m.addSlot(string(key), i)
 		}
 		slots[k] = s
 	}
 	return len(sel)
+}
+
+// addSlot adds the group of row i, keyed key, as the next slot.
+func (m *aggScanMapper) addSlot(key string, i int32) int32 {
+	s := int32(len(m.keys))
+	m.slotOf[key] = s
+	m.keys = append(m.keys, key)
+	for gi := range m.groups {
+		m.grpVals = append(m.grpVals, m.groups[gi].res.Datum(int(i)))
+	}
+	for ai := range m.accs {
+		m.accs[ai] = append(m.accs[ai], partialAcc{})
+	}
+	return s
 }
 
 // foldAggs folds each aggregate's argument at the selected rows into

@@ -150,121 +150,79 @@ func (br *BatchReader) openStripeCursors(sm stripeMeta) error {
 	return nil
 }
 
-// fillVector decodes n values of one column into v: presence bits in
-// bulk, then the value stream in bulk — straight into the vector's
-// positional slots when the batch has no NULLs, via a dense scratch
-// buffer plus scatter otherwise.
+// fillVector decodes n values of one column into v: the presence bits
+// in bulk straight into its NULL flags, then the value stream in bulk
+// into the head of its value slots, which spread then moves out to the
+// non-NULL rows. Without NULLs the values land in place. No slot is
+// written twice, and a NULL slot ends up holding the zero value.
 func (br *BatchReader) fillVector(v *datum.ColumnVector, cur *columnCursor, n int) error {
-	if cap(br.present) < n {
-		br.present = make([]bool, n)
-	}
-	present := br.present[:n]
-	if err := cur.presence.Fill(present); err != nil {
+	v.Shape(cur.kind, n)
+	nonNull, err := cur.presence.FillNot(v.Nulls)
+	if err != nil {
 		return err
 	}
-	v.Reset(cur.kind, n)
-	nonNull := 0
-	for i, p := range present {
-		if p {
-			v.Nulls[i] = false
-			nonNull++
-		}
-	}
-	dense := nonNull == n
 	switch cur.kind {
 	case datum.KindInt:
-		if dense {
-			return cur.ints.Fill(v.Ints)
-		}
-		if err := cur.ints.Fill(br.scratchInts(nonNull)); err != nil {
-			return err
-		}
-		k := 0
-		for i, p := range present {
-			if p {
-				v.Ints[i] = br.ints[k]
-				k++
-			}
-		}
+		err = cur.ints.Fill(v.Ints[:nonNull])
+		spread(v.Ints, v.Nulls, nonNull)
 	case datum.KindFloat:
-		if dense {
-			return cur.floats.Fill(v.Floats)
-		}
-		if cap(br.floats) < nonNull {
-			br.floats = make([]float64, nonNull)
-		}
-		if err := cur.floats.Fill(br.floats[:nonNull]); err != nil {
-			return err
-		}
-		k := 0
-		for i, p := range present {
-			if p {
-				v.Floats[i] = br.floats[k]
-				k++
-			}
-		}
+		err = cur.floats.Fill(v.Floats[:nonNull])
+		spread(v.Floats, v.Nulls, nonNull)
 	case datum.KindBool:
-		if dense {
-			return cur.bools.Fill(v.Bools)
-		}
-		if cap(br.bools) < nonNull {
-			br.bools = make([]bool, nonNull)
-		}
-		if err := cur.bools.Fill(br.bools[:nonNull]); err != nil {
-			return err
-		}
-		k := 0
-		for i, p := range present {
-			if p {
-				v.Bools[i] = br.bools[k]
-				k++
-			}
-		}
+		err = cur.bools.Fill(v.Bools[:nonNull])
+		spread(v.Bools, v.Nulls, nonNull)
 	case datum.KindString:
-		return br.fillStrings(v, cur, present, nonNull)
+		if cur.dict != nil {
+			err = cur.ints.FillDict(v.Strs[:nonNull], cur.dict)
+		} else {
+			err = br.fillDirect(v.Strs[:nonNull], cur)
+		}
+		spread(v.Strs, v.Nulls, nonNull)
 	default:
-		return fmt.Errorf("orcfile: bad cursor kind")
+		err = fmt.Errorf("orcfile: bad cursor kind")
 	}
-	return nil
+	return err
 }
 
-// fillStrings decodes n string slots: dictionary indexes map to shared
-// dict entries (no per-value allocation); direct mode slices the blob
-// and converts.
-func (br *BatchReader) fillStrings(v *datum.ColumnVector, cur *columnCursor, present []bool, nonNull int) error {
-	vals := br.scratchInts(nonNull)
-	if cur.dict != nil {
-		if err := cur.ints.Fill(vals); err != nil {
-			return err
-		}
-		k := 0
-		for i, p := range present {
-			if !p {
-				continue
-			}
-			idx := vals[k]
-			k++
-			if idx < 0 || int(idx) >= len(cur.dict) {
-				return fmt.Errorf("orcfile: dict index %d out of range", idx)
-			}
-			v.Strs[i] = cur.dict[idx]
-		}
-		return nil
+// spread moves the nonNull values packed at the head of s out to the
+// slots whose NULL flag is clear, keeping their order, and zeroes the
+// NULL slots. It walks from the end, where no value is overwritten
+// before it moves (the k-th value never moves left), and stops once the
+// slots left all hold their own values.
+func spread[T any](s []T, nulls []bool, nonNull int) {
+	if nonNull == 0 {
+		clear(s)
+		return
 	}
-	if err := cur.ints.Fill(vals); err != nil {
+	var zero T
+	k := nonNull
+	for i := len(s) - 1; i >= k; i-- {
+		null := nulls[i]
+		if !null {
+			k--
+		}
+		x := s[k]
+		if null {
+			x = zero
+		}
+		s[i] = x
+	}
+}
+
+// fillDirect decodes the next len(dst) strings of a column stored
+// direct: their lengths, then each one sliced out of the blob and
+// copied.
+func (br *BatchReader) fillDirect(dst []string, cur *columnCursor) error {
+	lens := br.scratchInts(len(dst))
+	if err := cur.ints.Fill(lens); err != nil {
 		return err
 	}
-	k := 0
-	for i, p := range present {
-		if !p {
-			continue
-		}
-		end := cur.blobOff + int(vals[k])
-		k++
+	for i, l := range lens {
+		end := cur.blobOff + int(l)
 		if end > len(cur.blob) || end < cur.blobOff {
 			return fmt.Errorf("orcfile: string blob exhausted")
 		}
-		v.Strs[i] = string(cur.blob[cur.blobOff:end])
+		dst[i] = string(cur.blob[cur.blobOff:end])
 		cur.blobOff = end
 	}
 	return nil

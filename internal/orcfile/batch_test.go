@@ -2,6 +2,7 @@ package orcfile
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -141,6 +142,90 @@ func TestBatchRowEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchNullPatterns reads back files of every column kind whose
+// rows are NULL in a pattern — none, all, alternating, one in 64 — with
+// batch sizes that start batches at every kind of bit offset in the
+// presence bitmap. Every value must come back, and every NULL slot must
+// hold its kind's zero value although the vectors are reused.
+func TestBatchNullPatterns(t *testing.T) {
+	schema := datum.Schema{
+		{Name: "i", Kind: datum.KindInt},
+		{Name: "f", Kind: datum.KindFloat},
+		{Name: "b", Kind: datum.KindBool},
+		{Name: "dict", Kind: datum.KindString},
+		{Name: "direct", Kind: datum.KindString},
+	}
+	patterns := map[string]func(i int) bool{
+		"none":        func(int) bool { return false },
+		"all":         func(int) bool { return true },
+		"alternating": func(i int) bool { return i%2 == 1 },
+		"one in 64":   func(i int) bool { return i%64 == 37 },
+	}
+	for name, null := range patterns {
+		rows := make([]datum.Row, 2500)
+		for i := range rows {
+			rows[i] = datum.Row{datum.Int(int64(i*7 - 3000)), datum.Float(float64(i) / 4),
+				datum.Bool(i%3 == 0), datum.String_([]string{"x", "yy", "zzz"}[i/5%3]),
+				datum.String_(fmt.Sprint("s", i))}
+			for c := range rows[i] {
+				if null(i + c) {
+					rows[i][c] = datum.Null
+				}
+			}
+		}
+		rd := writeBatchFile(t, schema, rows, WriterOptions{StripeRows: 1200})
+		for _, bs := range []int{1, 7, 63, 65, 1000} {
+			br := rd.NewBatchReader(RowReaderOptions{})
+			cols := br.Vectors()
+			var next int64
+			for {
+				n, base, err := br.NextBatch(cols, bs)
+				if err == io.EOF {
+					break
+				}
+				if err != nil || base != next {
+					t.Fatalf("%s bs=%d: batch at %d, want %d: %v", name, bs, base, next, err)
+				}
+				for i := 0; i < n; i++ {
+					for c := range schema {
+						want, v := rows[next][c], &cols[c]
+						if got := v.Datum(i); datum.Compare(got, want) != 0 || got.K != want.K {
+							t.Fatalf("%s bs=%d row %d col %d: %v != %v", name, bs, next, c, got, want)
+						}
+						if v.Kind != schema[c].Kind {
+							t.Fatalf("%s bs=%d col %d: a %v vector", name, bs, c, v.Kind)
+						}
+						if want.IsNull() && !zeroSlot(v, i) {
+							t.Fatalf("%s bs=%d row %d col %d: a NULL slot holds a value", name, bs, next, c)
+						}
+					}
+					next++
+				}
+			}
+			br.Close()
+			if next != int64(len(rows)) {
+				t.Fatalf("%s bs=%d: read %d rows of %d", name, bs, next, len(rows))
+			}
+		}
+	}
+}
+
+// zeroSlot reports whether slot i of v's active value slice holds the
+// zero value.
+func zeroSlot(v *datum.ColumnVector, i int) bool {
+	switch v.Kind {
+	case datum.KindInt:
+		return v.Ints[i] == 0
+	case datum.KindFloat:
+		return v.Floats[i] == 0
+	case datum.KindBool:
+		return !v.Bools[i]
+	case datum.KindString:
+		return v.Strs[i] == ""
+	}
+	return true
+}
+
 // TestBatchReaderRefillsMixedVectors: a consumer may Put a value of
 // another kind into a batch's vector, turning it mixed, or adopt a kind
 // into an unprojected one. The next batch must arrive clean — typed as
@@ -218,5 +303,91 @@ func TestBatchReaderPruning(t *testing.T) {
 	}
 	if !slices.Equal(ords, want) {
 		t.Fatalf("%d surviving ordinals, want 2000..2999: %v", len(ords), ords)
+	}
+}
+
+// fillVectorFile writes a one-column file of 64 × 1 024 rows of kind
+// whose rows are NULL with probability nullPct/100. BIGINT holds an id
+// sequence (delta groups), DOUBLE and BOOLEAN random values, "dict" a
+// few tags in runs of 1–32 (a dictionary STRING), "direct" unique
+// strings (a direct STRING).
+func fillVectorFile(tb testing.TB, kind string, nullPct int) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(nullPct)))
+	colKind := map[string]datum.Kind{"bigint": datum.KindInt, "double": datum.KindFloat,
+		"boolean": datum.KindBool, "dict": datum.KindString, "direct": datum.KindString}[kind]
+	tags := []string{"open", "shipped", "returned", "lost", "held", "paid", "void", "new"}
+	rows := make([]datum.Row, 64*DefaultBatchRows)
+	tag, run := "", 0
+	for i := range rows {
+		if run == 0 {
+			tag, run = tags[rng.Intn(len(tags))], 1+rng.Intn(32)
+		}
+		run--
+		var d datum.Datum
+		switch kind {
+		case "bigint":
+			d = datum.Int(int64(i))
+		case "double":
+			d = datum.Float(rng.Float64())
+		case "boolean":
+			d = datum.Bool(rng.Intn(2) == 0)
+		case "dict":
+			d = datum.String_(tag)
+		case "direct":
+			d = datum.String_(fmt.Sprintf("note-%07d", i))
+		}
+		if rng.Intn(100) < nullPct {
+			d = datum.Null
+		}
+		rows[i] = datum.Row{d}
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, datum.Schema{{Name: "c", Kind: colKind}}, WriterOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := w.WriteRow(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkFillVector drains one file per column kind and NULL density
+// in 1 024-row batches and reports the decode cost per row: the
+// presence bits, the value stream and the spread between them.
+func BenchmarkFillVector(b *testing.B) {
+	for _, kind := range []string{"bigint", "double", "boolean", "dict", "direct"} {
+		for _, nullPct := range []int{0, 10, 100} {
+			data := fillVectorFile(b, kind, nullPct)
+			rd, err := Open(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/nulls=%d%%", kind, nullPct), func(b *testing.B) {
+				b.ReportAllocs()
+				rows := 0
+				for b.Loop() {
+					br := rd.NewBatchReader(RowReaderOptions{})
+					cols := br.Vectors()
+					for {
+						n, _, err := br.NextBatch(cols, DefaultBatchRows)
+						if err == io.EOF {
+							break
+						} else if err != nil {
+							b.Fatal(err)
+						}
+						rows += n
+					}
+					br.Close()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+			})
+		}
 	}
 }

@@ -116,16 +116,13 @@ func (z *deflater) deflate(b []byte) ([]byte, error) {
 // one cursor per column for the current stripe, one buffer per column
 // for the streams of that stripe it had to decode itself (a stream cache
 // hit decodes from the shared entry), the column vectors it lends its
-// caller, and the dense buffers NULL-bearing batches scatter from. It
-// returns to the free list at Close, its cursors cleared.
+// caller, and the lengths of a batch's direct strings. It returns to the
+// free list at Close, its cursors cleared.
 type scanScratch struct {
 	cursors []columnCursor
 	streams [][]byte
 	vecs    []datum.ColumnVector
-	present []bool
 	ints    []int64
-	floats  []float64
-	bools   []bool
 }
 
 // columnScratch is one writer's column builders and footer buffer,

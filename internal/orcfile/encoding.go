@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -268,6 +269,48 @@ func (d *intDecoder) Fill(dst []int64) error {
 	return nil
 }
 
+// FillDict decodes len(dst) dictionary indexes and stores the entries of
+// dict they name. A run of one index is checked once and its entry
+// stored over the whole stretch; other groups are checked index by index.
+func (d *intDecoder) FillDict(dst, dict []string) error {
+	var idxs [64]int64
+	for len(dst) > 0 {
+		if d.left == 0 {
+			if err := d.loadGroup(); err != nil {
+				return err
+			}
+		}
+		n := len(dst)
+		if uint64(n) > d.left {
+			n = int(d.left)
+		}
+		if d.mode == rleRun {
+			if d.cur < 0 || d.cur >= int64(len(dict)) {
+				return fmt.Errorf("orcfile: dict index %d out of range", d.cur)
+			}
+			s := dict[d.cur]
+			for i := range dst[:n] {
+				dst[i] = s
+			}
+			d.left -= uint64(n)
+			dst = dst[n:]
+			continue
+		}
+		n = min(n, len(idxs))
+		if err := d.Fill(idxs[:n]); err != nil {
+			return err
+		}
+		for i, idx := range idxs[:n] {
+			if idx < 0 || idx >= int64(len(dict)) {
+				return fmt.Errorf("orcfile: dict index %d out of range", idx)
+			}
+			dst[i] = dict[idx]
+		}
+		dst = dst[n:]
+	}
+	return nil
+}
+
 // bitWriter packs booleans into bytes, LSB first.
 type bitWriter struct {
 	out  []byte
@@ -326,18 +369,80 @@ type bitReader struct {
 	idx int
 }
 
+// bitsOf[b] and notBitsOf[b] are byte b's eight bits, LSB first, as
+// flags and as their negations: one table store unpacks a whole byte.
+var bitsOf, notBitsOf [256][8]bool
+
+func init() {
+	for b := range 256 {
+		for j := range 8 {
+			bitsOf[b][j] = b>>j&1 != 0
+			notBitsOf[b][j] = b>>j&1 == 0
+		}
+	}
+}
+
 // Fill unpacks len(dst) booleans in one pass.
 func (r *bitReader) Fill(dst []bool) error {
+	_, err := r.unpack(dst, false)
+	return err
+}
+
+// FillNot unpacks len(dst) bits negated — a presence bitmap straight
+// into a vector's NULL flags, dst[i] set where bit i is clear — and
+// returns how many bits were set.
+func (r *bitReader) FillNot(dst []bool) (set int, err error) {
+	return r.unpack(dst, true)
+}
+
+// unpack stores len(dst) bits, each negated when not is true, and counts
+// the set ones. The head up to a byte boundary and the tail go bit by
+// bit, whole bytes through a table. A 64-bit word whose flags all come
+// out false (all set under not, all clear otherwise: a stretch with no
+// NULLs, or of false values) is cleared in bulk.
+func (r *bitReader) unpack(dst []bool, not bool) (set int, err error) {
 	if (r.idx+len(dst)+7)/8 > len(r.buf) {
-		return fmt.Errorf("orcfile: bit stream exhausted")
+		return 0, fmt.Errorf("orcfile: bit stream exhausted")
 	}
-	idx := r.idx
-	for i := range dst {
-		dst[i] = r.buf[idx>>3]&(1<<(idx&7)) != 0
-		idx++
+	tbl, clearWord := &bitsOf, uint64(0)
+	if not {
+		tbl, clearWord = &notBitsOf, ^uint64(0)
+	}
+	idx, i := r.idx, 0
+	for ; i < len(dst) && idx&7 != 0; i, idx = i+1, idx+1 {
+		bit := r.buf[idx>>3]>>(idx&7)&1 != 0
+		dst[i] = bit != not
+		if bit {
+			set++
+		}
+	}
+	buf := r.buf[idx>>3:]
+	k := 0
+	for ; len(dst)-i >= 64; i, k = i+64, k+8 {
+		w := binary.LittleEndian.Uint64(buf[k:])
+		set += bits.OnesCount64(w)
+		word := (*[64]bool)(dst[i : i+64])
+		if w == clearWord {
+			clear(word[:])
+			continue
+		}
+		for j := 0; j < 64; j += 8 {
+			*(*[8]bool)(word[j : j+8]) = tbl[byte(w>>j)]
+		}
+	}
+	for ; len(dst)-i >= 8; i, k = i+8, k+1 {
+		*(*[8]bool)(dst[i : i+8]) = tbl[buf[k]]
+		set += bits.OnesCount8(buf[k])
+	}
+	for idx += 8 * k; i < len(dst); i, idx = i+1, idx+1 {
+		bit := r.buf[idx>>3]>>(idx&7)&1 != 0
+		dst[i] = bit != not
+		if bit {
+			set++
+		}
 	}
 	r.idx = idx
-	return nil
+	return set, nil
 }
 
 // floatEncoder stores raw IEEE bits little-endian.

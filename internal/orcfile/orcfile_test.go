@@ -125,6 +125,123 @@ func TestBitPackRoundtrip(t *testing.T) {
 	}
 }
 
+// checkFillNot unpacks length bits of buf from bit off through FillNot
+// and through Fill and checks them against a bit-at-a-time reference:
+// every flag of both, and FillNot's count of set bits and position
+// after. A read past the end of buf must fail and leave the reader
+// where it was.
+func checkFillNot(t testing.TB, buf []byte, off, length int) {
+	t.Helper()
+	short := (off+length+7)/8 > len(buf)
+	want := make([]bool, length)
+	wantSet := 0
+	for i := range want {
+		if short {
+			break
+		}
+		bit := buf[(off+i)/8]>>((off+i)%8)&1 != 0
+		want[i] = !bit
+		if bit {
+			wantSet++
+		}
+	}
+	r := bitReader{buf: buf, idx: off}
+	got := make([]bool, length)
+	set, err := r.FillNot(got)
+	if short {
+		if err == nil || r.idx != off {
+			t.Fatalf("off %d len %d of %d bytes: FillNot = %v at bit %d, want an error at bit %d", off, length, len(buf), err, r.idx, off)
+		}
+		if err := r.Fill(got); err == nil {
+			t.Fatalf("off %d len %d of %d bytes: Fill read past the end", off, length, len(buf))
+		}
+		return
+	}
+	if err != nil || set != wantSet || r.idx != off+length || !slices.Equal(got, want) {
+		t.Fatalf("off %d len %d of % x: FillNot = %d, %v at bit %d; want %d at bit %d\ngot  %v\nwant %v",
+			off, length, buf, set, err, r.idx, wantSet, off+length, got, want)
+	}
+	r = bitReader{buf: buf, idx: off}
+	if err := r.Fill(got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] == want[i] {
+			t.Fatalf("off %d len %d of % x: Fill bit %d = %v", off, length, buf, i, got[i])
+		}
+	}
+}
+
+// TestFillNotMatchesBits holds the byte-at-a-time presence kernel to a
+// bit-at-a-time reference at every start offset within two bytes, every
+// length up to 200 and lengths across 64-bit word edges, over bitmaps
+// that take each of its paths: all-set words, all-clear words, mixed
+// bytes, and set runs that start and end mid-word.
+func TestFillNotMatchesBits(t *testing.T) {
+	const n = 48 // bytes: room for off 15 + length 300
+	maps := map[string][]byte{
+		"all set":     bytes.Repeat([]byte{0xff}, n),
+		"all clear":   make([]byte, n),
+		"alternating": bytes.Repeat([]byte{0x55}, n),
+		"random":      make([]byte, n),
+		"runs":        make([]byte, n),
+	}
+	rand.New(rand.NewSource(1)).Read(maps["random"])
+	// Set runs of 5, 70 and 130 bits starting at bits 3, 60 and 141.
+	for _, run := range [][2]int{{3, 5}, {60, 70}, {141, 130}} {
+		for b := run[0]; b < run[0]+run[1]; b++ {
+			maps["runs"][b/8] |= 1 << (b % 8)
+		}
+	}
+	lengths := []int{255, 256, 257, 270, 300, 8*n - 15, 8*n - 16}
+	for l := range 201 {
+		lengths = append(lengths, l)
+	}
+	for name, buf := range maps {
+		t.Run(name, func(t *testing.T) {
+			for off := range 16 {
+				for _, l := range lengths {
+					checkFillNot(t, buf, off, l)
+					// The same read from a bitmap that ends with it, and
+					// from one a byte short.
+					if end := (off + l + 7) / 8; end > 0 {
+						checkFillNot(t, buf[:end], off, l)
+						checkFillNot(t, buf[:end-1], off, l)
+					}
+				}
+			}
+		})
+	}
+	// Consecutive calls continue where the last one stopped.
+	buf := maps["random"]
+	r := bitReader{buf: buf}
+	got := make([]bool, 8*n)
+	for i := 0; i < len(got); {
+		k := min(1+i%67, len(got)-i)
+		if _, err := r.FillNot(got[i : i+k]); err != nil {
+			t.Fatal(err)
+		}
+		i += k
+	}
+	for i, null := range got {
+		if null != (buf[i/8]>>(i%8)&1 == 0) {
+			t.Fatalf("chunked FillNot: bit %d", i)
+		}
+	}
+}
+
+// FuzzFillNotMatchesBits: any bitmap, start and length — FillNot agrees
+// with the bit-at-a-time reference, or fails without panicking when the
+// bitmap is short.
+func FuzzFillNotMatchesBits(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint8(3), uint16(70))
+	f.Add(bytes.Repeat([]byte{0x55}, 20), uint8(0), uint16(160))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(7), uint16(80))
+	f.Fuzz(func(t *testing.T, buf []byte, off uint8, length uint16) {
+		checkFillNot(t, buf, int(off)%(8*len(buf)+1), int(length))
+	})
+}
+
 func testSchema() datum.Schema {
 	return datum.Schema{
 		{Name: "id", Kind: datum.KindInt},

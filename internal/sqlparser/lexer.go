@@ -24,6 +24,8 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+
+	"dualtable/internal/freelist"
 )
 
 // tokenKind classifies lexer tokens.
@@ -303,27 +305,55 @@ func (l *lexer) next() (token, error) {
 		}
 		switch b {
 		case '+', '-', '*', '/', '%', '(', ')', ',', '=', '<', '>', '.', ';', '?':
-			l.advance()
 			tok.Kind = tokOp
-			tok.Text = string(b)
+			tok.Text = l.src[l.pos : l.pos+1]
+			l.advance()
 			return tok, nil
 		}
 		return token{}, l.errf("unexpected character %q", string(b))
 	}
 }
 
-// tokenize runs the lexer to EOF.
-func tokenize(src string) ([]token, error) {
+// tokenize runs the lexer to EOF, appending the tokens to toks.
+func tokenize(src string, toks []token) ([]token, error) {
 	l := &lexer{src: src, line: 1, col: 1}
-	var out []token
 	for {
 		t, err := l.next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
-		out = append(out, t)
+		toks = append(toks, t)
 		if t.Kind == tokEOF {
-			return out, nil
+			return toks, nil
 		}
 	}
+}
+
+// tokenBufs lends the slices statements are lexed into. A parser holds
+// its tokens only while it parses — the tree keeps their texts, never a
+// token — so the next statement can reuse the slice instead of growing
+// a new one by doubling.
+var tokenBufs = freelist.New[[]token]()
+
+// maxPooledTokens bounds the slices tokenBufs keeps, so that one huge
+// statement does not stay pinned in it.
+const maxPooledTokens = 4096
+
+// lex tokenizes src into a slice borrowed from tokenBufs, which
+// releaseTokens hands back.
+func lex(src string) (*[]token, error) {
+	buf := tokenBufs.Get()
+	toks, err := tokenize(src, (*buf)[:0])
+	*buf = toks
+	return buf, err
+}
+
+// releaseTokens returns a slice lex borrowed, its tokens cleared: their
+// texts would pin the statement's source.
+func releaseTokens(buf *[]token) {
+	if cap(*buf) > maxPooledTokens {
+		return
+	}
+	clear(*buf)
+	tokenBufs.Put(buf)
 }

@@ -45,11 +45,12 @@ func Parse(src string) (Statement, error) {
 // ParseParams is Parse that also returns the number of '?'
 // placeholders, which the parser numbers 0, 1, ... as it meets them.
 func ParseParams(src string) (Statement, int, error) {
-	toks, err := tokenize(src)
+	toks, err := lex(src)
+	defer releaseTokens(toks)
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: *toks}
 	stmt := p.parseStatement()
 	p.accept(tokOp, ";")
 	if !p.atEOF() {
@@ -63,11 +64,12 @@ func ParseParams(src string) (Statement, int, error) {
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
-	toks, err := tokenize(src)
+	toks, err := lex(src)
+	defer releaseTokens(toks)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{toks: *toks}
 	var out []Statement
 	for {
 		for p.accept(tokOp, ";") {

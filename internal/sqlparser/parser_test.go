@@ -1,7 +1,9 @@
 package sqlparser
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,7 +20,7 @@ func mustParse(t *testing.T, src string) Statement {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := tokenize("SELECT a, 'it''s', 3.5e2 FROM t -- comment\n WHERE x >= 10 /* block */ ;")
+	toks, err := tokenize("SELECT a, 'it''s', 3.5e2 FROM t -- comment\n WHERE x >= 10 /* block */ ;", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestLexerBasics(t *testing.T) {
 
 func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{"'unterminated", "`unterminated", "/* unterminated", "SELECT @"} {
-		if _, err := tokenize(src); err == nil {
+		if _, err := tokenize(src, nil); err == nil {
 			t.Errorf("tokenize(%q) should fail", src)
 		}
 	}
@@ -47,7 +49,7 @@ func TestLexerErrors(t *testing.T) {
 // UTF-8 letter is one identifier, and a byte that is not UTF-8 is a lex
 // error, not a letter of some other encoding.
 func TestLexerUTF8Identifiers(t *testing.T) {
-	toks, err := tokenize("SELECT é FROM t")
+	toks, err := tokenize("SELECT é FROM t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +69,65 @@ func TestLexerUTF8Identifiers(t *testing.T) {
 	}
 }
 
+// TestLexerOperatorTextAllocatesNothing: an operator's token text is a
+// substring of the source, one character or two, so a thousand '(' cost
+// no more allocations than a thousand "<=".
+func TestLexerOperatorTextAllocatesNothing(t *testing.T) {
+	allocs := func(op string) float64 {
+		src := strings.Repeat(op+" ", 1000)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := tokenize(src, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, two := allocs("("), allocs("<="); one > two {
+		t.Errorf("1 000 '(' allocate %v times, 1 000 '<=' %v", one, two)
+	}
+}
+
+// TestParseReusesTokenSlices: once warm, parsing a long INSERT does not
+// pay for its tokens again — the slice a statement was lexed into is
+// lent to the next one — and a released slice keeps no token's text,
+// which would pin the statement it came from.
+func TestParseReusesTokenSlices(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO t VALUES ")
+	for i := range 200 {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %d.0, 'new')", 1000+i, i, 1000+i)
+	}
+	src := sb.String()
+	toks, err := tokenize(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(src); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perParse := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	if slice := uint64(len(toks)) * uint64(reflect.TypeOf(token{}).Size()); perParse >= slice {
+		t.Errorf("a warm parse of %d tokens allocates %d B, as much as their %d-byte slice", len(toks), perParse, slice)
+	}
+	releaseTokens(&toks)
+	if toks[0] != (token{}) || toks[len(toks)-1] != (token{}) {
+		t.Errorf("a released slice still holds %v … %v", toks[0], toks[len(toks)-1])
+	}
+}
+
 func TestLexerBackquotedIdent(t *testing.T) {
-	toks, err := tokenize("`select` x")
+	toks, err := tokenize("`select` x", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
