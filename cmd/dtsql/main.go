@@ -21,6 +21,7 @@ import (
 	"dualtable"
 	_ "dualtable/driver"
 	"dualtable/internal/sim"
+	"dualtable/internal/sqlparser"
 )
 
 // shellResult is the transport-neutral result the REPL renders: the
@@ -196,16 +197,23 @@ func (l *localExecutor) meta(cmd string) bool {
 }
 
 // remoteExecutor runs statements on a dtserver through database/sql.
-// SELECTs stream over the wire as row batches; everything else (DDL,
-// DML, SET, multi-statement scripts) goes through the exec path, which
-// the server runs as a script and answers with the last statement's
-// result.
+// A buffer whose first statement is a SELECT streams over the wire as
+// row batches; everything else (DDL, DML, SET, scripts that start with
+// one of those) goes through the exec path, which the server runs as a
+// script and answers with the last statement's result.
 type remoteExecutor struct {
 	db *sql.DB
 }
 
 func (r *remoteExecutor) execScript(sqlText string) (*shellResult, error) {
-	if firstKeyword(sqlText) == "SELECT" {
+	query := false
+	// A buffer that does not lex fails either way, with the server's
+	// error.
+	_ = sqlparser.StatementHeads(sqlText, func(head string) bool {
+		query = head == "SELECT"
+		return false
+	})
+	if query {
 		rows, err := r.db.Query(sqlText)
 		if err != nil {
 			return nil, err
@@ -244,22 +252,6 @@ func (r *remoteExecutor) execScript(sqlText string) (*shellResult, error) {
 }
 
 func (r *remoteExecutor) meta(string) bool { return false }
-
-// firstKeyword returns the upper-cased first SQL token, skipping
-// leading whitespace and '--' comments.
-func firstKeyword(sqlText string) string {
-	for _, line := range strings.Split(sqlText, "\n") {
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasPrefix(t, "--") {
-			continue
-		}
-		if i := strings.IndexAny(t, " \t("); i >= 0 {
-			t = t[:i]
-		}
-		return strings.ToUpper(t)
-	}
-	return ""
-}
 
 func renderRow(vals []any) string {
 	parts := make([]string, len(vals))

@@ -5,13 +5,13 @@ import (
 	sqldriver "database/sql/driver"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"dualtable"
 	"dualtable/internal/datum"
 	"dualtable/internal/hive"
+	"dualtable/internal/sqlparser"
 	"dualtable/internal/wire"
 )
 
@@ -122,18 +122,18 @@ func (c *conn) applyBaseVars() error {
 	}
 }
 
-// sqlMutatesSession reports whether inline SQL contains a SET
-// statement (checked per semicolon-separated chunk) — the signal that
-// the connection must be reset before pooled reuse.
+// sqlMutatesSession reports whether inline SQL holds a SET statement
+// — the signal that the connection must be reset before pooled reuse.
+// A SET behind a comment counts; one inside a string literal does not.
 func sqlMutatesSession(sql string) bool {
-	for _, chunk := range strings.Split(sql, ";") {
-		s := strings.TrimSpace(chunk)
-		if len(s) > 3 && strings.EqualFold(s[:3], "SET") &&
-			(s[3] == ' ' || s[3] == '\t' || s[3] == '\n' || s[3] == '\r') {
-			return true
-		}
-	}
-	return false
+	set := false
+	// A script that does not lex runs nothing on the server; a SET seen
+	// before its error costs one needless reset at worst.
+	_ = sqlparser.StatementHeads(sql, func(head string) bool {
+		set = head == "SET"
+		return !set
+	})
+	return set
 }
 
 // Prepare compiles a statement server-side.

@@ -30,31 +30,41 @@ func TestPooledConnSessionReset(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cn, err := db.Conn(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cn.ExecContext(ctx, `SET statement.timeout = '1ns'`); err != nil {
-		t.Fatal(err)
-	}
-	// Same borrow: the poisoned timeout applies (any statement exceeds
-	// 1ns by the time the engine checks its deadline).
-	var n int
-	err = cn.QueryRowContext(ctx, `SELECT COUNT(*) FROM px`).Scan(&n)
-	if !errors.Is(err, dualtable.ErrStatementTimeout) {
-		t.Fatalf("same-borrow err = %v, want ErrStatementTimeout", err)
-	}
-	if err := cn.Close(); err != nil {
-		t.Fatal(err)
-	}
+	// A comment before the SET hides it from no one: the server runs
+	// it, so the driver must reset it too.
+	for _, set := range []string{
+		`SET statement.timeout = '1ns'`,
+		"-- note\nSET statement.timeout = '1ns'",
+		`/* note */ SET statement.timeout = '1ns'`,
+	} {
+		t.Run(set, func(t *testing.T) {
+			cn, err := db.Conn(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cn.ExecContext(ctx, set); err != nil {
+				t.Fatal(err)
+			}
+			// Same borrow: the poisoned timeout applies (any statement
+			// exceeds 1ns by the time the engine checks its deadline).
+			var n int
+			err = cn.QueryRowContext(ctx, `SELECT COUNT(*) FROM px`).Scan(&n)
+			if !errors.Is(err, dualtable.ErrStatementTimeout) {
+				t.Fatalf("same-borrow err = %v, want ErrStatementTimeout", err)
+			}
+			if err := cn.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Next borrow reuses the same wire connection (MaxOpenConns=1) but
-	// must see reset session state.
-	if err := db.QueryRow(`SELECT COUNT(*) FROM px`).Scan(&n); err != nil {
-		t.Fatalf("pooled reuse after reset: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("count = %d, want 1", n)
+			// Next borrow reuses the same wire connection
+			// (MaxOpenConns=1) but must see reset session state.
+			if err := db.QueryRow(`SELECT COUNT(*) FROM px`).Scan(&n); err != nil {
+				t.Fatalf("pooled reuse after reset: %v", err)
+			}
+			if n != 1 {
+				t.Fatalf("count = %d, want 1", n)
+			}
+		})
 	}
 }
 

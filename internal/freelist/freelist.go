@@ -1,6 +1,6 @@
 // Package freelist holds the bounded free list that scan-path state is
 // borrowed from: orcfile's codecs and decode scratch, hive's vector
-// expression registers, sqlparser's token slices.
+// expression registers and overlay scratch.
 package freelist
 
 // Size bounds every list. A borrower beyond it constructs its own

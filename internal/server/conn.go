@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -422,27 +421,20 @@ func validateSetting(key, value string) error {
 	return nil
 }
 
-// sessionControlOnly reports whether a script consists solely of SET
-// statements. Session-control statements are exempt from the session
-// deadline: a statement.timeout short enough to kill the very SET
-// that would raise it would otherwise brick the session permanently
-// (the wire-level Set frame already bypasses the deadline; SQL-level
-// SET must behave the same).
+// sessionControlOnly reports whether every statement of a script is a
+// SET, by the lexer alone: a script that does not parse runs nothing.
+// Session-control statements are exempt from the session deadline: a
+// statement.timeout short enough to kill the very SET that would raise
+// it would otherwise brick the session permanently (the wire-level Set
+// frame already bypasses the deadline; SQL-level SET must behave the
+// same).
 func sessionControlOnly(sql string) bool {
-	t := strings.TrimSpace(sql)
-	if len(t) < 3 || !strings.EqualFold(t[:3], "SET") {
-		return false
-	}
-	stmts, err := sqlparser.ParseScript(sql)
-	if err != nil || len(stmts) == 0 {
-		return false
-	}
-	for _, st := range stmts {
-		if _, ok := st.(*sqlparser.SetStmt); !ok {
-			return false
-		}
-	}
-	return true
+	only := false
+	err := sqlparser.StatementHeads(sql, func(head string) bool {
+		only = head == "SET"
+		return only
+	})
+	return err == nil && only
 }
 
 // statementCtx derives a statement's execution context from its op

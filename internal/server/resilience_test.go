@@ -129,16 +129,52 @@ func TestStatementTimeoutRecoverableViaSet(t *testing.T) {
 	sendExec(t, nc, 4, "CREATE TABLE tb_brick (id BIGINT) STORED AS DUALTABLE")
 	readResult(t, nc, 4)
 
-	// A mixed script does not ride the exemption: anything beyond
-	// session control is governed by the deadline again.
+	// A comment before the SET does not take the hatch away.
 	sendExec(t, nc, 5, "SET statement.timeout = '1ns'")
 	readResult(t, nc, 5)
-	sendExec(t, nc, 6, "SET force.plan = ''; SELECT COUNT(*) FROM tb_brick")
-	if code := readError(t, nc); code != dualtable.CodeStatementTimeout {
-		t.Fatalf("mixed-script code = %v, want CodeStatementTimeout", code)
+	sendExec(t, nc, 6, "-- raise\nSET statement.timeout = '0'")
+	readResult(t, nc, 6)
+	sendExec(t, nc, 7, "SELECT COUNT(*) FROM tb_brick")
+	readResult(t, nc, 7)
+
+	// A mixed script does not ride the exemption: anything beyond
+	// session control is governed by the deadline again, and a ';SET'
+	// inside a string literal is no SET.
+	sendExec(t, nc, 8, "SET statement.timeout = '1ns'")
+	readResult(t, nc, 8)
+	for _, sql := range []string{
+		"SET force.plan = ''; SELECT COUNT(*) FROM tb_brick",
+		"SELECT ';SET force.plan = 1' FROM tb_brick",
+	} {
+		sendExec(t, nc, 9, sql)
+		if code := readError(t, nc); code != dualtable.CodeStatementTimeout {
+			t.Fatalf("%q: code = %v, want CodeStatementTimeout", sql, code)
+		}
 	}
 	if n := s.Stats().ActiveOps; n != 0 {
 		t.Fatalf("ActiveOps = %d after the reply, want 0", n)
+	}
+}
+
+// TestSessionControlOnly: a script is exempt from the deadline when
+// every statement in it is a SET, past comments; a ';' or a keyword
+// inside a string literal or a comment changes nothing.
+func TestSessionControlOnly(t *testing.T) {
+	for sql, want := range map[string]bool{
+		`SET statement.timeout = '0'`:           true,
+		"-- raise\nSET statement.timeout = '0'": true,
+		`/* raise */ set a = 1; SET b = 2;`:     true,
+		`SET a = ';SELECT 1'`:                   true,
+		`SET a = 1 -- ; SELECT 1`:               true,
+		`SET a = 1; SELECT 1`:                   false,
+		`SELECT ';SET a = 1'`:                   false,
+		`SET a = 'unterminated`:                 false,
+		``:                                      false,
+		`;`:                                     false,
+	} {
+		if got := sessionControlOnly(sql); got != want {
+			t.Errorf("sessionControlOnly(%q) = %v, want %v", sql, got, want)
+		}
 	}
 }
 

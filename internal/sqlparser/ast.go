@@ -138,7 +138,7 @@ func (e *ColumnRef) String() string {
 // ident prints a name so that it lexes back as one identifier: bare
 // when it is a plain name and no keyword, in backquotes otherwise.
 func ident(name string) string {
-	plain := name != "" && !keywords[strings.ToUpper(name)]
+	plain := name != "" && keyword(name) == ""
 	for i, r := range name {
 		// An invalid byte ranges as utf8.RuneError, which is no letter.
 		plain = plain && isIdentPart(r) && (i > 0 || isIdentStart(r))

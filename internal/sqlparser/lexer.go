@@ -6,10 +6,17 @@
 // in expressions because the paper's motivating UPDATE statement
 // (Listing 1) assigns from a correlated subquery.
 //
-// The parser keeps the first error it meets, with its line and column,
-// and stops there: every later token reads as the end of input, so the
-// parse methods return nodes only and the entry points check the error
-// once.
+// The parser pulls one token at a time from the lexer, looking at most
+// two tokens past the current one; no slice of tokens is built, so
+// parsing a statement allocates memory for the tree it builds, not for
+// the length of its text.
+//
+// A statement reports the first error in its text, with its line and
+// column (the column counts bytes), and the parse stops there: every
+// later token reads as the end of input, so the parse methods return
+// nodes only and the entry points check the error once. A lexical
+// error counts where the parser reaches the token it spoils, so a
+// parse error earlier in the text wins over it.
 //
 // A statement that nests deeper than 1000 levels fails with "statement
 // nests deeper than 1000 levels" (see maxNesting). Everything that
@@ -24,8 +31,6 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
-
-	"dualtable/internal/freelist"
 )
 
 // tokenKind classifies lexer tokens.
@@ -38,7 +43,8 @@ const (
 	tokKeyword
 	tokNumber
 	tokString
-	tokOp // operators and punctuation
+	tokOp  // operators and punctuation
+	tokErr // a lexical error; Text is its message
 )
 
 // token is one lexical token with its source position.
@@ -46,8 +52,6 @@ type token struct {
 	Kind tokenKind
 	Text string // keywords are upper-cased; idents keep original case
 	Pos  int    // byte offset
-	Line int
-	Col  int
 }
 
 func (t token) String() string {
@@ -57,42 +61,64 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// keywords recognized by the lexer. Anything else alphanumeric is an
-// identifier.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "ASC": true, "DESC": true,
-	"INSERT": true, "INTO": true, "OVERWRITE": true, "TABLE": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"CREATE": true, "DROP": true, "IF": true, "NOT": true, "EXISTS": true,
-	"STORED": true, "AS": true, "LOAD": true, "DATA": true, "INPATH": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "FULL": true,
-	"OUTER": true, "CROSS": true, "ON": true, "AND": true, "OR": true,
-	"IN": true, "IS": true, "NULL": true, "LIKE": true, "BETWEEN": true,
-	"TRUE": true, "FALSE": true, "CASE": true, "WHEN": true, "THEN": true,
-	"ELSE": true, "END": true, "CAST": true, "DISTINCT": true, "ALL": true,
-	"UNION": true, "COMPACT": true, "SHOW": true, "TABLES": true,
-	"DESCRIBE": true, "EXPLAIN": true, "ANALYZE": true, "WITH": true,
-	"PARTITIONED": true, "TBLPROPERTIES": true, "OF": true, "EPOCH": true,
-}
+// keywords recognized by the lexer, each mapped to itself. Anything
+// else alphanumeric is an identifier.
+var keywords = map[string]string{}
 
-// lexer tokenizes a SQL string.
-type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
-
-func (l *lexer) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("sql: line %d col %d: %s", l.line, l.col, fmt.Sprintf(format, args...))
-}
-
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
+func init() {
+	for _, kw := range strings.Fields(`
+		SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT ASC DESC
+		INSERT INTO OVERWRITE TABLE VALUES UPDATE SET DELETE
+		CREATE DROP IF NOT EXISTS STORED AS LOAD DATA INPATH
+		JOIN INNER LEFT RIGHT FULL OUTER CROSS ON AND OR
+		IN IS NULL LIKE BETWEEN TRUE FALSE CASE WHEN THEN
+		ELSE END CAST DISTINCT ALL UNION COMPACT SHOW TABLES
+		DESCRIBE EXPLAIN ANALYZE WITH PARTITIONED TBLPROPERTIES OF EPOCH`) {
+		keywords[kw] = kw
 	}
-	return l.src[l.pos]
+}
+
+// keyword returns the keyword that word spells in any case, or "". An
+// ASCII word is upper-cased on the stack; any other goes through
+// strings.ToUpper, which maps a few non-ASCII letters onto ASCII ones
+// (ı to I, ſ to S).
+func keyword(word string) string {
+	var up [len("TBLPROPERTIES")]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return keywords[strings.ToUpper(word)]
+		case i == len(up): // too long, even once upper-cased
+			return ""
+		case 'a' <= c && c <= 'z':
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return keywords[string(up[:len(word)])]
+}
+
+// lexer reads a SQL string one token at a time.
+type lexer struct {
+	src string
+	pos int
+}
+
+// errorAt builds the error for msg at byte offset pos of src. Lines
+// and columns count from 1; a column counts bytes.
+func errorAt(src string, pos int, msg string) error {
+	line := 1 + strings.Count(src[:pos], "\n")
+	col := pos - strings.LastIndexByte(src[:pos], '\n')
+	return fmt.Errorf("sql: line %d col %d: %s", line, col, msg)
+}
+
+// fail returns an error token at the cursor and moves the cursor to
+// the end, so that every later token is the end of input.
+func (l *lexer) fail(format string, args ...interface{}) token {
+	t := token{Kind: tokErr, Text: fmt.Sprintf(format, args...), Pos: l.pos}
+	l.pos = len(l.src)
+	return t
 }
 
 func (l *lexer) peekByteAt(off int) byte {
@@ -102,52 +128,36 @@ func (l *lexer) peekByteAt(off int) byte {
 	return l.src[l.pos+off]
 }
 
-func (l *lexer) advance() byte {
-	b := l.src[l.pos]
-	l.pos++
-	if b == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return b
-}
-
 // skipSpaceAndComments consumes whitespace, -- line comments and
-// /* */ block comments.
-func (l *lexer) skipSpaceAndComments() error {
+// /* */ block comments. It reports false at a block comment that does
+// not end, with the cursor at the end of the source.
+func (l *lexer) skipSpaceAndComments() bool {
 	for l.pos < len(l.src) {
-		b := l.peekByte()
+		rest := l.src[l.pos:]
 		switch {
-		case b == ' ' || b == '\t' || b == '\r' || b == '\n':
-			l.advance()
-		case b == '-' && l.peekByteAt(1) == '-':
-			for l.pos < len(l.src) && l.peekByte() != '\n' {
-				l.advance()
+		case rest[0] == ' ' || rest[0] == '\t' || rest[0] == '\r' || rest[0] == '\n':
+			l.pos++
+		case strings.HasPrefix(rest, "--"):
+			if i := strings.IndexByte(rest, '\n'); i >= 0 {
+				l.pos += i
+			} else {
+				l.pos = len(l.src)
 			}
-		case b == '/' && l.peekByteAt(1) == '*':
-			l.advance()
-			l.advance()
-			closed := false
-			for l.pos < len(l.src) {
-				if l.peekByte() == '*' && l.peekByteAt(1) == '/' {
-					l.advance()
-					l.advance()
-					closed = true
-					break
-				}
-				l.advance()
+		case strings.HasPrefix(rest, "/*"):
+			i := strings.Index(rest[2:], "*/")
+			if i < 0 {
+				l.pos = len(l.src)
+				return false
 			}
-			if !closed {
-				return l.errf("unterminated block comment")
-			}
+			l.pos += i + 4
 		default:
-			return nil
+			return true
 		}
 	}
-	return nil
+	return true
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isIdentStart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r)
@@ -157,132 +167,70 @@ func isIdentPart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// peekRune decodes the UTF-8 rune at the cursor and its width; an
-// invalid byte decodes as utf8.RuneError of width 1.
-func (l *lexer) peekRune() (rune, int) {
-	return utf8.DecodeRuneInString(l.src[l.pos:])
-}
-
-// next returns the next token.
-func (l *lexer) next() (token, error) {
-	if err := l.skipSpaceAndComments(); err != nil {
-		return token{}, err
+// next returns the next token: the end of input at the end of the
+// source and after an error token.
+func (l *lexer) next() token {
+	if !l.skipSpaceAndComments() {
+		return l.fail("unterminated block comment")
 	}
-	tok := token{Pos: l.pos, Line: l.line, Col: l.col}
+	tok := token{Pos: l.pos}
 	if l.pos >= len(l.src) {
 		tok.Kind = tokEOF
-		return tok, nil
+		return tok
 	}
-	b := l.peekByte()
-	r, w := l.peekRune()
+	// An invalid byte decodes as utf8.RuneError of width 1.
+	b := l.src[l.pos]
+	r, w := utf8.DecodeRuneInString(l.src[l.pos:])
 	switch {
 	case r == utf8.RuneError && w == 1:
-		return token{}, l.errf("invalid UTF-8 byte %#x", b)
+		return l.fail("invalid UTF-8 byte %#x", b)
 	case isIdentStart(r):
 		start := l.pos
 		for l.pos < len(l.src) {
-			r, w := l.peekRune()
+			r, w := utf8.DecodeRuneInString(l.src[l.pos:])
 			if !isIdentPart(r) || r == utf8.RuneError && w == 1 {
 				break
 			}
-			for range w {
-				l.advance()
-			}
+			l.pos += w
 		}
-		text := l.src[start:l.pos]
-		upper := strings.ToUpper(text)
-		if keywords[upper] {
-			tok.Kind = tokKeyword
-			tok.Text = upper
-		} else {
-			tok.Kind = tokIdent
-			tok.Text = text
+		tok.Kind, tok.Text = tokIdent, l.src[start:l.pos]
+		if kw := keyword(tok.Text); kw != "" {
+			tok.Kind, tok.Text = tokKeyword, kw
 		}
-		return tok, nil
-	case b >= '0' && b <= '9' || (b == '.' && l.peekByteAt(1) >= '0' && l.peekByteAt(1) <= '9'):
-		start := l.pos
-		seenDot := false
-		seenExp := false
+		return tok
+	case isDigit(b) || b == '.' && isDigit(l.peekByteAt(1)):
+		start, dot, exp := l.pos, false, false
+	number:
 		for l.pos < len(l.src) {
-			c := l.peekByte()
-			switch {
-			case c >= '0' && c <= '9':
-				l.advance()
-			case c == '.' && !seenDot && !seenExp:
-				seenDot = true
-				l.advance()
-			case (c == 'e' || c == 'E') && !seenExp && l.pos > start:
-				next := l.peekByteAt(1)
-				if next >= '0' && next <= '9' || next == '+' || next == '-' {
-					seenExp = true
-					l.advance()
-					if l.peekByte() == '+' || l.peekByte() == '-' {
-						l.advance()
-					}
-					continue
+			switch c, n := l.src[l.pos], l.peekByteAt(1); {
+			case isDigit(c):
+			case c == '.' && !dot && !exp:
+				dot = true
+			case (c == 'e' || c == 'E') && !exp && (isDigit(n) || n == '+' || n == '-'):
+				exp = true
+				if n == '+' || n == '-' {
+					l.pos++
 				}
-				goto numDone
 			default:
-				goto numDone
+				break number
 			}
+			l.pos++
 		}
-	numDone:
-		tok.Kind = tokNumber
-		tok.Text = l.src[start:l.pos]
-		return tok, nil
+		tok.Kind, tok.Text = tokNumber, l.src[start:l.pos]
+		return tok
 	case b == '\'':
-		l.advance()
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return token{}, l.errf("unterminated string literal")
-			}
-			c := l.advance()
-			if c == '\'' {
-				if l.peekByte() == '\'' { // escaped quote
-					l.advance()
-					sb.WriteByte('\'')
-					continue
-				}
-				break
-			}
-			if c == '\\' && l.pos < len(l.src) {
-				// Hive-style backslash escapes.
-				e := l.advance()
-				switch e {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case '\\':
-					sb.WriteByte('\\')
-				case '\'':
-					sb.WriteByte('\'')
-				default:
-					sb.WriteByte(e)
-				}
-				continue
-			}
-			sb.WriteByte(c)
-		}
-		tok.Kind = tokString
-		tok.Text = sb.String()
-		return tok, nil
+		return l.stringLiteral(tok)
 	case b == '`':
 		// Back-quoted identifier (HiveQL).
-		l.advance()
-		start := l.pos
-		for l.pos < len(l.src) && l.peekByte() != '`' {
-			l.advance()
+		end := strings.IndexByte(l.src[l.pos+1:], '`')
+		if end < 0 {
+			l.pos = len(l.src)
+			return l.fail("unterminated quoted identifier")
 		}
-		if l.pos >= len(l.src) {
-			return token{}, l.errf("unterminated quoted identifier")
-		}
-		text := l.src[start:l.pos]
-		l.advance()
 		tok.Kind = tokIdent
-		tok.Text = text
-		return tok, nil
+		tok.Text = l.src[l.pos+1 : l.pos+1+end]
+		l.pos += end + 2
+		return tok
 	default:
 		// Multi-byte operators first.
 		two := ""
@@ -291,69 +239,102 @@ func (l *lexer) next() (token, error) {
 		}
 		switch two {
 		case "<=", ">=", "!=", "<>", "==":
-			l.advance()
-			l.advance()
-			tok.Kind = tokOp
-			if two == "<>" {
-				two = "!="
+			l.pos += 2
+			tok.Kind, tok.Text = tokOp, two
+			switch two {
+			case "<>":
+				tok.Text = "!="
+			case "==":
+				tok.Text = "="
 			}
-			if two == "==" {
-				two = "="
-			}
-			tok.Text = two
-			return tok, nil
+			return tok
 		}
 		switch b {
 		case '+', '-', '*', '/', '%', '(', ')', ',', '=', '<', '>', '.', ';', '?':
 			tok.Kind = tokOp
 			tok.Text = l.src[l.pos : l.pos+1]
-			l.advance()
-			return tok, nil
+			l.pos++
+			return tok
 		}
-		return token{}, l.errf("unexpected character %q", string(b))
+		return l.fail("unexpected character %q", string(b))
 	}
 }
 
-// tokenize runs the lexer to EOF, appending the tokens to toks.
-func tokenize(src string, toks []token) ([]token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
+// stringLiteral reads the quoted string at the cursor into tok. A
+// literal without escapes is a substring of the source; one with a
+// doubled quote or a Hive-style backslash escape is decoded into a
+// new string.
+func (l *lexer) stringLiteral(tok token) token {
+	start := l.pos + 1
+	if end := strings.IndexAny(l.src[start:], `'\`); end >= 0 && l.src[start+end] == '\'' && l.peekByteAt(end+2) != '\'' {
+		l.pos = start + end + 1
+		tok.Kind, tok.Text = tokString, l.src[start:start+end]
+		return tok
+	}
+	l.pos = start
+	var sb strings.Builder
 	for {
-		t, err := l.next()
-		if err != nil {
-			return toks, err
+		if l.pos >= len(l.src) {
+			return l.fail("unterminated string literal")
 		}
-		toks = append(toks, t)
-		if t.Kind == tokEOF {
-			return toks, nil
+		c := l.src[l.pos]
+		l.pos++
+		if c == '\'' {
+			if l.peekByteAt(0) == '\'' { // escaped quote
+				l.pos++
+				sb.WriteByte('\'')
+				continue
+			}
+			break
 		}
+		if c == '\\' && l.pos < len(l.src) {
+			// Hive-style backslash escapes.
+			e := l.src[l.pos]
+			l.pos++
+			switch e {
+			case 'n':
+				sb.WriteByte('\n')
+			case 't':
+				sb.WriteByte('\t')
+			default: // \\, \' and any other character stand for themselves
+				sb.WriteByte(e)
+			}
+			continue
+		}
+		sb.WriteByte(c)
 	}
+	tok.Kind, tok.Text = tokString, sb.String()
+	return tok
 }
 
-// tokenBufs lends the slices statements are lexed into. A parser holds
-// its tokens only while it parses — the tree keeps their texts, never a
-// token — so the next statement can reuse the slice instead of growing
-// a new one by doubling.
-var tokenBufs = freelist.New[[]token]()
-
-// maxPooledTokens bounds the slices tokenBufs keeps, so that one huge
-// statement does not stay pinned in it.
-const maxPooledTokens = 4096
-
-// lex tokenizes src into a slice borrowed from tokenBufs, which
-// releaseTokens hands back.
-func lex(src string) (*[]token, error) {
-	buf := tokenBufs.Get()
-	toks, err := tokenize(src, (*buf)[:0])
-	*buf = toks
-	return buf, err
-}
-
-// releaseTokens returns a slice lex borrowed, its tokens cleared: their
-// texts would pin the statement's source.
-func releaseTokens(buf *[]token) {
-	if cap(*buf) > maxPooledTokens {
-		return
+// StatementHeads reads src with the lexer alone and calls head with
+// the first token of each ';'-separated statement in turn: a keyword
+// upper-cased, "" for any other token. Empty statements are skipped,
+// as ParseScript skips them, and a comment, a string literal or a
+// back-quoted name can neither hide nor fake a keyword or a ';'. The
+// scan stops when head returns false; it returns the lexical error it
+// meets, if any.
+func StatementHeads(src string, head func(string) bool) error {
+	l := lexer{src: src}
+	start := true
+	for {
+		t := l.next()
+		switch {
+		case t.Kind == tokEOF:
+			return nil
+		case t.Kind == tokErr:
+			return errorAt(src, t.Pos, t.Text)
+		case t.Kind == tokOp && t.Text == ";":
+			start = true
+		case start:
+			start = false
+			kw := ""
+			if t.Kind == tokKeyword {
+				kw = t.Text
+			}
+			if !head(kw) {
+				return nil
+			}
+		}
 	}
-	clear(*buf)
-	tokenBufs.Put(buf)
 }

@@ -22,13 +22,15 @@ import (
 // statement thus nests no deeper than the statement it prints.
 const maxNesting = 1000
 
-// parser is a recursive-descent parser over the token stream. It keeps
-// the first error it meets (see fail): from then on the current token
-// reads as the end of input, so every loop ends and every parse method
-// returns at once with whatever node it holds.
+// parser is a recursive-descent parser that pulls its tokens from a
+// lexer. It keeps the first error it meets (see fail): from then on the
+// current token reads as the end of input, so every loop ends and every
+// parse method returns at once with whatever node it holds.
 type parser struct {
-	toks   []token
-	pos    int
+	lex    lexer
+	tok    token    // the current token
+	ahead  [2]token // ahead[:n] are the tokens after tok that isAt has read
+	n      int
 	params int // '?' placeholders seen so far (assigns Placeholder.Idx)
 	err    error
 	depth  int // recursions open at the current token (see nest)
@@ -45,16 +47,11 @@ func Parse(src string) (Statement, error) {
 // ParseParams is Parse that also returns the number of '?'
 // placeholders, which the parser numbers 0, 1, ... as it meets them.
 func ParseParams(src string) (Statement, int, error) {
-	toks, err := lex(src)
-	defer releaseTokens(toks)
-	if err != nil {
-		return nil, 0, err
-	}
-	p := &parser{toks: *toks}
+	p := newParser(src)
 	stmt := p.parseStatement()
 	p.accept(tokOp, ";")
 	if !p.atEOF() {
-		p.fail("unexpected %s after statement", p.cur())
+		p.fail("unexpected %s after statement", p.tok)
 	}
 	if p.err != nil {
 		return nil, 0, p.err
@@ -64,12 +61,7 @@ func ParseParams(src string) (Statement, int, error) {
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
-	toks, err := lex(src)
-	defer releaseTokens(toks)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: *toks}
+	p := newParser(src)
 	var out []Statement
 	for {
 		for p.accept(tokOp, ";") {
@@ -79,7 +71,7 @@ func ParseScript(src string) ([]Statement, error) {
 		}
 		out = append(out, p.parseStatement())
 		if !p.accept(tokOp, ";") && !p.atEOF() {
-			p.fail("expected ';' between statements, got %s", p.cur())
+			p.fail("expected ';' between statements, got %s", p.tok)
 		}
 	}
 	if p.err != nil {
@@ -88,62 +80,85 @@ func ParseScript(src string) ([]Statement, error) {
 	return out, nil
 }
 
-// peek returns the token off places ahead: the end of input past the
-// last token or after a failure.
-func (p *parser) peek(off int) *token {
-	if i := p.pos + off; p.err == nil && i < len(p.toks) {
-		return &p.toks[i]
-	}
-	return &p.toks[len(p.toks)-1]
+// newParser returns a parser whose current token is src's first.
+func newParser(src string) parser {
+	p := parser{lex: lexer{src: src}}
+	p.setCur(p.lex.next())
+	return p
 }
 
-func (p *parser) cur() *token { return p.peek(0) }
-
-func (p *parser) atEOF() bool { return p.cur().Kind == tokEOF }
-
-func (p *parser) next() *token {
-	t := p.cur()
-	if t.Kind != tokEOF {
-		p.pos++
+// setCur makes t the current token. An error token fails the
+// statement there: a lexical error counts where the parser reaches it.
+func (p *parser) setCur(t token) {
+	p.tok = t
+	if t.Kind == tokErr {
+		p.fail("%s", t.Text)
 	}
-	return t
+}
+
+func (p *parser) atEOF() bool { return p.tok.Kind == tokEOF }
+
+// next consumes the current token and returns its text.
+func (p *parser) next() string {
+	text := p.tok.Text
+	switch {
+	case p.tok.Kind == tokEOF:
+	case p.n > 0:
+		t := p.ahead[0]
+		p.ahead[0] = p.ahead[1]
+		p.n--
+		p.setCur(t)
+	default:
+		p.setCur(p.lex.next())
+	}
+	return text
 }
 
 // fail records the error at the current token, unless an earlier one
-// stands: a statement reports the first error in it.
+// stands: a statement reports the first error in it. From then on
+// every token is the end of input.
 func (p *parser) fail(format string, args ...interface{}) {
 	if p.err == nil {
-		t := p.cur()
-		p.err = fmt.Errorf("sql: line %d col %d: %s", t.Line, t.Col, fmt.Sprintf(format, args...))
+		p.err = errorAt(p.lex.src, p.tok.Pos, fmt.Sprintf(format, args...))
+		p.lex.pos = len(p.lex.src)
+		p.tok, p.n = token{Kind: tokEOF, Pos: p.lex.pos}, 0
 	}
 }
 
 // is reports whether the current token matches kind and (optionally)
 // text.
-func (p *parser) is(kind tokenKind, text string) bool { return p.isAt(0, kind, text) }
+func (p *parser) is(kind tokenKind, text string) bool {
+	return p.tok.Kind == kind && (text == "" || p.tok.Text == text)
+}
 
+// isAt is is for the token off places past the current one (1 or 2),
+// which it reads from the lexer when no earlier look has: past the last
+// token or after a failure, the end of input.
 func (p *parser) isAt(off int, kind tokenKind, text string) bool {
-	t := p.peek(off)
+	for ; p.n < off; p.n++ {
+		p.ahead[p.n] = p.lex.next()
+	}
+	t := &p.ahead[off-1]
 	return t.Kind == kind && (text == "" || t.Text == text)
 }
 
 func (p *parser) isKeyword(kw string) bool { return p.is(tokKeyword, kw) }
 
-// peekKeyword reports whether the token at offset off from the
-// current position is the given keyword.
+// peekKeyword reports whether the token off places past the current
+// one is the given keyword.
 func (p *parser) peekKeyword(off int, kw string) bool { return p.isAt(off, tokKeyword, kw) }
 
 // accept consumes the current token when it matches.
 func (p *parser) accept(kind tokenKind, text string) bool {
 	if p.is(kind, text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
 }
 
-// expect consumes a required token.
-func (p *parser) expect(kind tokenKind, text string) *token {
+// expect consumes a required token and returns its text.
+func (p *parser) expect(kind tokenKind, text string) string {
 	if p.is(kind, text) {
 		return p.next()
 	}
@@ -151,8 +166,8 @@ func (p *parser) expect(kind tokenKind, text string) *token {
 	if want == "" {
 		want = fmt.Sprintf("token kind %d", kind)
 	}
-	p.fail("expected %q, got %s", want, p.cur())
-	return p.cur()
+	p.fail("expected %q, got %s", want, p.tok)
+	return ""
 }
 
 // expectKeywords consumes a required keyword sequence.
@@ -201,17 +216,16 @@ var softKeywords = map[string]bool{"OF": true, "EPOCH": true}
 // identLike reports whether the current token can serve as an
 // identifier (a real identifier or a soft keyword).
 func (p *parser) identLike() bool {
-	t := p.cur()
-	return t.Kind == tokIdent || (t.Kind == tokKeyword && softKeywords[t.Text])
+	return p.tok.Kind == tokIdent || (p.tok.Kind == tokKeyword && softKeywords[p.tok.Text])
 }
 
 // expectIdent consumes an identifier (soft keywords allowed, reserved
 // keywords not).
 func (p *parser) expectIdent() string {
 	if !p.identLike() {
-		p.fail("expected identifier, got %s", p.cur())
+		p.fail("expected identifier, got %s", p.tok)
 	}
-	return p.next().Text
+	return p.next()
 }
 
 // alias parses an optional alias: a bare name, or AS name where as is
@@ -221,7 +235,7 @@ func (p *parser) alias(as bool) string {
 		return p.expectIdent()
 	}
 	if p.identLike() {
-		return p.next().Text
+		return p.next()
 	}
 	return ""
 }
@@ -245,10 +259,10 @@ func (p *parser) natural(bad string) (int64, *Placeholder) {
 	if p.accept(tokOp, "?") {
 		return 0, p.placeholder()
 	}
-	t := p.expect(tokNumber, "")
-	n, err := strconv.ParseInt(t.Text, 10, 64)
+	text := p.expect(tokNumber, "")
+	n, err := strconv.ParseInt(text, 10, 64)
 	if err != nil || n < 0 {
-		p.fail(bad, t.Text)
+		p.fail(bad, text)
 	}
 	return n, nil
 }
@@ -299,7 +313,7 @@ func (p *parser) parseStatement() Statement {
 		return &DropTableStmt{IfExists: p.acceptKeywords("IF", "EXISTS"), Name: p.expectIdent()}
 	case p.accept(tokKeyword, "LOAD"):
 		p.expectKeywords("DATA", "INPATH")
-		stmt := &LoadStmt{Path: p.expect(tokString, "").Text, Overwrite: p.accept(tokKeyword, "OVERWRITE")}
+		stmt := &LoadStmt{Path: p.expect(tokString, ""), Overwrite: p.accept(tokKeyword, "OVERWRITE")}
 		p.expectKeywords("INTO", "TABLE")
 		stmt.Table = p.expectIdent()
 		return stmt
@@ -319,7 +333,7 @@ func (p *parser) parseStatement() Statement {
 		p.depth--
 		return stmt
 	}
-	p.fail("expected a statement, got %s", p.cur())
+	p.fail("expected a statement, got %s", p.tok)
 	return nil
 }
 
@@ -361,8 +375,9 @@ func (p *parser) parseSelectItem() SelectItem {
 		return SelectItem{Expr: &Star{}}
 	}
 	if p.identLike() && p.isAt(1, tokOp, ".") && p.isAt(2, tokOp, "*") {
-		tab := p.next().Text
-		p.pos += 2
+		tab := p.next()
+		p.next()
+		p.next()
 		return SelectItem{Expr: &Star{Table: tab}}
 	}
 	return SelectItem{Expr: p.parseExpr(), Alias: p.alias(true)}
@@ -390,7 +405,7 @@ func (p *parser) joinType() (JoinType, bool) {
 	if p.accept(tokOp, ",") { // implicit cross join
 		return JoinCross, true
 	}
-	jt, ok := joinPrefixes[p.cur().Text]
+	jt, ok := joinPrefixes[p.tok.Text]
 	if !ok || !p.is(tokKeyword, "") {
 		return 0, false
 	}
@@ -516,9 +531,9 @@ func (p *parser) parseCreateTable() Statement {
 func (p *parser) parseColumnDef() ColumnDef {
 	col := p.expectIdent()
 	if !p.is(tokIdent, "") {
-		p.fail("expected column type, got %s", p.cur())
+		p.fail("expected column type, got %s", p.tok)
 	}
-	typ := strings.ToUpper(p.next().Text)
+	typ := strings.ToUpper(p.next())
 	if _, err := datum.KindFromSQL(typ); err != nil {
 		p.fail("unsupported column type %q", typ)
 	}
@@ -534,17 +549,15 @@ func (p *parser) parseSet() Statement {
 	}
 	parts := list(p, ".", func() string {
 		if !p.is(tokIdent, "") && !p.is(tokKeyword, "") {
-			p.fail("expected setting name, got %s", p.cur())
+			p.fail("expected setting name, got %s", p.tok)
 		}
-		return p.next().Text
+		return p.next()
 	})
 	p.expect(tokOp, "=")
-	t := p.cur()
-	if t.Kind == tokEOF || t.Kind == tokOp {
-		p.fail("expected setting value, got %s", t)
+	if p.atEOF() || p.is(tokOp, "") {
+		p.fail("expected setting value, got %s", p.tok)
 	}
-	p.next()
-	return &SetStmt{Key: strings.ToLower(strings.Join(parts, ".")), Value: t.Text}
+	return &SetStmt{Key: strings.ToLower(strings.Join(parts, ".")), Value: p.next()}
 }
 
 // ---- Expression parsing (precedence climbing) ----
@@ -613,7 +626,7 @@ func (p *parser) operand(level int) Expr {
 // opLevel returns the level of the binary operator at the current
 // token, or -1.
 func (p *parser) opLevel() int {
-	t := p.cur()
+	t := &p.tok
 	switch t.Kind {
 	case tokOp:
 		switch t.Text {
@@ -644,9 +657,8 @@ func (p *parser) opLevel() int {
 // link consumes an operator of level (opLevel found it) with its right
 // side, and returns the node that joins it to l.
 func (p *parser) link(level int, l Expr) Expr {
-	if t := p.cur(); t.Kind == tokOp || t.Text == "OR" || t.Text == "AND" {
-		p.next()
-		return &BinaryExpr{Op: t.Text, L: l, R: p.operand(level)}
+	if p.is(tokOp, "") || p.tok.Text == "OR" || p.tok.Text == "AND" {
+		return &BinaryExpr{Op: p.next(), L: l, R: p.operand(level)}
 	}
 	if p.accept(tokKeyword, "IS") {
 		not := p.accept(tokKeyword, "NOT")
@@ -710,25 +722,23 @@ func (p *parser) parseUnary() Expr {
 }
 
 func (p *parser) parsePrimary() Expr {
-	t := p.cur()
 	switch {
 	case p.accept(tokOp, "?"):
 		return p.placeholder()
-	case t.Kind == tokNumber:
-		p.next()
-		if !strings.ContainsAny(t.Text, ".eE") {
-			if v, err := strconv.ParseInt(t.Text, 10, 64); err == nil {
+	case p.is(tokNumber, ""):
+		text := p.next()
+		if !strings.ContainsAny(text, ".eE") {
+			if v, err := strconv.ParseInt(text, 10, 64); err == nil {
 				return &Literal{Value: datum.Int(v)}
 			}
 		}
-		f, err := strconv.ParseFloat(t.Text, 64)
+		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			p.fail("bad number %q", t.Text)
+			p.fail("bad number %q", text)
 		}
 		return &Literal{Value: datum.Float(f)}
-	case t.Kind == tokString:
-		p.next()
-		return &Literal{Value: datum.String_(t.Text)}
+	case p.is(tokString, ""):
+		return &Literal{Value: datum.String_(p.next())}
 	case p.accept(tokKeyword, "TRUE"):
 		return &Literal{Value: datum.Bool(true)}
 	case p.accept(tokKeyword, "FALSE"):
@@ -767,7 +777,7 @@ func (p *parser) parsePrimary() Expr {
 		p.expect(tokOp, ")")
 		return e
 	case p.identLike():
-		name := p.next().Text
+		name := p.next()
 		if p.accept(tokOp, "(") {
 			return p.parseCall(name)
 		}
@@ -777,7 +787,7 @@ func (p *parser) parsePrimary() Expr {
 		}
 		return &ColumnRef{Name: name}
 	}
-	p.fail("expected expression, got %s", t)
+	p.fail("expected expression, got %s", p.tok)
 	return nil
 }
 

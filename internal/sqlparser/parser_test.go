@@ -1,9 +1,7 @@
 package sqlparser
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -19,8 +17,25 @@ func mustParse(t *testing.T, src string) Statement {
 	return stmt
 }
 
+// drain reads src with the lexer to the end of input: its tokens, the
+// end of input last, or the lexical error it meets.
+func drain(src string) ([]token, error) {
+	l := lexer{src: src}
+	var toks []token
+	for {
+		t := l.next()
+		if t.Kind == tokErr {
+			return toks, errorAt(src, t.Pos, t.Text)
+		}
+		toks = append(toks, t)
+		if t.Kind == tokEOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexerBasics(t *testing.T) {
-	toks, err := tokenize("SELECT a, 'it''s', 3.5e2 FROM t -- comment\n WHERE x >= 10 /* block */ ;", nil)
+	toks, err := drain("SELECT a, 'it''s', 3.5e2 FROM t -- comment\n WHERE x >= 10 /* block */ ;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +54,8 @@ func TestLexerBasics(t *testing.T) {
 
 func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{"'unterminated", "`unterminated", "/* unterminated", "SELECT @"} {
-		if _, err := tokenize(src, nil); err == nil {
-			t.Errorf("tokenize(%q) should fail", src)
+		if _, err := drain(src); err == nil {
+			t.Errorf("drain(%q) should fail", src)
 		}
 	}
 }
@@ -49,7 +64,7 @@ func TestLexerErrors(t *testing.T) {
 // UTF-8 letter is one identifier, and a byte that is not UTF-8 is a lex
 // error, not a letter of some other encoding.
 func TestLexerUTF8Identifiers(t *testing.T) {
-	toks, err := tokenize("SELECT é FROM t", nil)
+	toks, err := drain("SELECT é FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +91,7 @@ func TestLexerOperatorTextAllocatesNothing(t *testing.T) {
 	allocs := func(op string) float64 {
 		src := strings.Repeat(op+" ", 1000)
 		return testing.AllocsPerRun(10, func() {
-			if _, err := tokenize(src, nil); err != nil {
+			if _, err := drain(src); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -86,48 +101,8 @@ func TestLexerOperatorTextAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestParseReusesTokenSlices: once warm, parsing a long INSERT does not
-// pay for its tokens again — the slice a statement was lexed into is
-// lent to the next one — and a released slice keeps no token's text,
-// which would pin the statement it came from.
-func TestParseReusesTokenSlices(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO t VALUES ")
-	for i := range 200 {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "(%d, %d, %d.0, 'new')", 1000+i, i, 1000+i)
-	}
-	src := sb.String()
-	toks, err := tokenize(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Parse(src); err != nil {
-		t.Fatal(err)
-	}
-	const runs = 20
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for range runs {
-		if _, err := Parse(src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	perParse := (m1.TotalAlloc - m0.TotalAlloc) / runs
-	if slice := uint64(len(toks)) * uint64(reflect.TypeOf(token{}).Size()); perParse >= slice {
-		t.Errorf("a warm parse of %d tokens allocates %d B, as much as their %d-byte slice", len(toks), perParse, slice)
-	}
-	releaseTokens(&toks)
-	if toks[0] != (token{}) || toks[len(toks)-1] != (token{}) {
-		t.Errorf("a released slice still holds %v … %v", toks[0], toks[len(toks)-1])
-	}
-}
-
 func TestLexerBackquotedIdent(t *testing.T) {
-	toks, err := tokenize("`select` x", nil)
+	toks, err := drain("`select` x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,6 +447,74 @@ func TestParseErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
 			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// TestParseErrorPositions pins the line and column of errors in
+// multi-line, tabbed, CRLF and multi-byte input, of lexical errors at
+// the end of input, and which error wins when a lexical error follows
+// a parse error: a statement reports the first error in its text.
+func TestParseErrorPositions(t *testing.T) {
+	cases := []struct {
+		script    bool
+		src, want string
+	}{
+		// Multi-line input, tabs and CRLF: a line ends at \n, and a tab or a \r is one column.
+		{false, "SELECT a\nFROM t\nWHERE", "sql: line 3 col 6: expected expression, got end of input"},
+		{false, "SELECT a,\n\n  FROM t", "sql: line 3 col 3: expected expression, got \"FROM\""},
+		{false, "SELECT a\n  FROM t\n  WHERE b =\n  ORDER BY a", "sql: line 4 col 3: expected expression, got \"ORDER\""},
+		{false, "SELECT\ta\tFROM\tt\tWHERE\t@", "sql: line 1 col 23: unexpected character \"@\""},
+		{false, "SELECT\ta,\n\t\tb\n\tFROM\tt\tLIMIT\tx", "sql: line 3 col 15: expected \"token kind 3\", got \"x\""},
+		{false, "SELECT a\r\nFROM t\r\nWHERE x =\r\n", "sql: line 4 col 1: expected expression, got end of input"},
+		{false, "UPDATE t\r\nSET\r\n1 = 2", "sql: line 3 col 1: expected identifier, got \"1\""},
+		{false, "SELECT a\r\nFROM t\r\nWHERE a = #", "sql: line 3 col 11: unexpected character \"#\""},
+		// Multi-byte identifiers and invalid UTF-8: a column counts bytes.
+		{false, "SELECT é, ü FROM t WHERE", "sql: line 1 col 27: expected expression, got end of input"},
+		{false, "SELECT é\nFROM 日本 WHERE é = @", "sql: line 2 col 24: unexpected character \"@\""},
+		{false, "SELECT 日本 日本 日本", "sql: line 1 col 22: unexpected \"日本\" after statement"},
+		{false, "SELECT a\xff FROM t", "sql: line 1 col 9: invalid UTF-8 byte 0xff"},
+		{false, "SELECT é,\n\xe1 FROM t", "sql: line 2 col 1: invalid UTF-8 byte 0xe1"},
+		{false, "SET \xe1=''", "sql: line 1 col 5: invalid UTF-8 byte 0xe1"},
+		// An unterminated string, comment or back-quoted name at the end fails at the end of input.
+		{false, "SELECT 'abc", "sql: line 1 col 12: unterminated string literal"},
+		{false, "SELECT a\nFROM t WHERE b = 'x\ny", "sql: line 3 col 2: unterminated string literal"},
+		{false, "SELECT 'it''s", "sql: line 1 col 14: unterminated string literal"},
+		{false, "SELECT 'a\\'", "sql: line 1 col 12: unterminated string literal"},
+		{false, "SELECT 1 /* no end", "sql: line 1 col 19: unterminated block comment"},
+		{false, "SELECT 1\n/* a\n b", "sql: line 3 col 3: unterminated block comment"},
+		{false, "SELECT 1 -- a comment\n+", "sql: line 2 col 2: expected expression, got end of input"},
+		{false, "SELECT `a", "sql: line 1 col 10: unterminated quoted identifier"},
+		{false, "SELECT a FROM\n`t", "sql: line 2 col 3: unterminated quoted identifier"},
+		// What a comment or a string holds is no token; a lexical error before a parse error wins.
+		{false, "SELECT a\n-- @ in a comment\nFROM", "sql: line 3 col 5: expected identifier, got end of input"},
+		{false, "SELECT '@' FROM", "sql: line 1 col 16: expected identifier, got end of input"},
+		{false, "SELECT @ FROM", "sql: line 1 col 8: unexpected character \"@\""},
+		{false, "SELECT t.@", "sql: line 1 col 10: unexpected character \"@\""},
+		{false, "SELECT * FROM t LIMIT 1.5 @", "sql: line 1 col 27: unexpected character \"@\""},
+		// A lexical error after an earlier parse error: the parse error wins.
+		{false, "SELECT FROM t WHERE @", "sql: line 1 col 8: expected expression, got \"FROM\""},
+		{false, "SELEC 'abc", "sql: line 1 col 1: expected a statement, got \"SELEC\""},
+		{false, "SELECT 1 2 /* open", "sql: line 1 col 10: unexpected \"2\" after statement"},
+		{false, "UPDATE t x y SET a = `b", "sql: line 1 col 12: expected \"SET\", got \"y\""},
+		{false, "DELETE t WHERE a = '", "sql: line 1 col 8: expected \"FROM\", got \"t\""},
+		{false, "SELECT a\nFROM\nWHERE \xff", "sql: line 3 col 1: expected identifier, got \"WHERE\""},
+		// Scripts: the same rules across statements.
+		{true, "SET a = 1;\nSELECT 'x", "sql: line 2 col 10: unterminated string literal"},
+		{true, "SET a = 1;\r\nSELECT\t@", "sql: line 2 col 8: unexpected character \"@\""},
+		{true, "SELECT 1 SELECT 2; SELECT @", "sql: line 1 col 10: expected ';' between statements, got \"SELECT\""},
+		{true, "SET a = 1;\nSET b =;\nSELECT `x", "sql: line 2 col 8: expected setting value, got \";\""},
+		{true, "SELECT é;\n\nDELETE FROM 日本 WHERE", "sql: line 3 col 25: expected expression, got end of input"},
+	}
+	for _, c := range cases {
+		var err error
+		if c.script {
+			_, err = ParseScript(c.src)
+		} else {
+			_, err = Parse(c.src)
+		}
+		if err == nil || err.Error() != c.want {
+			t.Errorf("script %v %q: %v, want %s", c.script, c.src, err, c.want)
 		}
 	}
 }

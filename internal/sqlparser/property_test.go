@@ -158,7 +158,7 @@ func TestPropertyLexerTotal(t *testing.T) {
 			const chars = "abcSELECT*,.;()'=<>!0123456789 \n\t-/%`_"
 			b[j] = chars[rng.Intn(len(chars))]
 		}
-		toks, err := tokenize(string(b), nil)
+		toks, err := drain(string(b))
 		if err == nil && len(toks) == 0 {
 			t.Fatalf("no tokens and no error for %q", b)
 		}
@@ -169,7 +169,7 @@ func TestPropertyLexerTotal(t *testing.T) {
 }
 
 func TestKeywordsAreUpperCased(t *testing.T) {
-	toks, err := tokenize("select Update dElEtE", nil)
+	toks, err := drain("select Update dElEtE")
 	if err != nil {
 		t.Fatal(err)
 	}
